@@ -24,7 +24,8 @@ assert cfg.validate() == []
 
 traj = run_experiment(cfg)
 ac, dc = report.run_constants(traj)
-rep = report.constant_bound_report(traj, ac, dc)
+entries = report.run_bounds(traj, ac, dc)
+rep = entries["bound_constant"]
 lhs = metrics.stationary_convergence_error(traj)
 
 print("measured assumption constants (trajectory maxima where not analytic):")
@@ -39,7 +40,7 @@ print(f"  {'total':<26} {rep.total:12.4e}")
 print(f"  {'measured average':<26} {lhs:12.4e}   "
       f"({'holds' if lhs <= rep.total else 'VIOLATED'})")
 
-gen_bound = report.generalization_bound_value(traj, ac, dc)
+gen_bound = entries["bound_generalization"]
 test, train = metrics.trial_gap(traj)
 print(f"\ngeneralization: measured |gap| {abs(test - train):.4f}, bound {gen_bound:.2f}")
 print(f"estimation-error variance per round: mean {np.mean(traj.series('v_realized')):.4f}, "

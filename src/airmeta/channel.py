@@ -100,14 +100,6 @@ class ChannelRound:
     noise_im: np.ndarray    # (M,)
     fading: str
 
-    @property
-    def abs_mean(self) -> float:
-        return fading_moments(self.fading)[0]
-
-    @property
-    def abs_power(self) -> float:
-        return fading_moments(self.fading)[1]
-
 
 def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
                    rng: np.random.Generator) -> ChannelRound:

@@ -1,12 +1,11 @@
 """Command-line front end: run, sweep, verify, bounds.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/config error, 3 runtime
-abort.  AIRMETA_THREADS overrides --threads.
+abort.  AIRMETA_THREADS overrides ``sweep --threads``.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, metrics, report, rng, storage, sweeps, verify
+from . import metrics, report, rng, storage, sweeps, verify
 from .protocol import ExperimentConfig, run_experiment
 
 EXIT_OK = 0
@@ -52,11 +51,6 @@ def _threads(args) -> int:
     return max(1, int(args.threads))
 
 
-def _write_formatted(data: dict, path_base: Path, fmt: str) -> None:
-    if fmt == "json":
-        storage.write_json(data, path_base.with_suffix(".json"))
-
-
 def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out_dir = Path(args.out_dir)
@@ -80,7 +74,7 @@ def cmd_run(args) -> int:
         if args.dump_datasets:
             storage.write_datasets_csv(traj.datasets, tdir / "datasets.csv")
         if args.format == "json":
-            _dump_trajectory_json(traj, tdir / "trajectory.json", test_loss)
+            storage.write_trajectory_json(traj, tdir / "trajectory.json", test_loss)
         outputs[f"trial_{k}"] = str(tdir)
         summaries.append(summary)
         if traj.aborted_at is not None:
@@ -108,25 +102,6 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _dump_trajectory_json(traj, path, test_loss):
-    cols = storage.TRAJECTORY_COLUMNS
-    rows = []
-    last = len(traj.records) - 1
-    for idx, rec in enumerate(traj.records):
-        rows.append({
-            "round": rec.t, "grad_norm_sq": rec.grad_norm_sq,
-            "train_loss": rec.train_loss,
-            "test_loss": test_loss if idx == last else float("nan"),
-            "rho": rec.rho, "v": rec.v_realized,
-            "snr_db": traj.config.snr_db, "eta": rec.eta_t, "alpha": rec.alpha_t,
-            "v_model": rec.v_model, "sum_abs_h_sq": rec.sum_abs_h_sq,
-            "min_g_sq_over_eta_sq": rec.min_g_sq_over_eta_sq,
-            "mem_norm_sq_max": rec.mem_norm_sq_max,
-            "power_margin": rec.power_margin, "pinv_fallback": rec.pinv_fallback,
-        })
-    storage.write_json({"columns": cols, "rows": rows}, path)
-
-
 def cmd_sweep(args) -> int:
     p = Path(args.spec)
     if not p.exists():
@@ -144,48 +119,23 @@ def cmd_sweep(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = _threads(args)
     results = []
-
-    def persist(pr):
-        pdir = out_dir / f"{spec.axis}_{pr.value:g}"
-        pdir.mkdir(parents=True, exist_ok=True)
-        storage.write_json(pr.per_seed | {"axis": spec.axis, "value": pr.value},
-                           pdir / "point.json")
-
     try:
-        if threads > 1:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(sweeps.run_point, spec, v) for v in spec.values]
-                for fut in futures:  # collect in axis order; partials persist
-                    pr = fut.result()
-                    persist(pr)
-                    results.append(pr)
-        else:
-            for value in spec.values:
-                pr = sweeps.run_point(spec, value)
-                persist(pr)
-                results.append(pr)
+        for pr in sweeps.run_sweep(spec, _threads(args)):  # partials persist
+            pdir = out_dir / f"{spec.axis}_{pr.value:g}"
+            pdir.mkdir(parents=True, exist_ok=True)
+            storage.write_json(pr.per_seed | {"axis": spec.axis, "value": pr.value},
+                               pdir / "point.json")
+            results.append(pr)
     finally:
         if results:
-            _write_aggregate(results, out_dir / "aggregate.csv")
+            rows = sweeps.aggregate_rows(results)
+            storage.write_csv(sweeps.AGGREGATE_COLUMNS, rows, out_dir / "aggregate.csv")
             if args.format == "json":
-                storage.write_json(
-                    {"columns": sweeps.AGGREGATE_COLUMNS,
-                     "rows": sweeps.aggregate_rows(results)},
-                    out_dir / "aggregate.json")
+                storage.write_json({"columns": sweeps.AGGREGATE_COLUMNS, "rows": rows},
+                                   out_dir / "aggregate.json")
     print(f"sweep complete: {len(results)}/{len(spec.values)} points -> {out_dir}")
     return EXIT_OK if len(results) == len(spec.values) else EXIT_RUNTIME
-
-
-def _write_aggregate(results, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sweeps.AGGREGATE_COLUMNS)
-        for row in sweeps.aggregate_rows(results):
-            writer.writerow([row[0]] + [storage._fmt(v) for v in row[1:]])
 
 
 def cmd_verify(args) -> int:
@@ -205,7 +155,9 @@ def cmd_bounds(args) -> int:
     run_dir = Path(args.trajectory)
     if run_dir.is_file():
         run_dir = run_dir.parent
-    manifest_path = run_dir / "manifest.json"
+    # a trial of a multi-trial run keeps the run's manifest one level up
+    manifest_dir = run_dir.parent if run_dir.name.startswith("trial_") else run_dir
+    manifest_path = manifest_dir / "manifest.json"
     traj_path = run_dir / "trajectory.csv"
     summary_path = run_dir / "summary.json"
     for path in (manifest_path, traj_path, summary_path):
@@ -220,41 +172,32 @@ def cmd_bounds(args) -> int:
         raise UsageError("run summary carries no measured constants; "
                          "bounds need a quadratic-family air run")
     table = storage.read_trajectory_csv(traj_path)
-    c = summary["constants"]
-    ac = bounds.AssumptionConstants(
-        l_g=c["l_g"], l_h=c["l_h"], g_sq=c["g_sq"], sigma_g_sq=c["sigma_g_sq"],
-        sigma_h_sq=c["sigma_h_sq"], gamma_g_sq=c["gamma_g_sq"], gamma_h_sq=c["gamma_h_sq"],
-    )
-    dc = bounds.derived_constants(ac, summary["metric_alpha"], cfg.sparsify_k,
-                                  cfg.dim, cfg.batch_size)
-    from .channel import fading_moments
+    entries = report.bound_entries(cfg, table, *report.summary_constants(cfg, summary),
+                                   summary["f_init"], summary["f_star"])
+    entries.pop("eps_g")  # bounds.json holds bound values, not their inputs
+    grad = table["grad_norm_sq"]
+    entries["measured_convergence_error"] = float(np.mean(grad))
+    # gate on the schedule's own bound: constant rates bound the average
+    # squared meta-gradient, 1/t rates the best one
+    if cfg.lr_schedule == "adaptive":
+        name, measured = "bound_adaptive", "best"
+        entries["measured_best_grad_norm_sq"] = lhs = float(np.min(grad))
+    else:
+        name, measured = "bound_constant", "average"
+        lhs = entries["measured_convergence_error"]
+    rep = entries.get(name)
+    holds = rep is not None and lhs <= rep.total
+    if rep is None:
+        print(f"bound_adaptive_error: {entries['bound_adaptive_error']}")
+    else:
+        print(f"{name.split('_')[1]}-rate convergence bound")
+        for term, val in rep.terms.items():
+            print(f"  {term:<26} {val:.6e}")
+        print(f"  {'total':<26} {rep.total:.6e}")
+        print(f"  {'measured ' + measured:<26} {lhs:.6e}  "
+              f"({'<= bound' if holds else 'EXCEEDS bound'})")
 
-    mu, pw = fading_moments(cfg.fading)
-    eta0 = float(table["eta"][0])
-    alpha0 = float(table["alpha"][0])
-    rep = bounds.constant_rate_bound(
-        dc, ac, q=cfg.local_steps, r=cfg.active_fraction, n=cfg.n_devices,
-        d=cfg.dim, m_uses=cfg.channel_uses, p_min=cfg.power_per_use, eta=eta0,
-        alpha=alpha0, batch_size=cfg.batch_size, t_rounds=len(table["round"]),
-        f_init=summary["f_init"], f_star=summary["f_star"],
-        v_mean=float(np.mean(table["v"])), abs_mean=mu, abs_power=pw,
-    )
-    lhs = float(np.mean(table["grad_norm_sq"]))
-    print("constant-rate convergence bound")
-    for name, val in rep.terms.items():
-        print(f"  {name:<26} {val:.6e}")
-    print(f"  {'total':<26} {rep.total:.6e}")
-    print(f"  {'measured average':<26} {lhs:.6e}  "
-          f"({'<= bound' if lhs <= rep.total else 'EXCEEDS bound'})")
-
-    eps_g = max(float(np.nanmin(table["min_g_sq_over_eta_sq"])), 1e-12)
-    c_g = bounds.sparsified_update_energy(ac, dc, q=cfg.local_steps, alpha=alpha0,
-                                          batch_size=cfg.batch_size)
-    gen = bounds.generalization_bound(
-        d=cfg.dim, n=cfg.n_devices, sigma_sq=bounds.sub_gaussian_proxy(cfg.loss_clip),
-        m_uses=cfg.channel_uses, p_max=cfg.power_per_use, rn=cfg.n_active, c_g=c_g,
-        sum_abs_h_sq=table["sum_abs_h_sq"], v_series=table["v"], eps_g=eps_g,
-    )
+    gen = entries["bound_generalization"]
     print("generalization bound")
     print(f"  {'value':<26} {gen:.6e}" + ("  (vacuous: noiseless round)"
                                           if not np.isfinite(gen) else ""))
@@ -264,11 +207,8 @@ def cmd_bounds(args) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        storage.write_json(
-            {"bound_constant": {"terms": rep.terms, "total": rep.total},
-             "measured_convergence_error": lhs, "bound_generalization": gen},
-            out_dir / "bounds.json")
-    return EXIT_OK if lhs <= rep.total else EXIT_VERIFY_FAIL
+        storage.write_json(entries, out_dir / "bounds.json")
+    return EXIT_OK if holds else EXIT_VERIFY_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default="out")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--dump-datasets", action="store_true",
                        help="also write the per-device datasets as CSV")
@@ -296,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="evaluate bounds for a stored run")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, tasks
-from .tasks import Dataset, TaskEnvironment
+from .tasks import TaskEnvironment
 
 
 def stationary_convergence_error(traj) -> float:
@@ -31,15 +31,6 @@ def meta_training_loss(theta, datasets, alpha: float, family: str = "quadratic")
         x_va, y_va = ds.val
         vals.append(tasks.batch_loss(phi, x_va, y_va, family))
     return float(np.mean(vals))
-
-
-def per_task_training_loss(theta, dataset: Dataset, alpha: float,
-                           family: str = "quadratic") -> float:
-    """Single-device term of the meta objective (used for loss clipping)."""
-    x_tr, y_tr = dataset.train
-    phi = theta - alpha * tasks.batch_grad(theta, x_tr, y_tr, family)
-    x_va, y_va = dataset.val
-    return tasks.batch_loss(phi, x_va, y_va, family)
 
 
 def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: int,

@@ -268,14 +268,6 @@ class Trajectory:
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(rec, name) for rec in self.records], dtype=float)
 
-    def eps_g_measured(self, floor: float = 1e-12) -> float:
-        """Minimum over rounds/devices of ||g||^2 / eta^2, floored."""
-        vals = self.series("min_g_sq_over_eta_sq")
-        vals = vals[np.isfinite(vals)]
-        if vals.size == 0:
-            return floor
-        return max(float(vals.min()), floor)
-
 
 class _State:
     def __init__(self, cfg: ExperimentConfig):

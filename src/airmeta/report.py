@@ -4,7 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import bounds, channel, metrics, rng
-from .protocol import Trajectory, lr_schedule
+from .protocol import ExperimentConfig, Trajectory, lr_schedule
+
+# AssumptionConstants fields carried by summary.json's "constants" entry
+ASSUMPTION_FIELDS = ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq",
+                     "gamma_g_sq", "gamma_h_sq")
 
 
 def run_constants(traj: Trajectory):
@@ -20,10 +24,20 @@ def run_constants(traj: Trajectory):
         probe_stats=traj.probe,
         gen=rng.substream(cfg.master_seed, rng.EVALUATION, 1),
     )
-    dc = bounds.derived_constants(
-        ac, traj.metric_alpha, cfg.sparsify_k, cfg.dim, cfg.batch_size,
-    )
-    return ac, dc
+    return ac, _derived(cfg, ac)
+
+
+def summary_constants(cfg: ExperimentConfig, summary: dict):
+    """(AssumptionConstants, DerivedConstants) read back from the
+    ``constants`` entry of a run's summary.json."""
+    c = summary["constants"]
+    ac = bounds.AssumptionConstants(**{name: c[name] for name in ASSUMPTION_FIELDS})
+    return ac, _derived(cfg, ac)
+
+
+def _derived(cfg: ExperimentConfig, ac):
+    return bounds.derived_constants(ac, lr_schedule(cfg, 0)[1], cfg.sparsify_k,
+                                    cfg.dim, cfg.batch_size)
 
 
 def _dev(traj: Trajectory, i: int):
@@ -32,56 +46,62 @@ def _dev(traj: Trajectory, i: int):
     return DeviceDistribution(w=traj.device_ws[i], env=traj.config.env())
 
 
-def constant_bound_report(traj: Trajectory, ac=None, dc=None) -> bounds.BoundReport:
-    cfg = traj.config
-    if ac is None or dc is None:
-        ac, dc = run_constants(traj)
+def bound_entries(cfg: ExperimentConfig, series, ac, dc, f_init: float,
+                  f_star: float) -> dict:
+    """Every bound of one air run, keyed as in summary.json.
+
+    ``series`` maps the trajectory.csv columns ``v``, ``sum_abs_h_sq`` and
+    ``min_g_sq_over_eta_sq`` to per-round arrays.  The result holds
+    ``bound_constant`` and, on adaptive schedules, ``bound_adaptive`` (or
+    ``bound_adaptive_error`` when its precondition fails) as BoundReports,
+    plus ``bound_generalization`` and the ``eps_g`` it used.
+    """
+    v = np.asarray(series["v"], dtype=float)
     mu, pw = channel.fading_moments(cfg.fading)
-    v = traj.series("v_realized")
     eta0, alpha0 = lr_schedule(cfg, 0)
-    return bounds.constant_rate_bound(
-        dc, ac, q=cfg.local_steps, r=cfg.active_fraction, n=cfg.n_devices,
-        d=cfg.dim, m_uses=cfg.channel_uses, p_min=cfg.power_per_use,
-        eta=eta0, alpha=alpha0, batch_size=cfg.batch_size,
-        t_rounds=max(len(traj.records), 1), f_init=traj.f_init, f_star=traj.f_star,
-        v_mean=float(np.mean(v)) if v.size else 0.0, abs_mean=mu, abs_power=pw,
+    common = dict(
+        q=cfg.local_steps, r=cfg.active_fraction, n=cfg.n_devices, d=cfg.dim,
+        m_uses=cfg.channel_uses, p_min=cfg.power_per_use, batch_size=cfg.batch_size,
+        t_rounds=max(v.size, 1), f_init=f_init, f_star=f_star, abs_mean=mu, abs_power=pw,
     )
-
-
-def adaptive_bound_report(traj: Trajectory, ac=None, dc=None) -> bounds.BoundReport:
-    cfg = traj.config
-    if cfg.lr_schedule != "adaptive":
-        raise ValueError("adaptive bound needs an adaptive-schedule run")
-    if ac is None or dc is None:
-        ac, dc = run_constants(traj)
-    mu, pw = channel.fading_moments(cfg.fading)
-    v = traj.series("v_realized")
-    return bounds.adaptive_rate_bound(
-        dc, ac, q=cfg.local_steps, r=cfg.active_fraction, n=cfg.n_devices,
-        d=cfg.dim, m_uses=cfg.channel_uses, p_min=cfg.power_per_use,
-        xi=cfg.eta_scale, a=cfg.eta_offset, xi_inner=cfg.alpha_scale,
-        a_inner=cfg.alpha_offset, batch_size=cfg.batch_size,
-        t_rounds=max(len(traj.records), 1), f_init=traj.f_init, f_star=traj.f_star,
-        v_max=float(np.max(v)) if v.size else 0.0, abs_mean=mu, abs_power=pw,
-    )
-
-
-def generalization_bound_value(traj: Trajectory, ac=None, dc=None) -> float:
-    cfg = traj.config
-    if ac is None or dc is None:
-        ac, dc = run_constants(traj)
-    c_g = bounds.sparsified_update_energy(
-        ac, dc, q=cfg.local_steps, alpha=traj.metric_alpha, batch_size=cfg.batch_size,
-    )
-    return bounds.generalization_bound(
+    out = {"bound_constant": bounds.constant_rate_bound(
+        dc, ac, eta=eta0, alpha=alpha0, v_mean=float(np.mean(v)) if v.size else 0.0,
+        **common)}
+    if cfg.lr_schedule == "adaptive":
+        try:
+            out["bound_adaptive"] = bounds.adaptive_rate_bound(
+                dc, ac, xi=cfg.eta_scale, a=cfg.eta_offset, xi_inner=cfg.alpha_scale,
+                a_inner=cfg.alpha_offset, v_max=float(np.max(v)) if v.size else 0.0,
+                **common)
+        except ValueError as exc:
+            out["bound_adaptive_error"] = str(exc)
+    g_ratio = np.asarray(series["min_g_sq_over_eta_sq"], dtype=float)
+    g_ratio = g_ratio[np.isfinite(g_ratio)]
+    eps_g = max(float(g_ratio.min()), 1e-12) if g_ratio.size else 1e-12
+    c_g = bounds.sparsified_update_energy(ac, dc, q=cfg.local_steps, alpha=alpha0,
+                                          batch_size=cfg.batch_size)
+    out["bound_generalization"] = bounds.generalization_bound(
         d=cfg.dim, n=cfg.n_devices, sigma_sq=bounds.sub_gaussian_proxy(cfg.loss_clip),
         m_uses=cfg.channel_uses, p_max=cfg.power_per_use, rn=cfg.n_active, c_g=c_g,
-        sum_abs_h_sq=traj.series("sum_abs_h_sq"), v_series=traj.series("v_realized"),
-        eps_g=traj.eps_g_measured(),
+        sum_abs_h_sq=series["sum_abs_h_sq"], v_series=v, eps_g=eps_g,
     )
+    out["eps_g"] = eps_g
+    return out
 
 
-def summarize(traj: Trajectory, include_test: bool = True) -> dict:
+def run_bounds(traj: Trajectory, ac, dc) -> dict:
+    """``bound_entries`` of a run held in memory."""
+    series = {"v": traj.series("v_realized"), "sum_abs_h_sq": traj.series("sum_abs_h_sq"),
+              "min_g_sq_over_eta_sq": traj.series("min_g_sq_over_eta_sq")}
+    return bound_entries(traj.config, series, ac, dc, traj.f_init, traj.f_star)
+
+
+def constant_bound_report(traj: Trajectory) -> bounds.BoundReport:
+    """Constant-rate convergence bound of one run, with measured constants."""
+    return run_bounds(traj, *run_constants(traj))["bound_constant"]
+
+
+def summarize(traj: Trajectory) -> dict:
     """Summary dictionary for one run: final losses, convergence error, and
     (for air runs) the bound reports."""
     cfg = traj.config
@@ -96,32 +116,21 @@ def summarize(traj: Trajectory, include_test: bool = True) -> dict:
     }
     if traj.records:
         out["final_grad_norm_sq"] = traj.records[-1].grad_norm_sq
-        out["final_train_loss"] = metrics.meta_training_loss(
-            traj.theta_final, traj.datasets, traj.metric_alpha, cfg.family,
-        )
-    if include_test and traj.aborted_at is None:
+    if traj.aborted_at is None:
         test, train = metrics.trial_gap(traj)
         out["final_test_loss"] = test
         out["final_train_loss"] = train
         out["generalization_gap"] = test - train
+    elif traj.records:
+        out["final_train_loss"] = metrics.meta_training_loss(
+            traj.theta_final, traj.datasets, traj.metric_alpha, cfg.family,
+        )
     if cfg.family == "quadratic" and traj.probe:
         ac, dc = run_constants(traj)
-        out["constants"] = {
-            "l_g": ac.l_g, "l_h": ac.l_h, "g_sq": ac.g_sq,
-            "sigma_g_sq": ac.sigma_g_sq, "sigma_h_sq": ac.sigma_h_sq,
-            "gamma_g_sq": ac.gamma_g_sq, "gamma_h_sq": ac.gamma_h_sq,
+        out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
             "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,
             "memory_gain": dc.gain, "lam": dc.lam, "c": dc.c,
         }
         if cfg.channel_mode == "air" and traj.records:
-            rep = constant_bound_report(traj, ac, dc)
-            out["bound_constant"] = {"terms": rep.terms, "total": rep.total}
-            out["bound_generalization"] = generalization_bound_value(traj, ac, dc)
-            out["eps_g"] = traj.eps_g_measured()
-            if cfg.lr_schedule == "adaptive":
-                try:
-                    rep_a = adaptive_bound_report(traj, ac, dc)
-                    out["bound_adaptive"] = {"terms": rep_a.terms, "total": rep_a.total}
-                except ValueError as exc:
-                    out["bound_adaptive_error"] = str(exc)
+            out.update(run_bounds(traj, ac, dc))
     return out

@@ -19,7 +19,6 @@ COMPRESSION = 6
 SPARSIFIER = 7
 EVALUATION = 8
 TRIAL = 9
-INIT = 10
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import BoundReport
 from .protocol import ExperimentConfig, Trajectory
 
 SCHEMA_VERSION = 1
@@ -25,6 +26,8 @@ TRAJECTORY_COLUMNS = [
 
 
 def _fmt(v) -> str:
+    if v is None:  # an unset value, such as snr_db when noise_var is given
+        return "nan"
     if isinstance(v, bool) or isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.17g}"
@@ -66,24 +69,39 @@ def read_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def write_trajectory_csv(traj: Trajectory, path, final_test_loss: float = float("nan")) -> None:
-    cfg = traj.config
-    snr_db = cfg.snr_db if cfg.snr_db is not None else float("nan")
-    rows = []
+def trajectory_rows(traj: Trajectory, final_test_loss: float = float("nan")) -> list[list]:
+    """One row per round in TRAJECTORY_COLUMNS order; the test loss is known
+    only at the final iterate."""
+    snr_db = traj.config.snr_db
     last = len(traj.records) - 1
-    for idx, rec in enumerate(traj.records):
-        rows.append([
-            rec.t, rec.grad_norm_sq, rec.train_loss,
-            final_test_loss if idx == last else float("nan"),
-            rec.rho, rec.v_realized, snr_db, rec.eta_t, rec.alpha_t, rec.v_model,
-            rec.sum_abs_h_sq, rec.min_g_sq_over_eta_sq, rec.mem_norm_sq_max,
-            rec.power_margin, rec.pinv_fallback,
-        ])
+    return [
+        [rec.t, rec.grad_norm_sq, rec.train_loss,
+         final_test_loss if idx == last else float("nan"),
+         rec.rho, rec.v_realized, snr_db, rec.eta_t, rec.alpha_t, rec.v_model,
+         rec.sum_abs_h_sq, rec.min_g_sq_over_eta_sq, rec.mem_norm_sq_max,
+         rec.power_margin, rec.pinv_fallback]
+        for idx, rec in enumerate(traj.records)
+    ]
+
+
+def write_trajectory_csv(traj: Trajectory, path, final_test_loss: float = float("nan")) -> None:
+    write_csv(TRAJECTORY_COLUMNS, trajectory_rows(traj, final_test_loss), path)
+
+
+def write_trajectory_json(traj: Trajectory, path, final_test_loss: float = float("nan")) -> None:
+    """JSON mirror of trajectory.csv: the columns and one object per round."""
+    rows = [dict(zip(TRAJECTORY_COLUMNS, row))
+            for row in trajectory_rows(traj, final_test_loss)]
+    write_json({"columns": TRAJECTORY_COLUMNS, "rows": rows}, path)
+
+
+def write_csv(columns, rows, path) -> None:
+    """Header plus rows; text cells as they are, numbers via _fmt."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
 
 
 def read_trajectory_csv(path) -> dict:
@@ -161,6 +179,8 @@ def write_json(data: dict, path) -> None:
 
 
 def _json_default(obj):
+    if isinstance(obj, BoundReport):
+        return {"terms": obj.terms, "total": obj.total}
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

@@ -6,6 +6,7 @@ numbers), which sharpens trend comparisons without biasing any single point.
 from __future__ import annotations
 
 import concurrent.futures
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,9 @@ def run_point(spec: SweepSpec, value: float, evaluate_bounds: bool = True) -> Po
         tests.append(test)
         trains.append(train)
         if evaluate_bounds and cfg.channel_mode == "air" and cfg.family == "quadratic":
-            ac, dc = report.run_constants(traj)
-            gen_bounds.append(report.generalization_bound_value(traj, ac, dc))
-            conv_bounds.append(report.constant_bound_report(traj, ac, dc).total)
+            entries = report.run_bounds(traj, *report.run_constants(traj))
+            gen_bounds.append(entries["bound_generalization"])
+            conv_bounds.append(entries["bound_constant"].total)
     gap = metrics.meta_generalization_error(list(zip(tests, trains)))
     conv_arr = np.array(conv)
     return PointResult(
@@ -111,14 +112,21 @@ def run_point(spec: SweepSpec, value: float, evaluate_bounds: bool = True) -> Po
     )
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1,
-              evaluate_bounds: bool = True) -> list[PointResult]:
-    """One PointResult per sweep value, in the order given."""
+def run_sweep(spec: SweepSpec, threads: int = 1) -> Iterator[PointResult]:
+    """Yield one PointResult per sweep value, in the order given.
+
+    With ``threads > 1`` the points run in a process pool; each result is
+    yielded as soon as it and every point before it are done, so a caller
+    can persist finished points before a later one fails.
+    """
     if threads <= 1 or len(spec.values) == 1:
-        return [run_point(spec, v, evaluate_bounds) for v in spec.values]
+        for v in spec.values:
+            yield run_point(spec, v)
+        return
     with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_point, spec, v, evaluate_bounds) for v in spec.values]
-        return [f.result() for f in futures]
+        futures = [pool.submit(run_point, spec, v) for v in spec.values]
+        for fut in futures:
+            yield fut.result()
 
 
 AGGREGATE_COLUMNS = [

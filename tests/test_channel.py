@@ -42,7 +42,7 @@ class TestChannelSampling:
     def test_unit_fading(self, rng):
         round_ch = sample_channel(5, "unit", 0.0, 4, rng)
         assert np.array_equal(round_ch.gains, np.ones(5, dtype=complex))
-        assert round_ch.abs_mean == 1.0 and round_ch.abs_power == 1.0
+        assert ch.fading_moments(round_ch.fading) == (1.0, 1.0)
 
     def test_rayleigh_moments(self):
         from airmeta.verify import check_rayleigh_moments

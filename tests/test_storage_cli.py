@@ -97,6 +97,56 @@ class TestCli:
         assert "<= bound" in text
         assert "generalization bound" in text
 
+    @pytest.mark.parametrize("schedule", ["constant", "adaptive"])
+    def test_bounds_json_matches_summary(self, tmp_path, schedule):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(lr_schedule=schedule), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out),
+                     "--out-dir", str(tmp_path / "b")])
+        summary = json.loads((out / "summary.json").read_text())
+        written = json.loads((tmp_path / "b" / "bounds.json").read_text())
+        keys = {k for k in summary if k.startswith("bound_")}
+        assert keys == {k for k in written if k.startswith("bound_")}
+        assert ("bound_adaptive" in keys) == (schedule == "adaptive")
+        for key in keys:
+            assert written[key] == summary[key]
+        # gated on the schedule's own bound and measured quantity
+        gated = written["bound_" + schedule]["total"]
+        if schedule == "adaptive":
+            measured = written["measured_best_grad_norm_sq"]
+        else:
+            measured = written["measured_convergence_error"]
+        assert code == (0 if measured <= gated else 1)
+
+    def test_bounds_adaptive_precondition_failure_exits_1(self, tmp_path, capsys):
+        # eta_offset * k/d = 10 * 2/8 is not above 4Q = 8: no adaptive bound
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(lr_schedule="adaptive", eta_offset=10.0), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        assert "bound_adaptive_error" in json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out)])
+        assert code == 1
+        assert "bound_adaptive_error: need a * (k/d) > 4 * Q" in capsys.readouterr().out
+
+    def test_bounds_accepts_trial_directory(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(trials=2), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        for k in range(2):
+            tdir = out / f"trial_{k:03d}"
+            code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(tdir),
+                         "--out-dir", str(tmp_path / f"b{k}")])
+            assert code in (0, 1)
+            summary = json.loads((tdir / "summary.json").read_text())
+            written = json.loads((tmp_path / f"b{k}" / "bounds.json").read_text())
+            assert written["bound_constant"] == summary["bound_constant"]
+            assert written["bound_generalization"] == summary["bound_generalization"]
+
     def test_bounds_rejects_mismatched_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(run_config(), cfg_path)
@@ -133,6 +183,39 @@ class TestCli:
         assert lines[0].split(",")[0] == "axis"
         for v in (0.0, 10.0, 20.0):
             assert (out / f"snr_db_{v:g}" / "point.json").exists()
+
+    def test_sweep_pool_writes_same_bytes_as_serial(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("AIRMETA_THREADS", raising=False)
+        spec = {"axis": "snr_db", "values": [0.0, 10.0, 20.0], "seeds": 2,
+                "base": run_config(rounds=15).to_dict()}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        outs = {}
+        for threads in (1, 2):
+            outs[threads] = tmp_path / f"t{threads}"
+            assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(outs[threads]),
+                         "--threads", str(threads)]) == 0
+        names = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+        assert len(names) == 4  # three point.json files and aggregate.csv
+        assert names == sorted(p.relative_to(outs[2]) for p in outs[2].rglob("*")
+                               if p.is_file())
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_abort_keeps_finished_points(self, tmp_path, monkeypatch, threads):
+        monkeypatch.delenv("AIRMETA_THREADS", raising=False)
+        spec = {"axis": "eta", "values": [0.01, 80.0],
+                "base": run_config(rounds=200).to_dict()}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out),
+                     "--threads", str(threads)]) == 3
+        assert (out / "eta_0.01" / "point.json").exists()
+        assert not (out / "eta_80" / "point.json").exists()
+        lines = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("eta,0.01,")
 
     def test_sweep_bad_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
