@@ -89,17 +89,14 @@ def estimate_constants(env: tasks.TaskEnvironment, devices, probe_thetas=None,
         raise ValueError("empirical constant estimation needs an rng")
     if probe_thetas is None:
         raise ValueError("empirical constant estimation needs probe points")
-    d = env.dim
     g_sq = sigma_g_sq = sigma_h_sq = 0.0
     grad_means = {i: [] for i in range(len(devices))}
     hess_means = {i: [] for i in range(len(devices))}
     for theta in probe_thetas:
         for i, dev in enumerate(devices):
             phi = np.asarray(theta, dtype=float)
-            x = gen.standard_normal((n_samples, d)) @ env.cov_sqrt.T
-            z = x @ dev.w
-            y = (gen.random(n_samples) < 0.5 * (1 + np.tanh(0.5 * z))).astype(float)
-            s = 0.5 * (1 + np.tanh(0.5 * (x @ phi)))
+            x, y = tasks.sample_points(dev, n_samples, gen)
+            s = tasks.sigmoid(x @ phi)
             grads = x * (s - y)[:, None]
             gm = grads.mean(axis=0)
             grad_means[i].append(gm)

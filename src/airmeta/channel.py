@@ -179,22 +179,30 @@ def estimate(y: np.ndarray, comp: CompressionMatrix, prior_power: float,
         y_r = np.asarray(y, dtype=float)
     p = float(prior_power)
     gram = b @ b.T
+    if noise_var == 0.0 and (np.linalg.matrix_rank(gram, tol=1e-12) < b.shape[0] or p == 0.0):
+        return _pinv_estimate(b, gram, y_r, p, comp.dim)
     c = p * gram + noise_var * np.eye(b.shape[0])
-    # noiseless rank-deficient system: posterior covariance is the projection
-    # complement scaled by the prior
-    if noise_var == 0.0:
-        rank = np.linalg.matrix_rank(gram, tol=1e-12)
-        if rank < b.shape[0] or p == 0.0:
-            pinv = np.linalg.pinv(gram)
-            x_hat = b.T @ (pinv @ y_r)
-            v = p * max(comp.dim - rank, 0) / comp.dim
-            return Estimate(x_hat=x_hat, err_var=float(v), pinv_fallback=True)
-    sol = np.linalg.solve(c, np.column_stack([y_r, b]))
+    try:
+        sol = np.linalg.solve(c, np.column_stack([y_r, b]))
+    except np.linalg.LinAlgError:  # noise too small to regularize a rank-deficient system
+        return _pinv_estimate(b, gram, y_r, p, comp.dim)
     x_hat = p * (b.T @ sol[:, 0])
     # posterior error variance per component: (p*d - p^2 * tr(B' C^-1 B)) / d
     tr = float(np.sum(b * sol[:, 1:]))
     v = (p * comp.dim - p * p * tr) / comp.dim
     return Estimate(x_hat=x_hat, err_var=float(max(v, 0.0)))
+
+
+def _pinv_estimate(b: np.ndarray, gram: np.ndarray, y_r: np.ndarray, p: float,
+                   dim: int) -> Estimate:
+    """Minimum-norm reconstruction of a system the noise does not regularize.
+
+    The posterior covariance is the projection complement scaled by the prior.
+    """
+    rank = np.linalg.matrix_rank(gram, tol=1e-12)
+    x_hat = b.T @ (np.linalg.pinv(gram) @ y_r)
+    return Estimate(x_hat=x_hat, err_var=float(p * max(dim - rank, 0) / dim),
+                    pinv_fallback=True)
 
 
 def global_update(theta: np.ndarray, est: Estimate, eta: float, rho: float,

@@ -1,13 +1,12 @@
 """Command-line front end: run, sweep, verify, bounds.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/config error, 3 runtime
-abort.  AIRMETA_THREADS overrides ``sweep --threads``.
+abort.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,13 +41,6 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     except ValueError as exc:
         raise UsageError(f"invalid config {p}: {exc}") from exc
     return cfg
-
-
-def _threads(args) -> int:
-    env = os.environ.get("AIRMETA_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, int(args.threads))
 
 
 def cmd_run(args) -> int:
@@ -121,7 +113,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     try:
-        for pr in sweeps.run_sweep(spec, _threads(args)):  # partials persist
+        for pr in sweeps.run_sweep(spec, max(1, args.threads)):  # partials persist
             pdir = out_dir / f"{spec.axis}_{pr.value:g}"
             pdir.mkdir(parents=True, exist_ok=True)
             storage.write_json(pr.per_seed | {"axis": spec.axis, "value": pr.value},

@@ -98,26 +98,25 @@ def meta_grad_estimate(theta: np.ndarray, dataset: Dataset, cfg: LocalConfig,
 
 
 def local_rounds(theta_start: np.ndarray, dataset: Dataset, cfg: LocalConfig, eta: float,
-                 rng: np.random.Generator, family: str = "quadratic",
-                 trace: bool = False):
-    """Run the local SGD steps and return (theta_end, delta[, iterates]).
+                 rng: np.random.Generator, family: str = "quadratic"):
+    """Run the local SGD steps and return (theta_end, delta, iterates).
 
     delta = theta_start - theta_end is the model difference the device would
-    report.  With ``trace`` the visited iterates and adapted points are also
-    returned (used for empirical constant estimation).
+    report; iterates are the points the steps started from (used for
+    empirical constant estimation).  A step that leaves theta non-finite
+    ends the loop, so a diverging device reports a non-finite delta.
     """
     theta = np.asarray(theta_start, dtype=float).copy()
     _check_finite(theta)
     iterates = []
-    for _ in range(cfg.local_steps):
-        if trace:
-            iterates.append(theta.copy())
+    for step in range(cfg.local_steps):
+        if step and not np.all(np.isfinite(theta)):
+            break
+        iterates.append(theta.copy())
         step = meta_grad_estimate(theta, dataset, cfg, rng, family)
         theta = theta - eta * step
     delta = np.asarray(theta_start, dtype=float) - theta
-    if trace:
-        return theta, delta, iterates
-    return theta, delta
+    return theta, delta, iterates
 
 
 def ideal_aggregate(theta: np.ndarray, deltas) -> np.ndarray:

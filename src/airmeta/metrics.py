@@ -51,17 +51,12 @@ def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: in
     vals = []
     for _ in range(n_test):
         dev = tasks.sample_device(env, gen)
-        x = gen.standard_normal((m_tr, env.dim)) @ env.cov_sqrt.T
-        if env.family == "quadratic":
-            y = x @ dev.w + np.sqrt(env.label_noise_var) * gen.standard_normal(m_tr)
-        else:
-            y = (gen.random(m_tr) < 0.5 * (1 + np.tanh(0.5 * (x @ dev.w)))).astype(float)
+        x, y = tasks.sample_points(dev, m_tr, gen)
         phi = theta - alpha * tasks.batch_grad(theta, x, y, env.family)
         if env.family == "quadratic":
             vals.append(tasks.population_loss(phi, dev))
         else:
-            xe = gen.standard_normal((eval_points, env.dim)) @ env.cov_sqrt.T
-            ye = (gen.random(eval_points) < 0.5 * (1 + np.tanh(0.5 * (xe @ dev.w)))).astype(float)
+            xe, ye = tasks.sample_points(dev, eval_points, gen)
             vals.append(tasks.batch_loss(phi, xe, ye, env.family))
     return float(np.mean(vals))
 

@@ -9,12 +9,12 @@ sampling and must reproduce the trajectory bit for bit.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channel as ch
-from . import meta, rng, sparsify, tasks
+from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
 CHANNEL_MODES = ("air", "ideal")
@@ -73,8 +73,6 @@ class ExperimentConfig:
     loss_clip: float = 4.0           # clip bound b; sub-Gaussian proxy b^2/4
     n_test_devices: int = 48
     test_samples: int = 0            # fresh-device dataset size; 0 -> samples_per_device
-    record_reconstruction: bool = True
-    track_train_loss: bool = True
 
     # -- derived helpers ----------------------------------------------------
 
@@ -253,7 +251,7 @@ class Trajectory:
     datasets: list
     memories: np.ndarray               # final error-feedback memories (n, dim)
     replay: list                       # per-round realized channel draws
-    recon: list | None                 # per-round vectors for identity checks
+    recon: list                        # per-round vectors for identity checks
     probe: dict | None                 # running maxima for constant estimation
     f_init: float
     f_star: float
@@ -314,11 +312,18 @@ class _State:
                 )
 
 
-def _meta_training_loss(theta, datasets, alpha, family):
-    # local import breaks a metrics <-> protocol cycle
-    from .metrics import meta_training_loss
-
-    return meta_training_loss(theta, datasets, alpha, family)
+# record fields of a round that blew up before its iterate could be formed
+_ABORTED_FIELDS = dict(
+    rho=float("nan"), v_model=float("nan"), v_realized=float("nan"),
+    train_loss=float("nan"), sum_abs_h_sq=float("nan"),
+    min_g_sq_over_eta_sq=float("nan"), mem_norm_sq_max=float("nan"),
+    power_margin=float("nan"), pinv_fallback=False,
+)
+# uplink record fields of the noiseless reference
+_IDEAL_FIELDS = dict(
+    rho=float("nan"), v_model=0.0, v_realized=0.0, min_g_sq_over_eta_sq=float("nan"),
+    mem_norm_sq_max=0.0, power_margin=0.0, pinv_fallback=False,
+)
 
 
 def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) -> Trajectory:
@@ -330,9 +335,10 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     """
     warnings = cfg.validate()
     state = _State(cfg)
-    seed = cfg.master_seed
-    mu_abs, abs_power = ch.fading_moments(cfg.fading)
-    noise_var = cfg.effective_noise_var() if cfg.channel_mode == "air" else 0.0
+    if cfg.channel_mode == "air":
+        uplink, noise_var = _air_uplink, cfg.effective_noise_var()
+    else:
+        uplink, noise_var = _ideal_uplink, 0.0
     metric_alpha = lr_schedule(cfg, 0)[1]
 
     quadratic = cfg.family == "quadratic"
@@ -342,166 +348,48 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     thetas = [state.theta.copy()]
     records: list[RoundRecord] = []
     replay_out: list[dict] = []
-    recon: list[dict] | None = [] if cfg.record_reconstruction else None
+    recon: list[dict] = []
     aborted_at = None
 
     for t in range(cfg.rounds):
         eta_t, alpha_t = lr_schedule(cfg, t)
-        local_cfg = meta.LocalConfig(
-            alpha=alpha_t, local_steps=cfg.local_steps,
-            batch_size=cfg.batch_size, first_order=cfg.first_order,
-        )
         active = sample_active_set(
-            cfg.n_devices, cfg.active_fraction, rng.substream(seed, rng.ACTIVE_SET, t)
+            cfg.n_devices, cfg.active_fraction, rng.substream(cfg.master_seed, rng.ACTIVE_SET, t)
         )
-        rn = active.size
-
-        if channel_replay is not None:
-            entry = channel_replay[t]
-            if not np.array_equal(np.asarray(entry["active"]), active):
-                raise ValueError(f"replay log active set mismatch at round {t}")
-            round_ch = ch.ChannelRound(
-                gains=np.asarray(entry["gains"], dtype=complex),
-                noise_var=noise_var,
-                noise_re=np.asarray(entry["noise_re"], dtype=float),
-                noise_im=np.asarray(entry["noise_im"], dtype=float),
-                fading=cfg.fading,
-            )
-        else:
-            round_ch = ch.sample_channel(
-                rn, cfg.fading, noise_var, cfg.channel_uses,
-                rng.substream(seed, rng.CHANNEL, t),
-            )
+        round_ch = _round_channel(cfg, t, active, noise_var, channel_replay)
         replay_out.append({
             "active": active.copy(),
             "gains": round_ch.gains.copy(),
             "noise_re": round_ch.noise_re.copy(),
             "noise_im": round_ch.noise_im.copy(),
         })
-
         # a zero channel coefficient drops the device for the round
         alive = np.abs(round_ch.gains) > 0.0
         act_eff = active[alive]
-        gains = round_ch.gains[alive]
+        round_ch = dataclasses.replace(round_ch, gains=round_ch.gains[alive])
 
-        deltas = {}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in act_eff:
-                _, delta, iterates = meta.local_rounds(
-                    state.theta, state.datasets[i], local_cfg, eta_t,
-                    rng.substream(seed, rng.LOCAL_BATCH, t, i), cfg.family, trace=True,
-                )
-                deltas[i] = delta
-                state.update_probe(iterates, state.devices[i], alpha_t)
-        if any(not np.all(np.isfinite(deltas[i])) for i in act_eff):
-            records.append(_diagnostic_record(state, cfg, t, eta_t, alpha_t, active,
-                                              metric_alpha, quadratic))
-            aborted_at = t
-            break
-
-        if cfg.channel_mode == "ideal":
-            theta_next = meta.ideal_aggregate(state.theta, [deltas[i] for i in act_eff]) \
-                if act_eff.size else state.theta.copy()
-            rec = RoundRecord(
-                t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
-                rho=float("nan"), v_model=0.0, v_realized=0.0,
-                grad_norm_sq=_grad_norm_sq(state, metric_alpha, quadratic),
-                train_loss=_train_loss(cfg, state),
-                sum_abs_h_sq=float(np.sum(np.abs(gains) ** 2)),
-                min_g_sq_over_eta_sq=float("nan"),
-                mem_norm_sq_max=0.0, power_margin=0.0, pinv_fallback=False,
-            )
-            if recon is not None:
-                recon.append({
-                    "sum_delta": np.sum([deltas[i] for i in act_eff], axis=0),
-                    "noise_term": np.zeros(cfg.dim),
-                    "fading_dev": np.zeros(cfg.dim),
-                    "mem_sum": state.memories.sum(axis=0),
-                })
+        deltas = _local_updates(cfg, state, t, act_eff, eta_t, alpha_t)
+        out = None if deltas is None else uplink(cfg, state, t, act_eff, deltas, round_ch, eta_t)
+        if out is None:
+            theta_next, fields = None, _ABORTED_FIELDS
         else:
-            updates, mem_next = {}, {}
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in act_eff:
-                    g, m_next = sparsify.memory_fold(
-                        state.memories[i], deltas[i], cfg.sparsify_k, cfg.comp_mode,
-                        rng.substream(seed, rng.SPARSIFIER, t, i),
-                    )
-                    updates[i] = g
-                    mem_next[i] = m_next
-
-            policy = sparsify.PowerPolicy(
-                power=cfg.power_per_use, channel_uses=cfg.channel_uses, rho_max=cfg.rho_max,
-            )
-            with np.errstate(over="ignore", invalid="ignore"):
-                rho = sparsify.power_scale([updates[i] for i in act_eff], eta_t, policy)
-            if not (np.isfinite(rho) and rho > 0):  # update energy overflowed
-                records.append(_diagnostic_record(state, cfg, t, eta_t, alpha_t, active,
-                                                  metric_alpha, quadratic))
-                aborted_at = t
-                break
-            comp = ch.make_compression(
-                cfg.compression, cfg.channel_uses, cfg.dim,
-                rng.substream(seed, rng.COMPRESSION, t),
-            )
-
-            signals, margins, g_sq = [], [], []
-            for i, h in zip(act_eff, gains):
-                x_tilde = sparsify.phase_precompensate(updates[i], rho, eta_t, h)
-                x_i = comp.matrix @ x_tilde
-                margins.append(float(np.real(np.vdot(x_i, x_i))) / cfg.channel_uses
-                               - cfg.power_per_use)
-                g_sq.append(float(updates[i] @ updates[i]))
-                signals.append(x_i)
-
-            if signals:
-                y = ch.transmit_mac(signals, ch.ChannelRound(
-                    gains=gains, noise_var=round_ch.noise_var,
-                    noise_re=round_ch.noise_re, noise_im=round_ch.noise_im,
-                    fading=cfg.fading,
-                ))
-            else:
-                y = round_ch.noise_re.copy()
-            total_g_sq = float(np.sum(g_sq)) if g_sq else 0.0
-            prior_power = abs_power * rho * total_g_sq / (eta_t**2 * cfg.dim) \
-                if total_g_sq > 0.0 else 0.0
-            est = ch.estimate(y, comp, prior_power, noise_var, cfg.estimator)
-
-            signal_true = (np.sqrt(rho) / eta_t) * np.sum(
-                [np.abs(h) * updates[i] for i, h in zip(act_eff, gains)], axis=0,
-            ) if total_g_sq > 0.0 else np.zeros(cfg.dim)
-            noise_term = est.x_hat - signal_true
-            theta_next = ch.global_update(state.theta, est, eta_t, rho, mu_abs, rn)
-
-            for i in act_eff:
-                state.memories[i] = mem_next[i]
-
-            rec = RoundRecord(
-                t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
-                rho=float(rho), v_model=float(est.err_var),
-                v_realized=float(noise_term @ noise_term) / cfg.dim,
-                grad_norm_sq=_grad_norm_sq(state, metric_alpha, quadratic),
-                train_loss=_train_loss(cfg, state),
-                sum_abs_h_sq=float(np.sum(np.abs(gains) ** 2)),
-                min_g_sq_over_eta_sq=(min(g_sq) / eta_t**2) if g_sq and eta_t > 0
-                else float("nan"),
-                mem_norm_sq_max=float(np.max(np.sum(state.memories**2, axis=1))),
-                power_margin=max(margins) if margins else 0.0,
-                pinv_fallback=bool(est.pinv_fallback),
-            )
-            if recon is not None:
-                recon.append({
-                    "sum_delta": np.sum([deltas[i] for i in act_eff], axis=0)
-                    if act_eff.size else np.zeros(cfg.dim),
-                    "noise_term": noise_term,
-                    "fading_dev": np.sum(
-                        [(np.abs(h) / mu_abs - 1.0) * updates[i]
-                         for i, h in zip(act_eff, gains)], axis=0,
-                    ) if act_eff.size else np.zeros(cfg.dim),
-                    "mem_sum": state.memories.sum(axis=0),
-                })
-
-        records.append(rec)
-        if not np.all(np.isfinite(theta_next)):
+            theta_next, fields, noise_term, fading_dev = out
+            fields = fields | {
+                "train_loss": metrics.meta_training_loss(state.theta, state.datasets,
+                                                         metric_alpha, cfg.family),
+                "sum_abs_h_sq": float(np.sum(np.abs(round_ch.gains) ** 2)),
+            }
+            recon.append({
+                "sum_delta": np.sum(deltas, axis=0) if deltas else np.zeros(cfg.dim),
+                "noise_term": noise_term,
+                "fading_dev": fading_dev,
+                "mem_sum": state.memories.sum(axis=0),
+            })
+        records.append(RoundRecord(
+            t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
+            grad_norm_sq=_grad_norm_sq(state, metric_alpha, quadratic), **fields,
+        ))
+        if theta_next is None or not np.all(np.isfinite(theta_next)):
             aborted_at = t
             break
         state.theta = theta_next
@@ -525,17 +413,122 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     )
 
 
-def _diagnostic_record(state, cfg, t, eta_t, alpha_t, active, metric_alpha,
-                       quadratic) -> RoundRecord:
-    """Record stamped when a round blows up, before the iterate goes NaN."""
-    return RoundRecord(
-        t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
-        rho=float("nan"), v_model=float("nan"), v_realized=float("nan"),
-        grad_norm_sq=_grad_norm_sq(state, metric_alpha, quadratic),
-        train_loss=float("nan"), sum_abs_h_sq=float("nan"),
-        min_g_sq_over_eta_sq=float("nan"), mem_norm_sq_max=float("nan"),
-        power_margin=float("nan"), pinv_fallback=False,
+def _round_channel(cfg: ExperimentConfig, t: int, active: np.ndarray, noise_var: float,
+                   channel_replay: list | None) -> ch.ChannelRound:
+    """Channel of round t: sampled fresh, or read back from a replay log."""
+    if channel_replay is None:
+        return ch.sample_channel(
+            active.size, cfg.fading, noise_var, cfg.channel_uses,
+            rng.substream(cfg.master_seed, rng.CHANNEL, t),
+        )
+    entry = channel_replay[t]
+    if not np.array_equal(np.asarray(entry["active"]), active):
+        raise ValueError(f"replay log active set mismatch at round {t}")
+    return ch.ChannelRound(
+        gains=np.asarray(entry["gains"], dtype=complex),
+        noise_var=noise_var,
+        noise_re=np.asarray(entry["noise_re"], dtype=float),
+        noise_im=np.asarray(entry["noise_im"], dtype=float),
+        fading=cfg.fading,
     )
+
+
+def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
+                   eta_t: float, alpha_t: float) -> list | None:
+    """Model differences of the transmitting devices, in ``act_eff`` order;
+    None when one of them is non-finite.  Feeds the moment probe."""
+    local_cfg = meta.LocalConfig(
+        alpha=alpha_t, local_steps=cfg.local_steps,
+        batch_size=cfg.batch_size, first_order=cfg.first_order,
+    )
+    deltas = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in act_eff:
+            _, delta, iterates = meta.local_rounds(
+                state.theta, state.datasets[i], local_cfg, eta_t,
+                rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i), cfg.family,
+            )
+            deltas.append(delta)
+            state.update_probe(iterates, state.devices[i], alpha_t)
+    if not all(np.all(np.isfinite(d)) for d in deltas):
+        return None
+    return deltas
+
+
+def _ideal_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
+                  deltas: list, round_ch: ch.ChannelRound, eta_t: float):
+    """Noiseless reference: the server subtracts the mean model difference."""
+    theta_next = meta.ideal_aggregate(state.theta, deltas) if deltas else state.theta.copy()
+    return theta_next, _IDEAL_FIELDS, np.zeros(cfg.dim), np.zeros(cfg.dim)
+
+
+def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
+                deltas: list, round_ch: ch.ChannelRound, eta_t: float):
+    """Error-feedback sparsification, power scaling, phase pre-compensation and
+    compression, MAC superposition, estimation and the server update.
+
+    Returns ``(theta_next, record fields, noise term, fading deviation)``,
+    where the last two are the realized vectors the memory identity needs,
+    or None when the update energy leaves the float range and no power
+    scale exists.  Commits the devices' new error-feedback memories.
+    """
+    seed = cfg.master_seed
+    mu_abs, abs_power = ch.fading_moments(cfg.fading)
+    policy = sparsify.PowerPolicy(
+        power=cfg.power_per_use, channel_uses=cfg.channel_uses, rho_max=cfg.rho_max,
+    )
+    updates, mem_next = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, delta in zip(act_eff, deltas):
+            g, m_next = sparsify.memory_fold(
+                state.memories[i], delta, cfg.sparsify_k, cfg.comp_mode,
+                rng.substream(seed, rng.SPARSIFIER, t, i),
+            )
+            updates.append(g)
+            mem_next.append(m_next)
+        rho = sparsify.power_scale(updates, eta_t, policy)
+    if not (np.isfinite(rho) and rho > 0):
+        return None
+    comp = ch.make_compression(
+        cfg.compression, cfg.channel_uses, cfg.dim, rng.substream(seed, rng.COMPRESSION, t),
+    )
+
+    gains = round_ch.gains
+    signals, margins, g_sq = [], [], []
+    for g, h in zip(updates, gains):
+        x_i = comp.matrix @ sparsify.phase_precompensate(g, rho, eta_t, h)
+        margins.append(float(np.real(np.vdot(x_i, x_i))) / cfg.channel_uses
+                       - cfg.power_per_use)
+        g_sq.append(float(g @ g))
+        signals.append(x_i)
+
+    y = ch.transmit_mac(signals, round_ch) if signals else round_ch.noise_re.copy()
+    total_g_sq = float(np.sum(g_sq)) if g_sq else 0.0
+    prior_power = abs_power * rho * total_g_sq / (eta_t**2 * cfg.dim) \
+        if total_g_sq > 0.0 else 0.0
+    est = ch.estimate(y, comp, prior_power, round_ch.noise_var, cfg.estimator)
+
+    signal_true = (np.sqrt(rho) / eta_t) * np.sum(
+        [np.abs(h) * g for g, h in zip(updates, gains)], axis=0,
+    ) if total_g_sq > 0.0 else np.zeros(cfg.dim)
+    noise_term = est.x_hat - signal_true
+    fading_dev = np.sum(
+        [(np.abs(h) / mu_abs - 1.0) * g for g, h in zip(updates, gains)], axis=0,
+    ) if updates else np.zeros(cfg.dim)
+    theta_next = ch.global_update(state.theta, est, eta_t, rho, mu_abs, cfg.n_active)
+
+    for i, m_next in zip(act_eff, mem_next):
+        state.memories[i] = m_next
+
+    fields = dict(
+        rho=float(rho), v_model=float(est.err_var),
+        v_realized=float(noise_term @ noise_term) / cfg.dim,
+        min_g_sq_over_eta_sq=(min(g_sq) / eta_t**2) if g_sq and eta_t**2 > 0 else float("nan"),
+        mem_norm_sq_max=float(np.max(np.sum(state.memories**2, axis=1))),
+        power_margin=max(margins) if margins else 0.0,
+        pinv_fallback=bool(est.pinv_fallback),
+    )
+    return theta_next, fields, noise_term, fading_dev
 
 
 def _grad_norm_sq(state: _State, metric_alpha: float, quadratic: bool) -> float:
@@ -543,12 +536,6 @@ def _grad_norm_sq(state: _State, metric_alpha: float, quadratic: bool) -> float:
         return float("nan")
     g = tasks.mean_meta_grad(state.theta, state.devices, metric_alpha)
     return float(g @ g)
-
-
-def _train_loss(cfg: ExperimentConfig, state: _State) -> float:
-    if not cfg.track_train_loss:
-        return float("nan")
-    return _meta_training_loss(state.theta, state.datasets, lr_schedule(cfg, 0)[1], cfg.family)
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: list) -> Trajectory:
@@ -566,8 +553,6 @@ def memory_identity_residuals(traj: Trajectory) -> np.ndarray:
     memories, so the residual is numerical noise when the implementation is
     faithful.
     """
-    if traj.recon is None:
-        raise ValueError("trajectory was recorded without reconstruction vectors")
     cfg = traj.config
     rn = cfg.n_active
     mu_abs, _ = ch.fading_moments(cfg.fading)

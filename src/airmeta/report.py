@@ -103,7 +103,8 @@ def constant_bound_report(traj: Trajectory) -> bounds.BoundReport:
 
 def summarize(traj: Trajectory) -> dict:
     """Summary dictionary for one run: final losses, convergence error, and
-    (for air runs) the bound reports."""
+    (for completed quadratic runs) the measured constants and, on air runs,
+    the bound reports."""
     cfg = traj.config
     out: dict = {
         "rounds_completed": len(traj.records),
@@ -125,7 +126,9 @@ def summarize(traj: Trajectory) -> dict:
         out["final_train_loss"] = metrics.meta_training_loss(
             traj.theta_final, traj.datasets, traj.metric_alpha, cfg.family,
         )
-    if cfg.family == "quadratic" and traj.probe:
+    # constants and bounds describe a completed run; an aborted one often has
+    # non-finite probe maxima
+    if cfg.family == "quadratic" and traj.probe and traj.aborted_at is None:
         ac, dc = run_constants(traj)
         out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
             "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,

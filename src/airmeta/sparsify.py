@@ -94,7 +94,10 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     rho = min over devices of eta^2 * M * P / ||g||^2; the binding device
     transmits at exactly its budget, all others strictly below.  If every
     update is zero (a zero transmission costs no power) the configured
-    rho_max is returned to keep the downstream division well defined.
+    rho_max is returned to keep the downstream division well defined.  When
+    eta^2, an update's ||g||^2 or rho itself falls below the normal float
+    range (a tiny nonzero update is not a zero one), too few bits are left
+    for the budget to hold to rounding, and the result is nan.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
@@ -104,15 +107,19 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
         if not np.all(np.isfinite(g)):
             raise ValueError("update contains non-finite entries")
         nrm = float(g @ g)
-        if nrm > 0.0:
+        if nrm > 0.0 or np.any(g):  # a tiny nonzero g can have nrm == 0
             norms.append((idx, nrm))
     if not norms:
         return policy.rho_max
     if eta == 0:
         raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
+    tiny = np.finfo(float).tiny
+    if eta**2 < tiny or min(nrm for _, nrm in norms) < tiny:
+        return float("nan")
     n = len(updates)
-    return min(eta**2 * policy.channel_uses * policy.budget(idx, n) / nrm
-               for idx, nrm in norms)
+    rho = min(eta**2 * policy.channel_uses * policy.budget(idx, n) / nrm
+              for idx, nrm in norms)
+    return rho if rho >= tiny else float("nan")
 
 
 def phase_precompensate(g: np.ndarray, rho: float, eta: float, h: complex) -> np.ndarray:

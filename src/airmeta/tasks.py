@@ -147,21 +147,30 @@ def sample_dataset(dist: DeviceDistribution, m: int, m_tr: int, m_va: int,
         raise ValueError("m must equal m_tr + m_va")
     if m_tr < 1 or m_va < 1:
         raise ValueError("both the training and validation split need data")
+    x, y = sample_points(dist, m, rng)
+    return Dataset(x=x, y=y, m_tr=m_tr, m_va=m_va)
+
+
+def sample_points(dist: DeviceDistribution, m: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw m i.i.d. points (x of shape (m, d), y of shape (m,)) from the
+    device law: all inputs first, then all label draws."""
     env = dist.env
     x = rng.standard_normal((m, env.dim)) @ env.cov_sqrt.T
     z = x @ dist.w
     if env.family == "quadratic":
         y = z + np.sqrt(env.label_noise_var) * rng.standard_normal(m)
     else:
-        y = (rng.random(m) < _sigmoid(z)).astype(float)
-    return Dataset(x=x, y=y, m_tr=m_tr, m_va=m_va)
+        y = (rng.random(m) < sigmoid(z)).astype(float)
+    return x, y
 
 
 # ---------------------------------------------------------------------------
 # pointwise oracles
 
 
-def _sigmoid(z):
+def sigmoid(z):
+    """Logistic link 1 / (1 + e^-z), in its overflow-free tanh form."""
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
 
 
@@ -189,7 +198,7 @@ def grad(phi: np.ndarray, x: np.ndarray, y: float, family: str = "quadratic") ->
     z = float(x @ phi)
     if family == "quadratic":
         return -(float(y) - z) * x
-    return (float(_sigmoid(z)) - float(y)) * x
+    return (float(sigmoid(z)) - float(y)) * x
 
 
 def hessian(phi: np.ndarray, x: np.ndarray, y: float, family: str = "quadratic") -> np.ndarray:
@@ -198,7 +207,7 @@ def hessian(phi: np.ndarray, x: np.ndarray, y: float, family: str = "quadratic")
     _check_dims(phi, x)
     if family == "quadratic":
         return np.outer(x, x)  # independent of phi
-    s = float(_sigmoid(float(x @ phi)))
+    s = float(sigmoid(float(x @ phi)))
     return s * (1.0 - s) * np.outer(x, x)
 
 
@@ -222,7 +231,7 @@ def batch_grad(phi, x, y, family="quadratic"):
     if family == "quadratic":
         resid = y - z
         return -(x.T @ resid) / x.shape[0]
-    return (x.T @ (_sigmoid(z) - y)) / x.shape[0]
+    return (x.T @ (sigmoid(z) - y)) / x.shape[0]
 
 
 def batch_hessian(phi, x, y, family="quadratic"):
@@ -232,7 +241,7 @@ def batch_hessian(phi, x, y, family="quadratic"):
     _check_dims(phi, x)
     if family == "quadratic":
         return (x.T @ x) / x.shape[0]
-    s = _sigmoid(x @ phi)
+    s = sigmoid(x @ phi)
     return (x.T * (s * (1.0 - s))) @ x / x.shape[0]
 
 

@@ -175,7 +175,7 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     drift_sq = []
     for dev, ds in zip(devices, datasets):
         for _ in range(n_draws // 10):
-            _, _, iterates = meta.local_rounds(theta, ds, cfg_local, eta, gen, trace=True)
+            _, _, iterates = meta.local_rounds(theta, ds, cfg_local, eta, gen)
             drift_sq.append(max(float(np.sum((it - theta) ** 2)) for it in iterates))
     measured = float(np.mean(drift_sq))
     limit = 40 * q**2 * eta**2 * (sigma_sq + gamma_sq + float(grad_mean @ grad_mean))

@@ -153,6 +153,16 @@ class TestEstimators:
         proj = np.linalg.pinv(b) @ (b @ s)
         assert np.allclose(est.x_hat, proj, atol=1e-10)
 
+    def test_lmmse_unregularizing_noise_falls_back_to_pinv(self, rng):
+        """Conjugate DFT rows make the stacked real system rank-deficient; a
+        noise variance too small to regularize it leaves the solve singular,
+        so recovery falls back to the pseudo-inverse as at zero noise."""
+        comp = make_compression("partial_dft", 3, 3, rng)
+        s = np.array([1.0, -2.0, 0.5])
+        est = estimate(comp.matrix @ s, comp, prior_power=1.0, noise_var=1e-18, kind="lmmse")
+        assert est.pinv_fallback
+        assert np.allclose(est.x_hat, s, atol=1e-10)
+
     def test_lmmse_measured_error_matches_posterior_formula(self, rng):
         """Sparse signals with isotropic second moment: measured error over
         trials matches the posterior variance within 10%."""

@@ -171,7 +171,7 @@ class TestLocalRounds:
         theta = rng.standard_normal(3)
         cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3)
         eta = 0.1
-        _, delta = local_rounds(theta, ds, cfg, eta, np.random.default_rng(0))
+        _, delta, _ = local_rounds(theta, ds, cfg, eta, np.random.default_rng(0))
         est = meta_grad_estimate(theta, ds, cfg, np.random.default_rng(0))
         assert np.allclose(delta, eta * est, atol=1e-14)
 
@@ -180,7 +180,7 @@ class TestLocalRounds:
         ds = orthonormal_design(w)
         theta = rng.standard_normal(3)
         cfg = LocalConfig(alpha=0.5, local_steps=4, batch_size=3)
-        end, delta = local_rounds(theta, ds, cfg, 0.0, np.random.default_rng(0))
+        end, delta, _ = local_rounds(theta, ds, cfg, 0.0, np.random.default_rng(0))
         assert np.array_equal(end, theta)
         assert np.all(delta == 0)
 
@@ -189,10 +189,11 @@ class TestLocalRounds:
         theta0 = rng.standard_normal(quad_device.env.dim)
         cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
         eta = 0.05
-        _, delta = local_rounds(theta0, ds, cfg, eta, np.random.default_rng(99))
+        _, delta, iterates = local_rounds(theta0, ds, cfg, eta, np.random.default_rng(99))
         gen = np.random.default_rng(99)
         theta = theta0.copy()
-        for _ in range(3):
+        for k in range(3):
+            assert np.array_equal(iterates[k], theta)
             theta = theta - eta * meta_grad_estimate(theta, ds, cfg, gen)
         assert np.array_equal(delta, theta0 - theta)
 

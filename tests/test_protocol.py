@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from airmeta import rng as streams
 from airmeta.meta import LocalConfig, local_rounds
@@ -227,3 +229,74 @@ class TestSchedulingInvariance:
                 out[i] = local_rounds(theta0, traj.datasets[i], local_cfg, cfg.eta, gen)[1]
         for i in range(4):
             assert np.array_equal(deltas_a[i], deltas_b[i])
+
+
+@st.composite
+def small_configs(draw):
+    """Valid configs up to dim 8 and 20 rounds, from tame to divergent rates
+    and initial iterates up to 1e200."""
+    dim = draw(st.integers(1, 8))
+    n_devices = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 3))
+    m_tr = batch + draw(st.integers(0, 3))
+    m_va = 2 * batch + draw(st.integers(0, 3))  # two disjoint validation pools
+    square = draw(st.booleans())
+    snr_db = draw(st.one_of(st.none(), st.floats(-10, 30)))
+    return ExperimentConfig(
+        family=draw(st.sampled_from(["quadratic", "logistic"])), dim=dim,
+        n_devices=n_devices, active_fraction=draw(st.integers(1, n_devices)) / n_devices,
+        samples_per_device=m_tr + m_va, train_samples=m_tr,
+        rounds=draw(st.integers(0, 20)), local_steps=draw(st.integers(1, 3)),
+        batch_size=batch, first_order=draw(st.booleans()),
+        lr_schedule=draw(st.sampled_from(["constant", "adaptive"])),
+        eta=draw(st.one_of(st.floats(0, 1), st.floats(0, 1e3))), alpha=draw(st.floats(0, 2)),
+        channel_mode=draw(st.sampled_from(["air", "ideal"])),
+        sparsify_k=draw(st.integers(1, dim)), comp_mode=draw(st.sampled_from(["topk", "randk"])),
+        channel_uses=dim if square else draw(st.integers(1, dim)),
+        compression=draw(st.sampled_from(["partial_dft", "identity"])) if square
+        else "partial_dft",
+        estimator=draw(st.sampled_from(["lmmse", "matched"])) if square else "lmmse",
+        fading=draw(st.sampled_from(["rayleigh", "unit"])),
+        snr_db=snr_db, noise_var=None if snr_db is not None else draw(st.floats(0, 10)),
+        theta_init=draw(st.floats(-1e200, 1e200)), master_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _tiny_config(**overrides):
+    base = dict(dim=1, n_devices=1, samples_per_device=3, train_samples=1, rounds=1,
+                local_steps=1, batch_size=1, alpha=0.0, sparsify_k=1, channel_uses=1,
+                snr_db=None, noise_var=0.0)
+    return ExperimentConfig(**{**base, **overrides})
+
+
+class TestRoundPipelineProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_configs())
+    # squared rate and update energy underflow to 0
+    @example(_tiny_config(eta=3.5939894939765176e-177))
+    # updates round to exactly 0 (zero-update cap) and the squared rate to 0
+    @example(_tiny_config(eta=5e-324, master_seed=2))
+    # subnormal squared rate and update energy
+    @example(_tiny_config(eta=2.2901079242432356e-157, local_steps=2))
+    # noise too small to regularize the conjugate rows of a full DFT
+    @example(_tiny_config(dim=3, channel_uses=3, eta=1.0, noise_var=2.809447742253207e-17))
+    # a local step overflows before the last one
+    @example(small_air_config(theta_init=1e305, eta=100.0, alpha=1.5, sparsify_k=1,
+                              rounds=20, master_seed=0))
+    def test_run_stops_cleanly_and_replays(self, cfg):
+        with np.errstate(all="ignore"):
+            traj = run_experiment(cfg)
+            if traj.aborted_at is None:
+                assert len(traj.records) == cfg.rounds
+            else:
+                assert traj.records[-1].t == traj.aborted_at
+            # an aborted run's log ends at the failing round
+            again = replay_experiment(cfg.replace(rounds=len(traj.replay)), traj.replay)
+            assert again.thetas.tobytes() == traj.thetas.tobytes()
+            assert again.aborted_at == traj.aborted_at
+            if traj.aborted_at is None and cfg.channel_mode == "air" and cfg.rounds:
+                assert max(traj.series("power_margin")) <= 1e-12
+                # a floating-point difference of iterates: bounded relative to
+                # their size, which is the absolute 1e-8 for unit-scale runs
+                scale = max(1.0, float(np.max(np.abs(traj.thetas))))
+                assert memory_identity_residuals(traj).max() <= 1e-8 * scale

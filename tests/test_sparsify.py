@@ -104,6 +104,14 @@ class TestPowerScale:
         policy = PowerPolicy(power=1.0, channel_uses=4, rho_max=123.0)
         assert power_scale([np.zeros(4), np.zeros(4)], 0.1, policy) == 123.0
 
+    @pytest.mark.parametrize("eta, scale", [(1.0, 1e-170), (1e-157, 1.0), (1e-150, 1e5)])
+    def test_subnormal_energy_or_scale_is_nan(self, eta, scale):
+        """||g||^2, eta^2 or rho below the normal range (here: underflowed to
+        0, subnormal, subnormal) leave too few bits to meet the budget; a
+        tiny nonzero update must not get the zero-update cap either."""
+        policy = PowerPolicy(power=1.0, channel_uses=4, rho_max=123.0)
+        assert np.isnan(power_scale([np.full(4, scale)], eta, policy))
+
     def test_nonzero_update_at_zero_eta_rejected(self):
         with pytest.raises(ValueError):
             power_scale([np.ones(3)], 0.0, PowerPolicy(power=1.0, channel_uses=3))

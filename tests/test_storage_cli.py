@@ -80,11 +80,19 @@ class TestCli:
         total = summary["bound_constant"]["total"]
         assert total == pytest.approx(sum(summary["bound_constant"]["terms"].values()))
 
-    def test_runtime_abort_exits_3(self, tmp_path):
+    def test_runtime_abort_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(run_config(eta=80.0, rounds=200), cfg_path)
-        code = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 3
+        # the aborted trial keeps its artifacts
+        for name in ("trajectory.csv", "replay_log.csv", "summary.json", "manifest.json"):
+            assert (out / name).exists()
+        aborted_at = json.loads((out / "summary.json").read_text())["aborted_at"]
+        assert aborted_at == 41
+        assert f"trial 0 aborted with non-finite iterate at round {aborted_at}" in \
+            capsys.readouterr().err
 
     def test_bounds_command_reports_and_checks(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -184,8 +192,7 @@ class TestCli:
         for v in (0.0, 10.0, 20.0):
             assert (out / f"snr_db_{v:g}" / "point.json").exists()
 
-    def test_sweep_pool_writes_same_bytes_as_serial(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("AIRMETA_THREADS", raising=False)
+    def test_sweep_pool_writes_same_bytes_as_serial(self, tmp_path):
         spec = {"axis": "snr_db", "values": [0.0, 10.0, 20.0], "seeds": 2,
                 "base": run_config(rounds=15).to_dict()}
         spec_path = tmp_path / "spec.json"
@@ -203,8 +210,7 @@ class TestCli:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_sweep_abort_keeps_finished_points(self, tmp_path, monkeypatch, threads):
-        monkeypatch.delenv("AIRMETA_THREADS", raising=False)
+    def test_sweep_abort_keeps_finished_points(self, tmp_path, threads):
         spec = {"axis": "eta", "values": [0.01, 80.0],
                 "base": run_config(rounds=200).to_dict()}
         spec_path = tmp_path / "spec.json"
