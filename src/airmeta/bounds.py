@@ -3,9 +3,9 @@
 The convergence evaluators reproduce, term by term, the printed upper bounds
 on the average (constant rates) and minimum (adaptive rates) squared
 meta-gradient norm.  The generalization evaluator reproduces the mutual-
-information bound on the meta-generalization error.  All constants either
-have analytic values for the quadratic family or are estimated empirically
-and flagged as such.
+information bound on the meta-generalization error.  Constants are measured
+for the quadratic family only: analytic where a closed form exists, and
+otherwise maxima over a run's trajectory, flagged empirical.
 """
 from __future__ import annotations
 
@@ -43,86 +43,30 @@ class AssumptionConstants:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-def estimate_constants(env: tasks.TaskEnvironment, devices, probe_thetas=None,
-                       probe_stats: dict | None = None,
-                       gen: np.random.Generator | None = None,
-                       n_samples: int = 20000) -> AssumptionConstants:
-    """Assumption constants for an environment and a realized device set.
+def estimate_constants(env: tasks.TaskEnvironment, ws: np.ndarray,
+                       probe: dict) -> AssumptionConstants:
+    """Assumption constants of a quadratic-family run.
 
-    Quadratic family: smoothness and heterogeneity constants are analytic;
-    the gradient moment bounds are not globally finite, so they are taken as
-    the analytic per-point values maximized over ``probe_thetas`` (against
-    every device) and/or pre-tracked trajectory maxima in ``probe_stats``.
-    Other families fall back to Monte Carlo estimates, flagged empirical.
+    Smoothness, Hessian and heterogeneity constants are analytic in the
+    environment and the realized (n, d) task vectors ``ws``.  The gradient
+    moment bounds are not globally finite on quadratic losses, so they are the
+    run's ``probe`` maxima of the analytic per-point values along the
+    trajectory (``g_sq``, ``sigma_g_sq``), flagged empirical.
     """
-    if env.family == "quadratic":
-        cov = env.input_cov
-        ws = np.stack([d.w for d in devices])
-        w_bar = ws.mean(axis=0)
-        gamma_g_sq = float(np.max(np.sum(((ws - w_bar) @ cov) ** 2, axis=1)))
-        sigma_h_sq, sh_prov = tasks.hessian_spectral_variance(env, gen)
-        if probe_thetas is None and not probe_stats:
-            raise ValueError("need probe points or tracked probe stats for the "
-                             "gradient moment surrogates")
-        g_sq = 0.0
-        sigma_g_sq = 0.0
-        if probe_thetas is not None:
-            for theta in probe_thetas:
-                for dev in devices:
-                    e = np.asarray(theta, dtype=float) - dev.w
-                    g_sq = max(g_sq, tasks.grad_second_moment(e, env))
-                    sigma_g_sq = max(sigma_g_sq, tasks.grad_variance(e, env))
-        if probe_stats:
-            g_sq = max(g_sq, float(probe_stats.get("g_sq", 0.0)))
-            sigma_g_sq = max(sigma_g_sq, float(probe_stats.get("sigma_g_sq", 0.0)))
-        return AssumptionConstants(
-            l_g=env.smoothness, l_h=0.0, g_sq=g_sq, sigma_g_sq=sigma_g_sq,
-            sigma_h_sq=sigma_h_sq, gamma_g_sq=gamma_g_sq, gamma_h_sq=0.0,
-            provenance={
-                "l_g": "analytic", "l_h": "analytic", "g_sq": "empirical",
-                "sigma_g_sq": "empirical", "sigma_h_sq": sh_prov,
-                "gamma_g_sq": "analytic", "gamma_h_sq": "analytic",
-            },
-        )
-
-    if gen is None:
-        raise ValueError("empirical constant estimation needs an rng")
-    if probe_thetas is None:
-        raise ValueError("empirical constant estimation needs probe points")
-    g_sq = sigma_g_sq = sigma_h_sq = 0.0
-    grad_means = {i: [] for i in range(len(devices))}
-    hess_means = {i: [] for i in range(len(devices))}
-    for theta in probe_thetas:
-        for i, dev in enumerate(devices):
-            phi = np.asarray(theta, dtype=float)
-            x, y = tasks.sample_points(dev, n_samples, gen)
-            s = tasks.sigmoid(x @ phi)
-            grads = x * (s - y)[:, None]
-            gm = grads.mean(axis=0)
-            grad_means[i].append(gm)
-            g_sq = max(g_sq, float(np.mean(np.sum(grads**2, axis=1))))
-            sigma_g_sq = max(sigma_g_sq, float(np.mean(np.sum((grads - gm) ** 2, axis=1))))
-            hs = (x.T * (s * (1 - s))) @ x / n_samples
-            hess_means[i].append(hs)
-            sub = min(n_samples, 2000)
-            devs = [np.linalg.norm(s[j] * (1 - s[j]) * np.outer(x[j], x[j]) - hs, 2) ** 2
-                    for j in range(sub)]
-            sigma_h_sq = max(sigma_h_sq, float(np.mean(devs)))
-    gamma_g_sq = gamma_h_sq = 0.0
-    for p in range(len(probe_thetas)):
-        gm_all = np.mean([grad_means[i][p] for i in range(len(devices))], axis=0)
-        hm_all = np.mean([hess_means[i][p] for i in range(len(devices))], axis=0)
-        for i in range(len(devices)):
-            gamma_g_sq = max(gamma_g_sq, float(np.sum((grad_means[i][p] - gm_all) ** 2)))
-            gamma_h_sq = max(gamma_h_sq, float(np.linalg.norm(hess_means[i][p] - hm_all, 2) ** 2))
-    l_g = float(np.linalg.eigvalsh(env.input_cov).max()) / 4.0  # logistic curvature cap
-    l_h = l_g / 2.0  # coarse: |sigma''| <= 1/(6 sqrt(3)) <= 1/10 of curvature scale
+    if env.family != "quadratic":
+        raise tasks.NoClosedFormError(f"no closed-form constants for the {env.family!r} family")
+    ws = np.asarray(ws, dtype=float)
+    gamma_g_sq = float(np.max(np.sum(((ws - ws.mean(axis=0)) @ env.input_cov) ** 2, axis=1)))
     return AssumptionConstants(
-        l_g=l_g, l_h=l_h, g_sq=g_sq, sigma_g_sq=sigma_g_sq, sigma_h_sq=sigma_h_sq,
-        gamma_g_sq=gamma_g_sq, gamma_h_sq=gamma_h_sq,
-        provenance={k: "empirical" for k in
-                    ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq",
-                     "gamma_g_sq", "gamma_h_sq")},
+        l_g=env.smoothness, l_h=0.0, g_sq=float(probe["g_sq"]),
+        sigma_g_sq=float(probe["sigma_g_sq"]),
+        sigma_h_sq=tasks.hessian_spectral_variance(env), gamma_g_sq=gamma_g_sq,
+        gamma_h_sq=0.0,
+        provenance={
+            "l_g": "analytic", "l_h": "analytic", "g_sq": "empirical",
+            "sigma_g_sq": "empirical", "sigma_h_sq": "analytic",
+            "gamma_g_sq": "analytic", "gamma_h_sq": "analytic",
+        },
     )
 
 
@@ -263,8 +207,8 @@ def adaptive_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
     """
     if a <= 1 or a_inner <= 1:
         raise ValueError("schedule offsets must exceed 1")
-    if t_rounds < 1:
-        raise ValueError("t_rounds must be >= 1")
+    if t_rounds < 2:  # the normalizer ln((T + a - 1)/a) vanishes at T = 1
+        raise ValueError("t_rounds must be >= 2")
     if big_c is None:
         big_c = adaptive_floor_c(dc.lam, a, q)
     hess_fac = 1.0 + ac.sigma_h_sq / (ac.l_g**2 * batch_size) if ac.l_g > 0 else 1.0

@@ -176,7 +176,8 @@ def estimate(y: np.ndarray, comp: CompressionMatrix, prior_power: float,
     if comp.is_complex:
         y_r = np.concatenate([np.asarray(y).real, np.asarray(y).imag])
     else:
-        y_r = np.asarray(y, dtype=float)
+        # a real compression carries the payload on the real axis only
+        y_r = np.ascontiguousarray(np.asarray(y).real)
     p = float(prior_power)
     gram = b @ b.T
     if noise_var == 0.0 and (np.linalg.matrix_rank(gram, tol=1e-12) < b.shape[0] or p == 0.0):

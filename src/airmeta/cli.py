@@ -77,7 +77,7 @@ def cmd_run(args) -> int:
             return EXIT_RUNTIME
         if "generalization_gap" in summary:
             gaps.append((summary["final_test_loss"], summary["final_train_loss"]))
-        for w in traj.warnings:
+        for w in summary["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
 
     top = {"trials": summaries[0] if cfg.trials == 1 else summaries}
@@ -161,8 +161,8 @@ def cmd_bounds(args) -> int:
                          "(sha256 mismatch)")
     summary = json.loads(summary_path.read_text())
     if "constants" not in summary:
-        raise UsageError("run summary carries no measured constants; "
-                         "bounds need a quadratic-family air run")
+        raise UsageError("run summary carries no measured constants (see its warnings); "
+                         "bounds need a completed quadratic-family air run")
     table = storage.read_trajectory_csv(traj_path)
     entries = report.bound_entries(cfg, table, *report.summary_constants(cfg, summary),
                                    summary["f_init"], summary["f_star"])

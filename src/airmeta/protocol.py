@@ -18,6 +18,8 @@ from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
 CHANNEL_MODES = ("air", "ideal")
+# JSON value types accepted for each annotated ExperimentConfig field type
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass
@@ -119,10 +121,18 @@ class ExperimentConfig:
             raise ValueError("matched estimator requires channel_uses == dim")
         if self.train_samples < 1 or self.val_samples < 1:
             raise ValueError("both data splits need at least one sample")
-        if self.lr_schedule not in SCHEDULES:
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
-        if self.channel_mode not in CHANNEL_MODES:
-            raise ValueError(f"unknown channel_mode {self.channel_mode!r}")
+        for name, known in (("family", tasks.FAMILIES), ("lr_schedule", SCHEDULES),
+                            ("channel_mode", CHANNEL_MODES), ("comp_mode", sparsify.COMP_MODES),
+                            ("compression", ch.COMPRESSION_KINDS),
+                            ("estimator", ch.ESTIMATOR_KINDS), ("fading", ch.FADING_MODELS)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+        if min(self.local_steps, self.batch_size, self.n_test_devices) < 1:
+            raise ValueError("local_steps, batch_size and n_test_devices must be >= 1")
+        if min(self.eta, self.alpha, self.test_samples, self.noise_var or 0.0) < 0:
+            raise ValueError("eta, alpha, test_samples and noise_var must be >= 0")
+        if min(self.power_per_use, self.loss_clip, self.rho_max) <= 0:
+            raise ValueError("power_per_use, loss_clip and rho_max must be > 0")
         if self.lr_schedule == "adaptive" and (self.eta_offset <= 1 or self.alpha_offset <= 1):
             raise ValueError("adaptive schedule offsets must exceed 1")
         if self.trials < 1:
@@ -164,10 +174,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
+        """Config from parsed JSON.  Each value must have its field's type; none
+        is coerced, so a valid config keeps its exact values and hash."""
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            kind, _, optional = types[name].partition(" | ")
+            if value is None and optional == "None":
+                continue
+            # bool is a subclass of int, but a JSON true is not a number
+            if not isinstance(value, _JSON_TYPES[kind]) or (
+                    isinstance(value, bool) and kind != "bool"):
+                raise TypeError(f"config field {name!r} must be {types[name]}, "
+                                f"got {value!r}")
         return cls(**data)
 
     def replace(self, **kw) -> "ExperimentConfig":
@@ -284,32 +305,23 @@ class _State:
         ]
         self.theta = cfg.theta_init * np.ones(cfg.dim)
         self.memories = np.zeros((cfg.n_devices, cfg.dim))
-        self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0} if cfg.family == "quadratic" else None
-        if self.probe is not None:
-            cov = self.env.input_cov
-            tr = float(np.trace(cov))
-            cov2 = cov @ cov
-            self._second_moment_mat = 2.0 * cov2 + tr * cov
-            self._variance_mat = cov2 + tr * cov
-            self._noise_trace = self.env.label_noise_var * tr
+        quadratic = cfg.family == "quadratic"
+        self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0} if quadratic else None
+        self.moment_forms = tasks.grad_moment_forms(self.env) if quadratic else None
 
     def update_probe(self, points, device: tasks.DeviceDistribution, alpha: float):
         """Track analytic per-point gradient moments along the trajectory."""
         if self.probe is None:
             return
+        second, variance, noise = self.moment_forms
         cov = self.env.input_cov
         for p in points:
             e = p - device.w
             e_ad = e - alpha * (cov @ e)  # offset after an exact adaptation step
             for off in (e, e_ad):
-                self.probe["g_sq"] = max(
-                    self.probe["g_sq"],
-                    float(off @ self._second_moment_mat @ off) + self._noise_trace,
-                )
-                self.probe["sigma_g_sq"] = max(
-                    self.probe["sigma_g_sq"],
-                    float(off @ self._variance_mat @ off) + self._noise_trace,
-                )
+                self.probe["g_sq"] = max(self.probe["g_sq"], float(off @ second @ off) + noise)
+                self.probe["sigma_g_sq"] = max(self.probe["sigma_g_sq"],
+                                               float(off @ variance @ off) + noise)
 
 
 # record fields of a round that blew up before its iterate could be formed
@@ -504,7 +516,8 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
 
     y = ch.transmit_mac(signals, round_ch) if signals else round_ch.noise_re.copy()
     total_g_sq = float(np.sum(g_sq)) if g_sq else 0.0
-    prior_power = abs_power * rho * total_g_sq / (eta_t**2 * cfg.dim) \
+    eta_sq = sparsify.rate_sq(eta_t)
+    prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim) \
         if total_g_sq > 0.0 else 0.0
     est = ch.estimate(y, comp, prior_power, round_ch.noise_var, cfg.estimator)
 
@@ -523,7 +536,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     fields = dict(
         rho=float(rho), v_model=float(est.err_var),
         v_realized=float(noise_term @ noise_term) / cfg.dim,
-        min_g_sq_over_eta_sq=(min(g_sq) / eta_t**2) if g_sq and eta_t**2 > 0 else float("nan"),
+        min_g_sq_over_eta_sq=(min(g_sq) / eta_sq) if g_sq and eta_sq > 0 else float("nan"),
         mem_norm_sq_max=float(np.max(np.sum(state.memories**2, axis=1))),
         power_margin=max(margins) if margins else 0.0,
         pinv_fallback=bool(est.pinv_fallback),

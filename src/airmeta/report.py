@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bounds, channel, metrics, rng
+from . import bounds, channel, metrics
 from .protocol import ExperimentConfig, Trajectory, lr_schedule
 
 # AssumptionConstants fields carried by summary.json's "constants" entry
@@ -12,18 +12,14 @@ ASSUMPTION_FIELDS = ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq",
 
 
 def run_constants(traj: Trajectory):
-    """(AssumptionConstants, DerivedConstants) measured on one run.
+    """(AssumptionConstants, DerivedConstants) measured on one quadratic run.
 
-    Gradient moment surrogates come from the analytic per-point values
-    tracked along the optimization trajectory (iterates and adapted points).
+    Gradient moment surrogates are the run's probe maxima: the analytic
+    per-point values tracked along the optimization trajectory (iterates and
+    adapted points).
     """
     cfg = traj.config
-    env = cfg.env()
-    ac = bounds.estimate_constants(
-        env, [_dev(traj, i) for i in range(cfg.n_devices)],
-        probe_stats=traj.probe,
-        gen=rng.substream(cfg.master_seed, rng.EVALUATION, 1),
-    )
+    ac = bounds.estimate_constants(cfg.env(), traj.device_ws, traj.probe)
     return ac, _derived(cfg, ac)
 
 
@@ -38,12 +34,6 @@ def summary_constants(cfg: ExperimentConfig, summary: dict):
 def _derived(cfg: ExperimentConfig, ac):
     return bounds.derived_constants(ac, lr_schedule(cfg, 0)[1], cfg.sparsify_k,
                                     cfg.dim, cfg.batch_size)
-
-
-def _dev(traj: Trajectory, i: int):
-    from .tasks import DeviceDistribution
-
-    return DeviceDistribution(w=traj.device_ws[i], env=traj.config.env())
 
 
 def bound_entries(cfg: ExperimentConfig, series, ac, dc, f_init: float,
@@ -104,7 +94,8 @@ def constant_bound_report(traj: Trajectory) -> bounds.BoundReport:
 def summarize(traj: Trajectory) -> dict:
     """Summary dictionary for one run: final losses, convergence error, and
     (for completed quadratic runs) the measured constants and, on air runs,
-    the bound reports."""
+    the bound reports; when a precondition of those fails, a warning says
+    why they are missing."""
     cfg = traj.config
     out: dict = {
         "rounds_completed": len(traj.records),
@@ -126,14 +117,17 @@ def summarize(traj: Trajectory) -> dict:
         out["final_train_loss"] = metrics.meta_training_loss(
             traj.theta_final, traj.datasets, traj.metric_alpha, cfg.family,
         )
-    # constants and bounds describe a completed run; an aborted one often has
-    # non-finite probe maxima
-    if cfg.family == "quadratic" and traj.probe and traj.aborted_at is None:
+    # constants and bounds describe a completed run
+    if cfg.family != "quadratic" or traj.aborted_at is not None:
+        return out
+    try:
         ac, dc = run_constants(traj)
-        out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
-            "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,
-            "memory_gain": dc.gain, "lam": dc.lam, "c": dc.c,
-        }
-        if cfg.channel_mode == "air" and traj.records:
-            out.update(run_bounds(traj, ac, dc))
-    return out
+        entries = run_bounds(traj, ac, dc) if cfg.channel_mode == "air" and traj.records else {}
+    except ValueError as exc:  # a precondition of the constants or bounds fails
+        out["warnings"].append(f"constants and bounds are not evaluated for this run: {exc}")
+        return out
+    out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
+        "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,
+        "memory_gain": dc.gain, "lam": dc.lam, "c": dc.c,
+    }
+    return out | entries

@@ -88,6 +88,15 @@ def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int, mode: str = "topk
     return g, folded - g
 
 
+def rate_sq(eta: float) -> float:
+    """eta**2, or inf where the square leaves the float range (a Python float
+    power raises OverflowError there)."""
+    try:
+        return eta**2
+    except OverflowError:
+        return float("inf")
+
+
 def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     """Common scale rho so every device meets its average power budget.
 
@@ -97,7 +106,8 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     rho_max is returned to keep the downstream division well defined.  When
     eta^2, an update's ||g||^2 or rho itself falls below the normal float
     range (a tiny nonzero update is not a zero one), too few bits are left
-    for the budget to hold to rounding, and the result is nan.
+    for the budget to hold to rounding, and the result is nan.  It is nan
+    too when eta^2 overflows.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
@@ -114,10 +124,11 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     if eta == 0:
         raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
     tiny = np.finfo(float).tiny
-    if eta**2 < tiny or min(nrm for _, nrm in norms) < tiny:
+    eta_sq = rate_sq(eta)
+    if not tiny <= eta_sq < np.inf or min(nrm for _, nrm in norms) < tiny:
         return float("nan")
     n = len(updates)
-    rho = min(eta**2 * policy.channel_uses * policy.budget(idx, n) / nrm
+    rho = min(eta_sq * policy.channel_uses * policy.budget(idx, n) / nrm
               for idx, nrm in norms)
     return rho if rho >= tiny else float("nan")
 

@@ -14,6 +14,7 @@ spread is the heterogeneity knob.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,45 +346,50 @@ def analytic_meta_test_loss(env: TaskEnvironment, theta: np.ndarray, alpha: floa
 # per-point assumption constants (quadratic family)
 
 
-def grad_second_moment(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
-    """E ||grad loss(phi; Z)||^2 at offset e = phi - w, in closed form."""
+def grad_moment_forms(env: TaskEnvironment) -> tuple[np.ndarray, np.ndarray, float]:
+    """Closed forms of the per-sample gradient moments at offset e = phi - w.
+
+    E ||grad loss(phi; Z)||^2 = e' (2 Cov^2 + tr(Cov) Cov) e + noise * tr(Cov)
+    and its variance is e' (Cov^2 + tr(Cov) Cov) e + noise * tr(Cov).
+    Returns (second-moment matrix, variance matrix, noise term).
+    """
     _require_quadratic(env)
     cov = env.input_cov
-    e = np.asarray(phi_minus_w, dtype=float)
     tr = float(np.trace(cov))
-    return float(e @ (2.0 * cov @ cov + tr * cov) @ e) + env.label_noise_var * tr
+    cov2 = cov @ cov
+    return 2.0 * cov2 + tr * cov, cov2 + tr * cov, env.label_noise_var * tr
+
+
+def grad_second_moment(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
+    """E ||grad loss(phi; Z)||^2 at offset e = phi - w, in closed form."""
+    second, _, noise = grad_moment_forms(env)
+    e = np.asarray(phi_minus_w, dtype=float)
+    return float(e @ second @ e) + noise
 
 
 def grad_variance(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
     """Var of the per-sample gradient at offset e = phi - w, in closed form."""
-    _require_quadratic(env)
-    cov = env.input_cov
+    _, variance, noise = grad_moment_forms(env)
     e = np.asarray(phi_minus_w, dtype=float)
-    tr = float(np.trace(cov))
-    return float(e @ (cov @ cov + tr * cov) @ e) + env.label_noise_var * tr
+    return float(e @ variance @ e) + noise
 
 
-def hessian_spectral_variance(env: TaskEnvironment, rng: np.random.Generator | None = None,
-                              n_samples: int = 10000) -> tuple[float, str]:
-    """E ||per-sample Hessian - Cov||_2^2 (spectral norm).
+def hessian_spectral_variance(env: TaskEnvironment) -> float:
+    """E ||per-sample Hessian - Cov||_2^2 (spectral norm), for isotropic Cov.
 
-    For isotropic covariance s*I the spectral norm is max(|s*u - s|, s) with
-    u chi-squared, evaluated by quadrature.  Otherwise falls back to Monte
-    Carlo over sampled inputs.
-    Returns (value, provenance).
+    For Cov = s*I the spectral norm is max(|s*u - s|, s) with u chi-squared
+    on dim degrees of freedom, evaluated by quadrature.
     """
     _require_quadratic(env)
-    d = env.dim
     s = env.isotropic_scale()
-    if s is not None:
-        if s == 0.0:
-            return 0.0, "analytic"
-        val = stats.chi2(d).expect(lambda u: max((u - 1.0) ** 2, 1.0), lb=0, ub=np.inf)
-        return float(s * s * val), "analytic"
-    if rng is None:
-        rng = np.random.default_rng(0)
-    x = rng.standard_normal((n_samples, d)) @ env.cov_sqrt.T
-    norms = np.empty(n_samples)
-    for i in range(n_samples):
-        norms[i] = np.abs(np.linalg.eigvalsh(np.outer(x[i], x[i]) - env.input_cov)).max()
-    return float(np.mean(norms**2)), "empirical"
+    if s is None:
+        raise NoClosedFormError("spectral Hessian variance only for isotropic input covariance")
+    if s == 0.0:
+        return 0.0
+    return float(s * s * _chi2_spectral_moment(env.dim))
+
+
+@functools.cache
+def _chi2_spectral_moment(d: int):
+    """E max((u - 1)^2, 1) for u chi-squared with d degrees of freedom."""
+    return stats.chi2(d).expect(lambda u: max((u - 1.0) ** 2, 1.0), lb=0, ub=np.inf)

@@ -6,7 +6,7 @@ from airmeta.bounds import (AssumptionConstants, adaptive_floor_c, adaptive_rate
                             constant_rate_bound, derived_constants, estimate_constants,
                             generalization_bound, memory_gain, midpoint_c,
                             sub_gaussian_proxy)
-from airmeta.tasks import TaskEnvironment, sample_device
+from airmeta.tasks import NoClosedFormError, TaskEnvironment, sample_device
 
 
 def make_ac(**kw):
@@ -21,13 +21,16 @@ BOUND_ARGS = dict(q=5, r=0.5, n=8, d=20, m_uses=8, p_min=1.0, eta=0.001,
                   v_mean=0.3, abs_mean=np.sqrt(np.pi) / 2, abs_power=1.0)
 
 
+PROBE = {"g_sq": 3.0, "sigma_g_sq": 2.0}
+
+
 class TestConstantEstimation:
     def test_identity_covariance_analytic(self):
         env = TaskEnvironment(family="quadratic", dim=5, center=np.zeros(5),
                               task_spread=0.4, label_noise_var=0.2)
         gen = np.random.default_rng(0)
-        devs = [sample_device(env, gen) for _ in range(4)]
-        ac = estimate_constants(env, devs, probe_thetas=[np.ones(5)])
+        ws = np.stack([sample_device(env, gen).w for _ in range(4)])
+        ac = estimate_constants(env, ws, PROBE)
         assert ac.l_g == 1.0 and ac.l_h == 0.0
         assert ac.provenance["l_g"] == "analytic"
         assert ac.gamma_h_sq == 0.0
@@ -36,32 +39,29 @@ class TestConstantEstimation:
         env = TaskEnvironment(family="quadratic", dim=4, center=np.ones(4),
                               task_spread=0.0, label_noise_var=0.1)
         gen = np.random.default_rng(0)
-        devs = [sample_device(env, gen) for _ in range(5)]
-        ac = estimate_constants(env, devs, probe_thetas=[np.ones(4)])
+        ws = np.stack([sample_device(env, gen).w for _ in range(5)])
+        ac = estimate_constants(env, ws, PROBE)
         assert ac.gamma_g_sq == 0.0 and ac.gamma_h_sq == 0.0
 
     def test_heterogeneity_is_max_deviation(self):
         env = TaskEnvironment(family="quadratic", dim=2, center=np.zeros(2),
                               task_spread=1.0)
-        from airmeta.tasks import DeviceDistribution
-
-        devs = [DeviceDistribution(w=np.array([1.0, 0.0]), env=env),
-                DeviceDistribution(w=np.array([-1.0, 0.0]), env=env)]
-        ac = estimate_constants(env, devs, probe_thetas=[np.zeros(2)])
+        ws = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        ac = estimate_constants(env, ws, PROBE)
         assert ac.gamma_g_sq == pytest.approx(1.0)  # ||cov (w_i - w_bar)||^2
 
+    def test_gradient_moments_are_the_probe_maxima(self):
+        env = TaskEnvironment(family="quadratic", dim=3, center=np.zeros(3),
+                              task_spread=0.0)
+        ac = estimate_constants(env, np.zeros((2, 3)), PROBE)
+        assert (ac.g_sq, ac.sigma_g_sq) == (PROBE["g_sq"], PROBE["sigma_g_sq"])
+        assert ac.provenance["g_sq"] == ac.provenance["sigma_g_sq"] == "empirical"
 
-class TestLogisticEstimation:
-    def test_empirical_constants_finite_and_flagged(self):
+    def test_logistic_family_has_no_closed_form(self):
         env = TaskEnvironment(family="logistic", dim=3, center=0.4 * np.ones(3),
                               task_spread=0.3)
-        gen = np.random.default_rng(6)
-        devs = [sample_device(env, gen) for _ in range(3)]
-        ac = estimate_constants(env, devs, probe_thetas=[np.zeros(3), np.ones(3)],
-                                gen=gen, n_samples=4000)
-        assert all(v == "empirical" for v in ac.provenance.values())
-        assert ac.g_sq > 0 and ac.sigma_g_sq > 0
-        assert ac.l_g <= env.input_cov[0, 0] / 4 + 1e-12
+        with pytest.raises(NoClosedFormError):
+            estimate_constants(env, np.zeros((3, 3)), None)  # a logistic run has no probe
 
 
 class TestDerivedConstants:

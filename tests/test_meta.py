@@ -159,7 +159,7 @@ class TestMetaGradEstimate:
         g_sq = max(tasks.grad_second_moment(theta - dev.w, env),
                    tasks.grad_second_moment((np.eye(d) - alpha * env.input_cov)
                                             @ (theta - dev.w), env))
-        sigma_h_sq, _ = tasks.hessian_spectral_variance(env)
+        sigma_h_sq = tasks.hessian_spectral_variance(env)
         limit = 2 * ((1 + alpha * env.smoothness) ** 2 + alpha**2 * sigma_h_sq / m_b) * g_sq
         assert float(np.mean(draws)) <= limit
 

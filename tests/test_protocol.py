@@ -1,10 +1,13 @@
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from airmeta import report, storage
 from airmeta import rng as streams
 from airmeta.meta import LocalConfig, local_rounds
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
@@ -249,7 +252,7 @@ def small_configs(draw):
         rounds=draw(st.integers(0, 20)), local_steps=draw(st.integers(1, 3)),
         batch_size=batch, first_order=draw(st.booleans()),
         lr_schedule=draw(st.sampled_from(["constant", "adaptive"])),
-        eta=draw(st.one_of(st.floats(0, 1), st.floats(0, 1e3))), alpha=draw(st.floats(0, 2)),
+        eta=draw(st.one_of(st.floats(0, 1), st.floats(0, 1e300))), alpha=draw(st.floats(0, 2)),
         channel_mode=draw(st.sampled_from(["air", "ideal"])),
         sparsify_k=draw(st.integers(1, dim)), comp_mode=draw(st.sampled_from(["topk", "randk"])),
         channel_uses=dim if square else draw(st.integers(1, dim)),
@@ -283,15 +286,25 @@ class TestRoundPipelineProperties:
     # a local step overflows before the last one
     @example(small_air_config(theta_init=1e305, eta=100.0, alpha=1.5, sparsify_k=1,
                               rounds=20, master_seed=0))
+    # the squared rate overflows
+    @example(small_air_config(eta=1e160, rounds=3, local_steps=1))
+    # a completed run whose moment probe overflows
+    @example(small_air_config(theta_init=1e200, rounds=5, channel_mode="ideal"))
     def test_run_stops_cleanly_and_replays(self, cfg):
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
+            config_path, replay_path = Path(tmp) / "config.json", Path(tmp) / "replay_log.csv"
+            storage.write_config(cfg, config_path)
+            assert storage.read_config(config_path) == cfg
             traj = run_experiment(cfg)
             if traj.aborted_at is None:
                 assert len(traj.records) == cfg.rounds
             else:
                 assert traj.records[-1].t == traj.aborted_at
+            report.summarize(traj)
             # an aborted run's log ends at the failing round
-            again = replay_experiment(cfg.replace(rounds=len(traj.replay)), traj.replay)
+            storage.write_replay_csv(traj, replay_path)
+            replay = storage.read_replay_csv(replay_path)
+            again = replay_experiment(cfg.replace(rounds=len(replay)), replay)
             assert again.thetas.tobytes() == traj.thetas.tobytes()
             assert again.aborted_at == traj.aborted_at
             if traj.aborted_at is None and cfg.channel_mode == "air" and cfg.rounds:

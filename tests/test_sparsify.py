@@ -104,11 +104,13 @@ class TestPowerScale:
         policy = PowerPolicy(power=1.0, channel_uses=4, rho_max=123.0)
         assert power_scale([np.zeros(4), np.zeros(4)], 0.1, policy) == 123.0
 
-    @pytest.mark.parametrize("eta, scale", [(1.0, 1e-170), (1e-157, 1.0), (1e-150, 1e5)])
+    @pytest.mark.parametrize("eta, scale", [(1.0, 1e-170), (1e-157, 1.0), (1e-150, 1e5),
+                                            (1e160, 1.0)])
     def test_subnormal_energy_or_scale_is_nan(self, eta, scale):
         """||g||^2, eta^2 or rho below the normal range (here: underflowed to
         0, subnormal, subnormal) leave too few bits to meet the budget; a
-        tiny nonzero update must not get the zero-update cap either."""
+        tiny nonzero update must not get the zero-update cap either.  An
+        eta^2 that overflows leaves no finite scale."""
         policy = PowerPolicy(power=1.0, channel_uses=4, rho_max=123.0)
         assert np.isnan(power_scale([np.full(4, scale)], eta, policy))
 

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from airmeta import storage
+from airmeta import channel, sparsify, storage, tasks
 from airmeta.cli import main
-from airmeta.protocol import ExperimentConfig, replay_experiment, run_experiment
+from airmeta.protocol import (CHANNEL_MODES, SCHEDULES, ExperimentConfig, replay_experiment,
+                              run_experiment)
 from airmeta.storage import (config_sha256, read_config, read_replay_csv,
                              read_trajectory_csv, write_config, write_datasets_csv,
                              write_replay_csv, write_trajectory_csv)
@@ -58,6 +63,46 @@ class TestStorage:
         assert config_sha256(a) != config_sha256(b)
 
 
+CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+# names each string field accepts
+KNOWN_NAMES = {"family": tasks.FAMILIES, "lr_schedule": SCHEDULES, "channel_mode": CHANNEL_MODES,
+               "comp_mode": sparsify.COMP_MODES, "compression": channel.COMPRESSION_KINDS,
+               "estimator": channel.ESTIMATOR_KINDS, "fading": channel.FADING_MODELS}
+NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
+# JSON values of the wrong type for each annotated field type
+WRONG_VALUES = {
+    "bool": st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.none()),
+    "int": st.one_of(st.floats(), NOT_A_NUMBER, st.none()),
+    "float": st.one_of(NOT_A_NUMBER, st.none()),
+    "float | None": NOT_A_NUMBER,
+    "str": st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+}
+NEGATIVE = st.floats(max_value=0.0, exclude_max=True)
+NOT_POSITIVE = st.floats(max_value=0.0)
+# values outside a field's valid range
+OUT_OF_RANGE = {
+    "local_steps": st.integers(max_value=0), "batch_size": st.integers(max_value=0),
+    "n_test_devices": st.integers(max_value=0), "test_samples": st.integers(max_value=-1),
+    "eta": NEGATIVE, "alpha": NEGATIVE, "noise_var": NEGATIVE,
+    "power_per_use": NOT_POSITIVE, "loss_clip": NOT_POSITIVE, "rho_max": NOT_POSITIVE,
+}
+
+
+@st.composite
+def corrupted_configs(draw):
+    """A valid config as a JSON dict with one field given a wrong type, an
+    unknown name, or a value out of its range."""
+    data = run_config(rounds=1).to_dict()
+    name = draw(st.sampled_from(sorted(data)))
+    bad = [WRONG_VALUES[CONFIG_TYPES[name]]]
+    if name in KNOWN_NAMES:
+        bad.append(st.text(max_size=8).filter(lambda s: s not in KNOWN_NAMES[name]))
+    if name in OUT_OF_RANGE:
+        bad.append(OUT_OF_RANGE[name])
+    data[name] = draw(st.one_of(bad))
+    return data
+
+
 class TestCli:
     def test_missing_config_exits_2_and_names_path(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"),
@@ -93,6 +138,27 @@ class TestCli:
         assert aborted_at == 41
         assert f"trial 0 aborted with non-finite iterate at round {aborted_at}" in \
             capsys.readouterr().err
+
+    def test_overflowed_probe_run_completes_without_constants(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(theta_init=1e200, rounds=5, channel_mode="ideal"), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        for name in ("trajectory.csv", "replay_log.csv", "summary.json", "manifest.json"):
+            assert (out / name).exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted_at"] is None and "constants" not in summary
+        warning = "constants and bounds are not evaluated for this run: g_sq must be finite"
+        assert any(w.startswith(warning) for w in summary["warnings"])
+        assert warning in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(corrupted_configs())
+    def test_invalid_or_wrongly_typed_config_exits_2(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(data))
+            assert main(["run", "--config", str(cfg_path), "--out-dir", str(Path(tmp) / "o")]) == 2
 
     def test_bounds_command_reports_and_checks(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

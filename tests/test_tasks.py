@@ -230,12 +230,17 @@ class TestMomentFormulas:
     def test_hessian_spectral_variance_quadrature_matches_mc(self):
         env = TaskEnvironment(family="quadratic", dim=5, center=np.zeros(5),
                               task_spread=0.0, input_cov=1.3)
-        val, prov = tasks.hessian_spectral_variance(env)
-        assert prov == "analytic"
+        val = tasks.hessian_spectral_variance(env)
         gen = np.random.default_rng(3)
         x = gen.standard_normal((40_000, 5)) * np.sqrt(1.3)
         norms_sq = np.maximum((np.sum(x**2, axis=1) - 1.3) ** 2, 1.3**2)
         assert val == pytest.approx(float(norms_sq.mean()), rel=0.05)
+
+    def test_hessian_spectral_variance_needs_isotropic_covariance(self):
+        env = TaskEnvironment(family="quadratic", dim=2, center=np.zeros(2),
+                              task_spread=0.0, input_cov=np.diag([1.0, 2.0]))
+        with pytest.raises(NoClosedFormError):
+            tasks.hessian_spectral_variance(env)
 
     def test_meta_test_closed_form_matches_brute_force(self):
         env = TaskEnvironment(family="quadratic", dim=3, center=np.array([1.0, 0.0, -0.5]),
