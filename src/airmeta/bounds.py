@@ -3,9 +3,9 @@
 The convergence evaluators reproduce, term by term, the printed upper bounds
 on the average (constant rates) and minimum (adaptive rates) squared
 meta-gradient norm.  The generalization evaluator reproduces the mutual-
-information bound on the meta-generalization error.  Constants are measured
-for the quadratic family only: analytic where a closed form exists, and
-otherwise maxima over a run's trajectory, flagged empirical.
+information bound on the meta-generalization error.  Constants are analytic
+where a closed form exists, and otherwise maxima over a run's trajectory,
+flagged empirical.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ class AssumptionConstants:
 
 def estimate_constants(env: tasks.TaskEnvironment, ws: np.ndarray,
                        probe: dict) -> AssumptionConstants:
-    """Assumption constants of a quadratic-family run.
+    """Assumption constants of a run.
 
     Smoothness, Hessian and heterogeneity constants are analytic in the
     environment and the realized (n, d) task vectors ``ws``.  The gradient
@@ -53,8 +53,6 @@ def estimate_constants(env: tasks.TaskEnvironment, ws: np.ndarray,
     run's ``probe`` maxima of the analytic per-point values along the
     trajectory (``g_sq``, ``sigma_g_sq``), flagged empirical.
     """
-    if env.family != "quadratic":
-        raise tasks.NoClosedFormError(f"no closed-form constants for the {env.family!r} family")
     ws = np.asarray(ws, dtype=float)
     gamma_g_sq = float(np.max(np.sum(((ws - ws.mean(axis=0)) @ env.input_cov) ** 2, axis=1)))
     return AssumptionConstants(

@@ -162,7 +162,7 @@ def cmd_bounds(args) -> int:
     summary = json.loads(summary_path.read_text())
     if "constants" not in summary:
         raise UsageError("run summary carries no measured constants (see its warnings); "
-                         "bounds need a completed quadratic-family air run")
+                         "bounds need a completed air run")
     table = storage.read_trajectory_csv(traj_path)
     entries = report.bound_entries(cfg, table, *report.summary_constants(cfg, summary),
                                    summary["f_init"], summary["f_star"])

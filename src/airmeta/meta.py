@@ -39,17 +39,6 @@ def _check_finite(theta: np.ndarray, what: str = "theta"):
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def inner_adapt(theta: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float,
-                family: str = "quadratic") -> np.ndarray:
-    """One gradient step on a batch: phi = theta - alpha * mean grad."""
-    theta = np.asarray(theta, dtype=float)
-    _check_finite(theta)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("adaptation batch is empty")
-    return theta - alpha * tasks.batch_grad(theta, x, np.atleast_1d(y), family)
-
-
 def batch_pools(dataset: Dataset, batch_size: int):
     """Index pools for the three per-step mini-batches.
 
@@ -74,7 +63,7 @@ def batch_pools(dataset: Dataset, batch_size: int):
 
 
 def meta_grad_estimate(theta: np.ndarray, dataset: Dataset, cfg: LocalConfig,
-                       rng: np.random.Generator, family: str = "quadratic") -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Stochastic meta-gradient (I - alpha*H_hat) g_hat' at theta.
 
     g_hat' is the mini-batch gradient at the adapted point
@@ -89,16 +78,16 @@ def meta_grad_estimate(theta: np.ndarray, dataset: Dataset, cfg: LocalConfig,
     idx_g = rng.choice(pool_g, size=cfg.batch_size, replace=False)
     idx_h = rng.choice(pool_h, size=cfg.batch_size, replace=False)
 
-    phi = theta - cfg.alpha * tasks.batch_grad(theta, dataset.x[idx_b], dataset.y[idx_b], family)
-    g_outer = tasks.batch_grad(phi, dataset.x[idx_g], dataset.y[idx_g], family)
+    phi = theta - cfg.alpha * tasks.batch_grad(theta, dataset.x[idx_b], dataset.y[idx_b])
+    g_outer = tasks.batch_grad(phi, dataset.x[idx_g], dataset.y[idx_g])
     if cfg.first_order:
         return g_outer
-    h_hat = tasks.batch_hessian(theta, dataset.x[idx_h], dataset.y[idx_h], family)
+    h_hat = tasks.batch_hessian(theta, dataset.x[idx_h], dataset.y[idx_h])
     return g_outer - cfg.alpha * (h_hat @ g_outer)
 
 
 def local_rounds(theta_start: np.ndarray, dataset: Dataset, cfg: LocalConfig, eta: float,
-                 rng: np.random.Generator, family: str = "quadratic"):
+                 rng: np.random.Generator):
     """Run the local SGD steps and return (theta_end, delta, iterates).
 
     delta = theta_start - theta_end is the model difference the device would
@@ -113,7 +102,7 @@ def local_rounds(theta_start: np.ndarray, dataset: Dataset, cfg: LocalConfig, et
         if step and not np.all(np.isfinite(theta)):
             break
         iterates.append(theta.copy())
-        step = meta_grad_estimate(theta, dataset, cfg, rng, family)
+        step = meta_grad_estimate(theta, dataset, cfg, rng)
         theta = theta - eta * step
     delta = np.asarray(theta_start, dtype=float) - theta
     return theta, delta, iterates

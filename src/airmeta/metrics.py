@@ -18,7 +18,7 @@ def stationary_convergence_error(traj) -> float:
     return float(np.mean(vals))
 
 
-def meta_training_loss(theta, datasets, alpha: float, family: str = "quadratic") -> float:
+def meta_training_loss(theta, datasets, alpha: float) -> float:
     """Empirical meta objective: validation loss after one adaptation step
     on the full training split, averaged over devices."""
     theta = np.asarray(theta, dtype=float)
@@ -27,21 +27,19 @@ def meta_training_loss(theta, datasets, alpha: float, family: str = "quadratic")
         x_tr, y_tr = ds.train
         if x_tr.shape[0] == 0 or ds.m_va == 0:
             raise ValueError("meta training loss needs non-empty splits")
-        phi = theta - alpha * tasks.batch_grad(theta, x_tr, y_tr, family)
+        phi = theta - alpha * tasks.batch_grad(theta, x_tr, y_tr)
         x_va, y_va = ds.val
-        vals.append(tasks.batch_loss(phi, x_va, y_va, family))
+        vals.append(tasks.batch_loss(phi, x_va, y_va))
     return float(np.mean(vals))
 
 
 def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: int,
-                   m_tr: int, gen: np.random.Generator,
-                   eval_points: int = 256) -> float:
+                   m_tr: int, gen: np.random.Generator) -> float:
     """Monte Carlo meta-test loss on fresh devices.
 
-    Each fresh device adapts from theta on m_tr newly drawn samples.  For the
-    quadratic family the innermost expectation over evaluation points is
-    taken in closed form (an exact, lower-variance version of held-out
-    evaluation); otherwise ``eval_points`` held-out samples are drawn.
+    Each fresh device adapts from theta on m_tr newly drawn samples.  The
+    innermost expectation over evaluation points is taken in closed form (an
+    exact, lower-variance version of held-out evaluation).
     """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
@@ -52,12 +50,8 @@ def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: in
     for _ in range(n_test):
         dev = tasks.sample_device(env, gen)
         x, y = tasks.sample_points(dev, m_tr, gen)
-        phi = theta - alpha * tasks.batch_grad(theta, x, y, env.family)
-        if env.family == "quadratic":
-            vals.append(tasks.population_loss(phi, dev))
-        else:
-            xe, ye = tasks.sample_points(dev, eval_points, gen)
-            vals.append(tasks.batch_loss(phi, xe, ye, env.family))
+        phi = theta - alpha * tasks.batch_grad(theta, x, y)
+        vals.append(tasks.population_loss(phi, dev))
     return float(np.mean(vals))
 
 
@@ -99,7 +93,7 @@ def trial_gap(traj, gen: np.random.Generator | None = None) -> tuple[float, floa
     cfg = traj.config
     env = cfg.env()
     alpha = traj.metric_alpha
-    train = meta_training_loss(traj.theta_final, traj.datasets, alpha, cfg.family)
+    train = meta_training_loss(traj.theta_final, traj.datasets, alpha)
     if gen is None:
         gen = rng.substream(cfg.master_seed, rng.EVALUATION)
     m = cfg.test_samples or cfg.samples_per_device

@@ -9,6 +9,7 @@ sampling and must reproduce the trajectory bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,7 @@ class ExperimentConfig:
     noise; noise_var wins when both are set.
     """
 
-    # task family and population
-    family: str = "quadratic"
+    # task population
     dim: int = 20
     center: float = 1.0              # mean task vector = center * ones(dim)
     task_spread: float = 0.5         # variance of task vectors (heterogeneity)
@@ -88,7 +88,6 @@ class ExperimentConfig:
 
     def env(self) -> tasks.TaskEnvironment:
         return tasks.TaskEnvironment(
-            family=self.family,
             dim=self.dim,
             center=self.center * np.ones(self.dim),
             task_spread=self.task_spread,
@@ -106,6 +105,9 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Raise on hard contract violations; return soft warnings."""
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         k_active = self.active_fraction * self.n_devices
         if abs(k_active - round(k_active)) > 1e-9 or round(k_active) < 1:
             raise ValueError(
@@ -121,8 +123,8 @@ class ExperimentConfig:
             raise ValueError("matched estimator requires channel_uses == dim")
         if self.train_samples < 1 or self.val_samples < 1:
             raise ValueError("both data splits need at least one sample")
-        for name, known in (("family", tasks.FAMILIES), ("lr_schedule", SCHEDULES),
-                            ("channel_mode", CHANNEL_MODES), ("comp_mode", sparsify.COMP_MODES),
+        for name, known in (("lr_schedule", SCHEDULES), ("channel_mode", CHANNEL_MODES),
+                            ("comp_mode", sparsify.COMP_MODES),
                             ("compression", ch.COMPRESSION_KINDS),
                             ("estimator", ch.ESTIMATOR_KINDS), ("fading", ch.FADING_MODELS)):
             if getattr(self, name) not in known:
@@ -152,21 +154,20 @@ class ExperimentConfig:
         self.effective_noise_var()
 
         warnings = []
-        if self.family == "quadratic":
-            l_g = self.env().smoothness
-            eta0, alpha0 = lr_schedule(self, 0)
-            if alpha0 > 1 / l_g + 1e-12:
-                warnings.append(
-                    f"inner rate {alpha0} exceeds 1/L_G = {1 / l_g:.6g}; the smoothness "
-                    "precondition of the convergence analysis does not hold"
-                )
-            l_f = 4.0 * l_g  # quadratic family has a constant Hessian
-            if not meets_constant_rate(eta0, self.local_steps, l_f):
-                warnings.append(
-                    f"outer rate {eta0} violates the constant-rate validity condition "
-                    f"(max {constant_rate_limit(self.local_steps, l_f):.6g}); "
-                    "bound evaluation on this run is not covered by the theory"
-                )
+        l_g = self.env().smoothness
+        eta0, alpha0 = lr_schedule(self, 0)
+        if alpha0 > 1 / l_g + 1e-12:
+            warnings.append(
+                f"inner rate {alpha0} exceeds 1/L_G = {1 / l_g:.6g}; the smoothness "
+                "precondition of the convergence analysis does not hold"
+            )
+        l_f = 4.0 * l_g  # squared loss has a constant Hessian
+        if not meets_constant_rate(eta0, self.local_steps, l_f):
+            warnings.append(
+                f"outer rate {eta0} violates the constant-rate validity condition "
+                f"(max {constant_rate_limit(self.local_steps, l_f):.6g}); "
+                "bound evaluation on this run is not covered by the theory"
+            )
         return warnings
 
     def to_dict(self) -> dict:
@@ -195,20 +196,16 @@ class ExperimentConfig:
         return dataclasses.replace(self, **kw)
 
 
-def lr_schedule(cfg: ExperimentConfig, t: int, l_g: float | None = None):
+def lr_schedule(cfg: ExperimentConfig, t: int):
     """(eta_t, alpha_t) for round t.
 
     The adaptive schedule decays both rates as 1/t and caps the inner rate at
-    1/L_G when the smoothness constant is known.
+    1/L_G.
     """
     if cfg.lr_schedule == "constant":
         return float(cfg.eta), float(cfg.alpha)
     eta_t = cfg.eta_scale / (cfg.eta_offset + t)
-    alpha_t = cfg.alpha_scale / (cfg.alpha_offset + t)
-    if l_g is None and cfg.family == "quadratic":
-        l_g = cfg.env().smoothness
-    if l_g is not None:
-        alpha_t = min(alpha_t, 1.0 / l_g)
+    alpha_t = min(cfg.alpha_scale / (cfg.alpha_offset + t), 1.0 / cfg.env().smoothness)
     return float(eta_t), float(alpha_t)
 
 
@@ -273,7 +270,7 @@ class Trajectory:
     memories: np.ndarray               # final error-feedback memories (n, dim)
     replay: list                       # per-round realized channel draws
     recon: list                        # per-round vectors for identity checks
-    probe: dict | None                 # running maxima for constant estimation
+    probe: dict                        # running maxima for constant estimation
     f_init: float
     f_star: float
     metric_alpha: float
@@ -305,14 +302,11 @@ class _State:
         ]
         self.theta = cfg.theta_init * np.ones(cfg.dim)
         self.memories = np.zeros((cfg.n_devices, cfg.dim))
-        quadratic = cfg.family == "quadratic"
-        self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0} if quadratic else None
-        self.moment_forms = tasks.grad_moment_forms(self.env) if quadratic else None
+        self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0}
+        self.moment_forms = tasks.grad_moment_forms(self.env)
 
     def update_probe(self, points, device: tasks.DeviceDistribution, alpha: float):
         """Track analytic per-point gradient moments along the trajectory."""
-        if self.probe is None:
-            return
         second, variance, noise = self.moment_forms
         cov = self.env.input_cov
         for p in points:
@@ -353,9 +347,8 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
         uplink, noise_var = _ideal_uplink, 0.0
     metric_alpha = lr_schedule(cfg, 0)[1]
 
-    quadratic = cfg.family == "quadratic"
-    f_init = tasks.mean_meta_loss(state.theta, state.devices, metric_alpha) if quadratic else float("nan")
-    f_star = tasks.meta_loss_minimum(state.devices, metric_alpha) if quadratic else float("nan")
+    f_init = tasks.mean_meta_loss(state.theta, state.devices, metric_alpha)
+    f_star = tasks.meta_loss_minimum(state.devices, metric_alpha)
 
     thetas = [state.theta.copy()]
     records: list[RoundRecord] = []
@@ -388,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
             theta_next, fields, noise_term, fading_dev = out
             fields = fields | {
                 "train_loss": metrics.meta_training_loss(state.theta, state.datasets,
-                                                         metric_alpha, cfg.family),
+                                                         metric_alpha),
                 "sum_abs_h_sq": float(np.sum(np.abs(round_ch.gains) ** 2)),
             }
             recon.append({
@@ -399,7 +392,7 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
             })
         records.append(RoundRecord(
             t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
-            grad_norm_sq=_grad_norm_sq(state, metric_alpha, quadratic), **fields,
+            grad_norm_sq=_grad_norm_sq(state, metric_alpha), **fields,
         ))
         if theta_next is None or not np.all(np.isfinite(theta_next)):
             aborted_at = t
@@ -458,7 +451,7 @@ def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.nda
         for i in act_eff:
             _, delta, iterates = meta.local_rounds(
                 state.theta, state.datasets[i], local_cfg, eta_t,
-                rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i), cfg.family,
+                rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i),
             )
             deltas.append(delta)
             state.update_probe(iterates, state.devices[i], alpha_t)
@@ -544,9 +537,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     return theta_next, fields, noise_term, fading_dev
 
 
-def _grad_norm_sq(state: _State, metric_alpha: float, quadratic: bool) -> float:
-    if not quadratic:
-        return float("nan")
+def _grad_norm_sq(state: _State, metric_alpha: float) -> float:
     g = tasks.mean_meta_grad(state.theta, state.devices, metric_alpha)
     return float(g @ g)
 

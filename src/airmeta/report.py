@@ -12,7 +12,7 @@ ASSUMPTION_FIELDS = ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq",
 
 
 def run_constants(traj: Trajectory):
-    """(AssumptionConstants, DerivedConstants) measured on one quadratic run.
+    """(AssumptionConstants, DerivedConstants) measured on one run.
 
     Gradient moment surrogates are the run's probe maxima: the analytic
     per-point values tracked along the optimization trajectory (iterates and
@@ -93,7 +93,7 @@ def constant_bound_report(traj: Trajectory) -> bounds.BoundReport:
 
 def summarize(traj: Trajectory) -> dict:
     """Summary dictionary for one run: final losses, convergence error, and
-    (for completed quadratic runs) the measured constants and, on air runs,
+    (for completed runs) the measured constants and, on air runs,
     the bound reports; when a precondition of those fails, a warning says
     why they are missing."""
     cfg = traj.config
@@ -115,10 +115,10 @@ def summarize(traj: Trajectory) -> dict:
         out["generalization_gap"] = test - train
     elif traj.records:
         out["final_train_loss"] = metrics.meta_training_loss(
-            traj.theta_final, traj.datasets, traj.metric_alpha, cfg.family,
+            traj.theta_final, traj.datasets, traj.metric_alpha,
         )
     # constants and bounds describe a completed run
-    if cfg.family != "quadratic" or traj.aborted_at is not None:
+    if traj.aborted_at is not None:
         return out
     try:
         ac, dc = run_constants(traj)

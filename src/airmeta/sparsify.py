@@ -20,29 +20,17 @@ COMP_MODES = ("topk", "randk")
 
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Per-device average power budget over a block of channel uses.
+    """Average power budget of every device over a block of channel uses."""
 
-    ``power`` is either one budget shared by all devices or a sequence with
-    one entry per transmitting device.
-    """
-
-    power: object         # float, or per-device sequence
+    power: float          # per-device budget P
     channel_uses: int     # block length M
     rho_max: float = 1e12  # scale used when every update is all-zero
 
     def __post_init__(self):
-        if np.any(np.asarray(self.power, dtype=float) <= 0):
-            raise ValueError("power budgets must be > 0")
+        if not self.power > 0:
+            raise ValueError("power budget must be > 0")
         if self.channel_uses < 1:
             raise ValueError("channel_uses must be >= 1")
-
-    def budget(self, idx: int, n_devices: int) -> float:
-        p = np.asarray(self.power, dtype=float)
-        if p.ndim == 0:
-            return float(p)
-        if p.shape != (n_devices,):
-            raise ValueError("need one power budget per device")
-        return float(p[idx])
 
 
 def comp_k(x: np.ndarray, k: int, mode: str = "topk",
@@ -112,24 +100,22 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     if eta < 0:
         raise ValueError("eta must be >= 0")
     norms = []
-    for idx, g in enumerate(updates):
+    for g in updates:
         g = np.asarray(g, dtype=float)
         if not np.all(np.isfinite(g)):
             raise ValueError("update contains non-finite entries")
         nrm = float(g @ g)
         if nrm > 0.0 or np.any(g):  # a tiny nonzero g can have nrm == 0
-            norms.append((idx, nrm))
+            norms.append(nrm)
     if not norms:
         return policy.rho_max
     if eta == 0:
         raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
     tiny = np.finfo(float).tiny
     eta_sq = rate_sq(eta)
-    if not tiny <= eta_sq < np.inf or min(nrm for _, nrm in norms) < tiny:
+    if not tiny <= eta_sq < np.inf or min(norms) < tiny:
         return float("nan")
-    n = len(updates)
-    rho = min(eta_sq * policy.channel_uses * policy.budget(idx, n) / nrm
-              for idx, nrm in norms)
+    rho = min(eta_sq * policy.channel_uses * policy.power / nrm for nrm in norms)
     return rho if rho >= tiny else float("nan")
 
 

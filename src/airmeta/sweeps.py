@@ -30,6 +30,8 @@ class SweepSpec:
         vals = tuple(float(v) for v in self.values)
         if len(vals) == 0:
             raise ValueError("sweep needs at least one value")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sweep values must be finite")
         diffs = np.diff(vals)
         if vals and len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
@@ -76,7 +78,10 @@ class PointResult:
     per_seed: dict
 
 
-def run_point(spec: SweepSpec, value: float, evaluate_bounds: bool = True) -> PointResult:
+def run_point(spec: SweepSpec, value: float) -> PointResult:
+    """Run every seed of one sweep point and aggregate the seeds' summaries.
+    A seed whose summary carries no bounds (an ideal run, or one whose
+    constants or bounds do not apply) adds no bound entry."""
     cfg0 = apply_axis(spec.base, spec.axis, value)
     conv, tests, trains, gen_bounds, conv_bounds = [], [], [], [], []
     for trial in range(spec.seeds):
@@ -86,14 +91,13 @@ def run_point(spec: SweepSpec, value: float, evaluate_bounds: bool = True) -> Po
             raise RuntimeError(
                 f"trial {trial} at {spec.axis}={value} aborted at round {traj.aborted_at}"
             )
-        conv.append(metrics.stationary_convergence_error(traj))
-        test, train = metrics.trial_gap(traj)
-        tests.append(test)
-        trains.append(train)
-        if evaluate_bounds and cfg.channel_mode == "air" and cfg.family == "quadratic":
-            entries = report.run_bounds(traj, *report.run_constants(traj))
-            gen_bounds.append(entries["bound_generalization"])
-            conv_bounds.append(entries["bound_constant"].total)
+        summary = report.summarize(traj)
+        conv.append(summary["convergence_error"])
+        tests.append(summary["final_test_loss"])
+        trains.append(summary["final_train_loss"])
+        if "bound_constant" in summary:
+            gen_bounds.append(summary["bound_generalization"])
+            conv_bounds.append(summary["bound_constant"].total)
     gap = metrics.meta_generalization_error(list(zip(tests, trains)))
     conv_arr = np.array(conv)
     return PointResult(

@@ -1,13 +1,10 @@
-"""Synthetic task families with exact loss, gradient, and Hessian oracles.
+"""Synthetic linear-regression tasks with exact loss, gradient, and Hessian
+oracles.
 
-Two families are supported:
-
-* ``quadratic`` -- linear regression with squared loss.  Inputs are Gaussian,
-  labels are ``y = <w, x> + eps``.  Every population quantity (test loss,
-  meta loss after one adaptation step, smoothness constants) has a closed
-  form, which makes exact bound evaluation possible at desk scale.
-* ``logistic`` -- binary labels through a logistic link.  Pointwise oracles
-  exist; population quantities must be estimated by sampling.
+Inputs are Gaussian, labels are ``y = <w, x> + eps`` and the loss is squared
+error.  Every population quantity (test loss, meta loss after one adaptation
+step, smoothness constants) has a closed form, which makes exact bound
+evaluation possible at desk scale.
 
 Device task vectors are drawn i.i.d. from N(center, task_spread * I); the
 spread is the heterogeneity knob.
@@ -20,11 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-FAMILIES = ("quadratic", "logistic")
-
-
 class NoClosedFormError(NotImplementedError):
-    """Requested a closed-form population quantity for a family without one."""
+    """Requested a closed-form quantity for an environment without one."""
 
 
 def _as_cov(input_cov, dim: int) -> np.ndarray:
@@ -42,18 +36,15 @@ def _as_cov(input_cov, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TaskEnvironment:
-    """Data-generating family shared by all devices of an experiment."""
+    """Data-generating law shared by all devices of an experiment."""
 
-    family: str
     dim: int
     center: np.ndarray            # mean task vector w0
     task_spread: float            # variance of task vectors around w0
     input_cov: np.ndarray = field(default=None)  # covariance of inputs x
-    label_noise_var: float = 0.0  # variance of additive label noise (quadratic only)
+    label_noise_var: float = 0.0  # variance of additive label noise
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.task_spread < 0:
@@ -74,9 +65,7 @@ class TaskEnvironment:
 
     @property
     def smoothness(self) -> float:
-        """Lipschitz constant of the population gradient (quadratic family)."""
-        if self.family != "quadratic":
-            raise NoClosedFormError("analytic smoothness only for the quadratic family")
+        """Lipschitz constant of the population gradient."""
         return float(np.linalg.eigvalsh(self.input_cov).max())
 
     def isotropic_scale(self):
@@ -158,11 +147,7 @@ def sample_points(dist: DeviceDistribution, m: int,
     device law: all inputs first, then all label draws."""
     env = dist.env
     x = rng.standard_normal((m, env.dim)) @ env.cov_sqrt.T
-    z = x @ dist.w
-    if env.family == "quadratic":
-        y = z + np.sqrt(env.label_noise_var) * rng.standard_normal(m)
-    else:
-        y = (rng.random(m) < sigmoid(z)).astype(float)
+    y = x @ dist.w + np.sqrt(env.label_noise_var) * rng.standard_normal(m)
     return x, y
 
 
@@ -170,108 +155,73 @@ def sample_points(dist: DeviceDistribution, m: int,
 # pointwise oracles
 
 
-def sigmoid(z):
-    """Logistic link 1 / (1 + e^-z), in its overflow-free tanh form."""
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
-
-
 def _check_dims(phi: np.ndarray, x: np.ndarray):
     if phi.shape[-1] != x.shape[-1]:
         raise ValueError(f"dimension mismatch: phi has {phi.shape[-1]}, x has {x.shape[-1]}")
 
 
-def loss(phi: np.ndarray, x: np.ndarray, y: float, family: str = "quadratic") -> float:
-    """Per-sample loss at model phi."""
+def loss(phi: np.ndarray, x: np.ndarray, y: float) -> float:
+    """Per-sample squared loss at model phi."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    z = float(x @ phi)
-    if family == "quadratic":
-        return 0.5 * (float(y) - z) ** 2
-    # - y*z + log(1 + e^z), computed stably
-    return float(np.logaddexp(0.0, z) - float(y) * z)
+    return 0.5 * (float(y) - float(x @ phi)) ** 2
 
 
-def grad(phi: np.ndarray, x: np.ndarray, y: float, family: str = "quadratic") -> np.ndarray:
+def grad(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    z = float(x @ phi)
-    if family == "quadratic":
-        return -(float(y) - z) * x
-    return (float(sigmoid(z)) - float(y)) * x
+    return -(float(y) - float(x @ phi)) * x
 
 
-def hessian(phi: np.ndarray, x: np.ndarray, y: float, family: str = "quadratic") -> np.ndarray:
+def hessian(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    if family == "quadratic":
-        return np.outer(x, x)  # independent of phi
-    s = float(sigmoid(float(x @ phi)))
-    return s * (1.0 - s) * np.outer(x, x)
+    return np.outer(x, x)  # independent of phi
 
 
-def batch_loss(phi, x, y, family="quadratic"):
+def batch_loss(phi, x, y):
     """Mean per-sample loss over a batch; x is (m, d)."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    z = x @ phi
-    if family == "quadratic":
-        return float(np.mean(0.5 * (y - z) ** 2))
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+    return float(np.mean(0.5 * (y - x @ phi) ** 2))
 
 
-def batch_grad(phi, x, y, family="quadratic"):
+def batch_grad(phi, x, y):
     """Mean gradient over a batch; x is (m, d)."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    z = x @ phi
-    if family == "quadratic":
-        resid = y - z
-        return -(x.T @ resid) / x.shape[0]
-    return (x.T @ (sigmoid(z) - y)) / x.shape[0]
+    return -(x.T @ (y - x @ phi)) / x.shape[0]
 
 
-def batch_hessian(phi, x, y, family="quadratic"):
+def batch_hessian(phi, x, y):
     """Mean Hessian over a batch; x is (m, d)."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    if family == "quadratic":
-        return (x.T @ x) / x.shape[0]
-    s = sigmoid(x @ phi)
-    return (x.T * (s * (1.0 - s))) @ x / x.shape[0]
+    return (x.T @ x) / x.shape[0]
 
 
 # ---------------------------------------------------------------------------
-# population oracles (quadratic family)
-
-
-def _require_quadratic(env: TaskEnvironment):
-    if env.family != "quadratic":
-        raise NoClosedFormError(
-            "no closed form for the %r family; use a large-sample estimate" % env.family
-        )
+# population oracles
 
 
 def population_loss(phi: np.ndarray, dist: DeviceDistribution) -> float:
     """Exact expected per-sample loss: (1/2)(phi-w)' Cov (phi-w) + noise/2."""
-    _require_quadratic(dist.env)
     e = np.asarray(phi, dtype=float) - dist.w
     return 0.5 * float(e @ dist.env.input_cov @ e) + 0.5 * dist.env.label_noise_var
 
 
 def population_grad(phi: np.ndarray, dist: DeviceDistribution) -> np.ndarray:
-    _require_quadratic(dist.env)
     return dist.env.input_cov @ (np.asarray(phi, dtype=float) - dist.w)
 
 
 def meta_curvature(env: TaskEnvironment, alpha: float) -> np.ndarray:
     """Curvature (I - a*Cov) Cov (I - a*Cov) of the post-adaptation loss."""
-    _require_quadratic(env)
     cov = env.input_cov
     shrink = np.eye(env.dim) - alpha * cov
     return shrink @ cov @ shrink
@@ -279,14 +229,12 @@ def meta_curvature(env: TaskEnvironment, alpha: float) -> np.ndarray:
 
 def population_meta_loss(theta: np.ndarray, dist: DeviceDistribution, alpha: float) -> float:
     """Population loss after one exact adaptation step from theta."""
-    _require_quadratic(dist.env)
     u = np.asarray(theta, dtype=float) - dist.w
     b = meta_curvature(dist.env, alpha)
     return 0.5 * float(u @ b @ u) + 0.5 * dist.env.label_noise_var
 
 
 def population_meta_grad(theta: np.ndarray, dist: DeviceDistribution, alpha: float) -> np.ndarray:
-    _require_quadratic(dist.env)
     b = meta_curvature(dist.env, alpha)
     return b @ (np.asarray(theta, dtype=float) - dist.w)
 
@@ -308,7 +256,6 @@ def meta_loss_minimum(dists, alpha: float) -> float:
     noise floor.
     """
     env = dists[0].env
-    _require_quadratic(env)
     b = meta_curvature(env, alpha)
     ws = np.stack([d.w for d in dists])
     w_bar = ws.mean(axis=0)
@@ -325,7 +272,6 @@ def analytic_meta_test_loss(env: TaskEnvironment, theta: np.ndarray, alpha: floa
     point.  Fourth-moment terms of the Gaussian inputs give the 1/m_tr
     corrections relative to the infinite-data adaptation.
     """
-    _require_quadratic(env)
     cov = env.input_cov
     d = env.dim
     theta = np.asarray(theta, dtype=float)
@@ -343,7 +289,7 @@ def analytic_meta_test_loss(env: TaskEnvironment, theta: np.ndarray, alpha: floa
 
 
 # ---------------------------------------------------------------------------
-# per-point assumption constants (quadratic family)
+# per-point assumption constants
 
 
 def grad_moment_forms(env: TaskEnvironment) -> tuple[np.ndarray, np.ndarray, float]:
@@ -353,7 +299,6 @@ def grad_moment_forms(env: TaskEnvironment) -> tuple[np.ndarray, np.ndarray, flo
     and its variance is e' (Cov^2 + tr(Cov) Cov) e + noise * tr(Cov).
     Returns (second-moment matrix, variance matrix, noise term).
     """
-    _require_quadratic(env)
     cov = env.input_cov
     tr = float(np.trace(cov))
     cov2 = cov @ cov
@@ -380,7 +325,6 @@ def hessian_spectral_variance(env: TaskEnvironment) -> float:
     For Cov = s*I the spectral norm is max(|s*u - s|, s) with u chi-squared
     on dim degrees of freedom, evaluated by quadrature.
     """
-    _require_quadratic(env)
     s = env.isotropic_scale()
     if s is None:
         raise NoClosedFormError("spectral Hessian variance only for isotropic input covariance")

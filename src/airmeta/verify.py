@@ -152,8 +152,7 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     constants."""
     t0 = time.perf_counter()
     gen = np.random.default_rng(seed)
-    env = tasks.TaskEnvironment(family="quadratic", dim=20,
-                                center=np.ones(20), task_spread=0.5,
+    env = tasks.TaskEnvironment(dim=20, center=np.ones(20), task_spread=0.5,
                                 input_cov=1.0, label_noise_var=1.0)
     devices = [tasks.sample_device(env, gen) for _ in range(4)]
     datasets = [tasks.sample_dataset(d, 200, 100, 100, gen) for d in devices]
@@ -201,7 +200,7 @@ def check_bound_validity(seed: int = 0, n_seeds: int = 3, rounds: int = 200) -> 
 
 def default_convergence_config(**overrides) -> ExperimentConfig:
     """Desk-scale convergence setup; outer rate sits at 90% of the validity
-    limit for the quadratic family."""
+    limit."""
     q = overrides.pop("local_steps", 5)
     base = ExperimentConfig(local_steps=q, active_fraction=1.0 / 3.0, n_devices=9)
     l_f = 4.0 * base.env().smoothness

@@ -11,16 +11,10 @@ def rng():
 
 @pytest.fixture
 def quad_env():
-    return TaskEnvironment(family="quadratic", dim=6, center=np.arange(6.0) / 3.0,
+    return TaskEnvironment(dim=6, center=np.arange(6.0) / 3.0,
                            task_spread=0.4, input_cov=1.0, label_noise_var=0.5)
 
 
 @pytest.fixture
 def quad_device(quad_env, rng):
     return sample_device(quad_env, rng)
-
-
-@pytest.fixture
-def logistic_env():
-    return TaskEnvironment(family="logistic", dim=4, center=0.5 * np.ones(4),
-                           task_spread=0.2, input_cov=1.0)

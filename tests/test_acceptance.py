@@ -106,7 +106,7 @@ def test_07_convergence_bound_validity():
 def test_08_snr_convergence_trend():
     spec = SweepSpec(axis="snr_db", values=(0.0, 10.0, 20.0),
                      base=convergence_config(), seeds=10)
-    errs = [run_point(spec, v, evaluate_bounds=False).conv_error_mean
+    errs = [run_point(spec, v).conv_error_mean
             for v in spec.values]
     nonincreasing = all(a >= b for a, b in zip(errs, errs[1:]))
     reduction = (errs[0] - errs[-1]) / errs[0]
@@ -143,7 +143,7 @@ def test_11_device_count_tradeoff():
     base = generalization_config(samples_per_device=32, train_samples=16,
                                  batch_size=8, rounds=600, eta=0.008, master_seed=4)
     spec = SweepSpec(axis="n_devices", values=(3, 6, 9), base=base, seeds=10)
-    points = [run_point(spec, v, evaluate_bounds=False) for v in spec.values]
+    points = [run_point(spec, v) for v in spec.values]
     errs = [p.conv_error_mean for p in points]
     gaps = [p.gap_abs for p in points]
     conv_ok = all(a >= b for a, b in zip(errs, errs[1:]))

@@ -6,7 +6,7 @@ from airmeta.bounds import (AssumptionConstants, adaptive_floor_c, adaptive_rate
                             constant_rate_bound, derived_constants, estimate_constants,
                             generalization_bound, memory_gain, midpoint_c,
                             sub_gaussian_proxy)
-from airmeta.tasks import NoClosedFormError, TaskEnvironment, sample_device
+from airmeta.tasks import TaskEnvironment, sample_device
 
 
 def make_ac(**kw):
@@ -26,7 +26,7 @@ PROBE = {"g_sq": 3.0, "sigma_g_sq": 2.0}
 
 class TestConstantEstimation:
     def test_identity_covariance_analytic(self):
-        env = TaskEnvironment(family="quadratic", dim=5, center=np.zeros(5),
+        env = TaskEnvironment(dim=5, center=np.zeros(5),
                               task_spread=0.4, label_noise_var=0.2)
         gen = np.random.default_rng(0)
         ws = np.stack([sample_device(env, gen).w for _ in range(4)])
@@ -36,7 +36,7 @@ class TestConstantEstimation:
         assert ac.gamma_h_sq == 0.0
 
     def test_homogeneous_devices_zero_heterogeneity(self):
-        env = TaskEnvironment(family="quadratic", dim=4, center=np.ones(4),
+        env = TaskEnvironment(dim=4, center=np.ones(4),
                               task_spread=0.0, label_noise_var=0.1)
         gen = np.random.default_rng(0)
         ws = np.stack([sample_device(env, gen).w for _ in range(5)])
@@ -44,24 +44,18 @@ class TestConstantEstimation:
         assert ac.gamma_g_sq == 0.0 and ac.gamma_h_sq == 0.0
 
     def test_heterogeneity_is_max_deviation(self):
-        env = TaskEnvironment(family="quadratic", dim=2, center=np.zeros(2),
+        env = TaskEnvironment(dim=2, center=np.zeros(2),
                               task_spread=1.0)
         ws = np.array([[1.0, 0.0], [-1.0, 0.0]])
         ac = estimate_constants(env, ws, PROBE)
         assert ac.gamma_g_sq == pytest.approx(1.0)  # ||cov (w_i - w_bar)||^2
 
     def test_gradient_moments_are_the_probe_maxima(self):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.zeros(3),
+        env = TaskEnvironment(dim=3, center=np.zeros(3),
                               task_spread=0.0)
         ac = estimate_constants(env, np.zeros((2, 3)), PROBE)
         assert (ac.g_sq, ac.sigma_g_sq) == (PROBE["g_sq"], PROBE["sigma_g_sq"])
         assert ac.provenance["g_sq"] == ac.provenance["sigma_g_sq"] == "empirical"
-
-    def test_logistic_family_has_no_closed_form(self):
-        env = TaskEnvironment(family="logistic", dim=3, center=0.4 * np.ones(3),
-                              task_spread=0.3)
-        with pytest.raises(NoClosedFormError):
-            estimate_constants(env, np.zeros((3, 3)), None)  # a logistic run has no probe
 
 
 class TestDerivedConstants:

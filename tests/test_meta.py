@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airmeta import meta, tasks
-from airmeta.meta import LocalConfig, ideal_aggregate, inner_adapt, local_rounds, meta_grad_estimate
+from airmeta.meta import LocalConfig, ideal_aggregate, local_rounds, meta_grad_estimate
 from airmeta.tasks import Dataset, DeviceDistribution, TaskEnvironment, sample_dataset, sample_device
 
 
@@ -20,19 +20,7 @@ def orthonormal_design(w, copies=1):
 
 
 class TestInnerAdapt:
-    def test_alpha_zero_identity(self, rng):
-        theta = rng.standard_normal(4)
-        x = rng.standard_normal((5, 4))
-        y = rng.standard_normal(5)
-        assert np.array_equal(inner_adapt(theta, x, y, 0.0), theta)
-
-    def test_explicit_single_step(self):
-        # batch realizing mean gradient [1, 0]: x = [1, 0], y = -1 at theta = [1, 0]
-        theta = np.array([1.0, 0.0])
-        x = np.array([[1.0, 0.0]])
-        y = np.array([0.0])
-        phi = inner_adapt(theta, x, y, alpha=0.5)
-        assert np.allclose(phi, [0.5, 0.0])
+    """The adaptation step theta - alpha * batch_grad of meta_grad_estimate."""
 
     def test_matches_literal_summation(self, rng):
         theta = rng.standard_normal(3)
@@ -40,15 +28,8 @@ class TestInnerAdapt:
         y = rng.standard_normal(7)
         alpha = 0.3
         expected = theta - (alpha / 7) * sum(tasks.grad(theta, x[i], y[i]) for i in range(7))
-        assert np.allclose(inner_adapt(theta, x, y, alpha), expected, atol=1e-14)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            inner_adapt(np.zeros(2), np.zeros((0, 2)), np.zeros(0), 0.1)
-
-    def test_non_finite_theta_rejected(self):
-        with pytest.raises(ValueError):
-            inner_adapt(np.array([np.nan, 0.0]), np.ones((1, 2)), np.ones(1), 0.1)
+        phi = theta - alpha * tasks.batch_grad(theta, x, y)
+        assert np.allclose(phi, expected, rtol=0, atol=1e-14)
 
 
 class TestBatchPools:
@@ -95,7 +76,7 @@ class TestMetaGradEstimate:
         """Mean of the estimator over batch draws from a frozen dataset equals
         the product of per-pool conditional expectations (quadratic family)."""
         d, m_b = 3, 4
-        env = TaskEnvironment(family="quadratic", dim=d, center=np.zeros(d),
+        env = TaskEnvironment(dim=d, center=np.zeros(d),
                               task_spread=0.5, label_noise_var=0.5)
         dev = sample_device(env, rng)
         ds = sample_dataset(dev, 24, 8, 16, rng)
@@ -124,7 +105,7 @@ class TestMetaGradEstimate:
         meta-gradient (quadratic losses make it unbiased), within the stated
         squared-bias allowance 4 a^2 L^2 sigma_G^2 / m_B."""
         d, m_b, alpha = 3, 8, 0.3
-        env = TaskEnvironment(family="quadratic", dim=d, center=np.zeros(d),
+        env = TaskEnvironment(dim=d, center=np.zeros(d),
                               task_spread=0.0, label_noise_var=0.4)
         gen = np.random.default_rng(17)
         dev = sample_device(env, gen)
@@ -146,7 +127,7 @@ class TestMetaGradEstimate:
         """Measured E||estimate||^2 stays below
         2 ((1 + a L)^2 + a^2 sigma_H^2 / m_B) G^2 with measured constants."""
         d, m_b, alpha = 4, 8, 0.2
-        env = TaskEnvironment(family="quadratic", dim=d, center=np.zeros(d),
+        env = TaskEnvironment(dim=d, center=np.zeros(d),
                               task_spread=0.0, label_noise_var=0.5)
         gen = np.random.default_rng(23)
         dev = sample_device(env, gen)

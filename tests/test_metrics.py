@@ -18,7 +18,7 @@ class TestMetaTrainingLoss:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_at_shared_truth(self, rng):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.ones(3),
+        env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.0, label_noise_var=0.0)
         dev = sample_device(env, rng)
         datasets = [sample_dataset(dev, 12, 6, 6, rng) for _ in range(2)]
@@ -64,14 +64,14 @@ class TestMetaTrainingLoss:
 
 class TestMetaTestLoss:
     def test_zero_in_degenerate_environment(self):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.ones(3),
+        env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.0, label_noise_var=0.0)
         val = meta_test_loss(np.ones(3), env, 0.2, n_test=10, m=8, m_tr=4,
                              gen=np.random.default_rng(0))
         assert val < 1e-24
 
     def test_matches_closed_form_expectation(self):
-        env = TaskEnvironment(family="quadratic", dim=4, center=np.array([1.0, 0.0, -1.0, 0.5]),
+        env = TaskEnvironment(dim=4, center=np.array([1.0, 0.0, -1.0, 0.5]),
                               task_spread=0.3, label_noise_var=0.5)
         theta = np.array([0.2, 0.4, -0.2, 0.0])
         alpha, m_tr, n_test = 0.3, 6, 1000
@@ -82,7 +82,7 @@ class TestMetaTestLoss:
         assert abs(np.mean(vals) - want) < 3 * se
 
     def test_more_adaptation_data_never_hurts_on_average(self):
-        env = TaskEnvironment(family="quadratic", dim=4, center=np.ones(4),
+        env = TaskEnvironment(dim=4, center=np.ones(4),
                               task_spread=0.3, label_noise_var=0.5)
         theta = 0.4 * np.ones(4)
         vals = [tasks.analytic_meta_test_loss(env, theta, 0.3, m_tr)

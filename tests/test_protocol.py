@@ -140,13 +140,6 @@ class TestRunExperiment:
         for i in never_active:
             assert np.all(traj.memories[i] == 0)
 
-    def test_logistic_run_completes(self):
-        cfg = small_air_config(family="logistic", rounds=10)
-        traj = run_experiment(cfg)
-        assert len(traj.records) == 10
-        assert np.isfinite(traj.series("train_loss")).all()
-        assert np.isnan(traj.series("grad_norm_sq")).all()  # no closed-form oracle
-
     def test_unknown_config_field_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"bogus_field": 1})
@@ -246,7 +239,7 @@ def small_configs(draw):
     square = draw(st.booleans())
     snr_db = draw(st.one_of(st.none(), st.floats(-10, 30)))
     return ExperimentConfig(
-        family=draw(st.sampled_from(["quadratic", "logistic"])), dim=dim,
+        dim=dim,
         n_devices=n_devices, active_fraction=draw(st.integers(1, n_devices)) / n_devices,
         samples_per_device=m_tr + m_va, train_samples=m_tr,
         rounds=draw(st.integers(0, 20)), local_steps=draw(st.integers(1, 3)),

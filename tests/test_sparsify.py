@@ -91,15 +91,6 @@ class TestPowerScale:
         assert max(budgets) == pytest.approx(1.5, rel=1e-12)
         assert sum(b < 1.5 - 1e-12 for b in budgets) == 2
 
-    def test_per_device_budgets(self, rng):
-        eta, m = 0.4, 5
-        gs = [rng.standard_normal(5), rng.standard_normal(5)]
-        powers = np.array([0.5, 4.0])
-        rho = power_scale(gs, eta, PowerPolicy(power=powers, channel_uses=m))
-        loads = [np.sum((np.sqrt(rho) / eta * g) ** 2) / m for g in gs]
-        assert max(np.array(loads) - powers) <= 1e-12
-        assert any(abs(l - p) < 1e-12 for l, p in zip(loads, powers))
-
     def test_all_zero_returns_cap(self):
         policy = PowerPolicy(power=1.0, channel_uses=4, rho_max=123.0)
         assert power_scale([np.zeros(4), np.zeros(4)], 0.1, policy) == 123.0

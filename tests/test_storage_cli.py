@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel, sparsify, storage, tasks
+from airmeta import channel, sparsify, storage
 from airmeta.cli import main
 from airmeta.protocol import (CHANNEL_MODES, SCHEDULES, ExperimentConfig, replay_experiment,
                               run_experiment)
@@ -65,7 +65,7 @@ class TestStorage:
 
 CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 # names each string field accepts
-KNOWN_NAMES = {"family": tasks.FAMILIES, "lr_schedule": SCHEDULES, "channel_mode": CHANNEL_MODES,
+KNOWN_NAMES = {"lr_schedule": SCHEDULES, "channel_mode": CHANNEL_MODES,
                "comp_mode": sparsify.COMP_MODES, "compression": channel.COMPRESSION_KINDS,
                "estimator": channel.ESTIMATOR_KINDS, "fading": channel.FADING_MODELS}
 NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
@@ -77,6 +77,7 @@ WRONG_VALUES = {
     "float | None": NOT_A_NUMBER,
     "str": st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
 }
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 NEGATIVE = st.floats(max_value=0.0, exclude_max=True)
 NOT_POSITIVE = st.floats(max_value=0.0)
 # values outside a field's valid range
@@ -91,10 +92,12 @@ OUT_OF_RANGE = {
 @st.composite
 def corrupted_configs(draw):
     """A valid config as a JSON dict with one field given a wrong type, an
-    unknown name, or a value out of its range."""
+    unknown name, a non-finite float, or a value out of its range."""
     data = run_config(rounds=1).to_dict()
     name = draw(st.sampled_from(sorted(data)))
     bad = [WRONG_VALUES[CONFIG_TYPES[name]]]
+    if CONFIG_TYPES[name].startswith("float"):
+        bad.append(NON_FINITE)
     if name in KNOWN_NAMES:
         bad.append(st.text(max_size=8).filter(lambda s: s not in KNOWN_NAMES[name]))
     if name in OUT_OF_RANGE:
@@ -154,6 +157,9 @@ class TestCli:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(corrupted_configs())
+    # a NaN rate aborted the run at round 0 (exit 3); an infinite SNR ran (exit 0)
+    @example(run_config(rounds=1).to_dict() | {"eta": float("nan")})
+    @example(run_config(rounds=1).to_dict() | {"snr_db": float("inf")})
     def test_invalid_or_wrongly_typed_config_exits_2(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "cfg.json"
@@ -289,9 +295,31 @@ class TestCli:
         lines = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("eta,0.01,")
 
+    def test_sweep_without_applicable_bounds_completes(self, tmp_path, capsys):
+        """A point whose constants or bounds do not apply (alpha above 1/L_G)
+        still aggregates its losses, with no bound entries."""
+        spec = json.loads((Path(__file__).parents[1] / "configs" / "sweep_snr.json").read_text())
+        spec["base"] |= {"alpha": 2.0, "rounds": 3}
+        spec["seeds"] = 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 0
+        assert "runtime error" not in capsys.readouterr().err
+        for v in spec["values"]:
+            point = json.loads((out / f"snr_db_{v:g}" / "point.json").read_text())
+            assert point["gen_bound"] == point["conv_bound"] == []
+            assert len(point["test"]) == len(point["train"]) == 1
+        rows = (out / "aggregate.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + len(spec["values"])
+
     def test_sweep_bad_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"axis": "bogus", "values": [1], "base": {}}))
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "s")]) == 2
+        # a non-finite axis value is a bad spec, not a failed point
+        spec_path.write_text(json.dumps({"axis": "snr_db", "values": [float("nan")],
+                                         "base": run_config(rounds=1).to_dict()}))
         assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "s")]) == 2
 
     def test_multi_trial_run_aggregates_gap(self, tmp_path):

@@ -18,32 +18,30 @@ def finite_diff_grad(f, phi, h=1e-6):
 class TestEnvironment:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            TaskEnvironment(family="quadratic", dim=0, center=np.array([]), task_spread=0.0)
+            TaskEnvironment(dim=0, center=np.array([]), task_spread=0.0)
         with pytest.raises(ValueError):
-            TaskEnvironment(family="quadratic", dim=2, center=np.zeros(2), task_spread=-1.0)
-        with pytest.raises(ValueError):
-            TaskEnvironment(family="mystery", dim=2, center=np.zeros(2), task_spread=0.0)
+            TaskEnvironment(dim=2, center=np.zeros(2), task_spread=-1.0)
         bad_cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ValueError):
-            TaskEnvironment(family="quadratic", dim=2, center=np.zeros(2),
+            TaskEnvironment(dim=2, center=np.zeros(2),
                             task_spread=0.0, input_cov=bad_cov)
 
     def test_smoothness_is_top_eigenvalue(self):
         cov = np.diag([0.5, 2.0, 1.0])
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.zeros(3),
+        env = TaskEnvironment(dim=3, center=np.zeros(3),
                               task_spread=0.0, input_cov=cov)
         assert env.smoothness == 2.0
 
 
 class TestSampling:
     def test_zero_spread_returns_center_exactly(self):
-        env = TaskEnvironment(family="quadratic", dim=2, center=np.array([1.0, 2.0]),
+        env = TaskEnvironment(dim=2, center=np.array([1.0, 2.0]),
                               task_spread=0.0)
         dev = sample_device(env, np.random.default_rng(0))
         assert np.array_equal(dev.w, np.array([1.0, 2.0]))
 
     def test_device_mean_matches_center(self):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.array([1.0, -2.0, 0.5]),
+        env = TaskEnvironment(dim=3, center=np.array([1.0, -2.0, 0.5]),
                               task_spread=1.0)
         gen = np.random.default_rng(7)
         draws = np.stack([sample_device(env, gen).w for _ in range(100_000)])
@@ -68,24 +66,19 @@ class TestSampling:
             sample_dataset(quad_device, 5, 2, 2, rng)
 
     def test_noiseless_labels_exact(self, rng):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.ones(3),
+        env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.3, label_noise_var=0.0)
         dev = sample_device(env, rng)
         ds = sample_dataset(dev, 50, 25, 25, rng)
         assert np.allclose(ds.y, ds.x @ dev.w, atol=0, rtol=0)
 
     def test_label_noise_variance(self, rng):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.ones(3),
+        env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.0, label_noise_var=1.0)
         dev = sample_device(env, rng)
         ds = sample_dataset(dev, 100_000, 50_000, 50_000, rng)
         resid = ds.y - ds.x @ dev.w
         assert abs(resid.var() - 1.0) < 0.02
-
-    def test_logistic_labels_binary(self, logistic_env, rng):
-        dev = sample_device(logistic_env, rng)
-        ds = sample_dataset(dev, 100, 50, 50, rng)
-        assert set(np.unique(ds.y)) <= {0.0, 1.0}
 
 
 class TestPointwiseOracles:
@@ -93,7 +86,7 @@ class TestPointwiseOracles:
         assert tasks.loss(np.zeros(2), np.array([1.0, 0.0]), 2.0) == 2.0
 
     def test_perfect_fit_zero_loss(self, rng):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.ones(3),
+        env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.5, label_noise_var=0.0)
         dev = sample_device(env, rng)
         ds = sample_dataset(dev, 20, 10, 10, rng)
@@ -113,26 +106,26 @@ class TestPointwiseOracles:
         with pytest.raises(ValueError):
             tasks.loss(np.zeros(3), np.zeros(2), 1.0)
 
-    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
-    def test_grad_matches_finite_differences(self, family, rng):
+    @pytest.mark.parametrize("loss_kind", ["quadratic"])  # squared loss, the only one
+    def test_grad_matches_finite_differences(self, loss_kind, rng):
         for _ in range(100):
             phi = rng.standard_normal(4)
             x = rng.standard_normal(4)
-            y = rng.standard_normal() if family == "quadratic" else float(rng.integers(2))
-            g = tasks.grad(phi, x, y, family)
-            fd = finite_diff_grad(lambda p: tasks.loss(p, x, y, family), phi)
+            y = rng.standard_normal()
+            g = tasks.grad(phi, x, y)
+            fd = finite_diff_grad(lambda p: tasks.loss(p, x, y), phi)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
-    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
-    def test_hessian_matches_grad_differences(self, family, rng):
+    @pytest.mark.parametrize("loss_kind", ["quadratic"])  # squared loss, the only one
+    def test_hessian_matches_grad_differences(self, loss_kind, rng):
         phi = rng.standard_normal(4)
         x = rng.standard_normal(4)
         y = 1.0
-        hess = tasks.hessian(phi, x, y, family)
+        hess = tasks.hessian(phi, x, y)
         for j in range(4):
             e = np.zeros(4)
             e[j] = 1e-6
-            col = (tasks.grad(phi + e, x, y, family) - tasks.grad(phi - e, x, y, family)) / 2e-6
+            col = (tasks.grad(phi + e, x, y) - tasks.grad(phi - e, x, y)) / 2e-6
             assert np.allclose(hess[:, j], col, atol=1e-5)
 
     def test_quadratic_hessian_independent_of_phi(self, rng):
@@ -144,7 +137,7 @@ class TestPointwiseOracles:
 
 class TestPopulationOracles:
     def test_meta_grad_golden(self):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.zeros(3), task_spread=0.0)
+        env = TaskEnvironment(dim=3, center=np.zeros(3), task_spread=0.0)
         dev = DeviceDistribution(w=np.zeros(3), env=env)
         theta = np.array([1.0, 0.0, 0.0])
         g = tasks.population_meta_grad(theta, dev, alpha=0.5)
@@ -166,14 +159,9 @@ class TestPopulationOracles:
             lambda p: tasks.population_meta_loss(p, quad_device, 0.4), theta)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
-    def test_no_closed_form_for_logistic(self, logistic_env, rng):
-        dev = sample_device(logistic_env, rng)
-        with pytest.raises(NoClosedFormError):
-            tasks.population_meta_loss(np.zeros(4), dev, 0.1)
-
     def test_population_grad_lipschitz_equals_top_eigenvalue(self, rng):
         cov = np.diag([0.4, 1.7, 0.9])
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.zeros(3),
+        env = TaskEnvironment(dim=3, center=np.zeros(3),
                               task_spread=0.0, input_cov=cov)
         dev = DeviceDistribution(w=np.zeros(3), env=env)
         best = 0.0
@@ -188,7 +176,7 @@ class TestPopulationOracles:
         assert abs(attained - env.smoothness) < 1e-8
 
     def test_zero_spread_devices_identical(self):
-        env = TaskEnvironment(family="quadratic", dim=4, center=np.ones(4), task_spread=0.0)
+        env = TaskEnvironment(dim=4, center=np.ones(4), task_spread=0.0)
         gen = np.random.default_rng(5)
         devs = [sample_device(env, gen) for _ in range(5)]
         probes = gen.standard_normal((10, 4))
@@ -198,7 +186,7 @@ class TestPopulationOracles:
             assert gap < 1e-12
 
     def test_meta_loss_minimum_is_a_lower_bound(self, rng):
-        env = TaskEnvironment(family="quadratic", dim=4, center=np.ones(4),
+        env = TaskEnvironment(dim=4, center=np.ones(4),
                               task_spread=0.6, label_noise_var=0.3)
         gen = np.random.default_rng(9)
         devs = [sample_device(env, gen) for _ in range(6)]
@@ -212,7 +200,7 @@ class TestPopulationOracles:
 
 class TestMomentFormulas:
     def test_grad_moments_match_monte_carlo(self):
-        env = TaskEnvironment(family="quadratic", dim=4, center=np.zeros(4),
+        env = TaskEnvironment(dim=4, center=np.zeros(4),
                               task_spread=0.0, label_noise_var=0.7)
         dev = DeviceDistribution(w=np.array([0.2, -1.0, 0.5, 0.0]), env=env)
         phi = np.array([1.0, 0.3, -0.2, 0.8])
@@ -228,7 +216,7 @@ class TestMomentFormulas:
         assert var == pytest.approx(tasks.grad_variance(e, env), rel=0.02)
 
     def test_hessian_spectral_variance_quadrature_matches_mc(self):
-        env = TaskEnvironment(family="quadratic", dim=5, center=np.zeros(5),
+        env = TaskEnvironment(dim=5, center=np.zeros(5),
                               task_spread=0.0, input_cov=1.3)
         val = tasks.hessian_spectral_variance(env)
         gen = np.random.default_rng(3)
@@ -237,13 +225,13 @@ class TestMomentFormulas:
         assert val == pytest.approx(float(norms_sq.mean()), rel=0.05)
 
     def test_hessian_spectral_variance_needs_isotropic_covariance(self):
-        env = TaskEnvironment(family="quadratic", dim=2, center=np.zeros(2),
+        env = TaskEnvironment(dim=2, center=np.zeros(2),
                               task_spread=0.0, input_cov=np.diag([1.0, 2.0]))
         with pytest.raises(NoClosedFormError):
             tasks.hessian_spectral_variance(env)
 
     def test_meta_test_closed_form_matches_brute_force(self):
-        env = TaskEnvironment(family="quadratic", dim=3, center=np.array([1.0, 0.0, -0.5]),
+        env = TaskEnvironment(dim=3, center=np.array([1.0, 0.0, -0.5]),
                               task_spread=0.4, label_noise_var=0.6)
         theta = np.array([0.5, 0.5, 0.5])
         alpha, m_tr = 0.3, 7
