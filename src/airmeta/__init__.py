@@ -23,10 +23,11 @@ from .protocol import (ExperimentConfig, RoundRecord, Trajectory,
                        constant_rate_limit, lr_schedule, meets_constant_rate,
                        memory_identity_residuals, replay_experiment,
                        run_experiment, sample_active_set)
-from .sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensate, power_scale
+from .sparsify import (PowerPolicy, comp_k, energies, memory_fold, phase_precompensate,
+                       power_scale)
 from .sweeps import SweepSpec, apply_axis, run_point, run_sweep
 from .tasks import (Dataset, DeviceDistribution, NoClosedFormError, TaskEnvironment,
                     population_meta_grad, population_meta_loss, sample_dataset,
-                    sample_device)
+                    sample_device, stack_datasets)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

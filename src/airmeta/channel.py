@@ -9,6 +9,7 @@ variance sigma_n^2, and estimation works on the stacked real system.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,10 @@ class CompressionMatrix:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.matrix)
 
+    def compress(self, payloads: np.ndarray) -> np.ndarray:
+        """The (n, M) blocks that carry each row of the (n, d) payloads."""
+        return (self.matrix @ payloads[..., None])[..., 0]
+
     def stacked_real(self) -> np.ndarray:
         """Real operator acting on real payloads: [Re A; Im A] when complex."""
         if self.is_complex:
@@ -83,11 +88,18 @@ def make_compression(kind: str, m_uses: int, dim: int,
         raise ValueError(f"{kind} compression needs an rng")
     if kind == "partial_dft":
         rows = np.sort(rng.choice(dim, size=m_uses, replace=False))
-        n = np.arange(dim)
-        dft = np.exp(-2j * np.pi * np.outer(rows, n) / dim) / np.sqrt(dim)
-        return CompressionMatrix(dft, kind)
+        return CompressionMatrix(_dft_matrix(dim)[rows], kind)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     return CompressionMatrix(q[:m_uses].copy(), kind)
+
+
+@functools.cache
+def _dft_matrix(dim: int) -> np.ndarray:
+    """Unitary d x d DFT matrix, built on first use and read-only."""
+    n = np.arange(dim)
+    dft = np.exp(-2j * np.pi * np.outer(n, n) / dim) / np.sqrt(dim)
+    dft.flags.writeable = False
+    return dft
 
 
 @dataclass(frozen=True)
@@ -122,21 +134,21 @@ def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
 def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:
     """Superpose the transmitted blocks over the fading MAC and add noise.
 
-    y = sum_i h_i x_i + n.  The noise is complex when any block is complex,
-    real otherwise; each real component has variance noise_var.
+    ``signals`` is the (n, M) stack of blocks, row i sent over coefficient
+    ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order.
+    The noise is complex when the blocks are, real otherwise; each real
+    component has variance noise_var.
     """
-    if len(signals) != ch.gains.shape[0]:
+    signals = np.asarray(signals)
+    if signals.ndim != 2 or signals.shape[0] != ch.gains.shape[0]:
         raise ValueError("one signal per realized channel coefficient required")
-    m = np.asarray(signals[0]).shape[0]
-    for s in signals:
-        if np.asarray(s).shape != (m,):
-            raise ValueError("all transmitted blocks must have the same length")
+    m = signals.shape[1]
     if m != ch.noise_re.shape[0]:
         raise ValueError("block length does not match the realized noise")
-    is_complex = any(np.iscomplexobj(s) for s in signals)
+    is_complex = np.iscomplexobj(signals)
     acc = np.zeros(m, dtype=complex if is_complex else float)
     for h, s in zip(ch.gains, signals):
-        acc = acc + (h * np.asarray(s) if is_complex else float(h.real) * np.asarray(s))
+        acc = acc + (h * s if is_complex else float(h.real) * s)
     if is_complex:
         return acc + ch.noise_re + 1j * ch.noise_im
     return acc + ch.noise_re

@@ -105,7 +105,8 @@ def cmd_sweep(args) -> int:
             base = base.replace(master_seed=int(args.seed))
         spec = sweeps.SweepSpec(axis=raw["axis"], values=tuple(raw["values"]),
                                 base=base, seeds=int(raw.get("seeds", 1)))
-        base.validate()
+        for value in spec.values:  # every point, before any of them runs
+            sweeps.apply_axis(base, spec.axis, value).validate()
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse sweep spec {p}: {exc}") from exc
 

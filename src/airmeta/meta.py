@@ -1,5 +1,8 @@
 """Per-device MAML computations and the ideal (noiseless) aggregation.
 
+Every function works on a stack of devices with a leading device axis; one
+device is a stack with one row.
+
 The stochastic meta-gradient uses three mini-batches per step: one from the
 training split for the adaptation gradient, and two from disjoint halves of
 the validation split for the post-adaptation gradient and the Hessian
@@ -44,7 +47,8 @@ def batch_pools(dataset: Dataset, batch_size: int):
 
     The adaptation batch comes from the training split; the validation split
     is halved deterministically into pools for the post-adaptation gradient
-    and the Hessian estimate, so the three draws never share a point.
+    and the Hessian estimate, so the three draws never share a point.  Each
+    pool is a contiguous index range, shared by every device of a stack.
     """
     m_tr, m_va = dataset.m_tr, dataset.m_va
     half = m_va // 2
@@ -62,56 +66,77 @@ def batch_pools(dataset: Dataset, batch_size: int):
     return pools
 
 
-def meta_grad_estimate(theta: np.ndarray, dataset: Dataset, cfg: LocalConfig,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Stochastic meta-gradient (I - alpha*H_hat) g_hat' at theta.
+def meta_grad_estimate(thetas: np.ndarray, data: Dataset, pools, cfg: LocalConfig,
+                       rngs) -> np.ndarray:
+    """Stochastic meta-gradients (I - alpha*H_hat) g_hat' of a stack of devices.
 
-    g_hat' is the mini-batch gradient at the adapted point
-    theta - alpha * g_hat(B); H_hat is the mini-batch Hessian at theta.
-    With ``first_order`` the Hessian factor is replaced by the identity.
-    The estimate is biased for curved losses; that is accepted, not corrected.
+    Row i is device i of the stacked ``data`` at ``thetas[i]``: g_hat' is its
+    mini-batch gradient at the adapted point theta - alpha * g_hat(B), and
+    H_hat its mini-batch Hessian at theta.  Device i draws its adaptation,
+    outer-gradient and Hessian batches from ``rngs[i]``, in that order, out
+    of the three ``pools`` of ``batch_pools``.  With ``first_order`` the
+    Hessian factor is replaced by the identity.  The estimate is biased for
+    curved losses; that is accepted, not corrected.
     """
-    theta = np.asarray(theta, dtype=float)
-    _check_finite(theta)
-    pool_b, pool_g, pool_h = batch_pools(dataset, cfg.batch_size)
-    idx_b = rng.choice(pool_b, size=cfg.batch_size, replace=False)
-    idx_g = rng.choice(pool_g, size=cfg.batch_size, replace=False)
-    idx_h = rng.choice(pool_h, size=cfg.batch_size, replace=False)
+    thetas = np.asarray(thetas, dtype=float)
+    _check_finite(thetas)
+    if not thetas.shape[0] == data.x.shape[0] == len(rngs):
+        raise ValueError("one theta, one device dataset and one rng per row required")
+    size = cfg.batch_size
+    # offset + choice(pool.size) draws what choice(pool) draws, and leaves the
+    # generator in the same state, without indexing the pool
+    idx = np.array([[pool[0] + gen.choice(pool.size, size=size, replace=False)
+                     for pool in pools] for gen in rngs]).reshape(len(rngs), len(pools), size)
+    rows = np.arange(thetas.shape[0])[:, None]
 
-    phi = theta - cfg.alpha * tasks.batch_grad(theta, dataset.x[idx_b], dataset.y[idx_b])
-    g_outer = tasks.batch_grad(phi, dataset.x[idx_g], dataset.y[idx_g])
+    def batch(k):
+        return data.x[rows, idx[:, k]], data.y[rows, idx[:, k]]
+
+    phi = thetas - cfg.alpha * tasks.batch_grad(thetas, *batch(0))
+    g_outer = tasks.batch_grad(phi, *batch(1))
     if cfg.first_order:
         return g_outer
-    h_hat = tasks.batch_hessian(theta, dataset.x[idx_h], dataset.y[idx_h])
-    return g_outer - cfg.alpha * (h_hat @ g_outer)
+    h_hat = tasks.batch_hessian(thetas, *batch(2))
+    return g_outer - cfg.alpha * (h_hat @ g_outer[..., None])[..., 0]
 
 
-def local_rounds(theta_start: np.ndarray, dataset: Dataset, cfg: LocalConfig, eta: float,
-                 rng: np.random.Generator):
-    """Run the local SGD steps and return (theta_end, delta, iterates).
+def local_rounds(theta_start: np.ndarray, data: Dataset, pools, cfg: LocalConfig, eta: float,
+                 rngs):
+    """Run the local SGD steps of a stack of devices in lockstep.
 
-    delta = theta_start - theta_end is the model difference the device would
-    report; iterates are the points the steps started from (used for
-    empirical constant estimation).  A step that leaves theta non-finite
-    ends the loop, so a diverging device reports a non-finite delta.
+    Every device of the stacked ``data`` starts from ``theta_start`` and
+    draws its batches from its own generator in ``rngs``.  Returns
+    (deltas, iterates): deltas (n, d) holds theta_start - theta_end, the
+    model differences the devices would report, and iterates (Q, n, d) the
+    points the steps started from (used for empirical constant estimation).
+    A device whose iterate leaves the finite range stops there, so it
+    reports a non-finite delta; its iterates from that step on are NaN.
     """
-    theta = np.asarray(theta_start, dtype=float).copy()
-    _check_finite(theta)
-    iterates = []
+    theta_start = np.asarray(theta_start, dtype=float)
+    _check_finite(theta_start)
+    n = len(rngs)
+    theta = np.tile(theta_start, (n, 1))
+    iterates = np.full((cfg.local_steps, n, theta_start.size), np.nan)
+    rows = np.arange(n)  # devices still running; data and rngs follow it
     for step in range(cfg.local_steps):
-        if step and not np.all(np.isfinite(theta)):
+        if step:
+            ok = np.all(np.isfinite(theta[rows]), axis=1)
+            if not ok.all():
+                rows, data = rows[ok], data.devices(ok)
+                rngs = [gen for gen, keep in zip(rngs, ok) if keep]
+        if not rows.size:
             break
-        iterates.append(theta.copy())
-        step = meta_grad_estimate(theta, dataset, cfg, rng)
-        theta = theta - eta * step
-    delta = np.asarray(theta_start, dtype=float) - theta
-    return theta, delta, iterates
+        iterates[step, rows] = theta[rows]
+        theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, pools, cfg, rngs)
+    return theta_start - theta, iterates
 
 
 def ideal_aggregate(theta: np.ndarray, deltas) -> np.ndarray:
-    """Noiseless server update: subtract the mean reported difference."""
-    if len(deltas) == 0:
+    """Noiseless server update: subtract the mean reported difference of the
+    (n, d) stack ``deltas``."""
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.shape[0] == 0:
         raise ValueError("no model differences to aggregate")
     theta = np.asarray(theta, dtype=float)
     _check_finite(theta)
-    return theta - np.mean(np.stack([np.asarray(d, dtype=float) for d in deltas]), axis=0)
+    return theta - np.mean(deltas, axis=0)

@@ -18,19 +18,17 @@ def stationary_convergence_error(traj) -> float:
     return float(np.mean(vals))
 
 
-def meta_training_loss(theta, datasets, alpha: float) -> float:
+def meta_training_loss(theta, data, alpha: float) -> float:
     """Empirical meta objective: validation loss after one adaptation step
-    on the full training split, averaged over devices."""
+    on the full training split, averaged over the devices of the stacked
+    dataset ``data``."""
     theta = np.asarray(theta, dtype=float)
-    vals = []
-    for ds in datasets:
-        x_tr, y_tr = ds.train
-        if x_tr.shape[0] == 0 or ds.m_va == 0:
-            raise ValueError("meta training loss needs non-empty splits")
-        phi = theta - alpha * tasks.batch_grad(theta, x_tr, y_tr)
-        x_va, y_va = ds.val
-        vals.append(tasks.batch_loss(phi, x_va, y_va))
-    return float(np.mean(vals))
+    x_tr, y_tr = data.train
+    x_va, y_va = data.val
+    if x_tr.shape[-2] == 0 or x_va.shape[-2] == 0:
+        raise ValueError("meta training loss needs non-empty splits")
+    phi = theta - alpha * tasks.batch_grad(theta, x_tr, y_tr)
+    return float(np.mean(tasks.batch_loss(phi, x_va, y_va)))
 
 
 def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: int,

@@ -266,7 +266,7 @@ class Trajectory:
     thetas: np.ndarray                 # (rounds_done + 1, dim)
     records: list
     device_ws: np.ndarray              # (n, dim) task vectors
-    datasets: list
+    datasets: tasks.Dataset            # (n, m, d) stack of the device datasets
     memories: np.ndarray               # final error-feedback memories (n, dim)
     replay: list                       # per-round realized channel draws
     recon: list                        # per-round vectors for identity checks
@@ -286,6 +286,9 @@ class Trajectory:
 
 
 class _State:
+    """Per-device data of a run, stacked along a leading device axis once,
+    plus the evolving iterate, memories and moment probe."""
+
     def __init__(self, cfg: ExperimentConfig):
         self.env = cfg.env()
         seed = cfg.master_seed
@@ -293,29 +296,37 @@ class _State:
             tasks.sample_device(self.env, rng.substream(seed, rng.DEVICE_TASK, i))
             for i in range(cfg.n_devices)
         ]
-        self.datasets = [
+        self.data = tasks.stack_datasets([
             tasks.sample_dataset(
                 dev, cfg.samples_per_device, cfg.train_samples, cfg.val_samples,
                 rng.substream(seed, rng.DEVICE_DATA, i),
             )
             for i, dev in enumerate(self.devices)
-        ]
+        ])
+        self.ws = np.stack([dev.w for dev in self.devices])
+        self.pools = meta.batch_pools(self.data, cfg.batch_size)
         self.theta = cfg.theta_init * np.ones(cfg.dim)
         self.memories = np.zeros((cfg.n_devices, cfg.dim))
         self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0}
         self.moment_forms = tasks.grad_moment_forms(self.env)
 
-    def update_probe(self, points, device: tasks.DeviceDistribution, alpha: float):
-        """Track analytic per-point gradient moments along the trajectory."""
+    def update_probe(self, points: np.ndarray, ws: np.ndarray, alpha: float):
+        """Track analytic per-point gradient moments along the trajectory.
+
+        ``points`` (..., n, d) holds iterates of the devices with task
+        vectors ``ws`` (n, d); NaN rows mark steps a device did not start,
+        and are skipped like any NaN moment.
+        """
         second, variance, noise = self.moment_forms
-        cov = self.env.input_cov
-        for p in points:
-            e = p - device.w
-            e_ad = e - alpha * (cov @ e)  # offset after an exact adaptation step
-            for off in (e, e_ad):
-                self.probe["g_sq"] = max(self.probe["g_sq"], float(off @ second @ off) + noise)
-                self.probe["sigma_g_sq"] = max(self.probe["sigma_g_sq"],
-                                               float(off @ variance @ off) + noise)
+        e = (points - ws).reshape(-1, ws.shape[-1])
+        # offsets after an exact adaptation step
+        e_ad = e - alpha * (self.env.input_cov @ e[..., None])[..., 0]
+        offs = np.concatenate([e, e_ad])
+        for key, form in (("g_sq", second), ("sigma_g_sq", variance)):
+            vals = ((offs[:, None, :] @ form) @ offs[:, :, None])[:, 0, 0] + noise
+            if vals.size:
+                # fmax skips NaN, as the running max() over the points did
+                self.probe[key] = max(self.probe[key], float(np.fmax.reduce(vals)))
 
 
 # record fields of a round that blew up before its iterate could be formed
@@ -346,8 +357,10 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     else:
         uplink, noise_var = _ideal_uplink, 0.0
     metric_alpha = lr_schedule(cfg, 0)[1]
+    curvature = tasks.meta_curvature(state.env, metric_alpha)
 
-    f_init = tasks.mean_meta_loss(state.theta, state.devices, metric_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_init = tasks.mean_meta_loss(state.theta, state.devices, metric_alpha)
     f_star = tasks.meta_loss_minimum(state.devices, metric_alpha)
 
     thetas = [state.theta.copy()]
@@ -375,25 +388,26 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
 
         deltas = _local_updates(cfg, state, t, act_eff, eta_t, alpha_t)
         out = None if deltas is None else uplink(cfg, state, t, act_eff, deltas, round_ch, eta_t)
-        if out is None:
-            theta_next, fields = None, _ABORTED_FIELDS
-        else:
-            theta_next, fields, noise_term, fading_dev = out
-            fields = fields | {
-                "train_loss": metrics.meta_training_loss(state.theta, state.datasets,
-                                                         metric_alpha),
-                "sum_abs_h_sq": float(np.sum(np.abs(round_ch.gains) ** 2)),
-            }
-            recon.append({
-                "sum_delta": np.sum(deltas, axis=0) if deltas else np.zeros(cfg.dim),
-                "noise_term": noise_term,
-                "fading_dev": fading_dev,
-                "mem_sum": state.memories.sum(axis=0),
-            })
-        records.append(RoundRecord(
-            t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
-            grad_norm_sq=_grad_norm_sq(state, metric_alpha), **fields,
-        ))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if out is None:
+                theta_next, fields = None, _ABORTED_FIELDS
+            else:
+                theta_next, fields, noise_term, fading_dev = out
+                fields = fields | {
+                    "train_loss": metrics.meta_training_loss(state.theta, state.data,
+                                                             metric_alpha),
+                    "sum_abs_h_sq": float(np.sum(np.abs(round_ch.gains) ** 2)),
+                }
+                recon.append({
+                    "sum_delta": np.sum(deltas, axis=0),
+                    "noise_term": noise_term,
+                    "fading_dev": fading_dev,
+                    "mem_sum": state.memories.sum(axis=0),
+                })
+            records.append(RoundRecord(
+                t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
+                grad_norm_sq=_grad_norm_sq(state, curvature), **fields,
+            ))
         if theta_next is None or not np.all(np.isfinite(theta_next)):
             aborted_at = t
             break
@@ -404,8 +418,8 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
         config=cfg,
         thetas=np.stack(thetas),
         records=records,
-        device_ws=np.stack([d.w for d in state.devices]),
-        datasets=state.datasets,
+        device_ws=state.ws,
+        datasets=state.data,
         memories=state.memories,
         replay=replay_out,
         recon=recon,
@@ -439,38 +453,36 @@ def _round_channel(cfg: ExperimentConfig, t: int, active: np.ndarray, noise_var:
 
 
 def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
-                   eta_t: float, alpha_t: float) -> list | None:
-    """Model differences of the transmitting devices, in ``act_eff`` order;
-    None when one of them is non-finite.  Feeds the moment probe."""
+                   eta_t: float, alpha_t: float) -> np.ndarray | None:
+    """(n_active, d) model differences of the transmitting devices, in
+    ``act_eff`` order; None when one of them is non-finite.  Feeds the
+    moment probe."""
     local_cfg = meta.LocalConfig(
         alpha=alpha_t, local_steps=cfg.local_steps,
         batch_size=cfg.batch_size, first_order=cfg.first_order,
     )
-    deltas = []
+    gens = [rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i) for i in act_eff]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in act_eff:
-            _, delta, iterates = meta.local_rounds(
-                state.theta, state.datasets[i], local_cfg, eta_t,
-                rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i),
-            )
-            deltas.append(delta)
-            state.update_probe(iterates, state.devices[i], alpha_t)
-    if not all(np.all(np.isfinite(d)) for d in deltas):
+        deltas, iterates = meta.local_rounds(state.theta, state.data.devices(act_eff),
+                                             state.pools, local_cfg, eta_t, gens)
+        state.update_probe(iterates, state.ws[act_eff], alpha_t)
+    if not np.all(np.isfinite(deltas)):
         return None
     return deltas
 
 
 def _ideal_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
-                  deltas: list, round_ch: ch.ChannelRound, eta_t: float):
+                  deltas: np.ndarray, round_ch: ch.ChannelRound, eta_t: float):
     """Noiseless reference: the server subtracts the mean model difference."""
-    theta_next = meta.ideal_aggregate(state.theta, deltas) if deltas else state.theta.copy()
+    theta_next = meta.ideal_aggregate(state.theta, deltas) if len(deltas) else state.theta.copy()
     return theta_next, _IDEAL_FIELDS, np.zeros(cfg.dim), np.zeros(cfg.dim)
 
 
 def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
-                deltas: list, round_ch: ch.ChannelRound, eta_t: float):
+                deltas: np.ndarray, round_ch: ch.ChannelRound, eta_t: float):
     """Error-feedback sparsification, power scaling, phase pre-compensation and
-    compression, MAC superposition, estimation and the server update.
+    compression, MAC superposition, estimation and the server update, each
+    on the (n_active, d) stack of the transmitting devices.
 
     Returns ``(theta_next, record fields, noise term, fading deviation)``,
     where the last two are the realized vectors the memory identity needs,
@@ -482,15 +494,13 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     policy = sparsify.PowerPolicy(
         power=cfg.power_per_use, channel_uses=cfg.channel_uses, rho_max=cfg.rho_max,
     )
-    updates, mem_next = [], []
+    # top-k draws nothing, so only random-k gets the sparsifier streams
+    sparsifier_rngs = [rng.substream(seed, rng.SPARSIFIER, t, i) for i in act_eff] \
+        if cfg.comp_mode == "randk" else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, delta in zip(act_eff, deltas):
-            g, m_next = sparsify.memory_fold(
-                state.memories[i], delta, cfg.sparsify_k, cfg.comp_mode,
-                rng.substream(seed, rng.SPARSIFIER, t, i),
-            )
-            updates.append(g)
-            mem_next.append(m_next)
+        updates, mem_next = sparsify.memory_fold(
+            state.memories[act_eff], deltas, cfg.sparsify_k, cfg.comp_mode, sparsifier_rngs,
+        )
         rho = sparsify.power_scale(updates, eta_t, policy)
     if not (np.isfinite(rho) and rho > 0):
         return None
@@ -499,46 +509,41 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     )
 
     gains = round_ch.gains
-    signals, margins, g_sq = [], [], []
-    for g, h in zip(updates, gains):
-        x_i = comp.matrix @ sparsify.phase_precompensate(g, rho, eta_t, h)
-        margins.append(float(np.real(np.vdot(x_i, x_i))) / cfg.channel_uses
-                       - cfg.power_per_use)
-        g_sq.append(float(g @ g))
-        signals.append(x_i)
+    signals = comp.compress(sparsify.phase_precompensate(updates, rho, eta_t, gains))
+    block_power = (signals.conj()[:, None, :] @ signals[:, :, None])[:, 0, 0].real
+    margins = block_power / cfg.channel_uses - cfg.power_per_use
+    g_sq = sparsify.energies(updates)
 
-    y = ch.transmit_mac(signals, round_ch) if signals else round_ch.noise_re.copy()
-    total_g_sq = float(np.sum(g_sq)) if g_sq else 0.0
+    y = ch.transmit_mac(signals, round_ch) if len(signals) else round_ch.noise_re.copy()
+    total_g_sq = float(np.sum(g_sq))
     eta_sq = sparsify.rate_sq(eta_t)
     prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim) \
         if total_g_sq > 0.0 else 0.0
     est = ch.estimate(y, comp, prior_power, round_ch.noise_var, cfg.estimator)
 
-    signal_true = (np.sqrt(rho) / eta_t) * np.sum(
-        [np.abs(h) * g for g, h in zip(updates, gains)], axis=0,
-    ) if total_g_sq > 0.0 else np.zeros(cfg.dim)
+    abs_h = np.abs(gains)[:, None]
+    signal_true = (np.sqrt(rho) / eta_t) * np.sum(abs_h * updates, axis=0) \
+        if total_g_sq > 0.0 else np.zeros(cfg.dim)
     noise_term = est.x_hat - signal_true
-    fading_dev = np.sum(
-        [(np.abs(h) / mu_abs - 1.0) * g for g, h in zip(updates, gains)], axis=0,
-    ) if updates else np.zeros(cfg.dim)
+    fading_dev = np.sum((abs_h / mu_abs - 1.0) * updates, axis=0)
     theta_next = ch.global_update(state.theta, est, eta_t, rho, mu_abs, cfg.n_active)
 
-    for i, m_next in zip(act_eff, mem_next):
-        state.memories[i] = m_next
+    state.memories[act_eff] = mem_next
 
     fields = dict(
         rho=float(rho), v_model=float(est.err_var),
         v_realized=float(noise_term @ noise_term) / cfg.dim,
-        min_g_sq_over_eta_sq=(min(g_sq) / eta_sq) if g_sq and eta_sq > 0 else float("nan"),
+        min_g_sq_over_eta_sq=float(np.min(g_sq)) / eta_sq if g_sq.size and eta_sq > 0
+        else float("nan"),
         mem_norm_sq_max=float(np.max(np.sum(state.memories**2, axis=1))),
-        power_margin=max(margins) if margins else 0.0,
+        power_margin=float(np.max(margins)) if margins.size else 0.0,
         pinv_fallback=bool(est.pinv_fallback),
     )
     return theta_next, fields, noise_term, fading_dev
 
 
-def _grad_norm_sq(state: _State, metric_alpha: float) -> float:
-    g = tasks.mean_meta_grad(state.theta, state.devices, metric_alpha)
+def _grad_norm_sq(state: _State, curvature: np.ndarray) -> float:
+    g = tasks.mean_meta_grad(state.theta, state.ws, curvature)
     return float(g @ g)
 
 

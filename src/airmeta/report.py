@@ -97,37 +97,38 @@ def summarize(traj: Trajectory) -> dict:
     the bound reports; when a precondition of those fails, a warning says
     why they are missing."""
     cfg = traj.config
-    out: dict = {
-        "rounds_completed": len(traj.records),
-        "aborted_at": traj.aborted_at,
-        "warnings": list(traj.warnings),
-        "convergence_error": metrics.stationary_convergence_error(traj),
-        "f_init": traj.f_init,
-        "f_star": traj.f_star,
-        "metric_alpha": traj.metric_alpha,
-    }
-    if traj.records:
-        out["final_grad_norm_sq"] = traj.records[-1].grad_norm_sq
-    if traj.aborted_at is None:
-        test, train = metrics.trial_gap(traj)
-        out["final_test_loss"] = test
-        out["final_train_loss"] = train
-        out["generalization_gap"] = test - train
-    elif traj.records:
-        out["final_train_loss"] = metrics.meta_training_loss(
-            traj.theta_final, traj.datasets, traj.metric_alpha,
-        )
-    # constants and bounds describe a completed run
-    if traj.aborted_at is not None:
-        return out
-    try:
-        ac, dc = run_constants(traj)
-        entries = run_bounds(traj, ac, dc) if cfg.channel_mode == "air" and traj.records else {}
-    except ValueError as exc:  # a precondition of the constants or bounds fails
-        out["warnings"].append(f"constants and bounds are not evaluated for this run: {exc}")
-        return out
-    out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
-        "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,
-        "memory_gain": dc.gain, "lam": dc.lam, "c": dc.c,
-    }
-    return out | entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        out: dict = {
+            "rounds_completed": len(traj.records),
+            "aborted_at": traj.aborted_at,
+            "warnings": list(traj.warnings),
+            "convergence_error": metrics.stationary_convergence_error(traj),
+            "f_init": traj.f_init,
+            "f_star": traj.f_star,
+            "metric_alpha": traj.metric_alpha,
+        }
+        if traj.records:
+            out["final_grad_norm_sq"] = traj.records[-1].grad_norm_sq
+        if traj.aborted_at is None:
+            test, train = metrics.trial_gap(traj)
+            out["final_test_loss"] = test
+            out["final_train_loss"] = train
+            out["generalization_gap"] = test - train
+        elif traj.records:
+            out["final_train_loss"] = metrics.meta_training_loss(
+                traj.theta_final, traj.datasets, traj.metric_alpha,
+            )
+        # constants and bounds describe a completed run
+        if traj.aborted_at is not None:
+            return out
+        try:
+            ac, dc = run_constants(traj)
+            entries = run_bounds(traj, ac, dc) if cfg.channel_mode == "air" and traj.records else {}
+        except ValueError as exc:  # a precondition of the constants or bounds fails
+            out["warnings"].append(f"constants and bounds are not evaluated for this run: {exc}")
+            return out
+        out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
+            "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,
+            "memory_gain": dc.gain, "lam": dc.lam, "c": dc.c,
+        }
+        return out | entries

@@ -33,15 +33,16 @@ class PowerPolicy:
             raise ValueError("channel_uses must be >= 1")
 
 
-def comp_k(x: np.ndarray, k: int, mode: str = "topk",
-           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Keep k entries of x (dense output, zeros elsewhere).
+def comp_k(x: np.ndarray, k: int, mode: str = "topk", rngs=None) -> np.ndarray:
+    """Keep k entries of each row of x (n, d); dense output, zeros elsewhere.
 
     topk keeps the k largest-magnitude entries, ties broken by lowest index;
-    randk keeps k uniformly chosen indices.
+    randk keeps k uniformly chosen indices, drawn for row i from ``rngs[i]``.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
+    if x.ndim != 2:
+        raise ValueError(f"x must be a (n, d) stack, got shape {x.shape}")
+    d = x.shape[1]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     if mode not in COMP_MODES:
@@ -50,21 +51,24 @@ def comp_k(x: np.ndarray, k: int, mode: str = "topk",
         return x.copy()
     if mode == "topk":
         # stable sort on -|x| keeps the lowest index among ties
-        keep = np.argsort(-np.abs(x), kind="stable")[:k]
+        keep = np.argsort(-np.abs(x), axis=1, kind="stable")[:, :k]
     else:
-        if rng is None:
-            raise ValueError("randk needs an rng")
-        keep = rng.choice(d, size=k, replace=False)
+        if rngs is None or len(rngs) != x.shape[0]:
+            raise ValueError("randk needs one rng per row")
+        keep = np.array([gen.choice(d, size=k, replace=False) for gen in rngs],
+                        dtype=np.intp).reshape(-1, k)
+    rows = np.arange(x.shape[0])[:, None]
     out = np.zeros_like(x)
-    out[keep] = x[keep]
+    out[rows, keep] = x[rows, keep]
     return out
 
 
 def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int, mode: str = "topk",
-                rng: np.random.Generator | None = None):
+                rngs=None):
     """Fold the accumulated error into the update before sparsifying.
 
-    Returns (g, next_memory) with g = comp_k(memory + delta) and
+    ``memory`` and ``delta`` are (n, d) stacks, one row per device.  Returns
+    (g, next_memory) with g = comp_k(memory + delta) and
     next_memory = memory + delta - g.
     """
     memory = np.asarray(memory, dtype=float)
@@ -72,8 +76,14 @@ def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int, mode: str = "topk
     if memory.shape != delta.shape:
         raise ValueError("memory and delta must have the same shape")
     folded = memory + delta
-    g = comp_k(folded, k, mode, rng)
+    g = comp_k(folded, k, mode, rngs)
     return g, folded - g
+
+
+def energies(g: np.ndarray) -> np.ndarray:
+    """||g_i||^2 of each row of the (n, d) stack g."""
+    g = np.asarray(g, dtype=float)
+    return (g[:, None, :] @ g[:, :, None])[:, 0, 0]
 
 
 def rate_sq(eta: float) -> float:
@@ -88,6 +98,7 @@ def rate_sq(eta: float) -> float:
 def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     """Common scale rho so every device meets its average power budget.
 
+    ``updates`` is the (n, d) stack of the devices' updates.
     rho = min over devices of eta^2 * M * P / ||g||^2; the binding device
     transmits at exactly its budget, all others strictly below.  If every
     update is zero (a zero transmission costs no power) the configured
@@ -99,40 +110,45 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    norms = []
-    for g in updates:
-        g = np.asarray(g, dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise ValueError("update contains non-finite entries")
-        nrm = float(g @ g)
-        if nrm > 0.0 or np.any(g):  # a tiny nonzero g can have nrm == 0
-            norms.append(nrm)
-    if not norms:
+    g = np.asarray(updates, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("update contains non-finite entries")
+    nrm = energies(g)
+    norms = nrm[(nrm > 0.0) | np.any(g, axis=1)]  # a tiny nonzero g can have nrm == 0
+    if not norms.size:
         return policy.rho_max
     if eta == 0:
         raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
     tiny = np.finfo(float).tiny
     eta_sq = rate_sq(eta)
-    if not tiny <= eta_sq < np.inf or min(norms) < tiny:
+    if not tiny <= eta_sq < np.inf or norms.min() < tiny:
         return float("nan")
-    rho = min(eta_sq * policy.channel_uses * policy.power / nrm for nrm in norms)
+    rho = float(np.min(eta_sq * policy.channel_uses * policy.power / norms))
     return rho if rho >= tiny else float("nan")
 
 
-def phase_precompensate(g: np.ndarray, rho: float, eta: float, h: complex) -> np.ndarray:
-    """Scale and counter-rotate an update so it arrives co-phased.
+def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndarray:
+    """Scale and counter-rotate each device's update so it arrives co-phased.
 
-    Returns (sqrt(rho) * e^{-j arg(h)} / eta) * g; multiplying by the channel
-    coefficient h leaves |h| * (sqrt(rho)/eta) * g, real up to rounding.
+    Row i of the (n, d) stack g is sent over the channel coefficient
+    ``gains[i]``.  Returns (sqrt(rho) * e^{-j arg(h_i)} / eta) * g_i per row;
+    multiplying by h_i leaves |h_i| * (sqrt(rho)/eta) * g_i, real up to
+    rounding.
     """
-    if abs(h) == 0:
+    g = np.asarray(g, dtype=float)
+    gains = np.asarray(gains, dtype=complex)
+    if g.ndim != 2 or gains.shape != (g.shape[0],):
+        raise ValueError("one channel coefficient per update row required")
+    if np.any(gains == 0):
         raise ValueError("zero channel coefficient; treat the device as inactive")
     if rho <= 0:
         raise ValueError("rho must be > 0")
-    g = np.asarray(g, dtype=float)
-    if not np.any(g):
-        return np.zeros(g.shape, dtype=complex)  # a zero block needs no scaling
-    if eta <= 0:
-        raise ValueError("eta must be > 0 for a nonzero update")
-    phase = np.conj(h) / abs(h)
-    return (np.sqrt(rho) / eta) * phase * g
+    out = np.zeros(g.shape, dtype=complex)  # a zero row needs no scaling
+    live = np.any(g, axis=1)
+    if live.any():
+        if eta <= 0:
+            raise ValueError("eta must be > 0 for a nonzero update")
+        # per scalar: the vectorized quotient differs from it in the last bit
+        phase = np.array([np.conj(h) / abs(h) for h in gains[live]])
+        out[live] = ((np.sqrt(rho) / eta) * phase)[:, None] * g[live]
+    return out

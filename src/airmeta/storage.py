@@ -161,17 +161,18 @@ def read_replay_csv(path) -> list:
     return out
 
 
-def write_datasets_csv(datasets, path) -> None:
-    """Device datasets for inspection: device_id, split, x_0..x_{d-1}, y."""
-    d = datasets[0].x.shape[1]
+def write_datasets_csv(data, path) -> None:
+    """Stacked device datasets for inspection: device_id, split,
+    x_0..x_{d-1}, y."""
+    d = data.x.shape[-1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["device_id", "split"] + [f"x_{j}" for j in range(d)] + ["y"])
-        for dev_id, ds in enumerate(datasets):
-            for row_idx in range(ds.m):
-                split = "train" if row_idx < ds.m_tr else "val"
-                writer.writerow([dev_id, split] + [_fmt(v) for v in ds.x[row_idx]]
-                                + [_fmt(ds.y[row_idx])])
+        for dev_id, (x, y) in enumerate(zip(data.x, data.y)):
+            for row_idx in range(data.m):
+                split = "train" if row_idx < data.m_tr else "val"
+                writer.writerow([dev_id, split] + [_fmt(v) for v in x[row_idx]]
+                                + [_fmt(y[row_idx])])
 
 
 def write_json(data: dict, path) -> None:

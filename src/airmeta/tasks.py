@@ -94,34 +94,50 @@ class DeviceDistribution:
 class Dataset:
     """Local samples with a fixed train/validation split.
 
-    Rows [0, m_tr) are the training split, rows [m_tr, m) the validation
-    split; the two are disjoint by construction.
+    ``x`` is (m, d) for one device or (n, m, d) for a stack of n devices
+    that share the split sizes, with ``y`` shaped like ``x`` without its last
+    axis.  Along the sample axis, rows [0, m_tr) are the training split and
+    rows [m_tr, m) the validation split; the two are disjoint by
+    construction.
     """
 
-    x: np.ndarray  # (m, d)
-    y: np.ndarray  # (m,)
+    x: np.ndarray  # (m, d) or (n, m, d)
+    y: np.ndarray  # (m,) or (n, m)
     m_tr: int
     m_va: int
 
     def __post_init__(self):
-        if self.x.ndim != 2 or self.y.shape != (self.x.shape[0],):
-            raise ValueError("x must be (m, d) and y (m,)")
+        if self.x.ndim not in (2, 3) or self.y.shape != self.x.shape[:-1]:
+            raise ValueError("x must be (m, d) or (n, m, d) and y (m,) or (n, m)")
         if self.m_tr < 1 or self.m_va < 1:
             raise ValueError("both splits need at least one point")
-        if self.m_tr + self.m_va != self.x.shape[0]:
+        if self.m_tr + self.m_va != self.x.shape[-2]:
             raise ValueError("m_tr + m_va must equal the number of points")
 
     @property
     def m(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     @property
     def train(self):
-        return self.x[: self.m_tr], self.y[: self.m_tr]
+        return self.x[..., : self.m_tr, :], self.y[..., : self.m_tr]
 
     @property
     def val(self):
-        return self.x[self.m_tr :], self.y[self.m_tr :]
+        return self.x[..., self.m_tr :, :], self.y[..., self.m_tr :]
+
+    def devices(self, rows) -> "Dataset":
+        """The stack of the devices ``rows`` of a stacked dataset."""
+        return Dataset(x=self.x[rows], y=self.y[rows], m_tr=self.m_tr, m_va=self.m_va)
+
+
+def stack_datasets(datasets) -> Dataset:
+    """One (n, m, d) stack of per-device datasets with equal split sizes."""
+    first = datasets[0]
+    if any((ds.m_tr, ds.m_va) != (first.m_tr, first.m_va) for ds in datasets):
+        raise ValueError("stacked datasets must share their split sizes")
+    return Dataset(x=np.stack([ds.x for ds in datasets]),
+                   y=np.stack([ds.y for ds in datasets]), m_tr=first.m_tr, m_va=first.m_va)
 
 
 def sample_device(env: TaskEnvironment, rng: np.random.Generator) -> DeviceDistribution:
@@ -183,27 +199,31 @@ def hessian(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
 
 
 def batch_loss(phi, x, y):
-    """Mean per-sample loss over a batch; x is (m, d)."""
+    """Mean per-sample loss over a batch; x is (m, d), or (n, m, d) with phi
+    (n, d) or (d,) for one mean per device of a stack."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    return float(np.mean(0.5 * (y - x @ phi) ** 2))
+    return np.mean(0.5 * (y - (x @ phi[..., None])[..., 0]) ** 2, axis=-1)
 
 
 def batch_grad(phi, x, y):
-    """Mean gradient over a batch; x is (m, d)."""
+    """Mean gradient over a batch; x is (m, d), or (n, m, d) with phi (n, d)
+    or (d,) for one gradient per device of a stack."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    return -(x.T @ (y - x @ phi)) / x.shape[0]
+    resid = y - (x @ phi[..., None])[..., 0]
+    return -(np.swapaxes(x, -1, -2) @ resid[..., None])[..., 0] / x.shape[-2]
 
 
 def batch_hessian(phi, x, y):
-    """Mean Hessian over a batch; x is (m, d)."""
+    """Mean Hessian over a batch; x is (m, d), or (n, m, d) for one Hessian
+    per device of a stack."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    return (x.T @ x) / x.shape[0]
+    return (np.swapaxes(x, -1, -2) @ x) / x.shape[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +264,11 @@ def mean_meta_loss(theta, dists, alpha: float) -> float:
     return float(np.mean([population_meta_loss(theta, d, alpha) for d in dists]))
 
 
-def mean_meta_grad(theta, dists, alpha: float) -> np.ndarray:
-    return np.mean([population_meta_grad(theta, d, alpha) for d in dists], axis=0)
+def mean_meta_grad(theta, ws, curvature: np.ndarray) -> np.ndarray:
+    """Population meta-gradient averaged over devices with task vectors ws
+    (n, d), given the curvature ``meta_curvature(env, alpha)``."""
+    u = np.asarray(theta, dtype=float) - np.asarray(ws, dtype=float)
+    return np.mean((curvature @ u[..., None])[..., 0], axis=0)
 
 
 def meta_loss_minimum(dists, alpha: float) -> float:

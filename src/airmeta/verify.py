@@ -43,10 +43,10 @@ def check_contraction(seed: int = 0, n_vectors: int = 1000, dim: int = 20) -> Ve
         for i in range(n_vectors):
             x = gen.standard_normal(dim) * gen.choice([0.1, 1.0, 10.0])
             nx = float(x @ x)
-            top = sparsify.comp_k(x, k, "topk")
+            top = sparsify.comp_k(x[None], k, "topk")[0]
             resid = x - top
             worst_k = max(worst_k, float(resid @ resid) / nx - (1 - k / dim))
-            rnd = sparsify.comp_k(x, k, "randk", gen)
+            rnd = sparsify.comp_k(x[None], k, "randk", [gen])[0]
             ratios_rand[i] = float((x - rnd) @ (x - rnd)) / nx
         worst = max(worst, worst_k)
         mean = ratios_rand.mean()
@@ -90,7 +90,7 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     t0 = time.perf_counter()
     gen = np.random.default_rng(seed)
     d, n_active, eta, power = 20, 3, 0.05, 1.0
-    gs = [sparsify.comp_k(gen.standard_normal(d), 5, "topk") for _ in range(n_active)]
+    gs = sparsify.comp_k(gen.standard_normal((n_active, d)), 5, "topk")
     policy = sparsify.PowerPolicy(power=power, channel_uses=d)
     rho = sparsify.power_scale(gs, eta, policy)
     comp = channel.make_compression("partial_dft", d, d, gen)
@@ -101,8 +101,7 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     theta = np.zeros(d)
     for it in range(n_draws):
         ch_round = channel.sample_channel(n_active, "rayleigh", noise_var, d, gen)
-        signals = [comp.matrix @ sparsify.phase_precompensate(g, rho, eta, h)
-                   for g, h in zip(gs, ch_round.gains)]
+        signals = comp.compress(sparsify.phase_precompensate(gs, rho, eta, ch_round.gains))
         y = channel.transmit_mac(signals, ch_round)
         est = channel.estimate(y, comp, 0.0, noise_var, "matched")
         theta_next = channel.global_update(theta, est, eta, rho, mu, n_active)
@@ -161,21 +160,25 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     eta = 0.9 / (10 * q * l_f)
     theta = 0.3 * np.ones(20)
     cfg_local = meta.LocalConfig(alpha=alpha, local_steps=q, batch_size=m_b)
+    pools = meta.batch_pools(datasets[0], m_b)
     # measured variance / heterogeneity of the meta-gradient estimate at theta
-    grad_mean = tasks.mean_meta_grad(theta, devices, alpha)
+    grad_mean = tasks.mean_meta_grad(theta, np.stack([dev.w for dev in devices]),
+                                     tasks.meta_curvature(env, alpha))
     sigma_sq = 0.0
     gamma_sq = 0.0
-    for dev, ds in zip(devices, datasets):
+    # one-device stacks share one generator, so the draws follow device order
+    stacks = [tasks.stack_datasets([ds]) for ds in datasets]
+    for dev, data in zip(devices, stacks):
         per_dev = tasks.population_meta_grad(theta, dev, alpha)
         gamma_sq = max(gamma_sq, float(np.sum((per_dev - grad_mean) ** 2)))
-        ests = np.stack([meta.meta_grad_estimate(theta, ds, cfg_local, gen)
-                         for _ in range(n_draws)])
+        ests = np.concatenate([meta.meta_grad_estimate(theta[None], data, pools, cfg_local, [gen])
+                               for _ in range(n_draws)])
         sigma_sq = max(sigma_sq, float(np.mean(np.sum((ests - per_dev) ** 2, axis=1))))
     drift_sq = []
-    for dev, ds in zip(devices, datasets):
+    for data in stacks:
         for _ in range(n_draws // 10):
-            _, _, iterates = meta.local_rounds(theta, ds, cfg_local, eta, gen)
-            drift_sq.append(max(float(np.sum((it - theta) ** 2)) for it in iterates))
+            _, iterates = meta.local_rounds(theta, data, pools, cfg_local, eta, [gen])
+            drift_sq.append(float(np.max(np.sum((iterates[:, 0] - theta) ** 2, axis=1))))
     measured = float(np.mean(drift_sq))
     limit = 40 * q**2 * eta**2 * (sigma_sq + gamma_sq + float(grad_mean @ grad_mean))
     return _result("local_drift", measured <= limit,

@@ -26,6 +26,15 @@ class TestCompression:
         gram = comp.matrix @ comp.matrix.conj().T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
+    def test_partial_dft_rows_match_direct_construction(self):
+        """Rows taken from the cached full DFT equal, bit for bit, the
+        rows built for the round alone."""
+        for dim, m in ((20, 8), (7, 7), (12, 1)):
+            comp = make_compression("partial_dft", m, dim, np.random.default_rng(dim))
+            rows = np.sort(np.random.default_rng(dim).choice(dim, size=m, replace=False))
+            direct = np.exp(-2j * np.pi * np.outer(rows, np.arange(dim)) / dim) / np.sqrt(dim)
+            assert comp.matrix.tobytes() == direct.tobytes()
+
     @pytest.mark.parametrize("kind", ["partial_dft", "row_orthogonal"])
     def test_spectral_norm_at_most_one(self, kind, rng):
         for _ in range(100):
@@ -71,16 +80,16 @@ class TestTransmit:
         x = rng.standard_normal(4)
         round_ch = ch.ChannelRound(gains=np.ones(1, dtype=complex), noise_var=0.0,
                                    noise_re=np.zeros(4), noise_im=np.zeros(4), fading="unit")
-        assert np.array_equal(transmit_mac([x], round_ch), x)
+        assert np.array_equal(transmit_mac(x[None], round_ch), x)
 
     def test_opposite_signals_cancel(self, rng):
         x = rng.standard_normal(4)
         round_ch = ch.ChannelRound(gains=np.ones(2, dtype=complex), noise_var=0.0,
                                    noise_re=np.zeros(4), noise_im=np.zeros(4), fading="unit")
-        assert np.allclose(transmit_mac([x, -x], round_ch), 0.0, atol=1e-15)
+        assert np.allclose(transmit_mac(np.stack([x, -x]), round_ch), 0.0, atol=1e-15)
 
     def test_matches_hand_superposition(self, rng):
-        xs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+        xs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         noise_re, noise_im = rng.standard_normal(3), rng.standard_normal(3)
         round_ch = ch.ChannelRound(gains=gains, noise_var=1.0, noise_re=noise_re,
@@ -93,7 +102,9 @@ class TestTransmit:
         round_ch = ch.ChannelRound(gains=np.ones(2, dtype=complex), noise_var=0.0,
                                    noise_re=np.zeros(3), noise_im=np.zeros(3), fading="unit")
         with pytest.raises(ValueError):
-            transmit_mac([np.zeros(3), np.zeros(4)], round_ch)
+            transmit_mac(np.zeros((2, 4)), round_ch)  # block longer than the noise
+        with pytest.raises(ValueError):
+            transmit_mac(np.zeros((3, 3)), round_ch)  # one block too many
 
 
 class TestEstimators:

@@ -3,7 +3,8 @@ import pytest
 
 from airmeta import meta, tasks
 from airmeta.meta import LocalConfig, ideal_aggregate, local_rounds, meta_grad_estimate
-from airmeta.tasks import Dataset, DeviceDistribution, TaskEnvironment, sample_dataset, sample_device
+from airmeta.tasks import (Dataset, DeviceDistribution, TaskEnvironment, sample_dataset,
+                           sample_device, stack_datasets)
 
 
 def orthonormal_design(w, copies=1):
@@ -17,6 +18,19 @@ def orthonormal_design(w, copies=1):
     blocks = np.vstack([x] * (1 + 2 * copies))
     y = blocks @ w
     return Dataset(x=blocks, y=y, m_tr=d, m_va=2 * copies * d)
+
+
+def estimate(theta, ds, cfg, gen):
+    """meta_grad_estimate of one device, as a one-row stack."""
+    pools = meta.batch_pools(ds, cfg.batch_size)
+    return meta_grad_estimate(theta[None], stack_datasets([ds]), pools, cfg, [gen])[0]
+
+
+def local(theta, ds, cfg, eta, gen):
+    """(delta, iterates) of one device's local_rounds, as a one-row stack."""
+    pools = meta.batch_pools(ds, cfg.batch_size)
+    delta, iterates = local_rounds(theta, stack_datasets([ds]), pools, cfg, eta, [gen])
+    return delta[0], iterates[:, 0]
 
 
 class TestInnerAdapt:
@@ -52,7 +66,7 @@ class TestMetaGradEstimate:
         theta = np.array([1.0, 0.0, 0.0])
         ds = orthonormal_design(w)
         cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3)
-        est = meta_grad_estimate(theta, ds, cfg, np.random.default_rng(0))
+        est = estimate(theta, ds, cfg, np.random.default_rng(0))
         assert np.allclose(est, 0.25 * theta, atol=1e-12)
 
     def test_alpha_zero_is_plain_minibatch_gradient(self, rng):
@@ -60,7 +74,7 @@ class TestMetaGradEstimate:
         ds = orthonormal_design(w)
         theta = rng.standard_normal(3)
         cfg = LocalConfig(alpha=0.0, local_steps=1, batch_size=3)
-        est = meta_grad_estimate(theta, ds, cfg, np.random.default_rng(0))
+        est = estimate(theta, ds, cfg, np.random.default_rng(0))
         # full-pool batch: the estimate is the batch gradient at theta itself
         assert np.allclose(est, theta - w, atol=1e-12)
 
@@ -69,7 +83,7 @@ class TestMetaGradEstimate:
         theta = np.array([1.0, 0.0, 0.0])
         ds = orthonormal_design(w)
         cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3, first_order=True)
-        est = meta_grad_estimate(theta, ds, cfg, np.random.default_rng(0))
+        est = estimate(theta, ds, cfg, np.random.default_rng(0))
         assert np.allclose(est, 0.5 * theta, atol=1e-12)  # no (1 - alpha) factor
 
     def test_conditional_mean_matches_exact_oracle(self, rng):
@@ -95,7 +109,7 @@ class TestMetaGradEstimate:
         g_outer_mean = pool_grad(phi_mean, pool_g)
         expected = (np.eye(d) - alpha * h_mean) @ g_outer_mean
         n = 20_000
-        draws = np.stack([meta_grad_estimate(theta, ds, cfg, rng) for _ in range(n)])
+        draws = np.stack([estimate(theta, ds, cfg, rng) for _ in range(n)])
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - expected) <= 3 * se + 1e-12)
         assert s_g.shape == (d, d)
@@ -115,7 +129,7 @@ class TestMetaGradEstimate:
         draws = np.empty((n, d))
         for i in range(n):
             ds = sample_dataset(dev, 3 * m_b, m_b, 2 * m_b, gen)
-            draws[i] = meta_grad_estimate(theta, ds, cfg, gen)
+            draws[i] = estimate(theta, ds, cfg, gen)
         target = tasks.population_meta_grad(theta, dev, alpha)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se)
@@ -136,7 +150,7 @@ class TestMetaGradEstimate:
         draws = []
         for _ in range(1000):
             ds = sample_dataset(dev, 3 * m_b, m_b, 2 * m_b, gen)
-            draws.append(float(np.sum(meta_grad_estimate(theta, ds, cfg, gen) ** 2)))
+            draws.append(float(np.sum(estimate(theta, ds, cfg, gen) ** 2)))
         g_sq = max(tasks.grad_second_moment(theta - dev.w, env),
                    tasks.grad_second_moment((np.eye(d) - alpha * env.input_cov)
                                             @ (theta - dev.w), env))
@@ -152,8 +166,8 @@ class TestLocalRounds:
         theta = rng.standard_normal(3)
         cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3)
         eta = 0.1
-        _, delta, _ = local_rounds(theta, ds, cfg, eta, np.random.default_rng(0))
-        est = meta_grad_estimate(theta, ds, cfg, np.random.default_rng(0))
+        delta, _ = local(theta, ds, cfg, eta, np.random.default_rng(0))
+        est = estimate(theta, ds, cfg, np.random.default_rng(0))
         assert np.allclose(delta, eta * est, atol=1e-14)
 
     def test_zero_rate_no_movement(self, rng):
@@ -161,8 +175,8 @@ class TestLocalRounds:
         ds = orthonormal_design(w)
         theta = rng.standard_normal(3)
         cfg = LocalConfig(alpha=0.5, local_steps=4, batch_size=3)
-        end, delta, _ = local_rounds(theta, ds, cfg, 0.0, np.random.default_rng(0))
-        assert np.array_equal(end, theta)
+        delta, iterates = local(theta, ds, cfg, 0.0, np.random.default_rng(0))
+        assert np.all(iterates == theta)
         assert np.all(delta == 0)
 
     def test_external_step_replay(self, quad_device, rng):
@@ -170,20 +184,20 @@ class TestLocalRounds:
         theta0 = rng.standard_normal(quad_device.env.dim)
         cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
         eta = 0.05
-        _, delta, iterates = local_rounds(theta0, ds, cfg, eta, np.random.default_rng(99))
+        delta, iterates = local(theta0, ds, cfg, eta, np.random.default_rng(99))
         gen = np.random.default_rng(99)
         theta = theta0.copy()
         for k in range(3):
             assert np.array_equal(iterates[k], theta)
-            theta = theta - eta * meta_grad_estimate(theta, ds, cfg, gen)
+            theta = theta - eta * estimate(theta, ds, cfg, gen)
         assert np.array_equal(delta, theta0 - theta)
 
     def test_determinism(self, quad_device, rng):
         ds = sample_dataset(quad_device, 30, 10, 20, rng)
         theta = rng.standard_normal(quad_device.env.dim)
         cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
-        d1 = local_rounds(theta, ds, cfg, 0.05, np.random.default_rng(7))[1]
-        d2 = local_rounds(theta, ds, cfg, 0.05, np.random.default_rng(7))[1]
+        d1 = local(theta, ds, cfg, 0.05, np.random.default_rng(7))[0]
+        d2 = local(theta, ds, cfg, 0.05, np.random.default_rng(7))[0]
         assert np.array_equal(d1, d2)
 
     def test_drift_within_stated_bound(self):

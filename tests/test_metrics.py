@@ -6,14 +6,14 @@ from airmeta.metrics import (GapEstimate, measured_snr_db, meta_generalization_e
                              meta_test_loss, meta_training_loss,
                              stationary_convergence_error, trial_gap)
 from airmeta.protocol import ExperimentConfig, run_experiment
-from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_device
+from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_device, stack_datasets
 
 
 class TestMetaTrainingLoss:
     def test_alpha_zero_is_mean_validation_loss(self, quad_device, rng):
         datasets = [sample_dataset(quad_device, 20, 10, 10, rng) for _ in range(3)]
         theta = rng.standard_normal(quad_device.env.dim)
-        got = meta_training_loss(theta, datasets, 0.0)
+        got = meta_training_loss(theta, stack_datasets(datasets), 0.0)
         want = np.mean([tasks.batch_loss(theta, *ds.val) for ds in datasets])
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -22,7 +22,7 @@ class TestMetaTrainingLoss:
                               task_spread=0.0, label_noise_var=0.0)
         dev = sample_device(env, rng)
         datasets = [sample_dataset(dev, 12, 6, 6, rng) for _ in range(2)]
-        assert meta_training_loss(dev.w, datasets, 0.3) < 1e-24
+        assert meta_training_loss(dev.w, stack_datasets(datasets), 0.3) < 1e-24
 
     def test_hand_computed_single_device(self):
         # one device, two train points, two validation points, d = 1
@@ -33,7 +33,8 @@ class TestMetaTrainingLoss:
         g = 0.5 * (-(2.0 - 0.5) * 1.0 + -(3.0 - 1.0) * 2.0)  # mean train gradient
         phi = 0.5 - alpha * g
         want = 0.5 * ((1.0 - phi * 1.0) ** 2 + (4.0 - phi * 3.0) ** 2) / 2
-        assert meta_training_loss(theta, [ds], alpha) == pytest.approx(want, rel=1e-12)
+        assert meta_training_loss(theta, stack_datasets([ds]), alpha) == \
+            pytest.approx(want, rel=1e-12)
 
     def test_two_independent_routes_agree(self, quad_device, rng):
         """Vectorized evaluation against a literal per-point double loop."""
@@ -53,13 +54,14 @@ class TestMetaTrainingLoss:
                 dev_loss += tasks.loss(phi, x_va[i], y_va[i])
             acc += dev_loss / x_va.shape[0]
         want = acc / len(datasets)
-        assert meta_training_loss(theta, datasets, alpha) == pytest.approx(want, abs=1e-12)
+        assert meta_training_loss(theta, stack_datasets(datasets), alpha) == \
+            pytest.approx(want, abs=1e-12)
 
     def test_empty_split_rejected(self):
-        ds = Dataset(x=np.zeros((2, 2)), y=np.zeros(2), m_tr=1, m_va=1)
-        object.__setattr__(ds, "m_tr", 0)  # corrupt on purpose
+        data = Dataset(x=np.zeros((3, 2, 2)), y=np.zeros((3, 2)), m_tr=1, m_va=1)
+        object.__setattr__(data, "m_tr", 0)  # corrupt on purpose
         with pytest.raises(ValueError):
-            meta_training_loss(np.zeros(2), [ds], 0.1)
+            meta_training_loss(np.zeros(2), data, 0.1)
 
 
 class TestMetaTestLoss:
@@ -147,9 +149,8 @@ class TestConvergenceError:
         cfg = ExperimentConfig(rounds=1, n_devices=4, active_fraction=1.0,
                                eta=0.005, master_seed=0)
         traj = run_experiment(cfg)
-        w = tasks.mean_meta_grad(traj.thetas[0],
-                                 [tasks.DeviceDistribution(w=traj.device_ws[i], env=cfg.env())
-                                  for i in range(4)], traj.metric_alpha)
+        w = tasks.mean_meta_grad(traj.thetas[0], traj.device_ws,
+                                 tasks.meta_curvature(cfg.env(), traj.metric_alpha))
         assert stationary_convergence_error(traj) == pytest.approx(float(w @ w))
 
     def test_zero_at_stationary_point(self):

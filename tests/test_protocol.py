@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from airmeta import report, storage
 from airmeta import rng as streams
-from airmeta.meta import LocalConfig, local_rounds
+from airmeta.meta import LocalConfig, batch_pools, local_rounds
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
                               meets_constant_rate, memory_identity_residuals,
                               replay_experiment, run_experiment, sample_active_set)
@@ -173,11 +173,10 @@ class TestRunExperiment:
         traj = run_experiment(cfg)
         from airmeta import tasks
 
-        devs = [tasks.DeviceDistribution(w=traj.device_ws[i], env=cfg.env())
-                for i in range(cfg.n_devices)]
+        curvature = tasks.meta_curvature(cfg.env(), traj.metric_alpha)
 
         def gsq(theta):
-            v = tasks.mean_meta_grad(theta, devs, traj.metric_alpha)
+            v = tasks.mean_meta_grad(theta, traj.device_ws, curvature)
             return float(v @ v)
 
         ratio = gsq(traj.thetas[200]) / gsq(traj.thetas[0])
@@ -211,20 +210,24 @@ class TestMemoryIdentity:
 class TestSchedulingInvariance:
     def test_device_results_independent_of_order(self):
         """Per-device streams are keyed by (seed, round, device), so the
-        execution order cannot change any device's local result."""
+        order of the devices in a lockstep stack cannot change any device's
+        local result: two orderings give the same rows, permuted."""
         cfg = small_air_config()
         traj = run_experiment(cfg)
         local_cfg = LocalConfig(alpha=cfg.alpha, local_steps=cfg.local_steps,
                                 batch_size=cfg.batch_size)
+        pools = batch_pools(traj.datasets, cfg.batch_size)
         theta0 = traj.thetas[0]
-        order_a, order_b = [0, 1, 2, 3], [3, 1, 0, 2]
-        deltas_a, deltas_b = {}, {}
-        for order, out in ((order_a, deltas_a), (order_b, deltas_b)):
-            for i in order:
-                gen = streams.substream(cfg.master_seed, streams.LOCAL_BATCH, 0, i)
-                out[i] = local_rounds(theta0, traj.datasets[i], local_cfg, cfg.eta, gen)[1]
-        for i in range(4):
-            assert np.array_equal(deltas_a[i], deltas_b[i])
+        results = []
+        for order in (np.array([0, 1, 2, 3]), np.array([3, 1, 0, 2])):
+            gens = [streams.substream(cfg.master_seed, streams.LOCAL_BATCH, 0, i) for i in order]
+            results.append(local_rounds(theta0, traj.datasets.devices(order), pools, local_cfg,
+                                        cfg.eta, gens))
+        (deltas_a, iterates_a), (deltas_b, iterates_b) = results
+        assert deltas_b.tobytes() == deltas_a[[3, 1, 0, 2]].tobytes()
+        assert iterates_b.tobytes() == iterates_a[:, [3, 1, 0, 2]].tobytes()
+        # the run's first round stacked the same four devices in id order
+        assert np.array_equal(np.sum(deltas_a, axis=0), traj.recon[0]["sum_delta"])
 
 
 @st.composite

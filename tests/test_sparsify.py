@@ -6,33 +6,40 @@ from airmeta.sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensa
 
 class TestCompK:
     def test_topk_golden(self):
-        out = comp_k(np.array([3.0, -1.0, 0.5, 2.0]), 2, "topk")
-        assert np.array_equal(out, [3.0, 0.0, 0.0, 2.0])
+        out = comp_k(np.array([[3.0, -1.0, 0.5, 2.0], [0.5, 2.0, -3.0, 1.0]]), 2, "topk")
+        assert np.array_equal(out, [[3.0, 0.0, 0.0, 2.0], [0.0, 2.0, -3.0, 0.0]])
 
     def test_keep_all_is_identity(self, rng):
-        x = rng.standard_normal(8)
+        x = rng.standard_normal((3, 8))
         assert np.array_equal(comp_k(x, 8, "topk"), x)
-        assert np.array_equal(comp_k(x, 8, "randk", rng), x)
+        assert np.array_equal(comp_k(x, 8, "randk", [rng] * 3), x)
 
     def test_tie_break_lowest_index(self):
-        out = comp_k(np.array([2.0, -2.0, 1.0]), 1, "topk")
-        assert np.array_equal(out, [2.0, 0.0, 0.0])
+        out = comp_k(np.array([[2.0, -2.0, 1.0]]), 1, "topk")
+        assert np.array_equal(out, [[2.0, 0.0, 0.0]])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            comp_k(np.ones(3), 0, "topk")
+            comp_k(np.ones((1, 3)), 0, "topk")
         with pytest.raises(ValueError):
-            comp_k(np.ones(3), 4, "topk")
+            comp_k(np.ones((1, 3)), 4, "topk")
 
-    def test_randk_needs_rng(self):
+    def test_randk_needs_rng(self, rng):
+        """randk needs one generator per row."""
         with pytest.raises(ValueError):
-            comp_k(np.ones(4), 2, "randk")
+            comp_k(np.ones((2, 4)), 2, "randk")
+        with pytest.raises(ValueError):
+            comp_k(np.ones((2, 4)), 2, "randk", [rng])
+
+    def test_rows_must_be_stacked(self):
+        with pytest.raises(ValueError):
+            comp_k(np.ones(4), 2, "topk")
 
     def test_nnz_at_most_k(self, rng):
         for k in (1, 3, 5):
-            x = rng.standard_normal(10)
-            assert np.count_nonzero(comp_k(x, k, "topk")) <= k
-            assert np.count_nonzero(comp_k(x, k, "randk", rng)) <= k
+            x = rng.standard_normal((4, 10))
+            assert np.all(np.count_nonzero(comp_k(x, k, "topk"), axis=1) <= k)
+            assert np.all(np.count_nonzero(comp_k(x, k, "randk", [rng] * 4), axis=1) <= k)
 
     def test_contraction_property(self):
         from airmeta.verify import check_contraction
@@ -43,22 +50,22 @@ class TestCompK:
 
 class TestMemoryFold:
     def test_lossless_when_keeping_all(self, rng):
-        delta = rng.standard_normal(5)
-        g, m = memory_fold(np.zeros(5), delta, 5, "topk")
+        delta = rng.standard_normal((2, 5))
+        g, m = memory_fold(np.zeros((2, 5)), delta, 5, "topk")
         assert np.array_equal(g, delta)
         assert np.all(m == 0)
 
     def test_residual_golden(self):
-        g, m = memory_fold(np.zeros(4), np.array([3.0, -1.0, 0.5, 2.0]), 2, "topk")
-        assert np.array_equal(g, [3.0, 0.0, 0.0, 2.0])
-        assert np.array_equal(m, [0.0, -1.0, 0.5, 0.0])
+        g, m = memory_fold(np.zeros((1, 4)), np.array([[3.0, -1.0, 0.5, 2.0]]), 2, "topk")
+        assert np.array_equal(g, [[3.0, 0.0, 0.0, 2.0]])
+        assert np.array_equal(m, [[0.0, -1.0, 0.5, 0.0]])
 
     def test_updates_telescope(self, rng):
-        m = np.zeros(6)
-        total_delta = np.zeros(6)
-        total_g = np.zeros(6)
+        m = np.zeros((3, 6))
+        total_delta = np.zeros((3, 6))
+        total_g = np.zeros((3, 6))
         for _ in range(40):
-            delta = rng.standard_normal(6)
+            delta = rng.standard_normal((3, 6))
             g, m = memory_fold(m, delta, 2, "topk")
             total_delta += delta
             total_g += g
@@ -66,7 +73,7 @@ class TestMemoryFold:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            memory_fold(np.zeros(3), np.zeros(4), 2)
+            memory_fold(np.zeros((1, 3)), np.zeros((1, 4)), 2)
 
 
 class TestPowerScale:
@@ -112,29 +119,35 @@ class TestPowerScale:
 
 class TestPhasePrecompensate:
     def test_cophased_arrival(self, rng):
-        g = rng.standard_normal(5)
-        h = np.exp(1j * np.pi / 4)
-        x = phase_precompensate(g, rho=2.0, eta=0.5, h=h)
-        arrived = h * x
+        g = rng.standard_normal((2, 5))
+        h = np.array([np.exp(1j * np.pi / 4), -0.2 + 0.9j])
+        x = phase_precompensate(g, rho=2.0, eta=0.5, gains=h)
+        arrived = h[:, None] * x
         assert np.max(np.abs(arrived.imag)) < 1e-12
-        assert np.allclose(arrived.real, np.sqrt(2.0) / 0.5 * g, atol=1e-12)
+        assert np.allclose(arrived.real, np.sqrt(2.0) / 0.5 * np.abs(h)[:, None] * g,
+                           atol=1e-12)
 
     def test_unit_channel_no_rotation(self, rng):
-        g = rng.standard_normal(4)
-        x = phase_precompensate(g, rho=1.0, eta=0.2, h=1.0 + 0j)
+        g = rng.standard_normal((1, 4))
+        x = phase_precompensate(g, rho=1.0, eta=0.2, gains=[1.0 + 0j])
         assert np.allclose(x, g / 0.2, atol=1e-12)
         assert np.max(np.abs(x.imag)) == 0.0
 
     def test_arrival_modulus(self, rng):
-        g = rng.standard_normal(4)
+        g = rng.standard_normal((1, 4))
         h = 0.3 - 0.7j
-        x = phase_precompensate(g, rho=1.5, eta=0.4, h=h)
+        x = phase_precompensate(g, rho=1.5, eta=0.4, gains=[h])
         assert np.allclose(np.abs(h * x), abs(h) * np.sqrt(1.5) / 0.4 * np.abs(g), atol=1e-12)
 
     def test_zero_channel_rejected(self, rng):
         with pytest.raises(ValueError):
-            phase_precompensate(rng.standard_normal(3), 1.0, 0.1, 0.0)
+            phase_precompensate(rng.standard_normal((2, 3)), 1.0, 0.1, [1.0, 0.0])
 
     def test_zero_update_transmits_zeros(self):
-        x = phase_precompensate(np.zeros(3), rho=5.0, eta=0.0, h=1j)
-        assert np.array_equal(x, np.zeros(3, dtype=complex))
+        g = np.zeros((2, 3))
+        x = phase_precompensate(g, rho=5.0, eta=0.0, gains=[1j, -1.0])
+        assert np.array_equal(x, np.zeros((2, 3), dtype=complex))
+        g[1, 0] = 1.0  # a live row next to a zero one
+        x = phase_precompensate(g, rho=4.0, eta=0.5, gains=[1j, -1.0])
+        assert np.array_equal(x[0], np.zeros(3, dtype=complex))
+        assert np.allclose(x[1], [-4.0, 0.0, 0.0], atol=1e-15)

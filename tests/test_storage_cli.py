@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,19 @@ class TestCli:
         warning = "constants and bounds are not evaluated for this run: g_sq must be finite"
         assert any(w.startswith(warning) for w in summary["warnings"])
         assert warning in capsys.readouterr().err
+
+    def test_overflowed_run_raises_no_numpy_warning(self, tmp_path, capsys):
+        """Overflow in f_init, the per-round records and the summary is
+        expected on such a run; the one complaint is airmeta's own."""
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(theta_init=1e200, rounds=5, channel_mode="ideal"), cfg_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "constants and bounds are not evaluated for this run" in err
+        assert all(line.startswith("warning: ") for line in err.splitlines())
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(corrupted_configs())
@@ -321,6 +335,19 @@ class TestCli:
         spec_path.write_text(json.dumps({"axis": "snr_db", "values": [float("nan")],
                                          "base": run_config(rounds=1).to_dict()}))
         assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "s")]) == 2
+
+    @pytest.mark.parametrize("axis, values", [("n_devices", [9, 10]), ("m_over_d", [0.5, 1.5])])
+    def test_sweep_invalid_point_exits_2_before_any_run(self, tmp_path, axis, values):
+        """A valid base whose later point is invalid (3.33 active devices of
+        10, or more channel uses than dimensions) is a bad spec: no point runs."""
+        spec = json.loads((Path(__file__).parents[1] / "configs" / "sweep_snr.json").read_text())
+        spec |= {"axis": axis, "values": values, "seeds": 1}
+        spec["base"]["rounds"] = 1
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_multi_trial_run_aggregates_gap(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
