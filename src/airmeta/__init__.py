@@ -16,7 +16,7 @@ from .bounds import (AssumptionConstants, BoundReport, DerivedConstants,
 from .channel import (ChannelRound, CompressionMatrix, Estimate, estimate,
                       fading_moments, global_update, make_compression,
                       sample_channel, snr_noise_var, transmit_mac)
-from .meta import LocalConfig, ideal_aggregate, local_rounds, meta_grad_estimate
+from .meta import LocalConfig, local_rounds, meta_grad_estimate
 from .metrics import (GapEstimate, meta_generalization_error, meta_test_loss,
                       meta_training_loss, stationary_convergence_error, trial_gap)
 from .protocol import (ExperimentConfig, RoundRecord, Trajectory,

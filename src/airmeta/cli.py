@@ -47,6 +47,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    storage.write_config(cfg, out_dir / "config.json")
     t0 = time.perf_counter()
     trial_seeds = [rng.trial_seed(cfg.master_seed, k) for k in range(cfg.trials)]
 
@@ -87,7 +88,6 @@ def cmd_run(args) -> int:
         top["generalization_gap_se"] = est.stderr
     if cfg.trials > 1:
         storage.write_json(top, out_dir / "summary.json")
-    storage.write_config(cfg, out_dir / "config.json")
     storage.write_manifest(out_dir / "manifest.json", cfg, trial_seeds, outputs,
                            time.perf_counter() - t0)
     print(f"run complete: {cfg.trials} trial(s) -> {out_dir}")
@@ -163,7 +163,7 @@ def cmd_bounds(args) -> int:
     summary = json.loads(summary_path.read_text())
     if "constants" not in summary:
         raise UsageError("run summary carries no measured constants (see its warnings); "
-                         "bounds need a completed air run")
+                         "bounds need a completed run")
     table = storage.read_trajectory_csv(traj_path)
     entries = report.bound_entries(cfg, table, *report.summary_constants(cfg, summary),
                                    summary["f_init"], summary["f_star"])

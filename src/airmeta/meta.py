@@ -1,4 +1,4 @@
-"""Per-device MAML computations and the ideal (noiseless) aggregation.
+"""Per-device MAML computations: stochastic meta-gradients and local SGD rounds.
 
 Every function works on a stack of devices with a leading device axis; one
 device is a stack with one row.
@@ -129,14 +129,3 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, pools, cfg: LocalConfig
         iterates[step, rows] = theta[rows]
         theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, pools, cfg, rngs)
     return theta_start - theta, iterates
-
-
-def ideal_aggregate(theta: np.ndarray, deltas) -> np.ndarray:
-    """Noiseless server update: subtract the mean reported difference of the
-    (n, d) stack ``deltas``."""
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.shape[0] == 0:
-        raise ValueError("no model differences to aggregate")
-    theta = np.asarray(theta, dtype=float)
-    _check_finite(theta)
-    return theta - np.mean(deltas, axis=0)

@@ -18,7 +18,6 @@ from . import channel as ch
 from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
-CHANNEL_MODES = ("air", "ideal")
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -57,7 +56,6 @@ class ExperimentConfig:
     alpha_scale: float = 40.0        # adaptive inner rate xi' / (a' + t)
     alpha_offset: float = 100.0
     # uplink
-    channel_mode: str = "air"        # "air" or the noiseless "ideal" reference
     sparsify_k: int = 1
     comp_mode: str = "topk"
     channel_uses: int = 8            # M
@@ -123,8 +121,7 @@ class ExperimentConfig:
             raise ValueError("matched estimator requires channel_uses == dim")
         if self.train_samples < 1 or self.val_samples < 1:
             raise ValueError("both data splits need at least one sample")
-        for name, known in (("lr_schedule", SCHEDULES), ("channel_mode", CHANNEL_MODES),
-                            ("comp_mode", sparsify.COMP_MODES),
+        for name, known in (("lr_schedule", SCHEDULES), ("comp_mode", sparsify.COMP_MODES),
                             ("compression", ch.COMPRESSION_KINDS),
                             ("estimator", ch.ESTIMATOR_KINDS), ("fading", ch.FADING_MODELS)):
             if getattr(self, name) not in known:
@@ -336,11 +333,6 @@ _ABORTED_FIELDS = dict(
     min_g_sq_over_eta_sq=float("nan"), mem_norm_sq_max=float("nan"),
     power_margin=float("nan"), pinv_fallback=False,
 )
-# uplink record fields of the noiseless reference
-_IDEAL_FIELDS = dict(
-    rho=float("nan"), v_model=0.0, v_realized=0.0, min_g_sq_over_eta_sq=float("nan"),
-    mem_norm_sq_max=0.0, power_margin=0.0, pinv_fallback=False,
-)
 
 
 def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) -> Trajectory:
@@ -352,10 +344,7 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     """
     warnings = cfg.validate()
     state = _State(cfg)
-    if cfg.channel_mode == "air":
-        uplink, noise_var = _air_uplink, cfg.effective_noise_var()
-    else:
-        uplink, noise_var = _ideal_uplink, 0.0
+    noise_var = cfg.effective_noise_var()
     metric_alpha = lr_schedule(cfg, 0)[1]
     curvature = tasks.meta_curvature(state.env, metric_alpha)
 
@@ -387,7 +376,8 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
         round_ch = dataclasses.replace(round_ch, gains=round_ch.gains[alive])
 
         deltas = _local_updates(cfg, state, t, act_eff, eta_t, alpha_t)
-        out = None if deltas is None else uplink(cfg, state, t, act_eff, deltas, round_ch, eta_t)
+        out = None if deltas is None else \
+            _air_uplink(cfg, state, t, act_eff, deltas, round_ch, eta_t)
         with np.errstate(over="ignore", invalid="ignore"):
             if out is None:
                 theta_next, fields = None, _ABORTED_FIELDS
@@ -469,13 +459,6 @@ def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.nda
     if not np.all(np.isfinite(deltas)):
         return None
     return deltas
-
-
-def _ideal_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
-                  deltas: np.ndarray, round_ch: ch.ChannelRound, eta_t: float):
-    """Noiseless reference: the server subtracts the mean model difference."""
-    theta_next = meta.ideal_aggregate(state.theta, deltas) if len(deltas) else state.theta.copy()
-    return theta_next, _IDEAL_FIELDS, np.zeros(cfg.dim), np.zeros(cfg.dim)
 
 
 def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
@@ -568,11 +551,10 @@ def memory_identity_residuals(traj: Trajectory) -> np.ndarray:
     theta_hat = traj.thetas[0].copy()
     residuals = []
     for t, (rec, extra) in enumerate(zip(traj.records, traj.recon)):
-        rho = rec.rho if np.isfinite(rec.rho) else 1.0
         theta_hat = (
             theta_hat
             - extra["sum_delta"] / rn
-            - (rec.eta_t / (mu_abs * rn * np.sqrt(rho))) * extra["noise_term"]
+            - (rec.eta_t / (mu_abs * rn * np.sqrt(rec.rho))) * extra["noise_term"]
             - extra["fading_dev"] / rn
         )
         gap = traj.thetas[t + 1] - theta_hat

@@ -38,7 +38,7 @@ def _derived(cfg: ExperimentConfig, ac):
 
 def bound_entries(cfg: ExperimentConfig, series, ac, dc, f_init: float,
                   f_star: float) -> dict:
-    """Every bound of one air run, keyed as in summary.json.
+    """Every bound of one run, keyed as in summary.json.
 
     ``series`` maps the trajectory.csv columns ``v``, ``sum_abs_h_sq`` and
     ``min_g_sq_over_eta_sq`` to per-round arrays.  The result holds
@@ -93,10 +93,9 @@ def constant_bound_report(traj: Trajectory) -> bounds.BoundReport:
 
 def summarize(traj: Trajectory) -> dict:
     """Summary dictionary for one run: final losses, convergence error, and
-    (for completed runs) the measured constants and, on air runs,
+    (for completed runs) the measured constants and, once a round has run,
     the bound reports; when a precondition of those fails, a warning says
     why they are missing."""
-    cfg = traj.config
     with np.errstate(over="ignore", invalid="ignore"):
         out: dict = {
             "rounds_completed": len(traj.records),
@@ -123,7 +122,7 @@ def summarize(traj: Trajectory) -> dict:
             return out
         try:
             ac, dc = run_constants(traj)
-            entries = run_bounds(traj, ac, dc) if cfg.channel_mode == "air" and traj.records else {}
+            entries = run_bounds(traj, ac, dc) if traj.records else {}
         except ValueError as exc:  # a precondition of the constants or bounds fails
             out["warnings"].append(f"constants and bounds are not evaluated for this run: {exc}")
             return out

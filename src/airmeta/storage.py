@@ -9,9 +9,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .bounds import BoundReport
 from .protocol import ExperimentConfig, Trajectory
@@ -61,6 +63,13 @@ def write_manifest(path, cfg: ExperimentConfig, trial_seeds, outputs: dict,
         "trial_seeds": [int(s) for s in trial_seeds],
         "outputs": outputs,
         "wall_clock_sec": wall_clock_sec,
+        # byte reproducibility of the data files depends on these
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
+        },
     }
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

@@ -80,8 +80,8 @@ class PointResult:
 
 def run_point(spec: SweepSpec, value: float) -> PointResult:
     """Run every seed of one sweep point and aggregate the seeds' summaries.
-    A seed whose summary carries no bounds (an ideal run, or one whose
-    constants or bounds do not apply) adds no bound entry."""
+    A seed whose summary carries no bounds (its constants or bounds do not
+    apply) adds no bound entry."""
     cfg0 = apply_axis(spec.base, spec.axis, value)
     conv, tests, trains, gen_bounds, conv_bounds = [], [], [], [], []
     for trial in range(spec.seeds):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airmeta import meta, tasks
-from airmeta.meta import LocalConfig, ideal_aggregate, local_rounds, meta_grad_estimate
+from airmeta.meta import LocalConfig, local_rounds, meta_grad_estimate
 from airmeta.tasks import (Dataset, DeviceDistribution, TaskEnvironment, sample_dataset,
                            sample_device, stack_datasets)
 
@@ -205,25 +205,3 @@ class TestLocalRounds:
 
         res = check_local_drift(seed=0, n_draws=200)
         assert res.passed, res.detail
-
-
-class TestIdealAggregate:
-    def test_zero_deltas_identity(self, rng):
-        theta = rng.standard_normal(4)
-        out = ideal_aggregate(theta, [np.zeros(4)] * 3)
-        assert np.array_equal(out, theta)
-
-    def test_single_device(self, rng):
-        theta = rng.standard_normal(4)
-        v = rng.standard_normal(4)
-        assert np.allclose(ideal_aggregate(theta, [v]), theta - v, atol=1e-15)
-
-    def test_matches_hand_sum(self, rng):
-        theta = rng.standard_normal(4)
-        deltas = [rng.standard_normal(4) for _ in range(3)]
-        expected = theta - (deltas[0] + deltas[1] + deltas[2]) / 3
-        assert np.allclose(ideal_aggregate(theta, deltas), expected, atol=1e-14)
-
-    def test_empty_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ideal_aggregate(rng.standard_normal(3), [])

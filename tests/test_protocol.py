@@ -14,6 +14,8 @@ from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule
                               meets_constant_rate, memory_identity_residuals,
                               replay_experiment, run_experiment, sample_active_set)
 
+from noiseless import noiseless_thetas
+
 
 def small_air_config(**overrides):
     base = dict(rounds=40, n_devices=4, active_fraction=1.0, dim=10,
@@ -106,9 +108,9 @@ class TestRunExperiment:
                     channel_uses=10, compression="partial_dft", estimator="matched",
                     fading="unit", noise_var=0.0, snr_db=None, master_seed=2)
         air = run_experiment(ExperimentConfig(**base))
-        ideal = run_experiment(ExperimentConfig(**{**base, "channel_mode": "ideal"}))
-        denom = np.maximum(np.linalg.norm(ideal.thetas, axis=1), 1e-30)
-        rel = np.linalg.norm(air.thetas - ideal.thetas, axis=1) / denom
+        ideal = noiseless_thetas(air)
+        denom = np.maximum(np.linalg.norm(ideal, axis=1), 1e-30)
+        rel = np.linalg.norm(air.thetas - ideal, axis=1) / denom
         assert rel.max() < 1e-10
 
     def test_zero_rate_keeps_iterate_and_memories(self):
@@ -153,7 +155,7 @@ class TestRunExperiment:
         assert any("validity" in w for w in warnings)
 
     def test_convergence_smoke_at_rate_limit(self):
-        """Ideal chain at the largest valid constant rate: the gradient-norm
+        """Noiseless chain at the largest valid constant rate: the gradient-norm
         reduction at t=200 matches the linear-dynamics prediction.
 
         The supremum of the reduction over all valid rates is about 9.9x at
@@ -167,8 +169,9 @@ class TestRunExperiment:
                                dim=20, local_steps=q, batch_size=64,
                                samples_per_device=400, train_samples=200,
                                eta=eta, alpha=alpha, task_spread=0.0,
-                               label_noise_var=0.0, channel_mode="ideal",
-                               master_seed=3)
+                               label_noise_var=0.0, sparsify_k=20, channel_uses=20,
+                               compression="identity", estimator="matched", fading="unit",
+                               noise_var=0.0, snr_db=None, master_seed=3)
         assert cfg.validate() == []
         traj = run_experiment(cfg)
         from airmeta import tasks
@@ -249,7 +252,6 @@ def small_configs(draw):
         batch_size=batch, first_order=draw(st.booleans()),
         lr_schedule=draw(st.sampled_from(["constant", "adaptive"])),
         eta=draw(st.one_of(st.floats(0, 1), st.floats(0, 1e300))), alpha=draw(st.floats(0, 2)),
-        channel_mode=draw(st.sampled_from(["air", "ideal"])),
         sparsify_k=draw(st.integers(1, dim)), comp_mode=draw(st.sampled_from(["topk", "randk"])),
         channel_uses=dim if square else draw(st.integers(1, dim)),
         compression=draw(st.sampled_from(["partial_dft", "identity"])) if square
@@ -285,7 +287,7 @@ class TestRoundPipelineProperties:
     # the squared rate overflows
     @example(small_air_config(eta=1e160, rounds=3, local_steps=1))
     # a completed run whose moment probe overflows
-    @example(small_air_config(theta_init=1e200, rounds=5, channel_mode="ideal"))
+    @example(small_air_config(theta_init=1e200, rounds=5, eta=1e-20))
     def test_run_stops_cleanly_and_replays(self, cfg):
         with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as tmp:
             config_path, replay_path = Path(tmp) / "config.json", Path(tmp) / "replay_log.csv"
@@ -303,7 +305,7 @@ class TestRoundPipelineProperties:
             again = replay_experiment(cfg.replace(rounds=len(replay)), replay)
             assert again.thetas.tobytes() == traj.thetas.tobytes()
             assert again.aborted_at == traj.aborted_at
-            if traj.aborted_at is None and cfg.channel_mode == "air" and cfg.rounds:
+            if traj.aborted_at is None and cfg.rounds:
                 assert max(traj.series("power_margin")) <= 1e-12
                 # a floating-point difference of iterates: bounded relative to
                 # their size, which is the absolute 1e-8 for unit-scale runs

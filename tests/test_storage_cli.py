@@ -1,18 +1,19 @@
 import dataclasses
 import json
+import platform
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import channel, sparsify, storage
 from airmeta.cli import main
-from airmeta.protocol import (CHANNEL_MODES, SCHEDULES, ExperimentConfig, replay_experiment,
-                              run_experiment)
+from airmeta.protocol import SCHEDULES, ExperimentConfig, replay_experiment, run_experiment
 from airmeta.storage import (config_sha256, read_config, read_replay_csv,
                              read_trajectory_csv, write_config, write_datasets_csv,
                              write_replay_csv, write_trajectory_csv)
@@ -66,8 +67,7 @@ class TestStorage:
 
 CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 # names each string field accepts
-KNOWN_NAMES = {"lr_schedule": SCHEDULES, "channel_mode": CHANNEL_MODES,
-               "comp_mode": sparsify.COMP_MODES, "compression": channel.COMPRESSION_KINDS,
+KNOWN_NAMES = {"lr_schedule": SCHEDULES, "comp_mode": sparsify.COMP_MODES, "compression": channel.COMPRESSION_KINDS,
                "estimator": channel.ESTIMATOR_KINDS, "fading": channel.FADING_MODELS}
 NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
 # JSON values of the wrong type for each annotated field type
@@ -124,6 +124,10 @@ class TestCli:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         manifest = json.loads((out_a / "manifest.json").read_text())
         assert manifest["config_sha256"] == config_sha256(run_config())
+        # the versions the bytes of the data files depend on
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform()}
         summary = json.loads((out_a / "summary.json").read_text())
         assert "bound_constant" in summary and "convergence_error" in summary
         total = summary["bound_constant"]["total"]
@@ -135,9 +139,12 @@ class TestCli:
         out = tmp_path / "o"
         code = main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
         assert code == 3
-        # the aborted trial keeps its artifacts
+        # the aborted trial keeps its artifacts, and the run can be repeated
+        # from its own directory
         for name in ("trajectory.csv", "replay_log.csv", "summary.json", "manifest.json"):
             assert (out / name).exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert config_sha256(read_config(out / "config.json")) == manifest["config_sha256"]
         aborted_at = json.loads((out / "summary.json").read_text())["aborted_at"]
         assert aborted_at == 41
         assert f"trial 0 aborted with non-finite iterate at round {aborted_at}" in \
@@ -145,7 +152,7 @@ class TestCli:
 
     def test_overflowed_probe_run_completes_without_constants(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        write_config(run_config(theta_init=1e200, rounds=5, channel_mode="ideal"), cfg_path)
+        write_config(run_config(theta_init=1e200, rounds=5, eta=1e-20), cfg_path)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         for name in ("trajectory.csv", "replay_log.csv", "summary.json", "manifest.json"):
@@ -160,7 +167,7 @@ class TestCli:
         """Overflow in f_init, the per-round records and the summary is
         expected on such a run; the one complaint is airmeta's own."""
         cfg_path = tmp_path / "cfg.json"
-        write_config(run_config(theta_init=1e200, rounds=5, channel_mode="ideal"), cfg_path)
+        write_config(run_config(theta_init=1e200, rounds=5, eta=1e-20), cfg_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
@@ -174,6 +181,9 @@ class TestCli:
     # a NaN rate aborted the run at round 0 (exit 3); an infinite SNR ran (exit 0)
     @example(run_config(rounds=1).to_dict() | {"eta": float("nan")})
     @example(run_config(rounds=1).to_dict() | {"snr_db": float("inf")})
+    # the removed uplink selector is an unknown field, whatever its value
+    @example(run_config(rounds=1).to_dict() | {"channel_mode": "air"})
+    @example(run_config(rounds=1).to_dict() | {"channel_mode": "ideal"})
     def test_invalid_or_wrongly_typed_config_exits_2(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "cfg.json"
