@@ -26,8 +26,7 @@ from .protocol import (ExperimentConfig, RoundRecord, Trajectory,
 from .sparsify import (PowerPolicy, comp_k, energies, memory_fold, phase_precompensate,
                        power_scale)
 from .sweeps import SweepSpec, apply_axis, run_point, run_sweep
-from .tasks import (Dataset, DeviceDistribution, NoClosedFormError, TaskEnvironment,
-                    population_meta_grad, population_meta_loss, sample_dataset,
-                    sample_device, stack_datasets)
+from .tasks import (Dataset, TaskEnvironment, population_meta_grad, population_meta_loss,
+                    sample_dataset, sample_device, stack_datasets)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -54,7 +54,7 @@ def estimate_constants(env: tasks.TaskEnvironment, ws: np.ndarray,
     trajectory (``g_sq``, ``sigma_g_sq``), flagged empirical.
     """
     ws = np.asarray(ws, dtype=float)
-    gamma_g_sq = float(np.max(np.sum(((ws - ws.mean(axis=0)) @ env.input_cov) ** 2, axis=1)))
+    gamma_g_sq = float(np.max(np.sum((env.input_cov * (ws - ws.mean(axis=0))) ** 2, axis=1)))
     return AssumptionConstants(
         l_g=env.smoothness, l_h=0.0, g_sq=float(probe["g_sq"]),
         sigma_g_sq=float(probe["sigma_g_sq"]),

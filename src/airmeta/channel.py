@@ -36,7 +36,6 @@ class CompressionMatrix:
     """Row-orthonormal M x d projection shared by all devices in a round."""
 
     matrix: np.ndarray
-    kind: str
 
     def __post_init__(self):
         a = np.asarray(self.matrix)
@@ -83,14 +82,14 @@ def make_compression(kind: str, m_uses: int, dim: int,
     if kind == "identity":
         if m_uses != dim:
             raise ValueError("identity compression requires M == d")
-        return CompressionMatrix(np.eye(dim), kind)
+        return CompressionMatrix(np.eye(dim))
     if rng is None:
         raise ValueError(f"{kind} compression needs an rng")
     if kind == "partial_dft":
         rows = np.sort(rng.choice(dim, size=m_uses, replace=False))
-        return CompressionMatrix(_dft_matrix(dim)[rows], kind)
+        return CompressionMatrix(_dft_matrix(dim)[rows])
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return CompressionMatrix(q[:m_uses].copy(), kind)
+    return CompressionMatrix(q[:m_uses].copy())
 
 
 @functools.cache
@@ -110,7 +109,6 @@ class ChannelRound:
     noise_var: float        # per real component
     noise_re: np.ndarray    # (M,)
     noise_im: np.ndarray    # (M,)
-    fading: str
 
 
 def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
@@ -128,7 +126,7 @@ def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
     noise_re = scale * rng.standard_normal(m_uses)
     noise_im = scale * rng.standard_normal(m_uses)
     return ChannelRound(gains=gains, noise_var=float(noise_var),
-                        noise_re=noise_re, noise_im=noise_im, fading=fading)
+                        noise_re=noise_re, noise_im=noise_im)
 
 
 def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:

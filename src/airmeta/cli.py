@@ -107,6 +107,10 @@ def cmd_sweep(args) -> int:
                                 base=base, seeds=int(raw.get("seeds", 1)))
         for value in spec.values:  # every point, before any of them runs
             sweeps.apply_axis(base, spec.axis, value).validate()
+        point_dirs = [f"{spec.axis}_{value:g}" for value in spec.values]
+        if len(set(point_dirs)) < len(point_dirs):
+            raise ValueError(f"sweep values {list(spec.values)} do not all have distinct "
+                             f"point directories: {point_dirs}")
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse sweep spec {p}: {exc}") from exc
 
@@ -114,8 +118,8 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     try:
-        for pr in sweeps.run_sweep(spec, max(1, args.threads)):  # partials persist
-            pdir = out_dir / f"{spec.axis}_{pr.value:g}"
+        for name, pr in zip(point_dirs, sweeps.run_sweep(spec, max(1, args.threads))):
+            pdir = out_dir / name  # partial results persist
             pdir.mkdir(parents=True, exist_ok=True)
             storage.write_json(pr.per_seed | {"axis": spec.axis, "value": pr.value},
                                pdir / "point.json")

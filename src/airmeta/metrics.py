@@ -46,10 +46,10 @@ def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: in
     theta = np.asarray(theta, dtype=float)
     vals = []
     for _ in range(n_test):
-        dev = tasks.sample_device(env, gen)
-        x, y = tasks.sample_points(dev, m_tr, gen)
+        w = tasks.sample_device(env, gen)
+        x, y = tasks.sample_points(w, env, m_tr, gen)
         phi = theta - alpha * tasks.batch_grad(theta, x, y)
-        vals.append(tasks.population_loss(phi, dev))
+        vals.append(tasks.population_loss(phi, w, env))
     return float(np.mean(vals))
 
 
@@ -86,17 +86,16 @@ def meta_generalization_error(trial_gaps) -> GapEstimate:
     )
 
 
-def trial_gap(traj, gen: np.random.Generator | None = None) -> tuple[float, float]:
+def trial_gap(traj) -> tuple[float, float]:
     """(meta-test loss, meta-training loss) of one finished run."""
     cfg = traj.config
     env = cfg.env()
     alpha = traj.metric_alpha
     train = meta_training_loss(traj.theta_final, traj.datasets, alpha)
-    if gen is None:
-        gen = rng.substream(cfg.master_seed, rng.EVALUATION)
     m = cfg.test_samples or cfg.samples_per_device
     m_tr = min(cfg.train_samples, m)
-    test = meta_test_loss(traj.theta_final, env, alpha, cfg.n_test_devices, m, m_tr, gen)
+    test = meta_test_loss(traj.theta_final, env, alpha, cfg.n_test_devices, m, m_tr,
+                          rng.substream(cfg.master_seed, rng.EVALUATION))
     return test, train
 
 

@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise ValueError("local_steps, batch_size and n_test_devices must be >= 1")
         if min(self.eta, self.alpha, self.test_samples, self.noise_var or 0.0) < 0:
             raise ValueError("eta, alpha, test_samples and noise_var must be >= 0")
-        if min(self.power_per_use, self.loss_clip, self.rho_max) <= 0:
-            raise ValueError("power_per_use, loss_clip and rho_max must be > 0")
+        if min(self.power_per_use, self.loss_clip, self.rho_max, self.input_cov_scale) <= 0:
+            raise ValueError("power_per_use, loss_clip, rho_max and input_cov_scale must be > 0")
         if self.lr_schedule == "adaptive" and (self.eta_offset <= 1 or self.alpha_offset <= 1):
             raise ValueError("adaptive schedule offsets must exceed 1")
         if self.trials < 1:
@@ -289,18 +289,17 @@ class _State:
     def __init__(self, cfg: ExperimentConfig):
         self.env = cfg.env()
         seed = cfg.master_seed
-        self.devices = [
+        self.ws = np.stack([
             tasks.sample_device(self.env, rng.substream(seed, rng.DEVICE_TASK, i))
             for i in range(cfg.n_devices)
-        ]
+        ])
         self.data = tasks.stack_datasets([
             tasks.sample_dataset(
-                dev, cfg.samples_per_device, cfg.train_samples, cfg.val_samples,
+                w, self.env, cfg.samples_per_device, cfg.train_samples, cfg.val_samples,
                 rng.substream(seed, rng.DEVICE_DATA, i),
             )
-            for i, dev in enumerate(self.devices)
+            for i, w in enumerate(self.ws)
         ])
-        self.ws = np.stack([dev.w for dev in self.devices])
         self.pools = meta.batch_pools(self.data, cfg.batch_size)
         self.theta = cfg.theta_init * np.ones(cfg.dim)
         self.memories = np.zeros((cfg.n_devices, cfg.dim))
@@ -317,10 +316,10 @@ class _State:
         second, variance, noise = self.moment_forms
         e = (points - ws).reshape(-1, ws.shape[-1])
         # offsets after an exact adaptation step
-        e_ad = e - alpha * (self.env.input_cov @ e[..., None])[..., 0]
+        e_ad = e - alpha * (self.env.input_cov * e)
         offs = np.concatenate([e, e_ad])
         for key, form in (("g_sq", second), ("sigma_g_sq", variance)):
-            vals = ((offs[:, None, :] @ form) @ offs[:, :, None])[:, 0, 0] + noise
+            vals = ((form * offs)[:, None, :] @ offs[:, :, None])[:, 0, 0] + noise
             if vals.size:
                 # fmax skips NaN, as the running max() over the points did
                 self.probe[key] = max(self.probe[key], float(np.fmax.reduce(vals)))
@@ -349,8 +348,8 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     curvature = tasks.meta_curvature(state.env, metric_alpha)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        f_init = tasks.mean_meta_loss(state.theta, state.devices, metric_alpha)
-    f_star = tasks.meta_loss_minimum(state.devices, metric_alpha)
+        f_init = tasks.mean_meta_loss(state.theta, state.ws, state.env, metric_alpha)
+    f_star = tasks.meta_loss_minimum(state.ws, state.env, metric_alpha)
 
     thetas = [state.theta.copy()]
     records: list[RoundRecord] = []
@@ -438,7 +437,6 @@ def _round_channel(cfg: ExperimentConfig, t: int, active: np.ndarray, noise_var:
         noise_var=noise_var,
         noise_re=np.asarray(entry["noise_re"], dtype=float),
         noise_im=np.asarray(entry["noise_im"], dtype=float),
-        fading=cfg.fading,
     )
 
 
@@ -525,7 +523,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     return theta_next, fields, noise_term, fading_dev
 
 
-def _grad_norm_sq(state: _State, curvature: np.ndarray) -> float:
+def _grad_norm_sq(state: _State, curvature: float) -> float:
     g = tasks.mean_meta_grad(state.theta, state.ws, curvature)
     return float(g @ g)
 

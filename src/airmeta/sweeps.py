@@ -33,7 +33,7 @@ class SweepSpec:
         if not np.all(np.isfinite(vals)):
             raise ValueError("sweep values must be finite")
         diffs = np.diff(vals)
-        if vals and len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
@@ -44,9 +44,7 @@ def apply_axis(base: ExperimentConfig, axis: str, value: float) -> ExperimentCon
     if axis == "snr_db":
         return base.replace(snr_db=float(value), noise_var=None)
     if axis == "m_over_d":
-        m = max(1, int(round(value * base.dim)))
-        comp = "identity" if (m == base.dim and base.compression == "identity") else base.compression
-        return base.replace(channel_uses=m, compression=comp)
+        return base.replace(channel_uses=max(1, int(round(value * base.dim))))
     if axis == "k_over_d":
         return base.replace(sparsify_k=max(1, int(round(value * base.dim))))
     if axis == "n_devices":
@@ -141,9 +139,4 @@ AGGREGATE_COLUMNS = [
 
 
 def aggregate_rows(results: list[PointResult]) -> list[list]:
-    rows = []
-    for pr in results:
-        rows.append([pr.axis, pr.value, pr.n_seeds, pr.conv_error_mean, pr.conv_error_se,
-                     pr.gap_mean, pr.gap_se, pr.gap_abs, pr.gen_bound_mean, pr.gen_bound_se,
-                     pr.conv_bound_mean, pr.test_mean, pr.train_mean])
-    return rows
+    return [[getattr(pr, name) for name in AGGREGATE_COLUMNS] for pr in results]

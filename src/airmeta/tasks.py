@@ -1,10 +1,11 @@
 """Synthetic linear-regression tasks with exact loss, gradient, and Hessian
 oracles.
 
-Inputs are Gaussian, labels are ``y = <w, x> + eps`` and the loss is squared
-error.  Every population quantity (test loss, meta loss after one adaptation
-step, smoothness constants) has a closed form, which makes exact bound
-evaluation possible at desk scale.
+Inputs are isotropic Gaussian, x ~ N(0, s * I), labels are
+``y = <w, x> + eps`` and the loss is squared error.  Every population
+quantity (test loss, meta loss after one adaptation step, smoothness
+constants) has a closed form, which makes exact bound evaluation possible at
+desk scale.
 
 Device task vectors are drawn i.i.d. from N(center, task_spread * I); the
 spread is the heterogeneity knob.
@@ -12,26 +13,10 @@ spread is the heterogeneity knob.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
-
-class NoClosedFormError(NotImplementedError):
-    """Requested a closed-form quantity for an environment without one."""
-
-
-def _as_cov(input_cov, dim: int) -> np.ndarray:
-    cov = np.asarray(input_cov, dtype=float)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(dim)
-    if cov.shape != (dim, dim):
-        raise ValueError(f"input covariance must be {dim}x{dim}, got {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-10):
-        raise ValueError("input covariance must be symmetric")
-    if np.linalg.eigvalsh(cov).min() < -1e-10:
-        raise ValueError("input covariance must be positive semi-definite")
-    return cov
 
 
 @dataclass(frozen=True)
@@ -41,7 +26,7 @@ class TaskEnvironment:
     dim: int
     center: np.ndarray            # mean task vector w0
     task_spread: float            # variance of task vectors around w0
-    input_cov: np.ndarray = field(default=None)  # covariance of inputs x
+    input_cov: float = 1.0        # inputs x ~ N(0, input_cov * I)
     label_noise_var: float = 0.0  # variance of additive label noise
 
     def __post_init__(self):
@@ -55,39 +40,14 @@ class TaskEnvironment:
         if center.shape != (self.dim,):
             raise ValueError("center must have length dim")
         object.__setattr__(self, "center", center)
-        cov = _as_cov(self.input_cov if self.input_cov is not None else 1.0, self.dim)
-        object.__setattr__(self, "input_cov", cov)
-
-    @property
-    def cov_sqrt(self) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(self.input_cov)
-        return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+        object.__setattr__(self, "input_cov", float(self.input_cov))
+        if self.input_cov < 0:
+            raise ValueError("input_cov must be >= 0")
 
     @property
     def smoothness(self) -> float:
         """Lipschitz constant of the population gradient."""
-        return float(np.linalg.eigvalsh(self.input_cov).max())
-
-    def isotropic_scale(self):
-        """Return s if input_cov == s*I, else None."""
-        s = float(self.input_cov[0, 0])
-        if np.allclose(self.input_cov, s * np.eye(self.dim), atol=1e-12):
-            return s
-        return None
-
-
-@dataclass(frozen=True)
-class DeviceDistribution:
-    """One device's data-generation law: its task vector plus the environment."""
-
-    w: np.ndarray
-    env: TaskEnvironment
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float).reshape(-1)
-        if w.shape != (self.env.dim,):
-            raise ValueError("task vector length must match environment dim")
-        object.__setattr__(self, "w", w)
+        return self.input_cov
 
 
 @dataclass(frozen=True)
@@ -140,30 +100,29 @@ def stack_datasets(datasets) -> Dataset:
                    y=np.stack([ds.y for ds in datasets]), m_tr=first.m_tr, m_va=first.m_va)
 
 
-def sample_device(env: TaskEnvironment, rng: np.random.Generator) -> DeviceDistribution:
+def sample_device(env: TaskEnvironment, rng: np.random.Generator) -> np.ndarray:
     """Draw one device task vector w ~ N(center, task_spread * I)."""
-    w = env.center + np.sqrt(env.task_spread) * rng.standard_normal(env.dim)
-    return DeviceDistribution(w=w, env=env)
+    return env.center + np.sqrt(env.task_spread) * rng.standard_normal(env.dim)
 
 
-def sample_dataset(dist: DeviceDistribution, m: int, m_tr: int, m_va: int,
+def sample_dataset(w: np.ndarray, env: TaskEnvironment, m: int, m_tr: int, m_va: int,
                    rng: np.random.Generator) -> Dataset:
-    """Draw m i.i.d. points from the device law and split them."""
+    """Draw m i.i.d. points from the law of the device with task vector w and
+    split them."""
     if m != m_tr + m_va:
         raise ValueError("m must equal m_tr + m_va")
     if m_tr < 1 or m_va < 1:
         raise ValueError("both the training and validation split need data")
-    x, y = sample_points(dist, m, rng)
+    x, y = sample_points(w, env, m, rng)
     return Dataset(x=x, y=y, m_tr=m_tr, m_va=m_va)
 
 
-def sample_points(dist: DeviceDistribution, m: int,
+def sample_points(w: np.ndarray, env: TaskEnvironment, m: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw m i.i.d. points (x of shape (m, d), y of shape (m,)) from the
-    device law: all inputs first, then all label draws."""
-    env = dist.env
-    x = rng.standard_normal((m, env.dim)) @ env.cov_sqrt.T
-    y = x @ dist.w + np.sqrt(env.label_noise_var) * rng.standard_normal(m)
+    """Draw m i.i.d. points (x of shape (m, d), y of shape (m,)) from the law
+    of the device with task vector w: all inputs first, then all label draws."""
+    x = np.sqrt(env.input_cov) * rng.standard_normal((m, env.dim))
+    y = x @ w + np.sqrt(env.label_noise_var) * rng.standard_normal(m)
     return x, y
 
 
@@ -228,62 +187,62 @@ def batch_hessian(phi, x, y):
 
 # ---------------------------------------------------------------------------
 # population oracles
+#
+# With inputs N(0, s*I) every curvature below is a multiple of the identity,
+# so each is the scalar that multiplies it.
 
 
-def population_loss(phi: np.ndarray, dist: DeviceDistribution) -> float:
-    """Exact expected per-sample loss: (1/2)(phi-w)' Cov (phi-w) + noise/2."""
-    e = np.asarray(phi, dtype=float) - dist.w
-    return 0.5 * float(e @ dist.env.input_cov @ e) + 0.5 * dist.env.label_noise_var
+def population_loss(phi: np.ndarray, w: np.ndarray, env: TaskEnvironment) -> float:
+    """Exact expected per-sample loss: (s/2)||phi - w||^2 + noise/2."""
+    e = np.asarray(phi, dtype=float) - w
+    return 0.5 * float((env.input_cov * e) @ e) + 0.5 * env.label_noise_var
 
 
-def population_grad(phi: np.ndarray, dist: DeviceDistribution) -> np.ndarray:
-    return dist.env.input_cov @ (np.asarray(phi, dtype=float) - dist.w)
+def population_grad(phi: np.ndarray, w: np.ndarray, env: TaskEnvironment) -> np.ndarray:
+    return env.input_cov * (np.asarray(phi, dtype=float) - w)
 
 
-def meta_curvature(env: TaskEnvironment, alpha: float) -> np.ndarray:
-    """Curvature (I - a*Cov) Cov (I - a*Cov) of the post-adaptation loss."""
-    cov = env.input_cov
-    shrink = np.eye(env.dim) - alpha * cov
-    return shrink @ cov @ shrink
+def meta_curvature(env: TaskEnvironment, alpha: float) -> float:
+    """Curvature (1 - a*s) s (1 - a*s) of the post-adaptation loss."""
+    s = env.input_cov
+    return (1.0 - alpha * s) * s * (1.0 - alpha * s)
 
 
-def population_meta_loss(theta: np.ndarray, dist: DeviceDistribution, alpha: float) -> float:
+def population_meta_loss(theta: np.ndarray, w: np.ndarray, env: TaskEnvironment,
+                         alpha: float) -> float:
     """Population loss after one exact adaptation step from theta."""
-    u = np.asarray(theta, dtype=float) - dist.w
-    b = meta_curvature(dist.env, alpha)
-    return 0.5 * float(u @ b @ u) + 0.5 * dist.env.label_noise_var
+    u = np.asarray(theta, dtype=float) - w
+    return 0.5 * float((meta_curvature(env, alpha) * u) @ u) + 0.5 * env.label_noise_var
 
 
-def population_meta_grad(theta: np.ndarray, dist: DeviceDistribution, alpha: float) -> np.ndarray:
-    b = meta_curvature(dist.env, alpha)
-    return b @ (np.asarray(theta, dtype=float) - dist.w)
+def population_meta_grad(theta: np.ndarray, w: np.ndarray, env: TaskEnvironment,
+                         alpha: float) -> np.ndarray:
+    return meta_curvature(env, alpha) * (np.asarray(theta, dtype=float) - w)
 
 
-def mean_meta_loss(theta, dists, alpha: float) -> float:
-    """Population meta loss averaged over devices."""
-    return float(np.mean([population_meta_loss(theta, d, alpha) for d in dists]))
+def mean_meta_loss(theta, ws, env: TaskEnvironment, alpha: float) -> float:
+    """Population meta loss averaged over devices with task vectors ws (n, d)."""
+    return float(np.mean([population_meta_loss(theta, w, env, alpha) for w in ws]))
 
 
-def mean_meta_grad(theta, ws, curvature: np.ndarray) -> np.ndarray:
+def mean_meta_grad(theta, ws, curvature: float) -> np.ndarray:
     """Population meta-gradient averaged over devices with task vectors ws
     (n, d), given the curvature ``meta_curvature(env, alpha)``."""
     u = np.asarray(theta, dtype=float) - np.asarray(ws, dtype=float)
-    return np.mean((curvature @ u[..., None])[..., 0], axis=0)
+    return np.mean(curvature * u, axis=0)
 
 
-def meta_loss_minimum(dists, alpha: float) -> float:
-    """Exact minimum of the device-averaged population meta loss.
+def meta_loss_minimum(ws, env: TaskEnvironment, alpha: float) -> float:
+    """Exact minimum of the population meta loss averaged over devices with
+    task vectors ws (n, d).
 
     The averaged quadratic is minimized at the mean task vector; the residual
     value is the curvature-weighted spread of the task vectors plus the label
     noise floor.
     """
-    env = dists[0].env
-    b = meta_curvature(env, alpha)
-    ws = np.stack([d.w for d in dists])
-    w_bar = ws.mean(axis=0)
-    dev = ws - w_bar
-    return 0.5 * float(np.mean(np.einsum("id,de,ie->i", dev, b, dev))) + 0.5 * env.label_noise_var
+    dev = ws - ws.mean(axis=0)
+    spread = float(np.mean(np.sum(dev**2, axis=1)))
+    return 0.5 * meta_curvature(env, alpha) * spread + 0.5 * env.label_noise_var
 
 
 def analytic_meta_test_loss(env: TaskEnvironment, theta: np.ndarray, alpha: float,
@@ -295,19 +254,12 @@ def analytic_meta_test_loss(env: TaskEnvironment, theta: np.ndarray, alpha: floa
     point.  Fourth-moment terms of the Gaussian inputs give the 1/m_tr
     corrections relative to the infinite-data adaptation.
     """
-    cov = env.input_cov
-    d = env.dim
-    theta = np.asarray(theta, dtype=float)
-    cov2 = cov @ cov
-    cov3 = cov2 @ cov
-    tr_cov2 = float(np.trace(cov2))
-    # E[(I - a*S_hat) Cov (I - a*S_hat)] with S_hat the empirical second moment
-    m_mat = cov - 2.0 * alpha * cov2 + alpha**2 * (
-        (m_tr + 1) / m_tr * cov3 + tr_cov2 / m_tr * cov
-    )
-    u = theta - env.center
-    quad = 0.5 * float(u @ m_mat @ u) + 0.5 * env.task_spread * float(np.trace(m_mat))
-    noise = 0.5 * alpha**2 * env.label_noise_var * tr_cov2 / m_tr + 0.5 * env.label_noise_var
+    s, d = env.input_cov, env.dim
+    # E[(I - a*S_hat) s (I - a*S_hat)] / I with S_hat the empirical second moment
+    curv = s - 2.0 * alpha * s**2 + alpha**2 * ((m_tr + 1) / m_tr * s**3 + d * s**3 / m_tr)
+    u = np.asarray(theta, dtype=float) - env.center
+    quad = 0.5 * curv * float(u @ u) + 0.5 * env.task_spread * d * curv
+    noise = 0.5 * alpha**2 * env.label_noise_var * d * s**2 / m_tr + 0.5 * env.label_noise_var
     return quad + noise
 
 
@@ -315,44 +267,39 @@ def analytic_meta_test_loss(env: TaskEnvironment, theta: np.ndarray, alpha: floa
 # per-point assumption constants
 
 
-def grad_moment_forms(env: TaskEnvironment) -> tuple[np.ndarray, np.ndarray, float]:
+def grad_moment_forms(env: TaskEnvironment) -> tuple[float, float, float]:
     """Closed forms of the per-sample gradient moments at offset e = phi - w.
 
-    E ||grad loss(phi; Z)||^2 = e' (2 Cov^2 + tr(Cov) Cov) e + noise * tr(Cov)
-    and its variance is e' (Cov^2 + tr(Cov) Cov) e + noise * tr(Cov).
-    Returns (second-moment matrix, variance matrix, noise term).
+    E ||grad loss(phi; Z)||^2 = (2 s^2 + d s^2) ||e||^2 + noise * d s
+    and its variance is (s^2 + d s^2) ||e||^2 + noise * d s.
+    Returns (second-moment factor, variance factor, noise term).
     """
-    cov = env.input_cov
-    tr = float(np.trace(cov))
-    cov2 = cov @ cov
-    return 2.0 * cov2 + tr * cov, cov2 + tr * cov, env.label_noise_var * tr
+    s = env.input_cov
+    tr = env.dim * s
+    return 2.0 * (s * s) + tr * s, s * s + tr * s, env.label_noise_var * tr
 
 
 def grad_second_moment(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
     """E ||grad loss(phi; Z)||^2 at offset e = phi - w, in closed form."""
     second, _, noise = grad_moment_forms(env)
     e = np.asarray(phi_minus_w, dtype=float)
-    return float(e @ second @ e) + noise
+    return second * float(e @ e) + noise
 
 
 def grad_variance(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
     """Var of the per-sample gradient at offset e = phi - w, in closed form."""
     _, variance, noise = grad_moment_forms(env)
     e = np.asarray(phi_minus_w, dtype=float)
-    return float(e @ variance @ e) + noise
+    return variance * float(e @ e) + noise
 
 
 def hessian_spectral_variance(env: TaskEnvironment) -> float:
-    """E ||per-sample Hessian - Cov||_2^2 (spectral norm), for isotropic Cov.
+    """E ||per-sample Hessian - s*I||_2^2 (spectral norm).
 
-    For Cov = s*I the spectral norm is max(|s*u - s|, s) with u chi-squared
-    on dim degrees of freedom, evaluated by quadrature.
+    The spectral norm is max(|s*u - s|, s) with u chi-squared on dim degrees
+    of freedom, evaluated by quadrature.
     """
-    s = env.isotropic_scale()
-    if s is None:
-        raise NoClosedFormError("spectral Hessian variance only for isotropic input covariance")
-    if s == 0.0:
-        return 0.0
+    s = env.input_cov
     return float(s * s * _chi2_spectral_moment(env.dim))
 
 

@@ -153,8 +153,8 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     gen = np.random.default_rng(seed)
     env = tasks.TaskEnvironment(dim=20, center=np.ones(20), task_spread=0.5,
                                 input_cov=1.0, label_noise_var=1.0)
-    devices = [tasks.sample_device(env, gen) for _ in range(4)]
-    datasets = [tasks.sample_dataset(d, 200, 100, 100, gen) for d in devices]
+    ws = np.stack([tasks.sample_device(env, gen) for _ in range(4)])
+    datasets = [tasks.sample_dataset(w, env, 200, 100, 100, gen) for w in ws]
     q, m_b, alpha = 5, 16, 0.4
     l_f = 4.0 * env.smoothness
     eta = 0.9 / (10 * q * l_f)
@@ -162,14 +162,13 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     cfg_local = meta.LocalConfig(alpha=alpha, local_steps=q, batch_size=m_b)
     pools = meta.batch_pools(datasets[0], m_b)
     # measured variance / heterogeneity of the meta-gradient estimate at theta
-    grad_mean = tasks.mean_meta_grad(theta, np.stack([dev.w for dev in devices]),
-                                     tasks.meta_curvature(env, alpha))
+    grad_mean = tasks.mean_meta_grad(theta, ws, tasks.meta_curvature(env, alpha))
     sigma_sq = 0.0
     gamma_sq = 0.0
     # one-device stacks share one generator, so the draws follow device order
     stacks = [tasks.stack_datasets([ds]) for ds in datasets]
-    for dev, data in zip(devices, stacks):
-        per_dev = tasks.population_meta_grad(theta, dev, alpha)
+    for w, data in zip(ws, stacks):
+        per_dev = tasks.population_meta_grad(theta, w, env, alpha)
         gamma_sq = max(gamma_sq, float(np.sum((per_dev - grad_mean) ** 2)))
         ests = np.concatenate([meta.meta_grad_estimate(theta[None], data, pools, cfg_local, [gen])
                                for _ in range(n_draws)])

@@ -16,5 +16,6 @@ def quad_env():
 
 
 @pytest.fixture
-def quad_device(quad_env, rng):
+def quad_w(quad_env, rng):
+    """Task vector of one device of ``quad_env``."""
     return sample_device(quad_env, rng)

@@ -29,7 +29,7 @@ class TestConstantEstimation:
         env = TaskEnvironment(dim=5, center=np.zeros(5),
                               task_spread=0.4, label_noise_var=0.2)
         gen = np.random.default_rng(0)
-        ws = np.stack([sample_device(env, gen).w for _ in range(4)])
+        ws = np.stack([sample_device(env, gen) for _ in range(4)])
         ac = estimate_constants(env, ws, PROBE)
         assert ac.l_g == 1.0 and ac.l_h == 0.0
         assert ac.provenance["l_g"] == "analytic"
@@ -39,7 +39,7 @@ class TestConstantEstimation:
         env = TaskEnvironment(dim=4, center=np.ones(4),
                               task_spread=0.0, label_noise_var=0.1)
         gen = np.random.default_rng(0)
-        ws = np.stack([sample_device(env, gen).w for _ in range(5)])
+        ws = np.stack([sample_device(env, gen) for _ in range(5)])
         ac = estimate_constants(env, ws, PROBE)
         assert ac.gamma_g_sq == 0.0 and ac.gamma_h_sq == 0.0
 

@@ -44,14 +44,14 @@ class TestCompression:
 
     def test_oversized_norm_rejected(self):
         with pytest.raises(ValueError):
-            CompressionMatrix(matrix=1.5 * np.eye(3), kind="identity")
+            CompressionMatrix(matrix=1.5 * np.eye(3))
 
 
 class TestChannelSampling:
     def test_unit_fading(self, rng):
         round_ch = sample_channel(5, "unit", 0.0, 4, rng)
         assert np.array_equal(round_ch.gains, np.ones(5, dtype=complex))
-        assert ch.fading_moments(round_ch.fading) == (1.0, 1.0)
+        assert ch.fading_moments("unit") == (1.0, 1.0)
 
     def test_rayleigh_moments(self):
         from airmeta.verify import check_rayleigh_moments
@@ -79,13 +79,13 @@ class TestTransmit:
     def test_single_unit_device(self, rng):
         x = rng.standard_normal(4)
         round_ch = ch.ChannelRound(gains=np.ones(1, dtype=complex), noise_var=0.0,
-                                   noise_re=np.zeros(4), noise_im=np.zeros(4), fading="unit")
+                                   noise_re=np.zeros(4), noise_im=np.zeros(4))
         assert np.array_equal(transmit_mac(x[None], round_ch), x)
 
     def test_opposite_signals_cancel(self, rng):
         x = rng.standard_normal(4)
         round_ch = ch.ChannelRound(gains=np.ones(2, dtype=complex), noise_var=0.0,
-                                   noise_re=np.zeros(4), noise_im=np.zeros(4), fading="unit")
+                                   noise_re=np.zeros(4), noise_im=np.zeros(4))
         assert np.allclose(transmit_mac(np.stack([x, -x]), round_ch), 0.0, atol=1e-15)
 
     def test_matches_hand_superposition(self, rng):
@@ -93,14 +93,14 @@ class TestTransmit:
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         noise_re, noise_im = rng.standard_normal(3), rng.standard_normal(3)
         round_ch = ch.ChannelRound(gains=gains, noise_var=1.0, noise_re=noise_re,
-                                   noise_im=noise_im, fading="rayleigh")
+                                   noise_im=noise_im)
         got = transmit_mac(xs, round_ch)
         want = sum(h * x for h, x in zip(gains, xs)) + noise_re + 1j * noise_im
         assert np.allclose(got, want, atol=1e-14)
 
     def test_length_mismatch(self, rng):
         round_ch = ch.ChannelRound(gains=np.ones(2, dtype=complex), noise_var=0.0,
-                                   noise_re=np.zeros(3), noise_im=np.zeros(3), fading="unit")
+                                   noise_re=np.zeros(3), noise_im=np.zeros(3))
         with pytest.raises(ValueError):
             transmit_mac(np.zeros((2, 4)), round_ch)  # block longer than the noise
         with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ class TestEstimators:
         d = 8
         n = np.arange(d)
         rows = np.exp(-2j * np.pi * np.outer([0, 1, 2], n) / d) / np.sqrt(d)
-        comp = CompressionMatrix(matrix=rows, kind="partial_dft")
+        comp = CompressionMatrix(matrix=rows)
         s = rng.standard_normal(d)
         est = estimate(comp.matrix @ s, comp, prior_power=1.0, noise_var=0.0, kind="lmmse")
         assert est.pinv_fallback

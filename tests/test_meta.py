@@ -3,8 +3,8 @@ import pytest
 
 from airmeta import meta, tasks
 from airmeta.meta import LocalConfig, local_rounds, meta_grad_estimate
-from airmeta.tasks import (Dataset, DeviceDistribution, TaskEnvironment, sample_dataset,
-                           sample_device, stack_datasets)
+from airmeta.tasks import (Dataset, TaskEnvironment, sample_dataset, sample_device,
+                           stack_datasets)
 
 
 def orthonormal_design(w, copies=1):
@@ -92,8 +92,8 @@ class TestMetaGradEstimate:
         d, m_b = 3, 4
         env = TaskEnvironment(dim=d, center=np.zeros(d),
                               task_spread=0.5, label_noise_var=0.5)
-        dev = sample_device(env, rng)
-        ds = sample_dataset(dev, 24, 8, 16, rng)
+        w = sample_device(env, rng)
+        ds = sample_dataset(w, env, 24, 8, 16, rng)
         theta = rng.standard_normal(d)
         alpha = 0.3
         cfg = LocalConfig(alpha=alpha, local_steps=1, batch_size=m_b)
@@ -122,18 +122,18 @@ class TestMetaGradEstimate:
         env = TaskEnvironment(dim=d, center=np.zeros(d),
                               task_spread=0.0, label_noise_var=0.4)
         gen = np.random.default_rng(17)
-        dev = sample_device(env, gen)
+        w = sample_device(env, gen)
         theta = np.array([1.0, -0.5, 0.25])
         cfg = LocalConfig(alpha=alpha, local_steps=1, batch_size=m_b)
         n = 10_000
         draws = np.empty((n, d))
         for i in range(n):
-            ds = sample_dataset(dev, 3 * m_b, m_b, 2 * m_b, gen)
+            ds = sample_dataset(w, env, 3 * m_b, m_b, 2 * m_b, gen)
             draws[i] = estimate(theta, ds, cfg, gen)
-        target = tasks.population_meta_grad(theta, dev, alpha)
+        target = tasks.population_meta_grad(theta, w, env, alpha)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se)
-        sigma_g_sq = tasks.grad_variance(theta - dev.w, env)
+        sigma_g_sq = tasks.grad_variance(theta - w, env)
         bias_sq_allow = 4 * alpha**2 * env.smoothness**2 * sigma_g_sq / m_b
         assert float(np.sum((draws.mean(axis=0) - target) ** 2)) <= bias_sq_allow
 
@@ -144,16 +144,15 @@ class TestMetaGradEstimate:
         env = TaskEnvironment(dim=d, center=np.zeros(d),
                               task_spread=0.0, label_noise_var=0.5)
         gen = np.random.default_rng(23)
-        dev = sample_device(env, gen)
+        w = sample_device(env, gen)
         theta = np.array([0.8, -0.3, 0.1, 0.5])
         cfg = LocalConfig(alpha=alpha, local_steps=1, batch_size=m_b)
         draws = []
         for _ in range(1000):
-            ds = sample_dataset(dev, 3 * m_b, m_b, 2 * m_b, gen)
+            ds = sample_dataset(w, env, 3 * m_b, m_b, 2 * m_b, gen)
             draws.append(float(np.sum(estimate(theta, ds, cfg, gen) ** 2)))
-        g_sq = max(tasks.grad_second_moment(theta - dev.w, env),
-                   tasks.grad_second_moment((np.eye(d) - alpha * env.input_cov)
-                                            @ (theta - dev.w), env))
+        g_sq = max(tasks.grad_second_moment(theta - w, env),
+                   tasks.grad_second_moment((1 - alpha * env.input_cov) * (theta - w), env))
         sigma_h_sq = tasks.hessian_spectral_variance(env)
         limit = 2 * ((1 + alpha * env.smoothness) ** 2 + alpha**2 * sigma_h_sq / m_b) * g_sq
         assert float(np.mean(draws)) <= limit
@@ -179,9 +178,9 @@ class TestLocalRounds:
         assert np.all(iterates == theta)
         assert np.all(delta == 0)
 
-    def test_external_step_replay(self, quad_device, rng):
-        ds = sample_dataset(quad_device, 30, 10, 20, rng)
-        theta0 = rng.standard_normal(quad_device.env.dim)
+    def test_external_step_replay(self, quad_w, quad_env, rng):
+        ds = sample_dataset(quad_w, quad_env, 30, 10, 20, rng)
+        theta0 = rng.standard_normal(quad_env.dim)
         cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
         eta = 0.05
         delta, iterates = local(theta0, ds, cfg, eta, np.random.default_rng(99))
@@ -192,9 +191,9 @@ class TestLocalRounds:
             theta = theta - eta * estimate(theta, ds, cfg, gen)
         assert np.array_equal(delta, theta0 - theta)
 
-    def test_determinism(self, quad_device, rng):
-        ds = sample_dataset(quad_device, 30, 10, 20, rng)
-        theta = rng.standard_normal(quad_device.env.dim)
+    def test_determinism(self, quad_w, quad_env, rng):
+        ds = sample_dataset(quad_w, quad_env, 30, 10, 20, rng)
+        theta = rng.standard_normal(quad_env.dim)
         cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
         d1 = local(theta, ds, cfg, 0.05, np.random.default_rng(7))[0]
         d2 = local(theta, ds, cfg, 0.05, np.random.default_rng(7))[0]

@@ -10,9 +10,9 @@ from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_devic
 
 
 class TestMetaTrainingLoss:
-    def test_alpha_zero_is_mean_validation_loss(self, quad_device, rng):
-        datasets = [sample_dataset(quad_device, 20, 10, 10, rng) for _ in range(3)]
-        theta = rng.standard_normal(quad_device.env.dim)
+    def test_alpha_zero_is_mean_validation_loss(self, quad_w, quad_env, rng):
+        datasets = [sample_dataset(quad_w, quad_env, 20, 10, 10, rng) for _ in range(3)]
+        theta = rng.standard_normal(quad_env.dim)
         got = meta_training_loss(theta, stack_datasets(datasets), 0.0)
         want = np.mean([tasks.batch_loss(theta, *ds.val) for ds in datasets])
         assert got == pytest.approx(want, rel=1e-12)
@@ -20,9 +20,9 @@ class TestMetaTrainingLoss:
     def test_zero_at_shared_truth(self, rng):
         env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.0, label_noise_var=0.0)
-        dev = sample_device(env, rng)
-        datasets = [sample_dataset(dev, 12, 6, 6, rng) for _ in range(2)]
-        assert meta_training_loss(dev.w, stack_datasets(datasets), 0.3) < 1e-24
+        w = sample_device(env, rng)
+        datasets = [sample_dataset(w, env, 12, 6, 6, rng) for _ in range(2)]
+        assert meta_training_loss(w, stack_datasets(datasets), 0.3) < 1e-24
 
     def test_hand_computed_single_device(self):
         # one device, two train points, two validation points, d = 1
@@ -36,10 +36,10 @@ class TestMetaTrainingLoss:
         assert meta_training_loss(theta, stack_datasets([ds]), alpha) == \
             pytest.approx(want, rel=1e-12)
 
-    def test_two_independent_routes_agree(self, quad_device, rng):
+    def test_two_independent_routes_agree(self, quad_w, quad_env, rng):
         """Vectorized evaluation against a literal per-point double loop."""
-        datasets = [sample_dataset(quad_device, 14, 6, 8, rng) for _ in range(4)]
-        theta = rng.standard_normal(quad_device.env.dim)
+        datasets = [sample_dataset(quad_w, quad_env, 14, 6, 8, rng) for _ in range(4)]
+        theta = rng.standard_normal(quad_env.dim)
         alpha = 0.3
         acc = 0.0
         for ds in datasets:

@@ -58,7 +58,8 @@ def device_stack(dim, n, batch, m_tr, m_va, data_seed, local_cfg, eta, theta_sca
     gen = np.random.default_rng(data_seed)
     env = tasks.TaskEnvironment(dim=dim, center=np.ones(dim), task_spread=0.5,
                                 label_noise_var=0.5)
-    datasets = [tasks.sample_dataset(tasks.sample_device(env, gen), m_tr + m_va, m_tr, m_va, gen)
+    datasets = [tasks.sample_dataset(tasks.sample_device(env, gen), env, m_tr + m_va, m_tr,
+                                     m_va, gen)
                 for _ in range(n)]
     return datasets, local_cfg, eta, gen.standard_normal(dim) * theta_scale, seed
 
@@ -160,7 +161,7 @@ class TestStackedRowsEqualOneRowCalls:
         assert same_rows(signals, [comp.matrix @ row for row in x])
         round_ch = channel.ChannelRound(gains=gains, noise_var=1.0,
                                         noise_re=gen.standard_normal(m_uses),
-                                        noise_im=gen.standard_normal(m_uses), fading="rayleigh")
+                                        noise_im=gen.standard_normal(m_uses))
         acc = np.zeros(m_uses, dtype=complex)
         for h, s in zip(gains, signals):  # superposition in device order
             acc = acc + h * s

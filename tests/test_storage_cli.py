@@ -87,6 +87,7 @@ OUT_OF_RANGE = {
     "n_test_devices": st.integers(max_value=0), "test_samples": st.integers(max_value=-1),
     "eta": NEGATIVE, "alpha": NEGATIVE, "noise_var": NEGATIVE,
     "power_per_use": NOT_POSITIVE, "loss_clip": NOT_POSITIVE, "rho_max": NOT_POSITIVE,
+    "input_cov_scale": NOT_POSITIVE,
 }
 
 
@@ -184,6 +185,8 @@ class TestCli:
     # the removed uplink selector is an unknown field, whatever its value
     @example(run_config(rounds=1).to_dict() | {"channel_mode": "air"})
     @example(run_config(rounds=1).to_dict() | {"channel_mode": "ideal"})
+    # zero input variance divided by L_G = 0 in validate (exit 3)
+    @example(run_config(rounds=1).to_dict() | {"input_cov_scale": 0.0})
     def test_invalid_or_wrongly_typed_config_exits_2(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "cfg.json"
@@ -345,6 +348,12 @@ class TestCli:
         spec_path.write_text(json.dumps({"axis": "snr_db", "values": [float("nan")],
                                          "base": run_config(rounds=1).to_dict()}))
         assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "s")]) == 2
+        # two values that print alike would share the point directory eta_0.001
+        spec_path.write_text(json.dumps({"axis": "eta", "values": [0.001000001, 0.001000002],
+                                         "base": run_config(rounds=1).to_dict()}))
+        out = tmp_path / "collide"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis, values", [("n_devices", [9, 10]), ("m_over_d", [0.5, 1.5])])
     def test_sweep_invalid_point_exits_2_before_any_run(self, tmp_path, axis, values):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from airmeta import tasks
-from airmeta.tasks import (Dataset, DeviceDistribution, NoClosedFormError,
-                           TaskEnvironment, sample_dataset, sample_device)
+from airmeta.tasks import TaskEnvironment, sample_dataset, sample_device
 
 
 def finite_diff_grad(f, phi, h=1e-6):
@@ -21,15 +20,13 @@ class TestEnvironment:
             TaskEnvironment(dim=0, center=np.array([]), task_spread=0.0)
         with pytest.raises(ValueError):
             TaskEnvironment(dim=2, center=np.zeros(2), task_spread=-1.0)
-        bad_cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # s*I is indefinite for s < 0
             TaskEnvironment(dim=2, center=np.zeros(2),
-                            task_spread=0.0, input_cov=bad_cov)
+                            task_spread=0.0, input_cov=-1.0)
 
     def test_smoothness_is_top_eigenvalue(self):
-        cov = np.diag([0.5, 2.0, 1.0])
         env = TaskEnvironment(dim=3, center=np.zeros(3),
-                              task_spread=0.0, input_cov=cov)
+                              task_spread=0.0, input_cov=2.0)
         assert env.smoothness == 2.0
 
 
@@ -37,47 +34,55 @@ class TestSampling:
     def test_zero_spread_returns_center_exactly(self):
         env = TaskEnvironment(dim=2, center=np.array([1.0, 2.0]),
                               task_spread=0.0)
-        dev = sample_device(env, np.random.default_rng(0))
-        assert np.array_equal(dev.w, np.array([1.0, 2.0]))
+        w = sample_device(env, np.random.default_rng(0))
+        assert np.array_equal(w, np.array([1.0, 2.0]))
 
     def test_device_mean_matches_center(self):
         env = TaskEnvironment(dim=3, center=np.array([1.0, -2.0, 0.5]),
                               task_spread=1.0)
         gen = np.random.default_rng(7)
-        draws = np.stack([sample_device(env, gen).w for _ in range(100_000)])
+        draws = np.stack([sample_device(env, gen) for _ in range(100_000)])
         se = 1.0 / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - env.center) < 3 * se)
 
     def test_same_seed_same_device(self, quad_env):
         a = sample_device(quad_env, np.random.default_rng(42))
         b = sample_device(quad_env, np.random.default_rng(42))
-        assert np.array_equal(a.w, b.w)
+        assert np.array_equal(a, b)
 
-    def test_split_sizes_and_disjointness(self, quad_device, rng):
-        ds = sample_dataset(quad_device, 4, 2, 2, rng)
-        assert ds.train[0].shape == (2, quad_device.env.dim)
-        assert ds.val[0].shape == (2, quad_device.env.dim)
+    def test_split_sizes_and_disjointness(self, quad_w, quad_env, rng):
+        ds = sample_dataset(quad_w, quad_env, 4, 2, 2, rng)
+        assert ds.train[0].shape == (2, quad_env.dim)
+        assert ds.val[0].shape == (2, quad_env.dim)
         assert ds.m == 4
 
-    def test_rejects_empty_split(self, quad_device, rng):
+    def test_rejects_empty_split(self, quad_w, quad_env, rng):
         with pytest.raises(ValueError):
-            sample_dataset(quad_device, 4, 4, 0, rng)
+            sample_dataset(quad_w, quad_env, 4, 4, 0, rng)
         with pytest.raises(ValueError):
-            sample_dataset(quad_device, 5, 2, 2, rng)
+            sample_dataset(quad_w, quad_env, 5, 2, 2, rng)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.3, 2.0])
+    def test_inputs_scale_standard_normals(self, s):
+        """x = sqrt(s) * z on the standard normals of the same stream."""
+        env = TaskEnvironment(dim=5, center=np.zeros(5), task_spread=0.0, input_cov=s)
+        x, _ = tasks.sample_points(np.zeros(5), env, 40, np.random.default_rng(8))
+        z = np.random.default_rng(8).standard_normal((40, 5))
+        assert np.array_equal(x, np.sqrt(s) * z)
 
     def test_noiseless_labels_exact(self, rng):
         env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.3, label_noise_var=0.0)
-        dev = sample_device(env, rng)
-        ds = sample_dataset(dev, 50, 25, 25, rng)
-        assert np.allclose(ds.y, ds.x @ dev.w, atol=0, rtol=0)
+        w = sample_device(env, rng)
+        ds = sample_dataset(w, env, 50, 25, 25, rng)
+        assert np.allclose(ds.y, ds.x @ w, atol=0, rtol=0)
 
     def test_label_noise_variance(self, rng):
         env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.0, label_noise_var=1.0)
-        dev = sample_device(env, rng)
-        ds = sample_dataset(dev, 100_000, 50_000, 50_000, rng)
-        resid = ds.y - ds.x @ dev.w
+        w = sample_device(env, rng)
+        ds = sample_dataset(w, env, 100_000, 50_000, 50_000, rng)
+        resid = ds.y - ds.x @ w
         assert abs(resid.var() - 1.0) < 0.02
 
 
@@ -88,11 +93,11 @@ class TestPointwiseOracles:
     def test_perfect_fit_zero_loss(self, rng):
         env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.5, label_noise_var=0.0)
-        dev = sample_device(env, rng)
-        ds = sample_dataset(dev, 20, 10, 10, rng)
+        w = sample_device(env, rng)
+        ds = sample_dataset(w, env, 20, 10, 10, rng)
         for i in range(ds.m):
-            assert tasks.loss(dev.w, ds.x[i], ds.y[i]) < 1e-24
-            assert np.allclose(tasks.grad(dev.w, ds.x[i], ds.y[i]), 0.0, atol=1e-12)
+            assert tasks.loss(w, ds.x[i], ds.y[i]) < 1e-24
+            assert np.allclose(tasks.grad(w, ds.x[i], ds.y[i]), 0.0, atol=1e-12)
 
     def test_loss_matches_scalar_recomputation(self, rng):
         for _ in range(50):
@@ -138,50 +143,48 @@ class TestPointwiseOracles:
 class TestPopulationOracles:
     def test_meta_grad_golden(self):
         env = TaskEnvironment(dim=3, center=np.zeros(3), task_spread=0.0)
-        dev = DeviceDistribution(w=np.zeros(3), env=env)
         theta = np.array([1.0, 0.0, 0.0])
-        g = tasks.population_meta_grad(theta, dev, alpha=0.5)
+        g = tasks.population_meta_grad(theta, np.zeros(3), env, alpha=0.5)
         assert np.allclose(g, 0.25 * theta, atol=1e-15)
 
-    def test_meta_grad_zero_at_task_vector(self, quad_device):
-        g = tasks.population_meta_grad(quad_device.w, quad_device, alpha=0.3)
+    def test_meta_grad_zero_at_task_vector(self, quad_w, quad_env):
+        g = tasks.population_meta_grad(quad_w, quad_w, quad_env, alpha=0.3)
         assert np.allclose(g, 0.0, atol=1e-14)
 
-    def test_alpha_zero_reduces_to_plain_gradient(self, quad_device, rng):
-        theta = rng.standard_normal(quad_device.env.dim)
-        g = tasks.population_meta_grad(theta, quad_device, alpha=0.0)
-        assert np.allclose(g, tasks.population_grad(theta, quad_device), atol=1e-14)
+    def test_alpha_zero_reduces_to_plain_gradient(self, quad_w, quad_env, rng):
+        theta = rng.standard_normal(quad_env.dim)
+        g = tasks.population_meta_grad(theta, quad_w, quad_env, alpha=0.0)
+        assert np.allclose(g, tasks.population_grad(theta, quad_w, quad_env), atol=1e-14)
 
-    def test_meta_grad_matches_finite_differences(self, quad_device, rng):
-        theta = rng.standard_normal(quad_device.env.dim)
-        g = tasks.population_meta_grad(theta, quad_device, alpha=0.4)
+    def test_meta_grad_matches_finite_differences(self, quad_w, quad_env, rng):
+        theta = rng.standard_normal(quad_env.dim)
+        g = tasks.population_meta_grad(theta, quad_w, quad_env, alpha=0.4)
         fd = finite_diff_grad(
-            lambda p: tasks.population_meta_loss(p, quad_device, 0.4), theta)
+            lambda p: tasks.population_meta_loss(p, quad_w, quad_env, 0.4), theta)
         assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
     def test_population_grad_lipschitz_equals_top_eigenvalue(self, rng):
-        cov = np.diag([0.4, 1.7, 0.9])
         env = TaskEnvironment(dim=3, center=np.zeros(3),
-                              task_spread=0.0, input_cov=cov)
-        dev = DeviceDistribution(w=np.zeros(3), env=env)
+                              task_spread=0.0, input_cov=1.7)
+        w = np.zeros(3)
         best = 0.0
         for _ in range(2000):
             a, b = rng.standard_normal(3), rng.standard_normal(3)
-            num = np.linalg.norm(tasks.population_grad(a, dev) - tasks.population_grad(b, dev))
+            num = np.linalg.norm(tasks.population_grad(a, w, env)
+                                 - tasks.population_grad(b, w, env))
             best = max(best, num / np.linalg.norm(a - b))
         assert best <= env.smoothness + 1e-8
-        # the supremum is attained along the top eigenvector
-        top = np.array([0.0, 1.0, 0.0])
-        attained = np.linalg.norm(tasks.population_grad(top, dev)) / 1.0
+        # every direction is a top eigenvector of s*I, so the supremum is attained
+        attained = np.linalg.norm(tasks.population_grad(np.array([0.0, 1.0, 0.0]), w, env))
         assert abs(attained - env.smoothness) < 1e-8
 
     def test_zero_spread_devices_identical(self):
         env = TaskEnvironment(dim=4, center=np.ones(4), task_spread=0.0)
         gen = np.random.default_rng(5)
-        devs = [sample_device(env, gen) for _ in range(5)]
+        ws = [sample_device(env, gen) for _ in range(5)]
         probes = gen.standard_normal((10, 4))
         for theta in probes:
-            grads = np.stack([tasks.population_grad(theta, d) for d in devs])
+            grads = np.stack([tasks.population_grad(theta, w, env) for w in ws])
             gap = np.max(np.linalg.norm(grads - grads[0], axis=1))
             assert gap < 1e-12
 
@@ -189,27 +192,87 @@ class TestPopulationOracles:
         env = TaskEnvironment(dim=4, center=np.ones(4),
                               task_spread=0.6, label_noise_var=0.3)
         gen = np.random.default_rng(9)
-        devs = [sample_device(env, gen) for _ in range(6)]
-        f_star = tasks.meta_loss_minimum(devs, alpha=0.3)
-        w_bar = np.mean([d.w for d in devs], axis=0)
-        assert tasks.mean_meta_loss(w_bar, devs, 0.3) == pytest.approx(f_star, rel=1e-12)
+        ws = np.stack([sample_device(env, gen) for _ in range(6)])
+        f_star = tasks.meta_loss_minimum(ws, env, alpha=0.3)
+        w_bar = ws.mean(axis=0)
+        assert tasks.mean_meta_loss(w_bar, ws, env, 0.3) == pytest.approx(f_star, rel=1e-12)
         for _ in range(20):
             theta = rng.standard_normal(4) * 3
-            assert tasks.mean_meta_loss(theta, devs, 0.3) >= f_star - 1e-12
+            assert tasks.mean_meta_loss(theta, ws, env, 0.3) >= f_star - 1e-12
+
+
+class TestScalarOracles:
+    """The scalar oracles against the d x d forms of a general input
+    covariance, evaluated at Cov = s*I."""
+
+    S, D, ALPHA, M_TR = 1.3, 5, 0.3, 7
+
+    @pytest.fixture
+    def env(self):
+        return TaskEnvironment(dim=self.D, center=np.array([1.0, 0.0, -0.5, 0.2, 0.7]),
+                               task_spread=0.4, input_cov=self.S, label_noise_var=0.6)
+
+    def cov(self):
+        return self.S * np.eye(self.D)
+
+    def curvature(self):
+        shrink = np.eye(self.D) - self.ALPHA * self.cov()
+        return shrink @ self.cov() @ shrink
+
+    def test_meta_curvature(self, env):
+        want = self.curvature()
+        got = tasks.meta_curvature(env, self.ALPHA)
+        assert np.allclose(got * np.eye(self.D), want, rtol=1e-14, atol=0)
+
+    def test_grad_moment_forms(self, env):
+        cov = self.cov()
+        tr = np.trace(cov)
+        second, variance, noise = tasks.grad_moment_forms(env)
+        assert np.allclose(second * np.eye(self.D), 2 * cov @ cov + tr * cov, rtol=1e-14, atol=0)
+        assert np.allclose(variance * np.eye(self.D), cov @ cov + tr * cov, rtol=1e-14, atol=0)
+        assert noise == pytest.approx(env.label_noise_var * tr, rel=1e-14)
+
+    def test_population_meta_loss_and_minimum(self, env):
+        gen = np.random.default_rng(4)
+        ws = np.stack([sample_device(env, gen) for _ in range(6)])
+        theta = gen.standard_normal(self.D)
+        b = self.curvature()
+        for w in ws:
+            u = theta - w
+            want = 0.5 * u @ b @ u + 0.5 * env.label_noise_var
+            got = tasks.population_meta_loss(theta, w, env, self.ALPHA)
+            assert got == pytest.approx(want, rel=1e-14)
+        dev = ws - ws.mean(axis=0)
+        want = 0.5 * np.mean(np.einsum("id,de,ie->i", dev, b, dev)) + 0.5 * env.label_noise_var
+        assert tasks.meta_loss_minimum(ws, env, self.ALPHA) == pytest.approx(want, rel=1e-14)
+
+    def test_analytic_meta_test_loss(self, env):
+        cov, alpha, m_tr = self.cov(), self.ALPHA, self.M_TR
+        cov2 = cov @ cov
+        tr_cov2 = np.trace(cov2)
+        m_mat = cov - 2 * alpha * cov2 + alpha**2 * (
+            (m_tr + 1) / m_tr * cov2 @ cov + tr_cov2 / m_tr * cov)
+        theta = np.array([0.5, 0.5, 0.5, -0.2, 0.1])
+        u = theta - env.center
+        want = (0.5 * u @ m_mat @ u + 0.5 * env.task_spread * np.trace(m_mat)
+                + 0.5 * alpha**2 * env.label_noise_var * tr_cov2 / m_tr
+                + 0.5 * env.label_noise_var)
+        got = tasks.analytic_meta_test_loss(env, theta, alpha, m_tr)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestMomentFormulas:
     def test_grad_moments_match_monte_carlo(self):
         env = TaskEnvironment(dim=4, center=np.zeros(4),
                               task_spread=0.0, label_noise_var=0.7)
-        dev = DeviceDistribution(w=np.array([0.2, -1.0, 0.5, 0.0]), env=env)
+        w = np.array([0.2, -1.0, 0.5, 0.0])
         phi = np.array([1.0, 0.3, -0.2, 0.8])
         gen = np.random.default_rng(11)
         n = 100_000
         x = gen.standard_normal((n, 4))
-        y = x @ dev.w + np.sqrt(0.7) * gen.standard_normal(n)
+        y = x @ w + np.sqrt(0.7) * gen.standard_normal(n)
         grads = -(y - x @ phi)[:, None] * x
-        e = phi - dev.w
+        e = phi - w
         second = float(np.mean(np.sum(grads**2, axis=1)))
         var = float(np.mean(np.sum((grads - grads.mean(axis=0)) ** 2, axis=1)))
         assert second == pytest.approx(tasks.grad_second_moment(e, env), rel=0.02)
@@ -224,12 +287,6 @@ class TestMomentFormulas:
         norms_sq = np.maximum((np.sum(x**2, axis=1) - 1.3) ** 2, 1.3**2)
         assert val == pytest.approx(float(norms_sq.mean()), rel=0.05)
 
-    def test_hessian_spectral_variance_needs_isotropic_covariance(self):
-        env = TaskEnvironment(dim=2, center=np.zeros(2),
-                              task_spread=0.0, input_cov=np.diag([1.0, 2.0]))
-        with pytest.raises(NoClosedFormError):
-            tasks.hessian_spectral_variance(env)
-
     def test_meta_test_closed_form_matches_brute_force(self):
         env = TaskEnvironment(dim=3, center=np.array([1.0, 0.0, -0.5]),
                               task_spread=0.4, label_noise_var=0.6)
@@ -239,11 +296,11 @@ class TestMomentFormulas:
         n = 120_000
         vals = np.empty(n)
         for i in range(n):
-            dev = sample_device(env, gen)
+            w = sample_device(env, gen)
             x = gen.standard_normal((m_tr, 3))
-            y = x @ dev.w + np.sqrt(0.6) * gen.standard_normal(m_tr)
+            y = x @ w + np.sqrt(0.6) * gen.standard_normal(m_tr)
             phi = theta - alpha * tasks.batch_grad(theta, x, y)
-            vals[i] = tasks.population_loss(phi, dev)
+            vals[i] = tasks.population_loss(phi, w, env)
         got = tasks.analytic_meta_test_loss(env, theta, alpha, m_tr)
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - got) < 3 * se
