@@ -16,9 +16,8 @@ cfg = ExperimentConfig(
     rounds=200, n_devices=9, active_fraction=1 / 3, dim=20, local_steps=q,
     batch_size=16, samples_per_device=150, train_samples=75,
     eta=0.9 * constant_rate_limit(q, l_f), alpha=0.4, sparsify_k=1,
-    channel_uses=8, compression="partial_dft", estimator="lmmse",
-    fading="rayleigh", task_spread=0.5, label_noise_var=1.0, snr_db=19.0,
-    master_seed=11,
+    channel_uses=8, estimator="lmmse", fading="rayleigh", task_spread=0.5,
+    label_noise_var=1.0, snr_db=19.0, master_seed=11,
 )
 assert cfg.validate() == []
 

@@ -21,11 +21,11 @@ base = dict(rounds=150, n_devices=4, active_fraction=1.0, dim=20, local_steps=5,
             master_seed=7)
 
 degenerate = run_experiment(ExperimentConfig(
-    **base, sparsify_k=20, channel_uses=20, compression="partial_dft",
-    estimator="matched", fading="unit", noise_var=0.0, snr_db=None))
+    **base, sparsify_k=20, channel_uses=20, estimator="matched", fading="unit",
+    noise_var=0.0, snr_db=None))
 air = run_experiment(ExperimentConfig(
-    **base, sparsify_k=1, channel_uses=8, compression="partial_dft",
-    estimator="lmmse", fading="rayleigh", snr_db=19.0))
+    **base, sparsify_k=1, channel_uses=8, estimator="lmmse", fading="rayleigh",
+    snr_db=19.0))
 
 print(f"final gradient norm^2: noiseless {degenerate.records[-1].grad_norm_sq:.5f}, "
       f"air 19 dB {air.records[-1].grad_norm_sq:.5f}")

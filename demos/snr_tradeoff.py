@@ -16,9 +16,9 @@ OUT = pathlib.Path(__file__).resolve().parent / "out"
 base = ExperimentConfig(
     rounds=300, n_devices=9, active_fraction=1.0, dim=20, local_steps=1,
     batch_size=4, samples_per_device=16, train_samples=8, eta=0.005, alpha=0.25,
-    sparsify_k=1, channel_uses=8, compression="partial_dft", estimator="lmmse",
-    fading="rayleigh", task_spread=0.1, label_noise_var=2.0, snr_db=19.0,
-    n_test_devices=96, master_seed=2,
+    sparsify_k=1, channel_uses=8, estimator="lmmse", fading="rayleigh",
+    task_spread=0.1, label_noise_var=2.0, snr_db=19.0, n_test_devices=96,
+    master_seed=2,
 )
 spec = SweepSpec(axis="snr_db", values=(0.0, 5.0, 10.0, 15.0, 20.0), base=base, seeds=10)
 

@@ -2,19 +2,17 @@
 
 After phase pre-compensation every device contribution arrives co-phased, so
 the superposed payload is a real d-vector; the received block is
-``y = A @ sum_i |h_i| s_i + noise``.  A real compression matrix gives a real
-block with per-component noise variance sigma_n^2; a complex one (partial
-DFT) gives a complex block whose real and imaginary parts each carry
+``y = A @ sum_i |h_i| s_i + noise``, where A holds M rows of the unitary DFT.
+The block is complex; its real and imaginary parts each carry noise
 variance sigma_n^2, and estimation works on the stacked real system.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-COMPRESSION_KINDS = ("identity", "partial_dft", "row_orthogonal")
 ESTIMATOR_KINDS = ("matched", "lmmse")
 FADING_MODELS = ("rayleigh", "unit")
 
@@ -33,70 +31,56 @@ def fading_moments(model: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CompressionMatrix:
-    """Row-orthonormal M x d projection shared by all devices in a round."""
+    """The M x d partial DFT shared by all devices in a round: the unitary
+    d x d DFT matrix restricted to the distinct ``rows``."""
 
-    matrix: np.ndarray
+    dim: int
+    rows: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.matrix)
-        spec = np.linalg.norm(a, 2)
-        if spec > 1.0 + 1e-8:
-            raise ValueError(f"compression matrix spectral norm {spec} exceeds 1")
-        object.__setattr__(self, "matrix", a)
+        rows = np.asarray(self.rows)
+        if (rows.ndim != 1 or not 1 <= rows.size <= self.dim
+                or not np.issubdtype(rows.dtype, np.integer)
+                or rows.min() < 0 or rows.max() >= self.dim
+                or np.unique(rows).size != rows.size):
+            raise ValueError(f"need 1 to {self.dim} distinct integer rows in "
+                             f"[0, {self.dim}), got {self.rows!r}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "matrix", _dft_matrix(self.dim)[rows])
 
     @property
     def m_uses(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.matrix)
+        return self.rows.size
 
     def compress(self, payloads: np.ndarray) -> np.ndarray:
         """The (n, M) blocks that carry each row of the (n, d) payloads."""
         return (self.matrix @ payloads[..., None])[..., 0]
 
     def stacked_real(self) -> np.ndarray:
-        """Real operator acting on real payloads: [Re A; Im A] when complex."""
-        if self.is_complex:
-            return np.vstack([self.matrix.real, self.matrix.imag])
-        return self.matrix
+        """Real operator [Re A; Im A] acting on real payloads."""
+        return np.vstack([self.matrix.real, self.matrix.imag])
 
 
-def make_compression(kind: str, m_uses: int, dim: int,
-                     rng: np.random.Generator | None = None) -> CompressionMatrix:
-    """Build an M x d compression matrix of the requested kind.
-
-    partial_dft picks M uniformly chosen rows of the unitary DFT matrix;
-    row_orthogonal picks the first M rows of a random orthogonal matrix;
-    identity requires M == d.
-    """
-    if kind not in COMPRESSION_KINDS:
-        raise ValueError(f"unknown compression kind {kind!r}")
+def make_compression(m_uses: int, dim: int, rng: np.random.Generator) -> CompressionMatrix:
+    """M uniformly chosen rows of the unitary d x d DFT matrix, in order."""
     if not 1 <= m_uses <= dim:
         raise ValueError(f"need 1 <= M <= d, got M={m_uses}, d={dim}")
-    if kind == "identity":
-        if m_uses != dim:
-            raise ValueError("identity compression requires M == d")
-        return CompressionMatrix(np.eye(dim))
-    if rng is None:
-        raise ValueError(f"{kind} compression needs an rng")
-    if kind == "partial_dft":
-        rows = np.sort(rng.choice(dim, size=m_uses, replace=False))
-        return CompressionMatrix(_dft_matrix(dim)[rows])
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return CompressionMatrix(q[:m_uses].copy())
+    return CompressionMatrix(dim, np.sort(rng.choice(dim, size=m_uses, replace=False)))
 
 
 @functools.cache
 def _dft_matrix(dim: int) -> np.ndarray:
-    """Unitary d x d DFT matrix, built on first use and read-only."""
+    """Unitary d x d DFT matrix, built and checked on first use, read-only.
+
+    Its spectral norm is checked once here: any subset of its rows has a
+    norm no larger, so every compression keeps the transmit power budget.
+    """
     n = np.arange(dim)
     dft = np.exp(-2j * np.pi * np.outer(n, n) / dim) / np.sqrt(dim)
+    spec = np.linalg.norm(dft, 2)
+    if spec > 1.0 + 1e-8:
+        raise ValueError(f"DFT matrix spectral norm {spec} exceeds 1")
     dft.flags.writeable = False
     return dft
 
@@ -133,9 +117,9 @@ def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:
     """Superpose the transmitted blocks over the fading MAC and add noise.
 
     ``signals`` is the (n, M) stack of blocks, row i sent over coefficient
-    ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order.
-    The noise is complex when the blocks are, real otherwise; each real
-    component has variance noise_var.
+    ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order;
+    each real component of the complex noise has variance noise_var.  With
+    no device the block is the noise alone.
     """
     signals = np.asarray(signals)
     if signals.ndim != 2 or signals.shape[0] != ch.gains.shape[0]:
@@ -143,13 +127,10 @@ def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:
     m = signals.shape[1]
     if m != ch.noise_re.shape[0]:
         raise ValueError("block length does not match the realized noise")
-    is_complex = np.iscomplexobj(signals)
-    acc = np.zeros(m, dtype=complex if is_complex else float)
+    acc = np.zeros(m, dtype=complex)
     for h, s in zip(ch.gains, signals):
-        acc = acc + (h * s if is_complex else float(h.real) * s)
-    if is_complex:
-        return acc + ch.noise_re + 1j * ch.noise_im
-    return acc + ch.noise_re
+        acc = acc + h * s
+    return acc + ch.noise_re + 1j * ch.noise_im
 
 
 @dataclass(frozen=True)
@@ -165,7 +146,7 @@ def estimate(y: np.ndarray, comp: CompressionMatrix, prior_power: float,
              noise_var: float, kind: str = "lmmse") -> Estimate:
     """Reconstruct the real superposed payload from the received block.
 
-    matched: requires M == d and orthonormal rows; x_hat = Re(A^H y) and the
+    matched: requires M == d, the full DFT; x_hat = Re(A^H y) and the
     per-component error variance equals noise_var exactly.
     lmmse: linear MMSE under an isotropic prior with per-component power
     ``prior_power``, solved on the stacked real system.  A noiseless
@@ -183,11 +164,7 @@ def estimate(y: np.ndarray, comp: CompressionMatrix, prior_power: float,
         return Estimate(x_hat=np.ascontiguousarray(x_hat, dtype=float), err_var=float(noise_var))
 
     b = comp.stacked_real()
-    if comp.is_complex:
-        y_r = np.concatenate([np.asarray(y).real, np.asarray(y).imag])
-    else:
-        # a real compression carries the payload on the real axis only
-        y_r = np.ascontiguousarray(np.asarray(y).real)
+    y_r = np.concatenate([np.asarray(y).real, np.asarray(y).imag])
     p = float(prior_power)
     gram = b @ b.T
     if noise_var == 0.0 and (np.linalg.matrix_rank(gram, tol=1e-12) < b.shape[0] or p == 0.0):

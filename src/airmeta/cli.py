@@ -104,7 +104,7 @@ def cmd_sweep(args) -> int:
         if args.seed is not None:
             base = base.replace(master_seed=int(args.seed))
         spec = sweeps.SweepSpec(axis=raw["axis"], values=tuple(raw["values"]),
-                                base=base, seeds=int(raw.get("seeds", 1)))
+                                base=base, seeds=raw.get("seeds", 1))
         for value in spec.values:  # every point, before any of them runs
             sweeps.apply_axis(base, spec.axis, value).validate()
         point_dirs = [f"{spec.axis}_{value:g}" for value in spec.values]

@@ -26,7 +26,6 @@ class LocalConfig:
     alpha: float          # inner (adaptation) step size
     local_steps: int      # outer SGD steps per round
     batch_size: int       # mini-batch size for every gradient/Hessian estimate
-    first_order: bool = False  # drop the Hessian correction factor
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -74,8 +73,7 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, pools, cfg: LocalConfi
     mini-batch gradient at the adapted point theta - alpha * g_hat(B), and
     H_hat its mini-batch Hessian at theta.  Device i draws its adaptation,
     outer-gradient and Hessian batches from ``rngs[i]``, in that order, out
-    of the three ``pools`` of ``batch_pools``.  With ``first_order`` the
-    Hessian factor is replaced by the identity.  The estimate is biased for
+    of the three ``pools`` of ``batch_pools``.  The estimate is biased for
     curved losses; that is accepted, not corrected.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -94,8 +92,6 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, pools, cfg: LocalConfi
 
     phi = thetas - cfg.alpha * tasks.batch_grad(thetas, *batch(0))
     g_outer = tasks.batch_grad(phi, *batch(1))
-    if cfg.first_order:
-        return g_outer
     h_hat = tasks.batch_hessian(thetas, *batch(2))
     return g_outer - cfg.alpha * (h_hat @ g_outer[..., None])[..., 0]
 

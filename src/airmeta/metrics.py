@@ -31,8 +31,8 @@ def meta_training_loss(theta, data, alpha: float) -> float:
     return float(np.mean(tasks.batch_loss(phi, x_va, y_va)))
 
 
-def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: int,
-                   m_tr: int, gen: np.random.Generator) -> float:
+def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m_tr: int,
+                   gen: np.random.Generator) -> float:
     """Monte Carlo meta-test loss on fresh devices.
 
     Each fresh device adapts from theta on m_tr newly drawn samples.  The
@@ -41,8 +41,8 @@ def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m: in
     """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
-    if m_tr < 1 or m_tr > m:
-        raise ValueError("need 1 <= m_tr <= m")
+    if m_tr < 1:
+        raise ValueError("m_tr must be >= 1")
     theta = np.asarray(theta, dtype=float)
     vals = []
     for _ in range(n_test):
@@ -87,15 +87,14 @@ def meta_generalization_error(trial_gaps) -> GapEstimate:
 
 
 def trial_gap(traj) -> tuple[float, float]:
-    """(meta-test loss, meta-training loss) of one finished run."""
+    """(meta-test loss, meta-training loss) of one finished run.  Fresh
+    devices adapt on as many points as the run's devices trained on."""
     cfg = traj.config
     env = cfg.env()
     alpha = traj.metric_alpha
     train = meta_training_loss(traj.theta_final, traj.datasets, alpha)
-    m = cfg.test_samples or cfg.samples_per_device
-    m_tr = min(cfg.train_samples, m)
-    test = meta_test_loss(traj.theta_final, env, alpha, cfg.n_test_devices, m, m_tr,
-                          rng.substream(cfg.master_seed, rng.EVALUATION))
+    test = meta_test_loss(traj.theta_final, env, alpha, cfg.n_test_devices,
+                          cfg.train_samples, rng.substream(cfg.master_seed, rng.EVALUATION))
     return test, train
 
 

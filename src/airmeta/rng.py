@@ -16,7 +16,6 @@ LOCAL_BATCH = 3
 ACTIVE_SET = 4
 CHANNEL = 5
 COMPRESSION = 6
-SPARSIFIER = 7
 EVALUATION = 8
 TRIAL = 9
 

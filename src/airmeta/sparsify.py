@@ -1,9 +1,7 @@
 """k-sparsification with error feedback and transmit power scaling.
 
-``comp_k`` keeps k entries and zeroes the rest; both selection rules satisfy
-the contraction property ||x - comp_k(x)||^2 <= (1 - k/d) ||x||^2 (surely for
-top-k, in expectation for random-k).  The random rule is unscaled: it is a
-contraction, not an unbiased sketch.
+``comp_k`` keeps the k largest-magnitude entries and zeroes the rest, so it
+is a contraction: ||x - comp_k(x)||^2 <= (1 - k/d) ||x||^2 for every x.
 
 The per-device memory accumulates what sparsification dropped and is folded
 back in before the next selection, so the updates telescope:
@@ -14,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-COMP_MODES = ("topk", "randk")
 
 
 @dataclass(frozen=True)
@@ -33,38 +29,26 @@ class PowerPolicy:
             raise ValueError("channel_uses must be >= 1")
 
 
-def comp_k(x: np.ndarray, k: int, mode: str = "topk", rngs=None) -> np.ndarray:
-    """Keep k entries of each row of x (n, d); dense output, zeros elsewhere.
-
-    topk keeps the k largest-magnitude entries, ties broken by lowest index;
-    randk keeps k uniformly chosen indices, drawn for row i from ``rngs[i]``.
-    """
+def comp_k(x: np.ndarray, k: int) -> np.ndarray:
+    """Keep the k largest-magnitude entries of each row of x (n, d), ties
+    broken by lowest index; dense output, zeros elsewhere."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"x must be a (n, d) stack, got shape {x.shape}")
     d = x.shape[1]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    if mode not in COMP_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if k == d and mode == "topk":
+    if k == d:
         return x.copy()
-    if mode == "topk":
-        # stable sort on -|x| keeps the lowest index among ties
-        keep = np.argsort(-np.abs(x), axis=1, kind="stable")[:, :k]
-    else:
-        if rngs is None or len(rngs) != x.shape[0]:
-            raise ValueError("randk needs one rng per row")
-        keep = np.array([gen.choice(d, size=k, replace=False) for gen in rngs],
-                        dtype=np.intp).reshape(-1, k)
+    # stable sort on -|x| keeps the lowest index among ties
+    keep = np.argsort(-np.abs(x), axis=1, kind="stable")[:, :k]
     rows = np.arange(x.shape[0])[:, None]
     out = np.zeros_like(x)
     out[rows, keep] = x[rows, keep]
     return out
 
 
-def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int, mode: str = "topk",
-                rngs=None):
+def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int):
     """Fold the accumulated error into the update before sparsifying.
 
     ``memory`` and ``delta`` are (n, d) stacks, one row per device.  Returns
@@ -76,7 +60,7 @@ def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int, mode: str = "topk
     if memory.shape != delta.shape:
         raise ValueError("memory and delta must have the same shape")
     folded = memory + delta
-    g = comp_k(folded, k, mode, rngs)
+    g = comp_k(folded, k)
     return g, folded - g
 
 

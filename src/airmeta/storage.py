@@ -80,8 +80,9 @@ def read_manifest(path) -> dict:
 
 def trajectory_rows(traj: Trajectory, final_test_loss: float = float("nan")) -> list[list]:
     """One row per round in TRAJECTORY_COLUMNS order; the test loss is known
-    only at the final iterate."""
-    snr_db = traj.config.snr_db
+    only at the final iterate.  A run whose noise is set by noise_var has no
+    configured SNR, so its snr_db cells are unset."""
+    snr_db = traj.config.snr_db if traj.config.noise_var is None else None
     last = len(traj.records) - 1
     return [
         [rec.t, rec.grad_norm_sq, rec.train_loss,

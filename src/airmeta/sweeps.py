@@ -6,6 +6,7 @@ numbers), which sharpens trend comparisons without biasing any single point.
 from __future__ import annotations
 
 import concurrent.futures
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -27,6 +28,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
+        # like config values, sweep values are checked, never coerced
+        for v in self.values:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"sweep values must be numbers, got {v!r}")
+        if isinstance(self.seeds, bool) or not isinstance(self.seeds, numbers.Integral):
+            raise TypeError(f"seeds must be an integer, got {self.seeds!r}")
         vals = tuple(float(v) for v in self.values)
         if len(vals) == 0:
             raise ValueError("sweep needs at least one value")
@@ -35,6 +42,8 @@ class SweepSpec:
         diffs = np.diff(vals)
         if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
+        if self.axis == "n_devices" and not all(v.is_integer() for v in vals):
+            raise ValueError(f"n_devices sweep values must be integers, got {list(vals)}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         object.__setattr__(self, "values", vals)

@@ -29,34 +29,18 @@ def _result(name, passed, detail, t0):
 
 
 def check_contraction(seed: int = 0, n_vectors: int = 1000, dim: int = 20) -> VerifyResult:
-    """Dropping all but k entries loses at most a (1 - k/d) energy fraction:
-    surely for top-k, on the mean for random-k (99% CI)."""
+    """Top-k loses at most a (1 - k/d) fraction of every vector's energy."""
     t0 = time.perf_counter()
     gen = np.random.default_rng(seed)
-    ks = sorted({1, dim // 4, dim // 2, dim})
-    worst = -np.inf
-    randk_ok = True
+    worst = np.inf
     detail = []
-    for k in ks:
-        ratios_rand = np.empty(n_vectors)
-        worst_k = -np.inf
-        for i in range(n_vectors):
-            x = gen.standard_normal(dim) * gen.choice([0.1, 1.0, 10.0])
-            nx = float(x @ x)
-            top = sparsify.comp_k(x[None], k, "topk")[0]
-            resid = x - top
-            worst_k = max(worst_k, float(resid @ resid) / nx - (1 - k / dim))
-            rnd = sparsify.comp_k(x[None], k, "randk", [gen])[0]
-            ratios_rand[i] = float((x - rnd) @ (x - rnd)) / nx
-        worst = max(worst, worst_k)
-        mean = ratios_rand.mean()
-        half = 2.576 * ratios_rand.std(ddof=1) / np.sqrt(n_vectors)
-        if mean - half > 1 - k / dim:
-            randk_ok = False
-        detail.append(f"k={k}: topk margin {-worst_k:.2e}, randk mean {mean:.4f} "
-                      f"vs {1 - k / dim:.4f} (+-{half:.4f})")
-    passed = worst <= 1e-12 and randk_ok
-    return _result("contraction", passed, "; ".join(detail), t0)
+    for k in sorted({1, dim // 4, dim // 2, dim}):
+        x = gen.standard_normal((n_vectors, dim)) * gen.choice([0.1, 1.0, 10.0], (n_vectors, 1))
+        resid = x - sparsify.comp_k(x, k)
+        margin = (1 - k / dim) - float(np.max(np.sum(resid**2, axis=1) / np.sum(x**2, axis=1)))
+        worst = min(worst, margin)
+        detail.append(f"k={k}: margin {margin:.2e}")
+    return _result("contraction", worst >= -1e-12, "; ".join(detail), t0)
 
 
 def check_rayleigh_moments(seed: int = 0, n_draws: int = 10**6) -> VerifyResult:
@@ -90,10 +74,10 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     t0 = time.perf_counter()
     gen = np.random.default_rng(seed)
     d, n_active, eta, power = 20, 3, 0.05, 1.0
-    gs = sparsify.comp_k(gen.standard_normal((n_active, d)), 5, "topk")
+    gs = sparsify.comp_k(gen.standard_normal((n_active, d)), 5)
     policy = sparsify.PowerPolicy(power=power, channel_uses=d)
     rho = sparsify.power_scale(gs, eta, policy)
-    comp = channel.make_compression("partial_dft", d, d, gen)
+    comp = channel.make_compression(d, d, gen)
     mu, pw = channel.fading_moments("rayleigh")
     noise_var = channel.snr_noise_var(10.0, n_active, power, pw)
     target = np.mean(gs, axis=0)

@@ -24,7 +24,7 @@ def noiseless_thetas(traj) -> np.ndarray:
         active = sample_active_set(cfg.n_devices, cfg.active_fraction,
                                    rng.substream(cfg.master_seed, rng.ACTIVE_SET, t))
         local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
-                                     batch_size=cfg.batch_size, first_order=cfg.first_order)
+                                     batch_size=cfg.batch_size)
         gens = [rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i) for i in active]
         deltas, _ = meta.local_rounds(thetas[-1], traj.datasets.devices(active), pools,
                                       local_cfg, eta_t, gens)

@@ -26,7 +26,7 @@ def convergence_config(**overrides):
     base = dict(rounds=200, n_devices=9, active_fraction=1 / 3, dim=20,
                 local_steps=5, batch_size=16, samples_per_device=150,
                 train_samples=75, eta=0.01, alpha=0.4, sparsify_k=1,
-                channel_uses=8, compression="partial_dft", estimator="lmmse",
+                channel_uses=8, estimator="lmmse",
                 fading="rayleigh", task_spread=0.5, label_noise_var=1.0,
                 snr_db=19.0, master_seed=1)
     base.update(overrides)
@@ -38,7 +38,7 @@ def generalization_config(**overrides):
     base = dict(rounds=300, n_devices=9, active_fraction=1.0, dim=20,
                 local_steps=1, batch_size=4, samples_per_device=16,
                 train_samples=8, eta=0.005, alpha=0.25, sparsify_k=1,
-                channel_uses=8, compression="partial_dft", estimator="lmmse",
+                channel_uses=8, estimator="lmmse",
                 fading="rayleigh", task_spread=0.1, label_noise_var=2.0,
                 snr_db=19.0, n_test_devices=96, master_seed=2)
     base.update(overrides)
@@ -49,7 +49,7 @@ def test_01_ideal_chain_equivalence():
     base = dict(rounds=50, n_devices=4, active_fraction=1.0, dim=20,
                 local_steps=5, batch_size=16, samples_per_device=150,
                 train_samples=75, eta=0.001, alpha=0.4, sparsify_k=20,
-                channel_uses=20, compression="partial_dft", estimator="matched",
+                channel_uses=20, estimator="matched",
                 fading="unit", noise_var=0.0, snr_db=None, master_seed=7)
     air = run_experiment(ExperimentConfig(**base))
     ideal = noiseless_thetas(air)
@@ -157,7 +157,7 @@ def test_11_device_count_tradeoff():
 def test_12_adaptive_rate_removes_floor():
     base = dict(n_devices=9, active_fraction=1.0, dim=20, local_steps=1,
                 batch_size=8, samples_per_device=64, train_samples=32,
-                sparsify_k=1, channel_uses=8, compression="partial_dft",
+                sparsify_k=1, channel_uses=8,
                 estimator="lmmse", fading="rayleigh", task_spread=0.5,
                 label_noise_var=1.0, rounds=2000, snr_db=19.0)
     floors, mins = [], []

@@ -8,21 +8,12 @@ from airmeta.channel import (CompressionMatrix, estimate, global_update,
 
 
 class TestCompression:
-    def test_identity(self):
-        comp = make_compression("identity", 4, 4)
-        assert np.array_equal(comp.matrix, np.eye(4))
-        assert np.linalg.norm(comp.matrix, 2) == pytest.approx(1.0)
-
-    def test_identity_requires_square(self):
-        with pytest.raises(ValueError):
-            make_compression("identity", 3, 4)
-
     def test_m_larger_than_d_rejected(self, rng):
         with pytest.raises(ValueError):
-            make_compression("partial_dft", 5, 4, rng)
+            make_compression(5, 4, rng)
 
     def test_partial_dft_rows_orthonormal(self, rng):
-        comp = make_compression("partial_dft", 6, 16, rng)
+        comp = make_compression(6, 16, rng)
         gram = comp.matrix @ comp.matrix.conj().T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
@@ -30,21 +21,32 @@ class TestCompression:
         """Rows taken from the cached full DFT equal, bit for bit, the
         rows built for the round alone."""
         for dim, m in ((20, 8), (7, 7), (12, 1)):
-            comp = make_compression("partial_dft", m, dim, np.random.default_rng(dim))
+            comp = make_compression(m, dim, np.random.default_rng(dim))
             rows = np.sort(np.random.default_rng(dim).choice(dim, size=m, replace=False))
             direct = np.exp(-2j * np.pi * np.outer(rows, np.arange(dim)) / dim) / np.sqrt(dim)
             assert comp.matrix.tobytes() == direct.tobytes()
+            assert np.array_equal(comp.rows, rows)
 
-    @pytest.mark.parametrize("kind", ["partial_dft", "row_orthogonal"])
-    def test_spectral_norm_at_most_one(self, kind, rng):
+    def test_spectral_norm_at_most_one(self, rng):
         for _ in range(100):
             m = int(rng.integers(1, 13))
-            comp = make_compression(kind, m, 12, rng)
+            comp = make_compression(m, 12, rng)
             assert np.linalg.norm(comp.matrix, 2) <= 1 + 1e-8
 
-    def test_oversized_norm_rejected(self):
+    @pytest.mark.parametrize("rows", [[], [0, 0], [-1, 2], [1, 4], [[0, 1]], [0.0, 1.0]],
+                             ids=["empty", "repeated", "negative", "beyond_d", "nested",
+                                  "not_integer"])
+    def test_malformed_rows_rejected(self, rows):
+        """Rows must be 1 to d distinct integers in [0, d)."""
         with pytest.raises(ValueError):
-            CompressionMatrix(matrix=1.5 * np.eye(3))
+            CompressionMatrix(4, np.array(rows))
+
+    def test_oversized_norm_rejected(self, monkeypatch):
+        """The DFT matrix is checked once per dimension; a norm above one
+        stops it before any compression uses its rows."""
+        monkeypatch.setattr(np.linalg, "norm", lambda a, ord=None: 1.5)
+        with pytest.raises(ValueError, match="spectral norm"):
+            ch._dft_matrix.__wrapped__(4)
 
 
 class TestChannelSampling:
@@ -109,17 +111,18 @@ class TestTransmit:
 
 class TestEstimators:
     def test_noiseless_identity_exact(self, rng):
+        """The matched estimate of a noiseless full-DFT block is the payload."""
         s = rng.standard_normal(5)
-        comp = make_compression("identity", 5, 5)
-        est = estimate(s, comp, prior_power=1.0, noise_var=0.0, kind="matched")
-        assert np.array_equal(est.x_hat, s)
+        comp = make_compression(5, 5, rng)
+        est = estimate(comp.matrix @ s, comp, prior_power=1.0, noise_var=0.0, kind="matched")
+        assert np.allclose(est.x_hat, s, rtol=0, atol=1e-14)
         assert est.err_var == 0.0
 
     def test_matched_full_dft_error_variance(self, rng):
         """Re(A^H y) on a unitary DFT block has per-component error variance
         equal to the per-real-component noise variance."""
         d, noise_var = 8, 0.3
-        comp = make_compression("partial_dft", d, d, rng)
+        comp = make_compression(d, d, rng)
         errs = []
         for _ in range(4000):
             s = rng.standard_normal(d)
@@ -130,33 +133,37 @@ class TestEstimators:
         assert np.mean(errs) == pytest.approx(noise_var, rel=0.05)
 
     def test_matched_requires_square(self, rng):
-        comp = make_compression("partial_dft", 3, 6, rng)
+        comp = make_compression(3, 6, rng)
         with pytest.raises(ValueError):
             estimate(np.zeros(3, dtype=complex), comp, 1.0, 0.1, "matched")
 
     def test_lmmse_shrinks_to_prior_mean_in_heavy_noise(self, rng):
-        comp = make_compression("row_orthogonal", 4, 8, rng)
+        comp = make_compression(4, 8, rng)
         s = rng.standard_normal(8)
         y = comp.matrix @ s
         est = estimate(y, comp, prior_power=1.0, noise_var=1e12, kind="lmmse")
         assert np.max(np.abs(est.x_hat)) < 1e-9
 
-    def test_lmmse_noiseless_orthonormal_rows_projection(self, rng):
-        comp = make_compression("row_orthogonal", 4, 8, rng)
-        s = rng.standard_normal(8)
+    def test_lmmse_noiseless_orthonormal_rows_projection(self):
+        """Rows 1, 2, 3 of the 8-point DFT and their conjugates 7, 6, 5 have
+        no conjugate pair among them, so the stacked real system has full
+        rank 6."""
+        comp = CompressionMatrix(8, np.array([1, 2, 3]))
+        s = np.random.default_rng(4).standard_normal(8)
         est = estimate(comp.matrix @ s, comp, prior_power=1.0, noise_var=0.0, kind="lmmse")
-        # reconstruction is the projection onto the measured subspace
-        proj = comp.matrix.T @ comp.matrix @ s
+        assert not est.pinv_fallback
+        # reconstruction is the projection onto the measured subspace, whose
+        # orthonormal basis is the rows of sqrt(2) [Re A; Im A]
+        b = comp.stacked_real()
+        proj = 2.0 * b.T @ (b @ s)
         assert np.allclose(est.x_hat, proj, atol=1e-10)
-        assert est.err_var == pytest.approx(0.5)  # half the prior energy unobserved
+        assert est.err_var == pytest.approx(0.25)  # 2 of 8 dimensions unobserved
 
     def test_lmmse_noiseless_singular_system_pinv_flag(self, rng):
         """The all-real DFT row makes the stacked real system singular at
         zero noise; recovery falls back to the pseudo-inverse and says so."""
         d = 8
-        n = np.arange(d)
-        rows = np.exp(-2j * np.pi * np.outer([0, 1, 2], n) / d) / np.sqrt(d)
-        comp = CompressionMatrix(matrix=rows)
+        comp = CompressionMatrix(d, np.array([0, 1, 2]))
         s = rng.standard_normal(d)
         est = estimate(comp.matrix @ s, comp, prior_power=1.0, noise_var=0.0, kind="lmmse")
         assert est.pinv_fallback
@@ -168,7 +175,7 @@ class TestEstimators:
         """Conjugate DFT rows make the stacked real system rank-deficient; a
         noise variance too small to regularize it leaves the solve singular,
         so recovery falls back to the pseudo-inverse as at zero noise."""
-        comp = make_compression("partial_dft", 3, 3, rng)
+        comp = make_compression(3, 3, rng)
         s = np.array([1.0, -2.0, 0.5])
         est = estimate(comp.matrix @ s, comp, prior_power=1.0, noise_var=1e-18, kind="lmmse")
         assert est.pinv_fallback
@@ -178,7 +185,7 @@ class TestEstimators:
         """Sparse signals with isotropic second moment: measured error over
         trials matches the posterior variance within 10%."""
         d, m, k, p, noise_var = 16, 8, 3, 2.0, 0.5
-        comp = make_compression("partial_dft", m, d, rng)
+        comp = make_compression(m, d, rng)
         errs = []
         for _ in range(1000):
             s = np.zeros(d)
@@ -192,11 +199,12 @@ class TestEstimators:
     def test_lmmse_error_uncorrelated_with_estimate(self, rng):
         """Orthogonality of the linear MMSE residual to the estimate."""
         d, m, p, noise_var = 12, 6, 1.0, 0.4
-        comp = make_compression("row_orthogonal", m, d, rng)
+        comp = make_compression(m, d, rng)
         dots = []
         for _ in range(3000):
             s = np.sqrt(p) * rng.standard_normal(d)
-            y = comp.matrix @ s + np.sqrt(noise_var) * rng.standard_normal(m)
+            n = np.sqrt(noise_var) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            y = comp.matrix @ s + n
             est = estimate(y, comp, p, noise_var, "lmmse")
             dots.append(float((est.x_hat - s) @ est.x_hat))
         se = np.std(dots, ddof=1) / np.sqrt(len(dots))
@@ -204,11 +212,12 @@ class TestEstimators:
 
     def test_matched_error_uncorrelated_with_signal(self, rng):
         d, noise_var = 6, 0.5
-        comp = make_compression("identity", d, d)
+        comp = make_compression(d, d, rng)
         dots = []
         for _ in range(1000):
             s = rng.standard_normal(d)
-            y = s + np.sqrt(noise_var) * rng.standard_normal(d)
+            n = np.sqrt(noise_var) * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+            y = comp.matrix @ s + n
             est = estimate(y, comp, 1.0, noise_var, "matched")
             dots.append(float((est.x_hat - s) @ s))
         se = np.std(dots, ddof=1) / np.sqrt(len(dots))

@@ -78,14 +78,6 @@ class TestMetaGradEstimate:
         # full-pool batch: the estimate is the batch gradient at theta itself
         assert np.allclose(est, theta - w, atol=1e-12)
 
-    def test_first_order_drops_curvature_factor(self):
-        w = np.zeros(3)
-        theta = np.array([1.0, 0.0, 0.0])
-        ds = orthonormal_design(w)
-        cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3, first_order=True)
-        est = estimate(theta, ds, cfg, np.random.default_rng(0))
-        assert np.allclose(est, 0.5 * theta, atol=1e-12)  # no (1 - alpha) factor
-
     def test_conditional_mean_matches_exact_oracle(self, rng):
         """Mean of the estimator over batch draws from a frozen dataset equals
         the product of per-pool conditional expectations (quadratic family)."""

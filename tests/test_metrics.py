@@ -68,7 +68,7 @@ class TestMetaTestLoss:
     def test_zero_in_degenerate_environment(self):
         env = TaskEnvironment(dim=3, center=np.ones(3),
                               task_spread=0.0, label_noise_var=0.0)
-        val = meta_test_loss(np.ones(3), env, 0.2, n_test=10, m=8, m_tr=4,
+        val = meta_test_loss(np.ones(3), env, 0.2, n_test=10, m_tr=4,
                              gen=np.random.default_rng(0))
         assert val < 1e-24
 
@@ -78,7 +78,7 @@ class TestMetaTestLoss:
         theta = np.array([0.2, 0.4, -0.2, 0.0])
         alpha, m_tr, n_test = 0.3, 6, 1000
         gen = np.random.default_rng(3)
-        vals = [meta_test_loss(theta, env, alpha, 1, m_tr, m_tr, gen) for _ in range(n_test)]
+        vals = [meta_test_loss(theta, env, alpha, 1, m_tr, gen) for _ in range(n_test)]
         want = tasks.analytic_meta_test_loss(env, theta, alpha, m_tr)
         se = np.std(vals, ddof=1) / np.sqrt(n_test)
         assert abs(np.mean(vals) - want) < 3 * se
@@ -92,8 +92,8 @@ class TestMetaTestLoss:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         # and the Monte Carlo estimator agrees on direction for a large gap
         gen = np.random.default_rng(5)
-        lo = meta_test_loss(theta, env, 0.3, 4000, 64, 2, gen)
-        hi = meta_test_loss(theta, env, 0.3, 4000, 64, 64, gen)
+        lo = meta_test_loss(theta, env, 0.3, 4000, 2, gen)
+        hi = meta_test_loss(theta, env, 0.3, 4000, 64, gen)
         assert lo > hi
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import report, storage
+from airmeta.channel import make_compression
 from airmeta import rng as streams
 from airmeta.meta import LocalConfig, batch_pools, local_rounds
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
@@ -101,11 +102,41 @@ class TestRunExperiment:
         t2 = replay_experiment(cfg, t1.replay)
         assert np.array_equal(t1.thetas, t2.thetas)
 
+    @pytest.mark.parametrize("fading", ["rayleigh", "unit"])
+    def test_zero_gain_replay_round(self, tmp_path, fading):
+        """A replayed round in which every gain is zero has no transmitting
+        device, so the server receives the noise alone: the run completes,
+        that round leaves the iterate where it was, and the log round-trips
+        through its CSV form."""
+        cfg = small_air_config(rounds=8, fading=fading)
+        log = copy.deepcopy(run_experiment(cfg).replay)
+        log[3]["gains"] = np.zeros_like(log[3]["gains"])  # no device
+        log[5]["gains"][1] = 0.0  # one device of four drops
+        traj = replay_experiment(cfg, log)
+        assert traj.aborted_at is None and len(traj.records) == cfg.rounds
+        assert np.array_equal(traj.thetas[4], traj.thetas[3])
+        assert not np.array_equal(traj.thetas[6], traj.thetas[5])
+        storage.write_replay_csv(traj, tmp_path / "replay_log.csv")
+        again = replay_experiment(cfg, storage.read_replay_csv(tmp_path / "replay_log.csv"))
+        assert again.thetas.tobytes() == traj.thetas.tobytes()
+        assert repr(again.records) == repr(traj.records)  # NaN cells included
+
+    def test_zero_gain_round_matched_estimate_is_the_noise(self):
+        """With no transmitting device the matched estimator reconstructs the
+        complex noise block through the round's DFT rows, as in any round."""
+        cfg = small_air_config(rounds=5, channel_uses=10, estimator="matched")
+        log = copy.deepcopy(run_experiment(cfg).replay)
+        log[3]["gains"] = np.zeros_like(log[3]["gains"])
+        traj = replay_experiment(cfg, log)
+        comp = make_compression(10, 10, streams.substream(cfg.master_seed, streams.COMPRESSION, 3))
+        y = log[3]["noise_re"] + 1j * log[3]["noise_im"]
+        assert np.array_equal(traj.recon[3]["noise_term"], (comp.matrix.conj().T @ y).real)
+
     def test_degenerate_chain_equals_ideal(self):
         base = dict(rounds=30, n_devices=4, active_fraction=1.0, dim=10,
                     local_steps=3, batch_size=8, samples_per_device=60,
                     train_samples=30, eta=0.005, alpha=0.3, sparsify_k=10,
-                    channel_uses=10, compression="partial_dft", estimator="matched",
+                    channel_uses=10, estimator="matched",
                     fading="unit", noise_var=0.0, snr_db=None, master_seed=2)
         air = run_experiment(ExperimentConfig(**base))
         ideal = noiseless_thetas(air)
@@ -170,7 +201,7 @@ class TestRunExperiment:
                                samples_per_device=400, train_samples=200,
                                eta=eta, alpha=alpha, task_spread=0.0,
                                label_noise_var=0.0, sparsify_k=20, channel_uses=20,
-                               compression="identity", estimator="matched", fading="unit",
+                               estimator="matched", fading="unit",
                                noise_var=0.0, snr_db=None, master_seed=3)
         assert cfg.validate() == []
         traj = run_experiment(cfg)
@@ -249,13 +280,11 @@ def small_configs(draw):
         n_devices=n_devices, active_fraction=draw(st.integers(1, n_devices)) / n_devices,
         samples_per_device=m_tr + m_va, train_samples=m_tr,
         rounds=draw(st.integers(0, 20)), local_steps=draw(st.integers(1, 3)),
-        batch_size=batch, first_order=draw(st.booleans()),
+        batch_size=batch,
         lr_schedule=draw(st.sampled_from(["constant", "adaptive"])),
         eta=draw(st.one_of(st.floats(0, 1), st.floats(0, 1e300))), alpha=draw(st.floats(0, 2)),
-        sparsify_k=draw(st.integers(1, dim)), comp_mode=draw(st.sampled_from(["topk", "randk"])),
+        sparsify_k=draw(st.integers(1, dim)),
         channel_uses=dim if square else draw(st.integers(1, dim)),
-        compression=draw(st.sampled_from(["partial_dft", "identity"])) if square
-        else "partial_dft",
         estimator=draw(st.sampled_from(["lmmse", "matched"])) if square else "lmmse",
         fading=draw(st.sampled_from(["rayleigh", "unit"])),
         snr_db=snr_db, noise_var=None if snr_db is not None else draw(st.floats(0, 10)),

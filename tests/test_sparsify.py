@@ -6,40 +6,31 @@ from airmeta.sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensa
 
 class TestCompK:
     def test_topk_golden(self):
-        out = comp_k(np.array([[3.0, -1.0, 0.5, 2.0], [0.5, 2.0, -3.0, 1.0]]), 2, "topk")
+        out = comp_k(np.array([[3.0, -1.0, 0.5, 2.0], [0.5, 2.0, -3.0, 1.0]]), 2)
         assert np.array_equal(out, [[3.0, 0.0, 0.0, 2.0], [0.0, 2.0, -3.0, 0.0]])
 
     def test_keep_all_is_identity(self, rng):
         x = rng.standard_normal((3, 8))
-        assert np.array_equal(comp_k(x, 8, "topk"), x)
-        assert np.array_equal(comp_k(x, 8, "randk", [rng] * 3), x)
+        assert np.array_equal(comp_k(x, 8), x)
 
     def test_tie_break_lowest_index(self):
-        out = comp_k(np.array([[2.0, -2.0, 1.0]]), 1, "topk")
+        out = comp_k(np.array([[2.0, -2.0, 1.0]]), 1)
         assert np.array_equal(out, [[2.0, 0.0, 0.0]])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            comp_k(np.ones((1, 3)), 0, "topk")
+            comp_k(np.ones((1, 3)), 0)
         with pytest.raises(ValueError):
-            comp_k(np.ones((1, 3)), 4, "topk")
-
-    def test_randk_needs_rng(self, rng):
-        """randk needs one generator per row."""
-        with pytest.raises(ValueError):
-            comp_k(np.ones((2, 4)), 2, "randk")
-        with pytest.raises(ValueError):
-            comp_k(np.ones((2, 4)), 2, "randk", [rng])
+            comp_k(np.ones((1, 3)), 4)
 
     def test_rows_must_be_stacked(self):
         with pytest.raises(ValueError):
-            comp_k(np.ones(4), 2, "topk")
+            comp_k(np.ones(4), 2)
 
     def test_nnz_at_most_k(self, rng):
         for k in (1, 3, 5):
             x = rng.standard_normal((4, 10))
-            assert np.all(np.count_nonzero(comp_k(x, k, "topk"), axis=1) <= k)
-            assert np.all(np.count_nonzero(comp_k(x, k, "randk", [rng] * 4), axis=1) <= k)
+            assert np.all(np.count_nonzero(comp_k(x, k), axis=1) <= k)
 
     def test_contraction_property(self):
         from airmeta.verify import check_contraction
@@ -51,12 +42,12 @@ class TestCompK:
 class TestMemoryFold:
     def test_lossless_when_keeping_all(self, rng):
         delta = rng.standard_normal((2, 5))
-        g, m = memory_fold(np.zeros((2, 5)), delta, 5, "topk")
+        g, m = memory_fold(np.zeros((2, 5)), delta, 5)
         assert np.array_equal(g, delta)
         assert np.all(m == 0)
 
     def test_residual_golden(self):
-        g, m = memory_fold(np.zeros((1, 4)), np.array([[3.0, -1.0, 0.5, 2.0]]), 2, "topk")
+        g, m = memory_fold(np.zeros((1, 4)), np.array([[3.0, -1.0, 0.5, 2.0]]), 2)
         assert np.array_equal(g, [[3.0, 0.0, 0.0, 2.0]])
         assert np.array_equal(m, [[0.0, -1.0, 0.5, 0.0]])
 
@@ -66,7 +57,7 @@ class TestMemoryFold:
         total_g = np.zeros((3, 6))
         for _ in range(40):
             delta = rng.standard_normal((3, 6))
-            g, m = memory_fold(m, delta, 2, "topk")
+            g, m = memory_fold(m, delta, 2)
             total_delta += delta
             total_g += g
         assert np.allclose(total_delta, total_g + m, atol=1e-12)

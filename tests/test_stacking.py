@@ -2,9 +2,9 @@
 
 A round runs every stage on a stack of devices with a leading device axis.
 Row i of a stacked call must equal a one-row call on device i bit for bit,
-whatever the dimension, device count, batch size, step count, adaptation
-order, sparsity or selection rule, and both must equal the one-device
-arithmetic written with vectors, so that stacking never moves a trajectory.
+whatever the dimension, device count, batch size, step count or sparsity,
+and both must equal the one-device arithmetic written with vectors, so that
+stacking never moves a trajectory.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -39,9 +39,8 @@ def reference_local_rounds(theta_start, ds, cfg, eta, gen):
         idx = [gen.choice(pool, size=cfg.batch_size, replace=False)
                for pool in meta.batch_pools(ds, cfg.batch_size)]
         g_outer = grad(theta - cfg.alpha * grad(theta, idx[0]), idx[1])
-        if not cfg.first_order:
-            x_h = ds.x[idx[2]]
-            g_outer = g_outer - cfg.alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
+        x_h = ds.x[idx[2]]
+        g_outer = g_outer - cfg.alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
         theta = theta - eta * g_outer
     return theta_start - theta, iterates
 
@@ -68,8 +67,7 @@ def device_stack(dim, n, batch, m_tr, m_va, data_seed, local_cfg, eta, theta_sca
 def device_stacks(draw):
     batch = draw(st.integers(1, 4))
     local_cfg = meta.LocalConfig(alpha=draw(st.floats(0, 1.5)),
-                                 local_steps=draw(st.integers(1, 3)), batch_size=batch,
-                                 first_order=draw(st.booleans()))
+                                 local_steps=draw(st.integers(1, 3)), batch_size=batch)
     # far starts and large rates let some devices, not all, leave the finite range
     eta = draw(st.one_of(st.floats(0, 0.2), st.integers(0, 9).map(lambda e: 10.0**e)))
     return device_stack(
@@ -91,8 +89,7 @@ def update_stacks(draw):
     delta = np.round(gen.standard_normal((n, dim)), 1) * scale
     zero = gen.random(n) < 0.3
     delta[zero] = -memory[zero]
-    return (memory, delta, draw(st.integers(1, dim)), draw(st.sampled_from(sparsify.COMP_MODES)),
-            draw(st.integers(0, 2**32 - 1)))
+    return memory, delta, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestStackedRowsEqualOneRowCalls:
@@ -127,29 +124,27 @@ class TestStackedRowsEqualOneRowCalls:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(update_stacks())
     def test_memory_fold_and_top_k(self, case):
-        memory, delta, k, mode, seed = case
-        n = memory.shape[0]
-        g, m_next = sparsify.memory_fold(memory, delta, k, mode, gens(seed, n))
-        ones = [sparsify.memory_fold(memory[i:i + 1], delta[i:i + 1], k, mode, [gen])
-                for i, gen in enumerate(gens(seed, n))]
+        memory, delta, k, _ = case
+        g, m_next = sparsify.memory_fold(memory, delta, k)
+        ones = [sparsify.memory_fold(memory[i:i + 1], delta[i:i + 1], k)
+                for i in range(memory.shape[0])]
         assert same_rows(g, [one[0][0] for one in ones])
         assert same_rows(m_next, [one[1][0] for one in ones])
         assert same_rows(sparsify.energies(g),
                          [sparsify.energies(one[0])[0] for one in ones])
         assert same_rows(sparsify.energies(g), [row @ row for row in g])
-        if mode == "topk":
-            assert same_rows(g, [reference_top_k(row, k) for row in memory + delta])
+        assert same_rows(g, [reference_top_k(row, k) for row in memory + delta])
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(update_stacks(), st.integers(1, 8), st.sampled_from(channel.COMPRESSION_KINDS))
-    def test_precompensation_compression_and_mac(self, case, m_uses, kind):
-        _, g, _, _, seed = case
+    @given(update_stacks(), st.integers(1, 8))
+    def test_precompensation_compression_and_mac(self, case, m_uses):
+        _, g, _, seed = case
         n, dim = g.shape
         gen = np.random.default_rng(seed)
         gains = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         rho, eta = 0.5 + gen.random(), 0.01 + gen.random()
-        m_uses = dim if kind == "identity" else min(m_uses, dim)
-        comp = channel.make_compression(kind, m_uses, dim, gen)
+        m_uses = min(m_uses, dim)
+        comp = channel.make_compression(m_uses, dim, gen)
         x = sparsify.phase_precompensate(g, rho, eta, gains)
         assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], rho, eta, gains[i:i + 1])[0]
                              for i in range(n)])

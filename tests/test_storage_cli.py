@@ -11,7 +11,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel, sparsify, storage
+from airmeta import channel, storage
 from airmeta.cli import main
 from airmeta.protocol import SCHEDULES, ExperimentConfig, replay_experiment, run_experiment
 from airmeta.storage import (config_sha256, read_config, read_replay_csv,
@@ -43,6 +43,16 @@ class TestStorage:
         assert np.allclose(table["v"], traj.series("v_realized"))
         assert table["test_loss"][-1] == 1.5 and np.isnan(table["test_loss"][0])
 
+    def test_noise_var_run_has_no_snr_label(self, tmp_path):
+        """noise_var sets the noise and wins over snr_db, so the run's
+        trajectory carries no SNR; a run set by snr_db carries its own."""
+        for cfg, want in ((run_config(rounds=3, noise_var=5.0), "nan"),
+                          (run_config(rounds=3), "12")):
+            write_trajectory_csv(run_experiment(cfg), tmp_path / "t.csv")
+            lines = (tmp_path / "t.csv").read_text().splitlines()
+            col = lines[0].split(",").index("snr_db")
+            assert [line.split(",")[col] for line in lines[1:]] == [want] * 3
+
     def test_replay_round_trip_reproduces_run(self, tmp_path):
         cfg = run_config()
         traj = run_experiment(cfg)
@@ -67,8 +77,8 @@ class TestStorage:
 
 CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 # names each string field accepts
-KNOWN_NAMES = {"lr_schedule": SCHEDULES, "comp_mode": sparsify.COMP_MODES, "compression": channel.COMPRESSION_KINDS,
-               "estimator": channel.ESTIMATOR_KINDS, "fading": channel.FADING_MODELS}
+KNOWN_NAMES = {"lr_schedule": SCHEDULES, "estimator": channel.ESTIMATOR_KINDS,
+               "fading": channel.FADING_MODELS}
 NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
 # JSON values of the wrong type for each annotated field type
 WRONG_VALUES = {
@@ -84,7 +94,7 @@ NOT_POSITIVE = st.floats(max_value=0.0)
 # values outside a field's valid range
 OUT_OF_RANGE = {
     "local_steps": st.integers(max_value=0), "batch_size": st.integers(max_value=0),
-    "n_test_devices": st.integers(max_value=0), "test_samples": st.integers(max_value=-1),
+    "n_test_devices": st.integers(max_value=0),
     "eta": NEGATIVE, "alpha": NEGATIVE, "noise_var": NEGATIVE,
     "power_per_use": NOT_POSITIVE, "loss_clip": NOT_POSITIVE, "rho_max": NOT_POSITIVE,
     "input_cov_scale": NOT_POSITIVE,
@@ -185,6 +195,11 @@ class TestCli:
     # the removed uplink selector is an unknown field, whatever its value
     @example(run_config(rounds=1).to_dict() | {"channel_mode": "air"})
     @example(run_config(rounds=1).to_dict() | {"channel_mode": "ideal"})
+    # so are the removed compression, selection, adaptation and test-size knobs
+    @example(run_config(rounds=1).to_dict() | {"compression": "partial_dft"})
+    @example(run_config(rounds=1).to_dict() | {"comp_mode": "topk"})
+    @example(run_config(rounds=1).to_dict() | {"first_order": False})
+    @example(run_config(rounds=1).to_dict() | {"test_samples": 0})
     # zero input variance divided by L_G = 0 in validate (exit 3)
     @example(run_config(rounds=1).to_dict() | {"input_cov_scale": 0.0})
     def test_invalid_or_wrongly_typed_config_exits_2(self, data):
@@ -265,7 +280,7 @@ class TestCli:
 
     def test_estimation_term_zero_on_noiseless_unit_run(self, tmp_path):
         cfg = run_config(fading="unit", noise_var=0.0, snr_db=None, sparsify_k=8,
-                         channel_uses=8, compression="partial_dft", estimator="matched",
+                         channel_uses=8, estimator="matched",
                          active_fraction=1.0)
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg, cfg_path)
@@ -354,6 +369,18 @@ class TestCli:
         out = tmp_path / "collide"
         assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
         assert not out.exists()
+        # values and seeds are type-checked, not coerced: "10" and true are not
+        # numbers, 2.7 seeds are not a count, and 8.4 devices are not a device count
+        base = run_config(rounds=1).to_dict()
+        for bad in ({"axis": "snr_db", "values": ["10", True]},
+                    {"axis": "snr_db", "values": [True]},
+                    {"axis": "snr_db", "values": [10.0], "seeds": 2.7},
+                    {"axis": "snr_db", "values": [10.0], "seeds": True},
+                    {"axis": "n_devices", "values": [4, 8.4]}):
+            spec_path.write_text(json.dumps(bad | {"base": base}))
+            out = tmp_path / "coerced"
+            assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2, bad
+            assert not out.exists()
 
     @pytest.mark.parametrize("axis, values", [("n_devices", [9, 10]), ("m_over_d", [0.5, 1.5])])
     def test_sweep_invalid_point_exits_2_before_any_run(self, tmp_path, axis, values):
