@@ -130,16 +130,14 @@ def _sgd_moment_factor(ac: AssumptionConstants, alpha: float, batch_size: int) -
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-term decomposition of a closed-form bound; total = sum of terms."""
+    """Per-term decomposition of a closed-form bound; the total is the sum
+    of the terms in their order."""
 
     terms: dict
-    total: float
-    inputs: dict
 
-    def __post_init__(self):
-        s = float(sum(self.terms.values()))
-        if not np.isclose(s, self.total, rtol=1e-12, atol=1e-300):
-            raise ValueError("total must equal the sum of terms")
+    @property
+    def total(self) -> float:
+        return float(sum(self.terms.values()))
 
 
 def constant_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int,
@@ -172,17 +170,7 @@ def constant_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
         "sparsification": eta**2 * c_lam,
         "inner_sgd_floor": c_alpha,
     }
-    return BoundReport(
-        terms=terms,
-        total=float(sum(terms.values())),
-        inputs={
-            "c0": c0, "c_alpha": c_alpha, "c_lambda": c_lam, "c_v": c_v,
-            "c_n": c_n, "c_f": c_f, "eta": eta, "alpha": alpha, "q": q, "r": r,
-            "n": n, "d": d, "m_uses": m_uses, "p_min": p_min, "t_rounds": t_rounds,
-            "f_init": f_init, "f_star": f_star, "v_mean": v_mean,
-            "abs_mean": abs_mean, "abs_power": abs_power,
-        },
-    )
+    return BoundReport(terms)
 
 
 def adaptive_floor_c(lam: float, a: float, q: int) -> float:
@@ -200,8 +188,8 @@ def adaptive_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
                         big_c: float | None = None) -> BoundReport:
     """Upper bound on the best squared meta-gradient norm under 1/t rates.
 
-    Terms are returned before division; the total is the full right-hand
-    side C_ada / (xi * ln((T + a - 1)/a)).
+    Each term is divided by xi * ln((T + a - 1)/a), so the total is the full
+    right-hand side C_ada / (xi * ln((T + a - 1)/a)).
     """
     if a <= 1 or a_inner <= 1:
         raise ValueError("schedule offsets must exceed 1")
@@ -224,17 +212,7 @@ def adaptive_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
         * (dc.sigma_f_sq + dc.gamma_f_sq),
     }
     denom = xi * math.log((t_rounds + a - 1.0) / a)
-    scaled = {k: v / denom for k, v in terms.items()}
-    return BoundReport(
-        terms=scaled,
-        total=float(sum(scaled.values())),
-        inputs={
-            "c_ada": float(sum(terms.values())), "big_c": big_c, "xi": xi, "a": a,
-            "xi_inner": xi_inner, "a_inner": a_inner, "q": q, "r": r, "n": n,
-            "d": d, "m_uses": m_uses, "p_min": p_min, "t_rounds": t_rounds,
-            "f_init": f_init, "f_star": f_star, "v_max": v_max,
-        },
-    )
+    return BoundReport({k: v / denom for k, v in terms.items()})
 
 
 def sparsified_update_energy(ac: AssumptionConstants, dc: DerivedConstants, *,

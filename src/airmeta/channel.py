@@ -87,19 +87,22 @@ def _dft_matrix(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelRound:
-    """Realized fading coefficients and noise for one communication round."""
+    """Realized draws of one round, the replay-log entry.  A device whose
+    coefficient is zero stays in it but does not transmit."""
 
+    active: np.ndarray      # device ids, one per coefficient
     gains: np.ndarray       # complex coefficient per active device
-    noise_var: float        # per real component
-    noise_re: np.ndarray    # (M,)
-    noise_im: np.ndarray    # (M,)
+    noise: np.ndarray       # (M,) complex noise block
 
 
-def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
+def sample_channel(active: np.ndarray, fading: str, noise_var: float, m_uses: int,
                    rng: np.random.Generator) -> ChannelRound:
-    """Draw i.i.d. fading coefficients and the additive noise block."""
+    """Draw i.i.d. fading coefficients for the ``active`` devices, then the
+    additive noise block: all real parts, then all imaginary parts, each
+    with variance noise_var."""
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
+    n_active = len(active)
     if fading == "rayleigh":
         gains = (rng.standard_normal(n_active) + 1j * rng.standard_normal(n_active)) / np.sqrt(2)
     elif fading == "unit":
@@ -107,30 +110,29 @@ def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
     else:
         raise ValueError(f"unknown fading model {fading!r}")
     scale = np.sqrt(noise_var)
-    noise_re = scale * rng.standard_normal(m_uses)
-    noise_im = scale * rng.standard_normal(m_uses)
-    return ChannelRound(gains=gains, noise_var=float(noise_var),
-                        noise_re=noise_re, noise_im=noise_im)
+    noise = np.empty(m_uses, dtype=complex)
+    noise.real = scale * rng.standard_normal(m_uses)
+    noise.imag = scale * rng.standard_normal(m_uses)
+    return ChannelRound(active=active, gains=gains, noise=noise)
 
 
 def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:
     """Superpose the transmitted blocks over the fading MAC and add noise.
 
     ``signals`` is the (n, M) stack of blocks, row i sent over coefficient
-    ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order;
-    each real component of the complex noise has variance noise_var.  With
-    no device the block is the noise alone.
+    ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order.
+    With no device the block is the noise alone.
     """
     signals = np.asarray(signals)
     if signals.ndim != 2 or signals.shape[0] != ch.gains.shape[0]:
         raise ValueError("one signal per realized channel coefficient required")
     m = signals.shape[1]
-    if m != ch.noise_re.shape[0]:
+    if m != ch.noise.shape[0]:
         raise ValueError("block length does not match the realized noise")
     acc = np.zeros(m, dtype=complex)
     for h, s in zip(ch.gains, signals):
         acc = acc + h * s
-    return acc + ch.noise_re + 1j * ch.noise_im
+    return acc + ch.noise
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,8 @@ def cmd_bounds(args) -> int:
     if "constants" not in summary:
         raise UsageError("run summary carries no measured constants (see its warnings); "
                          "bounds need a completed run")
+    if summary["rounds_completed"] < 1:
+        raise UsageError("bounds need a run with at least one round")
     table = storage.read_trajectory_csv(traj_path)
     entries = report.bound_entries(cfg, table, *report.summary_constants(cfg, summary),
                                    summary["f_init"], summary["f_star"])

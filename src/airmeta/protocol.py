@@ -235,7 +235,6 @@ class RoundRecord:
     t: int
     eta_t: float
     alpha_t: float
-    active: tuple
     rho: float
     v_model: float
     v_realized: float
@@ -258,7 +257,7 @@ class Trajectory:
     device_ws: np.ndarray              # (n, dim) task vectors
     datasets: tasks.Dataset            # (n, m, d) stack of the device datasets
     memories: np.ndarray               # final error-feedback memories (n, dim)
-    replay: list                       # per-round realized channel draws
+    replay: list                       # the ChannelRound of each round
     recon: list                        # per-round vectors for identity checks
     probe: dict                        # running maxima for constant estimation
     f_init: float
@@ -330,9 +329,10 @@ _ABORTED_FIELDS = dict(
 def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) -> Trajectory:
     """Run the configured number of rounds and record the trajectory.
 
-    ``channel_replay`` substitutes recorded channel draws for fresh sampling
-    (deterministic replay); everything else still derives from the master
-    seed.  A non-finite iterate aborts the run and stamps the failing round.
+    ``channel_replay``, a list of recorded ChannelRounds, substitutes those
+    draws for fresh sampling (deterministic replay); everything else still
+    derives from the master seed.  A non-finite iterate aborts the run and
+    stamps the failing round.
     """
     warnings = cfg.validate()
     state = _State(cfg)
@@ -346,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
 
     thetas = [state.theta.copy()]
     records: list[RoundRecord] = []
-    replay_out: list[dict] = []
+    replay_out: list[ch.ChannelRound] = []
     recon: list[dict] = []
     aborted_at = None
 
@@ -355,21 +355,22 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
         active = sample_active_set(
             cfg.n_devices, cfg.active_fraction, rng.substream(cfg.master_seed, rng.ACTIVE_SET, t)
         )
-        round_ch = _round_channel(cfg, t, active, noise_var, channel_replay)
-        replay_out.append({
-            "active": active.copy(),
-            "gains": round_ch.gains.copy(),
-            "noise_re": round_ch.noise_re.copy(),
-            "noise_im": round_ch.noise_im.copy(),
-        })
+        if channel_replay is None:
+            drawn = ch.sample_channel(active, cfg.fading, noise_var, cfg.channel_uses,
+                                      rng.substream(cfg.master_seed, rng.CHANNEL, t))
+        else:
+            drawn = channel_replay[t]
+            if not np.array_equal(drawn.active, active):
+                raise ValueError(f"replay log active set mismatch at round {t}")
+        replay_out.append(drawn)
         # a zero channel coefficient drops the device for the round
-        alive = np.abs(round_ch.gains) > 0.0
-        act_eff = active[alive]
-        round_ch = dataclasses.replace(round_ch, gains=round_ch.gains[alive])
+        alive = np.abs(drawn.gains) > 0.0
+        round_ch = dataclasses.replace(drawn, active=drawn.active[alive],
+                                       gains=drawn.gains[alive])
 
-        deltas = _local_updates(cfg, state, t, act_eff, eta_t, alpha_t)
+        deltas = _local_updates(cfg, state, t, round_ch.active, eta_t, alpha_t)
         out = None if deltas is None else \
-            _air_uplink(cfg, state, t, act_eff, deltas, round_ch, eta_t)
+            _air_uplink(cfg, state, t, deltas, round_ch, noise_var, eta_t)
         with np.errstate(over="ignore", invalid="ignore"):
             if out is None:
                 theta_next, fields = None, _ABORTED_FIELDS
@@ -387,7 +388,7 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
                     "mem_sum": state.memories.sum(axis=0),
                 })
             records.append(RoundRecord(
-                t=t, eta_t=eta_t, alpha_t=alpha_t, active=tuple(int(i) for i in active),
+                t=t, eta_t=eta_t, alpha_t=alpha_t,
                 grad_norm_sq=_grad_norm_sq(state, curvature), **fields,
             ))
         if theta_next is None or not np.all(np.isfinite(theta_next)):
@@ -414,25 +415,6 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     )
 
 
-def _round_channel(cfg: ExperimentConfig, t: int, active: np.ndarray, noise_var: float,
-                   channel_replay: list | None) -> ch.ChannelRound:
-    """Channel of round t: sampled fresh, or read back from a replay log."""
-    if channel_replay is None:
-        return ch.sample_channel(
-            active.size, cfg.fading, noise_var, cfg.channel_uses,
-            rng.substream(cfg.master_seed, rng.CHANNEL, t),
-        )
-    entry = channel_replay[t]
-    if not np.array_equal(np.asarray(entry["active"]), active):
-        raise ValueError(f"replay log active set mismatch at round {t}")
-    return ch.ChannelRound(
-        gains=np.asarray(entry["gains"], dtype=complex),
-        noise_var=noise_var,
-        noise_re=np.asarray(entry["noise_re"], dtype=float),
-        noise_im=np.asarray(entry["noise_im"], dtype=float),
-    )
-
-
 def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
                    eta_t: float, alpha_t: float) -> np.ndarray | None:
     """(n_active, d) model differences of the transmitting devices, in
@@ -450,11 +432,11 @@ def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.nda
     return deltas
 
 
-def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
-                deltas: np.ndarray, round_ch: ch.ChannelRound, eta_t: float):
+def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, deltas: np.ndarray,
+                round_ch: ch.ChannelRound, noise_var: float, eta_t: float):
     """Error-feedback sparsification, power scaling, phase pre-compensation and
     compression, MAC superposition, estimation and the server update, each
-    on the (n_active, d) stack of the transmitting devices.
+    on the (n_active, d) stack of the devices that transmit over ``round_ch``.
 
     Returns ``(theta_next, record fields, noise term, fading deviation)``,
     where the last two are the realized vectors the memory identity needs,
@@ -466,7 +448,8 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
         power=cfg.power_per_use, channel_uses=cfg.channel_uses, rho_max=cfg.rho_max,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        updates, mem_next = sparsify.memory_fold(state.memories[act_eff], deltas, cfg.sparsify_k)
+        updates, mem_next = sparsify.memory_fold(state.memories[round_ch.active], deltas,
+                                                 cfg.sparsify_k)
         rho = sparsify.power_scale(updates, eta_t, policy)
     if not (np.isfinite(rho) and rho > 0):
         return None
@@ -484,7 +467,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     eta_sq = sparsify.rate_sq(eta_t)
     prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim) \
         if total_g_sq > 0.0 else 0.0
-    est = ch.estimate(y, comp, prior_power, round_ch.noise_var, cfg.estimator)
+    est = ch.estimate(y, comp, prior_power, noise_var, cfg.estimator)
 
     abs_h = np.abs(gains)[:, None]
     signal_true = (np.sqrt(rho) / eta_t) * np.sum(abs_h * updates, axis=0) \
@@ -493,7 +476,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarra
     fading_dev = np.sum((abs_h / mu_abs - 1.0) * updates, axis=0)
     theta_next = ch.global_update(state.theta, est, eta_t, rho, mu_abs, cfg.n_active)
 
-    state.memories[act_eff] = mem_next
+    state.memories[round_ch.active] = mem_next
 
     fields = dict(
         rho=float(rho), v_model=float(est.err_var),

@@ -10,12 +10,14 @@ import csv
 import hashlib
 import json
 import platform
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from .bounds import BoundReport
+from .channel import ChannelRound
 from .protocol import ExperimentConfig, Trajectory
 
 SCHEMA_VERSION = 1
@@ -134,41 +136,31 @@ def write_replay_csv(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "device_id", "re_h", "im_h"] + noise_cols)
-        for t, entry in enumerate(traj.replay):
-            for dev, h in zip(entry["active"], entry["gains"]):
+        for t, drawn in enumerate(traj.replay):
+            for dev, h in zip(drawn.active, drawn.gains):
                 writer.writerow([t, int(dev), _fmt(h.real), _fmt(h.imag)] + [""] * 2 * m)
-            noise = [_fmt(v) for v in entry["noise_re"]] + [_fmt(v) for v in entry["noise_im"]]
+            noise = [_fmt(v) for v in drawn.noise.real] + [_fmt(v) for v in drawn.noise.imag]
             writer.writerow([t, -1, "", ""] + noise)
 
 
-def read_replay_csv(path) -> list:
-    """Inverse of write_replay_csv; returns entries usable for replay."""
-    rounds: dict[int, dict] = {}
+def read_replay_csv(path) -> list[ChannelRound]:
+    """Inverse of write_replay_csv: the ChannelRound of each round."""
+    active, gains, noise = defaultdict(list), defaultdict(list), {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         m = sum(1 for name in header if name.startswith("noise_re_"))
         for row in reader:
-            t = int(row[0])
-            entry = rounds.setdefault(t, {"active": [], "gains": []})
-            dev = int(row[1])
+            t, dev = int(row[0]), int(row[1])
             if dev >= 0:
-                entry["active"].append(dev)
-                entry["gains"].append(complex(float(row[2]), float(row[3])))
+                active[t].append(dev)
+                gains[t].append(complex(float(row[2]), float(row[3])))
             else:
                 vals = [float(v) for v in row[4:4 + 2 * m]]
-                entry["noise_re"] = np.array(vals[:m])
-                entry["noise_im"] = np.array(vals[m:])
-    out = []
-    for t in sorted(rounds):
-        entry = rounds[t]
-        out.append({
-            "active": np.array(entry["active"], dtype=int),
-            "gains": np.array(entry["gains"], dtype=complex),
-            "noise_re": entry["noise_re"],
-            "noise_im": entry["noise_im"],
-        })
-    return out
+                noise[t] = np.array([complex(re, im) for re, im in zip(vals[:m], vals[m:])])
+    return [ChannelRound(active=np.array(active[t], dtype=int),
+                         gains=np.array(gains[t], dtype=complex), noise=noise[t])
+            for t in sorted(noise)]
 
 
 def write_datasets_csv(data, path) -> None:

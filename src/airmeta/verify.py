@@ -84,7 +84,7 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     samples = np.empty((n_draws, d))
     theta = np.zeros(d)
     for it in range(n_draws):
-        ch_round = channel.sample_channel(n_active, "rayleigh", noise_var, d, gen)
+        ch_round = channel.sample_channel(np.arange(n_active), "rayleigh", noise_var, d, gen)
         signals = comp.compress(sparsify.phase_precompensate(gs, rho, eta, ch_round.gains))
         y = channel.transmit_mac(signals, ch_round)
         est = channel.estimate(y, comp, 0.0, noise_var, "matched")

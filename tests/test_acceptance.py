@@ -6,7 +6,7 @@ across sweep points; tolerances are stated inline.
 import numpy as np
 import pytest
 
-from airmeta import bounds, metrics, report, rng, sweeps, verify
+from airmeta import bounds, metrics, report, rng, verify
 from airmeta.bounds import constant_rate_bound, derived_constants, memory_gain
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit,
                               memory_identity_residuals, run_experiment)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from airmeta import bounds
 from airmeta.bounds import (AssumptionConstants, adaptive_floor_c, adaptive_rate_bound,
                             constant_rate_bound, derived_constants, estimate_constants,
                             generalization_bound, memory_gain, midpoint_c,

@@ -51,7 +51,7 @@ class TestCompression:
 
 class TestChannelSampling:
     def test_unit_fading(self, rng):
-        round_ch = sample_channel(5, "unit", 0.0, 4, rng)
+        round_ch = sample_channel(np.arange(5), "unit", 0.0, 4, rng)
         assert np.array_equal(round_ch.gains, np.ones(5, dtype=complex))
         assert ch.fading_moments("unit") == (1.0, 1.0)
 
@@ -62,8 +62,8 @@ class TestChannelSampling:
         assert res.passed, res.detail
 
     def test_zero_noise_variance(self, rng):
-        round_ch = sample_channel(2, "rayleigh", 0.0, 6, rng)
-        assert np.all(round_ch.noise_re == 0) and np.all(round_ch.noise_im == 0)
+        round_ch = sample_channel(np.arange(2), "rayleigh", 0.0, 6, rng)
+        assert np.all(round_ch.noise == 0)
 
     def test_measured_snr_matches_configuration(self):
         """Moment-level check: realized |h|^2 sums and the solved noise
@@ -71,7 +71,8 @@ class TestChannelSampling:
         gen = np.random.default_rng(8)
         n_active, power, snr_db = 3, 1.0, 13.0
         noise_var = snr_noise_var(snr_db, n_active, power, 1.0)
-        sums = [np.sum(np.abs(sample_channel(n_active, "rayleigh", noise_var, 4, gen).gains) ** 2)
+        active = np.arange(n_active)
+        sums = [np.sum(np.abs(sample_channel(active, "rayleigh", noise_var, 4, gen).gains) ** 2)
                 for _ in range(10_000)]
         measured = 10 * np.log10(power * np.mean(sums) / noise_var)
         assert abs(measured - snr_db) < 0.2
@@ -80,29 +81,29 @@ class TestChannelSampling:
 class TestTransmit:
     def test_single_unit_device(self, rng):
         x = rng.standard_normal(4)
-        round_ch = ch.ChannelRound(gains=np.ones(1, dtype=complex), noise_var=0.0,
-                                   noise_re=np.zeros(4), noise_im=np.zeros(4))
+        round_ch = ch.ChannelRound(active=np.arange(1), gains=np.ones(1, dtype=complex),
+                                   noise=np.zeros(4, dtype=complex))
         assert np.array_equal(transmit_mac(x[None], round_ch), x)
 
     def test_opposite_signals_cancel(self, rng):
         x = rng.standard_normal(4)
-        round_ch = ch.ChannelRound(gains=np.ones(2, dtype=complex), noise_var=0.0,
-                                   noise_re=np.zeros(4), noise_im=np.zeros(4))
+        round_ch = ch.ChannelRound(active=np.arange(2), gains=np.ones(2, dtype=complex),
+                                   noise=np.zeros(4, dtype=complex))
         assert np.allclose(transmit_mac(np.stack([x, -x]), round_ch), 0.0, atol=1e-15)
 
     def test_matches_hand_superposition(self, rng):
         xs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         gains = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         noise_re, noise_im = rng.standard_normal(3), rng.standard_normal(3)
-        round_ch = ch.ChannelRound(gains=gains, noise_var=1.0, noise_re=noise_re,
-                                   noise_im=noise_im)
+        round_ch = ch.ChannelRound(active=np.arange(3), gains=gains,
+                                   noise=noise_re + 1j * noise_im)
         got = transmit_mac(xs, round_ch)
         want = sum(h * x for h, x in zip(gains, xs)) + noise_re + 1j * noise_im
         assert np.allclose(got, want, atol=1e-14)
 
     def test_length_mismatch(self, rng):
-        round_ch = ch.ChannelRound(gains=np.ones(2, dtype=complex), noise_var=0.0,
-                                   noise_re=np.zeros(3), noise_im=np.zeros(3))
+        round_ch = ch.ChannelRound(active=np.arange(2), gains=np.ones(2, dtype=complex),
+                                   noise=np.zeros(3, dtype=complex))
         with pytest.raises(ValueError):
             transmit_mac(np.zeros((2, 4)), round_ch)  # block longer than the noise
         with pytest.raises(ValueError):

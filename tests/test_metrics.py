@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from airmeta import metrics, tasks
-from airmeta.metrics import (GapEstimate, measured_snr_db, meta_generalization_error,
-                             meta_test_loss, meta_training_loss,
-                             stationary_convergence_error, trial_gap)
+from airmeta import tasks
+from airmeta.metrics import (measured_snr_db, meta_generalization_error, meta_test_loss,
+                             meta_training_loss, stationary_convergence_error, trial_gap)
 from airmeta.protocol import ExperimentConfig, run_experiment
 from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_device, stack_datasets
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -107,17 +108,23 @@ class TestRunExperiment:
         """A replayed round in which every gain is zero has no transmitting
         device, so the server receives the noise alone: the run completes,
         that round leaves the iterate where it was, and the log round-trips
-        through its CSV form."""
+        through its CSV form.  A device whose gain is zero stays in the log."""
         cfg = small_air_config(rounds=8, fading=fading)
-        log = copy.deepcopy(run_experiment(cfg).replay)
-        log[3]["gains"] = np.zeros_like(log[3]["gains"])  # no device
-        log[5]["gains"][1] = 0.0  # one device of four drops
+        log = run_experiment(cfg).replay
+        log[3] = dataclasses.replace(log[3], gains=np.zeros_like(log[3].gains))  # no device
+        dropped = log[5].gains.copy()
+        dropped[1] = 0.0  # one device of four drops
+        log[5] = dataclasses.replace(log[5], gains=dropped)
         traj = replay_experiment(cfg, log)
         assert traj.aborted_at is None and len(traj.records) == cfg.rounds
         assert np.array_equal(traj.thetas[4], traj.thetas[3])
         assert not np.array_equal(traj.thetas[6], traj.thetas[5])
         storage.write_replay_csv(traj, tmp_path / "replay_log.csv")
-        again = replay_experiment(cfg, storage.read_replay_csv(tmp_path / "replay_log.csv"))
+        read = storage.read_replay_csv(tmp_path / "replay_log.csv")
+        for drawn in (traj.replay[5], read[5]):
+            assert drawn.active.tolist() == [0, 1, 2, 3]
+            assert np.count_nonzero(drawn.gains) == 3
+        again = replay_experiment(cfg, read)
         assert again.thetas.tobytes() == traj.thetas.tobytes()
         assert repr(again.records) == repr(traj.records)  # NaN cells included
 
@@ -125,11 +132,11 @@ class TestRunExperiment:
         """With no transmitting device the matched estimator reconstructs the
         complex noise block through the round's DFT rows, as in any round."""
         cfg = small_air_config(rounds=5, channel_uses=10, estimator="matched")
-        log = copy.deepcopy(run_experiment(cfg).replay)
-        log[3]["gains"] = np.zeros_like(log[3]["gains"])
+        log = run_experiment(cfg).replay
+        log[3] = dataclasses.replace(log[3], gains=np.zeros_like(log[3].gains))
         traj = replay_experiment(cfg, log)
         comp = make_compression(10, 10, streams.substream(cfg.master_seed, streams.COMPRESSION, 3))
-        y = log[3]["noise_re"] + 1j * log[3]["noise_im"]
+        y = log[3].noise
         assert np.array_equal(traj.recon[3]["noise_term"], (comp.matrix.conj().T @ y).real)
 
     def test_degenerate_chain_equals_ideal(self):
@@ -168,7 +175,7 @@ class TestRunExperiment:
         traj = run_experiment(cfg)
         # devices never selected must keep their zero initial memory
         never_active = set(range(cfg.n_devices)) - {
-            int(i) for entry in traj.replay for i in entry["active"]}
+            int(i) for drawn in traj.replay for i in drawn.active}
         assert never_active, "fixture needs at least one never-active device"
         for i in never_active:
             assert np.all(traj.memories[i] == 0)
@@ -331,6 +338,12 @@ class TestRoundPipelineProperties:
             # an aborted run's log ends at the failing round
             storage.write_replay_csv(traj, replay_path)
             replay = storage.read_replay_csv(replay_path)
+            # each draw read back has the bytes of the draw held in memory
+            assert len(replay) == len(traj.replay)
+            for back, drawn in zip(replay, traj.replay):
+                for name in ("active", "gains", "noise"):
+                    a, b = getattr(back, name), getattr(drawn, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
             again = replay_experiment(cfg.replace(rounds=len(replay)), replay)
             assert again.thetas.tobytes() == traj.thetas.tobytes()
             assert again.aborted_at == traj.aborted_at

@@ -154,11 +154,11 @@ class TestStackedRowsEqualOneRowCalls:
         signals = comp.compress(x)
         assert same_rows(signals, [comp.compress(x[i:i + 1])[0] for i in range(n)])
         assert same_rows(signals, [comp.matrix @ row for row in x])
-        round_ch = channel.ChannelRound(gains=gains, noise_var=1.0,
-                                        noise_re=gen.standard_normal(m_uses),
-                                        noise_im=gen.standard_normal(m_uses))
+        noise_re, noise_im = gen.standard_normal(m_uses), gen.standard_normal(m_uses)
+        round_ch = channel.ChannelRound(active=np.arange(n), gains=gains,
+                                        noise=noise_re + 1j * noise_im)
         acc = np.zeros(m_uses, dtype=complex)
         for h, s in zip(gains, signals):  # superposition in device order
             acc = acc + h * s
-        want = acc + round_ch.noise_re + 1j * round_ch.noise_im
+        want = acc + noise_re + 1j * noise_im
         assert channel.transmit_mac(signals, round_ch).tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel, storage
+from airmeta import channel
 from airmeta.cli import main
 from airmeta.protocol import SCHEDULES, ExperimentConfig, replay_experiment, run_experiment
 from airmeta.storage import (config_sha256, read_config, read_replay_csv,
@@ -277,6 +277,23 @@ class TestCli:
         other = tmp_path / "other.json"
         write_config(run_config(eta=0.02), other)
         assert main(["bounds", "--config", str(other), "--trajectory", str(out)]) == 2
+
+    def test_bounds_on_zero_round_run_exits_2(self, tmp_path, capsys):
+        """A run with no round carries constants but no bound; bounds says
+        so and evaluates nothing."""
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(rounds=0), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "constants" in summary and not any(k.startswith("bound_") for k in summary)
+        capsys.readouterr()
+        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out),
+                     "--out-dir", str(tmp_path / "b")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "at least one round" in captured.err and captured.out == ""
+        assert not (tmp_path / "b").exists()
 
     def test_estimation_term_zero_on_noiseless_unit_run(self, tmp_path):
         cfg = run_config(fading="unit", noise_var=0.0, snr_db=None, sparsify_k=8,

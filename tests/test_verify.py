@@ -1,7 +1,5 @@
 import copy
 
-import numpy as np
-
 from airmeta import verify
 from airmeta.protocol import run_experiment
 
