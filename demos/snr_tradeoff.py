@@ -1,15 +1,17 @@
 """Convergence-generalization trade-off against the received SNR.
 
 Runs the small-data generalization setup over an SNR grid (same seeds per
-point) and prints, per point, the stationary convergence error, the measured
-generalization gap, and the information-theoretic bound.  More noise slows
-convergence but shrinks the gap; the bound moves the same way.
+point; each (point, seed) run is a task of one process pool with a worker
+per core) and prints, per point, the stationary convergence error, the
+measured generalization gap, and the information-theoretic bound.  More
+noise slows convergence but shrinks the gap; the bound moves the same way.
 """
 import csv
+import os
 import pathlib
 
 from airmeta.protocol import ExperimentConfig
-from airmeta.sweeps import SweepSpec, aggregate_rows, run_point, AGGREGATE_COLUMNS
+from airmeta.sweeps import SweepSpec, aggregate_rows, run_sweep, AGGREGATE_COLUMNS
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
 
@@ -24,10 +26,9 @@ spec = SweepSpec(axis="snr_db", values=(0.0, 5.0, 10.0, 15.0, 20.0), base=base, 
 
 print(f"{'snr_db':>7} {'conv_error':>11} {'|gap|':>8} {'gen_bound':>10}")
 results = []
-for value in spec.values:
-    pr = run_point(spec, value)
+for pr in run_sweep(spec, threads=len(os.sched_getaffinity(0))):
     results.append(pr)
-    print(f"{value:7.1f} {pr.conv_error_mean:11.4f} {pr.gap_abs:8.4f} "
+    print(f"{pr.value:7.1f} {pr.conv_error_mean:11.4f} {pr.gap_abs:8.4f} "
           f"{pr.gen_bound_mean:10.2f}")
 
 OUT.mkdir(exist_ok=True)

@@ -25,7 +25,7 @@ from .protocol import (ExperimentConfig, RoundRecord, Trajectory,
                        run_experiment, sample_active_set)
 from .sparsify import (PowerPolicy, comp_k, energies, memory_fold, phase_precompensate,
                        power_scale)
-from .sweeps import SweepSpec, apply_axis, run_point, run_sweep
+from .sweeps import SweepSpec, apply_axis, run_sweep, run_trials, trial_configs
 from .tasks import (Dataset, TaskEnvironment, population_meta_grad, population_meta_loss,
                     sample_dataset, sample_device, stack_datasets)
 

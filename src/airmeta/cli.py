@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, report, rng, storage, sweeps, verify
+from . import metrics, report, storage, sweeps, verify
 from .protocol import ExperimentConfig, run_experiment
 
 EXIT_OK = 0
@@ -26,7 +26,8 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str, seed_override=None) -> ExperimentConfig:
+def _load_config(path: str, seed_override=None) -> tuple[ExperimentConfig, list[str]]:
+    """The config at ``path`` and its ``validate()`` warnings."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {p}")
@@ -37,26 +38,26 @@ def _load_config(path: str, seed_override=None) -> ExperimentConfig:
     if seed_override is not None:
         cfg = cfg.replace(master_seed=int(seed_override))
     try:
-        cfg.validate()
+        return cfg, cfg.validate()
     except ValueError as exc:
         raise UsageError(f"invalid config {p}: {exc}") from exc
-    return cfg
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    cfg, cfg_warnings = _load_config(args.config, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     storage.write_config(cfg, out_dir / "config.json")
     t0 = time.perf_counter()
-    trial_seeds = [rng.trial_seed(cfg.master_seed, k) for k in range(cfg.trials)]
+    trials = sweeps.trial_configs(cfg, cfg.trials)
+    trial_seeds = [tcfg.master_seed for tcfg in trials]
+    for w in cfg_warnings:  # every trial shares them, so they print once
+        print(f"warning: {w}", file=sys.stderr)
 
     gaps = []
     outputs = {}
     summaries = []
-    for k, seed in enumerate(trial_seeds):
-        tcfg = cfg.replace(master_seed=seed)
-        traj = run_experiment(tcfg)
+    for k, traj in enumerate(sweeps.run_trials(run_experiment, trials)):
         tdir = out_dir if cfg.trials == 1 else out_dir / f"trial_{k:03d}"
         tdir.mkdir(parents=True, exist_ok=True)
         summary = report.summarize(traj)
@@ -78,7 +79,7 @@ def cmd_run(args) -> int:
             return EXIT_RUNTIME
         if "generalization_gap" in summary:
             gaps.append((summary["final_test_loss"], summary["final_train_loss"]))
-        for w in summary["warnings"]:
+        for w in summary["warnings"][len(cfg_warnings):]:  # what this trial adds
             print(f"warning: {w}", file=sys.stderr)
 
     top = {"trials": summaries[0] if cfg.trials == 1 else summaries}
@@ -148,7 +149,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_config(args.config, None)
+    cfg, _ = _load_config(args.config, None)
     run_dir = Path(args.trajectory)
     if run_dir.is_file():
         run_dir = run_dir.parent

@@ -144,8 +144,10 @@ def write_replay_csv(traj: Trajectory, path) -> None:
 
 
 def read_replay_csv(path) -> list[ChannelRound]:
-    """Inverse of write_replay_csv: the ChannelRound of each round."""
-    active, gains, noise = defaultdict(list), defaultdict(list), {}
+    """Inverse of write_replay_csv: the ChannelRound of each round.  The log
+    must number its rounds 0..T-1 and give each exactly one noise row of M
+    values; a ValueError names the first round that does not."""
+    active, gains, noise = defaultdict(list), defaultdict(list), defaultdict(list)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -156,11 +158,21 @@ def read_replay_csv(path) -> list[ChannelRound]:
                 active[t].append(dev)
                 gains[t].append(complex(float(row[2]), float(row[3])))
             else:
-                vals = [float(v) for v in row[4:4 + 2 * m]]
-                noise[t] = np.array([complex(re, im) for re, im in zip(vals[:m], vals[m:])])
-    return [ChannelRound(active=np.array(active[t], dtype=int),
-                         gains=np.array(gains[t], dtype=complex), noise=noise[t])
-            for t in sorted(noise)]
+                noise[t].append(row[4:])
+    rounds = active.keys() | noise.keys()
+    n_rounds = max(rounds, default=-1) + 1
+    for t in sorted(rounds | set(range(n_rounds))):
+        cells = noise.get(t, [])
+        if t < 0 or len(cells) != 1 or len(cells[0]) != 2 * m or "" in cells[0]:
+            raise ValueError(f"replay log {path}: round {t} needs exactly one noise row "
+                             f"(device_id -1) of {m} values")
+    out = []
+    for t in range(n_rounds):
+        vals = [float(v) for v in noise[t][0]]
+        out.append(ChannelRound(
+            active=np.array(active[t], dtype=int), gains=np.array(gains[t], dtype=complex),
+            noise=np.array([complex(re, im) for re, im in zip(vals[:m], vals[m:])])))
+    return out
 
 
 def write_datasets_csv(data, path) -> None:

@@ -1,13 +1,18 @@
-"""Parameter sweeps over the trade-off axes, with per-point aggregation.
+"""Seeded trials, and parameter sweeps over the trade-off axes.
 
-Trials reuse the same per-trial seeds across sweep points (common random
-numbers), which sharpens trend comparisons without biasing any single point.
+``trial_configs`` derives the config of each trial and ``run_trials`` runs
+them, serially or on a process pool.  Sweep points reuse the same per-trial
+seeds (common random numbers), which sharpens trend comparisons without
+biasing any single point.
 """
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import itertools
+import multiprocessing
 import numbers
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,9 @@ class SweepSpec:
             raise ValueError(f"n_devices sweep values must be integers, got {list(vals)}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if self.base.trials != 1:  # `seeds` is the one trial count of a sweep
+            raise ValueError(f"a sweep runs `seeds` trials per point, so its base "
+                             f"needs trials = 1, got {self.base.trials}")
         object.__setattr__(self, "values", vals)
 
 
@@ -85,59 +93,94 @@ class PointResult:
     per_seed: dict
 
 
-def run_point(spec: SweepSpec, value: float) -> PointResult:
-    """Run every seed of one sweep point and aggregate the seeds' summaries.
-    A seed whose summary carries no bounds (its constants or bounds do not
-    apply) adds no bound entry."""
-    cfg0 = apply_axis(spec.base, spec.axis, value)
-    conv, tests, trains, gen_bounds, conv_bounds = [], [], [], [], []
-    for trial in range(spec.seeds):
-        cfg = cfg0.replace(master_seed=rng.trial_seed(spec.base.master_seed, trial))
-        traj = run_experiment(cfg)
-        if traj.aborted_at is not None:
-            raise RuntimeError(
-                f"trial {trial} at {spec.axis}={value} aborted at round {traj.aborted_at}"
-            )
-        summary = report.summarize(traj)
-        conv.append(summary["convergence_error"])
-        tests.append(summary["final_test_loss"])
-        trains.append(summary["final_train_loss"])
-        if "bound_constant" in summary:
-            gen_bounds.append(summary["bound_generalization"])
-            conv_bounds.append(summary["bound_constant"].total)
-    gap = metrics.meta_generalization_error(list(zip(tests, trains)))
-    conv_arr = np.array(conv)
+def trial_configs(cfg: ExperimentConfig, n: int) -> list[ExperimentConfig]:
+    """The configs of trials 0..n-1: trial k runs ``cfg`` at master seed
+    ``rng.trial_seed(cfg.master_seed, k)``.  The one place trial seeds are
+    derived."""
+    return [cfg.replace(master_seed=rng.trial_seed(cfg.master_seed, k)) for k in range(n)]
+
+
+def run_trials(fn: Callable, configs: Iterable[ExperimentConfig],
+               threads: int = 1) -> Iterator:
+    """Yield ``fn(cfg)`` for each config, in config order: one call at a
+    time in this process, as each result is asked for, when ``threads <= 1``
+    or there is one config; otherwise as the tasks of one process pool, each
+    result once it and every result before it are in.  Closing the
+    generator cancels the tasks not yet started.  ``fn`` and its results
+    must pickle."""
+    configs = list(configs)
+    if threads <= 1 or len(configs) <= 1:
+        yield from map(fn, configs)
+        return
+    # fork, not spawn: workers inherit the imported package, and whatever is
+    # patched into it (perfbench's tracer), instead of importing numpy and
+    # scipy again
+    with concurrent.futures.ProcessPoolExecutor(
+            min(threads, len(configs)), mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(fn, configs)
+
+
+PER_SEED = ("conv_error", "test", "train", "gen_bound", "conv_bound")
+
+
+def seed_summary(cfg: ExperimentConfig) -> dict:
+    """The ``PER_SEED`` numbers of one seed's run, read from
+    ``report.summarize``: no bound entries where its constants or bounds do
+    not apply, and only ``aborted_at`` if it aborted."""
+    traj = run_experiment(cfg)
+    if traj.aborted_at is not None:
+        return {"aborted_at": traj.aborted_at}
+    summary = report.summarize(traj)
+    out = {"conv_error": summary["convergence_error"], "test": summary["final_test_loss"],
+           "train": summary["final_train_loss"]}
+    if "bound_constant" in summary:
+        out |= {"gen_bound": summary["bound_generalization"],
+                "conv_bound": summary["bound_constant"].total}
+    return out
+
+
+def _mean_se(values: list) -> tuple[float, float]:
+    """Mean and standard error over seeds, nan where undefined."""
+    mean = float(np.mean(values)) if values else float("nan")
+    se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else float("nan")
+    return mean, se
+
+
+def _point_result(axis: str, value: float, per_seed: dict) -> PointResult:
+    conv_mean, conv_se = _mean_se(per_seed["conv_error"])
+    gen_mean, gen_se = _mean_se(per_seed["gen_bound"])
+    gap = metrics.meta_generalization_error(list(zip(per_seed["test"], per_seed["train"])))
     return PointResult(
-        axis=spec.axis, value=float(value), n_seeds=spec.seeds,
-        conv_error_mean=float(conv_arr.mean()),
-        conv_error_se=float(conv_arr.std(ddof=1) / np.sqrt(len(conv)))
-        if len(conv) > 1 else float("nan"),
+        axis=axis, value=float(value), n_seeds=len(per_seed["conv_error"]),
+        conv_error_mean=conv_mean, conv_error_se=conv_se,
         gap_mean=gap.value, gap_se=gap.stderr, gap_abs=gap.abs_value,
-        gen_bound_mean=float(np.mean(gen_bounds)) if gen_bounds else float("nan"),
-        gen_bound_se=float(np.std(gen_bounds, ddof=1) / np.sqrt(len(gen_bounds)))
-        if len(gen_bounds) > 1 else float("nan"),
-        conv_bound_mean=float(np.mean(conv_bounds)) if conv_bounds else float("nan"),
-        test_mean=float(np.mean(tests)), train_mean=float(np.mean(trains)),
-        per_seed={"conv_error": conv, "test": tests, "train": trains,
-                  "gen_bound": gen_bounds, "conv_bound": conv_bounds},
+        gen_bound_mean=gen_mean, gen_bound_se=gen_se,
+        conv_bound_mean=_mean_se(per_seed["conv_bound"])[0],
+        test_mean=_mean_se(per_seed["test"])[0], train_mean=_mean_se(per_seed["train"])[0],
+        per_seed=per_seed,
     )
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1) -> Iterator[PointResult]:
     """Yield one PointResult per sweep value, in the order given.
 
-    With ``threads > 1`` the points run in a process pool; each result is
-    yielded as soon as it and every point before it are done, so a caller
-    can persist finished points before a later one fails.
+    Every (point, seed) run is one ``run_trials`` task, so the ``threads``
+    workers share all of them.  A point is yielded once its seeds are in,
+    so a caller can persist finished points before a later one fails; an
+    aborted seed fails its point.
     """
-    if threads <= 1 or len(spec.values) == 1:
-        for v in spec.values:
-            yield run_point(spec, v)
-        return
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_point, spec, v) for v in spec.values]
-        for fut in futures:
-            yield fut.result()
+    configs = [c for v in spec.values
+               for c in trial_configs(apply_axis(spec.base, spec.axis, v), spec.seeds)]
+    with contextlib.closing(run_trials(seed_summary, configs, threads)) as results:
+        for value in spec.values:
+            per_seed = {key: [] for key in PER_SEED}
+            for trial, summary in enumerate(itertools.islice(results, spec.seeds)):
+                if "aborted_at" in summary:
+                    raise RuntimeError(f"trial {trial} at {spec.axis}={value} aborted "
+                                       f"at round {summary['aborted_at']}")
+                for key, val in summary.items():
+                    per_seed[key].append(val)
+            yield _point_result(spec.axis, value, per_seed)
 
 
 AGGREGATE_COLUMNS = [

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, meta, metrics, report, sparsify, tasks
+from . import channel, meta, metrics, report, sparsify, sweeps, tasks
 from .protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
                        memory_identity_residuals, run_experiment)
 
@@ -170,12 +170,13 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
 
 def check_bound_validity(seed: int = 0, n_seeds: int = 3, rounds: int = 200) -> VerifyResult:
     """Measured average squared meta-gradient stays below the constant-rate
-    bound on seeded runs that satisfy the validity condition."""
+    bound on ``n_seeds`` trials (``sweeps.trial_configs``) of the convergence
+    setup at master seed ``seed``, which satisfies the validity condition."""
     t0 = time.perf_counter()
+    configs = sweeps.trial_configs(default_convergence_config(master_seed=seed, rounds=rounds),
+                                   n_seeds)
     fails = []
-    for s in range(n_seeds):
-        cfg = default_convergence_config(master_seed=seed + s, rounds=rounds)
-        traj = run_experiment(cfg)
+    for s, traj in enumerate(sweeps.run_trials(run_experiment, configs)):
         lhs = metrics.stationary_convergence_error(traj)
         rhs = report.constant_bound_report(traj).total
         if not lhs <= rhs:

@@ -3,16 +3,19 @@
 Trend criteria run deterministic seeded sweeps with common random numbers
 across sweep points; tolerances are stated inline.
 """
+import os
+
 import numpy as np
 import pytest
 
-from airmeta import bounds, metrics, report, rng, verify
+from airmeta import bounds, verify
 from airmeta.bounds import constant_rate_bound, derived_constants, memory_gain
-from airmeta.protocol import (ExperimentConfig, constant_rate_limit,
-                              memory_identity_residuals, run_experiment)
-from airmeta.sweeps import SweepSpec, run_point
+from airmeta.protocol import ExperimentConfig, memory_identity_residuals, run_experiment
+from airmeta.sweeps import SweepSpec, run_sweep, run_trials, trial_configs
 
 from noiseless import noiseless_thetas
+
+THREADS = len(os.sched_getaffinity(0))  # seeded runs share one pool, a worker per core
 
 
 def _report(num, name, passed, detail=""):
@@ -89,27 +92,16 @@ def test_06_rayleigh_moments():
 
 
 def test_07_convergence_bound_validity():
-    q = 5
-    l_f = 4.0  # quadratic family with unit covariance
-    eta = 0.9 * constant_rate_limit(q, l_f)
-    fails = []
-    for s in range(10):
-        cfg = convergence_config(eta=eta, master_seed=rng.trial_seed(10, s))
-        assert cfg.validate() == []  # the rate condition holds
-        traj = run_experiment(cfg)
-        lhs = metrics.stationary_convergence_error(traj)
-        rhs = report.constant_bound_report(traj).total
-        if not lhs <= rhs:
-            fails.append((s, lhs, rhs))
-    _report(7, "convergence-bound-validity", not fails,
-            f"{10 - len(fails)}/10 runs below the bound")
+    base = verify.default_convergence_config(master_seed=10, rounds=200)
+    assert all(cfg.validate() == [] for cfg in trial_configs(base, 10))  # rate condition holds
+    res = verify.check_bound_validity(seed=10, n_seeds=10, rounds=200)
+    _report(7, "convergence-bound-validity", res.passed, res.detail)
 
 
 def test_08_snr_convergence_trend():
     spec = SweepSpec(axis="snr_db", values=(0.0, 10.0, 20.0),
                      base=convergence_config(), seeds=10)
-    errs = [run_point(spec, v).conv_error_mean
-            for v in spec.values]
+    errs = [p.conv_error_mean for p in run_sweep(spec, THREADS)]
     nonincreasing = all(a >= b for a, b in zip(errs, errs[1:]))
     reduction = (errs[0] - errs[-1]) / errs[0]
     _report(8, "snr-convergence-trend", nonincreasing and reduction >= 0.20,
@@ -119,7 +111,7 @@ def test_08_snr_convergence_trend():
 def test_09_snr_generalization_trend():
     spec = SweepSpec(axis="snr_db", values=(0.0, 10.0, 20.0),
                      base=generalization_config(), seeds=20)
-    points = [run_point(spec, v) for v in spec.values]
+    points = list(run_sweep(spec, THREADS))
     abs_gaps = [p.gap_abs for p in points]
     bound_means = [p.gen_bound_mean for p in points]
     gap_ok = abs_gaps[-1] > abs_gaps[0]
@@ -132,7 +124,7 @@ def test_09_snr_generalization_trend():
 def test_10_channel_use_tradeoff():
     spec = SweepSpec(axis="m_over_d", values=(0.2, 0.5, 1.0),
                      base=convergence_config(master_seed=3), seeds=10)
-    points = [run_point(spec, v) for v in spec.values]
+    points = list(run_sweep(spec, THREADS))
     errs = [p.conv_error_mean for p in points]
     bound_means = [p.gen_bound_mean for p in points]
     conv_ok = all(a >= b for a, b in zip(errs, errs[1:]))
@@ -145,7 +137,7 @@ def test_11_device_count_tradeoff():
     base = generalization_config(samples_per_device=32, train_samples=16,
                                  batch_size=8, rounds=600, eta=0.008, master_seed=4)
     spec = SweepSpec(axis="n_devices", values=(3, 6, 9), base=base, seeds=10)
-    points = [run_point(spec, v) for v in spec.values]
+    points = list(run_sweep(spec, THREADS))
     errs = [p.conv_error_mean for p in points]
     gaps = [p.gap_abs for p in points]
     conv_ok = all(a >= b for a, b in zip(errs, errs[1:]))
@@ -154,23 +146,23 @@ def test_11_device_count_tradeoff():
             f"conv {['%.3f' % e for e in errs]}, |gap| {['%.3f' % g for g in gaps]}")
 
 
+def grad_norm_sq_series(cfg):
+    """Per-round squared meta-gradient norms of one run (a pool task)."""
+    return run_experiment(cfg).series("grad_norm_sq")
+
+
 def test_12_adaptive_rate_removes_floor():
-    base = dict(n_devices=9, active_fraction=1.0, dim=20, local_steps=1,
-                batch_size=8, samples_per_device=64, train_samples=32,
-                sparsify_k=1, channel_uses=8,
-                estimator="lmmse", fading="rayleigh", task_spread=0.5,
-                label_noise_var=1.0, rounds=2000, snr_db=19.0)
-    floors, mins = [], []
-    for s in range(5):
-        seed = rng.trial_seed(5, s)
-        const = run_experiment(ExperimentConfig(**base, lr_schedule="constant",
-                                                eta=0.01, alpha=0.25, master_seed=seed))
-        floors.append(float(np.mean(const.series("grad_norm_sq")[1500:])))
-        adap = run_experiment(ExperimentConfig(**base, lr_schedule="adaptive",
-                                               eta_scale=8.0, eta_offset=400.0,
-                                               alpha_scale=100.0, alpha_offset=400.0,
-                                               master_seed=seed))
-        mins.append(float(np.min(adap.series("grad_norm_sq"))))
+    base = ExperimentConfig(n_devices=9, active_fraction=1.0, dim=20, local_steps=1,
+                            batch_size=8, samples_per_device=64, train_samples=32,
+                            sparsify_k=1, channel_uses=8,
+                            estimator="lmmse", fading="rayleigh", task_spread=0.5,
+                            label_noise_var=1.0, rounds=2000, snr_db=19.0, master_seed=5)
+    const = trial_configs(base.replace(lr_schedule="constant", eta=0.01, alpha=0.25), 5)
+    adap = trial_configs(base.replace(lr_schedule="adaptive", eta_scale=8.0, eta_offset=400.0,
+                                      alpha_scale=100.0, alpha_offset=400.0), 5)
+    series = list(run_trials(grad_norm_sq_series, const + adap, THREADS))
+    floors = [float(np.mean(g[1500:])) for g in series[:5]]
+    mins = [float(np.min(g)) for g in series[5:]]
     floor, best = float(np.mean(floors)), float(np.mean(mins))
     _report(12, "adaptive-rate-removes-floor", best < floor,
             f"constant floor {floor:.4f}, adaptive min {best:.4f}")

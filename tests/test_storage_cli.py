@@ -11,12 +11,13 @@ import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel
+from airmeta import channel, report
 from airmeta.cli import main
 from airmeta.protocol import SCHEDULES, ExperimentConfig, replay_experiment, run_experiment
 from airmeta.storage import (config_sha256, read_config, read_replay_csv,
                              read_trajectory_csv, write_config, write_datasets_csv,
                              write_replay_csv, write_trajectory_csv)
+from airmeta.sweeps import apply_axis, trial_configs
 
 
 def run_config(**overrides):
@@ -60,6 +61,28 @@ class TestStorage:
         replay = read_replay_csv(tmp_path / "r.csv")
         again = replay_experiment(cfg, replay)
         assert np.array_equal(traj.thetas, again.thetas)
+
+    @pytest.mark.parametrize("edit", ["drop_noise_row", "double_noise_row", "drop_round",
+                                      "short_noise_row"])
+    def test_malformed_replay_log_names_the_round(self, tmp_path, edit):
+        """With full participation a shifted log would still pass the
+        active-set check, so the reader itself rejects a round without
+        exactly one whole noise row, and a gap in the round numbers."""
+        cfg = run_config(n_devices=3, active_fraction=1.0, rounds=6)
+        write_replay_csv(run_experiment(cfg), tmp_path / "r.csv")
+        header, *rows = (tmp_path / "r.csv").read_text().splitlines()
+        noise_row = next(r for r in rows if r.startswith("2,-1,"))
+        if edit == "drop_noise_row":
+            rows.remove(noise_row)
+        elif edit == "double_noise_row":
+            rows.insert(rows.index(noise_row), noise_row)
+        elif edit == "drop_round":
+            rows = [r for r in rows if not r.startswith("2,")]
+        else:
+            rows[rows.index(noise_row)] = noise_row.rsplit(",", 1)[0]
+        (tmp_path / "r.csv").write_text("\n".join([header] + rows) + "\n")
+        with pytest.raises(ValueError, match="round 2 needs exactly one noise row"):
+            read_replay_csv(tmp_path / "r.csv")
 
     def test_dataset_csv_schema(self, tmp_path):
         traj = run_experiment(run_config(rounds=1))
@@ -341,6 +364,30 @@ class TestCli:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_seed_k_is_trial_k_of_its_point(self, tmp_path, threads):
+        """Each point's seed k is trial k of that point's config, in order: the
+        per-seed entries are the numbers of that run's own summary."""
+        spec = {"axis": "snr_db", "values": [0.0, 20.0], "seeds": 3,
+                "base": run_config(rounds=15).to_dict()}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out),
+                     "--threads", str(threads)]) == 0
+        for v in spec["values"]:
+            point = json.loads((out / f"snr_db_{v:g}" / "point.json").read_text())
+            want = {"conv_error": [], "test": [], "train": [], "gen_bound": [],
+                    "conv_bound": []}
+            for cfg in trial_configs(apply_axis(run_config(rounds=15), "snr_db", v), 3):
+                summary = report.summarize(run_experiment(cfg))
+                want["conv_error"].append(summary["convergence_error"])
+                want["test"].append(summary["final_test_loss"])
+                want["train"].append(summary["final_train_loss"])
+                want["gen_bound"].append(summary["bound_generalization"])
+                want["conv_bound"].append(summary["bound_constant"].total)
+            assert point == want | {"axis": "snr_db", "value": v}
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_abort_keeps_finished_points(self, tmp_path, threads):
         spec = {"axis": "eta", "values": [0.01, 80.0],
                 "base": run_config(rounds=200).to_dict()}
@@ -398,6 +445,12 @@ class TestCli:
             out = tmp_path / "coerced"
             assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2, bad
             assert not out.exists()
+        # `seeds` is a sweep's one trial count, so a base with its own trials is a bad spec
+        spec_path.write_text(json.dumps({"axis": "snr_db", "values": [10.0], "seeds": 2,
+                                         "base": base | {"trials": 5}}))
+        out = tmp_path / "trials"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis, values", [("n_devices", [9, 10]), ("m_over_d", [0.5, 1.5])])
     def test_sweep_invalid_point_exits_2_before_any_run(self, tmp_path, axis, values):
@@ -422,6 +475,24 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert "generalization_gap_mean" in summary
         assert "generalization_gap_se" in summary
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["trial_seeds"] == [
+            cfg.master_seed for cfg in trial_configs(run_config(trials=3, rounds=10), 3)]
+
+    def test_config_warnings_print_once_per_run(self, tmp_path, capsys):
+        """The config's own warnings are shared by every trial and print once;
+        what a trial's summary adds prints with that trial."""
+        cfg = read_config(Path(__file__).parents[1] / "configs" / "generalization.json")
+        write_config(cfg.replace(trials=3, eta=0.5, rounds=3), tmp_path / "gen.json")
+        assert main(["run", "--config", str(tmp_path / "gen.json"),
+                     "--out-dir", str(tmp_path / "gen")]) == 0
+        assert capsys.readouterr().err.count("constant-rate validity condition") == 1
+        write_config(run_config(trials=2, theta_init=1e200, rounds=5, eta=1e-20),
+                     tmp_path / "big.json")
+        assert main(["run", "--config", str(tmp_path / "big.json"),
+                     "--out-dir", str(tmp_path / "big")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("constants and bounds are not evaluated for this run") == 2
 
     def test_dump_datasets_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
