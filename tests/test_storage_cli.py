@@ -278,13 +278,20 @@ class TestCli:
         assert "bound_adaptive_error: need a * (k/d) > 4 * Q" in capsys.readouterr().out
 
     def test_bounds_accepts_trial_directory(self, tmp_path):
+        """A trial of a multi-trial run finds the run's manifest one level up;
+        a single-trial run whose directory is named ``trial_*`` keeps its own."""
         cfg_path = tmp_path / "cfg.json"
         write_config(run_config(trials=2), cfg_path)
+        single_path = tmp_path / "single.json"
+        write_config(run_config(), single_path)
         out = tmp_path / "o"
+        single = tmp_path / "x" / "trial_run"
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
-        for k in range(2):
-            tdir = out / f"trial_{k:03d}"
-            code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(tdir),
+        assert main(["run", "--config", str(single_path), "--out-dir", str(single)]) == 0
+        cases = [(cfg_path, out / "trial_000"), (cfg_path, out / "trial_001"),
+                 (single_path, single)]
+        for k, (config, tdir) in enumerate(cases):
+            code = main(["bounds", "--config", str(config), "--trajectory", str(tdir),
                          "--out-dir", str(tmp_path / f"b{k}")])
             assert code in (0, 1)
             summary = json.loads((tdir / "summary.json").read_text())

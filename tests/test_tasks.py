@@ -4,6 +4,8 @@ import pytest
 from airmeta import tasks
 from airmeta.tasks import TaskEnvironment, sample_dataset, sample_device
 
+import oracles
+
 
 def finite_diff_grad(f, phi, h=1e-6):
     g = np.zeros_like(phi)
@@ -88,7 +90,7 @@ class TestSampling:
 
 class TestPointwiseOracles:
     def test_loss_golden(self):
-        assert tasks.loss(np.zeros(2), np.array([1.0, 0.0]), 2.0) == 2.0
+        assert oracles.loss(np.zeros(2), np.array([1.0, 0.0]), 2.0) == 2.0
 
     def test_perfect_fit_zero_loss(self, rng):
         env = TaskEnvironment(dim=3, center=np.ones(3),
@@ -96,8 +98,8 @@ class TestPointwiseOracles:
         w = sample_device(env, rng)
         ds = sample_dataset(w, env, 20, 10, 10, rng)
         for i in range(ds.m):
-            assert tasks.loss(w, ds.x[i], ds.y[i]) < 1e-24
-            assert np.allclose(tasks.grad(w, ds.x[i], ds.y[i]), 0.0, atol=1e-12)
+            assert oracles.loss(w, ds.x[i], ds.y[i]) < 1e-24
+            assert np.allclose(oracles.grad(w, ds.x[i], ds.y[i]), 0.0, atol=1e-12)
 
     def test_loss_matches_scalar_recomputation(self, rng):
         for _ in range(50):
@@ -105,11 +107,11 @@ class TestPointwiseOracles:
             x = rng.standard_normal(4)
             y = rng.standard_normal()
             expected = 0.5 * (y - sum(p * xx for p, xx in zip(phi, x))) ** 2
-            assert tasks.loss(phi, x, y) == pytest.approx(expected, rel=1e-12)
+            assert oracles.loss(phi, x, y) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            tasks.loss(np.zeros(3), np.zeros(2), 1.0)
+            oracles.loss(np.zeros(3), np.zeros(2), 1.0)
 
     @pytest.mark.parametrize("loss_kind", ["quadratic"])  # squared loss, the only one
     def test_grad_matches_finite_differences(self, loss_kind, rng):
@@ -117,8 +119,8 @@ class TestPointwiseOracles:
             phi = rng.standard_normal(4)
             x = rng.standard_normal(4)
             y = rng.standard_normal()
-            g = tasks.grad(phi, x, y)
-            fd = finite_diff_grad(lambda p: tasks.loss(p, x, y), phi)
+            g = oracles.grad(phi, x, y)
+            fd = finite_diff_grad(lambda p: oracles.loss(p, x, y), phi)
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(g), 1.0)
 
     @pytest.mark.parametrize("loss_kind", ["quadratic"])  # squared loss, the only one
@@ -126,17 +128,17 @@ class TestPointwiseOracles:
         phi = rng.standard_normal(4)
         x = rng.standard_normal(4)
         y = 1.0
-        hess = tasks.hessian(phi, x, y)
+        hess = oracles.hessian(phi, x, y)
         for j in range(4):
             e = np.zeros(4)
             e[j] = 1e-6
-            col = (tasks.grad(phi + e, x, y) - tasks.grad(phi - e, x, y)) / 2e-6
+            col = (oracles.grad(phi + e, x, y) - oracles.grad(phi - e, x, y)) / 2e-6
             assert np.allclose(hess[:, j], col, atol=1e-5)
 
     def test_quadratic_hessian_independent_of_phi(self, rng):
         x, y = rng.standard_normal(3), 0.7
-        h1 = tasks.hessian(rng.standard_normal(3), x, y)
-        h2 = tasks.hessian(rng.standard_normal(3), x, y)
+        h1 = oracles.hessian(rng.standard_normal(3), x, y)
+        h2 = oracles.hessian(rng.standard_normal(3), x, y)
         assert np.array_equal(h1, h2)
 
 
@@ -154,7 +156,7 @@ class TestPopulationOracles:
     def test_alpha_zero_reduces_to_plain_gradient(self, quad_w, quad_env, rng):
         theta = rng.standard_normal(quad_env.dim)
         g = tasks.population_meta_grad(theta, quad_w, quad_env, alpha=0.0)
-        assert np.allclose(g, tasks.population_grad(theta, quad_w, quad_env), atol=1e-14)
+        assert np.allclose(g, oracles.population_grad(theta, quad_w, quad_env), atol=1e-14)
 
     def test_meta_grad_matches_finite_differences(self, quad_w, quad_env, rng):
         theta = rng.standard_normal(quad_env.dim)
@@ -170,12 +172,12 @@ class TestPopulationOracles:
         best = 0.0
         for _ in range(2000):
             a, b = rng.standard_normal(3), rng.standard_normal(3)
-            num = np.linalg.norm(tasks.population_grad(a, w, env)
-                                 - tasks.population_grad(b, w, env))
+            num = np.linalg.norm(oracles.population_grad(a, w, env)
+                                 - oracles.population_grad(b, w, env))
             best = max(best, num / np.linalg.norm(a - b))
         assert best <= env.smoothness + 1e-8
         # every direction is a top eigenvector of s*I, so the supremum is attained
-        attained = np.linalg.norm(tasks.population_grad(np.array([0.0, 1.0, 0.0]), w, env))
+        attained = np.linalg.norm(oracles.population_grad(np.array([0.0, 1.0, 0.0]), w, env))
         assert abs(attained - env.smoothness) < 1e-8
 
     def test_zero_spread_devices_identical(self):
@@ -184,7 +186,7 @@ class TestPopulationOracles:
         ws = [sample_device(env, gen) for _ in range(5)]
         probes = gen.standard_normal((10, 4))
         for theta in probes:
-            grads = np.stack([tasks.population_grad(theta, w, env) for w in ws])
+            grads = np.stack([oracles.population_grad(theta, w, env) for w in ws])
             gap = np.max(np.linalg.norm(grads - grads[0], axis=1))
             assert gap < 1e-12
 
@@ -275,8 +277,8 @@ class TestMomentFormulas:
         e = phi - w
         second = float(np.mean(np.sum(grads**2, axis=1)))
         var = float(np.mean(np.sum((grads - grads.mean(axis=0)) ** 2, axis=1)))
-        assert second == pytest.approx(tasks.grad_second_moment(e, env), rel=0.02)
-        assert var == pytest.approx(tasks.grad_variance(e, env), rel=0.02)
+        assert second == pytest.approx(oracles.grad_second_moment(e, env), rel=0.02)
+        assert var == pytest.approx(oracles.grad_variance(e, env), rel=0.02)
 
     def test_hessian_spectral_variance_quadrature_matches_mc(self):
         env = TaskEnvironment(dim=5, center=np.zeros(5),

@@ -1,7 +1,14 @@
 import copy
+import json
+from pathlib import Path
+
+import pytest
 
 from airmeta import verify
-from airmeta.protocol import run_experiment
+from airmeta.protocol import ExperimentConfig, run_experiment
+from airmeta.storage import read_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestChecks:
@@ -31,9 +38,25 @@ class TestChecks:
         res = verify.check_bound_validity(seed=3, n_seeds=2, rounds=120)
         assert res.passed, res.detail
 
+    def test_bound_validity_negative_control(self, monkeypatch):
+        """A trial outside the rate validity condition fails the check, even
+        when its measured error stays below the bound."""
+        default = verify.default_convergence_config
+        monkeypatch.setattr(verify, "default_convergence_config",
+                            lambda **overrides: default(**overrides).replace(eta=0.01))
+        res = verify.check_bound_validity(seed=0, n_seeds=1, rounds=5)
+        assert not res.passed and "config warnings" in res.detail
+
     def test_default_config_meets_rate_condition(self):
+        """The in-package setup is the shipped convergence config with the
+        unrounded rate, and the SNR sweep runs the same setup at eta = 0.01."""
         cfg = verify.default_convergence_config()
         assert cfg.validate() == []
+        shipped = read_config(CONFIGS / "convergence.json")
+        assert cfg.replace(eta=shipped.eta) == shipped
+        assert shipped.eta == pytest.approx(cfg.eta, rel=1e-6, abs=0.0)
+        sweep_base = json.loads((CONFIGS / "sweep_snr.json").read_text())["base"]
+        assert ExperimentConfig.from_dict(sweep_base) == shipped.replace(eta=0.01)
 
 
 class TestRunAll:
