@@ -8,7 +8,7 @@ to the measured gap.
 """
 import numpy as np
 
-from airmeta import metrics, report, verify
+from airmeta import bounds, metrics, report, verify
 from airmeta.protocol import run_experiment
 
 cfg = verify.default_convergence_config(master_seed=11)
@@ -16,13 +16,13 @@ assert cfg.validate() == []
 
 traj = run_experiment(cfg)
 ac, dc = report.run_constants(traj)
-entries = report.run_bounds(traj, ac, dc)
+entries = report.bound_entries(traj, ac, dc)
 rep = entries["bound_constant"]
 lhs = metrics.stationary_convergence_error(traj)
 
 print("measured assumption constants (trajectory maxima where not analytic):")
 for name in ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq", "gamma_g_sq"):
-    print(f"  {name:<12} {getattr(ac, name):12.4f}  [{ac.provenance[name]}]")
+    print(f"  {name:<12} {getattr(ac, name):12.4f}  [{bounds.PROVENANCE[name]}]")
 print(f"  {'l_f':<12} {dc.l_f:12.4f}   {'memory_gain':<12} {dc.gain:12.1f}")
 
 print("\nconstant-rate convergence bound, per term:")

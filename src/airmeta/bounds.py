@@ -10,21 +10,25 @@ flagged empirical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tasks
 
 
+# whether ``estimate_constants`` gives each AssumptionConstants field in
+# closed form or as an empirical surrogate (a maximum over trajectory probes,
+# for constants that are not globally finite on quadratic losses)
+PROVENANCE = {
+    "l_g": "analytic", "l_h": "analytic", "g_sq": "empirical", "sigma_g_sq": "empirical",
+    "sigma_h_sq": "analytic", "gamma_g_sq": "analytic", "gamma_h_sq": "analytic",
+}
+
+
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Gradient/Hessian moment and heterogeneity constants.
-
-    ``provenance`` records per field whether the value is analytic or an
-    empirical surrogate (e.g. a maximum over trajectory probes for constants
-    that are not globally finite on quadratic losses).
-    """
+    """Gradient/Hessian moment and heterogeneity constants."""
 
     l_g: float          # gradient Lipschitz constant of the per-device test loss
     l_h: float          # Hessian Lipschitz constant
@@ -33,7 +37,6 @@ class AssumptionConstants:
     sigma_h_sq: float   # per-sample Hessian variance bound (spectral)
     gamma_g_sq: float   # device-to-mean gradient heterogeneity
     gamma_h_sq: float   # device-to-mean Hessian heterogeneity
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq",
@@ -60,11 +63,6 @@ def estimate_constants(env: tasks.TaskEnvironment, ws: np.ndarray,
         sigma_g_sq=float(probe["sigma_g_sq"]),
         sigma_h_sq=tasks.hessian_spectral_variance(env), gamma_g_sq=gamma_g_sq,
         gamma_h_sq=0.0,
-        provenance={
-            "l_g": "analytic", "l_h": "analytic", "g_sq": "empirical",
-            "sigma_g_sq": "empirical", "sigma_h_sq": "analytic",
-            "gamma_g_sq": "analytic", "gamma_h_sq": "analytic",
-        },
     )
 
 
@@ -128,6 +126,16 @@ def _sgd_moment_factor(ac: AssumptionConstants, alpha: float, batch_size: int) -
     return (1.0 + alpha * ac.l_g) ** 2 + alpha**2 * ac.sigma_h_sq / batch_size
 
 
+# the terms of each schedule's convergence bound in their printed order;
+# summary.json stores them sorted by name
+TERMS = {
+    "constant": ("initialization", "outer_sgd_heterogeneity", "estimation",
+                 "outer_sgd_heterogeneity_sq", "sparsification", "inner_sgd_floor"),
+    "adaptive": ("initialization", "inner_sgd", "sparsification", "estimation",
+                 "outer_sgd_heterogeneity_sq", "outer_sgd_heterogeneity"),
+}
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Per-term decomposition of a closed-form bound; the total is the sum
@@ -170,7 +178,7 @@ def constant_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
         "sparsification": eta**2 * c_lam,
         "inner_sgd_floor": c_alpha,
     }
-    return BoundReport(terms)
+    return BoundReport({name: terms[name] for name in TERMS["constant"]})
 
 
 def adaptive_floor_c(lam: float, a: float, q: int) -> float:
@@ -212,7 +220,7 @@ def adaptive_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
         * (dc.sigma_f_sq + dc.gamma_f_sq),
     }
     denom = xi * math.log((t_rounds + a - 1.0) / a)
-    return BoundReport({k: v / denom for k, v in terms.items()})
+    return BoundReport({name: terms[name] / denom for name in TERMS["adaptive"]})
 
 
 def sparsified_update_energy(ac: AssumptionConstants, dc: DerivedConstants, *,

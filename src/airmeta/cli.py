@@ -6,6 +6,7 @@ abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, report, storage, sweeps, verify
+from . import bounds, metrics, report, storage, sweeps, verify
 from .protocol import ExperimentConfig, run_experiment
 
 EXIT_OK = 0
@@ -77,16 +78,13 @@ def cmd_run(args) -> int:
             print(f"error: trial {k} aborted with non-finite iterate at round "
                   f"{traj.aborted_at}", file=sys.stderr)
             return EXIT_RUNTIME
-        if "generalization_gap" in summary:
-            gaps.append((summary["final_test_loss"], summary["final_train_loss"]))
+        gaps.append(summary["generalization_gap"])
         for w in summary["warnings"][len(cfg_warnings):]:  # what this trial adds
             print(f"warning: {w}", file=sys.stderr)
 
     top = {"trials": summaries[0] if cfg.trials == 1 else summaries}
     if len(gaps) >= 2:
-        est = metrics.meta_generalization_error(gaps)
-        top["generalization_gap_mean"] = est.value
-        top["generalization_gap_se"] = est.stderr
+        top["generalization_gap_mean"], top["generalization_gap_se"] = metrics.mean_se(gaps)
     if cfg.trials > 1:
         storage.write_json(top, out_dir / "summary.json")
     storage.write_manifest(out_dir / "manifest.json", cfg, trial_seeds, outputs,
@@ -148,7 +146,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 
 
+@contextlib.contextmanager
+def _run_artifact(path):
+    """Turn the errors of reading a malformed run artifact into a UsageError
+    that names the file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"malformed run artifact {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def cmd_bounds(args) -> int:
+    """Print and gate on the bounds the run stored in its summary.json."""
     cfg, _ = _load_config(args.config, None)
     run_dir = Path(args.trajectory)
     if run_dir.is_file():
@@ -161,49 +170,57 @@ def cmd_bounds(args) -> int:
     for path in (manifest_path, traj_path, summary_path):
         if not path.exists():
             raise UsageError(f"missing run artifact: {path}")
-    manifest = storage.read_manifest(manifest_path)
-    if manifest["config_sha256"] != storage.config_sha256(cfg):
+    with _run_artifact(manifest_path):
+        config_sha = storage.read_manifest(manifest_path)["config_sha256"]
+    if config_sha != storage.config_sha256(cfg):
         raise UsageError("config does not match the trajectory's manifest "
                          "(sha256 mismatch)")
-    summary = json.loads(summary_path.read_text())
-    if "constants" not in summary:
-        raise UsageError("run summary carries no measured constants (see its warnings); "
-                         "bounds need a completed run")
-    if summary["rounds_completed"] < 1:
-        raise UsageError("bounds need a run with at least one round")
-    table = storage.read_trajectory_csv(traj_path)
-    entries = report.bound_entries(cfg, table, *report.summary_constants(cfg, summary),
-                                   summary["f_init"], summary["f_star"])
-    entries.pop("eps_g")  # bounds.json holds bound values, not their inputs
-    grad = table["grad_norm_sq"]
-    entries["measured_convergence_error"] = float(np.mean(grad))
     # gate on the schedule's own bound: constant rates bound the average
     # squared meta-gradient, 1/t rates the best one
-    if cfg.lr_schedule == "adaptive":
-        name, measured = "bound_adaptive", "best"
+    kind = cfg.lr_schedule
+    name = f"bound_{kind}"
+    with _run_artifact(summary_path):
+        summary = json.loads(summary_path.read_text())
+        if "constants" not in summary:
+            raise UsageError("run summary carries no measured constants (see its warnings); "
+                             "bounds need a completed run")
+        rounds = summary["rounds_completed"]
+        if rounds < 1:
+            raise UsageError("bounds need a run with at least one round")
+        entries = {key: val for key, val in summary.items() if key.startswith("bound_")}
+        error = entries.get(f"{name}_error")
+        if error is None:
+            terms = {term: float(entries[name]["terms"][term]) for term in bounds.TERMS[kind]}
+            total = float(entries[name]["total"])
+        gen = float(entries["bound_generalization"])
+        gap = abs(float(summary["generalization_gap"]))  # a completed run measures it
+    with _run_artifact(traj_path):
+        grad = storage.read_trajectory_csv(traj_path)["grad_norm_sq"]
+    if grad.size != rounds:
+        raise UsageError(f"malformed run artifact {traj_path}: {grad.size} rounds, but "
+                         f"{summary_path.name} records {rounds}")
+    entries["measured_convergence_error"] = float(np.mean(grad))
+    if kind == "adaptive":
+        measured = "best"
         entries["measured_best_grad_norm_sq"] = lhs = float(np.min(grad))
     else:
-        name, measured = "bound_constant", "average"
+        measured = "average"
         lhs = entries["measured_convergence_error"]
-    rep = entries.get(name)
-    holds = rep is not None and lhs <= rep.total
-    if rep is None:
-        print(f"bound_adaptive_error: {entries['bound_adaptive_error']}")
+    holds = error is None and lhs <= total
+    if error is not None:
+        print(f"{name}_error: {error}")
     else:
-        print(f"{name.split('_')[1]}-rate convergence bound")
-        for term, val in rep.terms.items():
+        print(f"{kind}-rate convergence bound")
+        for term, val in terms.items():
             print(f"  {term:<26} {val:.6e}")
-        print(f"  {'total':<26} {rep.total:.6e}")
+        print(f"  {'total':<26} {total:.6e}")
         print(f"  {'measured ' + measured:<26} {lhs:.6e}  "
               f"({'<= bound' if holds else 'EXCEEDS bound'})")
 
-    gen = entries["bound_generalization"]
     print("generalization bound")
     print(f"  {'value':<26} {gen:.6e}" + ("  (vacuous: noiseless round)"
                                           if not np.isfinite(gen) else ""))
-    if "final_test_loss" in summary:
-        measured_gap = summary["final_test_loss"] - summary["final_train_loss"]
-        print(f"  {'measured |gap|':<26} {abs(measured_gap):.6e}")
+    print(f"  {'measured |gap|':<26} {gap:.6e}")
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

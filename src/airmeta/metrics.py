@@ -1,8 +1,7 @@
-"""Empirical performance metrics: convergence error, meta losses, and the
-meta-generalization gap."""
+"""Empirical performance metrics: convergence error, meta losses, the
+meta-generalization gap of a run, and the mean and standard error over
+trials."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,37 +52,13 @@ def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m_tr:
     return float(np.mean(vals))
 
 
-@dataclass(frozen=True)
-class GapEstimate:
-    """Meta-generalization error estimate with its standard error."""
-
-    value: float
-    stderr: float
-    n_trials: int
-    flagged: bool = False  # True when too few trials for an error bar
-
-    @property
-    def abs_value(self) -> float:
-        return abs(self.value)
-
-
-def meta_generalization_error(trial_gaps) -> GapEstimate:
-    """Mean over trials of (meta-test loss - meta-training loss).
-
-    ``trial_gaps`` holds one (test_loss, train_loss) pair per independent
-    trial.  Fewer than two trials yields a flagged estimate without an error
-    bar.
-    """
-    gaps = np.array([float(te) - float(tr) for te, tr in trial_gaps], dtype=float)
-    if gaps.size == 0:
-        raise ValueError("need at least one trial")
-    if gaps.size == 1:
-        return GapEstimate(value=float(gaps[0]), stderr=float("nan"), n_trials=1, flagged=True)
-    return GapEstimate(
-        value=float(gaps.mean()),
-        stderr=float(gaps.std(ddof=1) / np.sqrt(gaps.size)),
-        n_trials=int(gaps.size),
-    )
+def mean_se(values) -> tuple[float, float]:
+    """Mean and standard error (ddof=1) of independent trial values; nan
+    where undefined: the mean of no values, the error of fewer than two."""
+    vals = np.asarray(values, dtype=float)
+    mean = float(np.mean(vals)) if vals.size else float("nan")
+    se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
+    return mean, se
 
 
 def trial_gap(traj) -> tuple[float, float]:

@@ -1,14 +1,12 @@
 """Turn a finished trajectory into measured constants and bound reports."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import bounds, channel, metrics
-from .protocol import ExperimentConfig, Trajectory, lr_schedule
-
-# AssumptionConstants fields carried by summary.json's "constants" entry
-ASSUMPTION_FIELDS = ("l_g", "l_h", "g_sq", "sigma_g_sq", "sigma_h_sq",
-                     "gamma_g_sq", "gamma_h_sq")
+from .protocol import Trajectory, lr_schedule
 
 
 def run_constants(traj: Trajectory):
@@ -20,39 +18,27 @@ def run_constants(traj: Trajectory):
     """
     cfg = traj.config
     ac = bounds.estimate_constants(cfg.env(), traj.device_ws, traj.probe)
-    return ac, _derived(cfg, ac)
+    return ac, bounds.derived_constants(ac, lr_schedule(cfg, 0)[1], cfg.sparsify_k,
+                                        cfg.dim, cfg.batch_size)
 
 
-def summary_constants(cfg: ExperimentConfig, summary: dict):
-    """(AssumptionConstants, DerivedConstants) read back from the
-    ``constants`` entry of a run's summary.json."""
-    c = summary["constants"]
-    ac = bounds.AssumptionConstants(**{name: c[name] for name in ASSUMPTION_FIELDS})
-    return ac, _derived(cfg, ac)
-
-
-def _derived(cfg: ExperimentConfig, ac):
-    return bounds.derived_constants(ac, lr_schedule(cfg, 0)[1], cfg.sparsify_k,
-                                    cfg.dim, cfg.batch_size)
-
-
-def bound_entries(cfg: ExperimentConfig, series, ac, dc, f_init: float,
-                  f_star: float) -> dict:
+def bound_entries(traj: Trajectory, ac, dc) -> dict:
     """Every bound of one run, keyed as in summary.json.
 
-    ``series`` maps the trajectory.csv columns ``v``, ``sum_abs_h_sq`` and
-    ``min_g_sq_over_eta_sq`` to per-round arrays.  The result holds
-    ``bound_constant`` and, on adaptive schedules, ``bound_adaptive`` (or
-    ``bound_adaptive_error`` when its precondition fails) as BoundReports,
-    plus ``bound_generalization`` and the ``eps_g`` it used.
+    The result holds ``bound_constant`` and, on adaptive schedules,
+    ``bound_adaptive`` (or ``bound_adaptive_error`` when its precondition
+    fails) as BoundReports, plus ``bound_generalization`` and the ``eps_g``
+    it used.
     """
-    v = np.asarray(series["v"], dtype=float)
+    cfg = traj.config
+    v = traj.series("v_realized")
     mu, pw = channel.fading_moments(cfg.fading)
     eta0, alpha0 = lr_schedule(cfg, 0)
     common = dict(
         q=cfg.local_steps, r=cfg.active_fraction, n=cfg.n_devices, d=cfg.dim,
         m_uses=cfg.channel_uses, p_min=cfg.power_per_use, batch_size=cfg.batch_size,
-        t_rounds=max(v.size, 1), f_init=f_init, f_star=f_star, abs_mean=mu, abs_power=pw,
+        t_rounds=max(v.size, 1), f_init=traj.f_init, f_star=traj.f_star, abs_mean=mu,
+        abs_power=pw,
     )
     out = {"bound_constant": bounds.constant_rate_bound(
         dc, ac, eta=eta0, alpha=alpha0, v_mean=float(np.mean(v)) if v.size else 0.0,
@@ -65,7 +51,7 @@ def bound_entries(cfg: ExperimentConfig, series, ac, dc, f_init: float,
                 **common)
         except ValueError as exc:
             out["bound_adaptive_error"] = str(exc)
-    g_ratio = np.asarray(series["min_g_sq_over_eta_sq"], dtype=float)
+    g_ratio = traj.series("min_g_sq_over_eta_sq")
     g_ratio = g_ratio[np.isfinite(g_ratio)]
     eps_g = max(float(g_ratio.min()), 1e-12) if g_ratio.size else 1e-12
     c_g = bounds.sparsified_update_energy(ac, dc, q=cfg.local_steps, alpha=alpha0,
@@ -73,22 +59,15 @@ def bound_entries(cfg: ExperimentConfig, series, ac, dc, f_init: float,
     out["bound_generalization"] = bounds.generalization_bound(
         d=cfg.dim, n=cfg.n_devices, sigma_sq=bounds.sub_gaussian_proxy(cfg.loss_clip),
         m_uses=cfg.channel_uses, p_max=cfg.power_per_use, rn=cfg.n_active, c_g=c_g,
-        sum_abs_h_sq=series["sum_abs_h_sq"], v_series=v, eps_g=eps_g,
+        sum_abs_h_sq=traj.series("sum_abs_h_sq"), v_series=v, eps_g=eps_g,
     )
     out["eps_g"] = eps_g
     return out
 
 
-def run_bounds(traj: Trajectory, ac, dc) -> dict:
-    """``bound_entries`` of a run held in memory."""
-    series = {"v": traj.series("v_realized"), "sum_abs_h_sq": traj.series("sum_abs_h_sq"),
-              "min_g_sq_over_eta_sq": traj.series("min_g_sq_over_eta_sq")}
-    return bound_entries(traj.config, series, ac, dc, traj.f_init, traj.f_star)
-
-
 def constant_bound_report(traj: Trajectory) -> bounds.BoundReport:
     """Constant-rate convergence bound of one run, with measured constants."""
-    return run_bounds(traj, *run_constants(traj))["bound_constant"]
+    return bound_entries(traj, *run_constants(traj))["bound_constant"]
 
 
 def summarize(traj: Trajectory) -> dict:
@@ -122,11 +101,11 @@ def summarize(traj: Trajectory) -> dict:
             return out
         try:
             ac, dc = run_constants(traj)
-            entries = run_bounds(traj, ac, dc) if traj.records else {}
+            entries = bound_entries(traj, ac, dc) if traj.records else {}
         except ValueError as exc:  # a precondition of the constants or bounds fails
             out["warnings"].append(f"constants and bounds are not evaluated for this run: {exc}")
             return out
-        out["constants"] = {name: getattr(ac, name) for name in ASSUMPTION_FIELDS} | {
+        out["constants"] = dataclasses.asdict(ac) | {
             "l_f": dc.l_f, "sigma_f_sq": dc.sigma_f_sq, "gamma_f_sq": dc.gamma_f_sq,
             "memory_gain": dc.gain, "lam": dc.lam, "c": dc.c,
         }

@@ -117,10 +117,10 @@ def write_csv(columns, rows, path) -> None:
 
 
 def read_trajectory_csv(path) -> dict:
-    """Columns as float arrays keyed by name."""
+    """Columns as float arrays keyed by name; an empty file has none."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         cols = {name: [] for name in header}
         for row in reader:
             for name, val in zip(header, row):

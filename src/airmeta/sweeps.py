@@ -13,7 +13,7 @@ import itertools
 import multiprocessing
 import numbers
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,24 +139,18 @@ def seed_summary(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _mean_se(values: list) -> tuple[float, float]:
-    """Mean and standard error over seeds, nan where undefined."""
-    mean = float(np.mean(values)) if values else float("nan")
-    se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else float("nan")
-    return mean, se
-
-
 def _point_result(axis: str, value: float, per_seed: dict) -> PointResult:
-    conv_mean, conv_se = _mean_se(per_seed["conv_error"])
-    gen_mean, gen_se = _mean_se(per_seed["gen_bound"])
-    gap = metrics.meta_generalization_error(list(zip(per_seed["test"], per_seed["train"])))
+    conv_mean, conv_se = metrics.mean_se(per_seed["conv_error"])
+    gap_mean, gap_se = metrics.mean_se(np.subtract(per_seed["test"], per_seed["train"]))
+    gen_mean, gen_se = metrics.mean_se(per_seed["gen_bound"])
     return PointResult(
         axis=axis, value=float(value), n_seeds=len(per_seed["conv_error"]),
         conv_error_mean=conv_mean, conv_error_se=conv_se,
-        gap_mean=gap.value, gap_se=gap.stderr, gap_abs=gap.abs_value,
+        gap_mean=gap_mean, gap_se=gap_se, gap_abs=abs(gap_mean),
         gen_bound_mean=gen_mean, gen_bound_se=gen_se,
-        conv_bound_mean=_mean_se(per_seed["conv_bound"])[0],
-        test_mean=_mean_se(per_seed["test"])[0], train_mean=_mean_se(per_seed["train"])[0],
+        conv_bound_mean=metrics.mean_se(per_seed["conv_bound"])[0],
+        test_mean=metrics.mean_se(per_seed["test"])[0],
+        train_mean=metrics.mean_se(per_seed["train"])[0],
         per_seed=per_seed,
     )
 
@@ -183,11 +177,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> Iterator[PointResult]:
             yield _point_result(spec.axis, value, per_seed)
 
 
-AGGREGATE_COLUMNS = [
-    "axis", "value", "n_seeds", "conv_error_mean", "conv_error_se",
-    "gap_mean", "gap_se", "gap_abs", "gen_bound_mean", "gen_bound_se",
-    "conv_bound_mean", "test_mean", "train_mean",
-]
+AGGREGATE_COLUMNS = [f.name for f in fields(PointResult) if f.name != "per_seed"]
 
 
 def aggregate_rows(results: list[PointResult]) -> list[list]:

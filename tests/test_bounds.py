@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from airmeta.bounds import (AssumptionConstants, adaptive_floor_c, adaptive_rate_bound,
-                            constant_rate_bound, derived_constants, estimate_constants,
-                            generalization_bound, memory_gain, midpoint_c,
-                            sub_gaussian_proxy)
+from airmeta.bounds import (PROVENANCE, AssumptionConstants, adaptive_floor_c,
+                            adaptive_rate_bound, constant_rate_bound, derived_constants,
+                            estimate_constants, generalization_bound, memory_gain,
+                            midpoint_c, sub_gaussian_proxy)
 from airmeta.tasks import TaskEnvironment, sample_device
 
 
@@ -31,7 +31,7 @@ class TestConstantEstimation:
         ws = np.stack([sample_device(env, gen) for _ in range(4)])
         ac = estimate_constants(env, ws, PROBE)
         assert ac.l_g == 1.0 and ac.l_h == 0.0
-        assert ac.provenance["l_g"] == "analytic"
+        assert PROVENANCE["l_g"] == "analytic"
         assert ac.gamma_h_sq == 0.0
 
     def test_homogeneous_devices_zero_heterogeneity(self):
@@ -54,7 +54,7 @@ class TestConstantEstimation:
                               task_spread=0.0)
         ac = estimate_constants(env, np.zeros((2, 3)), PROBE)
         assert (ac.g_sq, ac.sigma_g_sq) == (PROBE["g_sq"], PROBE["sigma_g_sq"])
-        assert ac.provenance["g_sq"] == ac.provenance["sigma_g_sq"] == "empirical"
+        assert PROVENANCE["g_sq"] == PROVENANCE["sigma_g_sq"] == "empirical"
 
 
 class TestDerivedConstants:

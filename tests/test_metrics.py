@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airmeta import tasks
-from airmeta.metrics import (meta_generalization_error, meta_test_loss, meta_training_loss,
+from airmeta.metrics import (mean_se, meta_test_loss, meta_training_loss,
                              stationary_convergence_error, trial_gap)
 from airmeta.protocol import ExperimentConfig, run_experiment
 from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_device, stack_datasets
@@ -99,17 +99,15 @@ class TestMetaTestLoss:
 
 
 class TestGeneralizationGap:
-    def test_single_trial_flagged(self):
-        est = meta_generalization_error([(1.0, 0.4)])
-        assert est.flagged and est.n_trials == 1
-        assert est.value == pytest.approx(0.6)
+    def test_single_value_has_no_error_bar(self):
+        mean, se = mean_se([0.6])
+        assert mean == 0.6 and np.isnan(se)
 
     def test_mean_and_stderr(self):
-        est = meta_generalization_error([(1.0, 0.5), (2.0, 1.0), (3.0, 1.5)])
         gaps = np.array([0.5, 1.0, 1.5])
-        assert est.value == pytest.approx(gaps.mean())
-        assert est.stderr == pytest.approx(gaps.std(ddof=1) / np.sqrt(3))
-        assert est.abs_value == est.value
+        mean, se = mean_se(gaps)
+        assert mean == pytest.approx(gaps.mean())
+        assert se == pytest.approx(gaps.std(ddof=1) / np.sqrt(3))
 
     def test_data_independent_output_has_zero_gap(self):
         """With no training the gap is pure sampling noise around zero."""
@@ -120,9 +118,10 @@ class TestGeneralizationGap:
         gaps = []
         for s in range(8):
             traj = run_experiment(cfg.replace(master_seed=s))
-            gaps.append(trial_gap(traj))
-        est = meta_generalization_error(gaps)
-        assert abs(est.value) <= 3 * est.stderr
+            test, train = trial_gap(traj)
+            gaps.append(test - train)
+        mean, se = mean_se(gaps)
+        assert abs(mean) <= 3 * se
 
     def test_large_sample_limit_vanishes(self):
         """Plenty of data per device and homogeneous tasks: the measured gap
@@ -133,9 +132,9 @@ class TestGeneralizationGap:
                                alpha=0.3, batch_size=64, local_steps=1,
                                sparsify_k=8, channel_uses=8, snr_db=20.0,
                                n_test_devices=800)
-        gaps = [trial_gap(run_experiment(cfg.replace(master_seed=s))) for s in range(4)]
-        est = meta_generalization_error(gaps)
-        assert abs(est.value) <= 3 * max(est.stderr, 1e-6)
+        pairs = [trial_gap(run_experiment(cfg.replace(master_seed=s))) for s in range(4)]
+        mean, se = mean_se([test - train for test, train in pairs])
+        assert abs(mean) <= 3 * max(se, 1e-6)
 
 
 class TestConvergenceError:

@@ -325,6 +325,44 @@ class TestCli:
         assert "at least one round" in captured.err and captured.out == ""
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("name,edit", [
+        ("summary.json", "truncate"), ("summary.json", "drop_bound"),
+        ("manifest.json", "truncate"), ("trajectory.csv", "non_numeric_cell"),
+        ("trajectory.csv", "drop_round"), ("trajectory.csv", "empty"),
+    ])
+    def test_bounds_on_malformed_artifact_exits_2_and_names_it(self, tmp_path, capsys,
+                                                              name, edit):
+        """An artifact cut short or empty, without a key that bounds reads,
+        with a cell that is not a number, or with fewer rounds than the
+        summary records is a usage error that names the file, as a missing
+        one is; nothing is printed or written."""
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(rounds=5), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        path = out / name
+        text = path.read_text()
+        if edit == "truncate":
+            text = text[:len(text) // 2]
+        elif edit == "drop_bound":
+            summary = json.loads(text)
+            del summary["bound_generalization"]
+            text = json.dumps(summary)
+        elif edit == "non_numeric_cell":
+            text = text.replace("\n1,", "\nabc,", 1)
+        elif edit == "drop_round":
+            text = text[:text.rstrip("\n").rindex("\n") + 1]
+        else:
+            text = ""
+        path.write_text(text)
+        capsys.readouterr()
+        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out),
+                     "--out-dir", str(tmp_path / "b")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"malformed run artifact {path}" in captured.err and captured.out == ""
+        assert not (tmp_path / "b").exists()
+
     def test_estimation_term_zero_on_noiseless_unit_run(self, tmp_path):
         cfg = run_config(fading="unit", noise_var=0.0, snr_db=None, sparsify_k=8,
                          channel_uses=8, estimator="matched",
