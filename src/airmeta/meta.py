@@ -8,6 +8,14 @@ training split for the adaptation gradient, and two from disjoint halves of
 the validation split for the post-adaptation gradient and the Hessian
 correction.  Disjoint pools are the strongest implementable form of the
 independence the analysis assumes.
+
+The batches are index arrays drawn before the steps run.  ``draw_batches``
+draws them from a generator with numpy's ``choice``; ``stream_batches``
+gives the same indices for many substreams at once, by replaying numpy's
+sampling (Floyd's sample, then a shuffle, on Lemire's bounded draws) on
+arrays.  The replica follows numpy 2.4.6, the version the outputs and
+tests are pinned to; ``tests/test_replica.py`` compares it with
+``draw_batches`` and fails loudly on a numpy whose streams differ.
 """
 from __future__ import annotations
 
@@ -15,8 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tasks
+from . import rng, tasks
 from .tasks import Dataset
+
+
+# numpy's choice(n, m, replace=False) takes a tail shuffle instead of Floyd's
+# sample when n exceeds this and m > n // 50; stream_batches does not replay it
+_FLOYD_MAX_POP = 10_000
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -65,26 +79,93 @@ def batch_pools(dataset: Dataset, batch_size: int):
     return pools
 
 
-def meta_grad_estimate(thetas: np.ndarray, data: Dataset, pools, cfg: LocalConfig,
-                       rngs) -> np.ndarray:
+def draw_batches(gen: np.random.Generator, pools, batch_size: int, steps: int) -> np.ndarray:
+    """(steps, len(pools), batch_size) batch indices drawn from ``gen``: per
+    step, one batch of each pool without replacement, in pool order."""
+    # offset + choice(pool.size) draws what choice(pool) draws, and leaves the
+    # generator in the same state, without indexing the pool
+    return np.array([[pool[0] + gen.choice(pool.size, size=batch_size, replace=False)
+                      for pool in pools] for _ in range(steps)],
+                    dtype=np.int64).reshape(steps, len(pools), batch_size)
+
+
+def stream_batches(master_seed: int, keys, pools, batch_size: int, steps: int) -> np.ndarray:
+    """(K, steps, len(pools), batch_size): row k is ``draw_batches`` on
+    ``rng.substream(master_seed, *keys[k])``, for a (K, L) integer array
+    ``keys``.
+
+    All rows come from one replay of numpy's draws.  A key whose stream
+    hits a rejection of Lemire's bounded draw is redrawn by ``draw_batches``
+    on its substream, as is every key when a pool is large enough for numpy
+    to sample by tail shuffle.
+    """
+    keys = np.asarray(keys)
+    if any(pool.size > _FLOYD_MAX_POP and batch_size > pool.size // 50 for pool in pools):
+        idx = np.empty((keys.shape[0], steps, len(pools), batch_size), dtype=np.int64)
+        redraw = np.ones(keys.shape[0], dtype=bool)
+    else:
+        idx, redraw = _replay_choice(master_seed, keys, pools, batch_size, steps)
+    for k in np.flatnonzero(redraw):
+        idx[k] = draw_batches(rng.substream(master_seed, *keys[k].tolist()), pools,
+                              batch_size, steps)
+    return idx
+
+
+def _replay_choice(master_seed: int, keys: np.ndarray, pools, m: int, steps: int):
+    """``stream_batches`` replayed on the raw words of every key's substream,
+    and the (K,) mask of keys whose replay is void by a Lemire rejection.
+
+    ``choice(n, m, replace=False)`` runs Floyd's sample, a bounded draw in
+    [0, j] for j = n-m .. n-1 that keeps a repeated value's j instead, then
+    shuffles with a draw in [0, i] for i = m-1 .. 1.  A bound of 0 takes no
+    draw.  Each bounded draw takes one uint32 u, and each raw word gives two,
+    low half first: the value is (u (b+1)) >> 32, unless the low 32 bits of
+    u (b+1) fall below 2**32 mod (b+1), where numpy rejects u and draws again.
+    """
+    offsets = np.array([pool[0] for pool in pools], dtype=np.int64)
+    floyd = np.array([pool.size for pool in pools])[:, None] - m + np.arange(m)
+    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(pools), m - 1))
+    # the bound of every draw slot of a key, in stream order: (steps, pools, 2m - 1)
+    bounds = np.tile(np.concatenate([floyd, shuffle], axis=1), (steps, 1, 1))
+    drawn = bounds > 0
+    span = bounds[drawn].astype(np.uint64) + np.uint64(1)
+    words = rng.substream_words(master_seed, keys, (span.size + 1) // 2)
+    u = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)],
+                 axis=-1).reshape(keys.shape[0], -1)[:, :span.size]
+    scaled = u * span
+    rejected = np.any((scaled & np.uint64(_MASK32)) < (np.uint64(1 << 32) % span), axis=1)
+    vals = np.zeros((keys.shape[0],) + bounds.shape, dtype=np.int64)
+    vals[:, drawn] = (scaled >> np.uint64(32)).astype(np.int64)
+    idx = np.empty(vals.shape[:-1] + (m,), dtype=np.int64)
+    for s in range(m):
+        seen = np.any(idx[..., :s] == vals[..., s, None], axis=-1)
+        idx[..., s] = np.where(seen, floyd[:, s], vals[..., s])
+    # the shuffle, on one row per (key, step, pool)
+    batches = idx.reshape(-1, m)
+    rows = np.arange(batches.shape[0])
+    for s, i in enumerate(range(m - 1, 0, -1)):
+        j = vals[..., m + s].reshape(-1)
+        swap = batches[rows, j]
+        batches[rows, j] = batches[:, i]
+        batches[:, i] = swap
+    return batches.reshape(idx.shape) + offsets[:, None], rejected
+
+
+def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray,
+                       cfg: LocalConfig) -> np.ndarray:
     """Stochastic meta-gradients (I - alpha*H_hat) g_hat' of a stack of devices.
 
     Row i is device i of the stacked ``data`` at ``thetas[i]``: g_hat' is its
     mini-batch gradient at the adapted point theta - alpha * g_hat(B), and
-    H_hat its mini-batch Hessian at theta.  Device i draws its adaptation,
-    outer-gradient and Hessian batches from ``rngs[i]``, in that order, out
-    of the three ``pools`` of ``batch_pools``.  The estimate is biased for
-    curved losses; that is accepted, not corrected.
+    H_hat its mini-batch Hessian at theta.  ``idx`` (n, 3, m_B) holds device
+    i's adaptation, outer-gradient and Hessian batches, in that order, as
+    drawn from the three pools of ``batch_pools``.  The estimate is biased
+    for curved losses; that is accepted, not corrected.
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_finite(thetas)
-    if not thetas.shape[0] == data.x.shape[0] == len(rngs):
-        raise ValueError("one theta, one device dataset and one rng per row required")
-    size = cfg.batch_size
-    # offset + choice(pool.size) draws what choice(pool) draws, and leaves the
-    # generator in the same state, without indexing the pool
-    idx = np.array([[pool[0] + gen.choice(pool.size, size=size, replace=False)
-                     for pool in pools] for gen in rngs]).reshape(len(rngs), len(pools), size)
+    if not thetas.shape[0] == data.x.shape[0] == idx.shape[0]:
+        raise ValueError("one theta, one device dataset and one batch triple per row required")
     rows = np.arange(thetas.shape[0])[:, None]
 
     def batch(k):
@@ -96,32 +177,35 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, pools, cfg: LocalConfi
     return g_outer - cfg.alpha * (h_hat @ g_outer[..., None])[..., 0]
 
 
-def local_rounds(theta_start: np.ndarray, data: Dataset, pools, cfg: LocalConfig, eta: float,
-                 rngs):
+def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, cfg: LocalConfig,
+                 eta: float):
     """Run the local SGD steps of a stack of devices in lockstep.
 
-    Every device of the stacked ``data`` starts from ``theta_start`` and
-    draws its batches from its own generator in ``rngs``.  Returns
-    (deltas, iterates): deltas (n, d) holds theta_start - theta_end, the
-    model differences the devices would report, and iterates (Q, n, d) the
-    points the steps started from (used for empirical constant estimation).
-    A device whose iterate leaves the finite range stops there, so it
-    reports a non-finite delta; its iterates from that step on are NaN.
+    Every device of the stacked ``data`` starts from ``theta_start``; step
+    q of device i uses the batches ``idx[q, i]`` of an index array
+    (Q, n, 3, m_B).  Returns (deltas, iterates): deltas (n, d) holds
+    theta_start - theta_end, the model differences the devices would
+    report, and iterates (Q, n, d) the points the steps started from (used
+    for empirical constant estimation).  A device whose iterate leaves the
+    finite range stops there, so it reports a non-finite delta; its
+    iterates from that step on are NaN.
     """
     theta_start = np.asarray(theta_start, dtype=float)
     _check_finite(theta_start)
-    n = len(rngs)
+    n = data.x.shape[0]
+    if idx.shape[:2] != (cfg.local_steps, n):
+        raise ValueError("batch indices must be (local_steps, n_devices, 3, batch_size)")
     theta = np.tile(theta_start, (n, 1))
     iterates = np.full((cfg.local_steps, n, theta_start.size), np.nan)
-    rows = np.arange(n)  # devices still running; data and rngs follow it
+    rows = np.arange(n)  # devices still running; data follows it
     for step in range(cfg.local_steps):
         if step:
             ok = np.all(np.isfinite(theta[rows]), axis=1)
             if not ok.all():
                 rows, data = rows[ok], data.devices(ok)
-                rngs = [gen for gen, keep in zip(rngs, ok) if keep]
         if not rows.size:
             break
         iterates[step, rows] = theta[rows]
-        theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, pools, cfg, rngs)
+        theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, idx[step, rows],
+                                                             cfg)
     return theta_start - theta, iterates

@@ -18,6 +18,9 @@ from . import channel as ch
 from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
+# rounds whose active sets and local batches are drawn together; batches of
+# a whole run at once would cost memory for little more speed
+_BLOCK_ROUNDS = 16
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -352,9 +355,9 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
 
     for t in range(cfg.rounds):
         eta_t, alpha_t = lr_schedule(cfg, t)
-        active = sample_active_set(
-            cfg.n_devices, cfg.active_fraction, rng.substream(cfg.master_seed, rng.ACTIVE_SET, t)
-        )
+        if t % _BLOCK_ROUNDS == 0:
+            actives, batches = _draw_block(cfg, state, t)
+        active, batch_idx = actives[t % _BLOCK_ROUNDS], batches[t % _BLOCK_ROUNDS]
         if channel_replay is None:
             drawn = ch.sample_channel(active, cfg.fading, noise_var, cfg.channel_uses,
                                       rng.substream(cfg.master_seed, rng.CHANNEL, t))
@@ -368,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
         round_ch = dataclasses.replace(drawn, active=drawn.active[alive],
                                        gains=drawn.gains[alive])
 
-        deltas = _local_updates(cfg, state, t, round_ch.active, eta_t, alpha_t)
+        deltas = _local_updates(cfg, state, round_ch.active, batch_idx[alive], eta_t, alpha_t)
         out = None if deltas is None else \
             _air_uplink(cfg, state, t, deltas, round_ch, noise_var, eta_t)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -415,17 +418,34 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     )
 
 
-def _local_updates(cfg: ExperimentConfig, state: _State, t: int, act_eff: np.ndarray,
-                   eta_t: float, alpha_t: float) -> np.ndarray | None:
+def _draw_block(cfg: ExperimentConfig, state: _State, t0: int):
+    """Active sets and local batch indices of rounds t0 .. t0 + _BLOCK_ROUNDS - 1
+    (fewer at the end of the run): a list of active sets and an array
+    (rounds, n_active, Q, 3, m_B) whose row [t - t0, j] is what device
+    ``active[j]`` of round t draws from its LOCAL_BATCH substream.  All Q
+    steps are drawn up front; a substream serves one device in one round,
+    so a device that stops early only leaves its later draws unused."""
+    rounds = range(t0, min(t0 + _BLOCK_ROUNDS, cfg.rounds))
+    actives = [sample_active_set(cfg.n_devices, cfg.active_fraction,
+                                 rng.substream(cfg.master_seed, rng.ACTIVE_SET, t))
+               for t in rounds]
+    keys = np.array([(rng.LOCAL_BATCH, t, i) for t, active in zip(rounds, actives)
+                     for i in active.tolist()])
+    batches = meta.stream_batches(cfg.master_seed, keys, state.pools, cfg.batch_size,
+                                  cfg.local_steps)
+    return actives, batches.reshape((len(rounds), cfg.n_active) + batches.shape[1:])
+
+
+def _local_updates(cfg: ExperimentConfig, state: _State, act_eff: np.ndarray,
+                   batch_idx: np.ndarray, eta_t: float, alpha_t: float) -> np.ndarray | None:
     """(n_active, d) model differences of the transmitting devices, in
-    ``act_eff`` order; None when one of them is non-finite.  Feeds the
-    moment probe."""
+    ``act_eff`` order, from their (n_active, Q, 3, m_B) batch indices; None
+    when one of them is non-finite.  Feeds the moment probe."""
     local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
                                  batch_size=cfg.batch_size)
-    gens = [rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i) for i in act_eff]
     with np.errstate(over="ignore", invalid="ignore"):
         deltas, iterates = meta.local_rounds(state.theta, state.data.devices(act_eff),
-                                             state.pools, local_cfg, eta_t, gens)
+                                             batch_idx.swapaxes(0, 1), local_cfg, eta_t)
         state.update_probe(iterates, state.ws[act_eff], alpha_t)
     if not np.all(np.isfinite(deltas)):
         return None

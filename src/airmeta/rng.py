@@ -4,6 +4,12 @@ Every stochastic component of a run draws from its own child stream keyed
 by (master_seed, purpose tag, round, device, ...).  Streams are independent
 of scheduling order, so serial and parallel executions of the same round
 produce identical results.
+
+``substream_words`` gives the raw output of many substreams at once.  It
+replays numpy's SeedSequence mixing and PCG64 seeding on arrays, as both
+stand in numpy 2.4.6, the version the outputs and tests are pinned to;
+``tests/test_replica.py`` compares it with ``substream`` and fails loudly on
+a numpy whose seeding differs.
 """
 from __future__ import annotations
 
@@ -19,11 +25,93 @@ COMPRESSION = 6
 EVALUATION = 8
 TRIAL = 9
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# SeedSequence hash constants and its pool size
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Child generator for (master_seed, *key).  Same key, same stream."""
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF] + [int(k) & 0xFFFFFFFFFFFFFFFF for k in key]
+    entropy = [int(master_seed) & _MASK64] + [int(k) & _MASK64 for k in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def substream_words(master_seed: int, keys, n_words: int) -> np.ndarray:
+    """(K, n_words) uint64: row k is
+    ``substream(master_seed, *keys[k]).bit_generator.random_raw(n_words)``
+    for a (K, L) integer array ``keys``."""
+    keys = np.asarray(keys)
+    values = np.empty((keys.shape[0], 1 + keys.shape[1]), dtype=np.uint64)
+    values[:, 0] = int(master_seed) & _MASK64
+    # int64 -> uint64 keeps the bits, which is the 64-bit mask of substream
+    values[:, 1:] = keys.astype(np.int64).view(np.uint64) if keys.dtype.kind == "i" else keys
+    out = np.empty((keys.shape[0], n_words), dtype=np.uint64)
+    bits = np.random.PCG64(0)
+    # a value is one entropy word below 2**32 and two (low, high) from there
+    # on; rows with the same layout of words are mixed together
+    wide = values > np.uint64(_MASK32)
+    layouts, group = np.unique(wide, axis=0, return_inverse=True)
+    for g, layout in enumerate(layouts):
+        rows = np.flatnonzero(group.reshape(-1) == g)
+        words = []
+        for col, two in zip(values[rows].T, layout):
+            words.append((col & np.uint64(_MASK32)).astype(np.uint32))
+            if two:
+                words.append((col >> np.uint64(32)).astype(np.uint32))
+        pool = _mix_entropy(words, rows.size)
+        # SeedSequence.generate_state(4, np.uint64), as 8 uint32 words, low word first
+        consts = _hash_consts(_INIT_B, _MULT_B)
+        state = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * _POOL_SIZE)]
+        for row, s in zip(rows, zip(*(w.tolist() for w in state))):
+            # PCG64 seeding: state 0, one LCG step, add the seed, one more step
+            init = (s[0] | s[1] << 32) << 64 | s[2] | s[3] << 32
+            inc = (((s[4] | s[5] << 32) << 64 | s[6] | s[7] << 32) << 1 | 1) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                          "state": {"state": ((inc + init) * _PCG64_MULT + inc) & _MASK128,
+                                    "inc": inc}}
+            out[row] = bits.random_raw(n_words)
+    return out
+
+
+def _hash_consts(const: int, mult: int):
+    """SeedSequence's running hash constant: (before, after) each multiply."""
+    while True:
+        after = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(after)
+        const = after
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    before, after = next(consts)
+    value = (value ^ before) * after
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _mix_entropy(words: list, n: int) -> list:
+    """SeedSequence's entropy pool from the uint32 entropy ``words``, each
+    an (n,) array, for all n rows at once."""
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(words[i] if i < len(words) else np.zeros(n, dtype=np.uint32), consts)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    return pool
 
 
 def trial_seed(master_seed: int, trial: int) -> int:

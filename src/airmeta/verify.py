@@ -151,18 +151,24 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     grad_mean = tasks.mean_meta_grad(theta, ws, tasks.meta_curvature(env, alpha))
     sigma_sq = 0.0
     gamma_sq = 0.0
-    # one-device stacks share one generator, so the draws follow device order
+    # one-device stacks share one generator, so the draws follow device order;
+    # local_rounds takes all q steps' batches up front, which draws what lazy
+    # per-step draws would as long as no device stops early
     stacks = [tasks.stack_datasets([ds]) for ds in datasets]
     for w, data in zip(ws, stacks):
         per_dev = tasks.population_meta_grad(theta, w, env, alpha)
         gamma_sq = max(gamma_sq, float(np.sum((per_dev - grad_mean) ** 2)))
-        ests = np.concatenate([meta.meta_grad_estimate(theta[None], data, pools, cfg_local, [gen])
+        # draw_batches(..., 1) is one step's batches; its step axis is the device axis
+        ests = np.concatenate([meta.meta_grad_estimate(theta[None], data,
+                                                       meta.draw_batches(gen, pools, m_b, 1),
+                                                       cfg_local)
                                for _ in range(n_draws)])
         sigma_sq = max(sigma_sq, float(np.mean(np.sum((ests - per_dev) ** 2, axis=1))))
     drift_sq = []
     for data in stacks:
         for _ in range(n_draws // 10):
-            _, iterates = meta.local_rounds(theta, data, pools, cfg_local, eta, [gen])
+            idx = meta.draw_batches(gen, pools, m_b, q)[:, None]
+            _, iterates = meta.local_rounds(theta, data, idx, cfg_local, eta)
             drift_sq.append(float(np.max(np.sum((iterates[:, 0] - theta) ** 2, axis=1))))
     measured = float(np.mean(drift_sq))
     limit = 40 * q**2 * eta**2 * (sigma_sq + gamma_sq + float(grad_mean @ grad_mean))

@@ -25,8 +25,10 @@ def noiseless_thetas(traj) -> np.ndarray:
                                    rng.substream(cfg.master_seed, rng.ACTIVE_SET, t))
         local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
                                      batch_size=cfg.batch_size)
-        gens = [rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i) for i in active]
-        deltas, _ = meta.local_rounds(thetas[-1], traj.datasets.devices(active), pools,
-                                      local_cfg, eta_t, gens)
+        idx = np.stack([meta.draw_batches(rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i),
+                                          pools, cfg.batch_size, cfg.local_steps)
+                        for i in active], axis=1)
+        deltas, _ = meta.local_rounds(thetas[-1], traj.datasets.devices(active), idx,
+                                      local_cfg, eta_t)
         thetas.append(thetas[-1] - np.mean(deltas, axis=0))
     return np.stack(thetas)

@@ -1,14 +1,15 @@
 """Pointwise and moment oracles that only the tests evaluate.
 
 The per-sample loss, gradient and Hessian of the squared loss, the
-population gradient, the closed-form per-sample gradient moments, and the
-received SNR recovered from a run's fading draws.  The simulator computes
+population gradient, the closed-form per-sample gradient moments, one
+device's local steps on literal numpy batch draws, and the received SNR
+recovered from a run's fading draws.  The simulator computes
 batched versions of these (``tasks.batch_*``) or never needs them; the tests
 check those batched paths and the closed forms against these.
 """
 import numpy as np
 
-from airmeta import tasks
+from airmeta import meta, tasks
 from airmeta.tasks import TaskEnvironment
 
 
@@ -50,6 +51,28 @@ def grad_variance(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
     _, variance, noise = tasks.grad_moment_forms(env)
     e = np.asarray(phi_minus_w, dtype=float)
     return variance * float(e @ e) + noise
+
+
+def local_rounds(theta_start, ds, cfg, eta, gen):
+    """(delta, iterates) of one device's local steps, written with 1-D
+    vectors and 2-D batches, drawing each step's batches with
+    ``gen.choice(pool, ...)`` only when the step starts."""
+    def grad(phi, idx):
+        x, y = ds.x[idx], ds.y[idx]
+        return -(x.T @ (y - x @ phi)) / x.shape[0]
+
+    theta, iterates = theta_start.copy(), []
+    for step in range(cfg.local_steps):
+        if step and not np.all(np.isfinite(theta)):
+            break
+        iterates.append(theta.copy())
+        idx = [gen.choice(pool, size=cfg.batch_size, replace=False)
+               for pool in meta.batch_pools(ds, cfg.batch_size)]
+        g_outer = grad(theta - cfg.alpha * grad(theta, idx[0]), idx[1])
+        x_h = ds.x[idx[2]]
+        g_outer = g_outer - cfg.alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
+        theta = theta - eta * g_outer
+    return theta_start - theta, iterates
 
 
 def measured_snr_db(traj, power: float) -> float:

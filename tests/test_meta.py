@@ -23,15 +23,18 @@ def orthonormal_design(w, copies=1):
 
 
 def estimate(theta, ds, cfg, gen):
-    """meta_grad_estimate of one device, as a one-row stack."""
-    pools = meta.batch_pools(ds, cfg.batch_size)
-    return meta_grad_estimate(theta[None], stack_datasets([ds]), pools, cfg, [gen])[0]
+    """meta_grad_estimate of one device, as a one-row stack, on one step's
+    batches drawn from ``gen``."""
+    idx = meta.draw_batches(gen, meta.batch_pools(ds, cfg.batch_size), cfg.batch_size, 1)
+    return meta_grad_estimate(theta[None], stack_datasets([ds]), idx, cfg)[0]
 
 
 def local(theta, ds, cfg, eta, gen):
-    """(delta, iterates) of one device's local_rounds, as a one-row stack."""
-    pools = meta.batch_pools(ds, cfg.batch_size)
-    delta, iterates = local_rounds(theta, stack_datasets([ds]), pools, cfg, eta, [gen])
+    """(delta, iterates) of one device's local_rounds, as a one-row stack, on
+    the batches of all its steps drawn from ``gen``."""
+    idx = meta.draw_batches(gen, meta.batch_pools(ds, cfg.batch_size), cfg.batch_size,
+                            cfg.local_steps)
+    delta, iterates = local_rounds(theta, stack_datasets([ds]), idx[:, None], cfg, eta)
     return delta[0], iterates[:, 0]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from airmeta import report, storage
 from airmeta.channel import make_compression
 from airmeta import rng as streams
-from airmeta.meta import LocalConfig, batch_pools, local_rounds
+from airmeta.meta import LocalConfig, batch_pools, draw_batches, local_rounds
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
                               meets_constant_rate, memory_identity_residuals,
                               replay_experiment, run_experiment, sample_active_set)
@@ -261,9 +261,12 @@ class TestSchedulingInvariance:
         theta0 = traj.thetas[0]
         results = []
         for order in (np.array([0, 1, 2, 3]), np.array([3, 1, 0, 2])):
-            gens = [streams.substream(cfg.master_seed, streams.LOCAL_BATCH, 0, i) for i in order]
-            results.append(local_rounds(theta0, traj.datasets.devices(order), pools, local_cfg,
-                                        cfg.eta, gens))
+            idx = np.stack([draw_batches(streams.substream(cfg.master_seed, streams.LOCAL_BATCH,
+                                                           0, i),
+                                         pools, cfg.batch_size, cfg.local_steps)
+                            for i in order], axis=1)
+            results.append(local_rounds(theta0, traj.datasets.devices(order), idx, local_cfg,
+                                        cfg.eta))
         (deltas_a, iterates_a), (deltas_b, iterates_b) = results
         assert deltas_b.tobytes() == deltas_a[[3, 1, 0, 2]].tobytes()
         assert iterates_b.tobytes() == iterates_a[:, [3, 1, 0, 2]].tobytes()

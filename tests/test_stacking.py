@@ -12,9 +12,17 @@ from hypothesis import strategies as st
 
 from airmeta import channel, meta, sparsify, tasks
 
+import oracles
+
 
 def gens(seed, n):
     return [np.random.default_rng([seed, i]) for i in range(n)]
+
+
+def batches(seed, n, pools, cfg):
+    """(Q, n, 3, m_B) batch indices, device i's drawn from ``gens(seed, n)[i]``."""
+    return np.stack([meta.draw_batches(gen, pools, cfg.batch_size, cfg.local_steps)
+                     for gen in gens(seed, n)], axis=1)
 
 
 def same_rows(stacked, rows):
@@ -23,27 +31,8 @@ def same_rows(stacked, rows):
 
 
 # Per-device references: the one-device arithmetic each stacked stage must
-# reproduce bit for bit, written with 1-D vectors and 2-D batches.
-
-def reference_local_rounds(theta_start, ds, cfg, eta, gen):
-    """(delta, iterates) of one device's local steps."""
-    def grad(phi, idx):
-        x, y = ds.x[idx], ds.y[idx]
-        return -(x.T @ (y - x @ phi)) / x.shape[0]
-
-    theta, iterates = theta_start.copy(), []
-    for step in range(cfg.local_steps):
-        if step and not np.all(np.isfinite(theta)):
-            break
-        iterates.append(theta.copy())
-        idx = [gen.choice(pool, size=cfg.batch_size, replace=False)
-               for pool in meta.batch_pools(ds, cfg.batch_size)]
-        g_outer = grad(theta - cfg.alpha * grad(theta, idx[0]), idx[1])
-        x_h = ds.x[idx[2]]
-        g_outer = g_outer - cfg.alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
-        theta = theta - eta * g_outer
-    return theta_start - theta, iterates
-
+# reproduce bit for bit, written with 1-D vectors (oracles.local_rounds is the
+# one for the local steps).
 
 def reference_top_k(x, k):
     keep = np.argsort(-np.abs(x), kind="stable")[:k]
@@ -101,15 +90,15 @@ class TestStackedRowsEqualOneRowCalls:
         datasets, cfg, eta, theta, seed = case
         data = tasks.stack_datasets(datasets)
         pools = meta.batch_pools(data, cfg.batch_size)
+        idx = batches(seed, len(datasets), pools, cfg)
         with np.errstate(all="ignore"):
-            deltas, iterates = meta.local_rounds(theta, data, pools, cfg, eta,
-                                                 gens(seed, len(datasets)))
-            ones = [meta.local_rounds(theta, data.devices([i]), pools, cfg, eta, [gen])
-                    for i, gen in enumerate(gens(seed, len(datasets)))]
+            deltas, iterates = meta.local_rounds(theta, data, idx, cfg, eta)
+            ones = [meta.local_rounds(theta, data.devices([i]), idx[:, [i]], cfg, eta)
+                    for i in range(len(datasets))]
         assert same_rows(deltas, [d[0] for d, _ in ones])
         assert same_rows(np.swapaxes(iterates, 0, 1), [it[:, 0] for _, it in ones])
         with np.errstate(all="ignore"):
-            refs = [reference_local_rounds(theta, ds, cfg, eta, gen)
+            refs = [oracles.local_rounds(theta, ds, cfg, eta, gen)
                     for ds, gen in zip(datasets, gens(seed, len(datasets)))]
         assert same_rows(deltas, [delta for delta, _ in refs])
         for i, (_, ref_iterates) in enumerate(refs):
