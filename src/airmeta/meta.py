@@ -13,12 +13,16 @@ The batches are index arrays drawn before the steps run.  ``draw_batches``
 draws them from a generator with numpy's ``choice``; ``stream_batches``
 gives the same indices for many substreams at once, by replaying numpy's
 sampling (Floyd's sample, then a shuffle, on Lemire's bounded draws) on
-arrays.  The replica follows numpy 2.4.6, the version the outputs and
-tests are pinned to; ``tests/test_replica.py`` compares it with
-``draw_batches`` and fails loudly on a numpy whose streams differ.
+arrays.  ``stream_choices`` replays a sorted ``choice`` the same way, which
+is how a round's active set and compression rows are drawn.  The replica
+follows numpy 2.4.6, the version the outputs and tests are pinned to.
+``replicas_hold`` checks it against numpy once per process and, when it
+fails, sends every draw through numpy; ``tests/test_replica.py`` compares
+it with numpy over many keys.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,7 @@ from .tasks import Dataset
 
 
 # numpy's choice(n, m, replace=False) takes a tail shuffle instead of Floyd's
-# sample when n exceeds this and m > n // 50; stream_batches does not replay it
+# sample when n exceeds this and m > n // 50; the replay does not replay it
 _FLOYD_MAX_POP = 10_000
 _MASK32 = 0xFFFFFFFF
 
@@ -94,26 +98,74 @@ def stream_batches(master_seed: int, keys, pools, batch_size: int, steps: int) -
     ``rng.substream(master_seed, *keys[k])``, for a (K, L) integer array
     ``keys``.
 
-    All rows come from one replay of numpy's draws.  A key whose stream
-    hits a rejection of Lemire's bounded draw is redrawn by ``draw_batches``
-    on its substream, as is every key when a pool is large enough for numpy
-    to sample by tail shuffle.
+    All rows come from one replay of numpy's draws.  A key the replay
+    cannot give (see ``_replay``) is redrawn by ``draw_batches`` on its
+    substream.
     """
     keys = np.asarray(keys)
-    if any(pool.size > _FLOYD_MAX_POP and batch_size > pool.size // 50 for pool in pools):
-        idx = np.empty((keys.shape[0], steps, len(pools), batch_size), dtype=np.int64)
-        redraw = np.ones(keys.shape[0], dtype=bool)
-    else:
-        idx, redraw = _replay_choice(master_seed, keys, pools, batch_size, steps)
+    idx, redraw = _replay(rng.seeded_states(master_seed, keys), pools, batch_size, steps)
     for k in np.flatnonzero(redraw):
         idx[k] = draw_batches(rng.substream(master_seed, *keys[k].tolist()), pools,
                               batch_size, steps)
     return idx
 
 
-def _replay_choice(master_seed: int, keys: np.ndarray, pools, m: int, steps: int):
-    """``stream_batches`` replayed on the raw words of every key's substream,
-    and the (K,) mask of keys whose replay is void by a Lemire rejection.
+def stream_choices(master_seed: int, keys, states, n: int, m: int) -> np.ndarray:
+    """(K, m): row k is ``np.sort(gen.choice(n, m, replace=False))`` on
+    ``gen = rng.substream(master_seed, *keys[k])``, whose seeded PCG64 state
+    is ``states[k]`` (``rng.seeded_states``).  Replayed like
+    ``stream_batches``; a key the replay cannot give is drawn on its
+    substream."""
+    idx, redraw = _replay(states, (np.arange(n),), m, 1)
+    out = np.sort(idx.reshape(len(states), m), axis=1)
+    for k in np.flatnonzero(redraw):
+        gen = rng.substream(master_seed, *np.asarray(keys[k]).tolist())
+        out[k] = np.sort(gen.choice(n, size=m, replace=False))
+    return out
+
+
+@functools.cache
+def replicas_hold() -> bool:
+    """Whether this numpy seeds and samples as the replicas replay it: the
+    raw words of one probe substream, and one ``choice`` on a second.
+    Checked once per process; when it fails, every draw is made through
+    numpy, slower but the same."""
+    seed, n, m = 2**63 - 1, 20, 8
+    keys = np.array([[rng.LOCAL_BATCH, 7, 2**40], [rng.COMPRESSION, 8, 1]])
+    words = rng.state_words(rng.seeded_states(seed, keys), m)
+    idx, void = _replay_choice(words[1:], (np.arange(n),), m, 1)
+    gens = [rng.substream(seed, *key) for key in keys.tolist()]
+    return (words[0].tolist() == gens[0].bit_generator.random_raw(m).tolist()
+            and not void[0]
+            and idx.reshape(-1).tolist() == gens[1].choice(n, size=m, replace=False).tolist())
+
+
+def _replay(states, pools, m: int, steps: int):
+    """``_replay_choice`` on the raw words of the PCG64 ``states``, with
+    every row void where the replay does not hold: numpy samples a pool over
+    10,000 points by tail shuffle once m > n // 50, and a numpy whose
+    seeding or sampling differs fails ``replicas_hold``."""
+    if replicas_hold() and all(pool.size <= _FLOYD_MAX_POP or m <= pool.size // 50
+                               for pool in pools):
+        n_draws = int(np.sum(_draw_bounds(pools, m, steps) > 0))
+        return _replay_choice(rng.state_words(states, (n_draws + 1) // 2), pools, m, steps)
+    return (np.empty((len(states), steps, len(pools), m), dtype=np.int64),
+            np.ones(len(states), dtype=bool))
+
+
+def _draw_bounds(pools, m: int, steps: int) -> np.ndarray:
+    """The bound of every draw slot of ``choice(pool.size, m, replace=False)``
+    per step and pool, in stream order: (steps, pools, 2m - 1), Floyd's
+    sample and then the shuffle."""
+    floyd = np.array([pool.size for pool in pools])[:, None] - m + np.arange(m)
+    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(pools), m - 1))
+    return np.tile(np.concatenate([floyd, shuffle], axis=1), (steps, 1, 1))
+
+
+def _replay_choice(words: np.ndarray, pools, m: int, steps: int):
+    """``pool[0] + choice(pool.size, m, replace=False)`` per step and pool,
+    in that order, replayed on each row of the raw words ``words`` (K, W),
+    and the (K,) mask of rows whose replay is void by a Lemire rejection.
 
     ``choice(n, m, replace=False)`` runs Floyd's sample, a bounded draw in
     [0, j] for j = n-m .. n-1 that keeps a repeated value's j instead, then
@@ -123,18 +175,15 @@ def _replay_choice(master_seed: int, keys: np.ndarray, pools, m: int, steps: int
     u (b+1) fall below 2**32 mod (b+1), where numpy rejects u and draws again.
     """
     offsets = np.array([pool[0] for pool in pools], dtype=np.int64)
-    floyd = np.array([pool.size for pool in pools])[:, None] - m + np.arange(m)
-    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(pools), m - 1))
-    # the bound of every draw slot of a key, in stream order: (steps, pools, 2m - 1)
-    bounds = np.tile(np.concatenate([floyd, shuffle], axis=1), (steps, 1, 1))
+    bounds = _draw_bounds(pools, m, steps)
+    floyd = bounds[0, :, :m]
     drawn = bounds > 0
     span = bounds[drawn].astype(np.uint64) + np.uint64(1)
-    words = rng.substream_words(master_seed, keys, (span.size + 1) // 2)
     u = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)],
-                 axis=-1).reshape(keys.shape[0], -1)[:, :span.size]
+                 axis=-1).reshape(words.shape[0], -1)[:, :span.size]
     scaled = u * span
     rejected = np.any((scaled & np.uint64(_MASK32)) < (np.uint64(1 << 32) % span), axis=1)
-    vals = np.zeros((keys.shape[0],) + bounds.shape, dtype=np.int64)
+    vals = np.zeros((words.shape[0],) + bounds.shape, dtype=np.int64)
     vals[:, drawn] = (scaled >> np.uint64(32)).astype(np.int64)
     idx = np.empty(vals.shape[:-1] + (m,), dtype=np.int64)
     for s in range(m):

@@ -17,17 +17,20 @@ def stationary_convergence_error(traj) -> float:
     return float(np.mean(vals))
 
 
-def meta_training_loss(theta, data, alpha: float) -> float:
+def meta_training_loss(theta, data, alpha: float):
     """Empirical meta objective: validation loss after one adaptation step
     on the full training split, averaged over the devices of the stacked
-    dataset ``data``."""
+    dataset ``data``.  A float for one iterate ``theta`` (d,); for a stack
+    (T, d) of iterates, their (T,) losses, each bit for bit its own call."""
     theta = np.asarray(theta, dtype=float)
     x_tr, y_tr = data.train
     x_va, y_va = data.val
     if x_tr.shape[-2] == 0 or x_va.shape[-2] == 0:
         raise ValueError("meta training loss needs non-empty splits")
-    phi = theta - alpha * tasks.batch_grad(theta, x_tr, y_tr)
-    return float(np.mean(tasks.batch_loss(phi, x_va, y_va)))
+    start = theta[..., None, :]  # every device adapts from its iterate
+    phi = start - alpha * tasks.batch_grad(start, x_tr, y_tr)
+    losses = np.mean(tasks.batch_loss(phi, x_va, y_va), axis=-1)
+    return float(losses) if theta.ndim == 1 else losses
 
 
 def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m_tr: int,

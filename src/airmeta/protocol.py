@@ -18,9 +18,10 @@ from . import channel as ch
 from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
-# rounds whose active sets and local batches are drawn together; batches of
-# a whole run at once would cost memory for little more speed
-_BLOCK_ROUNDS = 16
+# rounds whose iterate-free inputs are drawn, and whose records are
+# evaluated, together; a whole run at once would cost memory for little more
+# speed
+_BLOCK_ROUNDS = 64
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -300,18 +301,20 @@ class _State:
         self.memories = np.zeros((cfg.n_devices, cfg.dim))
         self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0}
         self.moment_forms = tasks.grad_moment_forms(self.env)
+        # draws each round's channel, set to the seeded state of its stream
+        self.channel_gen = np.random.Generator(np.random.PCG64(0))
 
-    def update_probe(self, points: np.ndarray, ws: np.ndarray, alpha: float):
+    def update_probe(self, e: np.ndarray, alphas: np.ndarray):
         """Track analytic per-point gradient moments along the trajectory.
 
-        ``points`` (..., n, d) holds iterates of the devices with task
-        vectors ``ws`` (n, d); NaN rows mark steps a device did not start,
-        and are skipped like any NaN moment.
+        Row r of ``e`` (R, d) is the offset of a local iterate from its
+        device's task vector, and ``alphas[r]`` the inner rate of its round;
+        NaN rows mark steps a device did not start, and are skipped like
+        any NaN moment.
         """
         second, variance, noise = self.moment_forms
-        e = (points - ws).reshape(-1, ws.shape[-1])
         # offsets after an exact adaptation step
-        e_ad = e - alpha * (self.env.input_cov * e)
+        e_ad = e - alphas[:, None] * (self.env.input_cov * e)
         offs = np.concatenate([e, e_ad])
         for key, form in (("g_sq", second), ("sigma_g_sq", variance)):
             vals = ((form * offs)[:, None, :] @ offs[:, :, None])[:, 0, 0] + noise
@@ -353,52 +356,47 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     recon: list[dict] = []
     aborted_at = None
 
-    for t in range(cfg.rounds):
-        eta_t, alpha_t = lr_schedule(cfg, t)
-        if t % _BLOCK_ROUNDS == 0:
-            actives, batches = _draw_block(cfg, state, t)
-        active, batch_idx = actives[t % _BLOCK_ROUNDS], batches[t % _BLOCK_ROUNDS]
-        if channel_replay is None:
-            drawn = ch.sample_channel(active, cfg.fading, noise_var, cfg.channel_uses,
-                                      rng.substream(cfg.master_seed, rng.CHANNEL, t))
-        else:
-            drawn = channel_replay[t]
-            if not np.array_equal(drawn.active, active):
+    for t0 in range(0, cfg.rounds, _BLOCK_ROUNDS):
+        block = _draw_block(cfg, state, t0, noise_var, channel_replay)
+        done = []  # (t, eta_t, alpha_t, record fields) of the block's rounds so far
+        probe = []  # (offsets, inner rate) of the block's local iterates
+        for t, active, batch_idx, drawn, comp in zip(range(t0, cfg.rounds), *block):
+            eta_t, alpha_t = lr_schedule(cfg, t)
+            if channel_replay is not None and not np.array_equal(drawn.active, active):
                 raise ValueError(f"replay log active set mismatch at round {t}")
-        replay_out.append(drawn)
-        # a zero channel coefficient drops the device for the round
-        alive = np.abs(drawn.gains) > 0.0
-        round_ch = dataclasses.replace(drawn, active=drawn.active[alive],
-                                       gains=drawn.gains[alive])
+            replay_out.append(drawn)
+            # a zero channel coefficient drops the device for the round
+            alive = np.abs(drawn.gains) > 0.0
+            round_ch = dataclasses.replace(drawn, active=drawn.active[alive],
+                                           gains=drawn.gains[alive])
 
-        deltas = _local_updates(cfg, state, round_ch.active, batch_idx[alive], eta_t, alpha_t)
-        out = None if deltas is None else \
-            _air_uplink(cfg, state, t, deltas, round_ch, noise_var, eta_t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if out is None:
-                theta_next, fields = None, _ABORTED_FIELDS
-            else:
-                theta_next, fields, noise_term, fading_dev = out
-                fields = fields | {
-                    "train_loss": metrics.meta_training_loss(state.theta, state.data,
-                                                             metric_alpha),
-                    "sum_abs_h_sq": float(np.sum(np.abs(round_ch.gains) ** 2)),
-                }
-                recon.append({
-                    "sum_delta": np.sum(deltas, axis=0),
-                    "noise_term": noise_term,
-                    "fading_dev": fading_dev,
-                    "mem_sum": state.memories.sum(axis=0),
-                })
-            records.append(RoundRecord(
-                t=t, eta_t=eta_t, alpha_t=alpha_t,
-                grad_norm_sq=_grad_norm_sq(state, curvature), **fields,
-            ))
-        if theta_next is None or not np.all(np.isfinite(theta_next)):
-            aborted_at = t
+            deltas, offsets = _local_updates(cfg, state, round_ch.active, batch_idx[alive],
+                                             eta_t, alpha_t)
+            probe.append((offsets, alpha_t))
+            out = None if deltas is None else \
+                _air_uplink(cfg, state, deltas, round_ch, comp, noise_var, eta_t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if out is None:
+                    theta_next, fields = None, _ABORTED_FIELDS
+                else:
+                    theta_next, fields, noise_term, fading_dev = out
+                    fields["sum_abs_h_sq"] = float(np.sum(np.abs(round_ch.gains) ** 2))
+                    recon.append({
+                        "sum_delta": np.sum(deltas, axis=0),
+                        "noise_term": noise_term,
+                        "fading_dev": fading_dev,
+                        "mem_sum": state.memories.sum(axis=0),
+                    })
+            done.append((t, eta_t, alpha_t, fields))
+            if theta_next is None or not np.all(np.isfinite(theta_next)):
+                aborted_at = t
+                break
+            state.theta = theta_next
+            thetas.append(state.theta.copy())
+        records += _block_records(state, np.stack(thetas[t0:t0 + len(done)]), done, probe,
+                                  metric_alpha, curvature)
+        if aborted_at is not None:
             break
-        state.theta = theta_next
-        thetas.append(state.theta.copy())
 
     return Trajectory(
         config=cfg,
@@ -418,45 +416,90 @@ def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) ->
     )
 
 
-def _draw_block(cfg: ExperimentConfig, state: _State, t0: int):
-    """Active sets and local batch indices of rounds t0 .. t0 + _BLOCK_ROUNDS - 1
-    (fewer at the end of the run): a list of active sets and an array
-    (rounds, n_active, Q, 3, m_B) whose row [t - t0, j] is what device
-    ``active[j]`` of round t draws from its LOCAL_BATCH substream.  All Q
-    steps are drawn up front; a substream serves one device in one round,
-    so a device that stops early only leaves its later draws unused."""
-    rounds = range(t0, min(t0 + _BLOCK_ROUNDS, cfg.rounds))
-    actives = [sample_active_set(cfg.n_devices, cfg.active_fraction,
-                                 rng.substream(cfg.master_seed, rng.ACTIVE_SET, t))
-               for t in rounds]
-    keys = np.array([(rng.LOCAL_BATCH, t, i) for t, active in zip(rounds, actives)
-                     for i in active.tolist()])
-    batches = meta.stream_batches(cfg.master_seed, keys, state.pools, cfg.batch_size,
+def _draw_block(cfg: ExperimentConfig, state: _State, t0: int, noise_var: float,
+                channel_replay: list | None):
+    """Every input of rounds t0 .. t0 + _BLOCK_ROUNDS - 1 (fewer at the end
+    of the run) that does not depend on the iterate: the active sets
+    (rounds, n_active), the local batch indices (rounds, n_active, Q, 3,
+    m_B), the ChannelRounds and the CompressionMatrices.  Each is what the
+    round's own substream draws: ACTIVE_SET, LOCAL_BATCH per active device,
+    CHANNEL (or the replay log's entry) and COMPRESSION.
+
+    One seeding pass gives the round streams and one the device streams.
+    Active sets, compression rows and batches are replayed on their raw
+    words; the channel is drawn by ``ch.sample_channel`` on the run's
+    generator, set to the CHANNEL stream's seeded state.  All Q steps are
+    drawn up front; a substream serves one device in one round, so a
+    device that stops early only leaves its later draws unused."""
+    seed = cfg.master_seed
+    rounds = np.arange(t0, min(t0 + _BLOCK_ROUNDS, cfg.rounds))
+    n = rounds.size
+    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([rng.CHANNEL] if channel_replay is None else [])
+    keys = np.column_stack([np.repeat(tags, n), np.tile(rounds, len(tags))])
+    states = rng.seeded_states(seed, keys)
+    actives = meta.stream_choices(seed, keys[:n], states[:n], cfg.n_devices, cfg.n_active)
+    comps = [ch.CompressionMatrix(cfg.dim, rows) for rows in meta.stream_choices(
+        seed, keys[n:2 * n], states[n:2 * n], cfg.dim, cfg.channel_uses)]
+    if channel_replay is None:
+        literal = not meta.replicas_hold()
+        channels = []
+        for t, active, seeded in zip(rounds.tolist(), actives, states[2 * n:]):
+            if literal:
+                gen = rng.substream(seed, rng.CHANNEL, t)
+            else:
+                gen = state.channel_gen
+                gen.bit_generator.state = seeded
+            channels.append(ch.sample_channel(active, cfg.fading, noise_var,
+                                              cfg.channel_uses, gen))
+    else:
+        channels = channel_replay[t0:t0 + n]
+    batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
+                                  np.repeat(rounds, cfg.n_active), actives.reshape(-1)])
+    batches = meta.stream_batches(seed, batch_keys, state.pools, cfg.batch_size,
                                   cfg.local_steps)
-    return actives, batches.reshape((len(rounds), cfg.n_active) + batches.shape[1:])
+    return actives, batches.reshape((n, cfg.n_active) + batches.shape[1:]), channels, comps
+
+
+def _block_records(state: _State, thetas: np.ndarray, done: list, probe: list,
+                   metric_alpha: float, curvature: float) -> list:
+    """RoundRecords of a block's rounds, whose iterates are ``thetas``
+    (rounds, d): the meta-training loss and the squared meta-gradient of
+    every iterate at once, each bit for bit its one-iterate value.  Folds
+    the block's local iterates into the moment probe."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_loss = metrics.meta_training_loss(thetas, state.data, metric_alpha)
+        g = tasks.mean_meta_grad(thetas, state.ws, curvature)
+        grad_norm_sq = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        state.update_probe(np.concatenate([e for e, _ in probe]),
+                           np.concatenate([np.full(len(e), a) for e, a in probe]))
+    # an aborted round's fields carry their own NaN training loss
+    return [RoundRecord(t=t, eta_t=eta_t, alpha_t=alpha_t, grad_norm_sq=float(gn),
+                        **({"train_loss": float(tl)} | fields))
+            for (t, eta_t, alpha_t, fields), tl, gn in zip(done, train_loss, grad_norm_sq)]
 
 
 def _local_updates(cfg: ExperimentConfig, state: _State, act_eff: np.ndarray,
-                   batch_idx: np.ndarray, eta_t: float, alpha_t: float) -> np.ndarray | None:
+                   batch_idx: np.ndarray, eta_t: float, alpha_t: float):
     """(n_active, d) model differences of the transmitting devices, in
-    ``act_eff`` order, from their (n_active, Q, 3, m_B) batch indices; None
-    when one of them is non-finite.  Feeds the moment probe."""
+    ``act_eff`` order, from their (n_active, Q, 3, m_B) batch indices, or
+    None when one of them is non-finite; and the (Q * n_active, d) offsets
+    of their local iterates from their task vectors, for the moment probe."""
     local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
                                  batch_size=cfg.batch_size)
     with np.errstate(over="ignore", invalid="ignore"):
         deltas, iterates = meta.local_rounds(state.theta, state.data.devices(act_eff),
                                              batch_idx.swapaxes(0, 1), local_cfg, eta_t)
-        state.update_probe(iterates, state.ws[act_eff], alpha_t)
-    if not np.all(np.isfinite(deltas)):
-        return None
-    return deltas
+        offsets = (iterates - state.ws[act_eff]).reshape(-1, cfg.dim)
+    return (deltas if np.all(np.isfinite(deltas)) else None), offsets
 
 
-def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, deltas: np.ndarray,
-                round_ch: ch.ChannelRound, noise_var: float, eta_t: float):
+def _air_uplink(cfg: ExperimentConfig, state: _State, deltas: np.ndarray,
+                round_ch: ch.ChannelRound, comp: ch.CompressionMatrix, noise_var: float,
+                eta_t: float):
     """Error-feedback sparsification, power scaling, phase pre-compensation and
-    compression, MAC superposition, estimation and the server update, each
-    on the (n_active, d) stack of the devices that transmit over ``round_ch``.
+    compression by ``comp``, MAC superposition, estimation and the server
+    update, each on the (n_active, d) stack of the devices that transmit
+    over ``round_ch``.
 
     Returns ``(theta_next, record fields, noise term, fading deviation)``,
     where the last two are the realized vectors the memory identity needs,
@@ -473,8 +516,6 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, deltas: np.ndarray
         rho = sparsify.power_scale(updates, eta_t, policy)
     if not (np.isfinite(rho) and rho > 0):
         return None
-    comp = ch.make_compression(cfg.channel_uses, cfg.dim,
-                               rng.substream(cfg.master_seed, rng.COMPRESSION, t))
 
     gains = round_ch.gains
     signals = comp.compress(sparsify.phase_precompensate(updates, rho, eta_t, gains))
@@ -508,11 +549,6 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, t: int, deltas: np.ndarray
         pinv_fallback=bool(est.pinv_fallback),
     )
     return theta_next, fields, noise_term, fading_dev
-
-
-def _grad_norm_sq(state: _State, curvature: float) -> float:
-    g = tasks.mean_meta_grad(state.theta, state.ws, curvature)
-    return float(g @ g)
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: list) -> Trajectory:

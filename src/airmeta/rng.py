@@ -5,11 +5,13 @@ by (master_seed, purpose tag, round, device, ...).  Streams are independent
 of scheduling order, so serial and parallel executions of the same round
 produce identical results.
 
-``substream_words`` gives the raw output of many substreams at once.  It
-replays numpy's SeedSequence mixing and PCG64 seeding on arrays, as both
-stand in numpy 2.4.6, the version the outputs and tests are pinned to;
-``tests/test_replica.py`` compares it with ``substream`` and fails loudly on
-a numpy whose seeding differs.
+``seeded_states`` gives the seeded PCG64 states of many substreams at once,
+and ``state_words`` their raw output.  The seeding replays numpy's
+SeedSequence mixing and PCG64 seeding on arrays, as both stand in numpy
+2.4.6, the version the outputs and tests are pinned to.
+``meta.replicas_hold`` checks the replay against numpy once per process,
+and ``tests/test_replica.py`` compares it with ``substream`` over many
+keys.
 """
 from __future__ import annotations
 
@@ -42,17 +44,16 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def substream_words(master_seed: int, keys, n_words: int) -> np.ndarray:
-    """(K, n_words) uint64: row k is
-    ``substream(master_seed, *keys[k]).bit_generator.random_raw(n_words)``
-    for a (K, L) integer array ``keys``."""
+def seeded_states(master_seed: int, keys) -> list[dict]:
+    """PCG64 state of ``substream(master_seed, *keys[k])`` right after
+    seeding, for each row k of a (K, L) integer array ``keys``: the dict
+    that ``bit_generator.state`` takes."""
     keys = np.asarray(keys)
     values = np.empty((keys.shape[0], 1 + keys.shape[1]), dtype=np.uint64)
     values[:, 0] = int(master_seed) & _MASK64
     # int64 -> uint64 keeps the bits, which is the 64-bit mask of substream
     values[:, 1:] = keys.astype(np.int64).view(np.uint64) if keys.dtype.kind == "i" else keys
-    out = np.empty((keys.shape[0], n_words), dtype=np.uint64)
-    bits = np.random.PCG64(0)
+    states = [None] * keys.shape[0]
     # a value is one entropy word below 2**32 and two (low, high) from there
     # on; rows with the same layout of words are mixed together
     wide = values > np.uint64(_MASK32)
@@ -68,14 +69,24 @@ def substream_words(master_seed: int, keys, n_words: int) -> np.ndarray:
         # SeedSequence.generate_state(4, np.uint64), as 8 uint32 words, low word first
         consts = _hash_consts(_INIT_B, _MULT_B)
         state = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * _POOL_SIZE)]
-        for row, s in zip(rows, zip(*(w.tolist() for w in state))):
+        for row, s in zip(rows.tolist(), zip(*(w.tolist() for w in state))):
             # PCG64 seeding: state 0, one LCG step, add the seed, one more step
             init = (s[0] | s[1] << 32) << 64 | s[2] | s[3] << 32
             inc = (((s[4] | s[5] << 32) << 64 | s[6] | s[7] << 32) << 1 | 1) & _MASK128
-            bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                          "state": {"state": ((inc + init) * _PCG64_MULT + inc) & _MASK128,
-                                    "inc": inc}}
-            out[row] = bits.random_raw(n_words)
+            states[row] = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                           "state": {"state": ((inc + init) * _PCG64_MULT + inc) & _MASK128,
+                                     "inc": inc}}
+    return states
+
+
+def state_words(states, n_words: int) -> np.ndarray:
+    """(K, n_words) uint64: row k is the first ``n_words`` raw outputs of a
+    PCG64 in ``states[k]``."""
+    out = np.empty((len(states), n_words), dtype=np.uint64)
+    bits = np.random.PCG64(0)
+    for k, state in enumerate(states):
+        bits.state = state
+        out[k] = bits.random_raw(n_words)
     return out
 
 

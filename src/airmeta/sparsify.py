@@ -132,7 +132,20 @@ def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndar
     if live.any():
         if eta <= 0:
             raise ValueError("eta must be > 0 for a nonzero update")
-        # per scalar: the vectorized quotient differs from it in the last bit
-        phase = np.array([np.conj(h) / abs(h) for h in gains[live]])
-        out[live] = ((np.sqrt(rho) / eta) * phase)[:, None] * g[live]
+        out[live] = ((np.sqrt(rho) / eta) * _phase(gains[live]))[:, None] * g[live]
+    return out
+
+
+def _phase(h: np.ndarray) -> np.ndarray:
+    """conj(h) / abs(h) per entry, bit for bit numpy's scalar quotient: Smith's
+    complex division by abs(h) + 0j, whose zero imaginary part still enters
+    as 0 / abs(h).  ``np.conj(h) / np.abs(h)`` and ``conj(h) * (1 / abs(h))``
+    differ from it in the last bit."""
+    a = np.hypot(h.real, h.imag)
+    rat = 0.0 / a
+    scl = 1.0 / (a + 0.0 * rat)
+    c_re, c_im = h.real, -h.imag
+    out = np.empty(h.shape, dtype=complex)
+    out.real = (c_re + c_im * rat) * scl
+    out.imag = (c_im - c_re * rat) * scl
     return out

@@ -21,6 +21,8 @@ from .channel import ChannelRound
 from .protocol import ExperimentConfig, Trajectory
 
 SCHEMA_VERSION = 1
+# the line end of csv.writer's default dialect, which every CSV file keeps
+_EOL = "\r\n"
 
 TRAJECTORY_COLUMNS = [
     "round", "grad_norm_sq", "train_loss", "test_loss", "rho", "v", "snr_db",
@@ -30,6 +32,8 @@ TRAJECTORY_COLUMNS = [
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # the common cell, formatted without the checks below
+        return f"{v:.17g}"
     if v is None:  # an unset value, such as snr_db when noise_var is given
         return "nan"
     if isinstance(v, bool) or isinstance(v, (int, np.integer)):
@@ -108,12 +112,18 @@ def write_trajectory_json(traj: Trajectory, path, final_test_loss: float = float
 
 
 def write_csv(columns, rows, path) -> None:
-    """Header plus rows; text cells as they are, numbers via _fmt."""
+    """Header plus rows; text cells as they are, numbers via _fmt.  The lines
+    are what ``csv.writer`` writes: a row of numbers is joined here, a row
+    with text goes through the writer, which quotes what needs it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            cells = [v if isinstance(v, str) else _fmt(v) for v in row]
+            if any(isinstance(v, str) for v in row):
+                writer.writerow(cells)
+            else:
+                fh.write(",".join(cells) + _EOL)
 
 
 def read_trajectory_csv(path) -> dict:
@@ -130,17 +140,19 @@ def read_trajectory_csv(path) -> dict:
 
 def write_replay_csv(traj: Trajectory, path) -> None:
     """Realized channel draws: per-round device rows with the fading
-    coefficient, then one row (device_id = -1) carrying the noise block."""
+    coefficient, then one row (device_id = -1) carrying the noise block.
+    Written line by line as ``csv.writer`` writes them: no cell needs
+    quoting."""
     m = traj.config.channel_uses
     noise_cols = [f"noise_re_{j}" for j in range(m)] + [f"noise_im_{j}" for j in range(m)]
+    no_noise = "," * 2 * m + _EOL
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "device_id", "re_h", "im_h"] + noise_cols)
+        fh.write(",".join(["round", "device_id", "re_h", "im_h"] + noise_cols) + _EOL)
         for t, drawn in enumerate(traj.replay):
-            for dev, h in zip(drawn.active, drawn.gains):
-                writer.writerow([t, int(dev), _fmt(h.real), _fmt(h.imag)] + [""] * 2 * m)
-            noise = [_fmt(v) for v in drawn.noise.real] + [_fmt(v) for v in drawn.noise.imag]
-            writer.writerow([t, -1, "", ""] + noise)
+            fh.writelines(f"{t},{dev},{re:.17g},{im:.17g}{no_noise}" for dev, re, im in zip(
+                drawn.active.tolist(), drawn.gains.real.tolist(), drawn.gains.imag.tolist()))
+            noise = drawn.noise.real.tolist() + drawn.noise.imag.tolist()
+            fh.write(f"{t},-1,,," + ",".join(f"{v:.17g}" for v in noise) + _EOL)
 
 
 def read_replay_csv(path) -> list[ChannelRound]:

@@ -201,9 +201,10 @@ def mean_meta_loss(theta, ws, env: TaskEnvironment, alpha: float) -> float:
 
 def mean_meta_grad(theta, ws, curvature: float) -> np.ndarray:
     """Population meta-gradient averaged over devices with task vectors ws
-    (n, d), given the curvature ``meta_curvature(env, alpha)``."""
-    u = np.asarray(theta, dtype=float) - np.asarray(ws, dtype=float)
-    return np.mean(curvature * u, axis=0)
+    (n, d), given the curvature ``meta_curvature(env, alpha)``; (d,) at one
+    iterate ``theta``, (T, d) at a stack of T iterates."""
+    u = np.asarray(theta, dtype=float)[..., None, :] - np.asarray(ws, dtype=float)
+    return np.mean(curvature * u, axis=-2)
 
 
 def meta_loss_minimum(ws, env: TaskEnvironment, alpha: float) -> float:

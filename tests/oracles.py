@@ -2,14 +2,18 @@
 
 The per-sample loss, gradient and Hessian of the squared loss, the
 population gradient, the closed-form per-sample gradient moments, one
-device's local steps on literal numpy batch draws, and the received SNR
-recovered from a run's fading draws.  The simulator computes
-batched versions of these (``tasks.batch_*``) or never needs them; the tests
-check those batched paths and the closed forms against these.
+device's local steps on literal numpy batch draws, the received SNR
+recovered from a run's fading draws, the phase factors as numpy's scalar
+quotient, and the CSV writers cell by cell through ``csv.writer``.  The
+simulator computes batched versions of these (``tasks.batch_*``) or never
+needs them; the tests check those batched paths and the closed forms
+against these.
 """
+import csv
+
 import numpy as np
 
-from airmeta import meta, tasks
+from airmeta import meta, storage, tasks
 from airmeta.tasks import TaskEnvironment
 
 
@@ -88,3 +92,34 @@ def measured_snr_db(traj, power: float) -> float:
         return float("inf")
     mean_sum = float(np.mean(traj.series("sum_abs_h_sq")))
     return 10.0 * np.log10(power * mean_sum / noise_var)
+
+
+def phase(gains) -> np.ndarray:
+    """conj(h) / abs(h), one numpy scalar at a time."""
+    return np.array([np.conj(h) / abs(h) for h in np.asarray(gains, dtype=complex)],
+                    dtype=complex)
+
+
+def write_csv(columns, rows, path) -> None:
+    """``storage.write_csv`` with every row through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([v if isinstance(v, str) else storage._fmt(v) for v in row])
+
+
+def write_replay_csv(traj, path) -> None:
+    """``storage.write_replay_csv`` with every row through ``csv.writer``."""
+    m = traj.config.channel_uses
+    noise_cols = [f"noise_re_{j}" for j in range(m)] + [f"noise_im_{j}" for j in range(m)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["round", "device_id", "re_h", "im_h"] + noise_cols)
+        for t, drawn in enumerate(traj.replay):
+            for dev, h in zip(drawn.active, drawn.gains):
+                writer.writerow([t, int(dev), storage._fmt(h.real), storage._fmt(h.imag)]
+                                + [""] * 2 * m)
+            noise = [storage._fmt(v) for v in drawn.noise.real] + \
+                [storage._fmt(v) for v in drawn.noise.imag]
+            writer.writerow([t, -1, "", ""] + noise)

@@ -6,7 +6,7 @@ device at a time, from the run's own iterate of that round, with the
 literal ``gen.choice`` draws on that substream (``oracles.local_rounds``).
 The sum of those model differences must equal, bit for bit, the sum the
 run handed to its uplink (``recon``), on every round: a run is drawn in
-blocks of rounds, and 34 rounds cross two block edges.
+blocks of 64 rounds, and 70 rounds cross one block edge.
 """
 import dataclasses
 
@@ -21,7 +21,7 @@ import oracles
 
 
 def config(**overrides):
-    base = dict(rounds=34, n_devices=4, active_fraction=1.0, dim=6, local_steps=2,
+    base = dict(rounds=70, n_devices=4, active_fraction=1.0, dim=6, local_steps=2,
                 batch_size=4, samples_per_device=40, train_samples=20, eta=0.5, alpha=0.3,
                 sparsify_k=2, channel_uses=4, snr_db=10.0, master_seed=11)
     return ExperimentConfig(**(base | overrides))
@@ -58,7 +58,7 @@ def test_every_round_matches_literal_draws(overrides):
     assert_rounds_match_literal(traj)
 
 
-@pytest.mark.parametrize("t_zero", [0, 15, 16, 33])
+@pytest.mark.parametrize("t_zero", [0, 15, 16, 33, 63, 64, 69])
 def test_zero_gain_device_drops_its_batches(t_zero):
     """A replayed round whose log has a zero gain runs without that device;
     the other devices keep their own streams."""
@@ -73,7 +73,7 @@ def test_zero_gain_device_drops_its_batches(t_zero):
 
 
 def test_aborting_run_keeps_its_abort_round():
-    """A far start with a large rate overflows in round 21, after a block edge."""
+    """A far start with a large rate overflows in round 21, inside a block."""
     with np.errstate(all="ignore"):
         traj = run_experiment(config(active_fraction=0.5, eta=30.0, theta_init=1e100))
         assert traj.aborted_at == 21

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from airmeta import sparsify
 from airmeta.sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensate, power_scale
+
+import oracles
 
 
 class TestCompK:
@@ -142,3 +147,31 @@ class TestPhasePrecompensate:
         x = phase_precompensate(g, rho=4.0, eta=0.5, gains=[1j, -1.0])
         assert np.array_equal(x[0], np.zeros(3, dtype=complex))
         assert np.allclose(x[1], [-4.0, 0.0, 0.0], atol=1e-15)
+
+
+COMPONENTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, 1e308, -1e308, 1.0, -1.0]))
+
+
+class TestPhaseFactors:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(COMPONENTS, COMPONENTS).filter(lambda c: c != (0.0, 0.0)),
+                    min_size=1, max_size=8))
+    def test_equal_numpy_scalar_quotient(self, parts):
+        """Signed zeros, subnormals and gains whose modulus overflows
+        included: the array form is the per-scalar quotient, bit for bit."""
+        h = np.array([complex(re, im) for re, im in parts])
+        with np.errstate(all="ignore"):
+            assert sparsify._phase(h).tobytes() == oracles.phase(h).tobytes()
+
+    def test_rayleigh_draws(self):
+        gen = np.random.default_rng(8)
+        h = (gen.standard_normal(100_000) + 1j * gen.standard_normal(100_000)) / np.sqrt(2)
+        assert sparsify._phase(h).tobytes() == oracles.phase(h).tobytes()
+
+    def test_precompensated_rows(self, rng):
+        g = rng.standard_normal((6, 5))
+        h = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
+        want = ((np.sqrt(2.5) / 0.3) * oracles.phase(h))[:, None] * g
+        assert phase_precompensate(g, 2.5, 0.3, h).tobytes() == want.tobytes()
