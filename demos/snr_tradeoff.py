@@ -1,10 +1,11 @@
 """Convergence-generalization trade-off against the received SNR.
 
 Runs the small-data generalization setup over an SNR grid (same seeds per
-point; each (point, seed) run is a task of one process pool with a worker
-per core) and prints, per point, the stationary convergence error, the
-measured generalization gap, and the information-theoretic bound.  More
-noise slows convergence but shrinks the gap; the bound moves the same way.
+point; each point's seeds run in lockstep chunks, one chunk per core, as
+the tasks of one process pool) and prints, per point, the stationary
+convergence error, the measured generalization gap, and the
+information-theoretic bound.  More noise slows convergence but shrinks the
+gap; the bound moves the same way.
 """
 import csv
 import os

@@ -22,7 +22,7 @@ from .metrics import (mean_se, meta_test_loss, meta_training_loss,
 from .protocol import (ExperimentConfig, RoundRecord, Trajectory,
                        constant_rate_limit, lr_schedule, meets_constant_rate,
                        memory_identity_residuals, replay_experiment,
-                       run_experiment, sample_active_set)
+                       run_experiment, run_stack, sample_active_set)
 from .sparsify import (PowerPolicy, comp_k, energies, memory_fold, phase_precompensate,
                        power_scale)
 from .sweeps import SweepSpec, apply_axis, run_sweep, run_trials, trial_configs

@@ -55,11 +55,39 @@ class CompressionMatrix:
 
     def compress(self, payloads: np.ndarray) -> np.ndarray:
         """The (n, M) blocks that carry each row of the (n, d) payloads."""
-        return (self.matrix @ payloads[..., None])[..., 0]
+        return compress(self.matrix, payloads)
 
     def stacked_real(self) -> np.ndarray:
         """Real operator [Re A; Im A] acting on real payloads."""
-        return np.vstack([self.matrix.real, self.matrix.imag])
+        return stacked_real(self.matrix)
+
+
+def compress(matrix: np.ndarray, payloads: np.ndarray) -> np.ndarray:
+    """The (..., n, M) blocks that carry each row of the (..., n, d)
+    payloads, each stack by its own (..., M, d) partial DFT ``matrix``."""
+    return (matrix[..., None, :, :] @ payloads[..., None])[..., 0]
+
+
+def stacked_real(matrix: np.ndarray) -> np.ndarray:
+    """Real operators [Re A; Im A] (..., 2M, d) of the (..., M, d) partial
+    DFTs ``matrix``."""
+    return np.concatenate([matrix.real, matrix.imag], axis=-2)
+
+
+def compression_block(dim: int, rows: np.ndarray):
+    """The compression operators of a stack of rounds, from each round's
+    DFT rows (..., M) in increasing order, as a run draws them: the partial
+    DFTs (..., M, d), their real operators (..., 2M, d) and the operators'
+    Gram matrices (..., 2M, 2M).  The rows are checked once for the whole
+    stack."""
+    rows = np.asarray(rows)
+    if (not np.issubdtype(rows.dtype, np.integer) or rows.shape[-1] < 1
+            or np.any(rows[..., 0] < 0) or np.any(rows[..., -1] >= dim)
+            or np.any(np.diff(rows, axis=-1) <= 0)):
+        raise ValueError(f"need increasing integer rows in [0, {dim}), got {rows!r}")
+    matrix = _dft_matrix(dim)[rows]
+    real = stacked_real(matrix)
+    return matrix, real, real @ real.swapaxes(-1, -2)
 
 
 def make_compression(m_uses: int, dim: int, rng: np.random.Generator) -> CompressionMatrix:
@@ -121,23 +149,24 @@ def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:
 
     ``signals`` is the (n, M) stack of blocks, row i sent over coefficient
     ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order.
-    With no device the block is the noise alone.
+    With no device the block is the noise alone.  A stack of rounds is
+    signals (..., n, M) over gains (..., n) and noise (..., M).
     """
     signals = np.asarray(signals)
-    if signals.ndim != 2 or signals.shape[0] != ch.gains.shape[0]:
+    if signals.ndim < 2 or signals.shape[:-1] != ch.gains.shape:
         raise ValueError("one signal per realized channel coefficient required")
-    m = signals.shape[1]
-    if m != ch.noise.shape[0]:
+    if signals.shape[-1] != ch.noise.shape[-1]:
         raise ValueError("block length does not match the realized noise")
-    acc = np.zeros(m, dtype=complex)
-    for h, s in zip(ch.gains, signals):
-        acc = acc + h * s
-    return acc + ch.noise
+    # the running sums 0, 0 + h_0 x_0, (0 + h_0 x_0) + h_1 x_1, ...
+    terms = np.concatenate([np.zeros(ch.noise.shape, dtype=complex)[..., None, :],
+                            ch.gains[..., None] * signals], axis=-2)
+    return np.add.accumulate(terms, axis=-2)[..., -1, :] + ch.noise
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """Server-side reconstruction of the superposed payload."""
+    """Server-side reconstruction of the superposed payload; from
+    ``estimate_stack``, every field has a leading round axis."""
 
     x_hat: np.ndarray
     err_var: float              # modeled per-component error variance
@@ -154,45 +183,84 @@ def estimate(y: np.ndarray, comp: CompressionMatrix, prior_power: float,
     ``prior_power``, solved on the stacked real system.  A noiseless
     rank-deficient system falls back to the pseudo-inverse and flags it.
     """
+    real = gram = None
+    if kind != "matched":
+        real = comp.stacked_real()[None]
+        gram = real @ real.swapaxes(-1, -2)
+    est = estimate_stack(np.asarray(y)[None], comp.matrix[None], real, gram, [prior_power],
+                         noise_var, kind)
+    return Estimate(x_hat=est.x_hat[0], err_var=float(est.err_var[0]),
+                    pinv_fallback=bool(est.pinv_fallback[0]))
+
+
+def estimate_stack(y: np.ndarray, matrix: np.ndarray, real, gram, prior_power,
+                   noise_var: float, kind: str = "lmmse") -> Estimate:
+    """``estimate`` for a stack of K rounds at once: the received blocks y
+    (K, M), the partial DFTs (K, M, d), and for lmmse their real operators
+    (K, 2M, d) and Gram matrices (K, 2M, 2M) (``compression_block``), with
+    a prior power per round.  Row k of each field is bit for bit what
+    ``estimate`` gives for round k alone.  One solve serves every round;
+    a round that the noise does not regularize falls back to the
+    pseudo-inverse by itself."""
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
-    if prior_power < 0 or noise_var < 0:
+    p = np.asarray(prior_power, dtype=float)
+    if (p < 0).any() or noise_var < 0:
         raise ValueError("prior_power and noise_var must be >= 0")
-    a = comp.matrix
+    dim = matrix.shape[-1]
     if kind == "matched":
-        if comp.m_uses != comp.dim:
+        if matrix.shape[-2] != dim:
             raise ValueError("matched estimator requires M == d")
-        x_hat = np.asarray(a.conj().T @ np.asarray(y)).real
-        return Estimate(x_hat=np.ascontiguousarray(x_hat, dtype=float), err_var=float(noise_var))
+        x_hat = (matrix.conj().swapaxes(-1, -2) @ y[..., None])[..., 0].real
+        return Estimate(x_hat=np.ascontiguousarray(x_hat, dtype=float),
+                        err_var=np.full(p.shape, float(noise_var)),
+                        pinv_fallback=np.zeros(p.shape, dtype=bool))
 
-    b = comp.stacked_real()
-    y_r = np.concatenate([np.asarray(y).real, np.asarray(y).imag])
-    p = float(prior_power)
-    gram = b @ b.T
-    if noise_var == 0.0 and (np.linalg.matrix_rank(gram, tol=1e-12) < b.shape[0] or p == 0.0):
-        return _pinv_estimate(b, gram, y_r, p, comp.dim)
-    c = p * gram + noise_var * np.eye(b.shape[0])
-    try:
-        sol = np.linalg.solve(c, np.column_stack([y_r, b]))
-    except np.linalg.LinAlgError:  # noise too small to regularize a rank-deficient system
-        return _pinv_estimate(b, gram, y_r, p, comp.dim)
-    x_hat = p * (b.T @ sol[:, 0])
+    y_r = np.concatenate([y.real, y.imag], axis=-1)
+    rows = real.shape[-2]
+    c = p[:, None, None] * gram + noise_var * np.eye(rows)
+    pinv = np.zeros(p.shape, dtype=bool)
+    if noise_var == 0.0:
+        pinv = (np.linalg.matrix_rank(gram, tol=1e-12) < rows) | (p == 0.0)
+        c[pinv] = np.eye(rows)  # not solved; the identity keeps the stack solvable
+    sol, singular = _solve_each(c, np.concatenate([y_r[..., None], real], axis=-1))
+    # noise too small to regularize a rank-deficient system
+    pinv |= singular
+    x_hat = p[:, None] * (real.swapaxes(-1, -2) @ sol[..., :1])[..., 0]
     # posterior error variance per component: (p*d - p^2 * tr(B' C^-1 B)) / d
-    tr = float(np.sum(b * sol[:, 1:]))
-    v = (p * comp.dim - p * p * tr) / comp.dim
-    return Estimate(x_hat=x_hat, err_var=float(max(v, 0.0)))
+    tr = (real * sol[..., 1:]).reshape(len(sol), -1).sum(axis=-1)
+    err_var = (p * dim - p * p * tr) / dim
+    err_var[err_var < 0.0] = 0.0
+    if pinv.any():
+        for k in np.flatnonzero(pinv).tolist():
+            x_hat[k], err_var[k] = _pinv_estimate(real[k], gram[k], y_r[k], p[k], dim)
+    return Estimate(x_hat=x_hat, err_var=err_var, pinv_fallback=pinv)
 
 
-def _pinv_estimate(b: np.ndarray, gram: np.ndarray, y_r: np.ndarray, p: float,
-                   dim: int) -> Estimate:
-    """Minimum-norm reconstruction of a system the noise does not regularize.
+def _solve_each(c: np.ndarray, rhs: np.ndarray):
+    """Solutions of the stacked systems c x = rhs, and the mask of the
+    singular ones, whose solutions are left zero."""
+    try:
+        return np.linalg.solve(c, rhs), np.zeros(len(c), dtype=bool)
+    except np.linalg.LinAlgError:
+        sol, singular = np.zeros(rhs.shape), np.zeros(len(c), dtype=bool)
+        for k in range(len(c)):
+            try:
+                sol[k] = np.linalg.solve(c[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return sol, singular
+
+
+def _pinv_estimate(b: np.ndarray, gram: np.ndarray, y_r: np.ndarray, p: float, dim: int):
+    """Minimum-norm reconstruction of a system the noise does not regularize,
+    and its error variance.
 
     The posterior covariance is the projection complement scaled by the prior.
     """
     rank = np.linalg.matrix_rank(gram, tol=1e-12)
     x_hat = b.T @ (np.linalg.pinv(gram) @ y_r)
-    return Estimate(x_hat=x_hat, err_var=float(p * max(dim - rank, 0) / dim),
-                    pinv_fallback=True)
+    return x_hat, float(p * max(dim - rank, 0) / dim)
 
 
 def global_update(theta: np.ndarray, est: Estimate, eta: float, rho: float,
@@ -200,16 +268,18 @@ def global_update(theta: np.ndarray, est: Estimate, eta: float, rho: float,
     """Server update from the reconstructed payload.
 
     theta' = theta - eta / (mu * sqrt(rho) * rn) * x_hat, where mu is the
-    known mean |h| of the fading law.
+    known mean |h| of the fading law.  A stack of rounds is thetas (K, d)
+    with a scale rho (K,) and payload (K, d) each.
     """
-    if rho <= 0:
+    rho = np.asarray(rho, dtype=float)
+    if (rho <= 0).any():
         raise ValueError("rho must be > 0")
     if n_active < 1:
         raise ValueError("need at least one active device")
     if abs_mean <= 0:
         raise ValueError("abs_mean must be > 0")
     theta = np.asarray(theta, dtype=float)
-    return theta - (eta / (abs_mean * np.sqrt(rho) * n_active)) * est.x_hat
+    return theta - (eta / (abs_mean * np.sqrt(rho) * n_active))[..., None] * est.x_hat
 
 
 def snr_noise_var(snr_db: float, n_active: int, power: float, abs_power: float) -> float:

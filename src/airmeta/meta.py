@@ -55,7 +55,7 @@ class LocalConfig:
 
 
 def _check_finite(theta: np.ndarray, what: str = "theta"):
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError(f"{what} contains non-finite entries")
 
 
@@ -93,10 +93,10 @@ def draw_batches(gen: np.random.Generator, pools, batch_size: int, steps: int) -
                     dtype=np.int64).reshape(steps, len(pools), batch_size)
 
 
-def stream_batches(master_seed: int, keys, pools, batch_size: int, steps: int) -> np.ndarray:
+def stream_batches(master_seed, keys, pools, batch_size: int, steps: int) -> np.ndarray:
     """(K, steps, len(pools), batch_size): row k is ``draw_batches`` on
     ``rng.substream(master_seed, *keys[k])``, for a (K, L) integer array
-    ``keys``.
+    ``keys`` and one master seed or a sequence of K, one per row.
 
     All rows come from one replay of numpy's draws.  A key the replay
     cannot give (see ``_replay``) is redrawn by ``draw_batches`` on its
@@ -104,22 +104,24 @@ def stream_batches(master_seed: int, keys, pools, batch_size: int, steps: int) -
     """
     keys = np.asarray(keys)
     idx, redraw = _replay(rng.seeded_states(master_seed, keys), pools, batch_size, steps)
+    seeds = rng.row_seeds(master_seed, keys.shape[0])
     for k in np.flatnonzero(redraw):
-        idx[k] = draw_batches(rng.substream(master_seed, *keys[k].tolist()), pools,
+        idx[k] = draw_batches(rng.substream(seeds[k], *keys[k].tolist()), pools,
                               batch_size, steps)
     return idx
 
 
-def stream_choices(master_seed: int, keys, states, n: int, m: int) -> np.ndarray:
+def stream_choices(master_seed, keys, states, n: int, m: int) -> np.ndarray:
     """(K, m): row k is ``np.sort(gen.choice(n, m, replace=False))`` on
     ``gen = rng.substream(master_seed, *keys[k])``, whose seeded PCG64 state
-    is ``states[k]`` (``rng.seeded_states``).  Replayed like
-    ``stream_batches``; a key the replay cannot give is drawn on its
-    substream."""
+    is ``states[k]`` (``rng.seeded_states``), with a master seed per row as
+    there.  Replayed like ``stream_batches``; a key the replay cannot give
+    is drawn on its substream."""
     idx, redraw = _replay(states, (np.arange(n),), m, 1)
     out = np.sort(idx.reshape(len(states), m), axis=1)
+    seeds = rng.row_seeds(master_seed, len(states))
     for k in np.flatnonzero(redraw):
-        gen = rng.substream(master_seed, *np.asarray(keys[k]).tolist())
+        gen = rng.substream(seeds[k], *np.asarray(keys[k]).tolist())
         out[k] = np.sort(gen.choice(n, size=m, replace=False))
     return out
 
@@ -201,21 +203,24 @@ def _replay_choice(words: np.ndarray, pools, m: int, steps: int):
 
 
 def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray,
-                       cfg: LocalConfig) -> np.ndarray:
+                       cfg: LocalConfig, devices=None) -> np.ndarray:
     """Stochastic meta-gradients (I - alpha*H_hat) g_hat' of a stack of devices.
 
-    Row i is device i of the stacked ``data`` at ``thetas[i]``: g_hat' is its
-    mini-batch gradient at the adapted point theta - alpha * g_hat(B), and
-    H_hat its mini-batch Hessian at theta.  ``idx`` (n, 3, m_B) holds device
-    i's adaptation, outer-gradient and Hessian batches, in that order, as
-    drawn from the three pools of ``batch_pools``.  The estimate is biased
-    for curved losses; that is accepted, not corrected.
+    Row i is device ``devices[i]`` of the stacked ``data`` (device i when
+    ``devices`` is None) at ``thetas[i]``: g_hat' is its mini-batch
+    gradient at the adapted point theta - alpha * g_hat(B), and H_hat its
+    mini-batch Hessian at theta.  ``idx`` (n, 3, m_B) holds row i's
+    adaptation, outer-gradient and Hessian batches, in that order, as drawn
+    from the three pools of ``batch_pools``.  The estimate is biased for
+    curved losses; that is accepted, not corrected.
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_finite(thetas)
-    if not thetas.shape[0] == data.x.shape[0] == idx.shape[0]:
+    if devices is None:
+        devices = np.arange(data.x.shape[0])
+    if not thetas.shape[0] == len(devices) == idx.shape[0]:
         raise ValueError("one theta, one device dataset and one batch triple per row required")
-    rows = np.arange(thetas.shape[0])[:, None]
+    rows = np.asarray(devices)[:, None]
 
     def batch(k):
         return data.x[rows, idx[:, k]], data.y[rows, idx[:, k]]
@@ -227,34 +232,37 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray,
 
 
 def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, cfg: LocalConfig,
-                 eta: float):
+                 eta: float, devices=None):
     """Run the local SGD steps of a stack of devices in lockstep.
 
-    Every device of the stacked ``data`` starts from ``theta_start``; step
-    q of device i uses the batches ``idx[q, i]`` of an index array
-    (Q, n, 3, m_B).  Returns (deltas, iterates): deltas (n, d) holds
-    theta_start - theta_end, the model differences the devices would
-    report, and iterates (Q, n, d) the points the steps started from (used
-    for empirical constant estimation).  A device whose iterate leaves the
-    finite range stops there, so it reports a non-finite delta; its
-    iterates from that step on are NaN.
+    Row i runs device ``devices[i]`` of the stacked ``data`` (device i when
+    ``devices`` is None) from row i of ``theta_start`` (n, d), or every row
+    from one (d,) start; step q of row i uses the batches ``idx[q, i]`` of
+    an index array (Q, n, 3, m_B).  Returns (deltas, iterates): deltas
+    (n, d) holds theta_start - theta_end, the model differences the devices
+    would report, and iterates (Q, n, d) the points the steps started from
+    (used for empirical constant estimation).  A device whose iterate
+    leaves the finite range stops there, so it reports a non-finite delta;
+    its iterates from that step on are NaN.
     """
     theta_start = np.asarray(theta_start, dtype=float)
     _check_finite(theta_start)
-    n = data.x.shape[0]
+    devices = np.arange(data.x.shape[0]) if devices is None else np.asarray(devices)
+    n = len(devices)
     if idx.shape[:2] != (cfg.local_steps, n):
         raise ValueError("batch indices must be (local_steps, n_devices, 3, batch_size)")
-    theta = np.tile(theta_start, (n, 1))
-    iterates = np.full((cfg.local_steps, n, theta_start.size), np.nan)
-    rows = np.arange(n)  # devices still running; data follows it
+    theta = np.empty((n, theta_start.shape[-1]))
+    theta[:] = theta_start
+    iterates = np.full((cfg.local_steps, n, theta_start.shape[-1]), np.nan)
+    rows = np.arange(n)  # rows still running; devices follows it
     for step in range(cfg.local_steps):
         if step:
-            ok = np.all(np.isfinite(theta[rows]), axis=1)
+            ok = np.isfinite(theta[rows]).all(axis=1)
             if not ok.all():
-                rows, data = rows[ok], data.devices(ok)
+                rows, devices = rows[ok], devices[ok]
         if not rows.size:
             break
         iterates[step, rows] = theta[rows]
         theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, idx[step, rows],
-                                                             cfg)
+                                                             cfg, devices)
     return theta_start - theta, iterates

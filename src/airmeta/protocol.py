@@ -4,7 +4,9 @@ A run is reproducible from (config, master_seed): every stochastic component
 draws from a child stream keyed by purpose, round, and device, so device
 work can be scheduled in any order without changing the result.  Realized
 channel draws are recorded per round; a replay consumes them instead of
-sampling and must reproduce the trajectory bit for bit.
+sampling and must reproduce the trajectory bit for bit.  Trials of one
+setup can run in lockstep as one stack (``run_stack``), each trial still
+bit for bit its own run.
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from . import meta, metrics, rng, sparsify, tasks
 SCHEDULES = ("constant", "adaptive")
 # rounds whose iterate-free inputs are drawn, and whose records are
 # evaluated, together; a whole run at once would cost memory for little more
-# speed
+# speed.  A stack of K trials takes _BLOCK_ROUNDS // K rounds (at least one)
+# per block, which keeps a block's memory that of one trial's block
 _BLOCK_ROUNDS = 64
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
@@ -279,48 +282,56 @@ class Trajectory:
 
 
 class _State:
-    """Per-device data of a run, stacked along a leading device axis once,
-    plus the evolving iterate, memories and moment probe."""
+    """Per-device data of a stack of K trials, stacked along one device
+    axis once, trial by trial (device i of trial k is row k * n + i), plus
+    each trial's evolving iterate, memories and moment probe."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, configs: list):
+        cfg = configs[0]
         self.env = cfg.env()
-        seed = cfg.master_seed
+        self.n = cfg.n_devices
+        self.seeds = [c.master_seed for c in configs]
         self.ws = np.stack([
             tasks.sample_device(self.env, rng.substream(seed, rng.DEVICE_TASK, i))
-            for i in range(cfg.n_devices)
+            for seed in self.seeds for i in range(self.n)
         ])
         self.data = tasks.stack_datasets([
             tasks.sample_dataset(
                 w, self.env, cfg.samples_per_device, cfg.train_samples, cfg.val_samples,
                 rng.substream(seed, rng.DEVICE_DATA, i),
             )
-            for i, w in enumerate(self.ws)
+            for seed, ws in zip(self.seeds, self.ws.reshape(len(configs), self.n, -1))
+            for i, w in enumerate(ws)
         ])
         self.pools = meta.batch_pools(self.data, cfg.batch_size)
-        self.theta = cfg.theta_init * np.ones(cfg.dim)
-        self.memories = np.zeros((cfg.n_devices, cfg.dim))
-        self.probe = {"g_sq": 0.0, "sigma_g_sq": 0.0}
+        self.theta = cfg.theta_init * np.ones((len(configs), cfg.dim))
+        self.memories = np.zeros((len(configs) * self.n, cfg.dim))
+        self.probes = [{"g_sq": 0.0, "sigma_g_sq": 0.0} for _ in configs]
         self.moment_forms = tasks.grad_moment_forms(self.env)
         # draws each round's channel, set to the seeded state of its stream
         self.channel_gen = np.random.Generator(np.random.PCG64(0))
 
-    def update_probe(self, e: np.ndarray, alphas: np.ndarray):
-        """Track analytic per-point gradient moments along the trajectory.
+    def devices(self, k: int) -> slice:
+        """The rows of trial k's devices."""
+        return slice(k * self.n, (k + 1) * self.n)
 
-        Row r of ``e`` (R, d) is the offset of a local iterate from its
-        device's task vector, and ``alphas[r]`` the inner rate of its round;
-        NaN rows mark steps a device did not start, and are skipped like
-        any NaN moment.
+    def update_probes(self, trials: np.ndarray, e: np.ndarray, alphas: np.ndarray):
+        """Track analytic per-point gradient moments along the trajectories.
+
+        Row r of ``e[i]`` (K', R, d) is the offset of a local iterate of
+        trial ``trials[i]`` from its device's task vector, and ``alphas[r]``
+        the inner rate of its round; NaN rows mark steps a device did not
+        start or a trial did not run, and are skipped like any NaN moment.
         """
         second, variance, noise = self.moment_forms
         # offsets after an exact adaptation step
         e_ad = e - alphas[:, None] * (self.env.input_cov * e)
-        offs = np.concatenate([e, e_ad])
+        offs = np.concatenate([e, e_ad], axis=-2)
         for key, form in (("g_sq", second), ("sigma_g_sq", variance)):
-            vals = ((form * offs)[:, None, :] @ offs[:, :, None])[:, 0, 0] + noise
-            if vals.size:
-                # fmax skips NaN, as the running max() over the points did
-                self.probe[key] = max(self.probe[key], float(np.fmax.reduce(vals)))
+            vals = ((form * offs)[..., None, :] @ offs[..., :, None])[..., 0, 0] + noise
+            # fmax skips NaN, as the running max() over the points did
+            for k, top in zip(trials.tolist(), np.fmax.reduce(vals, axis=-1).tolist()):
+                self.probes[k][key] = max(self.probes[k][key], top)
 
 
 # record fields of a round that blew up before its iterate could be formed
@@ -335,226 +346,328 @@ _ABORTED_FIELDS = dict(
 def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) -> Trajectory:
     """Run the configured number of rounds and record the trajectory.
 
-    ``channel_replay``, a list of recorded ChannelRounds, substitutes those
-    draws for fresh sampling (deterministic replay); everything else still
-    derives from the master seed.  A non-finite iterate aborts the run and
-    stamps the failing round.
+    ``channel_replay``, a list of recorded ChannelRounds, one per round at
+    least, substitutes those draws for fresh sampling (deterministic
+    replay); everything else still derives from the master seed.  A
+    non-finite iterate aborts the run and stamps the failing round.  The
+    run is a stack of one trial (``run_stack``).
     """
+    return run_stack([cfg], None if channel_replay is None else [channel_replay])[0]
+
+
+def run_stack(configs: list, channel_replays: list | None = None) -> list:
+    """Run K trials in lockstep and return the Trajectory of each, bit for
+    bit what ``run_experiment`` gives for it alone.
+
+    The configs may differ only in their master seed.  Each round steps the
+    devices of every running trial as one stack and sends every uplink as
+    one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
+    stack.  ``channel_replays`` holds one replay log per trial.
+    """
+    cfg = configs[0]
+    if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
+        raise ValueError("the trials of a stack may differ only in master_seed")
+    if channel_replays is not None and (len(channel_replays) != len(configs) or any(
+            len(replay) < cfg.rounds for replay in channel_replays)):
+        raise ValueError("need one replay log per trial, none shorter than the configured "
+                         "number of rounds")
     warnings = cfg.validate()
-    state = _State(cfg)
+    state = _State(configs)
     noise_var = cfg.effective_noise_var()
     metric_alpha = lr_schedule(cfg, 0)[1]
     curvature = tasks.meta_curvature(state.env, metric_alpha)
 
+    trial_ws = [state.ws[state.devices(k)] for k in range(len(configs))]
     with np.errstate(over="ignore", invalid="ignore"):
-        f_init = tasks.mean_meta_loss(state.theta, state.ws, state.env, metric_alpha)
-    f_star = tasks.meta_loss_minimum(state.ws, state.env, metric_alpha)
+        f_init = [tasks.mean_meta_loss(theta, ws, state.env, metric_alpha)
+                  for theta, ws in zip(state.theta, trial_ws)]
+    f_star = [tasks.meta_loss_minimum(ws, state.env, metric_alpha) for ws in trial_ws]
 
-    thetas = [state.theta.copy()]
-    records: list[RoundRecord] = []
-    replay_out: list[ch.ChannelRound] = []
-    recon: list[dict] = []
-    aborted_at = None
+    n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
+    thetas = np.empty((n_trials, cfg.rounds + 1, d))
+    thetas[:, 0] = state.theta
+    records = [[] for _ in configs]
+    replay_out = [[] for _ in configs]
+    recon = [[] for _ in configs]
+    aborted_at = [None] * n_trials
+    running = np.arange(n_trials)
 
-    for t0 in range(0, cfg.rounds, _BLOCK_ROUNDS):
-        block = _draw_block(cfg, state, t0, noise_var, channel_replay)
-        done = []  # (t, eta_t, alpha_t, record fields) of the block's rounds so far
-        probe = []  # (offsets, inner rate) of the block's local iterates
-        for t, active, batch_idx, drawn, comp in zip(range(t0, cfg.rounds), *block):
-            eta_t, alpha_t = lr_schedule(cfg, t)
-            if channel_replay is not None and not np.array_equal(drawn.active, active):
-                raise ValueError(f"replay log active set mismatch at round {t}")
-            replay_out.append(drawn)
-            # a zero channel coefficient drops the device for the round
-            alive = np.abs(drawn.gains) > 0.0
-            round_ch = dataclasses.replace(drawn, active=drawn.active[alive],
-                                           gains=drawn.gains[alive])
-
-            deltas, offsets = _local_updates(cfg, state, round_ch.active, batch_idx[alive],
-                                             eta_t, alpha_t)
-            probe.append((offsets, alpha_t))
-            out = None if deltas is None else \
-                _air_uplink(cfg, state, deltas, round_ch, comp, noise_var, eta_t)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if out is None:
-                    theta_next, fields = None, _ABORTED_FIELDS
-                else:
-                    theta_next, fields, noise_term, fading_dev = out
-                    fields["sum_abs_h_sq"] = float(np.sum(np.abs(round_ch.gains) ** 2))
-                    recon.append({
-                        "sum_delta": np.sum(deltas, axis=0),
-                        "noise_term": noise_term,
-                        "fading_dev": fading_dev,
-                        "mem_sum": state.memories.sum(axis=0),
-                    })
-            done.append((t, eta_t, alpha_t, fields))
-            if theta_next is None or not np.all(np.isfinite(theta_next)):
-                aborted_at = t
+    t0 = 0
+    while t0 < cfg.rounds and running.size:
+        trials = running
+        n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
+        actives, batches, channels, gains, noise, comps = _draw_block(
+            cfg, state, trials, np.arange(t0, t0 + n_rounds), noise_var, channel_replays)
+        done = [[] for _ in trials]  # (t, eta_t, alpha_t, record fields) of each trial's rounds
+        # offsets of the block's local iterates; NaN where a trial did not run
+        offsets = np.full((len(trials), n_rounds, q, rn, d), np.nan)
+        alphas = []
+        # a zero channel coefficient drops the device for the round, so a
+        # trial with one transmits in a group of its own
+        alive = np.abs(gains) > 0.0
+        full = alive.all(axis=2)
+        no_drops = full.all(axis=0).tolist()
+        live = np.arange(len(trials))  # block positions of the trials still running
+        for j, t in enumerate(range(t0, t0 + n_rounds)):
+            if not live.size:
                 break
-            state.theta = theta_next
-            thetas.append(state.theta.copy())
-        records += _block_records(state, np.stack(thetas[t0:t0 + len(done)]), done, probe,
-                                  metric_alpha, curvature)
-        if aborted_at is not None:
-            break
+            eta_t, alpha_t = lr_schedule(cfg, t)
+            alphas.append(alpha_t)
+            for p in live.tolist():
+                replay_out[trials[p]].append(channels[p][j])
+            # groups of trials (block positions, devices) that transmit over
+            # as many devices each
+            if no_drops[j]:
+                groups = [(slice(None) if live.size == len(trials) else live, slice(None))]
+            else:
+                sending = full[live, j]
+                groups = [(live[sending], slice(None))] if sending.any() else []
+                groups += [(np.array([p]), alive[p, j]) for p in live[~sending].tolist()]
+            stopped = []
+            for pos, cols in groups:
+                ks, positions = trials[pos], live if isinstance(pos, slice) else pos
+                round_ch = ch.ChannelRound(active=actives[pos, j][:, cols],
+                                           gains=gains[pos, j][:, cols], noise=noise[pos, j])
+                iterate_offsets, theta_next, fields, extras = _round(
+                    cfg, state, ks, round_ch, batches[pos, j][:, cols],
+                    tuple(c[pos, j] for c in comps), noise_var, eta_t, alpha_t)
+                offsets[pos, j, :, :round_ch.active.shape[1]] = iterate_offsets
+                for p, f, extra in zip(positions.tolist(), fields, extras):
+                    done[p].append((t, eta_t, alpha_t, f))
+                    if extra is not None:
+                        recon[trials[p]].append(extra)
+                ok = np.isfinite(theta_next).all(axis=1)
+                if not ok.all():
+                    for p in positions[~ok].tolist():
+                        aborted_at[trials[p]] = t
+                        stopped.append(p)
+                    ks, theta_next = ks[ok], theta_next[ok]
+                state.theta[ks] = theta_next
+                thetas[ks, t + 1] = theta_next
+            if stopped:
+                live = live[~np.isin(live, stopped)]
+        for p, k in enumerate(trials.tolist()):
+            records[k] += _block_records(state, k, thetas[k, t0:t0 + len(done[p])], done[p],
+                                         metric_alpha, curvature)
+        with np.errstate(over="ignore", invalid="ignore"):
+            state.update_probes(trials, offsets[:, :len(alphas)].reshape(len(trials), -1, d),
+                                np.repeat(alphas, q * rn))
+        running = trials[live]
+        t0 += n_rounds
 
-    return Trajectory(
-        config=cfg,
-        thetas=np.stack(thetas),
-        records=records,
-        device_ws=state.ws,
-        datasets=state.data,
-        memories=state.memories,
-        replay=replay_out,
-        recon=recon,
-        probe=state.probe,
-        f_init=f_init,
-        f_star=f_star,
+    return [Trajectory(
+        config=c,
+        thetas=thetas[k, :len(records[k]) + (aborted_at[k] is None)].copy(),
+        records=records[k],
+        device_ws=trial_ws[k],
+        datasets=state.data.devices(state.devices(k)),
+        memories=state.memories[state.devices(k)],
+        replay=replay_out[k],
+        recon=recon[k],
+        probe=state.probes[k],
+        f_init=f_init[k],
+        f_star=f_star[k],
         metric_alpha=metric_alpha,
-        warnings=warnings,
-        aborted_at=aborted_at,
-    )
+        warnings=list(warnings),
+        aborted_at=aborted_at[k],
+    ) for k, c in enumerate(configs)]
 
 
-def _draw_block(cfg: ExperimentConfig, state: _State, t0: int, noise_var: float,
-                channel_replay: list | None):
-    """Every input of rounds t0 .. t0 + _BLOCK_ROUNDS - 1 (fewer at the end
-    of the run) that does not depend on the iterate: the active sets
-    (rounds, n_active), the local batch indices (rounds, n_active, Q, 3,
-    m_B), the ChannelRounds and the CompressionMatrices.  Each is what the
+def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds: np.ndarray,
+                noise_var: float, channel_replays: list | None):
+    """Every input of the consecutive ``rounds`` that does not depend on the
+    iterate, for each of the K ``trials``: the active sets (K, rounds, n_active), the local batch
+    indices (K, rounds, n_active, Q, 3, m_B), the ChannelRounds (K lists)
+    with their gains (K, rounds, n_active) and noise (K, rounds, M), and
+    the compression operators (``ch.compression_block``).  Each is what the
     round's own substream draws: ACTIVE_SET, LOCAL_BATCH per active device,
-    CHANNEL (or the replay log's entry) and COMPRESSION.
+    CHANNEL (or the replay log's entry, which must draw the same active
+    set) and COMPRESSION.
 
-    One seeding pass gives the round streams and one the device streams.
-    Active sets, compression rows and batches are replayed on their raw
-    words; the channel is drawn by ``ch.sample_channel`` on the run's
-    generator, set to the CHANNEL stream's seeded state.  All Q steps are
-    drawn up front; a substream serves one device in one round, so a
+    One seeding pass gives the round streams of every trial and one the
+    device streams.  Active sets, compression rows and batches are replayed
+    on their raw words; the channel is drawn by ``ch.sample_channel`` on the
+    run's generator, set to the CHANNEL stream's seeded state.  All Q steps
+    are drawn up front; a substream serves one device in one round, so a
     device that stops early only leaves its later draws unused."""
-    seed = cfg.master_seed
-    rounds = np.arange(t0, min(t0 + _BLOCK_ROUNDS, cfg.rounds))
-    n = rounds.size
-    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([rng.CHANNEL] if channel_replay is None else [])
-    keys = np.column_stack([np.repeat(tags, n), np.tile(rounds, len(tags))])
-    states = rng.seeded_states(seed, keys)
-    actives = meta.stream_choices(seed, keys[:n], states[:n], cfg.n_devices, cfg.n_active)
-    comps = [ch.CompressionMatrix(cfg.dim, rows) for rows in meta.stream_choices(
-        seed, keys[n:2 * n], states[n:2 * n], cfg.dim, cfg.channel_uses)]
-    if channel_replay is None:
+    seeds = np.array([state.seeds[k] for k in trials.tolist()], dtype=object)
+    n, n_trials = rounds.size, len(trials)
+    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([rng.CHANNEL] if channel_replays is None else [])
+    # rows by tag, then trial, then round
+    keys = np.column_stack([np.repeat(tags, n_trials * n), np.tile(rounds, len(tags) * n_trials)])
+    key_seeds = np.tile(np.repeat(seeds, n), len(tags))
+    states = rng.seeded_states(key_seeds, keys)
+    kn = n_trials * n
+    actives = meta.stream_choices(key_seeds[:kn], keys[:kn], states[:kn], cfg.n_devices,
+                                  cfg.n_active)
+    comps = ch.compression_block(cfg.dim, meta.stream_choices(
+        key_seeds[kn:2 * kn], keys[kn:2 * kn], states[kn:2 * kn], cfg.dim,
+        cfg.channel_uses).reshape(n_trials, n, -1))
+    if channel_replays is None:
         literal = not meta.replicas_hold()
-        channels = []
-        for t, active, seeded in zip(rounds.tolist(), actives, states[2 * n:]):
+        drawn = []
+        for seed, t, active, seeded in zip(key_seeds[:kn], np.tile(rounds, n_trials).tolist(),
+                                           actives, states[2 * kn:]):
             if literal:
                 gen = rng.substream(seed, rng.CHANNEL, t)
             else:
                 gen = state.channel_gen
                 gen.bit_generator.state = seeded
-            channels.append(ch.sample_channel(active, cfg.fading, noise_var,
-                                              cfg.channel_uses, gen))
+            drawn.append(ch.sample_channel(active, cfg.fading, noise_var, cfg.channel_uses,
+                                           gen))
+        channels = [drawn[i * n:(i + 1) * n] for i in range(n_trials)]
     else:
-        channels = channel_replay[t0:t0 + n]
+        channels = [channel_replays[k][rounds[0]:rounds[0] + n] for k in trials.tolist()]
+        for t, entries, active in zip(np.tile(rounds, n_trials).tolist(),
+                                      (c for chans in channels for c in chans), actives):
+            if not np.array_equal(entries.active, active):
+                raise ValueError(f"replay log active set mismatch at round {t}")
     batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
-                                  np.repeat(rounds, cfg.n_active), actives.reshape(-1)])
-    batches = meta.stream_batches(seed, batch_keys, state.pools, cfg.batch_size,
-                                  cfg.local_steps)
-    return actives, batches.reshape((n, cfg.n_active) + batches.shape[1:]), channels, comps
+                                  np.repeat(np.tile(rounds, n_trials), cfg.n_active),
+                                  actives.reshape(-1)])
+    batches = meta.stream_batches(np.repeat(seeds, n * cfg.n_active), batch_keys, state.pools,
+                                  cfg.batch_size, cfg.local_steps)
+    shape = (n_trials, n, cfg.n_active)
+    gains = np.array([[c.gains for c in chans] for chans in channels])
+    noise = np.array([[c.noise for c in chans] for chans in channels])
+    return (actives.reshape(shape), batches.reshape(shape + batches.shape[1:]), channels,
+            gains, noise, comps)
 
 
-def _block_records(state: _State, thetas: np.ndarray, done: list, probe: list,
+def _block_records(state: _State, k: int, thetas: np.ndarray, done: list,
                    metric_alpha: float, curvature: float) -> list:
-    """RoundRecords of a block's rounds, whose iterates are ``thetas``
-    (rounds, d): the meta-training loss and the squared meta-gradient of
-    every iterate at once, each bit for bit its one-iterate value.  Folds
-    the block's local iterates into the moment probe."""
+    """RoundRecords of trial k's rounds of a block, whose iterates are
+    ``thetas`` (rounds, d): the meta-training loss and the squared
+    meta-gradient of every iterate at once, each bit for bit its
+    one-iterate value."""
+    devices = state.devices(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        train_loss = metrics.meta_training_loss(thetas, state.data, metric_alpha)
-        g = tasks.mean_meta_grad(thetas, state.ws, curvature)
+        train_loss = metrics.meta_training_loss(thetas, state.data.devices(devices),
+                                                metric_alpha)
+        g = tasks.mean_meta_grad(thetas, state.ws[devices], curvature)
         grad_norm_sq = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-        state.update_probe(np.concatenate([e for e, _ in probe]),
-                           np.concatenate([np.full(len(e), a) for e, a in probe]))
     # an aborted round's fields carry their own NaN training loss
     return [RoundRecord(t=t, eta_t=eta_t, alpha_t=alpha_t, grad_norm_sq=float(gn),
                         **({"train_loss": float(tl)} | fields))
             for (t, eta_t, alpha_t, fields), tl, gn in zip(done, train_loss, grad_norm_sq)]
 
 
-def _local_updates(cfg: ExperimentConfig, state: _State, act_eff: np.ndarray,
-                   batch_idx: np.ndarray, eta_t: float, alpha_t: float):
-    """(n_active, d) model differences of the transmitting devices, in
-    ``act_eff`` order, from their (n_active, Q, 3, m_B) batch indices, or
-    None when one of them is non-finite; and the (Q * n_active, d) offsets
-    of their local iterates from their task vectors, for the moment probe."""
+def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, round_ch: ch.ChannelRound,
+           batch_idx: np.ndarray, comp: tuple, noise_var: float, eta_t: float,
+           alpha_t: float):
+    """One round of the G trials ``ks``, each with the same number rn of
+    devices that transmit: ``round_ch`` holds their ids and gains (G, rn)
+    and each trial's noise (G, M), ``batch_idx`` their (G, rn, Q, 3, m_B)
+    batch indices and ``comp`` each trial's compression operators.
+
+    The devices of all G trials run their local steps as one stack.  Returns
+    the (G, Q, rn, d) offsets of their local iterates from their task
+    vectors, for the moment probe, and what ``_air_uplink`` returns.  Values
+    that leave the float range raise no warning: they abort their trial, or
+    are not used.
+    """
+    g, rn = round_ch.active.shape
+    rows = ks[:, None] * state.n + round_ch.active  # the devices' rows of the state
     local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
                                  batch_size=cfg.batch_size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        deltas, iterates = meta.local_rounds(state.theta, state.data.devices(act_eff),
-                                             batch_idx.swapaxes(0, 1), local_cfg, eta_t)
-        offsets = (iterates - state.ws[act_eff]).reshape(-1, cfg.dim)
-    return (deltas if np.all(np.isfinite(deltas)) else None), offsets
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        deltas, iterates = meta.local_rounds(
+            state.theta[np.repeat(ks, rn)], state.data,
+            batch_idx.reshape((g * rn,) + batch_idx.shape[2:]).swapaxes(0, 1), local_cfg, eta_t,
+            devices=rows.reshape(-1))
+        offsets = iterates.reshape(cfg.local_steps, g, rn, cfg.dim) - state.ws[rows]
+        out = _air_uplink(cfg, state, ks, rows, deltas.reshape(g, rn, cfg.dim), round_ch, comp,
+                          noise_var, eta_t)
+    return (offsets.swapaxes(0, 1),) + out
 
 
-def _air_uplink(cfg: ExperimentConfig, state: _State, deltas: np.ndarray,
-                round_ch: ch.ChannelRound, comp: ch.CompressionMatrix, noise_var: float,
+def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.ndarray,
+                deltas: np.ndarray, round_ch: ch.ChannelRound, comp: tuple, noise_var: float,
                 eta_t: float):
     """Error-feedback sparsification, power scaling, phase pre-compensation and
-    compression by ``comp``, MAC superposition, estimation and the server
-    update, each on the (n_active, d) stack of the devices that transmit
-    over ``round_ch``.
+    compression, MAC superposition, estimation and the server update of the
+    G trials ``ks``, each on the (rn, d) stack ``deltas[i]`` of its devices,
+    whose rows of the state are ``rows[i]``, that transmit over row i of
+    ``round_ch``, compressed by its operators ``comp``
+    (``ch.compression_block``).
 
-    Returns ``(theta_next, record fields, noise term, fading deviation)``,
-    where the last two are the realized vectors the memory identity needs,
-    or None when the update energy leaves the float range and no power
-    scale exists.  Commits the devices' new error-feedback memories.
+    Returns each trial's next iterate (G, d), record fields and the realized
+    vectors the memory identity needs.  A trial sends nothing when its
+    model differences or its update energy leave the float range: it gets
+    a NaN iterate, the aborted fields and no vectors, and keeps its
+    memories.  Commits the new error-feedback memories of the others.
     """
+    g = len(ks)
     mu_abs, abs_power = ch.fading_moments(cfg.fading)
     policy = sparsify.PowerPolicy(
         power=cfg.power_per_use, channel_uses=cfg.channel_uses, rho_max=cfg.rho_max,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        updates, mem_next = sparsify.memory_fold(state.memories[round_ch.active], deltas,
-                                                 cfg.sparsify_k)
-        rho = sparsify.power_scale(updates, eta_t, policy)
-    if not (np.isfinite(rho) and rho > 0):
-        return None
+    finite = np.isfinite(deltas).all(axis=(1, 2))
+    updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas, cfg.sparsify_k)
+    rho = sparsify.power_scale(
+        updates if finite.all() else np.where(finite[:, None, None], updates, 0.0), eta_t, policy)
+    sent = finite & np.isfinite(rho) & (rho > 0)
+    if not sent.all():
+        if not sent.any():
+            return np.full((g, cfg.dim), np.nan), [_ABORTED_FIELDS] * g, [None] * g
+        ks, rows, deltas, updates, mem_next, rho = (
+            a[sent] for a in (ks, rows, deltas, updates, mem_next, rho))
+        round_ch = ch.ChannelRound(round_ch.active[sent], round_ch.gains[sent],
+                                   round_ch.noise[sent])
+        comp = tuple(c[sent] for c in comp)
 
     gains = round_ch.gains
-    signals = comp.compress(sparsify.phase_precompensate(updates, rho, eta_t, gains))
-    block_power = (signals.conj()[:, None, :] @ signals[:, :, None])[:, 0, 0].real
+    signals = ch.compress(comp[0], sparsify.phase_precompensate(updates, rho, eta_t, gains))
+    block_power = (signals.conj()[..., None, :] @ signals[..., :, None])[..., 0, 0].real
     margins = block_power / cfg.channel_uses - cfg.power_per_use
     g_sq = sparsify.energies(updates)
 
     y = ch.transmit_mac(signals, round_ch)
-    total_g_sq = float(np.sum(g_sq))
+    total_g_sq = g_sq.sum(axis=-1)
     eta_sq = sparsify.rate_sq(eta_t)
-    prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim) \
-        if total_g_sq > 0.0 else 0.0
-    est = ch.estimate(y, comp, prior_power, noise_var, cfg.estimator)
-
-    abs_h = np.abs(gains)[:, None]
-    signal_true = (np.sqrt(rho) / eta_t) * np.sum(abs_h * updates, axis=0) \
-        if total_g_sq > 0.0 else np.zeros(cfg.dim)
+    abs_h = np.abs(gains)[..., None]
+    prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim)
+    signal_true = (np.sqrt(rho) / eta_t)[:, None] * (abs_h * updates).sum(axis=-2)
+    silent = total_g_sq <= 0.0
+    if silent.any():  # a trial without update energy has no prior power and no signal
+        prior_power[silent] = 0.0
+        signal_true[silent] = 0.0
+    est = ch.estimate_stack(y, *comp, prior_power, noise_var, cfg.estimator)
     noise_term = est.x_hat - signal_true
-    fading_dev = np.sum((abs_h / mu_abs - 1.0) * updates, axis=0)
-    theta_next = ch.global_update(state.theta, est, eta_t, rho, mu_abs, cfg.n_active)
+    fading_dev = ((abs_h / mu_abs - 1.0) * updates).sum(axis=-2)
+    theta_next = ch.global_update(state.theta[ks], est, eta_t, rho, mu_abs, cfg.n_active)
 
-    state.memories[round_ch.active] = mem_next
+    state.memories[rows] = mem_next
+    memories = state.memories.reshape(-1, state.n, cfg.dim)[ks]
 
-    fields = dict(
-        rho=float(rho), v_model=float(est.err_var),
-        v_realized=float(noise_term @ noise_term) / cfg.dim,
-        min_g_sq_over_eta_sq=float(np.min(g_sq)) / eta_sq if g_sq.size and eta_sq > 0
-        else float("nan"),
-        mem_norm_sq_max=float(np.max(np.sum(state.memories**2, axis=1))),
-        power_margin=float(np.max(margins)) if margins.size else 0.0,
-        pinv_fallback=bool(est.pinv_fallback),
-    )
-    return theta_next, fields, noise_term, fading_dev
+    n_sent = gains.shape[1]
+    v_realized = (noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim
+    min_g_sq = g_sq.min(axis=-1) / eta_sq if n_sent and eta_sq > 0 else np.full(len(ks), np.nan)
+    margin = margins.max(axis=-1) if n_sent else np.zeros(len(ks))
+    columns = (rho, est.err_var, v_realized, min_g_sq, (memories**2).sum(axis=-1).max(axis=-1),
+               margin, est.pinv_fallback, (np.abs(gains) ** 2).sum(axis=-1))
+    fields = [dict(zip(_FIELD_NAMES, row)) for row in zip(*(c.tolist() for c in columns))]
+    extras = [{"sum_delta": sd, "noise_term": nt, "fading_dev": fd, "mem_sum": ms}
+              for sd, nt, fd, ms in zip(deltas.sum(axis=-2), noise_term, fading_dev,
+                                        memories.sum(axis=-2))]
+    if len(ks) == g:
+        return theta_next, fields, extras
+    # the trials that sent nothing take their places among the others
+    theta_all = np.full((g, cfg.dim), np.nan)
+    theta_all[sent] = theta_next
+    fields_all, extras_all = [_ABORTED_FIELDS] * g, [None] * g
+    for i, f, extra in zip(np.flatnonzero(sent).tolist(), fields, extras):
+        fields_all[i], extras_all[i] = f, extra
+    return theta_all, fields_all, extras_all
+
+
+# the record fields _air_uplink gives, in the order it computes them
+_FIELD_NAMES = ("rho", "v_model", "v_realized", "min_g_sq_over_eta_sq", "mem_norm_sq_max",
+                "power_margin", "pinv_fallback", "sum_abs_h_sq")
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: list) -> Trajectory:
     """Re-run using the recorded channel draws; must match bit for bit."""
-    if len(replay) < cfg.rounds:
-        raise ValueError("replay log shorter than the configured number of rounds")
     return run_experiment(cfg, channel_replay=replay)
 
 

@@ -44,13 +44,14 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def seeded_states(master_seed: int, keys) -> list[dict]:
+def seeded_states(master_seed, keys) -> list[dict]:
     """PCG64 state of ``substream(master_seed, *keys[k])`` right after
     seeding, for each row k of a (K, L) integer array ``keys``: the dict
-    that ``bit_generator.state`` takes."""
+    that ``bit_generator.state`` takes.  ``master_seed`` is one seed for
+    every row or a sequence of K seeds, one per row."""
     keys = np.asarray(keys)
     values = np.empty((keys.shape[0], 1 + keys.shape[1]), dtype=np.uint64)
-    values[:, 0] = int(master_seed) & _MASK64
+    values[:, 0] = [int(s) & _MASK64 for s in row_seeds(master_seed, keys.shape[0])]
     # int64 -> uint64 keeps the bits, which is the 64-bit mask of substream
     values[:, 1:] = keys.astype(np.int64).view(np.uint64) if keys.dtype.kind == "i" else keys
     states = [None] * keys.shape[0]
@@ -77,6 +78,12 @@ def seeded_states(master_seed: int, keys) -> list[dict]:
                            "state": {"state": ((inc + init) * _PCG64_MULT + inc) & _MASK128,
                                      "inc": inc}}
     return states
+
+
+def row_seeds(master_seed, n: int) -> np.ndarray:
+    """The master seed of each of n key rows, as Python ints: ``master_seed``
+    repeated, or the sequence of n seeds it is."""
+    return np.broadcast_to(np.array(master_seed, dtype=object), (n,))
 
 
 def state_words(states, n_words: int) -> np.ndarray:

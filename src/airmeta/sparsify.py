@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_TINY = np.finfo(float).tiny  # smallest normal float
+
 
 @dataclass(frozen=True)
 class PowerPolicy:
@@ -30,28 +32,29 @@ class PowerPolicy:
 
 
 def comp_k(x: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries of each row of x (n, d), ties
-    broken by lowest index; dense output, zeros elsewhere."""
+    """Keep the k largest-magnitude entries of each row of x (..., n, d),
+    ties broken by lowest index; dense output, zeros elsewhere."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be a (n, d) stack, got shape {x.shape}")
-    d = x.shape[1]
+    if x.ndim < 2:
+        raise ValueError(f"x must be a (..., n, d) stack, got shape {x.shape}")
+    d = x.shape[-1]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     if k == d:
         return x.copy()
+    flat = x.reshape(-1, d)
     # stable sort on -|x| keeps the lowest index among ties
-    keep = np.argsort(-np.abs(x), axis=1, kind="stable")[:, :k]
-    rows = np.arange(x.shape[0])[:, None]
-    out = np.zeros_like(x)
-    out[rows, keep] = x[rows, keep]
-    return out
+    keep = np.argsort(-np.abs(flat), axis=1, kind="stable")[:, :k]
+    rows = np.arange(flat.shape[0])[:, None]
+    out = np.zeros_like(flat)
+    out[rows, keep] = flat[rows, keep]
+    return out.reshape(x.shape)
 
 
 def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int):
     """Fold the accumulated error into the update before sparsifying.
 
-    ``memory`` and ``delta`` are (n, d) stacks, one row per device.  Returns
+    ``memory`` and ``delta`` are (..., n, d) stacks, one row per device.  Returns
     (g, next_memory) with g = comp_k(memory + delta) and
     next_memory = memory + delta - g.
     """
@@ -65,9 +68,9 @@ def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int):
 
 
 def energies(g: np.ndarray) -> np.ndarray:
-    """||g_i||^2 of each row of the (n, d) stack g."""
+    """||g_i||^2 of each row of the (..., n, d) stack g."""
     g = np.asarray(g, dtype=float)
-    return (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+    return (g[..., None, :] @ g[..., :, None])[..., 0, 0]
 
 
 def rate_sq(eta: float) -> float:
@@ -79,10 +82,12 @@ def rate_sq(eta: float) -> float:
         return float("inf")
 
 
-def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
+def power_scale(updates, eta: float, policy: PowerPolicy):
     """Common scale rho so every device meets its average power budget.
 
-    ``updates`` is the (n, d) stack of the devices' updates.
+    ``updates`` is the (n, d) stack of the devices' updates, and the result
+    a float; for a (..., n, d) stack of such stacks it is an array (...) of
+    the scale of each.
     rho = min over devices of eta^2 * M * P / ||g||^2; the binding device
     transmits at exactly its budget, all others strictly below.  If every
     update is zero (a zero transmission costs no power) the configured
@@ -95,20 +100,21 @@ def power_scale(updates, eta: float, policy: PowerPolicy) -> float:
     if eta < 0:
         raise ValueError("eta must be >= 0")
     g = np.asarray(updates, dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("update contains non-finite entries")
     nrm = energies(g)
-    norms = nrm[(nrm > 0.0) | np.any(g, axis=1)]  # a tiny nonzero g can have nrm == 0
-    if not norms.size:
-        return policy.rho_max
-    if eta == 0:
+    live = g.any(axis=-1)  # a tiny nonzero g can have nrm == 0
+    some = live.any(axis=-1)
+    if eta == 0 and some.any():
         raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
-    tiny = np.finfo(float).tiny
     eta_sq = rate_sq(eta)
-    if not tiny <= eta_sq < np.inf or norms.min() < tiny:
-        return float("nan")
-    rho = float(np.min(eta_sq * policy.channel_uses * policy.power / norms))
-    return rho if rho >= tiny else float("nan")
+    scalable = some & ~(live & (nrm < _TINY)).any(axis=-1) & (_TINY <= eta_sq < np.inf)
+    # the least eta^2 M P / ||g||^2 over the devices is the quotient by the
+    # largest energy: rounding keeps the order of the quotients
+    top = np.where(scalable, nrm.max(axis=-1, initial=0.0), 1.0)
+    rho = eta_sq * policy.channel_uses * policy.power / top
+    rho = np.where(some, np.where(scalable & (rho >= _TINY), rho, np.nan), policy.rho_max)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndarray:
@@ -117,22 +123,28 @@ def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndar
     Row i of the (n, d) stack g is sent over the channel coefficient
     ``gains[i]``.  Returns (sqrt(rho) * e^{-j arg(h_i)} / eta) * g_i per row;
     multiplying by h_i leaves |h_i| * (sqrt(rho)/eta) * g_i, real up to
-    rounding.
+    rounding.  A (..., n, d) stack of stacks takes gains (..., n) and a
+    scale rho (...) per stack.
     """
     g = np.asarray(g, dtype=float)
     gains = np.asarray(gains, dtype=complex)
-    if g.ndim != 2 or gains.shape != (g.shape[0],):
+    rho = np.asarray(rho, dtype=float)
+    if g.ndim < 2 or gains.shape != g.shape[:-1]:
         raise ValueError("one channel coefficient per update row required")
-    if np.any(gains == 0):
+    if (gains == 0).any():
         raise ValueError("zero channel coefficient; treat the device as inactive")
-    if rho <= 0:
+    if (rho <= 0).any():
         raise ValueError("rho must be > 0")
+    live = g.any(axis=-1)
+    if not live.any():
+        return np.zeros(g.shape, dtype=complex)
+    if eta <= 0:
+        raise ValueError("eta must be > 0 for a nonzero update")
+    factor = (np.sqrt(rho) / eta)[..., None] * _phase(gains)
+    if live.all():
+        return factor[..., None] * g
     out = np.zeros(g.shape, dtype=complex)  # a zero row needs no scaling
-    live = np.any(g, axis=1)
-    if live.any():
-        if eta <= 0:
-            raise ValueError("eta must be > 0 for a nonzero update")
-        out[live] = ((np.sqrt(rho) / eta) * _phase(gains[live]))[:, None] * g[live]
+    out[live] = factor[live][:, None] * g[live]
     return out
 
 

@@ -1,9 +1,10 @@
 """Seeded trials, and parameter sweeps over the trade-off axes.
 
 ``trial_configs`` derives the config of each trial and ``run_trials`` runs
-them, serially or on a process pool.  Sweep points reuse the same per-trial
-seeds (common random numbers), which sharpens trend comparisons without
-biasing any single point.
+tasks, serially or on a process pool.  A sweep task is a chunk of one
+point's seeds, run in lockstep as one stack (``protocol.run_stack``).
+Sweep points reuse the same per-trial seeds (common random numbers), which
+sharpens trend comparisons without biasing any single point.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import metrics, report, rng
-from .protocol import ExperimentConfig, run_experiment
+from .protocol import ExperimentConfig, run_stack
 
 SWEEP_AXES = ("snr_db", "m_over_d", "k_over_d", "n_devices", "heterogeneity", "eta")
 
@@ -100,34 +101,37 @@ def trial_configs(cfg: ExperimentConfig, n: int) -> list[ExperimentConfig]:
     return [cfg.replace(master_seed=rng.trial_seed(cfg.master_seed, k)) for k in range(n)]
 
 
-def run_trials(fn: Callable, configs: Iterable[ExperimentConfig],
-               threads: int = 1) -> Iterator:
-    """Yield ``fn(cfg)`` for each config, in config order: one call at a
-    time in this process, as each result is asked for, when ``threads <= 1``
-    or there is one config; otherwise as the tasks of one process pool, each
-    result once it and every result before it are in.  Closing the
-    generator cancels the tasks not yet started.  ``fn`` and its results
-    must pickle."""
-    configs = list(configs)
-    if threads <= 1 or len(configs) <= 1:
-        yield from map(fn, configs)
+def run_trials(fn: Callable, tasks: Iterable, threads: int = 1) -> Iterator:
+    """Yield ``fn(task)`` for each task (a config, or a list of configs for
+    ``fn`` to run as one stack), in task order: one call at a time in this
+    process, as each result is asked for, when ``threads <= 1`` or there is
+    one task; otherwise as the tasks of one process pool, each result once
+    it and every result before it are in.  Closing the generator cancels the
+    tasks not yet started.  ``fn``, the tasks and the results must pickle."""
+    tasks = list(tasks)
+    if threads <= 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
         return
     # fork, not spawn: workers inherit the imported package, and whatever is
     # patched into it (perfbench's tracer), instead of importing numpy and
     # scipy again
     with concurrent.futures.ProcessPoolExecutor(
-            min(threads, len(configs)), mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(fn, configs)
+            min(threads, len(tasks)), mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(fn, tasks)
 
 
 PER_SEED = ("conv_error", "test", "train", "gen_bound", "conv_bound")
 
 
-def seed_summary(cfg: ExperimentConfig) -> dict:
-    """The ``PER_SEED`` numbers of one seed's run, read from
-    ``report.summarize``: no bound entries where its constants or bounds do
-    not apply, and only ``aborted_at`` if it aborted."""
-    traj = run_experiment(cfg)
+def seed_summaries(configs: list) -> list[dict]:
+    """The ``PER_SEED`` numbers of the run of each seed of a stack (a pool
+    task), read from ``report.summarize``: no bound entries where its
+    constants or bounds do not apply, and only ``aborted_at`` if it
+    aborted."""
+    return [_seed_summary(traj) for traj in run_stack(configs)]
+
+
+def _seed_summary(traj) -> dict:
     if traj.aborted_at is not None:
         return {"aborted_at": traj.aborted_at}
     summary = report.summarize(traj)
@@ -158,17 +162,23 @@ def _point_result(axis: str, value: float, per_seed: dict) -> PointResult:
 def run_sweep(spec: SweepSpec, threads: int = 1) -> Iterator[PointResult]:
     """Yield one PointResult per sweep value, in the order given.
 
-    Every (point, seed) run is one ``run_trials`` task, so the ``threads``
-    workers share all of them.  A point is yielded once its seeds are in,
-    so a caller can persist finished points before a later one fails; an
-    aborted seed fails its point.
+    A point's seeds run in ``min(threads, seeds)`` contiguous chunks of
+    near-equal size, each one ``run_trials`` task that runs its seeds in
+    lockstep, so the ``threads`` workers share the chunks of all points.
+    How the seeds are chunked moves no number.  A point is yielded once its
+    seeds are in, so a caller can persist finished points before a later
+    one fails; an aborted seed fails its point.
     """
-    configs = [c for v in spec.values
-               for c in trial_configs(apply_axis(spec.base, spec.axis, v), spec.seeds)]
-    with contextlib.closing(run_trials(seed_summary, configs, threads)) as results:
+    parts = np.array_split(np.arange(spec.seeds), min(max(threads, 1), spec.seeds))
+    chunks = []
+    for v in spec.values:
+        configs = trial_configs(apply_axis(spec.base, spec.axis, v), spec.seeds)
+        chunks += [configs[part[0]:part[-1] + 1] for part in parts]
+    with contextlib.closing(run_trials(seed_summaries, chunks, threads)) as results:
         for value in spec.values:
             per_seed = {key: [] for key in PER_SEED}
-            for trial, summary in enumerate(itertools.islice(results, spec.seeds)):
+            summaries = itertools.chain.from_iterable(itertools.islice(results, len(parts)))
+            for trial, summary in enumerate(summaries):
                 if "aborted_at" in summary:
                     raise RuntimeError(f"trial {trial} at {spec.axis}={value} aborted "
                                        f"at round {summary['aborted_at']}")

@@ -151,7 +151,7 @@ def batch_grad(phi, x, y):
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
     resid = y - (x @ phi[..., None])[..., 0]
-    return -(np.swapaxes(x, -1, -2) @ resid[..., None])[..., 0] / x.shape[-2]
+    return -(x.swapaxes(-1, -2) @ resid[..., None])[..., 0] / x.shape[-2]
 
 
 def batch_hessian(phi, x, y):
@@ -160,7 +160,7 @@ def batch_hessian(phi, x, y):
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     _check_dims(phi, x)
-    return (np.swapaxes(x, -1, -2) @ x) / x.shape[-2]
+    return (x.swapaxes(-1, -2) @ x) / x.shape[-2]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import channel, meta, metrics, report, sparsify, sweeps, tasks
 from .protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
-                       memory_identity_residuals, run_experiment)
+                       memory_identity_residuals, run_experiment, run_stack)
 
 
 @dataclass(frozen=True)
@@ -178,15 +178,16 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
 
 def check_bound_validity(seed: int = 0, n_seeds: int = 3, rounds: int = 200) -> VerifyResult:
     """Measured average squared meta-gradient stays below the constant-rate
-    bound on ``n_seeds`` trials (``sweeps.trial_configs``) of the convergence
-    setup at master seed ``seed``, which must satisfy the validity condition:
-    a trial whose config gives a ``validate()`` warning fails the check."""
+    bound on ``n_seeds`` trials (``sweeps.trial_configs``, run as one stack)
+    of the convergence setup at master seed ``seed``, which must satisfy the
+    validity condition: a trial whose config gives a ``validate()`` warning
+    fails the check."""
     t0 = time.perf_counter()
     configs = sweeps.trial_configs(default_convergence_config(master_seed=seed, rounds=rounds),
                                    n_seeds)
     warned = [s for s, cfg in enumerate(configs) if cfg.validate()]
     fails = []
-    for s, traj in enumerate(sweeps.run_trials(run_experiment, configs)):
+    for s, traj in enumerate(run_stack(configs)):
         lhs = metrics.stationary_convergence_error(traj)
         rhs = report.constant_bound_report(traj).total
         if not lhs <= rhs:

@@ -11,7 +11,7 @@ import pytest
 
 from airmeta import bounds, verify
 from airmeta.bounds import constant_rate_bound, derived_constants, memory_gain
-from airmeta.protocol import ExperimentConfig, run_experiment
+from airmeta.protocol import ExperimentConfig, run_experiment, run_stack
 from airmeta.storage import read_config
 from airmeta.sweeps import SweepSpec, run_sweep, run_trials, trial_configs
 
@@ -133,9 +133,10 @@ def test_11_device_count_tradeoff():
             f"conv {['%.3f' % e for e in errs]}, |gap| {['%.3f' % g for g in gaps]}")
 
 
-def grad_norm_sq_series(cfg):
-    """Per-round squared meta-gradient norms of one run (a pool task)."""
-    return run_experiment(cfg).series("grad_norm_sq")
+def grad_norm_sq_series(configs):
+    """Per-round squared meta-gradient norms of each run of one lockstep
+    stack (a pool task)."""
+    return [traj.series("grad_norm_sq") for traj in run_stack(configs)]
 
 
 def test_12_adaptive_rate_removes_floor():
@@ -147,7 +148,8 @@ def test_12_adaptive_rate_removes_floor():
     const = trial_configs(base.replace(lr_schedule="constant", eta=0.01, alpha=0.25), 5)
     adap = trial_configs(base.replace(lr_schedule="adaptive", eta_scale=8.0, eta_offset=400.0,
                                       alpha_scale=100.0, alpha_offset=400.0), 5)
-    series = list(run_trials(grad_norm_sq_series, const + adap, THREADS))
+    series = [s for stack in run_trials(grad_norm_sq_series, [const, adap], THREADS)
+              for s in stack]
     floors = [float(np.mean(g[1500:])) for g in series[:5]]
     mins = [float(np.min(g)) for g in series[5:]]
     floor, best = float(np.mean(floors)), float(np.mean(mins))
