@@ -9,7 +9,7 @@ variance sigma_n^2, and estimation works on the stacked real system.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,49 +29,10 @@ def fading_moments(model: str) -> tuple[float, float]:
     raise ValueError(f"unknown fading model {model!r}")
 
 
-@dataclass(frozen=True)
-class CompressionMatrix:
-    """The M x d partial DFT shared by all devices in a round: the unitary
-    d x d DFT matrix restricted to the distinct ``rows``."""
-
-    dim: int
-    rows: np.ndarray
-    matrix: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows)
-        if (rows.ndim != 1 or not 1 <= rows.size <= self.dim
-                or not np.issubdtype(rows.dtype, np.integer)
-                or rows.min() < 0 or rows.max() >= self.dim
-                or np.unique(rows).size != rows.size):
-            raise ValueError(f"need 1 to {self.dim} distinct integer rows in "
-                             f"[0, {self.dim}), got {self.rows!r}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "matrix", _dft_matrix(self.dim)[rows])
-
-    @property
-    def m_uses(self) -> int:
-        return self.rows.size
-
-    def compress(self, payloads: np.ndarray) -> np.ndarray:
-        """The (n, M) blocks that carry each row of the (n, d) payloads."""
-        return compress(self.matrix, payloads)
-
-    def stacked_real(self) -> np.ndarray:
-        """Real operator [Re A; Im A] acting on real payloads."""
-        return stacked_real(self.matrix)
-
-
 def compress(matrix: np.ndarray, payloads: np.ndarray) -> np.ndarray:
     """The (..., n, M) blocks that carry each row of the (..., n, d)
     payloads, each stack by its own (..., M, d) partial DFT ``matrix``."""
     return (matrix[..., None, :, :] @ payloads[..., None])[..., 0]
-
-
-def stacked_real(matrix: np.ndarray) -> np.ndarray:
-    """Real operators [Re A; Im A] (..., 2M, d) of the (..., M, d) partial
-    DFTs ``matrix``."""
-    return np.concatenate([matrix.real, matrix.imag], axis=-2)
 
 
 def compression_block(dim: int, rows: np.ndarray):
@@ -86,15 +47,8 @@ def compression_block(dim: int, rows: np.ndarray):
             or np.any(np.diff(rows, axis=-1) <= 0)):
         raise ValueError(f"need increasing integer rows in [0, {dim}), got {rows!r}")
     matrix = _dft_matrix(dim)[rows]
-    real = stacked_real(matrix)
+    real = np.concatenate([matrix.real, matrix.imag], axis=-2)  # [Re A; Im A]
     return matrix, real, real @ real.swapaxes(-1, -2)
-
-
-def make_compression(m_uses: int, dim: int, rng: np.random.Generator) -> CompressionMatrix:
-    """M uniformly chosen rows of the unitary d x d DFT matrix, in order."""
-    if not 1 <= m_uses <= dim:
-        raise ValueError(f"need 1 <= M <= d, got M={m_uses}, d={dim}")
-    return CompressionMatrix(dim, np.sort(rng.choice(dim, size=m_uses, replace=False)))
 
 
 @functools.cache
@@ -144,64 +98,51 @@ def sample_channel(active: np.ndarray, fading: str, noise_var: float, m_uses: in
     return ChannelRound(active=active, gains=gains, noise=noise)
 
 
-def transmit_mac(signals, ch: ChannelRound) -> np.ndarray:
+def transmit_mac(signals, gains, noise) -> np.ndarray:
     """Superpose the transmitted blocks over the fading MAC and add noise.
 
-    ``signals`` is the (n, M) stack of blocks, row i sent over coefficient
-    ``ch.gains[i]``.  y = sum_i h_i x_i + n, accumulated in device order.
-    With no device the block is the noise alone.  A stack of rounds is
-    signals (..., n, M) over gains (..., n) and noise (..., M).
+    ``signals`` is the (..., n, M) stack of blocks, row i sent over
+    coefficient ``gains[..., i]``, one round's noise block (..., M) each:
+    y = sum_i h_i x_i + n, accumulated in device order.  With no device
+    the block is the noise alone.
     """
     signals = np.asarray(signals)
-    if signals.ndim < 2 or signals.shape[:-1] != ch.gains.shape:
+    if signals.ndim < 2 or signals.shape[:-1] != gains.shape:
         raise ValueError("one signal per realized channel coefficient required")
-    if signals.shape[-1] != ch.noise.shape[-1]:
+    if signals.shape[-1] != noise.shape[-1]:
         raise ValueError("block length does not match the realized noise")
     # the running sums 0, 0 + h_0 x_0, (0 + h_0 x_0) + h_1 x_1, ...
-    terms = np.concatenate([np.zeros(ch.noise.shape, dtype=complex)[..., None, :],
-                            ch.gains[..., None] * signals], axis=-2)
-    return np.add.accumulate(terms, axis=-2)[..., -1, :] + ch.noise
+    terms = np.concatenate([np.zeros(noise.shape, dtype=complex)[..., None, :],
+                            gains[..., None] * signals], axis=-2)
+    return np.add.accumulate(terms, axis=-2)[..., -1, :] + noise
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """Server-side reconstruction of the superposed payload; from
-    ``estimate_stack``, every field has a leading round axis."""
+    """Server-side reconstruction of the superposed payload of a stack of
+    K rounds."""
 
-    x_hat: np.ndarray
-    err_var: float              # modeled per-component error variance
-    pinv_fallback: bool = False
-
-
-def estimate(y: np.ndarray, comp: CompressionMatrix, prior_power: float,
-             noise_var: float, kind: str = "lmmse") -> Estimate:
-    """Reconstruct the real superposed payload from the received block.
-
-    matched: requires M == d, the full DFT; x_hat = Re(A^H y) and the
-    per-component error variance equals noise_var exactly.
-    lmmse: linear MMSE under an isotropic prior with per-component power
-    ``prior_power``, solved on the stacked real system.  A noiseless
-    rank-deficient system falls back to the pseudo-inverse and flags it.
-    """
-    real = gram = None
-    if kind != "matched":
-        real = comp.stacked_real()[None]
-        gram = real @ real.swapaxes(-1, -2)
-    est = estimate_stack(np.asarray(y)[None], comp.matrix[None], real, gram, [prior_power],
-                         noise_var, kind)
-    return Estimate(x_hat=est.x_hat[0], err_var=float(est.err_var[0]),
-                    pinv_fallback=bool(est.pinv_fallback[0]))
+    x_hat: np.ndarray           # (K, d)
+    err_var: np.ndarray         # (K,) modeled per-component error variance
+    pinv_fallback: np.ndarray   # (K,) bool, solved by the pseudo-inverse
 
 
 def estimate_stack(y: np.ndarray, matrix: np.ndarray, real, gram, prior_power,
                    noise_var: float, kind: str = "lmmse") -> Estimate:
-    """``estimate`` for a stack of K rounds at once: the received blocks y
-    (K, M), the partial DFTs (K, M, d), and for lmmse their real operators
-    (K, 2M, d) and Gram matrices (K, 2M, 2M) (``compression_block``), with
-    a prior power per round.  Row k of each field is bit for bit what
-    ``estimate`` gives for round k alone.  One solve serves every round;
-    a round that the noise does not regularize falls back to the
-    pseudo-inverse by itself."""
+    """Reconstruct the real superposed payloads of a stack of K rounds from
+    the received blocks y (K, M), with the partial DFTs (K, M, d) and for
+    lmmse their real operators (K, 2M, d) and Gram matrices (K, 2M, 2M)
+    (``compression_block``), and a prior power per round.
+
+    matched: requires M == d, the full DFT; x_hat = Re(A^H y) and the
+    per-component error variance equals noise_var exactly.
+    lmmse: linear MMSE under an isotropic prior with per-component power
+    ``prior_power``, solved on the stacked real system.  One solve serves
+    every round; a noiseless rank-deficient round, or one that the noise
+    does not regularize, falls back to the pseudo-inverse by itself and
+    flags it.  Row k of each field is bit for bit what the stack of round
+    k alone gives.
+    """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     p = np.asarray(prior_power, dtype=float)

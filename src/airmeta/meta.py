@@ -13,12 +13,11 @@ The batches are index arrays drawn before the steps run.  ``draw_batches``
 draws them from a generator with numpy's ``choice``; ``stream_batches``
 gives the same indices for many substreams at once, by replaying numpy's
 sampling (Floyd's sample, then a shuffle, on Lemire's bounded draws) on
-arrays.  ``stream_choices`` replays a sorted ``choice`` the same way, which
-is how a round's active set and compression rows are drawn.  The replica
-follows numpy 2.4.6, the version the outputs and tests are pinned to.
-``replicas_hold`` checks it against numpy once per process and, when it
-fails, sends every draw through numpy; ``tests/test_replica.py`` compares
-it with numpy over many keys.
+arrays; sorted, its draws on one pool are a round's active set and
+compression rows.  The replica follows numpy 2.4.6, the version the
+outputs and tests are pinned to.  ``replicas_hold`` checks it against
+numpy once per process and, when it fails, sends every draw through numpy;
+``tests/test_replica.py`` compares it with numpy over many keys.
 """
 from __future__ import annotations
 
@@ -93,37 +92,26 @@ def draw_batches(gen: np.random.Generator, pools, batch_size: int, steps: int) -
                     dtype=np.int64).reshape(steps, len(pools), batch_size)
 
 
-def stream_batches(master_seed, keys, pools, batch_size: int, steps: int) -> np.ndarray:
+def stream_batches(master_seed, keys, states, pools, batch_size: int,
+                   steps: int) -> np.ndarray:
     """(K, steps, len(pools), batch_size): row k is ``draw_batches`` on
-    ``rng.substream(master_seed, *keys[k])``, for a (K, L) integer array
+    ``rng.substream(master_seed, *keys[k])``, whose seeded PCG64 state is
+    ``states[k]`` (``rng.seeded_states``), for a (K, L) integer array
     ``keys`` and one master seed or a sequence of K, one per row.
 
     All rows come from one replay of numpy's draws.  A key the replay
     cannot give (see ``_replay``) is redrawn by ``draw_batches`` on its
-    substream.
+    substream.  On the one pool ``np.arange(n)`` with one step, row k,
+    sorted, is ``np.sort(gen.choice(n, m, replace=False))``: how a round's
+    active set and compression rows are drawn.
     """
     keys = np.asarray(keys)
-    idx, redraw = _replay(rng.seeded_states(master_seed, keys), pools, batch_size, steps)
+    idx, redraw = _replay(states, pools, batch_size, steps)
     seeds = rng.row_seeds(master_seed, keys.shape[0])
     for k in np.flatnonzero(redraw):
         idx[k] = draw_batches(rng.substream(seeds[k], *keys[k].tolist()), pools,
                               batch_size, steps)
     return idx
-
-
-def stream_choices(master_seed, keys, states, n: int, m: int) -> np.ndarray:
-    """(K, m): row k is ``np.sort(gen.choice(n, m, replace=False))`` on
-    ``gen = rng.substream(master_seed, *keys[k])``, whose seeded PCG64 state
-    is ``states[k]`` (``rng.seeded_states``), with a master seed per row as
-    there.  Replayed like ``stream_batches``; a key the replay cannot give
-    is drawn on its substream."""
-    idx, redraw = _replay(states, (np.arange(n),), m, 1)
-    out = np.sort(idx.reshape(len(states), m), axis=1)
-    seeds = rng.row_seeds(master_seed, len(states))
-    for k in np.flatnonzero(redraw):
-        gen = rng.substream(seeds[k], *np.asarray(keys[k]).tolist())
-        out[k] = np.sort(gen.choice(n, size=m, replace=False))
-    return out
 
 
 @functools.cache

@@ -254,6 +254,12 @@ class RoundRecord:
     pinv_fallback: bool
 
 
+# the fields after t, eta_t and alpha_t, each a column over a run's rounds
+_RECORD_COLUMNS = dataclasses.fields(RoundRecord)[3:]
+# the realized vectors of a round that the memory identity needs
+_RECON_KEYS = ("sum_delta", "noise_term", "fading_dev", "mem_sum")
+
+
 @dataclass
 class Trajectory:
     """Recorded run: iterates, per-round metrics, and replayable channel draws."""
@@ -265,7 +271,8 @@ class Trajectory:
     datasets: tasks.Dataset            # (n, m, d) stack of the device datasets
     memories: np.ndarray               # final error-feedback memories (n, dim)
     replay: list                       # the ChannelRound of each round
-    recon: list                        # per-round vectors for identity checks
+    recon: dict                        # _RECON_KEYS -> (len(thetas) - 1, dim), the
+                                       # realized vectors of the memory identity
     probe: dict                        # running maxima for constant estimation
     f_init: float
     f_star: float
@@ -334,15 +341,6 @@ class _State:
                 self.probes[k][key] = max(self.probes[k][key], top)
 
 
-# record fields of a round that blew up before its iterate could be formed
-_ABORTED_FIELDS = dict(
-    rho=float("nan"), v_model=float("nan"), v_realized=float("nan"),
-    train_loss=float("nan"), sum_abs_h_sq=float("nan"),
-    min_g_sq_over_eta_sq=float("nan"), mem_norm_sq_max=float("nan"),
-    power_margin=float("nan"), pinv_fallback=False,
-)
-
-
 def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) -> Trajectory:
     """Run the configured number of rounds and record the trajectory.
 
@@ -362,7 +360,9 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     The configs may differ only in their master seed.  Each round steps the
     devices of every running trial as one stack and sends every uplink as
     one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
-    stack.  ``channel_replays`` holds one replay log per trial.
+    stack.  ``channel_replays`` holds one replay log per trial.  Every
+    record column and identity vector of a round is written by trial into
+    arrays of the run, and each trial's records are built from them once.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -386,9 +386,14 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
     thetas = np.empty((n_trials, cfg.rounds + 1, d))
     thetas[:, 0] = state.theta
-    records = [[] for _ in configs]
+    # the record columns and identity vectors of every (trial, round),
+    # preset to an aborted round's values
+    columns = {f.name: np.zeros((n_trials, cfg.rounds), dtype=bool) if f.type == "bool"
+               else np.full((n_trials, cfg.rounds), np.nan) for f in _RECORD_COLUMNS}
+    recon = np.full((len(_RECON_KEYS), n_trials, cfg.rounds, d), np.nan)
+    sent = np.zeros((n_trials, cfg.rounds), dtype=bool)
+    etas, alphas = [], []
     replay_out = [[] for _ in configs]
-    recon = [[] for _ in configs]
     aborted_at = [None] * n_trials
     running = np.arange(n_trials)
 
@@ -398,10 +403,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
         actives, batches, channels, gains, noise, comps = _draw_block(
             cfg, state, trials, np.arange(t0, t0 + n_rounds), noise_var, channel_replays)
-        done = [[] for _ in trials]  # (t, eta_t, alpha_t, record fields) of each trial's rounds
         # offsets of the block's local iterates; NaN where a trial did not run
         offsets = np.full((len(trials), n_rounds, q, rn, d), np.nan)
-        alphas = []
         # a zero channel coefficient drops the device for the round, so a
         # trial with one transmits in a group of its own
         alive = np.abs(gains) > 0.0
@@ -412,6 +415,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
             if not live.size:
                 break
             eta_t, alpha_t = lr_schedule(cfg, t)
+            etas.append(eta_t)
             alphas.append(alpha_t)
             for p in live.tolist():
                 replay_out[trials[p]].append(channels[p][j])
@@ -424,18 +428,19 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 groups = [(live[sending], slice(None))] if sending.any() else []
                 groups += [(np.array([p]), alive[p, j]) for p in live[~sending].tolist()]
             stopped = []
-            for pos, cols in groups:
+            for pos, devs in groups:
                 ks, positions = trials[pos], live if isinstance(pos, slice) else pos
-                round_ch = ch.ChannelRound(active=actives[pos, j][:, cols],
-                                           gains=gains[pos, j][:, cols], noise=noise[pos, j])
-                iterate_offsets, theta_next, fields, extras = _round(
-                    cfg, state, ks, round_ch, batches[pos, j][:, cols],
-                    tuple(c[pos, j] for c in comps), noise_var, eta_t, alpha_t)
-                offsets[pos, j, :, :round_ch.active.shape[1]] = iterate_offsets
-                for p, f, extra in zip(positions.tolist(), fields, extras):
-                    done[p].append((t, eta_t, alpha_t, f))
-                    if extra is not None:
-                        recon[trials[p]].append(extra)
+                active = actives[pos, j][:, devs]
+                iterate_offsets, theta_next, sent_now, fields, vectors = _round(
+                    cfg, state, ks, active, gains[pos, j][:, devs], noise[pos, j],
+                    batches[pos, j][:, devs], tuple(c[pos, j] for c in comps), noise_var,
+                    eta_t, alpha_t)
+                offsets[pos, j, :, :active.shape[1]] = iterate_offsets
+                senders = ks[sent_now]
+                sent[senders, t] = True
+                for name, column in fields.items():
+                    columns[name][senders, t] = column
+                recon[:, senders, t] = vectors
                 ok = np.isfinite(theta_next).all(axis=1)
                 if not ok.all():
                     for p in positions[~ok].tolist():
@@ -446,31 +451,46 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 thetas[ks, t + 1] = theta_next
             if stopped:
                 live = live[~np.isin(live, stopped)]
-        for p, k in enumerate(trials.tolist()):
-            records[k] += _block_records(state, k, thetas[k, t0:t0 + len(done[p])], done[p],
-                                         metric_alpha, curvature)
+        # the meta-training loss and squared meta-gradient of every iterate
+        # of a trial's block at once, each bit for bit its one-iterate value;
+        # a round that sent nothing has no training loss
         with np.errstate(over="ignore", invalid="ignore"):
-            state.update_probes(trials, offsets[:, :len(alphas)].reshape(len(trials), -1, d),
-                                np.repeat(alphas, q * rn))
+            for k in trials.tolist():
+                block = slice(t0, t0 + n_rounds if aborted_at[k] is None else aborted_at[k] + 1)
+                devices = state.devices(k)
+                loss = metrics.meta_training_loss(thetas[k, block], state.data.devices(devices),
+                                                  metric_alpha)
+                columns["train_loss"][k, block] = np.where(sent[k, block], loss, np.nan)
+                g = tasks.mean_meta_grad(thetas[k, block], state.ws[devices], curvature)
+                columns["grad_norm_sq"][k, block] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+            state.update_probes(trials, offsets[:, :len(alphas) - t0].reshape(len(trials), -1, d),
+                                np.repeat(alphas[t0:], q * rn))
         running = trials[live]
         t0 += n_rounds
 
-    return [Trajectory(
-        config=c,
-        thetas=thetas[k, :len(records[k]) + (aborted_at[k] is None)].copy(),
-        records=records[k],
-        device_ws=trial_ws[k],
-        datasets=state.data.devices(state.devices(k)),
-        memories=state.memories[state.devices(k)],
-        replay=replay_out[k],
-        recon=recon[k],
-        probe=state.probes[k],
-        f_init=f_init[k],
-        f_star=f_star[k],
-        metric_alpha=metric_alpha,
-        warnings=list(warnings),
-        aborted_at=aborted_at[k],
-    ) for k, c in enumerate(configs)]
+    trajectories = []
+    for k, c in enumerate(configs):
+        n_records = cfg.rounds if aborted_at[k] is None else aborted_at[k] + 1
+        n_steps = n_records - (aborted_at[k] is not None)  # rounds with a next iterate
+        rows = zip(range(n_records), etas, alphas,
+                   *(column[k, :n_records].tolist() for column in columns.values()))
+        trajectories.append(Trajectory(
+            config=c,
+            thetas=thetas[k, :n_steps + 1].copy(),
+            records=[RoundRecord(*row) for row in rows],
+            device_ws=trial_ws[k],
+            datasets=state.data.devices(state.devices(k)),
+            memories=state.memories[state.devices(k)],
+            replay=replay_out[k],
+            recon={key: vecs[k, :n_steps].copy() for key, vecs in zip(_RECON_KEYS, recon)},
+            probe=state.probes[k],
+            f_init=f_init[k],
+            f_star=f_star[k],
+            metric_alpha=metric_alpha,
+            warnings=list(warnings),
+            aborted_at=aborted_at[k],
+        ))
+    return trajectories
 
 
 def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds: np.ndarray,
@@ -498,11 +518,13 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     key_seeds = np.tile(np.repeat(seeds, n), len(tags))
     states = rng.seeded_states(key_seeds, keys)
     kn = n_trials * n
-    actives = meta.stream_choices(key_seeds[:kn], keys[:kn], states[:kn], cfg.n_devices,
-                                  cfg.n_active)
-    comps = ch.compression_block(cfg.dim, meta.stream_choices(
-        key_seeds[kn:2 * kn], keys[kn:2 * kn], states[kn:2 * kn], cfg.dim,
-        cfg.channel_uses).reshape(n_trials, n, -1))
+    # np.sort(gen.choice(n_pool, m, replace=False)) on each stream
+    actives = np.sort(meta.stream_batches(key_seeds[:kn], keys[:kn], states[:kn],
+                                          (np.arange(cfg.n_devices),), cfg.n_active,
+                                          1)[:, 0, 0], axis=1)
+    comps = ch.compression_block(cfg.dim, np.sort(meta.stream_batches(
+        key_seeds[kn:2 * kn], keys[kn:2 * kn], states[kn:2 * kn], (np.arange(cfg.dim),),
+        cfg.channel_uses, 1)[:, 0, 0], axis=1).reshape(n_trials, n, -1))
     if channel_replays is None:
         literal = not meta.replicas_hold()
         drawn = []
@@ -525,7 +547,9 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
                                   np.repeat(np.tile(rounds, n_trials), cfg.n_active),
                                   actives.reshape(-1)])
-    batches = meta.stream_batches(np.repeat(seeds, n * cfg.n_active), batch_keys, state.pools,
+    batch_seeds = np.repeat(seeds, n * cfg.n_active)
+    batches = meta.stream_batches(batch_seeds, batch_keys,
+                                  rng.seeded_states(batch_seeds, batch_keys), state.pools,
                                   cfg.batch_size, cfg.local_steps)
     shape = (n_trials, n, cfg.n_active)
     gains = np.array([[c.gains for c in chans] for chans in channels])
@@ -534,31 +558,14 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
             gains, noise, comps)
 
 
-def _block_records(state: _State, k: int, thetas: np.ndarray, done: list,
-                   metric_alpha: float, curvature: float) -> list:
-    """RoundRecords of trial k's rounds of a block, whose iterates are
-    ``thetas`` (rounds, d): the meta-training loss and the squared
-    meta-gradient of every iterate at once, each bit for bit its
-    one-iterate value."""
-    devices = state.devices(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        train_loss = metrics.meta_training_loss(thetas, state.data.devices(devices),
-                                                metric_alpha)
-        g = tasks.mean_meta_grad(thetas, state.ws[devices], curvature)
-        grad_norm_sq = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-    # an aborted round's fields carry their own NaN training loss
-    return [RoundRecord(t=t, eta_t=eta_t, alpha_t=alpha_t, grad_norm_sq=float(gn),
-                        **({"train_loss": float(tl)} | fields))
-            for (t, eta_t, alpha_t, fields), tl, gn in zip(done, train_loss, grad_norm_sq)]
-
-
-def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, round_ch: ch.ChannelRound,
-           batch_idx: np.ndarray, comp: tuple, noise_var: float, eta_t: float,
-           alpha_t: float):
+def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, active: np.ndarray,
+           gains: np.ndarray, noise: np.ndarray, batch_idx: np.ndarray, comp: tuple,
+           noise_var: float, eta_t: float, alpha_t: float):
     """One round of the G trials ``ks``, each with the same number rn of
-    devices that transmit: ``round_ch`` holds their ids and gains (G, rn)
-    and each trial's noise (G, M), ``batch_idx`` their (G, rn, Q, 3, m_B)
-    batch indices and ``comp`` each trial's compression operators.
+    devices that transmit: their ids ``active`` and coefficients ``gains``
+    (G, rn), each trial's noise block ``noise`` (G, M), their
+    (G, rn, Q, 3, m_B) batch indices ``batch_idx`` and each trial's
+    compression operators ``comp``.
 
     The devices of all G trials run their local steps as one stack.  Returns
     the (G, Q, rn, d) offsets of their local iterates from their task
@@ -566,8 +573,8 @@ def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, round_ch: ch.Ch
     that leave the float range raise no warning: they abort their trial, or
     are not used.
     """
-    g, rn = round_ch.active.shape
-    rows = ks[:, None] * state.n + round_ch.active  # the devices' rows of the state
+    g, rn = active.shape
+    rows = ks[:, None] * state.n + active  # the devices' rows of the state
     local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
                                  batch_size=cfg.batch_size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -576,26 +583,27 @@ def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, round_ch: ch.Ch
             batch_idx.reshape((g * rn,) + batch_idx.shape[2:]).swapaxes(0, 1), local_cfg, eta_t,
             devices=rows.reshape(-1))
         offsets = iterates.reshape(cfg.local_steps, g, rn, cfg.dim) - state.ws[rows]
-        out = _air_uplink(cfg, state, ks, rows, deltas.reshape(g, rn, cfg.dim), round_ch, comp,
-                          noise_var, eta_t)
+        out = _air_uplink(cfg, state, ks, rows, deltas.reshape(g, rn, cfg.dim), gains, noise,
+                          comp, noise_var, eta_t)
     return (offsets.swapaxes(0, 1),) + out
 
 
 def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.ndarray,
-                deltas: np.ndarray, round_ch: ch.ChannelRound, comp: tuple, noise_var: float,
-                eta_t: float):
+                deltas: np.ndarray, gains: np.ndarray, noise: np.ndarray, comp: tuple,
+                noise_var: float, eta_t: float):
     """Error-feedback sparsification, power scaling, phase pre-compensation and
     compression, MAC superposition, estimation and the server update of the
     G trials ``ks``, each on the (rn, d) stack ``deltas[i]`` of its devices,
-    whose rows of the state are ``rows[i]``, that transmit over row i of
-    ``round_ch``, compressed by its operators ``comp``
-    (``ch.compression_block``).
+    whose rows of the state are ``rows[i]``, that transmit over the
+    coefficients ``gains[i]`` with the noise block ``noise[i]``, compressed
+    by its operators ``comp`` (``ch.compression_block``).
 
-    Returns each trial's next iterate (G, d), record fields and the realized
-    vectors the memory identity needs.  A trial sends nothing when its
-    model differences or its update energy leave the float range: it gets
-    a NaN iterate, the aborted fields and no vectors, and keeps its
-    memories.  Commits the new error-feedback memories of the others.
+    A trial sends nothing when its model differences or its update energy
+    leave the float range: it gets a NaN iterate and keeps its memories.
+    Returns each trial's next iterate (G, d), the (G,) mask of the trials
+    that sent, and for those, in order, their record columns by field name
+    and their realized identity vectors (``_RECON_KEYS``, G', d).  Commits
+    the new error-feedback memories of the trials that sent.
     """
     g = len(ks)
     mu_abs, abs_power = ch.fading_moments(cfg.fading)
@@ -607,22 +615,19 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     rho = sparsify.power_scale(
         updates if finite.all() else np.where(finite[:, None, None], updates, 0.0), eta_t, policy)
     sent = finite & np.isfinite(rho) & (rho > 0)
+    if not sent.any():
+        return np.full((g, cfg.dim), np.nan), sent, {}, np.empty((len(_RECON_KEYS), 0, cfg.dim))
     if not sent.all():
-        if not sent.any():
-            return np.full((g, cfg.dim), np.nan), [_ABORTED_FIELDS] * g, [None] * g
-        ks, rows, deltas, updates, mem_next, rho = (
-            a[sent] for a in (ks, rows, deltas, updates, mem_next, rho))
-        round_ch = ch.ChannelRound(round_ch.active[sent], round_ch.gains[sent],
-                                   round_ch.noise[sent])
+        ks, rows, deltas, updates, mem_next, rho, gains, noise = (
+            a[sent] for a in (ks, rows, deltas, updates, mem_next, rho, gains, noise))
         comp = tuple(c[sent] for c in comp)
 
-    gains = round_ch.gains
     signals = ch.compress(comp[0], sparsify.phase_precompensate(updates, rho, eta_t, gains))
     block_power = (signals.conj()[..., None, :] @ signals[..., :, None])[..., 0, 0].real
     margins = block_power / cfg.channel_uses - cfg.power_per_use
     g_sq = sparsify.energies(updates)
 
-    y = ch.transmit_mac(signals, round_ch)
+    y = ch.transmit_mac(signals, gains, noise)
     total_g_sq = g_sq.sum(axis=-1)
     eta_sq = sparsify.rate_sq(eta_t)
     abs_h = np.abs(gains)[..., None]
@@ -641,29 +646,20 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     memories = state.memories.reshape(-1, state.n, cfg.dim)[ks]
 
     n_sent = gains.shape[1]
-    v_realized = (noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim
-    min_g_sq = g_sq.min(axis=-1) / eta_sq if n_sent and eta_sq > 0 else np.full(len(ks), np.nan)
-    margin = margins.max(axis=-1) if n_sent else np.zeros(len(ks))
-    columns = (rho, est.err_var, v_realized, min_g_sq, (memories**2).sum(axis=-1).max(axis=-1),
-               margin, est.pinv_fallback, (np.abs(gains) ** 2).sum(axis=-1))
-    fields = [dict(zip(_FIELD_NAMES, row)) for row in zip(*(c.tolist() for c in columns))]
-    extras = [{"sum_delta": sd, "noise_term": nt, "fading_dev": fd, "mem_sum": ms}
-              for sd, nt, fd, ms in zip(deltas.sum(axis=-2), noise_term, fading_dev,
-                                        memories.sum(axis=-2))]
-    if len(ks) == g:
-        return theta_next, fields, extras
-    # the trials that sent nothing take their places among the others
-    theta_all = np.full((g, cfg.dim), np.nan)
-    theta_all[sent] = theta_next
-    fields_all, extras_all = [_ABORTED_FIELDS] * g, [None] * g
-    for i, f, extra in zip(np.flatnonzero(sent).tolist(), fields, extras):
-        fields_all[i], extras_all[i] = f, extra
-    return theta_all, fields_all, extras_all
-
-
-# the record fields _air_uplink gives, in the order it computes them
-_FIELD_NAMES = ("rho", "v_model", "v_realized", "min_g_sq_over_eta_sq", "mem_norm_sq_max",
-                "power_margin", "pinv_fallback", "sum_abs_h_sq")
+    fields = dict(
+        rho=rho, v_model=est.err_var,
+        v_realized=(noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim,
+        min_g_sq_over_eta_sq=(g_sq.min(axis=-1) / eta_sq if n_sent and eta_sq > 0
+                              else np.full(len(ks), np.nan)),
+        mem_norm_sq_max=(memories**2).sum(axis=-1).max(axis=-1),
+        power_margin=margins.max(axis=-1) if n_sent else np.zeros(len(ks)),
+        pinv_fallback=est.pinv_fallback, sum_abs_h_sq=(np.abs(gains) ** 2).sum(axis=-1))
+    vectors = np.stack([deltas.sum(axis=-2), noise_term, fading_dev, memories.sum(axis=-2)])
+    if len(ks) < g:  # the trials that sent nothing take NaN iterates
+        theta_all = np.full((g, cfg.dim), np.nan)
+        theta_all[sent] = theta_next
+        theta_next = theta_all
+    return theta_next, sent, fields, vectors
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: list) -> Trajectory:
@@ -672,7 +668,8 @@ def replay_experiment(cfg: ExperimentConfig, replay: list) -> Trajectory:
 
 
 def memory_identity_residuals(traj: Trajectory) -> np.ndarray:
-    """Per-round residual of the error-feedback bookkeeping identity.
+    """Per-round residual of the error-feedback bookkeeping identity, over
+    the rounds that have a next iterate.
 
     Maintains the noise-free virtual iterate from the recorded realized
     terms; the gap to the true iterate must equal the device-averaged
@@ -682,15 +679,13 @@ def memory_identity_residuals(traj: Trajectory) -> np.ndarray:
     cfg = traj.config
     rn = cfg.n_active
     mu_abs, _ = ch.fading_moments(cfg.fading)
-    theta_hat = traj.thetas[0].copy()
-    residuals = []
-    for t, (rec, extra) in enumerate(zip(traj.records, traj.recon)):
-        theta_hat = (
-            theta_hat
-            - extra["sum_delta"] / rn
-            - (rec.eta_t / (mu_abs * rn * np.sqrt(rec.rho))) * extra["noise_term"]
-            - extra["fading_dev"] / rn
-        )
-        gap = traj.thetas[t + 1] - theta_hat
-        residuals.append(float(np.linalg.norm(gap - extra["mem_sum"] / rn)))
-    return np.array(residuals)
+    recon = traj.recon
+    n = len(recon["sum_delta"])
+    eta = traj.series("eta_t")[:n]
+    scale = eta / (mu_abs * rn * np.sqrt(traj.series("rho")[:n]))
+    # theta_hat_{t+1} = ((theta_hat_t - a_t) - b_t) - c_t, subtracted in that order
+    terms = np.stack([recon["sum_delta"] / rn, scale[:, None] * recon["noise_term"],
+                      recon["fading_dev"] / rn], axis=1).reshape(-1, cfg.dim)
+    theta_hat = np.subtract.accumulate(np.concatenate([traj.thetas[:1], terms]))[3::3]
+    gap = traj.thetas[1:n + 1] - theta_hat
+    return np.array([float(np.linalg.norm(row)) for row in gap - recon["mem_sum"] / rn])

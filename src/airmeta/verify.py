@@ -79,7 +79,8 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     gs = sparsify.comp_k(gen.standard_normal((n_active, d)), 5)
     policy = sparsify.PowerPolicy(power=power, channel_uses=d)
     rho = sparsify.power_scale(gs, eta, policy)
-    comp = channel.make_compression(d, d, gen)
+    rows = np.sort(gen.choice(d, size=d, replace=False))
+    comp = channel.compression_block(d, rows[None])  # a stack of one round
     mu, pw = channel.fading_moments("rayleigh")
     noise_var = channel.snr_noise_var(10.0, n_active, power, pw)
     target = np.mean(gs, axis=0)
@@ -87,10 +88,11 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     theta = np.zeros(d)
     for it in range(n_draws):
         ch_round = channel.sample_channel(np.arange(n_active), "rayleigh", noise_var, d, gen)
-        signals = comp.compress(sparsify.phase_precompensate(gs, rho, eta, ch_round.gains))
-        y = channel.transmit_mac(signals, ch_round)
-        est = channel.estimate(y, comp, 0.0, noise_var, "matched")
-        theta_next = channel.global_update(theta, est, eta, rho, mu, n_active)
+        signals = channel.compress(comp[0][0], sparsify.phase_precompensate(
+            gs, rho, eta, ch_round.gains))
+        y = channel.transmit_mac(signals, ch_round.gains, ch_round.noise)
+        est = channel.estimate_stack(y[None], *comp, [0.0], noise_var, "matched")
+        theta_next = channel.global_update(theta, est, eta, rho, mu, n_active)[0]
         samples[it] = theta - theta_next  # effective update
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_draws)

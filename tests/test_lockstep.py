@@ -33,7 +33,7 @@ def trial_fields(traj):
     records = np.array([[getattr(rec, f.name) for f in dataclasses.fields(rec)]
                         for rec in traj.records], dtype=float)
     replay = [(d.active.tobytes(), d.gains.tobytes(), d.noise.tobytes()) for d in traj.replay]
-    recon = [{key: vec.tobytes() for key, vec in extra.items()} for extra in traj.recon]
+    recon = {key: vecs.tobytes() for key, vecs in traj.recon.items()}
     return (traj.thetas.tobytes(), records.tobytes(), replay, recon,
             repr(sorted(traj.probe.items())), traj.memories.tobytes(), traj.aborted_at,
             repr((traj.f_init, traj.f_star)), traj.device_ws.tobytes(),

@@ -2,10 +2,10 @@
 
 ``rng.seeded_states`` must give the seeded PCG64 state of ``rng.substream``,
 and ``rng.state_words`` on it that substream's raw words; ``meta.stream_batches`` the
-indices of ``meta.draw_batches`` on that substream, and
-``meta.stream_choices`` the sorted ``choice`` that draws a round's active set
-and compression rows.  A run's channel is ``sample_channel`` on a generator
-set to the seeded state.  All of them replay numpy's algorithms on arrays,
+indices of ``meta.draw_batches`` on that substream; sorted, its draw on the
+one pool ``np.arange(n)`` is the sorted ``choice`` that draws a round's
+active set and compression rows.  A run's channel is ``sample_channel`` on
+a generator set to the seeded state.  All of them replay numpy's algorithms on arrays,
 so a numpy whose seeding or sampling differs fails here first; at run time
 ``meta.replicas_hold`` then sends every draw through numpy.
 """
@@ -32,6 +32,19 @@ def contiguous_pools(sizes):
 def replay(master_seed, keys, pools, batch_size, steps):
     """The replay alone, before any key is redrawn: (indices, void rows)."""
     return meta._replay(rng.seeded_states(master_seed, keys), pools, batch_size, steps)
+
+
+def stream_batches(master_seed, keys, pools, batch_size, steps):
+    """``meta.stream_batches`` on the seeded states of ``keys``."""
+    return meta.stream_batches(master_seed, keys, rng.seeded_states(master_seed, keys), pools,
+                               batch_size, steps)
+
+
+def sorted_choices(master_seed, keys, states, n, m):
+    """``np.sort(gen.choice(n, m, replace=False))`` on each key's substream,
+    as a run draws it."""
+    return np.sort(meta.stream_batches(master_seed, keys, states, (np.arange(n),), m,
+                                       1)[:, 0, 0], axis=1)
 
 
 def literal(master_seed, keys, pools, batch_size, steps):
@@ -69,7 +82,7 @@ class TestStreamBatches:
         pools = contiguous_pools(pool_sizes)
         keys = np.array([[rng.LOCAL_BATCH, t, t % 3] for t in range(n_keys)])
         want = literal(master_seed, keys, pools, m, steps)
-        assert meta.stream_batches(master_seed, keys, pools, m, steps).tobytes() == want.tobytes()
+        assert stream_batches(master_seed, keys, pools, m, steps).tobytes() == want.tobytes()
         # the replay itself, not only its redraws, gives numpy's indices
         replayed, rejected = replay(master_seed, keys, pools, m, steps)
         assert replayed[~rejected].tobytes() == want[~rejected].tobytes()
@@ -85,14 +98,14 @@ class TestStreamBatches:
         replayed, rejected = replay(0, keys, pools, 16, 5)
         assert rejected.tolist() == [True]
         assert replayed.tobytes() != want.tobytes()
-        assert meta.stream_batches(0, keys, pools, 16, 5).tobytes() == want.tobytes()
+        assert stream_batches(0, keys, pools, 16, 5).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [200, 201])
     def test_large_pool_at_the_tail_shuffle_switch(self, m):
         """numpy samples a pool over 10,000 points by tail shuffle once
         m_B > n // 50 (201 here); below that it keeps Floyd's sample."""
         pools, keys = contiguous_pools([10_001]), np.array([[rng.LOCAL_BATCH, 0, 1]])
-        got = meta.stream_batches(3, keys, pools, m, 1)
+        got = stream_batches(3, keys, pools, m, 1)
         assert got.tobytes() == literal(3, keys, pools, m, 1).tobytes()
 
 
@@ -116,9 +129,9 @@ class TestRoundStreams:
             if tag == rng.ACTIVE_SET:
                 want = [sample_active_set(n, m / n, gen) for gen in gens]
             else:
-                want = [channel.make_compression(m, n, gen).rows for gen in gens]
+                want = [np.sort(gen.choice(n, size=m, replace=False)) for gen in gens]
             states = rng.seeded_states(master_seed, keys)
-            got = meta.stream_choices(master_seed, keys, states, n, m)
+            got = sorted_choices(master_seed, keys, states, n, m)
             assert got.tobytes() == np.array(want).tobytes()
             # the replay itself, not only its redraws
             replayed, void = meta._replay(states, (np.arange(n),), m, 1)
@@ -143,7 +156,7 @@ class TestRoundStreams:
 
     def test_tail_shuffle_choice_is_drawn_by_numpy(self):
         keys = np.array([[rng.ACTIVE_SET, 0], [rng.ACTIVE_SET, 1]])
-        got = meta.stream_choices(4, keys, rng.seeded_states(4, keys), 10_001, 201)
+        got = sorted_choices(4, keys, rng.seeded_states(4, keys), 10_001, 201)
         want = [np.sort(rng.substream(4, *key).choice(10_001, 201, replace=False))
                 for key in keys.tolist()]
         assert got.tobytes() == np.array(want).tobytes()

@@ -45,9 +45,9 @@ def literal_sum_deltas(traj, t):
 
 
 def assert_rounds_match_literal(traj):
-    assert len(traj.recon) == len(traj.thetas) - 1
-    for t, extra in enumerate(traj.recon):
-        assert extra["sum_delta"].tobytes() == literal_sum_deltas(traj, t).tobytes(), t
+    assert len(traj.recon["sum_delta"]) == len(traj.thetas) - 1
+    for t, sum_delta in enumerate(traj.recon["sum_delta"]):
+        assert sum_delta.tobytes() == literal_sum_deltas(traj, t).tobytes(), t
 
 
 @pytest.mark.parametrize("overrides", [{}, {"active_fraction": 0.5}],

@@ -7,6 +7,7 @@ and both must equal the one-device arithmetic written with vectors, so that
 stacking never moves a trajectory.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,21 @@ def update_stacks(draw):
     return memory, delta, draw(st.integers(1, dim)), draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def estimate_stacks(draw):
+    """(d, rows, prior powers, seed of the received blocks) of a stack of 1
+    to 6 rounds that share a block length M: each round's M increasing DFT
+    rows, which may hold row 0, row d/2 and conjugate pairs j, d - j, all of
+    which leave a noiseless round rank-deficient."""
+    dim = draw(st.integers(1, 10))
+    m, n_rounds = draw(st.integers(1, dim)), draw(st.integers(1, 6))
+    rows = [sorted(draw(st.lists(st.integers(0, dim - 1), min_size=m, max_size=m, unique=True)))
+            for _ in range(n_rounds)]
+    powers = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                           min_size=n_rounds, max_size=n_rounds))
+    return dim, rows, powers, draw(st.integers(0, 2**32 - 1))
+
+
 class TestStackedRowsEqualOneRowCalls:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(device_stacks())
@@ -133,21 +149,47 @@ class TestStackedRowsEqualOneRowCalls:
         gains = gen.standard_normal(n) + 1j * gen.standard_normal(n)
         rho, eta = 0.5 + gen.random(), 0.01 + gen.random()
         m_uses = min(m_uses, dim)
-        comp = channel.make_compression(m_uses, dim, gen)
+        matrix = channel.compression_block(dim, np.sort(gen.choice(dim, size=m_uses,
+                                                                  replace=False)))[0]
         x = sparsify.phase_precompensate(g, rho, eta, gains)
         assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], rho, eta, gains[i:i + 1])[0]
                              for i in range(n)])
         # the phase is formed per scalar
         assert same_rows(x, [(np.sqrt(rho) / eta) * (np.conj(h) / abs(h)) * row if np.any(row)
                              else np.zeros(dim, dtype=complex) for h, row in zip(gains, g)])
-        signals = comp.compress(x)
-        assert same_rows(signals, [comp.compress(x[i:i + 1])[0] for i in range(n)])
-        assert same_rows(signals, [comp.matrix @ row for row in x])
+        signals = channel.compress(matrix, x)
+        assert same_rows(signals, [channel.compress(matrix, x[i:i + 1])[0] for i in range(n)])
+        assert same_rows(signals, [matrix @ row for row in x])
         noise_re, noise_im = gen.standard_normal(m_uses), gen.standard_normal(m_uses)
-        round_ch = channel.ChannelRound(active=np.arange(n), gains=gains,
-                                        noise=noise_re + 1j * noise_im)
         acc = np.zeros(m_uses, dtype=complex)
         for h, s in zip(gains, signals):  # superposition in device order
             acc = acc + h * s
         want = acc + noise_re + 1j * noise_im
-        assert channel.transmit_mac(signals, round_ch).tobytes() == want.tobytes()
+        got = channel.transmit_mac(signals, gains, noise_re + 1j * noise_im)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(estimate_stacks(), st.sampled_from([0.0, 1e-300, 0.1]),
+           st.sampled_from(channel.ESTIMATOR_KINDS))
+    # noiseless: rounds 0 (row 0), 2 (row d/2, pair 1, 7) and 3 (no prior
+    # power) fall back to the pseudo-inverse, round 1 is solved
+    @example((8, [[0, 1, 2], [1, 2, 3], [1, 4, 7], [2, 3, 5]], [1.0, 2.0, 1.5, 0.0], 0),
+             0.0, "lmmse")
+    @example((4, [[0, 1, 2, 3], [0, 1, 2, 3]], [0.0, 1.0], 1), 0.1, "matched")
+    def test_estimate_stack(self, case, noise_var, kind):
+        dim, rows, powers, seed = case
+        gen = np.random.default_rng(seed)
+        shape = (len(rows), len(rows[0]))
+        y = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        comp = channel.compression_block(dim, np.array(rows))
+        if kind == "matched" and shape[1] != dim:
+            with pytest.raises(ValueError, match="M == d"):
+                channel.estimate_stack(y, *comp, powers, noise_var, kind)
+            return
+        with np.errstate(all="ignore"):
+            est = channel.estimate_stack(y, *comp, powers, noise_var, kind)
+            ones = [channel.estimate_stack(y[k:k + 1], *(c[k:k + 1] for c in comp),
+                                           powers[k:k + 1], noise_var, kind)
+                    for k in range(len(rows))]
+        for field in ("x_hat", "err_var", "pinv_fallback"):
+            assert same_rows(getattr(est, field), [getattr(one, field)[0] for one in ones])

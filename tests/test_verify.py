@@ -2,10 +2,11 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from airmeta import verify
-from airmeta.protocol import ExperimentConfig, run_experiment
+from airmeta.protocol import ExperimentConfig, memory_identity_residuals, run_experiment
 from airmeta.storage import read_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -30,9 +31,24 @@ class TestChecks:
                                                 active_fraction=1.0)
         traj = run_experiment(cfg)
         bad = copy.deepcopy(traj)
-        bad.recon[5]["mem_sum"] = bad.recon[5]["mem_sum"] + 0.01
+        bad.recon["mem_sum"][5] += 0.01
         res = verify.check_memory_identity(traj=bad)
         assert not res.passed
+
+    def test_memory_identity_on_a_run_whose_abort_round_sent(self):
+        """A round that sends its uplink and then overflows has realized
+        vectors but no next iterate; the identity covers the rounds before
+        it."""
+        cfg = read_config(CONFIGS / "convergence.json").replace(eta=1.0, theta_init=1e153,
+                                                                rounds=70)
+        with np.errstate(all="ignore"):
+            traj = run_experiment(cfg)
+            resid = memory_identity_residuals(traj)
+            res = verify.check_memory_identity(traj=traj)
+        assert traj.aborted_at == 15 and len(traj.records) == 16
+        assert np.isfinite(traj.records[-1].rho)  # the abort round sent
+        assert resid.size == len(traj.recon["sum_delta"]) == traj.aborted_at
+        assert res.name == "memory_identity" and f"over {traj.aborted_at} rounds" in res.detail
 
     def test_bound_validity_small(self):
         res = verify.check_bound_validity(seed=3, n_seeds=2, rounds=120)
