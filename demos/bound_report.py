@@ -35,5 +35,5 @@ print(f"  {'measured average':<26} {lhs:12.4e}   "
 gen_bound = entries["bound_generalization"]
 test, train = metrics.trial_gap(traj)
 print(f"\ngeneralization: measured |gap| {abs(test - train):.4f}, bound {gen_bound:.2f}")
-print(f"estimation-error variance per round: mean {np.mean(traj.series('v_realized')):.4f}, "
-      f"model {np.mean(traj.series('v_model')):.4f}")
+print(f"estimation-error variance per round: mean {np.mean(traj.records['v']):.4f}, "
+      f"model {np.mean(traj.records['v_model']):.4f}")

@@ -27,13 +27,13 @@ air = run_experiment(ExperimentConfig(
     **base, sparsify_k=1, channel_uses=8, estimator="lmmse", fading="rayleigh",
     snr_db=19.0))
 
-print(f"final gradient norm^2: noiseless {degenerate.records[-1].grad_norm_sq:.5f}, "
-      f"air 19 dB {air.records[-1].grad_norm_sq:.5f}")
+degenerate_g, air_g = (run.records["grad_norm_sq"].tolist() for run in (degenerate, air))
+print(f"final gradient norm^2: noiseless {degenerate_g[-1]:.5f}, air 19 dB {air_g[-1]:.5f}")
 
 OUT.mkdir(exist_ok=True)
 with open(OUT / "ideal_vs_air.csv", "w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["round", "grad_norm_sq_degenerate", "grad_norm_sq_air19db"])
     for t in range(len(degenerate.records)):
-        writer.writerow([t, degenerate.records[t].grad_norm_sq, air.records[t].grad_norm_sq])
+        writer.writerow([t, degenerate_g[t], air_g[t]])
 print(f"wrote {OUT / 'ideal_vs_air.csv'}")

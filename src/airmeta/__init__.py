@@ -16,13 +16,12 @@ from .bounds import (AssumptionConstants, BoundReport, DerivedConstants,
 from .channel import (ChannelRound, Estimate, compression_block, estimate_stack,
                       fading_moments, global_update, sample_channel, snr_noise_var,
                       transmit_mac)
-from .meta import LocalConfig, local_rounds, meta_grad_estimate
+from .meta import local_rounds, meta_grad_estimate
 from .metrics import (mean_se, meta_test_loss, meta_training_loss,
                       stationary_convergence_error, trial_gap)
-from .protocol import (ExperimentConfig, RoundRecord, Trajectory,
-                       constant_rate_limit, lr_schedule, meets_constant_rate,
-                       memory_identity_residuals, replay_experiment,
-                       run_experiment, run_stack, sample_active_set)
+from .protocol import (ROUND_DTYPE, ExperimentConfig, Trajectory, constant_rate_limit,
+                       lr_schedule, meets_constant_rate, memory_identity_residuals,
+                       replay_experiment, run_experiment, run_stack)
 from .sparsify import (PowerPolicy, comp_k, energies, memory_fold, phase_precompensate,
                        power_scale)
 from .sweeps import SweepSpec, apply_axis, run_sweep, run_trials, trial_configs

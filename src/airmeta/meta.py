@@ -22,7 +22,6 @@ numpy once per process and, when it fails, sends every draw through numpy;
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +33,6 @@ from .tasks import Dataset
 # sample when n exceeds this and m > n // 50; the replay does not replay it
 _FLOYD_MAX_POP = 10_000
 _MASK32 = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class LocalConfig:
-    """Knobs of the per-device local update."""
-
-    alpha: float          # inner (adaptation) step size
-    local_steps: int      # outer SGD steps per round
-    batch_size: int       # mini-batch size for every gradient/Hessian estimate
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 def _check_finite(theta: np.ndarray, what: str = "theta"):
@@ -190,8 +172,8 @@ def _replay_choice(words: np.ndarray, pools, m: int, steps: int):
     return batches.reshape(idx.shape) + offsets[:, None], rejected
 
 
-def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray,
-                       cfg: LocalConfig, devices=None) -> np.ndarray:
+def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
+                       devices=None) -> np.ndarray:
     """Stochastic meta-gradients (I - alpha*H_hat) g_hat' of a stack of devices.
 
     Row i is device ``devices[i]`` of the stacked ``data`` (device i when
@@ -204,6 +186,10 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray,
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_finite(thetas)
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if idx.shape[-1] < 1:
+        raise ValueError("batches must hold at least one point")
     if devices is None:
         devices = np.arange(data.x.shape[0])
     if not thetas.shape[0] == len(devices) == idx.shape[0]:
@@ -213,37 +199,38 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray,
     def batch(k):
         return data.x[rows, idx[:, k]], data.y[rows, idx[:, k]]
 
-    phi = thetas - cfg.alpha * tasks.batch_grad(thetas, *batch(0))
+    phi = thetas - alpha * tasks.batch_grad(thetas, *batch(0))
     g_outer = tasks.batch_grad(phi, *batch(1))
     h_hat = tasks.batch_hessian(thetas, *batch(2))
-    return g_outer - cfg.alpha * (h_hat @ g_outer[..., None])[..., 0]
+    return g_outer - alpha * (h_hat @ g_outer[..., None])[..., 0]
 
 
-def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, cfg: LocalConfig,
+def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
                  eta: float, devices=None):
     """Run the local SGD steps of a stack of devices in lockstep.
 
     Row i runs device ``devices[i]`` of the stacked ``data`` (device i when
     ``devices`` is None) from row i of ``theta_start`` (n, d), or every row
-    from one (d,) start; step q of row i uses the batches ``idx[q, i]`` of
-    an index array (Q, n, 3, m_B).  Returns (deltas, iterates): deltas
-    (n, d) holds theta_start - theta_end, the model differences the devices
-    would report, and iterates (Q, n, d) the points the steps started from
-    (used for empirical constant estimation).  A device whose iterate
-    leaves the finite range stops there, so it reports a non-finite delta;
-    its iterates from that step on are NaN.
+    from one (d,) start at inner rate ``alpha``; step q of row i uses the
+    batches ``idx[q, i]`` of an index array (Q, n, 3, m_B).  Returns
+    (deltas, iterates): deltas (n, d) holds theta_start - theta_end, the
+    model differences the devices would report, and iterates (Q, n, d) the
+    points the steps started from (used for empirical constant estimation).
+    A device whose iterate leaves the finite range stops there, so it
+    reports a non-finite delta; its iterates from that step on are NaN.
+    Raises ValueError for a negative ``alpha``, no step or empty batches.
     """
     theta_start = np.asarray(theta_start, dtype=float)
     _check_finite(theta_start)
     devices = np.arange(data.x.shape[0]) if devices is None else np.asarray(devices)
-    n = len(devices)
-    if idx.shape[:2] != (cfg.local_steps, n):
-        raise ValueError("batch indices must be (local_steps, n_devices, 3, batch_size)")
+    n, steps = len(devices), idx.shape[0]
+    if idx.ndim != 4 or steps < 1 or idx.shape[1] != n:
+        raise ValueError("batch indices must be (local_steps >= 1, n_devices, 3, batch_size)")
     theta = np.empty((n, theta_start.shape[-1]))
     theta[:] = theta_start
-    iterates = np.full((cfg.local_steps, n, theta_start.shape[-1]), np.nan)
+    iterates = np.full((steps, n, theta_start.shape[-1]), np.nan)
     rows = np.arange(n)  # rows still running; devices follows it
-    for step in range(cfg.local_steps):
+    for step in range(steps):
         if step:
             ok = np.isfinite(theta[rows]).all(axis=1)
             if not ok.all():
@@ -252,5 +239,5 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, cfg: L
             break
         iterates[step, rows] = theta[rows]
         theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, idx[step, rows],
-                                                             cfg, devices)
+                                                             alpha, devices)
     return theta_start - theta, iterates

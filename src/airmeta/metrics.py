@@ -11,7 +11,9 @@ from .tasks import TaskEnvironment
 
 def stationary_convergence_error(traj) -> float:
     """Average squared meta-gradient norm over the recorded rounds."""
-    vals = traj.series("grad_norm_sq")
+    # contiguous: numpy sums a strided record field in chunks of 8,192, which
+    # would round a longer run's mean differently
+    vals = traj.records["grad_norm_sq"].copy()
     if vals.size == 0:
         return float("nan")
     return float(np.mean(vals))

@@ -222,40 +222,16 @@ def meets_constant_rate(eta: float, q: int, l_f: float) -> bool:
     return 0 < eta <= 1 / (10 * q * l_f) and 60 * x**2 + 160 * x**3 + 4 * x <= 0.125 + 1e-12
 
 
-def sample_active_set(n: int, r: float, gen: np.random.Generator) -> np.ndarray:
-    """Uniform size-(r*n) subset of device ids, without replacement."""
-    k = r * n
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
-        raise ValueError(f"r * n must be a positive integer, got {k}")
-    return np.sort(gen.choice(n, size=int(round(k)), replace=False))
-
-
-@dataclass
-class RoundRecord:
-    """Scalar metrics of one round.
-
-    ``grad_norm_sq`` is measured against the population meta objective at the
-    run's initial inner rate so that constant and adaptive runs share one
-    yardstick.
-    """
-
-    t: int
-    eta_t: float
-    alpha_t: float
-    rho: float
-    v_model: float
-    v_realized: float
-    grad_norm_sq: float
-    train_loss: float
-    sum_abs_h_sq: float
-    min_g_sq_over_eta_sq: float
-    mem_norm_sq_max: float
-    power_margin: float
-    pinv_fallback: bool
-
-
-# the fields after t, eta_t and alpha_t, each a column over a run's rounds
-_RECORD_COLUMNS = dataclasses.fields(RoundRecord)[3:]
+# one round's record, a field per trajectory.csv column but the run-level
+# test_loss and snr_db; grad_norm_sq is measured against the population meta
+# objective at the run's initial inner rate so that constant and adaptive
+# runs share one yardstick
+ROUND_DTYPE = np.dtype(
+    [("round", np.int64)]
+    + [(name, np.float64) for name in (
+        "grad_norm_sq", "train_loss", "rho", "v", "eta", "alpha", "v_model", "sum_abs_h_sq",
+        "min_g_sq_over_eta_sq", "mem_norm_sq_max", "power_margin")]
+    + [("pinv_fallback", np.bool_)])
 # the realized vectors of a round that the memory identity needs
 _RECON_KEYS = ("sum_delta", "noise_term", "fading_dev", "mem_sum")
 
@@ -266,7 +242,7 @@ class Trajectory:
 
     config: ExperimentConfig
     thetas: np.ndarray                 # (rounds_done + 1, dim)
-    records: list
+    records: np.recarray               # (rounds recorded,) of ROUND_DTYPE
     device_ws: np.ndarray              # (n, dim) task vectors
     datasets: tasks.Dataset            # (n, m, d) stack of the device datasets
     memories: np.ndarray               # final error-feedback memories (n, dim)
@@ -283,9 +259,6 @@ class Trajectory:
     @property
     def theta_final(self) -> np.ndarray:
         return self.thetas[-1]
-
-    def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(rec, name) for rec in self.records], dtype=float)
 
 
 class _State:
@@ -361,8 +334,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     devices of every running trial as one stack and sends every uplink as
     one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
     stack.  ``channel_replays`` holds one replay log per trial.  Every
-    record column and identity vector of a round is written by trial into
-    arrays of the run, and each trial's records are built from them once.
+    record and identity vector of a round is written by trial into a table
+    of the run, and each trial's records are its rows of it.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -386,13 +359,14 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
     thetas = np.empty((n_trials, cfg.rounds + 1, d))
     thetas[:, 0] = state.theta
-    # the record columns and identity vectors of every (trial, round),
-    # preset to an aborted round's values
-    columns = {f.name: np.zeros((n_trials, cfg.rounds), dtype=bool) if f.type == "bool"
-               else np.full((n_trials, cfg.rounds), np.nan) for f in _RECORD_COLUMNS}
+    # the records and identity vectors of every (trial, round), preset to an
+    # aborted round's values
+    table = np.zeros((n_trials, cfg.rounds), dtype=ROUND_DTYPE)
+    table["round"] = np.arange(cfg.rounds)
+    for name in ROUND_DTYPE.names[1:-1]:  # the float fields
+        table[name] = np.nan
     recon = np.full((len(_RECON_KEYS), n_trials, cfg.rounds, d), np.nan)
     sent = np.zeros((n_trials, cfg.rounds), dtype=bool)
-    etas, alphas = [], []
     replay_out = [[] for _ in configs]
     aborted_at = [None] * n_trials
     running = np.arange(n_trials)
@@ -415,8 +389,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
             if not live.size:
                 break
             eta_t, alpha_t = lr_schedule(cfg, t)
-            etas.append(eta_t)
-            alphas.append(alpha_t)
+            table["eta"][:, t] = eta_t
+            table["alpha"][:, t] = alpha_t
             for p in live.tolist():
                 replay_out[trials[p]].append(channels[p][j])
             # groups of trials (block positions, devices) that transmit over
@@ -439,7 +413,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 senders = ks[sent_now]
                 sent[senders, t] = True
                 for name, column in fields.items():
-                    columns[name][senders, t] = column
+                    table[name][senders, t] = column
                 recon[:, senders, t] = vectors
                 ok = np.isfinite(theta_next).all(axis=1)
                 if not ok.all():
@@ -460,11 +434,12 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 devices = state.devices(k)
                 loss = metrics.meta_training_loss(thetas[k, block], state.data.devices(devices),
                                                   metric_alpha)
-                columns["train_loss"][k, block] = np.where(sent[k, block], loss, np.nan)
+                table["train_loss"][k, block] = np.where(sent[k, block], loss, np.nan)
                 g = tasks.mean_meta_grad(thetas[k, block], state.ws[devices], curvature)
-                columns["grad_norm_sq"][k, block] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-            state.update_probes(trials, offsets[:, :len(alphas) - t0].reshape(len(trials), -1, d),
-                                np.repeat(alphas[t0:], q * rn))
+                table["grad_norm_sq"][k, block] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+            # the rounds no trial ran have NaN offsets and rates, which it skips
+            state.update_probes(trials, offsets.reshape(len(trials), -1, d),
+                                np.repeat(table["alpha"][0, t0:t0 + n_rounds], q * rn))
         running = trials[live]
         t0 += n_rounds
 
@@ -472,12 +447,10 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     for k, c in enumerate(configs):
         n_records = cfg.rounds if aborted_at[k] is None else aborted_at[k] + 1
         n_steps = n_records - (aborted_at[k] is not None)  # rounds with a next iterate
-        rows = zip(range(n_records), etas, alphas,
-                   *(column[k, :n_records].tolist() for column in columns.values()))
         trajectories.append(Trajectory(
             config=c,
             thetas=thetas[k, :n_steps + 1].copy(),
-            records=[RoundRecord(*row) for row in rows],
+            records=table[k, :n_records].copy().view(np.recarray),
             device_ws=trial_ws[k],
             datasets=state.data.devices(state.devices(k)),
             memories=state.memories[state.devices(k)],
@@ -575,12 +548,10 @@ def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, active: np.ndar
     """
     g, rn = active.shape
     rows = ks[:, None] * state.n + active  # the devices' rows of the state
-    local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
-                                 batch_size=cfg.batch_size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         deltas, iterates = meta.local_rounds(
             state.theta[np.repeat(ks, rn)], state.data,
-            batch_idx.reshape((g * rn,) + batch_idx.shape[2:]).swapaxes(0, 1), local_cfg, eta_t,
+            batch_idx.reshape((g * rn,) + batch_idx.shape[2:]).swapaxes(0, 1), alpha_t, eta_t,
             devices=rows.reshape(-1))
         offsets = iterates.reshape(cfg.local_steps, g, rn, cfg.dim) - state.ws[rows]
         out = _air_uplink(cfg, state, ks, rows, deltas.reshape(g, rn, cfg.dim), gains, noise,
@@ -601,7 +572,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     A trial sends nothing when its model differences or its update energy
     leave the float range: it gets a NaN iterate and keeps its memories.
     Returns each trial's next iterate (G, d), the (G,) mask of the trials
-    that sent, and for those, in order, their record columns by field name
+    that sent, and for those, in order, their ``ROUND_DTYPE`` fields by name
     and their realized identity vectors (``_RECON_KEYS``, G', d).  Commits
     the new error-feedback memories of the trials that sent.
     """
@@ -648,7 +619,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     n_sent = gains.shape[1]
     fields = dict(
         rho=rho, v_model=est.err_var,
-        v_realized=(noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim,
+        v=(noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim,
         min_g_sq_over_eta_sq=(g_sq.min(axis=-1) / eta_sq if n_sent and eta_sq > 0
                               else np.full(len(ks), np.nan)),
         mem_norm_sq_max=(memories**2).sum(axis=-1).max(axis=-1),
@@ -681,8 +652,8 @@ def memory_identity_residuals(traj: Trajectory) -> np.ndarray:
     mu_abs, _ = ch.fading_moments(cfg.fading)
     recon = traj.recon
     n = len(recon["sum_delta"])
-    eta = traj.series("eta_t")[:n]
-    scale = eta / (mu_abs * rn * np.sqrt(traj.series("rho")[:n]))
+    records = traj.records[:n]
+    scale = records["eta"] / (mu_abs * rn * np.sqrt(records["rho"]))
     # theta_hat_{t+1} = ((theta_hat_t - a_t) - b_t) - c_t, subtracted in that order
     terms = np.stack([recon["sum_delta"] / rn, scale[:, None] * recon["noise_term"],
                       recon["fading_dev"] / rn], axis=1).reshape(-1, cfg.dim)

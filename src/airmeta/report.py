@@ -31,7 +31,7 @@ def bound_entries(traj: Trajectory, ac, dc) -> dict:
     it used.
     """
     cfg = traj.config
-    v = traj.series("v_realized")
+    v = traj.records["v"].copy()  # contiguous, as in stationary_convergence_error
     mu, pw = channel.fading_moments(cfg.fading)
     eta0, alpha0 = lr_schedule(cfg, 0)
     common = dict(
@@ -51,7 +51,7 @@ def bound_entries(traj: Trajectory, ac, dc) -> dict:
                 **common)
         except ValueError as exc:
             out["bound_adaptive_error"] = str(exc)
-    g_ratio = traj.series("min_g_sq_over_eta_sq")
+    g_ratio = traj.records["min_g_sq_over_eta_sq"]
     g_ratio = g_ratio[np.isfinite(g_ratio)]
     eps_g = max(float(g_ratio.min()), 1e-12) if g_ratio.size else 1e-12
     c_g = bounds.sparsified_update_energy(ac, dc, q=cfg.local_steps, alpha=alpha0,
@@ -59,7 +59,7 @@ def bound_entries(traj: Trajectory, ac, dc) -> dict:
     out["bound_generalization"] = bounds.generalization_bound(
         d=cfg.dim, n=cfg.n_devices, sigma_sq=bounds.sub_gaussian_proxy(cfg.loss_clip),
         m_uses=cfg.channel_uses, p_max=cfg.power_per_use, rn=cfg.n_active, c_g=c_g,
-        sum_abs_h_sq=traj.series("sum_abs_h_sq"), v_series=v, eps_g=eps_g,
+        sum_abs_h_sq=traj.records["sum_abs_h_sq"], v_series=v, eps_g=eps_g,
     )
     out["eps_g"] = eps_g
     return out
@@ -85,14 +85,14 @@ def summarize(traj: Trajectory) -> dict:
             "f_star": traj.f_star,
             "metric_alpha": traj.metric_alpha,
         }
-        if traj.records:
-            out["final_grad_norm_sq"] = traj.records[-1].grad_norm_sq
+        if len(traj.records):
+            out["final_grad_norm_sq"] = float(traj.records["grad_norm_sq"][-1])
         if traj.aborted_at is None:
             test, train = metrics.trial_gap(traj)
             out["final_test_loss"] = test
             out["final_train_loss"] = train
             out["generalization_gap"] = test - train
-        elif traj.records:
+        elif len(traj.records):
             out["final_train_loss"] = metrics.meta_training_loss(
                 traj.theta_final, traj.datasets, traj.metric_alpha,
             )
@@ -101,7 +101,7 @@ def summarize(traj: Trajectory) -> dict:
             return out
         try:
             ac, dc = run_constants(traj)
-            entries = bound_entries(traj, ac, dc) if traj.records else {}
+            entries = bound_entries(traj, ac, dc) if len(traj.records) else {}
         except ValueError as exc:  # a precondition of the constants or bounds fails
             out["warnings"].append(f"constants and bounds are not evaluated for this run: {exc}")
             return out

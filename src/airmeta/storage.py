@@ -84,20 +84,16 @@ def read_manifest(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def trajectory_rows(traj: Trajectory, final_test_loss: float = float("nan")) -> list[list]:
-    """One row per round in TRAJECTORY_COLUMNS order; the test loss is known
-    only at the final iterate.  A run whose noise is set by noise_var has no
+def trajectory_rows(traj: Trajectory, final_test_loss: float = float("nan")) -> list[tuple]:
+    """One row per round in TRAJECTORY_COLUMNS order: the fields of the
+    round's record and two run-level columns.  The test loss is known only
+    at the final iterate.  A run whose noise is set by noise_var has no
     configured SNR, so its snr_db cells are unset."""
-    snr_db = traj.config.snr_db if traj.config.noise_var is None else None
-    last = len(traj.records) - 1
-    return [
-        [rec.t, rec.grad_norm_sq, rec.train_loss,
-         final_test_loss if idx == last else float("nan"),
-         rec.rho, rec.v_realized, snr_db, rec.eta_t, rec.alpha_t, rec.v_model,
-         rec.sum_abs_h_sq, rec.min_g_sq_over_eta_sq, rec.mem_norm_sq_max,
-         rec.power_margin, rec.pinv_fallback]
-        for idx, rec in enumerate(traj.records)
-    ]
+    n = len(traj.records)
+    run = {"test_loss": [float("nan")] * (n - 1) + [final_test_loss] if n else [],
+           "snr_db": [traj.config.snr_db if traj.config.noise_var is None else None] * n}
+    return list(zip(*(run[name] if name in run else traj.records[name].tolist()
+                      for name in TRAJECTORY_COLUMNS)))
 
 
 def write_trajectory_csv(traj: Trajectory, path, final_test_loss: float = float("nan")) -> None:

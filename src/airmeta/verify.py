@@ -62,7 +62,7 @@ def check_power_constraint(seed: int = 0, rounds: int = 200,
     t0 = time.perf_counter()
     if traj is None:
         traj = run_experiment(default_convergence_config(master_seed=seed, rounds=rounds))
-    power_margin = traj.series("power_margin")
+    power_margin = traj.records["power_margin"]
     margin = float(np.max(power_margin))
     return _result("power_constraint", margin <= 1e-12,
                    f"max margin {margin:.3e} over {power_margin.size} rounds", t0)
@@ -128,7 +128,7 @@ def check_memory_bound(seed: int = 0, rounds: int = 200) -> VerifyResult:
     limit = (2.0 * eta0**2 * dc.gain * cfg.local_steps**2
              * ((1 + alpha0 * ac.l_g) ** 2 + alpha0**2 * ac.sigma_h_sq / cfg.batch_size)
              * ac.g_sq)
-    measured = float(np.max(traj.series("mem_norm_sq_max")))
+    measured = float(np.max(traj.records["mem_norm_sq_max"]))
     return _result("memory_bound", measured <= limit,
                    f"max ||m||^2 = {measured:.3e}, bound {limit:.3e}", t0)
 
@@ -147,7 +147,6 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     l_f = 4.0 * env.smoothness
     eta = 0.9 / (10 * q * l_f)
     theta = 0.3 * np.ones(20)
-    cfg_local = meta.LocalConfig(alpha=alpha, local_steps=q, batch_size=m_b)
     pools = meta.batch_pools(datasets[0], m_b)
     # measured variance / heterogeneity of the meta-gradient estimate at theta
     grad_mean = tasks.mean_meta_grad(theta, ws, tasks.meta_curvature(env, alpha))
@@ -163,14 +162,14 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
         # draw_batches(..., 1) is one step's batches; its step axis is the device axis
         ests = np.concatenate([meta.meta_grad_estimate(theta[None], data,
                                                        meta.draw_batches(gen, pools, m_b, 1),
-                                                       cfg_local)
+                                                       alpha)
                                for _ in range(n_draws)])
         sigma_sq = max(sigma_sq, float(np.mean(np.sum((ests - per_dev) ** 2, axis=1))))
     drift_sq = []
     for data in stacks:
         for _ in range(n_draws // 10):
             idx = meta.draw_batches(gen, pools, m_b, q)[:, None]
-            _, iterates = meta.local_rounds(theta, data, idx, cfg_local, eta)
+            _, iterates = meta.local_rounds(theta, data, idx, alpha, eta)
             drift_sq.append(float(np.max(np.sum((iterates[:, 0] - theta) ** 2, axis=1))))
     measured = float(np.mean(drift_sq))
     limit = 40 * q**2 * eta**2 * (sigma_sq + gamma_sq + float(grad_mean @ grad_mean))

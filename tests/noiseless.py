@@ -9,7 +9,9 @@ checks the pipeline rather than the pipeline against itself.
 import numpy as np
 
 from airmeta import meta, rng
-from airmeta.protocol import lr_schedule, sample_active_set
+from airmeta.protocol import lr_schedule
+
+from oracles import sample_active_set
 
 
 def noiseless_thetas(traj) -> np.ndarray:
@@ -23,12 +25,10 @@ def noiseless_thetas(traj) -> np.ndarray:
         eta_t, alpha_t = lr_schedule(cfg, t)
         active = sample_active_set(cfg.n_devices, cfg.active_fraction,
                                    rng.substream(cfg.master_seed, rng.ACTIVE_SET, t))
-        local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
-                                     batch_size=cfg.batch_size)
         idx = np.stack([meta.draw_batches(rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i),
                                           pools, cfg.batch_size, cfg.local_steps)
                         for i in active], axis=1)
         deltas, _ = meta.local_rounds(thetas[-1], traj.datasets.devices(active), idx,
-                                      local_cfg, eta_t)
+                                      alpha_t, eta_t)
         thetas.append(thetas[-1] - np.mean(deltas, axis=0))
     return np.stack(thetas)

@@ -2,8 +2,9 @@
 
 The per-sample loss, gradient and Hessian of the squared loss, the
 population gradient, the closed-form per-sample gradient moments, one
-device's local steps on literal numpy batch draws, the received SNR
-recovered from a run's fading draws, the phase factors as numpy's scalar
+device's local steps on literal numpy batch draws, a uniform active set
+drawn by numpy's ``choice``, the received SNR recovered from a run's fading
+draws, the phase factors as numpy's scalar
 quotient, and the CSV writers cell by cell through ``csv.writer``.  The
 simulator computes batched versions of these (``tasks.batch_*``) or never
 needs them; the tests check those batched paths and the closed forms
@@ -57,26 +58,34 @@ def grad_variance(phi_minus_w: np.ndarray, env: TaskEnvironment) -> float:
     return variance * float(e @ e) + noise
 
 
-def local_rounds(theta_start, ds, cfg, eta, gen):
-    """(delta, iterates) of one device's local steps, written with 1-D
-    vectors and 2-D batches, drawing each step's batches with
-    ``gen.choice(pool, ...)`` only when the step starts."""
+def local_rounds(theta_start, ds, alpha, eta, steps, batch_size, gen):
+    """(delta, iterates) of one device's ``steps`` local steps, written with
+    1-D vectors and 2-D batches of ``batch_size``, drawing each step's
+    batches with ``gen.choice(pool, ...)`` only when the step starts."""
     def grad(phi, idx):
         x, y = ds.x[idx], ds.y[idx]
         return -(x.T @ (y - x @ phi)) / x.shape[0]
 
     theta, iterates = theta_start.copy(), []
-    for step in range(cfg.local_steps):
+    for step in range(steps):
         if step and not np.all(np.isfinite(theta)):
             break
         iterates.append(theta.copy())
-        idx = [gen.choice(pool, size=cfg.batch_size, replace=False)
-               for pool in meta.batch_pools(ds, cfg.batch_size)]
-        g_outer = grad(theta - cfg.alpha * grad(theta, idx[0]), idx[1])
+        idx = [gen.choice(pool, size=batch_size, replace=False)
+               for pool in meta.batch_pools(ds, batch_size)]
+        g_outer = grad(theta - alpha * grad(theta, idx[0]), idx[1])
         x_h = ds.x[idx[2]]
-        g_outer = g_outer - cfg.alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
+        g_outer = g_outer - alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
         theta = theta - eta * g_outer
     return theta_start - theta, iterates
+
+
+def sample_active_set(n: int, r: float, gen: np.random.Generator) -> np.ndarray:
+    """Uniform size-(r*n) subset of device ids, without replacement."""
+    k = r * n
+    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+        raise ValueError(f"r * n must be a positive integer, got {k}")
+    return np.sort(gen.choice(n, size=int(round(k)), replace=False))
 
 
 def measured_snr_db(traj, power: float) -> float:
@@ -90,7 +99,7 @@ def measured_snr_db(traj, power: float) -> float:
     noise_var = cfg.effective_noise_var()
     if noise_var <= 0:
         return float("inf")
-    mean_sum = float(np.mean(traj.series("sum_abs_h_sq")))
+    mean_sum = float(np.mean(traj.records["sum_abs_h_sq"]))
     return 10.0 * np.log10(power * mean_sum / noise_var)
 
 

@@ -136,7 +136,7 @@ def test_11_device_count_tradeoff():
 def grad_norm_sq_series(configs):
     """Per-round squared meta-gradient norms of each run of one lockstep
     stack (a pool task)."""
-    return [traj.series("grad_norm_sq") for traj in run_stack(configs)]
+    return [traj.records["grad_norm_sq"] for traj in run_stack(configs)]
 
 
 def test_12_adaptive_rate_removes_floor():

@@ -38,11 +38,9 @@ def with_zero_gains(cfg, rounds):
 
 def run_fields(traj):
     """Every number a run produces, as bytes."""
-    records = np.array([[getattr(rec, f) for f in vars(rec)] for rec in traj.records],
-                       dtype=float)
     replay = [np.concatenate([d.active, d.gains.view(float), d.noise.view(float)])
               for d in traj.replay]
-    return (traj.thetas.tobytes(), records.tobytes(), traj.memories.tobytes(),
+    return (traj.thetas.tobytes(), traj.records.tobytes(), traj.memories.tobytes(),
             sorted(traj.probe.items()), [r.tobytes() for r in replay], traj.aborted_at)
 
 
@@ -70,6 +68,16 @@ def test_block_size_moves_nothing(case, block, monkeypatch):
         assert want[-1] == 19  # inside a block of 5 and of 64
 
 
+def test_run_fields_see_every_record_field():
+    """A change to any one field of one round's record changes run_fields."""
+    traj = CASES["constant"]()
+    for field in protocol.ROUND_DTYPE.names:
+        records = traj.records.copy()
+        column = records[field]
+        column[5] = ~column[5] if column.dtype == bool else column[5] + 1
+        assert run_fields(dataclasses.replace(traj, records=records)) != run_fields(traj), field
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_records_equal_their_per_round_values(case):
     """Each round's training loss and squared meta-gradient at its own
@@ -80,14 +88,14 @@ def test_records_equal_their_per_round_values(case):
         for t, rec in enumerate(traj.records):
             theta = traj.thetas[t]
             g = tasks.mean_meta_grad(theta, traj.device_ws, curvature)
-            assert rec.grad_norm_sq == float(g @ g)
+            assert rec["grad_norm_sq"] == float(g @ g)
             gains = traj.replay[t].gains
-            if np.isnan(rec.rho):  # the round aborted before its update
-                assert np.isnan(rec.train_loss) and np.isnan(rec.sum_abs_h_sq)
+            if np.isnan(rec["rho"]):  # the round aborted before its update
+                assert np.isnan(rec["train_loss"]) and np.isnan(rec["sum_abs_h_sq"])
                 continue
-            assert rec.train_loss == metrics.meta_training_loss(theta, traj.datasets,
-                                                                traj.metric_alpha)
-            assert rec.sum_abs_h_sq == float(np.sum(np.abs(gains[np.abs(gains) > 0]) ** 2))
+            assert rec["train_loss"] == metrics.meta_training_loss(theta, traj.datasets,
+                                                                   traj.metric_alpha)
+            assert rec["sum_abs_h_sq"] == float(np.sum(np.abs(gains[np.abs(gains) > 0]) ** 2))
 
 
 def test_generalization_run_seeds_only_its_devices(monkeypatch):

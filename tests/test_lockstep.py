@@ -30,14 +30,23 @@ def config(**overrides):
 
 def trial_fields(traj):
     """Every number of one run that its row of a stack must reproduce."""
-    records = np.array([[getattr(rec, f.name) for f in dataclasses.fields(rec)]
-                        for rec in traj.records], dtype=float)
     replay = [(d.active.tobytes(), d.gains.tobytes(), d.noise.tobytes()) for d in traj.replay]
     recon = {key: vecs.tobytes() for key, vecs in traj.recon.items()}
-    return (traj.thetas.tobytes(), records.tobytes(), replay, recon,
+    return (traj.thetas.tobytes(), traj.records.tobytes(), replay, recon,
             repr(sorted(traj.probe.items())), traj.memories.tobytes(), traj.aborted_at,
             repr((traj.f_init, traj.f_star)), traj.device_ws.tobytes(),
             traj.datasets.x.tobytes(), traj.datasets.y.tobytes())
+
+
+def test_trial_fields_see_every_record_field():
+    """A change to any one field of one round's record changes trial_fields."""
+    traj = run_experiment(config(rounds=10))
+    for field in protocol.ROUND_DTYPE.names:
+        records = traj.records.copy()
+        column = records[field]
+        column[5] = ~column[5] if column.dtype == bool else column[5] + 1
+        assert trial_fields(dataclasses.replace(traj, records=records)) != trial_fields(traj), \
+            field
 
 
 def assert_lockstep(configs, replays=None):
@@ -91,7 +100,7 @@ def test_zero_gains_on_block_edges(block, monkeypatch):
              [(5, 2), (63, 0), (63, 1), (64, 2)]]
     logs = [with_zero_gains(c, z) for c, z in zip(configs, zeros)]
     silent = assert_lockstep(configs, logs)[1].records[9]
-    assert (silent.sum_abs_h_sq, silent.rho) == (0.0, config().rho_max)
+    assert (silent["sum_abs_h_sq"], silent["rho"]) == (0.0, config().rho_max)
 
 
 def test_noiseless_stack_with_some_pinv_rounds():
@@ -100,7 +109,7 @@ def test_noiseless_stack_with_some_pinv_rounds():
     trial's rows may not."""
     stack = assert_lockstep(trial_configs(
         config(dim=8, channel_uses=3, snr_db=None, noise_var=0.0), 5))
-    flags = np.array([t.series("pinv_fallback") for t in stack])
+    flags = np.array([t.records["pinv_fallback"] for t in stack])
     assert np.any(flags.min(axis=0) != flags.max(axis=0))
 
 

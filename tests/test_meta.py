@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airmeta import meta, tasks
-from airmeta.meta import LocalConfig, local_rounds, meta_grad_estimate
+from airmeta.meta import local_rounds, meta_grad_estimate
 from airmeta.tasks import (Dataset, TaskEnvironment, sample_dataset, sample_device,
                            stack_datasets)
 
@@ -22,19 +22,18 @@ def orthonormal_design(w, copies=1):
     return Dataset(x=blocks, y=y, m_tr=d, m_va=2 * copies * d)
 
 
-def estimate(theta, ds, cfg, gen):
+def estimate(theta, ds, alpha, batch, gen):
     """meta_grad_estimate of one device, as a one-row stack, on one step's
     batches drawn from ``gen``."""
-    idx = meta.draw_batches(gen, meta.batch_pools(ds, cfg.batch_size), cfg.batch_size, 1)
-    return meta_grad_estimate(theta[None], stack_datasets([ds]), idx, cfg)[0]
+    idx = meta.draw_batches(gen, meta.batch_pools(ds, batch), batch, 1)
+    return meta_grad_estimate(theta[None], stack_datasets([ds]), idx, alpha)[0]
 
 
-def local(theta, ds, cfg, eta, gen):
+def local(theta, ds, alpha, steps, batch, eta, gen):
     """(delta, iterates) of one device's local_rounds, as a one-row stack, on
     the batches of all its steps drawn from ``gen``."""
-    idx = meta.draw_batches(gen, meta.batch_pools(ds, cfg.batch_size), cfg.batch_size,
-                            cfg.local_steps)
-    delta, iterates = local_rounds(theta, stack_datasets([ds]), idx[:, None], cfg, eta)
+    idx = meta.draw_batches(gen, meta.batch_pools(ds, batch), batch, steps)
+    delta, iterates = local_rounds(theta, stack_datasets([ds]), idx[:, None], alpha, eta)
     return delta[0], iterates[:, 0]
 
 
@@ -70,16 +69,14 @@ class TestMetaGradEstimate:
         w = np.array([0.0, 0.0, 0.0])
         theta = np.array([1.0, 0.0, 0.0])
         ds = orthonormal_design(w)
-        cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3)
-        est = estimate(theta, ds, cfg, np.random.default_rng(0))
+        est = estimate(theta, ds, 0.5, 3, np.random.default_rng(0))
         assert np.allclose(est, 0.25 * theta, atol=1e-12)
 
     def test_alpha_zero_is_plain_minibatch_gradient(self, rng):
         w = rng.standard_normal(3)
         ds = orthonormal_design(w)
         theta = rng.standard_normal(3)
-        cfg = LocalConfig(alpha=0.0, local_steps=1, batch_size=3)
-        est = estimate(theta, ds, cfg, np.random.default_rng(0))
+        est = estimate(theta, ds, 0.0, 3, np.random.default_rng(0))
         # full-pool batch: the estimate is the batch gradient at theta itself
         assert np.allclose(est, theta - w, atol=1e-12)
 
@@ -93,7 +90,6 @@ class TestMetaGradEstimate:
         ds = sample_dataset(w, env, 24, 8, 16, rng)
         theta = rng.standard_normal(d)
         alpha = 0.3
-        cfg = LocalConfig(alpha=alpha, local_steps=1, batch_size=m_b)
         pool_b, pool_g, pool_h = meta.batch_pools(ds, m_b)
 
         def pool_grad(phi, pool):
@@ -106,7 +102,7 @@ class TestMetaGradEstimate:
         g_outer_mean = pool_grad(phi_mean, pool_g)
         expected = (np.eye(d) - alpha * h_mean) @ g_outer_mean
         n = 20_000
-        draws = np.stack([estimate(theta, ds, cfg, rng) for _ in range(n)])
+        draws = np.stack([estimate(theta, ds, alpha, m_b, rng) for _ in range(n)])
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - expected) <= 3 * se + 1e-12)
         assert s_g.shape == (d, d)
@@ -121,12 +117,11 @@ class TestMetaGradEstimate:
         gen = np.random.default_rng(17)
         w = sample_device(env, gen)
         theta = np.array([1.0, -0.5, 0.25])
-        cfg = LocalConfig(alpha=alpha, local_steps=1, batch_size=m_b)
         n = 10_000
         draws = np.empty((n, d))
         for i in range(n):
             ds = sample_dataset(w, env, 3 * m_b, m_b, 2 * m_b, gen)
-            draws[i] = estimate(theta, ds, cfg, gen)
+            draws[i] = estimate(theta, ds, alpha, m_b, gen)
         target = tasks.population_meta_grad(theta, w, env, alpha)
         se = draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - target) <= 3 * se)
@@ -143,11 +138,10 @@ class TestMetaGradEstimate:
         gen = np.random.default_rng(23)
         w = sample_device(env, gen)
         theta = np.array([0.8, -0.3, 0.1, 0.5])
-        cfg = LocalConfig(alpha=alpha, local_steps=1, batch_size=m_b)
         draws = []
         for _ in range(1000):
             ds = sample_dataset(w, env, 3 * m_b, m_b, 2 * m_b, gen)
-            draws.append(float(np.sum(estimate(theta, ds, cfg, gen) ** 2)))
+            draws.append(float(np.sum(estimate(theta, ds, alpha, m_b, gen) ** 2)))
         g_sq = max(oracles.grad_second_moment(theta - w, env),
                    oracles.grad_second_moment((1 - alpha * env.input_cov) * (theta - w), env))
         sigma_h_sq = tasks.hessian_spectral_variance(env)
@@ -160,41 +154,54 @@ class TestLocalRounds:
         w = rng.standard_normal(3)
         ds = orthonormal_design(w)
         theta = rng.standard_normal(3)
-        cfg = LocalConfig(alpha=0.5, local_steps=1, batch_size=3)
+        alpha, steps, batch = 0.5, 1, 3
         eta = 0.1
-        delta, _ = local(theta, ds, cfg, eta, np.random.default_rng(0))
-        est = estimate(theta, ds, cfg, np.random.default_rng(0))
+        delta, _ = local(theta, ds, alpha, steps, batch, eta, np.random.default_rng(0))
+        est = estimate(theta, ds, alpha, batch, np.random.default_rng(0))
         assert np.allclose(delta, eta * est, atol=1e-14)
 
     def test_zero_rate_no_movement(self, rng):
         w = rng.standard_normal(3)
         ds = orthonormal_design(w)
         theta = rng.standard_normal(3)
-        cfg = LocalConfig(alpha=0.5, local_steps=4, batch_size=3)
-        delta, iterates = local(theta, ds, cfg, 0.0, np.random.default_rng(0))
+        alpha, steps, batch = 0.5, 4, 3
+        delta, iterates = local(theta, ds, alpha, steps, batch, 0.0, np.random.default_rng(0))
         assert np.all(iterates == theta)
         assert np.all(delta == 0)
 
     def test_external_step_replay(self, quad_w, quad_env, rng):
         ds = sample_dataset(quad_w, quad_env, 30, 10, 20, rng)
         theta0 = rng.standard_normal(quad_env.dim)
-        cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
+        alpha, steps, batch = 0.2, 3, 5
         eta = 0.05
-        delta, iterates = local(theta0, ds, cfg, eta, np.random.default_rng(99))
+        delta, iterates = local(theta0, ds, alpha, steps, batch, eta, np.random.default_rng(99))
         gen = np.random.default_rng(99)
         theta = theta0.copy()
         for k in range(3):
             assert np.array_equal(iterates[k], theta)
-            theta = theta - eta * estimate(theta, ds, cfg, gen)
+            theta = theta - eta * estimate(theta, ds, alpha, batch, gen)
         assert np.array_equal(delta, theta0 - theta)
 
     def test_determinism(self, quad_w, quad_env, rng):
         ds = sample_dataset(quad_w, quad_env, 30, 10, 20, rng)
         theta = rng.standard_normal(quad_env.dim)
-        cfg = LocalConfig(alpha=0.2, local_steps=3, batch_size=5)
-        d1 = local(theta, ds, cfg, 0.05, np.random.default_rng(7))[0]
-        d2 = local(theta, ds, cfg, 0.05, np.random.default_rng(7))[0]
+        alpha, steps, batch = 0.2, 3, 5
+        d1 = local(theta, ds, alpha, steps, batch, 0.05, np.random.default_rng(7))[0]
+        d2 = local(theta, ds, alpha, steps, batch, 0.05, np.random.default_rng(7))[0]
         assert np.array_equal(d1, d2)
+
+    def test_bad_calls_raise(self, rng):
+        """A negative inner rate, no step and empty batches are refused."""
+        data = stack_datasets([orthonormal_design(rng.standard_normal(3))])
+        theta = np.zeros(3)
+        idx = np.zeros((2, 1, 3, 1), dtype=np.int64)
+        for call in (lambda: local_rounds(theta, data, idx, -0.1, 0.1),
+                     lambda: local_rounds(theta, data, idx[:0], 0.1, 0.1),
+                     lambda: local_rounds(theta, data, idx[..., :0], 0.1, 0.1),
+                     lambda: meta_grad_estimate(theta[None], data, idx[0], -0.1),
+                     lambda: meta_grad_estimate(theta[None], data, idx[0, ..., :0], 0.1)):
+            with pytest.raises(ValueError):
+                call()
 
     def test_drift_within_stated_bound(self):
         from airmeta.verify import check_local_drift

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from airmeta import tasks
 from airmeta.metrics import (mean_se, meta_test_loss, meta_training_loss,
                              stationary_convergence_error, trial_gap)
-from airmeta.protocol import ExperimentConfig, run_experiment
+from airmeta.protocol import ROUND_DTYPE, ExperimentConfig, run_experiment
 from airmeta.tasks import Dataset, TaskEnvironment, sample_dataset, sample_device, stack_datasets
 
 import oracles
@@ -142,8 +144,17 @@ class TestConvergenceError:
         cfg = ExperimentConfig(rounds=10, n_devices=4, active_fraction=1.0,
                                eta=0.005, master_seed=0)
         traj = run_experiment(cfg)
-        want = float(np.mean([r.grad_norm_sq for r in traj.records]))
+        want = float(np.mean(traj.records["grad_norm_sq"].tolist()))
         assert stationary_convergence_error(traj) == pytest.approx(want)
+
+    def test_long_run_mean_sums_as_a_contiguous_column(self):
+        """A record field is strided; over 8,192 rounds its mean must still be
+        the mean of the column as one contiguous array."""
+        gen = np.random.default_rng(3)
+        records = np.zeros(9000, dtype=ROUND_DTYPE).view(np.recarray)
+        records["grad_norm_sq"] = gen.standard_normal(9000) * np.exp(5 * gen.standard_normal(9000))
+        want = float(np.mean(records["grad_norm_sq"].tolist()))
+        assert stationary_convergence_error(SimpleNamespace(records=records)) == want
 
     def test_single_round_is_initial_gradient(self):
         cfg = ExperimentConfig(rounds=1, n_devices=4, active_fraction=1.0,

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import channel, meta, rng
-from airmeta.protocol import sample_active_set
+
+from oracles import sample_active_set
 
 # master seeds at the edges of substream's 64-bit mask and of one entropy word
 SEEDS = st.one_of(st.sampled_from([0, -1, -2**63, 2**32 - 1, 2**32, 2**63 - 1]),

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from airmeta import meta, rng
+from airmeta import rng
 from airmeta.protocol import ExperimentConfig, lr_schedule, replay_experiment, run_experiment
 from airmeta.tasks import Dataset
 
@@ -33,14 +33,13 @@ def literal_sum_deltas(traj, t):
     cfg = traj.config
     drawn = traj.replay[t]
     eta_t, alpha_t = lr_schedule(cfg, t)
-    local_cfg = meta.LocalConfig(alpha=alpha_t, local_steps=cfg.local_steps,
-                                 batch_size=cfg.batch_size)
     deltas = []
     for i in drawn.active[np.abs(drawn.gains) > 0.0]:
         ds = Dataset(x=traj.datasets.x[i], y=traj.datasets.y[i], m_tr=cfg.train_samples,
                      m_va=cfg.val_samples)
         gen = rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, int(i))
-        deltas.append(oracles.local_rounds(traj.thetas[t], ds, local_cfg, eta_t, gen)[0])
+        deltas.append(oracles.local_rounds(traj.thetas[t], ds, alpha_t, eta_t, cfg.local_steps,
+                                           cfg.batch_size, gen)[0])
     return np.sum(np.array(deltas).reshape(len(deltas), cfg.dim), axis=0)
 
 

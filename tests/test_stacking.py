@@ -20,9 +20,9 @@ def gens(seed, n):
     return [np.random.default_rng([seed, i]) for i in range(n)]
 
 
-def batches(seed, n, pools, cfg):
+def batches(seed, n, pools, batch, steps):
     """(Q, n, 3, m_B) batch indices, device i's drawn from ``gens(seed, n)[i]``."""
-    return np.stack([meta.draw_batches(gen, pools, cfg.batch_size, cfg.local_steps)
+    return np.stack([meta.draw_batches(gen, pools, batch, steps)
                      for gen in gens(seed, n)], axis=1)
 
 
@@ -42,29 +42,29 @@ def reference_top_k(x, k):
     return out
 
 
-def device_stack(dim, n, batch, m_tr, m_va, data_seed, local_cfg, eta, theta_scale, seed):
-    """(datasets, local config, rate, shared start, stream seed) of n devices."""
+def device_stack(dim, n, batch, m_tr, m_va, data_seed, alpha, steps, eta, theta_scale, seed):
+    """(datasets, inner rate, steps, batch size, outer rate, shared start,
+    stream seed) of n devices."""
     gen = np.random.default_rng(data_seed)
     env = tasks.TaskEnvironment(dim=dim, center=np.ones(dim), task_spread=0.5,
                                 label_noise_var=0.5)
     datasets = [tasks.sample_dataset(tasks.sample_device(env, gen), env, m_tr + m_va, m_tr,
                                      m_va, gen)
                 for _ in range(n)]
-    return datasets, local_cfg, eta, gen.standard_normal(dim) * theta_scale, seed
+    return datasets, alpha, steps, batch, eta, gen.standard_normal(dim) * theta_scale, seed
 
 
 @st.composite
 def device_stacks(draw):
     batch = draw(st.integers(1, 4))
-    local_cfg = meta.LocalConfig(alpha=draw(st.floats(0, 1.5)),
-                                 local_steps=draw(st.integers(1, 3)), batch_size=batch)
+    alpha, steps = draw(st.floats(0, 1.5)), draw(st.integers(1, 3))
     # far starts and large rates let some devices, not all, leave the finite range
     eta = draw(st.one_of(st.floats(0, 0.2), st.integers(0, 9).map(lambda e: 10.0**e)))
     return device_stack(
         dim=draw(st.integers(1, 8)), n=draw(st.integers(1, 5)), batch=batch,
         m_tr=batch + draw(st.integers(0, 3)),
         m_va=2 * batch + draw(st.integers(0, 3)),  # two disjoint validation pools
-        data_seed=draw(st.integers(0, 2**32 - 1)), local_cfg=local_cfg, eta=eta,
+        data_seed=draw(st.integers(0, 2**32 - 1)), alpha=alpha, steps=steps, eta=eta,
         theta_scale=draw(st.sampled_from([1.0, 1e300])), seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -101,20 +101,20 @@ class TestStackedRowsEqualOneRowCalls:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(device_stacks())
     # devices 0 and 1 of 4 stop before their last step, devices 2 and 3 run on
-    @example(device_stack(3, 4, 2, 2, 5, 0, meta.LocalConfig(0.3, 3, 2), 1e4, 1e300, 0))
+    @example(device_stack(3, 4, 2, 2, 5, 0, 0.3, 3, 1e4, 1e300, 0))
     def test_local_rounds(self, case):
-        datasets, cfg, eta, theta, seed = case
+        datasets, alpha, steps, batch, eta, theta, seed = case
         data = tasks.stack_datasets(datasets)
-        pools = meta.batch_pools(data, cfg.batch_size)
-        idx = batches(seed, len(datasets), pools, cfg)
+        pools = meta.batch_pools(data, batch)
+        idx = batches(seed, len(datasets), pools, batch, steps)
         with np.errstate(all="ignore"):
-            deltas, iterates = meta.local_rounds(theta, data, idx, cfg, eta)
-            ones = [meta.local_rounds(theta, data.devices([i]), idx[:, [i]], cfg, eta)
+            deltas, iterates = meta.local_rounds(theta, data, idx, alpha, eta)
+            ones = [meta.local_rounds(theta, data.devices([i]), idx[:, [i]], alpha, eta)
                     for i in range(len(datasets))]
         assert same_rows(deltas, [d[0] for d, _ in ones])
         assert same_rows(np.swapaxes(iterates, 0, 1), [it[:, 0] for _, it in ones])
         with np.errstate(all="ignore"):
-            refs = [oracles.local_rounds(theta, ds, cfg, eta, gen)
+            refs = [oracles.local_rounds(theta, ds, alpha, eta, steps, batch, gen)
                     for ds, gen in zip(datasets, gens(seed, len(datasets)))]
         assert same_rows(deltas, [delta for delta, _ in refs])
         for i, (_, ref_iterates) in enumerate(refs):

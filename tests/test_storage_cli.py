@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from airmeta import channel, report
 from airmeta.cli import main
-from airmeta.protocol import SCHEDULES, ExperimentConfig, replay_experiment, run_experiment
-from airmeta.storage import (config_sha256, read_config, read_replay_csv,
+from airmeta.protocol import (ROUND_DTYPE, SCHEDULES, ExperimentConfig, replay_experiment,
+                              run_experiment)
+from airmeta.storage import (TRAJECTORY_COLUMNS, config_sha256, read_config, read_replay_csv,
                              read_trajectory_csv, write_config, write_datasets_csv,
                              write_replay_csv, write_trajectory_csv)
 from airmeta.sweeps import apply_axis, trial_configs
@@ -36,13 +37,26 @@ class TestStorage:
         assert read_config(tmp_path / "c.json") == cfg
 
     def test_trajectory_round_trip(self, tmp_path):
-        traj = run_experiment(run_config())
-        write_trajectory_csv(traj, tmp_path / "t.csv", final_test_loss=1.5)
-        table = read_trajectory_csv(tmp_path / "t.csv")
-        assert table["round"].size == 25
-        assert np.allclose(table["grad_norm_sq"], traj.series("grad_norm_sq"))
-        assert np.allclose(table["v"], traj.series("v_realized"))
-        assert table["test_loss"][-1] == 1.5 and np.isnan(table["test_loss"][0])
+        """Every record field of a complete and of an aborted run reads back
+        as it was, NaN cells included."""
+        for overrides in ({}, dict(eta=30.0, theta_init=1e100)):
+            with np.errstate(all="ignore"):
+                traj = run_experiment(run_config(**overrides))
+            assert (traj.aborted_at is None) == (not overrides)
+            write_trajectory_csv(traj, tmp_path / "t.csv", final_test_loss=1.5)
+            table = read_trajectory_csv(tmp_path / "t.csv")
+            n_rounds = 25 if traj.aborted_at is None else traj.aborted_at + 1
+            assert table["round"].size == len(traj.records) == n_rounds
+            for name in ROUND_DTYPE.names:
+                assert np.array_equal(table[name], traj.records[name], equal_nan=True), name
+            assert table["test_loss"][-1] == 1.5 and np.isnan(table["test_loss"][:-1]).all()
+
+    def test_trajectory_columns_are_the_record_fields(self):
+        """The CSV columns are the record fields with the two run-level
+        columns in their places."""
+        names = list(ROUND_DTYPE.names)
+        assert TRAJECTORY_COLUMNS == (names[:3] + ["test_loss"] + names[3:5] + ["snr_db"]
+                                      + names[5:])
 
     def test_noise_var_run_has_no_snr_label(self, tmp_path):
         """noise_var sets the noise and wins over snr_db, so the run's

@@ -46,7 +46,7 @@ class TestChecks:
             resid = memory_identity_residuals(traj)
             res = verify.check_memory_identity(traj=traj)
         assert traj.aborted_at == 15 and len(traj.records) == 16
-        assert np.isfinite(traj.records[-1].rho)  # the abort round sent
+        assert np.isfinite(traj.records["rho"][-1])  # the abort round sent
         assert resid.size == len(traj.recon["sum_delta"]) == traj.aborted_at
         assert res.name == "memory_identity" and f"over {traj.aborted_at} rounds" in res.detail
 
