@@ -13,8 +13,8 @@ from .bounds import (AssumptionConstants, BoundReport, DerivedConstants,
                      adaptive_rate_bound, constant_rate_bound, derived_constants,
                      estimate_constants, generalization_bound, memory_gain,
                      sub_gaussian_proxy)
-from .channel import (ChannelRound, Estimate, compression_block, estimate_stack,
-                      fading_moments, global_update, sample_channel, snr_noise_var,
+from .channel import (Estimate, compression_block, estimate_stack, fading_moments,
+                      global_update, replay_dtype, sample_channel, snr_noise_var,
                       transmit_mac)
 from .meta import local_rounds, meta_grad_estimate
 from .metrics import (mean_se, meta_test_loss, meta_training_loss,

@@ -67,24 +67,21 @@ def _dft_matrix(dim: int) -> np.ndarray:
     return dft
 
 
-@dataclass(frozen=True)
-class ChannelRound:
-    """Realized draws of one round, the replay-log entry.  A device whose
-    coefficient is zero stays in it but does not transmit."""
-
-    active: np.ndarray      # device ids, one per coefficient
-    gains: np.ndarray       # complex coefficient per active device
-    noise: np.ndarray       # (M,) complex noise block
+def replay_dtype(n_active: int, m_uses: int) -> np.dtype:
+    """A replay log row, the realized draws of one round: ``n_active`` device
+    ids with a complex fading coefficient each (a device whose coefficient is
+    zero stays in the log but does not transmit) and the (M,) noise block."""
+    return np.dtype([("active", np.int64, (n_active,)), ("gains", np.complex128, (n_active,)),
+                     ("noise", np.complex128, (m_uses,))])
 
 
-def sample_channel(active: np.ndarray, fading: str, noise_var: float, m_uses: int,
-                   rng: np.random.Generator) -> ChannelRound:
-    """Draw i.i.d. fading coefficients for the ``active`` devices, then the
+def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw i.i.d. fading coefficients for ``n_active`` devices, then the
     additive noise block: all real parts, then all imaginary parts, each
-    with variance noise_var."""
+    with variance noise_var.  Returns (gains, noise)."""
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
-    n_active = len(active)
     if fading == "rayleigh":
         gains = (rng.standard_normal(n_active) + 1j * rng.standard_normal(n_active)) / np.sqrt(2)
     elif fading == "unit":
@@ -95,7 +92,7 @@ def sample_channel(active: np.ndarray, fading: str, noise_var: float, m_uses: in
     noise = np.empty(m_uses, dtype=complex)
     noise.real = scale * rng.standard_normal(m_uses)
     noise.imag = scale * rng.standard_normal(m_uses)
-    return ChannelRound(active=active, gains=gains, noise=noise)
+    return gains, noise
 
 
 def transmit_mac(signals, gains, noise) -> np.ndarray:

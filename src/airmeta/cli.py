@@ -104,14 +104,19 @@ def cmd_sweep(args) -> int:
             base = base.replace(master_seed=int(args.seed))
         spec = sweeps.SweepSpec(axis=raw["axis"], values=tuple(raw["values"]),
                                 base=base, seeds=raw.get("seeds", 1))
+        warned = {}  # each distinct config warning -> the axis values it applies to
         for value in spec.values:  # every point, before any of them runs
-            sweeps.apply_axis(base, spec.axis, value).validate()
+            for w in sweeps.apply_axis(base, spec.axis, value).validate():
+                warned.setdefault(w, []).append(value)
         point_dirs = [f"{spec.axis}_{value:g}" for value in spec.values]
         if len(set(point_dirs)) < len(point_dirs):
             raise ValueError(f"sweep values {list(spec.values)} do not all have distinct "
                              f"point directories: {point_dirs}")
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot parse sweep spec {p}: {exc}") from exc
+    for w, values in warned.items():
+        print(f"warning: {w} ({spec.axis} = {', '.join(f'{v:g}' for v in values)})",
+              file=sys.stderr)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

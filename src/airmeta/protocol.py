@@ -246,7 +246,7 @@ class Trajectory:
     device_ws: np.ndarray              # (n, dim) task vectors
     datasets: tasks.Dataset            # (n, m, d) stack of the device datasets
     memories: np.ndarray               # final error-feedback memories (n, dim)
-    replay: list                       # the ChannelRound of each round
+    replay: np.ndarray                 # (rounds recorded,) of ch.replay_dtype
     recon: dict                        # _RECON_KEYS -> (len(thetas) - 1, dim), the
                                        # realized vectors of the memory identity
     probe: dict                        # running maxima for constant estimation
@@ -288,8 +288,6 @@ class _State:
         self.memories = np.zeros((len(configs) * self.n, cfg.dim))
         self.probes = [{"g_sq": 0.0, "sigma_g_sq": 0.0} for _ in configs]
         self.moment_forms = tasks.grad_moment_forms(self.env)
-        # draws each round's channel, set to the seeded state of its stream
-        self.channel_gen = np.random.Generator(np.random.PCG64(0))
 
     def devices(self, k: int) -> slice:
         """The rows of trial k's devices."""
@@ -314,14 +312,13 @@ class _State:
                 self.probes[k][key] = max(self.probes[k][key], top)
 
 
-def run_experiment(cfg: ExperimentConfig, channel_replay: list | None = None) -> Trajectory:
+def run_experiment(cfg: ExperimentConfig, channel_replay: np.ndarray | None = None) -> Trajectory:
     """Run the configured number of rounds and record the trajectory.
 
-    ``channel_replay``, a list of recorded ChannelRounds, one per round at
-    least, substitutes those draws for fresh sampling (deterministic
-    replay); everything else still derives from the master seed.  A
-    non-finite iterate aborts the run and stamps the failing round.  The
-    run is a stack of one trial (``run_stack``).
+    ``channel_replay``, a replay log (``ch.replay_dtype``) of a row per round
+    at least, substitutes its draws for fresh sampling; everything else still
+    derives from the master seed.  A non-finite iterate aborts the run and
+    stamps the failing round.  The run is a stack of one trial (``run_stack``).
     """
     return run_stack([cfg], None if channel_replay is None else [channel_replay])[0]
 
@@ -334,17 +331,25 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     devices of every running trial as one stack and sends every uplink as
     one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
     stack.  ``channel_replays`` holds one replay log per trial.  Every
-    record and identity vector of a round is written by trial into a table
-    of the run, and each trial's records are its rows of it.
+    record, identity vector and channel draw is written by trial and round
+    into a table of the run, and each trial's outputs are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
         raise ValueError("the trials of a stack may differ only in master_seed")
-    if channel_replays is not None and (len(channel_replays) != len(configs) or any(
-            len(replay) < cfg.rounds for replay in channel_replays)):
-        raise ValueError("need one replay log per trial, none shorter than the configured "
-                         "number of rounds")
     warnings = cfg.validate()
+    # the channel draws of every (trial, round); a replay presets them
+    replay = np.zeros((len(configs), cfg.rounds),
+                      dtype=ch.replay_dtype(cfg.n_active, cfg.channel_uses))
+    if channel_replays is not None:
+        # an empty log holds no draw that could disagree with the config
+        if len(channel_replays) != len(configs) or any(
+                len(log) < cfg.rounds or (len(log) and log.dtype != replay.dtype)
+                for log in channel_replays):
+            raise ValueError(f"need one replay log per trial, of dtype {replay.dtype} and "
+                             "none shorter than the configured number of rounds")
+        for k, log in enumerate(channel_replays):
+            replay[k] = log[:cfg.rounds]
     state = _State(configs)
     noise_var = cfg.effective_noise_var()
     metric_alpha = lr_schedule(cfg, 0)[1]
@@ -367,7 +372,6 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         table[name] = np.nan
     recon = np.full((len(_RECON_KEYS), n_trials, cfg.rounds, d), np.nan)
     sent = np.zeros((n_trials, cfg.rounds), dtype=bool)
-    replay_out = [[] for _ in configs]
     aborted_at = [None] * n_trials
     running = np.arange(n_trials)
 
@@ -375,8 +379,9 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     while t0 < cfg.rounds and running.size:
         trials = running
         n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
-        actives, batches, channels, gains, noise, comps = _draw_block(
-            cfg, state, trials, np.arange(t0, t0 + n_rounds), noise_var, channel_replays)
+        actives, batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds),
+                                              noise_var, replay, channel_replays is not None)
+        gains, noise = (replay[name][trials, t0:t0 + n_rounds] for name in ("gains", "noise"))
         # offsets of the block's local iterates; NaN where a trial did not run
         offsets = np.full((len(trials), n_rounds, q, rn, d), np.nan)
         # a zero channel coefficient drops the device for the round, so a
@@ -391,8 +396,6 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
             eta_t, alpha_t = lr_schedule(cfg, t)
             table["eta"][:, t] = eta_t
             table["alpha"][:, t] = alpha_t
-            for p in live.tolist():
-                replay_out[trials[p]].append(channels[p][j])
             # groups of trials (block positions, devices) that transmit over
             # as many devices each
             if no_drops[j]:
@@ -454,7 +457,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
             device_ws=trial_ws[k],
             datasets=state.data.devices(state.devices(k)),
             memories=state.memories[state.devices(k)],
-            replay=replay_out[k],
+            replay=replay[k, :n_records].copy(),
             recon={key: vecs[k, :n_steps].copy() for key, vecs in zip(_RECON_KEYS, recon)},
             probe=state.probes[k],
             f_init=f_init[k],
@@ -467,56 +470,55 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
 
 
 def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds: np.ndarray,
-                noise_var: float, channel_replays: list | None):
+                noise_var: float, replay: np.ndarray, replaying: bool):
     """Every input of the consecutive ``rounds`` that does not depend on the
-    iterate, for each of the K ``trials``: the active sets (K, rounds, n_active), the local batch
-    indices (K, rounds, n_active, Q, 3, m_B), the ChannelRounds (K lists)
-    with their gains (K, rounds, n_active) and noise (K, rounds, M), and
-    the compression operators (``ch.compression_block``).  Each is what the
-    round's own substream draws: ACTIVE_SET, LOCAL_BATCH per active device,
-    CHANNEL (or the replay log's entry, which must draw the same active
-    set) and COMPRESSION.
+    iterate, for each of the K ``trials``: the active sets (K, rounds,
+    n_active), the local batch indices (K, rounds, n_active, Q, 3, m_B), the
+    compression operators (``ch.compression_block``) and the channel draws,
+    which go to the trials' cells of the run's ``replay`` table.
+    Each is what the round's own substream draws: ACTIVE_SET, LOCAL_BATCH
+    per active device, CHANNEL and COMPRESSION.  When ``replaying``, the
+    table holds the logged draws, whose active sets must be those drawn.
 
     One seeding pass gives the round streams of every trial and one the
     device streams.  Active sets, compression rows and batches are replayed
-    on their raw words; the channel is drawn by ``ch.sample_channel`` on the
-    run's generator, set to the CHANNEL stream's seeded state.  All Q steps
+    on their raw words; the channel is drawn by ``ch.sample_channel`` on one
+    generator, set to each CHANNEL stream's seeded state.  All Q steps
     are drawn up front; a substream serves one device in one round, so a
     device that stops early only leaves its later draws unused."""
     seeds = np.array([state.seeds[k] for k in trials.tolist()], dtype=object)
     n, n_trials = rounds.size, len(trials)
-    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([rng.CHANNEL] if channel_replays is None else [])
+    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([] if replaying else [rng.CHANNEL])
     # rows by tag, then trial, then round
     keys = np.column_stack([np.repeat(tags, n_trials * n), np.tile(rounds, len(tags) * n_trials)])
     key_seeds = np.tile(np.repeat(seeds, n), len(tags))
     states = rng.seeded_states(key_seeds, keys)
-    kn = n_trials * n
+    kn, shape = n_trials * n, (n_trials, n, cfg.n_active)
     # np.sort(gen.choice(n_pool, m, replace=False)) on each stream
     actives = np.sort(meta.stream_batches(key_seeds[:kn], keys[:kn], states[:kn],
                                           (np.arange(cfg.n_devices),), cfg.n_active,
-                                          1)[:, 0, 0], axis=1)
+                                          1)[:, 0, 0], axis=1).reshape(shape)
     comps = ch.compression_block(cfg.dim, np.sort(meta.stream_batches(
         key_seeds[kn:2 * kn], keys[kn:2 * kn], states[kn:2 * kn], (np.arange(cfg.dim),),
         cfg.channel_uses, 1)[:, 0, 0], axis=1).reshape(n_trials, n, -1))
-    if channel_replays is None:
-        literal = not meta.replicas_hold()
-        drawn = []
-        for seed, t, active, seeded in zip(key_seeds[:kn], np.tile(rounds, n_trials).tolist(),
-                                           actives, states[2 * kn:]):
+    block = np.ix_(trials, rounds)
+    if replaying:
+        bad = np.argwhere((replay["active"][block] != actives).any(axis=-1))
+        if bad.size:
+            raise ValueError(f"replay log active set mismatch at round {rounds[bad[0, 1]]}")
+    else:
+        replay["active"][block] = actives
+        literal, gen = not meta.replicas_hold(), np.random.Generator(np.random.PCG64(0))
+        gains, noise = replay["gains"], replay["noise"]
+        for k, t, seed, seeded in zip(np.repeat(trials, n).tolist(),
+                                      np.tile(rounds, n_trials).tolist(), key_seeds[:kn],
+                                      states[2 * kn:]):
             if literal:
                 gen = rng.substream(seed, rng.CHANNEL, t)
             else:
-                gen = state.channel_gen
                 gen.bit_generator.state = seeded
-            drawn.append(ch.sample_channel(active, cfg.fading, noise_var, cfg.channel_uses,
-                                           gen))
-        channels = [drawn[i * n:(i + 1) * n] for i in range(n_trials)]
-    else:
-        channels = [channel_replays[k][rounds[0]:rounds[0] + n] for k in trials.tolist()]
-        for t, entries, active in zip(np.tile(rounds, n_trials).tolist(),
-                                      (c for chans in channels for c in chans), actives):
-            if not np.array_equal(entries.active, active):
-                raise ValueError(f"replay log active set mismatch at round {t}")
+            gains[k, t], noise[k, t] = ch.sample_channel(cfg.n_active, cfg.fading, noise_var,
+                                                         cfg.channel_uses, gen)
     batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
                                   np.repeat(np.tile(rounds, n_trials), cfg.n_active),
                                   actives.reshape(-1)])
@@ -524,11 +526,7 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     batches = meta.stream_batches(batch_seeds, batch_keys,
                                   rng.seeded_states(batch_seeds, batch_keys), state.pools,
                                   cfg.batch_size, cfg.local_steps)
-    shape = (n_trials, n, cfg.n_active)
-    gains = np.array([[c.gains for c in chans] for chans in channels])
-    noise = np.array([[c.noise for c in chans] for chans in channels])
-    return (actives.reshape(shape), batches.reshape(shape + batches.shape[1:]), channels,
-            gains, noise, comps)
+    return actives, batches.reshape(shape + batches.shape[1:]), comps
 
 
 def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, active: np.ndarray,
@@ -633,7 +631,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     return theta_next, sent, fields, vectors
 
 
-def replay_experiment(cfg: ExperimentConfig, replay: list) -> Trajectory:
+def replay_experiment(cfg: ExperimentConfig, replay: np.ndarray) -> Trajectory:
     """Re-run using the recorded channel draws; must match bit for bit."""
     return run_experiment(cfg, channel_replay=replay)
 

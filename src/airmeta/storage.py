@@ -17,7 +17,7 @@ import numpy as np
 import scipy
 
 from .bounds import BoundReport
-from .channel import ChannelRound
+from .channel import replay_dtype
 from .protocol import ExperimentConfig, Trajectory
 
 SCHEMA_VERSION = 1
@@ -142,45 +142,45 @@ def write_replay_csv(traj: Trajectory, path) -> None:
     m = traj.config.channel_uses
     noise_cols = [f"noise_re_{j}" for j in range(m)] + [f"noise_im_{j}" for j in range(m)]
     no_noise = "," * 2 * m + _EOL
+    gains, noise = traj.replay["gains"], traj.replay["noise"]
+    columns = zip(traj.replay["active"].tolist(), gains.real.tolist(), gains.imag.tolist(),
+                  np.concatenate([noise.real, noise.imag], axis=-1).tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["round", "device_id", "re_h", "im_h"] + noise_cols) + _EOL)
-        for t, drawn in enumerate(traj.replay):
-            fh.writelines(f"{t},{dev},{re:.17g},{im:.17g}{no_noise}" for dev, re, im in zip(
-                drawn.active.tolist(), drawn.gains.real.tolist(), drawn.gains.imag.tolist()))
-            noise = drawn.noise.real.tolist() + drawn.noise.imag.tolist()
-            fh.write(f"{t},-1,,," + ",".join(f"{v:.17g}" for v in noise) + _EOL)
+        for t, (devs, res, ims, z) in enumerate(columns):
+            fh.writelines(f"{t},{dev},{re:.17g},{im:.17g}{no_noise}"
+                          for dev, re, im in zip(devs, res, ims))
+            fh.write(f"{t},-1,,," + ",".join(f"{v:.17g}" for v in z) + _EOL)
 
 
-def read_replay_csv(path) -> list[ChannelRound]:
-    """Inverse of write_replay_csv: the ChannelRound of each round.  The log
-    must number its rounds 0..T-1 and give each exactly one noise row of M
-    values; a ValueError names the first round that does not."""
-    active, gains, noise = defaultdict(list), defaultdict(list), defaultdict(list)
+def read_replay_csv(path) -> np.ndarray:
+    """Inverse of write_replay_csv: the log, one ``channel.replay_dtype`` row
+    per round.  The log must number its rounds 0..T-1 and give each exactly
+    one noise row of M values and as many device rows as round 0, every cell
+    a number; a ValueError names the first round that does not.  A log
+    without rounds reads as an empty one without devices."""
+    rounds = defaultdict(lambda: ([], []))  # round -> (device rows, noise rows)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        m = sum(1 for name in header if name.startswith("noise_re_"))
-        for row in reader:
-            t, dev = int(row[0]), int(row[1])
-            if dev >= 0:
-                active[t].append(dev)
-                gains[t].append(complex(float(row[2]), float(row[3])))
-            else:
-                noise[t].append(row[4:])
-    rounds = active.keys() | noise.keys()
+        m = sum(1 for name in next(reader) if name.startswith("noise_re_"))
+        for row in reader:  # device_id -1 marks the noise row
+            rounds[int(row[0])][row[1] == "-1"].append(row)
     n_rounds = max(rounds, default=-1) + 1
-    for t in sorted(rounds | set(range(n_rounds))):
-        cells = noise.get(t, [])
-        if t < 0 or len(cells) != 1 or len(cells[0]) != 2 * m or "" in cells[0]:
-            raise ValueError(f"replay log {path}: round {t} needs exactly one noise row "
-                             f"(device_id -1) of {m} values")
-    out = []
-    for t in range(n_rounds):
-        vals = [float(v) for v in noise[t][0]]
-        out.append(ChannelRound(
-            active=np.array(active[t], dtype=int), gains=np.array(gains[t], dtype=complex),
-            noise=np.array([complex(re, im) for re, im in zip(vals[:m], vals[m:])])))
-    return out
+    rn = len(rounds[0][0]) if n_rounds else 0
+    log = np.empty(n_rounds, dtype=replay_dtype(rn, m))
+    for t in sorted(rounds.keys() | set(range(n_rounds))):
+        devices, noise = rounds[t]
+        try:
+            if t < 0 or len(devices) != rn or len(noise) != 1 or len(noise[0]) != 4 + 2 * m:
+                raise ValueError
+            z = [float(v) for v in noise[0][4:]]
+            log[t] = ([int(row[1]) for row in devices],
+                      [complex(float(row[2]), float(row[3])) for row in devices],
+                      [complex(re, im) for re, im in zip(z[:m], z[m:])])
+        except (ValueError, IndexError):
+            raise ValueError(f"replay log {path}: round {t} needs exactly one noise row (device_id"
+                             f" -1) of {m} values and {rn} device rows, all numbers") from None
+    return log
 
 
 def write_datasets_csv(data, path) -> None:

@@ -87,10 +87,9 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     samples = np.empty((n_draws, d))
     theta = np.zeros(d)
     for it in range(n_draws):
-        ch_round = channel.sample_channel(np.arange(n_active), "rayleigh", noise_var, d, gen)
-        signals = channel.compress(comp[0][0], sparsify.phase_precompensate(
-            gs, rho, eta, ch_round.gains))
-        y = channel.transmit_mac(signals, ch_round.gains, ch_round.noise)
+        gains, noise = channel.sample_channel(n_active, "rayleigh", noise_var, d, gen)
+        signals = channel.compress(comp[0][0], sparsify.phase_precompensate(gs, rho, eta, gains))
+        y = channel.transmit_mac(signals, gains, noise)
         est = channel.estimate_stack(y[None], *comp, [0.0], noise_var, "matched")
         theta_next = channel.global_update(theta, est, eta, rho, mu, n_active)[0]
         samples[it] = theta - theta_next  # effective update

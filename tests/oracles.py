@@ -126,9 +126,9 @@ def write_replay_csv(traj, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["round", "device_id", "re_h", "im_h"] + noise_cols)
         for t, drawn in enumerate(traj.replay):
-            for dev, h in zip(drawn.active, drawn.gains):
+            for dev, h in zip(drawn["active"], drawn["gains"]):
                 writer.writerow([t, int(dev), storage._fmt(h.real), storage._fmt(h.imag)]
                                 + [""] * 2 * m)
-            noise = [storage._fmt(v) for v in drawn.noise.real] + \
-                [storage._fmt(v) for v in drawn.noise.imag]
+            noise = [storage._fmt(v) for v in drawn["noise"].real] + \
+                [storage._fmt(v) for v in drawn["noise"].imag]
             writer.writerow([t, -1, "", ""] + noise)

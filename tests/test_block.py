@@ -28,20 +28,15 @@ def config(**overrides):
 
 def with_zero_gains(cfg, rounds):
     """The run's own replay log, with the first gain of ``rounds`` set to 0."""
-    log = list(run_experiment(cfg).replay)
-    for t in rounds:
-        gains = log[t].gains.copy()
-        gains[0] = 0.0
-        log[t] = dataclasses.replace(log[t], gains=gains)
+    log = run_experiment(cfg).replay
+    log["gains"][rounds, 0] = 0.0
     return log
 
 
 def run_fields(traj):
     """Every number a run produces, as bytes."""
-    replay = [np.concatenate([d.active, d.gains.view(float), d.noise.view(float)])
-              for d in traj.replay]
     return (traj.thetas.tobytes(), traj.records.tobytes(), traj.memories.tobytes(),
-            sorted(traj.probe.items()), [r.tobytes() for r in replay], traj.aborted_at)
+            sorted(traj.probe.items()), traj.replay.tobytes(), traj.aborted_at)
 
 
 CASES = {
@@ -69,13 +64,18 @@ def test_block_size_moves_nothing(case, block, monkeypatch):
 
 
 def test_run_fields_see_every_record_field():
-    """A change to any one field of one round's record changes run_fields."""
+    """A change to any one field of one round's record, or to one entry of
+    one round's channel draws, changes run_fields."""
     traj = CASES["constant"]()
     for field in protocol.ROUND_DTYPE.names:
         records = traj.records.copy()
         column = records[field]
         column[5] = ~column[5] if column.dtype == bool else column[5] + 1
         assert run_fields(dataclasses.replace(traj, records=records)) != run_fields(traj), field
+    for field in traj.replay.dtype.names:
+        replay = traj.replay.copy()
+        replay[field][5, 1] += 1
+        assert run_fields(dataclasses.replace(traj, replay=replay)) != run_fields(traj), field
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -89,7 +89,7 @@ def test_records_equal_their_per_round_values(case):
             theta = traj.thetas[t]
             g = tasks.mean_meta_grad(theta, traj.device_ws, curvature)
             assert rec["grad_norm_sq"] == float(g @ g)
-            gains = traj.replay[t].gains
+            gains = traj.replay["gains"][t]
             if np.isnan(rec["rho"]):  # the round aborted before its update
                 assert np.isnan(rec["train_loss"]) and np.isnan(rec["sum_abs_h_sq"])
                 continue

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import storage
-from airmeta.channel import ChannelRound
+from airmeta.channel import replay_dtype
 from airmeta.protocol import ExperimentConfig, run_experiment
 
 import oracles
@@ -52,16 +52,26 @@ def test_rows_of_any_cells(rows, tmp_path_factory):
                       ["c0", "c,1", "c2"], rows)
 
 
+@st.composite
+def replay_logs(draw):
+    """A log of 1-4 rounds with one device count for every round, each gain
+    and noise part a special value."""
+    n_active = draw(st.integers(0, 4))
+    rounds = draw(st.lists(st.tuples(st.lists(st.tuples(PARTS, PARTS), min_size=n_active,
+                                              max_size=n_active),
+                                     st.tuples(PARTS, PARTS)),
+                           min_size=1, max_size=4))
+    log = np.zeros(len(rounds), dtype=replay_dtype(n_active, 1))
+    log["active"] = np.arange(n_active) * 2
+    log["gains"] = [[complex(*g) for g in gains] for gains, _ in rounds]
+    log["noise"] = [[complex(*noise)] for _, noise in rounds]
+    return log
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(rounds=st.lists(st.tuples(st.lists(st.tuples(PARTS, PARTS), max_size=4),
-                                 st.tuples(PARTS, PARTS)),
-                       min_size=1, max_size=4))
-def test_replay_log_of_special_values(rounds, tmp_path_factory):
+@given(replay=replay_logs())
+def test_replay_log_of_special_values(replay, tmp_path_factory):
     """Gains and noise that are nan, +-inf, -0.0, subnormal or huge."""
     tmp_path = tmp_path_factory.mktemp("replay")
-    replay = [ChannelRound(active=np.arange(len(gains)) * 2,
-                           gains=np.array([complex(*g) for g in gains], dtype=complex),
-                           noise=np.array([complex(*noise)]))
-              for gains, noise in rounds]
     traj = SimpleNamespace(config=SimpleNamespace(channel_uses=1), replay=replay)
     assert same_bytes(tmp_path, storage.write_replay_csv, oracles.write_replay_csv, traj)

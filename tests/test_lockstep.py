@@ -30,22 +30,27 @@ def config(**overrides):
 
 def trial_fields(traj):
     """Every number of one run that its row of a stack must reproduce."""
-    replay = [(d.active.tobytes(), d.gains.tobytes(), d.noise.tobytes()) for d in traj.replay]
     recon = {key: vecs.tobytes() for key, vecs in traj.recon.items()}
-    return (traj.thetas.tobytes(), traj.records.tobytes(), replay, recon,
+    return (traj.thetas.tobytes(), traj.records.tobytes(), traj.replay.tobytes(), recon,
             repr(sorted(traj.probe.items())), traj.memories.tobytes(), traj.aborted_at,
             repr((traj.f_init, traj.f_star)), traj.device_ws.tobytes(),
             traj.datasets.x.tobytes(), traj.datasets.y.tobytes())
 
 
 def test_trial_fields_see_every_record_field():
-    """A change to any one field of one round's record changes trial_fields."""
+    """A change to any one field of one round's record, or to one entry of
+    one round's channel draws, changes trial_fields."""
     traj = run_experiment(config(rounds=10))
     for field in protocol.ROUND_DTYPE.names:
         records = traj.records.copy()
         column = records[field]
         column[5] = ~column[5] if column.dtype == bool else column[5] + 1
         assert trial_fields(dataclasses.replace(traj, records=records)) != trial_fields(traj), \
+            field
+    for field in traj.replay.dtype.names:
+        replay = traj.replay.copy()
+        replay[field][5, 1] += 1
+        assert trial_fields(dataclasses.replace(traj, replay=replay)) != trial_fields(traj), \
             field
 
 
@@ -79,11 +84,9 @@ def test_trials_abort_at_their_own_rounds(block, monkeypatch):
 def with_zero_gains(cfg, zeros):
     """The run's own replay log with gain i of round t set to 0 for each
     (t, i) of ``zeros``."""
-    log = list(run_experiment(cfg).replay)
+    log = run_experiment(cfg).replay
     for t, i in zeros:
-        gains = log[t].gains.copy()
-        gains[i] = 0.0
-        log[t] = dataclasses.replace(log[t], gains=gains)
+        log["gains"][t, i] = 0.0
     return log
 
 

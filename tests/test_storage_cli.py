@@ -69,19 +69,38 @@ class TestStorage:
             assert [line.split(",")[col] for line in lines[1:]] == [want] * 3
 
     def test_replay_round_trip_reproduces_run(self, tmp_path):
-        cfg = run_config()
-        traj = run_experiment(cfg)
-        write_replay_csv(traj, tmp_path / "r.csv")
+        """The log of a complete, an aborted and a zero-round run reads back
+        with the bytes of the log in memory and replays the run."""
+        for cfg in (run_config(), run_config(eta=30.0, theta_init=1e100), run_config(rounds=0)):
+            with np.errstate(all="ignore"):
+                traj = run_experiment(cfg)
+            write_replay_csv(traj, tmp_path / "r.csv")
+            replay = read_replay_csv(tmp_path / "r.csv")
+            assert replay.tobytes() == traj.replay.tobytes() and len(replay) == len(traj.replay)
+            with np.errstate(all="ignore"):
+                again = replay_experiment(cfg.replace(rounds=len(replay)), replay)
+            assert again.thetas.tobytes() == traj.thetas.tobytes()
+            assert again.records.tobytes() == traj.records.tobytes()
+            assert again.aborted_at == traj.aborted_at
+
+    def test_header_only_replay_log_is_empty(self, tmp_path):
+        """A log without rounds reads back empty and replays a zero-round run."""
+        cfg = run_config(rounds=0)
+        write_replay_csv(run_experiment(cfg), tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text().count("\n") == 1
         replay = read_replay_csv(tmp_path / "r.csv")
-        again = replay_experiment(cfg, replay)
-        assert np.array_equal(traj.thetas, again.thetas)
+        assert replay.shape == (0,)
+        traj = replay_experiment(cfg, replay)
+        assert len(traj.records) == 0 and traj.thetas.shape == (1, cfg.dim)
 
     @pytest.mark.parametrize("edit", ["drop_noise_row", "double_noise_row", "drop_round",
-                                      "short_noise_row"])
+                                      "short_noise_row", "ragged_round", "bad_gain",
+                                      "bad_device_id"])
     def test_malformed_replay_log_names_the_round(self, tmp_path, edit):
         """With full participation a shifted log would still pass the
         active-set check, so the reader itself rejects a round without
-        exactly one whole noise row, and a gap in the round numbers."""
+        exactly one whole noise row, a gap in the round numbers, a round
+        with a device row fewer than round 0 and a cell that is no number."""
         cfg = run_config(n_devices=3, active_fraction=1.0, rounds=6)
         write_replay_csv(run_experiment(cfg), tmp_path / "r.csv")
         header, *rows = (tmp_path / "r.csv").read_text().splitlines()
@@ -92,6 +111,13 @@ class TestStorage:
             rows.insert(rows.index(noise_row), noise_row)
         elif edit == "drop_round":
             rows = [r for r in rows if not r.startswith("2,")]
+        elif edit == "ragged_round":
+            rows.remove(next(r for r in rows if r.startswith("2,1,")))
+        elif edit in ("bad_gain", "bad_device_id"):  # an empty cell
+            device_row = next(r for r in rows if r.startswith("2,1,"))
+            cells = device_row.split(",")
+            col = 2 if edit == "bad_gain" else 1
+            rows[rows.index(device_row)] = ",".join(cells[:col] + [""] + cells[col + 1:])
         else:
             rows[rows.index(noise_row)] = noise_row.rsplit(",", 1)[0]
         (tmp_path / "r.csv").write_text("\n".join([header] + rows) + "\n")
@@ -552,6 +578,22 @@ class TestCli:
                      "--out-dir", str(tmp_path / "big")]) == 0
         err = capsys.readouterr().err
         assert err.count("constants and bounds are not evaluated for this run") == 2
+
+    def test_sweep_config_warnings_print_once(self, tmp_path, capsys):
+        """A sweep prints each distinct config warning once, with the axis
+        values it applies to; a sweep without warnings prints none."""
+        base = run_config(rounds=3, eta=0.5)
+        for eta, want in ((0.5, 1), (0.001, 0)):
+            spec = {"axis": "snr_db", "values": [0.0, 10.0], "seeds": 1,
+                    "base": base.replace(eta=eta).to_dict()}
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            assert main(["sweep", "--spec", str(tmp_path / "spec.json"),
+                         "--out-dir", str(tmp_path / f"sweep_{eta}")]) == 0
+            err = capsys.readouterr().err
+            assert err.count("constant-rate validity condition") == want
+            assert err.count("(snr_db = 0, 10)") == want
+            if not want:
+                assert err == ""
 
     def test_dump_datasets_flag(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
