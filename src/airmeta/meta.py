@@ -146,30 +146,38 @@ def _replay_choice(words: np.ndarray, pools, m: int, steps: int):
     low half first: the value is (u (b+1)) >> 32, unless the low 32 bits of
     u (b+1) fall below 2**32 mod (b+1), where numpy rejects u and draws again.
     """
+    n_keys = words.shape[0]
     offsets = np.array([pool[0] for pool in pools], dtype=np.int64)
     bounds = _draw_bounds(pools, m, steps)
-    floyd = bounds[0, :, :m]
+    floyd = bounds[0, :, :m, None]
     drawn = bounds > 0
-    span = bounds[drawn].astype(np.uint64) + np.uint64(1)
-    u = np.stack([words & np.uint64(_MASK32), words >> np.uint64(32)],
-                 axis=-1).reshape(words.shape[0], -1)[:, :span.size]
+    span = bounds[drawn].astype(np.uint64)[:, None] + np.uint64(1)
+    # the uint32 draws lead and the keys trail: (draws, K); a little-endian
+    # word is its low half first
+    u = np.ascontiguousarray(words.astype("<u8", copy=False).view("<u4")[:, :span.size].T)
     scaled = u * span
-    rejected = np.any((scaled & np.uint64(_MASK32)) < (np.uint64(1 << 32) % span), axis=1)
-    vals = np.zeros((words.shape[0],) + bounds.shape, dtype=np.int64)
-    vals[:, drawn] = (scaled >> np.uint64(32)).astype(np.int64)
-    idx = np.empty(vals.shape[:-1] + (m,), dtype=np.int64)
+    rejected = np.any((scaled & np.uint64(_MASK32)) < (np.uint64(1 << 32) % span), axis=0)
+    # the values by draw slot, then step, pool and key: (2m - 1, steps, pools, K)
+    shape = (2 * m - 1, steps, len(pools))
+    slots = np.arange(drawn.size).reshape(shape).transpose(1, 2, 0)[drawn]
+    vals = np.zeros((drawn.size, n_keys), dtype=np.int64)
+    vals[slots] = scaled >> np.uint64(32)
+    vals = vals.reshape(shape + (n_keys,))
+    idx = np.empty((m,) + vals.shape[1:], dtype=np.int64)
     for s in range(m):
-        seen = np.any(idx[..., :s] == vals[..., s, None], axis=-1)
-        idx[..., s] = np.where(seen, floyd[:, s], vals[..., s])
-    # the shuffle, on one row per (key, step, pool)
-    batches = idx.reshape(-1, m)
-    rows = np.arange(batches.shape[0])
+        seen = np.any(idx[:s] == vals[s], axis=0)
+        idx[s] = np.where(seen, floyd[:, s], vals[s])
+    # the shuffle, on one column per (step, pool, key) of the (m, R) batches
+    batches = idx.reshape(m, -1)
+    flat, cols = batches.reshape(-1), np.arange(batches.shape[1])
     for s, i in enumerate(range(m - 1, 0, -1)):
-        j = vals[..., m + s].reshape(-1)
-        swap = batches[rows, j]
-        batches[rows, j] = batches[:, i]
-        batches[:, i] = swap
-    return batches.reshape(idx.shape) + offsets[:, None], rejected
+        at = vals[m + s].reshape(-1) * batches.shape[1] + cols
+        swap = flat[at]
+        flat[at] = batches[i]
+        batches[i] = swap
+    out = np.empty((n_keys, steps, len(pools), m), dtype=np.int64)
+    np.add(idx.swapaxes(0, 3), offsets[:, None], out=out)
+    return out, rejected
 
 
 def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
@@ -186,23 +194,12 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray, alpha
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_finite(thetas)
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if idx.shape[-1] < 1:
-        raise ValueError("batches must hold at least one point")
+    _check_step(alpha, idx)
     if devices is None:
         devices = np.arange(data.x.shape[0])
     if not thetas.shape[0] == len(devices) == idx.shape[0]:
         raise ValueError("one theta, one device dataset and one batch triple per row required")
-    rows = np.asarray(devices)[:, None]
-
-    def batch(k):
-        return data.x[rows, idx[:, k]], data.y[rows, idx[:, k]]
-
-    phi = thetas - alpha * tasks.batch_grad(thetas, *batch(0))
-    g_outer = tasks.batch_grad(phi, *batch(1))
-    h_hat = tasks.batch_hessian(thetas, *batch(2))
-    return g_outer - alpha * (h_hat @ g_outer[..., None])[..., 0]
+    return _meta_grad(thetas, *_gather(data, idx, np.asarray(devices)), alpha)
 
 
 def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
@@ -219,6 +216,9 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha:
     A device whose iterate leaves the finite range stops there, so it
     reports a non-finite delta; its iterates from that step on are NaN.
     Raises ValueError for a negative ``alpha``, no step or empty batches.
+
+    Every step's batches are gathered at once; each step is the arithmetic
+    of ``meta_grad_estimate`` on its rows of them.
     """
     theta_start = np.asarray(theta_start, dtype=float)
     _check_finite(theta_start)
@@ -226,18 +226,46 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha:
     n, steps = len(devices), idx.shape[0]
     if idx.ndim != 4 or steps < 1 or idx.shape[1] != n:
         raise ValueError("batch indices must be (local_steps >= 1, n_devices, 3, batch_size)")
+    _check_step(alpha, idx)
+    x, y = _gather(data, idx, devices)
     theta = np.empty((n, theta_start.shape[-1]))
     theta[:] = theta_start
     iterates = np.full((steps, n, theta_start.shape[-1]), np.nan)
-    rows = np.arange(n)  # rows still running; devices follows it
+    rows = np.arange(n)  # rows still running
     for step in range(steps):
         if step:
             ok = np.isfinite(theta[rows]).all(axis=1)
             if not ok.all():
-                rows, devices = rows[ok], devices[ok]
+                rows = rows[ok]
         if not rows.size:
             break
-        iterates[step, rows] = theta[rows]
-        theta[rows] = theta[rows] - eta * meta_grad_estimate(theta[rows], data, idx[step, rows],
-                                                             alpha, devices)
+        # all rows run until one stops, and a slice of them is a view
+        live = slice(None) if rows.size == n else rows
+        iterates[step, live] = theta[live]
+        theta[live] = theta[live] - eta * _meta_grad(theta[live], x[step, live], y[step, live],
+                                                     alpha)
     return theta_start - theta, iterates
+
+
+def _check_step(alpha: float, idx: np.ndarray):
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    if idx.shape[-1] < 1:
+        raise ValueError("batches must hold at least one point")
+
+
+def _gather(data: Dataset, idx: np.ndarray, devices: np.ndarray):
+    """The points (..., n, 3, m_B, d) and labels (..., n, 3, m_B) of the
+    batch indices ``idx`` (..., n, 3, m_B), row i on device ``devices[i]``."""
+    rows = devices[:, None, None]
+    return data.x[rows, idx], data.y[rows, idx]
+
+
+def _meta_grad(thetas: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """The meta-gradient estimate of each row of ``thetas`` (n, d) on its
+    gathered adaptation, outer-gradient and Hessian batches ``x[:, k]``,
+    ``y[:, k]`` (``_gather``)."""
+    phi = thetas - alpha * tasks.batch_grad(thetas, x[:, 0], y[:, 0])
+    g_outer = tasks.batch_grad(phi, x[:, 1], y[:, 1])
+    h_hat = tasks.batch_hessian(thetas, x[:, 2], y[:, 2])
+    return g_outer - alpha * (h_hat @ g_outer[..., None])[..., 0]

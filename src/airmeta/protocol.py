@@ -264,7 +264,8 @@ class Trajectory:
 class _State:
     """Per-device data of a stack of K trials, stacked along one device
     axis once, trial by trial (device i of trial k is row k * n + i), plus
-    each trial's evolving iterate, memories and moment probe."""
+    each trial's evolving iterate, memories and moment probe, and the
+    uplink's power policy and fading moments (E|h|, E|h|^2)."""
 
     def __init__(self, configs: list):
         cfg = configs[0]
@@ -288,6 +289,9 @@ class _State:
         self.memories = np.zeros((len(configs) * self.n, cfg.dim))
         self.probes = [{"g_sq": 0.0, "sigma_g_sq": 0.0} for _ in configs]
         self.moment_forms = tasks.grad_moment_forms(self.env)
+        self.policy = sparsify.PowerPolicy(power=cfg.power_per_use,
+                                           channel_uses=cfg.channel_uses, rho_max=cfg.rho_max)
+        self.fading = ch.fading_moments(cfg.fading)
 
     def devices(self, k: int) -> slice:
         """The rows of trial k's devices."""
@@ -575,14 +579,12 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     the new error-feedback memories of the trials that sent.
     """
     g = len(ks)
-    mu_abs, abs_power = ch.fading_moments(cfg.fading)
-    policy = sparsify.PowerPolicy(
-        power=cfg.power_per_use, channel_uses=cfg.channel_uses, rho_max=cfg.rho_max,
-    )
+    mu_abs, abs_power = state.fading
     finite = np.isfinite(deltas).all(axis=(1, 2))
     updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas, cfg.sparsify_k)
     rho = sparsify.power_scale(
-        updates if finite.all() else np.where(finite[:, None, None], updates, 0.0), eta_t, policy)
+        updates if finite.all() else np.where(finite[:, None, None], updates, 0.0), eta_t,
+        state.policy)
     sent = finite & np.isfinite(rho) & (rho > 0)
     if not sent.any():
         return np.full((g, cfg.dim), np.nan), sent, {}, np.empty((len(_RECON_KEYS), 0, cfg.dim))

@@ -29,7 +29,6 @@ TRIAL = 9
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # SeedSequence hash constants and its pool size
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -50,34 +49,65 @@ def seeded_states(master_seed, keys) -> list[dict]:
     that ``bit_generator.state`` takes.  ``master_seed`` is one seed for
     every row or a sequence of K seeds, one per row."""
     keys = np.asarray(keys)
-    values = np.empty((keys.shape[0], 1 + keys.shape[1]), dtype=np.uint64)
-    values[:, 0] = [int(s) & _MASK64 for s in row_seeds(master_seed, keys.shape[0])]
+    n_rows = keys.shape[0]
+    values = np.empty((n_rows, 1 + keys.shape[1]), dtype=np.uint64)
+    values[:, 0] = row_seeds(master_seed, n_rows) & _MASK64
     # int64 -> uint64 keeps the bits, which is the 64-bit mask of substream
     values[:, 1:] = keys.astype(np.int64).view(np.uint64) if keys.dtype.kind == "i" else keys
-    states = [None] * keys.shape[0]
     # a value is one entropy word below 2**32 and two (low, high) from there
-    # on; rows with the same layout of words are mixed together
+    # on; rows with the same layout of words, coded as the bits of an
+    # integer, are mixed together
     wide = values > np.uint64(_MASK32)
-    layouts, group = np.unique(wide, axis=0, return_inverse=True)
-    for g, layout in enumerate(layouts):
-        rows = np.flatnonzero(group.reshape(-1) == g)
+    codes = wide @ (1 << np.arange(values.shape[1], dtype=object))
+    # SeedSequence.generate_state(4, np.uint64) of each row, as 8 uint32
+    # words, low word first
+    seeded = np.empty((2 * _POOL_SIZE, n_rows), dtype=np.uint64)
+    for code in set(codes.tolist()):
+        rows = np.flatnonzero(codes == code)
         words = []
-        for col, two in zip(values[rows].T, layout):
+        for col, two in zip(values[rows].T, wide[rows[0]].tolist()):
             words.append((col & np.uint64(_MASK32)).astype(np.uint32))
             if two:
                 words.append((col >> np.uint64(32)).astype(np.uint32))
         pool = _mix_entropy(words, rows.size)
-        # SeedSequence.generate_state(4, np.uint64), as 8 uint32 words, low word first
         consts = _hash_consts(_INIT_B, _MULT_B)
-        state = [_hashmix(pool[i % _POOL_SIZE], consts) for i in range(2 * _POOL_SIZE)]
-        for row, s in zip(rows.tolist(), zip(*(w.tolist() for w in state))):
-            # PCG64 seeding: state 0, one LCG step, add the seed, one more step
-            init = (s[0] | s[1] << 32) << 64 | s[2] | s[3] << 32
-            inc = (((s[4] | s[5] << 32) << 64 | s[6] | s[7] << 32) << 1 | 1) & _MASK128
-            states[row] = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                           "state": {"state": ((inc + init) * _PCG64_MULT + inc) & _MASK128,
-                                     "inc": inc}}
-    return states
+        for i in range(2 * _POOL_SIZE):
+            seeded[i, rows] = _hashmix(pool[i % _POOL_SIZE], consts)
+    # PCG64 seeding on (high, low) 64-bit halves: state 0, one LCG step, add
+    # the seed, one more step, which is ((inc + init) MULT + inc) mod 2**128;
+    # inc is the second half of the seed shifted up one bit, low bit set
+    init_hi, init_lo, seq_hi, seq_lo = seeded[1::2] << np.uint64(32) | seeded[::2]
+    inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
+    inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
+    hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
+    hi, lo = _add128(*_mul128(hi, lo, _PCG64_MULT), inc_hi, inc_lo)
+    return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+             "state": {"state": state, "inc": inc}}
+            for state, inc in zip(_join128(hi, lo), _join128(inc_hi, inc_lo))]
+
+
+def _join128(hi, lo) -> list:
+    """The Python ints of the arrays of (high, low) uint64 halves."""
+    return (hi.astype(object) << 64 | lo.astype(object)).tolist()
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2**128 on arrays of (high, low) uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(hi, lo, const: int):
+    """(x const) mod 2**128 on arrays of the (high, low) uint64 halves of x.
+    The high half of the product of lo and the low half of const is taken
+    from 32-bit halves."""
+    c_hi, c_lo = np.uint64(const >> 64), np.uint64(const & _MASK64)
+    mask, shift = np.uint64(_MASK32), np.uint64(32)
+    l0, l1, c0, c1 = lo & mask, lo >> shift, c_lo & mask, c_lo >> shift
+    cross0, cross1 = l0 * c1, l1 * c0
+    mid = (l0 * c0 >> shift) + (cross0 & mask) + (cross1 & mask)
+    mulhi = l1 * c1 + (cross0 >> shift) + (cross1 >> shift) + (mid >> shift)
+    return mulhi + lo * c_hi + hi * c_lo, lo * c_lo
 
 
 def row_seeds(master_seed, n: int) -> np.ndarray:

@@ -62,10 +62,22 @@ class TestSubstreamWords:
                                min_size=1, max_size=6)),
            st.integers(0, 9))
     @example(0, [[rng.LOCAL_BATCH, 0, 0]], 0)
+    # mixed entropy layouts in one call, with a seed per row: seeds below 2**32
+    # beside seeds at or above it, a negative key column, and a key column at
+    # or above 2**32 in some rows only
+    @example([2**32 - 1, 2**32, 7, -1, 0],
+             [[rng.LOCAL_BATCH, 0, -3], [rng.LOCAL_BATCH, 2**32, 5], [rng.CHANNEL, 1, 2**40],
+              [rng.LOCAL_BATCH, 3, 0], [rng.LOCAL_BATCH, 2**32 - 1, -2**63]], 3)
+    # one layout in rows 0, 2 and 4, which other layouts separate
+    @example([5, 2**40, 5, -2**63, 5], [[1, 2], [1, 2], [1, 2], [2**33, 2], [1, 2]], 2)
+    @example([2**32, 0], [[-1], [2**32]], 1)
     def test_matches_substream_raw_words(self, master_seed, keys, n_words):
+        """``master_seed`` is one seed or a list of one per key row."""
         keys = np.array(keys, dtype=np.int64)
-        want = np.array([rng.substream(master_seed, *key).bit_generator.random_raw(n_words)
-                         for key in keys.tolist()], dtype=np.uint64).reshape(len(keys), n_words)
+        seeds = master_seed if isinstance(master_seed, list) else [master_seed] * len(keys)
+        want = np.array([rng.substream(seed, *key).bit_generator.random_raw(n_words)
+                         for seed, key in zip(seeds, keys.tolist())],
+                        dtype=np.uint64).reshape(len(keys), n_words)
         got = rng.state_words(rng.seeded_states(master_seed, keys), n_words)
         assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
 
@@ -100,6 +112,34 @@ class TestStreamBatches:
         assert rejected.tolist() == [True]
         assert replayed.tobytes() != want.tobytes()
         assert stream_batches(0, keys, pools, 16, 5).tobytes() == want.tobytes()
+
+    def test_rejections_in_a_block_of_the_sweep_shape(self):
+        """The sweep's batch shape (5 steps, pools 75/37/38, m_B = 16) over a
+        block of 60 keys that holds the rejection key (LOCAL_BATCH, 65021, 6):
+        the replay voids exactly the rows whose numpy draw took more uint32s
+        than the replay has slots, and gives numpy's indices on every other."""
+        pools, m, steps = contiguous_pools([75, 37, 38]), 16, 5
+        keys = np.array([[rng.LOCAL_BATCH, t, i] for t in range(65016, 65026)
+                         for i in range(3, 9)])
+        n_draws = int(np.sum(meta._draw_bounds(pools, m, steps) > 0))
+        want, took_more = [], []
+        for key in keys.tolist():
+            gen = rng.substream(0, *key)
+            want.append(meta.draw_batches(gen, pools, m, steps))
+            # a draw without rejection takes n_draws uint32s: the low, then the
+            # high half of each raw word
+            ref = rng.substream(0, *key).bit_generator
+            ref.random_raw((n_draws + 1) // 2)
+            state = gen.bit_generator.state
+            took_more.append((state["state"], state["has_uint32"])
+                             != (ref.state["state"], n_draws % 2))
+        want = np.stack(want)
+        replayed, rejected = replay(0, keys, pools, m, steps)
+        assert rejected.tolist() == took_more
+        assert rejected[keys.tolist().index([rng.LOCAL_BATCH, 65021, 6])]
+        assert 0 < rejected.sum() < len(keys) // 2
+        assert replayed[~rejected].tobytes() == want[~rejected].tobytes()
+        assert stream_batches(0, keys, pools, m, steps).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [200, 201])
     def test_large_pool_at_the_tail_shuffle_switch(self, m):

@@ -126,6 +126,34 @@ class TestStackedRowsEqualOneRowCalls:
             if not started.all():
                 assert not np.all(np.isfinite(deltas[i]))
 
+    def test_local_rounds_after_a_row_stops(self):
+        """Row 1 of 4 starts far enough out to leave the finite range at step
+        2 of 5: the rows that run on read their own batches of the ones
+        gathered up front, and equal a chain of one-row meta_grad_estimate
+        steps bit for bit."""
+        datasets, alpha, steps, batch, eta, theta, seed = device_stack(
+            4, 4, 3, 4, 8, 5, 0.1, 5, 100.0, 1.0, 11)
+        data = tasks.stack_datasets(datasets)
+        idx = batches(seed, len(datasets), meta.batch_pools(data, batch), batch, steps)
+        starts = np.tile(theta, (len(datasets), 1))
+        starts[1] *= 1e305
+        with np.errstate(all="ignore"):
+            deltas, iterates = meta.local_rounds(starts, data, idx, alpha, eta)
+        assert np.isnan(iterates[:, :, 0]).T.tolist() == [[False] * 5,
+                                                          [False, False] + [True] * 3,
+                                                          [False] * 5, [False] * 5]
+        for i, start in enumerate(starts):
+            point, chain = start, np.full((steps, len(theta)), np.nan)
+            for q in range(steps):
+                if not np.isfinite(point).all():
+                    break
+                chain[q] = point
+                with np.errstate(all="ignore"):
+                    point = point - eta * meta.meta_grad_estimate(point[None], data, idx[q, [i]],
+                                                                  alpha, devices=[i])[0]
+            assert deltas[i].tobytes() == (start - point).tobytes()
+            assert iterates[:, i].tobytes() == chain.tobytes()
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(update_stacks())
     def test_memory_fold_and_top_k(self, case):
