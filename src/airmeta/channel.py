@@ -69,8 +69,9 @@ def _dft_matrix(dim: int) -> np.ndarray:
 
 def replay_dtype(n_active: int, m_uses: int) -> np.dtype:
     """A replay log row, the realized draws of one round: ``n_active`` device
-    ids with a complex fading coefficient each (a device whose coefficient is
-    zero stays in the log but does not transmit) and the (M,) noise block."""
+    ids with a complex fading coefficient each, over which every one of them
+    transmits (so a replayed coefficient must be finite and nonzero), and the
+    (M,) noise block."""
     return np.dtype([("active", np.int64, (n_active,)), ("gains", np.complex128, (n_active,)),
                      ("noise", np.complex128, (m_uses,))])
 

@@ -302,8 +302,8 @@ class _State:
 
         Row r of ``e[i]`` (K', R, d) is the offset of a local iterate of
         trial ``trials[i]`` from its device's task vector, and ``alphas[r]``
-        the inner rate of its round; NaN rows mark steps a device did not
-        start or a trial did not run, and are skipped like any NaN moment.
+        the inner rate of its round; NaN rows mark steps a trial did not
+        run, and are skipped like any NaN moment.
         """
         second, variance, noise = self.moment_forms
         # offsets after an exact adaptation step
@@ -334,7 +334,9 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     The configs may differ only in their master seed.  Each round steps the
     devices of every running trial as one stack and sends every uplink as
     one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
-    stack.  ``channel_replays`` holds one replay log per trial.  Every
+    stack.  ``channel_replays`` holds one replay log per trial; every
+    scheduled device transmits, so a log with a gain whose modulus is zero or
+    not finite raises ``ValueError`` naming the trial and the round.  Every
     record, identity vector and channel draw is written by trial and round
     into a table of the run, and each trial's outputs are its rows of them.
     """
@@ -354,6 +356,14 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                              "none shorter than the configured number of rounds")
         for k, log in enumerate(channel_replays):
             replay[k] = log[:cfg.rounds]
+        # every scheduled device transmits, so each logged |h| must be finite
+        # and nonzero; NaN fails both comparisons
+        abs_h = np.abs(replay["gains"])
+        bad = np.argwhere(~((abs_h > 0.0) & (abs_h < np.inf)).all(axis=-1))
+        if bad.size:
+            k, t = bad[0].tolist()
+            raise ValueError(f"replay log of trial {k} has a zero or non-finite gain "
+                             f"at round {t}")
     state = _State(configs)
     noise_var = cfg.effective_noise_var()
     metric_alpha = lr_schedule(cfg, 0)[1]
@@ -388,11 +398,6 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         gains, noise = (replay[name][trials, t0:t0 + n_rounds] for name in ("gains", "noise"))
         # offsets of the block's local iterates; NaN where a trial did not run
         offsets = np.full((len(trials), n_rounds, q, rn, d), np.nan)
-        # a zero channel coefficient drops the device for the round, so a
-        # trial with one transmits in a group of its own
-        alive = np.abs(gains) > 0.0
-        full = alive.all(axis=2)
-        no_drops = full.all(axis=0).tolist()
         live = np.arange(len(trials))  # block positions of the trials still running
         for j, t in enumerate(range(t0, t0 + n_rounds)):
             if not live.size:
@@ -400,38 +405,34 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
             eta_t, alpha_t = lr_schedule(cfg, t)
             table["eta"][:, t] = eta_t
             table["alpha"][:, t] = alpha_t
-            # groups of trials (block positions, devices) that transmit over
-            # as many devices each
-            if no_drops[j]:
-                groups = [(slice(None) if live.size == len(trials) else live, slice(None))]
-            else:
-                sending = full[live, j]
-                groups = [(live[sending], slice(None))] if sending.any() else []
-                groups += [(np.array([p]), alive[p, j]) for p in live[~sending].tolist()]
-            stopped = []
-            for pos, devs in groups:
-                ks, positions = trials[pos], live if isinstance(pos, slice) else pos
-                active = actives[pos, j][:, devs]
-                iterate_offsets, theta_next, sent_now, fields, vectors = _round(
-                    cfg, state, ks, active, gains[pos, j][:, devs], noise[pos, j],
-                    batches[pos, j][:, devs], tuple(c[pos, j] for c in comps), noise_var,
-                    eta_t, alpha_t)
-                offsets[pos, j, :, :active.shape[1]] = iterate_offsets
-                senders = ks[sent_now]
-                sent[senders, t] = True
-                for name, column in fields.items():
-                    table[name][senders, t] = column
-                recon[:, senders, t] = vectors
-                ok = np.isfinite(theta_next).all(axis=1)
-                if not ok.all():
-                    for p in positions[~ok].tolist():
-                        aborted_at[trials[p]] = t
-                        stopped.append(p)
-                    ks, theta_next = ks[ok], theta_next[ok]
-                state.theta[ks] = theta_next
-                thetas[ks, t + 1] = theta_next
-            if stopped:
-                live = live[~np.isin(live, stopped)]
+            pos = slice(None) if live.size == len(trials) else live
+            ks = trials[pos]
+            rows = ks[:, None] * state.n + actives[pos, j]  # the devices' rows of the state
+            # the devices of every live trial step as one stack; values that
+            # leave the float range raise no warning: they abort their trial,
+            # or are not used
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                deltas, iterates = meta.local_rounds(
+                    state.theta[np.repeat(ks, rn)], state.data,
+                    batches[pos, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
+                    eta_t, devices=rows.reshape(-1))
+                offsets[pos, j] = (iterates.reshape(q, len(ks), rn, d) - state.ws[rows]
+                                   ).swapaxes(0, 1)
+                theta_next, sent_now, fields, vectors = _air_uplink(
+                    cfg, state, ks, rows, deltas.reshape(len(ks), rn, d), gains[pos, j],
+                    noise[pos, j], tuple(c[pos, j] for c in comps), noise_var, eta_t)
+            senders = ks[sent_now]
+            sent[senders, t] = True
+            for name, column in fields.items():
+                table[name][senders, t] = column
+            recon[:, senders, t] = vectors
+            ok = np.isfinite(theta_next).all(axis=1)
+            if not ok.all():
+                for k in ks[~ok].tolist():
+                    aborted_at[k] = t
+                live, ks, theta_next = live[ok], ks[ok], theta_next[ok]
+            state.theta[ks] = theta_next
+            thetas[ks, t + 1] = theta_next
         # the meta-training loss and squared meta-gradient of every iterate
         # of a trial's block at once, each bit for bit its one-iterate value;
         # a round that sent nothing has no training loss
@@ -533,34 +534,6 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     return actives, batches.reshape(shape + batches.shape[1:]), comps
 
 
-def _round(cfg: ExperimentConfig, state: _State, ks: np.ndarray, active: np.ndarray,
-           gains: np.ndarray, noise: np.ndarray, batch_idx: np.ndarray, comp: tuple,
-           noise_var: float, eta_t: float, alpha_t: float):
-    """One round of the G trials ``ks``, each with the same number rn of
-    devices that transmit: their ids ``active`` and coefficients ``gains``
-    (G, rn), each trial's noise block ``noise`` (G, M), their
-    (G, rn, Q, 3, m_B) batch indices ``batch_idx`` and each trial's
-    compression operators ``comp``.
-
-    The devices of all G trials run their local steps as one stack.  Returns
-    the (G, Q, rn, d) offsets of their local iterates from their task
-    vectors, for the moment probe, and what ``_air_uplink`` returns.  Values
-    that leave the float range raise no warning: they abort their trial, or
-    are not used.
-    """
-    g, rn = active.shape
-    rows = ks[:, None] * state.n + active  # the devices' rows of the state
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        deltas, iterates = meta.local_rounds(
-            state.theta[np.repeat(ks, rn)], state.data,
-            batch_idx.reshape((g * rn,) + batch_idx.shape[2:]).swapaxes(0, 1), alpha_t, eta_t,
-            devices=rows.reshape(-1))
-        offsets = iterates.reshape(cfg.local_steps, g, rn, cfg.dim) - state.ws[rows]
-        out = _air_uplink(cfg, state, ks, rows, deltas.reshape(g, rn, cfg.dim), gains, noise,
-                          comp, noise_var, eta_t)
-    return (offsets.swapaxes(0, 1),) + out
-
-
 def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.ndarray,
                 deltas: np.ndarray, gains: np.ndarray, noise: np.ndarray, comp: tuple,
                 noise_var: float, eta_t: float):
@@ -616,15 +589,14 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     state.memories[rows] = mem_next
     memories = state.memories.reshape(-1, state.n, cfg.dim)[ks]
 
-    n_sent = gains.shape[1]
     fields = dict(
         rho=rho, v_model=est.err_var,
         v=(noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim,
-        min_g_sq_over_eta_sq=(g_sq.min(axis=-1) / eta_sq if n_sent and eta_sq > 0
+        min_g_sq_over_eta_sq=(g_sq.min(axis=-1) / eta_sq if eta_sq > 0
                               else np.full(len(ks), np.nan)),
         mem_norm_sq_max=(memories**2).sum(axis=-1).max(axis=-1),
-        power_margin=margins.max(axis=-1) if n_sent else np.zeros(len(ks)),
-        pinv_fallback=est.pinv_fallback, sum_abs_h_sq=(np.abs(gains) ** 2).sum(axis=-1))
+        power_margin=margins.max(axis=-1), pinv_fallback=est.pinv_fallback,
+        sum_abs_h_sq=(abs_h[..., 0] ** 2).sum(axis=-1))
     vectors = np.stack([deltas.sum(axis=-2), noise_term, fading_dev, memories.sum(axis=-2)])
     if len(ks) < g:  # the trials that sent nothing take NaN iterates
         theta_all = np.full((g, cfg.dim), np.nan)

@@ -132,7 +132,7 @@ def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndar
     if g.ndim < 2 or gains.shape != g.shape[:-1]:
         raise ValueError("one channel coefficient per update row required")
     if (gains == 0).any():
-        raise ValueError("zero channel coefficient; treat the device as inactive")
+        raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
     if (rho <= 0).any():
         raise ValueError("rho must be > 0")
     live = g.any(axis=-1)

@@ -3,15 +3,19 @@
 Each trial of a stack must be, bit for bit, its own one-row run: iterates,
 every record field (NaNs included), the replay log, the memory-identity
 vectors, the moment probe, the memories and the abort round.  That holds
-for trials that abort at different rounds, for zero gains on the edges of
-blocks of any size, and for noiseless stacks in which only some trials
-fall back to the pseudo-inverse in a round.
+for trials that abort at different rounds and for noiseless stacks in which
+only some trials fall back to the pseudo-inverse in a round.  Every
+scheduled device transmits, so a stack rejects a replay log with a zero or
+non-finite gain, naming its trial and round, and any other gain leaves a
+run that completes or stops with its abort round.
 """
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import protocol
@@ -81,29 +85,56 @@ def test_trials_abort_at_their_own_rounds(block, monkeypatch):
     assert [t.aborted_at for t in stack] == [None, 66, 66, 63, None]
 
 
-def with_zero_gains(cfg, zeros):
-    """The run's own replay log with gain i of round t set to 0 for each
-    (t, i) of ``zeros``."""
-    log = run_experiment(cfg).replay
-    for t, i in zeros:
-        log["gains"][t, i] = 0.0
-    return log
-
-
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_zero_gains_on_block_edges(block, monkeypatch):
-    """Each trial drops devices in rounds of its own, on the edges of blocks
-    of 1, 5 and 64 rounds; in round 9 trial 1 drops every device, and one
-    trial drops none."""
-    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
+    """In a stack of 4 only trial 2's log has zero gains, on the edges of
+    blocks of 1, 5 and 64 rounds; the stack names its first."""
     configs = trial_configs(config(), 4)
-    zeros = [[(0, 0), (4, 1), (5, 0), (63, 2), (64, 0)],
-             [(4, 0), (9, 0), (9, 1), (9, 2), (69, 1)],
-             [],
-             [(5, 2), (63, 0), (63, 1), (64, 2)]]
-    logs = [with_zero_gains(c, z) for c, z in zip(configs, zeros)]
-    silent = assert_lockstep(configs, logs)[1].records[9]
-    assert (silent["sum_abs_h_sq"], silent["rho"]) == (0.0, config().rho_max)
+    logs = [traj.replay for traj in run_stack(configs)]
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
+    for t, i in [(63, 2), (64, 0), (69, 1)]:
+        logs[2]["gains"][t, i] = 0.0
+    with pytest.raises(ValueError, match=r"of trial 2 .* at round 63$"):
+        run_stack(configs, logs)
+
+
+@functools.cache
+def own_logs():
+    """The replay logs of a 2-trial stack, and the iterates of its trials."""
+    configs = trial_configs(config(rounds=8), 2)
+    stack = run_stack(configs)
+    return configs, [t.replay for t in stack], [t.thetas for t in stack]
+
+
+SPECIAL_GAINS = [0.0, complex(-0.0, -0.0), math.nan, complex(math.nan, 0.0), math.inf,
+                 complex(1.0, -math.inf)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(0, 3, 1, complex(1.7e308, -1.7e308))  # finite parts, but |h| overflows
+@example(1, 7, 2, complex(5e-324, 0.0))  # subnormal
+@given(st.integers(0, 1), st.integers(0, 7), st.integers(0, 2),
+       st.one_of(st.sampled_from(SPECIAL_GAINS),
+                 st.complex_numbers(max_magnitude=1e-308, allow_subnormal=True),
+                 st.complex_numbers(allow_nan=False, allow_infinity=False)))
+def test_any_gain_is_rejected_or_runs(k, t, i, gain):
+    """One logged gain of a 2-trial stack replaced by any complex value: the
+    stack rejects it, naming its trial and round, exactly when its modulus is
+    zero or not finite; otherwise each trial completes or stops at its abort
+    round, and the other trial is its own unchanged run."""
+    configs, own, thetas = own_logs()
+    logs = [log.copy() for log in own]
+    logs[k]["gains"][t, i] = gain
+    if not 0.0 < np.abs(np.complex128(gain)) < math.inf:
+        with pytest.raises(ValueError, match=fr"of trial {k} .* at round {t}$"):
+            run_stack(configs, logs)
+        return
+    with np.errstate(all="ignore"):
+        stack = run_stack(configs, logs)
+    for traj in stack:
+        assert len(traj.thetas) == (9 if traj.aborted_at is None else traj.aborted_at + 1)
+        assert np.isfinite(traj.thetas).all()
+    assert stack[1 - k].thetas.tobytes() == thetas[1 - k].tobytes()
 
 
 def test_noiseless_stack_with_some_pinv_rounds():

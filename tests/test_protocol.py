@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import report, storage
-from airmeta.channel import compression_block
 from airmeta import rng as streams
 from airmeta.meta import batch_pools, draw_batches, local_rounds
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
@@ -105,38 +104,18 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("fading", ["rayleigh", "unit"])
     def test_zero_gain_replay_round(self, tmp_path, fading):
-        """A replayed round in which every gain is zero has no transmitting
-        device, so the server receives the noise alone: the run completes,
-        that round leaves the iterate where it was, and the log round-trips
-        through its CSV form.  A device whose gain is zero stays in the log."""
+        """Every scheduled device transmits, so a replay log with a zero gain
+        is rejected, naming its round, whether it is replayed from memory or
+        from its CSV form, which still round-trips it bit for bit."""
         cfg = small_air_config(rounds=8, fading=fading)
-        log = run_experiment(cfg).replay
-        log["gains"][3] = 0.0  # no device
-        log["gains"][5, 1] = 0.0  # one device of four drops
-        traj = replay_experiment(cfg, log)
-        assert traj.aborted_at is None and len(traj.records) == cfg.rounds
-        assert np.array_equal(traj.thetas[4], traj.thetas[3])
-        assert not np.array_equal(traj.thetas[6], traj.thetas[5])
+        traj = run_experiment(cfg)
+        traj.replay["gains"][5, 1] = 0.0
         storage.write_replay_csv(traj, tmp_path / "replay_log.csv")
         read = storage.read_replay_csv(tmp_path / "replay_log.csv")
-        for drawn in (traj.replay[5], read[5]):
-            assert drawn["active"].tolist() == [0, 1, 2, 3]
-            assert np.count_nonzero(drawn["gains"]) == 3
-        again = replay_experiment(cfg, read)
-        assert again.thetas.tobytes() == traj.thetas.tobytes()
-        assert again.records.tobytes() == traj.records.tobytes()  # NaN cells included
-
-    def test_zero_gain_round_matched_estimate_is_the_noise(self):
-        """With no transmitting device the matched estimator reconstructs the
-        complex noise block through the round's DFT rows, as in any round."""
-        cfg = small_air_config(rounds=5, channel_uses=10, estimator="matched")
-        log = run_experiment(cfg).replay
-        log["gains"][3] = 0.0
-        traj = replay_experiment(cfg, log)
-        gen = streams.substream(cfg.master_seed, streams.COMPRESSION, 3)
-        matrix = compression_block(10, np.sort(gen.choice(10, size=10, replace=False)))[0]
-        y = log["noise"][3]
-        assert np.array_equal(traj.recon["noise_term"][3], (matrix.conj().T @ y).real)
+        assert read.tobytes() == traj.replay.tobytes()
+        for log in (traj.replay, read):
+            with pytest.raises(ValueError, match=r"of trial 0 .* at round 5$"):
+                replay_experiment(cfg, log)
 
     def test_degenerate_chain_equals_ideal(self):
         base = dict(rounds=30, n_devices=4, active_fraction=1.0, dim=10,

@@ -8,6 +8,9 @@ The sum of those model differences must equal, bit for bit, the sum the
 run handed to its uplink (``recon``), on every round: a run is drawn in
 blocks of 64 rounds, and 70 rounds cross one block edge.
 """
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -27,12 +30,11 @@ def config(**overrides):
 
 def literal_sum_deltas(traj, t):
     """Device sum of round t's model differences, one device at a time from
-    the run's iterate, over the devices with a nonzero gain."""
+    the run's iterate."""
     cfg = traj.config
-    active, gains = traj.replay["active"][t], traj.replay["gains"][t]
     eta_t, alpha_t = lr_schedule(cfg, t)
     deltas = []
-    for i in active[np.abs(gains) > 0.0]:
+    for i in traj.replay["active"][t]:
         ds = Dataset(x=traj.datasets.x[i], y=traj.datasets.y[i], m_tr=cfg.train_samples,
                      m_va=cfg.val_samples)
         gen = rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, int(i))
@@ -55,16 +57,23 @@ def test_every_round_matches_literal_draws(overrides):
     assert_rounds_match_literal(traj)
 
 
-@pytest.mark.parametrize("t_zero", [0, 15, 16, 33, 63, 64, 69])
-def test_zero_gain_device_drops_its_batches(t_zero):
-    """A replayed round whose log has a zero gain runs without that device;
-    the other devices keep their own streams."""
-    cfg = config(active_fraction=0.5)
-    log = run_experiment(cfg).replay
-    log["gains"][t_zero, 0] = 0.0
-    traj = replay_experiment(cfg, log)
-    assert traj.aborted_at is None
-    assert_rounds_match_literal(traj)
+@functools.cache
+def own_log():
+    return run_experiment(config(active_fraction=0.5)).replay
+
+
+@pytest.mark.parametrize("t_bad", [0, 63, 64, 69])
+@pytest.mark.parametrize("gain", [0.0, complex(-0.0, 0.0), math.nan, complex(math.nan, 0.0),
+                                  math.inf],
+                         ids=["zero", "signed_zero", "nan", "complex_nan", "inf"])
+def test_bad_gain_is_rejected_at_its_round(gain, t_bad):
+    """Every scheduled device transmits, so a replay log whose gain at a
+    block edge is zero or not finite is rejected before any round runs,
+    naming the round; a NaN is not taken for a device that stays silent."""
+    log = own_log().copy()
+    log["gains"][t_bad, 0] = gain
+    with pytest.raises(ValueError, match=fr"of trial 0 .* at round {t_bad}$"):
+        replay_experiment(config(active_fraction=0.5), log)
 
 
 def test_aborting_run_keeps_its_abort_round():
