@@ -99,7 +99,8 @@ def stream_batches(master_seed, keys, states, pools, batch_size: int,
 @functools.cache
 def replicas_hold() -> bool:
     """Whether this numpy seeds and samples as the replicas replay it: the
-    raw words of one probe substream, and one ``choice`` on a second.
+    raw words of one probe substream, short enough for ``rng.state_words``
+    to compute them on arrays, and one ``choice`` on a second.
     Checked once per process; when it fails, every draw is made through
     numpy, slower but the same."""
     seed, n, m = 2**63 - 1, 20, 8

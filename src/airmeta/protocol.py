@@ -336,9 +336,15 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
     stack.  ``channel_replays`` holds one replay log per trial; every
     scheduled device transmits, so a log with a gain whose modulus is zero or
-    not finite raises ``ValueError`` naming the trial and the round.  Every
-    record, identity vector and channel draw is written by trial and round
-    into a table of the run, and each trial's outputs are its rows of them.
+    not finite, or with an active set other than the one its trial draws,
+    raises ``ValueError`` naming the trial and the round before any round
+    runs.
+
+    A round computes only what the next iterate needs, and leaves its raw
+    outputs in buffers of its block (``_air_uplink``).  The records and
+    identity vectors of a block's rounds are computed from those buffers
+    after its last round (``_block_records``), and written by trial and round
+    into tables of the run; each trial's outputs are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -347,6 +353,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     # the channel draws of every (trial, round); a replay presets them
     replay = np.zeros((len(configs), cfg.rounds),
                       dtype=ch.replay_dtype(cfg.n_active, cfg.channel_uses))
+    actives = _active_sets(cfg, [c.master_seed for c in configs])
     if channel_replays is not None:
         # an empty log holds no draw that could disagree with the config
         if len(channel_replays) != len(configs) or any(
@@ -359,11 +366,13 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         # every scheduled device transmits, so each logged |h| must be finite
         # and nonzero; NaN fails both comparisons
         abs_h = np.abs(replay["gains"])
-        bad = np.argwhere(~((abs_h > 0.0) & (abs_h < np.inf)).all(axis=-1))
-        if bad.size:
-            k, t = bad[0].tolist()
-            raise ValueError(f"replay log of trial {k} has a zero or non-finite gain "
-                             f"at round {t}")
+        for what, bad in (("a zero or non-finite gain", ~((abs_h > 0.0) & (abs_h < np.inf))),
+                          ("an active set mismatch", replay["active"] != actives)):
+            at = np.argwhere(bad.any(axis=-1))
+            if at.size:
+                k, t = at[0].tolist()
+                raise ValueError(f"replay log of trial {k} has {what} at round {t}")
+    replay["active"] = actives
     state = _State(configs)
     noise_var = cfg.effective_noise_var()
     metric_alpha = lr_schedule(cfg, 0)[1]
@@ -385,7 +394,6 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     for name in ROUND_DTYPE.names[1:-1]:  # the float fields
         table[name] = np.nan
     recon = np.full((len(_RECON_KEYS), n_trials, cfg.rounds, d), np.nan)
-    sent = np.zeros((n_trials, cfg.rounds), dtype=bool)
     aborted_at = [None] * n_trials
     running = np.arange(n_trials)
 
@@ -393,21 +401,25 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     while t0 < cfg.rounds and running.size:
         trials = running
         n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
-        actives, batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds),
-                                              noise_var, replay, channel_replays is not None)
-        gains, noise = (replay[name][trials, t0:t0 + n_rounds] for name in ("gains", "noise"))
+        block = slice(t0, t0 + n_rounds)
+        batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds),
+                                     noise_var, replay, channel_replays is not None)
+        active, gains, noise = (replay[name][trials, block]
+                                for name in ("active", "gains", "noise"))
+        rates = [lr_schedule(cfg, t) for t in range(t0, t0 + n_rounds)]
+        table["eta"][:, block], table["alpha"][:, block] = np.array(rates).T
+        # the raw outputs of the block's rounds by (trial, round), zero where
+        # a trial did not send
+        buffers = {"sent": np.zeros((len(trials), n_rounds), dtype=bool)}
         # offsets of the block's local iterates; NaN where a trial did not run
         offsets = np.full((len(trials), n_rounds, q, rn, d), np.nan)
         live = np.arange(len(trials))  # block positions of the trials still running
-        for j, t in enumerate(range(t0, t0 + n_rounds)):
+        for j, (eta_t, alpha_t) in enumerate(rates):
             if not live.size:
                 break
-            eta_t, alpha_t = lr_schedule(cfg, t)
-            table["eta"][:, t] = eta_t
-            table["alpha"][:, t] = alpha_t
             pos = slice(None) if live.size == len(trials) else live
             ks = trials[pos]
-            rows = ks[:, None] * state.n + actives[pos, j]  # the devices' rows of the state
+            rows = ks[:, None] * state.n + active[pos, j]  # the devices' rows of the state
             # the devices of every live trial step as one stack; values that
             # leave the float range raise no warning: they abort their trial,
             # or are not used
@@ -418,36 +430,41 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                     eta_t, devices=rows.reshape(-1))
                 offsets[pos, j] = (iterates.reshape(q, len(ks), rn, d) - state.ws[rows]
                                    ).swapaxes(0, 1)
-                theta_next, sent_now, fields, vectors = _air_uplink(
+                theta_next, sent, outputs = _air_uplink(
                     cfg, state, ks, rows, deltas.reshape(len(ks), rn, d), gains[pos, j],
                     noise[pos, j], tuple(c[pos, j] for c in comps), noise_var, eta_t)
-            senders = ks[sent_now]
-            sent[senders, t] = True
-            for name, column in fields.items():
-                table[name][senders, t] = column
-            recon[:, senders, t] = vectors
+            senders = pos if sent.all() else live[sent]
+            buffers["sent"][senders, j] = True
+            for name, value in outputs.items():
+                if name not in buffers:
+                    buffers[name] = np.zeros((len(trials), n_rounds) + value.shape[1:],
+                                             dtype=value.dtype)
+                buffers[name][senders, j] = value
             ok = np.isfinite(theta_next).all(axis=1)
             if not ok.all():
                 for k in ks[~ok].tolist():
-                    aborted_at[k] = t
+                    aborted_at[k] = t0 + j
                 live, ks, theta_next = live[ok], ks[ok], theta_next[ok]
             state.theta[ks] = theta_next
-            thetas[ks, t + 1] = theta_next
+            thetas[ks, t0 + j + 1] = theta_next
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            _block_records(cfg, state, trials, t0, rates, np.abs(gains), buffers, table, recon)
         # the meta-training loss and squared meta-gradient of every iterate
         # of a trial's block at once, each bit for bit its one-iterate value;
         # a round that sent nothing has no training loss
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in trials.tolist():
-                block = slice(t0, t0 + n_rounds if aborted_at[k] is None else aborted_at[k] + 1)
+            for i, k in enumerate(trials.tolist()):
+                n_run = n_rounds if aborted_at[k] is None else aborted_at[k] + 1 - t0
+                run = slice(t0, t0 + n_run)
                 devices = state.devices(k)
-                loss = metrics.meta_training_loss(thetas[k, block], state.data.devices(devices),
+                loss = metrics.meta_training_loss(thetas[k, run], state.data.devices(devices),
                                                   metric_alpha)
-                table["train_loss"][k, block] = np.where(sent[k, block], loss, np.nan)
-                g = tasks.mean_meta_grad(thetas[k, block], state.ws[devices], curvature)
-                table["grad_norm_sq"][k, block] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-            # the rounds no trial ran have NaN offsets and rates, which it skips
+                table["train_loss"][k, run] = np.where(buffers["sent"][i, :n_run], loss, np.nan)
+                g = tasks.mean_meta_grad(thetas[k, run], state.ws[devices], curvature)
+                table["grad_norm_sq"][k, run] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+            # the rounds no trial ran have NaN offsets, which it skips
             state.update_probes(trials, offsets.reshape(len(trials), -1, d),
-                                np.repeat(table["alpha"][0, t0:t0 + n_rounds], q * rn))
+                                np.repeat(table["alpha"][0, block], q * rn))
         running = trials[live]
         t0 += n_rounds
 
@@ -474,50 +491,57 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     return trajectories
 
 
+def _sorted_choices(seeds, keys: np.ndarray, states: np.ndarray, n: int, m: int) -> np.ndarray:
+    """``np.sort(gen.choice(n, m, replace=False))`` on the substream of each
+    key row, with a master seed per row and its seeded state, as a round
+    draws its active set and its compression rows: (K, m)."""
+    return np.sort(meta.stream_batches(seeds, keys, states, (np.arange(n),), m, 1)[:, 0, 0],
+                   axis=1)
+
+
+def _active_sets(cfg: ExperimentConfig, seeds: list) -> np.ndarray:
+    """(K, rounds, n_active): the active set of every round of each of the
+    trials of master ``seeds``, as its ACTIVE_SET substream draws it."""
+    keys = np.column_stack([np.full(len(seeds) * cfg.rounds, rng.ACTIVE_SET),
+                            np.tile(np.arange(cfg.rounds), len(seeds))])
+    key_seeds = np.repeat(np.array(seeds, dtype=object), cfg.rounds)
+    return _sorted_choices(key_seeds, keys, rng.seeded_states(key_seeds, keys), cfg.n_devices,
+                           cfg.n_active).reshape(len(seeds), cfg.rounds, cfg.n_active)
+
+
 def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds: np.ndarray,
                 noise_var: float, replay: np.ndarray, replaying: bool):
     """Every input of the consecutive ``rounds`` that does not depend on the
-    iterate, for each of the K ``trials``: the active sets (K, rounds,
-    n_active), the local batch indices (K, rounds, n_active, Q, 3, m_B), the
-    compression operators (``ch.compression_block``) and the channel draws,
-    which go to the trials' cells of the run's ``replay`` table.
-    Each is what the round's own substream draws: ACTIVE_SET, LOCAL_BATCH
-    per active device, CHANNEL and COMPRESSION.  When ``replaying``, the
-    table holds the logged draws, whose active sets must be those drawn.
+    iterate, for each of the K ``trials``, from the run's ``replay`` table,
+    which holds their active sets: the local batch indices (K, rounds,
+    n_active, Q, 3, m_B), the compression operators (``ch.compression_block``)
+    and, unless ``replaying`` presets them, the channel draws, which go to
+    the trials' cells of the table.
+    Each is what the round's own substream draws: LOCAL_BATCH per active
+    device, CHANNEL and COMPRESSION.
 
     One seeding pass gives the round streams of every trial and one the
-    device streams.  Active sets, compression rows and batches are replayed
-    on their raw words; the channel is drawn by ``ch.sample_channel`` on one
-    generator, set to each CHANNEL stream's seeded state.  All Q steps
-    are drawn up front; a substream serves one device in one round, so a
-    device that stops early only leaves its later draws unused."""
+    device streams.  Compression rows and batches are replayed on their raw
+    words; the channel is drawn by ``ch.sample_channel`` on one generator,
+    set to each CHANNEL stream's seeded state.  All Q steps are drawn up
+    front; a substream serves one device in one round, so a device that
+    stops early only leaves its later draws unused."""
     seeds = np.array([state.seeds[k] for k in trials.tolist()], dtype=object)
     n, n_trials = rounds.size, len(trials)
-    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([] if replaying else [rng.CHANNEL])
+    kn, actives = n_trials * n, replay["active"][np.ix_(trials, rounds)]
+    tags = [rng.COMPRESSION] + ([] if replaying else [rng.CHANNEL])
     # rows by tag, then trial, then round
-    keys = np.column_stack([np.repeat(tags, n_trials * n), np.tile(rounds, len(tags) * n_trials)])
+    keys = np.column_stack([np.repeat(tags, kn), np.tile(rounds, len(tags) * n_trials)])
     key_seeds = np.tile(np.repeat(seeds, n), len(tags))
     states = rng.seeded_states(key_seeds, keys)
-    kn, shape = n_trials * n, (n_trials, n, cfg.n_active)
-    # np.sort(gen.choice(n_pool, m, replace=False)) on each stream
-    actives = np.sort(meta.stream_batches(key_seeds[:kn], keys[:kn], states[:kn],
-                                          (np.arange(cfg.n_devices),), cfg.n_active,
-                                          1)[:, 0, 0], axis=1).reshape(shape)
-    comps = ch.compression_block(cfg.dim, np.sort(meta.stream_batches(
-        key_seeds[kn:2 * kn], keys[kn:2 * kn], states[kn:2 * kn], (np.arange(cfg.dim),),
-        cfg.channel_uses, 1)[:, 0, 0], axis=1).reshape(n_trials, n, -1))
-    block = np.ix_(trials, rounds)
-    if replaying:
-        bad = np.argwhere((replay["active"][block] != actives).any(axis=-1))
-        if bad.size:
-            raise ValueError(f"replay log active set mismatch at round {rounds[bad[0, 1]]}")
-    else:
-        replay["active"][block] = actives
+    comps = ch.compression_block(cfg.dim, _sorted_choices(
+        key_seeds[:kn], keys[:kn], states[:kn], cfg.dim, cfg.channel_uses).reshape(n_trials, n, -1))
+    if not replaying:
         literal, gen = not meta.replicas_hold(), np.random.Generator(np.random.PCG64(0))
         gains, noise = replay["gains"], replay["noise"]
         for k, t, seed, seeded in zip(np.repeat(trials, n).tolist(),
                                       np.tile(rounds, n_trials).tolist(), key_seeds[:kn],
-                                      states[2 * kn:]):
+                                      rng.state_dicts(states[kn:])):
             if literal:
                 gen = rng.substream(seed, rng.CHANNEL, t)
             else:
@@ -531,7 +555,7 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     batches = meta.stream_batches(batch_seeds, batch_keys,
                                   rng.seeded_states(batch_seeds, batch_keys), state.pools,
                                   cfg.batch_size, cfg.local_steps)
-    return actives, batches.reshape(shape + batches.shape[1:]), comps
+    return batches.reshape(actives.shape + batches.shape[1:]), comps
 
 
 def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.ndarray,
@@ -547,9 +571,13 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     A trial sends nothing when its model differences or its update energy
     leave the float range: it gets a NaN iterate and keeps its memories.
     Returns each trial's next iterate (G, d), the (G,) mask of the trials
-    that sent, and for those, in order, their ``ROUND_DTYPE`` fields by name
-    and their realized identity vectors (``_RECON_KEYS``, G', d).  Commits
-    the new error-feedback memories of the trials that sent.
+    that sent, and for those, in order, the raw outputs of the round by
+    name: the scale rho, the estimate's modeled error variance,
+    pseudo-inverse flag and payload x_hat, the sparsified updates, the model
+    differences, the transmitted blocks, the update energies and the
+    trial's memories.  Only what the next iterate needs is computed here;
+    ``_block_records`` derives the records from these outputs.
+    Commits the new error-feedback memories of the trials that sent.
     """
     g = len(ks)
     mu_abs, abs_power = state.fading
@@ -560,49 +588,74 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
         state.policy)
     sent = finite & np.isfinite(rho) & (rho > 0)
     if not sent.any():
-        return np.full((g, cfg.dim), np.nan), sent, {}, np.empty((len(_RECON_KEYS), 0, cfg.dim))
+        return np.full((g, cfg.dim), np.nan), sent, {}
     if not sent.all():
         ks, rows, deltas, updates, mem_next, rho, gains, noise = (
             a[sent] for a in (ks, rows, deltas, updates, mem_next, rho, gains, noise))
         comp = tuple(c[sent] for c in comp)
 
     signals = ch.compress(comp[0], sparsify.phase_precompensate(updates, rho, eta_t, gains))
-    block_power = (signals.conj()[..., None, :] @ signals[..., :, None])[..., 0, 0].real
-    margins = block_power / cfg.channel_uses - cfg.power_per_use
-    g_sq = sparsify.energies(updates)
-
     y = ch.transmit_mac(signals, gains, noise)
+    g_sq = sparsify.energies(updates)
     total_g_sq = g_sq.sum(axis=-1)
-    eta_sq = sparsify.rate_sq(eta_t)
-    abs_h = np.abs(gains)[..., None]
-    prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim)
-    signal_true = (np.sqrt(rho) / eta_t)[:, None] * (abs_h * updates).sum(axis=-2)
-    silent = total_g_sq <= 0.0
-    if silent.any():  # a trial without update energy has no prior power and no signal
-        prior_power[silent] = 0.0
-        signal_true[silent] = 0.0
+    prior_power = abs_power * rho * total_g_sq / (sparsify.rate_sq(eta_t) * cfg.dim)
+    prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has no prior power
     est = ch.estimate_stack(y, *comp, prior_power, noise_var, cfg.estimator)
-    noise_term = est.x_hat - signal_true
-    fading_dev = ((abs_h / mu_abs - 1.0) * updates).sum(axis=-2)
     theta_next = ch.global_update(state.theta[ks], est, eta_t, rho, mu_abs, cfg.n_active)
-
     state.memories[rows] = mem_next
-    memories = state.memories.reshape(-1, state.n, cfg.dim)[ks]
 
-    fields = dict(
-        rho=rho, v_model=est.err_var,
-        v=(noise_term[:, None, :] @ noise_term[:, :, None])[:, 0, 0] / cfg.dim,
-        min_g_sq_over_eta_sq=(g_sq.min(axis=-1) / eta_sq if eta_sq > 0
-                              else np.full(len(ks), np.nan)),
-        mem_norm_sq_max=(memories**2).sum(axis=-1).max(axis=-1),
-        power_margin=margins.max(axis=-1), pinv_fallback=est.pinv_fallback,
-        sum_abs_h_sq=(abs_h[..., 0] ** 2).sum(axis=-1))
-    vectors = np.stack([deltas.sum(axis=-2), noise_term, fading_dev, memories.sum(axis=-2)])
+    outputs = dict(rho=rho, v_model=est.err_var, pinv_fallback=est.pinv_fallback,
+                   x_hat=est.x_hat, updates=updates, deltas=deltas, signals=signals, g_sq=g_sq,
+                   memories=state.memories.reshape(-1, state.n, cfg.dim)[ks])
     if len(ks) < g:  # the trials that sent nothing take NaN iterates
         theta_all = np.full((g, cfg.dim), np.nan)
         theta_all[sent] = theta_next
         theta_next = theta_all
-    return theta_next, sent, fields, vectors
+    return theta_next, sent, outputs
+
+
+def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,
+                   rates: list, abs_h: np.ndarray, buffers: dict, table: np.ndarray,
+                   recon: np.ndarray):
+    """Write the records and identity vectors of the (trial, round) cells of
+    a block that sent, from the raw outputs in its ``buffers`` (by
+    ``_air_uplink``'s names, and the mask ``sent``), the rates of its rounds
+    and its gains' moduli ``abs_h`` (K, rounds, rn), into the run's ``table``
+    and ``recon``.
+
+    Each field is computed for every cell at once, in the form the round
+    computed it with a leading round axis, so that a cell is bit for bit its
+    one-round value; the cells that did not send keep their preset values.
+    """
+    kk, jj = np.nonzero(buffers["sent"])
+    if not kk.size:
+        return
+    cells = (trials[kk], t0 + jj)
+    eta = np.array([eta_t for eta_t, _ in rates])
+    eta_sq = np.array([sparsify.rate_sq(eta_t) for eta_t, _ in rates])
+    mu_abs, _ = state.fading
+    updates, g_sq, signals = buffers["updates"], buffers["g_sq"], buffers["signals"]
+    # the superposed payload the estimate targets; a trial without update
+    # energy sends none
+    signal_true = (np.sqrt(buffers["rho"]) / eta)[..., None] * (abs_h[..., None] * updates
+                                                                ).sum(axis=-2)
+    signal_true[g_sq.sum(axis=-1) <= 0.0] = 0.0
+    noise_term = buffers["x_hat"] - signal_true
+    block_power = (signals.conj()[..., None, :] @ signals[..., :, None])[..., 0, 0].real
+    memories = buffers["memories"]
+    fields = dict(
+        rho=buffers["rho"], v_model=buffers["v_model"], pinv_fallback=buffers["pinv_fallback"],
+        v=(noise_term[..., None, :] @ noise_term[..., :, None])[..., 0, 0] / cfg.dim,
+        min_g_sq_over_eta_sq=np.where(eta_sq > 0, g_sq.min(axis=-1) / eta_sq, np.nan),
+        mem_norm_sq_max=(memories**2).sum(axis=-1).max(axis=-1),
+        power_margin=(block_power / cfg.channel_uses - cfg.power_per_use).max(axis=-1),
+        sum_abs_h_sq=(abs_h**2).sum(axis=-1))
+    for name, values in fields.items():
+        table[name][cells] = values[kk, jj]
+    vectors = (buffers["deltas"].sum(axis=-2), noise_term,
+               ((abs_h[..., None] / mu_abs - 1.0) * updates).sum(axis=-2), memories.sum(axis=-2))
+    for vecs, values in zip(recon, vectors):
+        vecs[cells] = values[kk, jj]
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: np.ndarray) -> Trajectory:

@@ -6,14 +6,18 @@ of scheduling order, so serial and parallel executions of the same round
 produce identical results.
 
 ``seeded_states`` gives the seeded PCG64 states of many substreams at once,
-and ``state_words`` their raw output.  The seeding replays numpy's
-SeedSequence mixing and PCG64 seeding on arrays, as both stand in numpy
-2.4.6, the version the outputs and tests are pinned to.
+as arrays of uint64 halves, and ``state_words`` their raw output.  The
+seeding replays numpy's SeedSequence mixing and PCG64 seeding on arrays,
+and the words of a short stream PCG64's LCG step and XSL-RR output, as
+all three stand in numpy 2.4.6, the version the outputs and tests are
+pinned to.
 ``meta.replicas_hold`` checks the replay against numpy once per process,
 and ``tests/test_replica.py`` compares it with ``substream`` over many
 keys.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,12 +33,18 @@ TRIAL = 9
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
 # SeedSequence hash constants and its pool size
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# streams of at most this many words are computed on arrays, longer ones by
+# numpy one row at a time.  Measured, the array path takes 0.1-0.4 of
+# numpy's time at 11 words, 0.6-0.8 at 48 and 0.6-1.3 at 64 over 60-768
+# rows, and 1.3-5.7 times it at 233
+_ARRAY_WORDS = 48
 
 
 def substream(master_seed: int, *key: int) -> np.random.Generator:
@@ -43,11 +53,13 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def seeded_states(master_seed, keys) -> list[dict]:
-    """PCG64 state of ``substream(master_seed, *keys[k])`` right after
-    seeding, for each row k of a (K, L) integer array ``keys``: the dict
-    that ``bit_generator.state`` takes.  ``master_seed`` is one seed for
-    every row or a sequence of K seeds, one per row."""
+def seeded_states(master_seed, keys) -> np.ndarray:
+    """(K, 4) uint64: the PCG64 state of ``substream(master_seed, *keys[k])``
+    right after seeding, for each row k of a (K, L) integer array ``keys``,
+    as the (high, low) halves of its 128-bit state and then of its
+    increment.  ``master_seed`` is one seed for every row or a sequence of
+    K seeds, one per row.  ``state_words`` draws from these rows, and
+    ``state_dicts`` gives the dicts that ``bit_generator.state`` takes."""
     keys = np.asarray(keys)
     n_rows = keys.shape[0]
     values = np.empty((n_rows, 1 + keys.shape[1]), dtype=np.uint64)
@@ -80,10 +92,18 @@ def seeded_states(master_seed, keys) -> list[dict]:
     inc_hi = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63)
     inc_lo = seq_lo << np.uint64(1) | np.uint64(1)
     hi, lo = _add128(inc_hi, inc_lo, init_hi, init_lo)
-    hi, lo = _add128(*_mul128(hi, lo, _PCG64_MULT), inc_hi, inc_lo)
+    mult, _ = _lcg_steps(_PCG64_MULT, 1)  # the halves of MULT**1
+    hi, lo = _add128(*_mul128(hi, lo, *mult), inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo], axis=1)
+
+
+def state_dicts(states: np.ndarray) -> list[dict]:
+    """The dict that ``bit_generator.state`` takes, for each row of the
+    PCG64 ``states`` (``seeded_states``)."""
     return [{"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
              "state": {"state": state, "inc": inc}}
-            for state, inc in zip(_join128(hi, lo), _join128(inc_hi, inc_lo))]
+            for state, inc in zip(_join128(states[:, 0], states[:, 1]),
+                                  _join128(states[:, 2], states[:, 3]))]
 
 
 def _join128(hi, lo) -> list:
@@ -97,11 +117,10 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _mul128(hi, lo, const: int):
-    """(x const) mod 2**128 on arrays of the (high, low) uint64 halves of x.
-    The high half of the product of lo and the low half of const is taken
-    from 32-bit halves."""
-    c_hi, c_lo = np.uint64(const >> 64), np.uint64(const & _MASK64)
+def _mul128(hi, lo, c_hi, c_lo):
+    """(x c) mod 2**128 on arrays of the (high, low) uint64 halves of x and
+    c.  The high half of the product of the low halves is taken from 32-bit
+    halves."""
     mask, shift = np.uint64(_MASK32), np.uint64(32)
     l0, l1, c0, c1 = lo & mask, lo >> shift, c_lo & mask, c_lo >> shift
     cross0, cross1 = l0 * c1, l1 * c0
@@ -116,15 +135,45 @@ def row_seeds(master_seed, n: int) -> np.ndarray:
     return np.broadcast_to(np.array(master_seed, dtype=object), (n,))
 
 
-def state_words(states, n_words: int) -> np.ndarray:
+def state_words(states: np.ndarray, n_words: int) -> np.ndarray:
     """(K, n_words) uint64: row k is the first ``n_words`` raw outputs of a
-    PCG64 in ``states[k]``."""
-    out = np.empty((len(states), n_words), dtype=np.uint64)
-    bits = np.random.PCG64(0)
-    for k, state in enumerate(states):
-        bits.state = state
-        out[k] = bits.random_raw(n_words)
-    return out
+    PCG64 in the state ``states[k]`` (``seeded_states``).
+
+    Each output steps the LCG ``s <- s MULT + inc (mod 2**128)`` and returns
+    the XSL-RR of the new state, ``rotr64(high ^ low, high >> 58)``.  Up to
+    ``_ARRAY_WORDS`` words every row's stream is computed at once from the
+    closed form of i steps, ``s_i = MULT**i s + (MULT**(i-1) + ... + 1) inc``;
+    a longer stream is numpy's ``random_raw``, one row at a time."""
+    if n_words > _ARRAY_WORDS:
+        out = np.empty((len(states), n_words), dtype=np.uint64)
+        bits = np.random.PCG64(0)
+        for k, state in enumerate(state_dicts(states)):
+            bits.state = state
+            out[k] = bits.random_raw(n_words)
+        return out
+    mult, offset = _lcg_steps(_PCG64_MULT, n_words)
+    s_hi, s_lo, inc_hi, inc_lo = (col[:, None] for col in states.T)
+    hi, lo = _add128(*_mul128(s_hi, s_lo, *mult), *_mul128(inc_hi, inc_lo, *offset))
+    xored, rot = hi ^ lo, hi >> np.uint64(58)
+    return xored >> rot | xored << (np.uint64(64) - rot & np.uint64(63))
+
+
+@functools.cache
+def _lcg_steps(mult: int, n: int):
+    """(2, n) uint64 arrays of the (high, low) halves of MULT**i and of
+    MULT**(i-1) + ... + 1 mod 2**128, for i = 1 .. n: i LCG steps take s to
+    the first times s plus the second times inc."""
+    powers, sums = [], []
+    power, total = 1, 0
+    for _ in range(n):
+        power, total = power * mult & _MASK128, (total * mult + 1) & _MASK128
+        powers.append(power)
+        sums.append(total)
+    steps = tuple(np.array([[v >> 64 for v in values], [v & _MASK64 for v in values]],
+                           dtype=np.uint64).reshape(2, n) for values in (powers, sums))
+    for halves in steps:
+        halves.flags.writeable = False  # shared by every caller
+    return steps
 
 
 def _hash_consts(const: int, mult: int):

@@ -2,20 +2,21 @@
 
 The per-sample loss, gradient and Hessian of the squared loss, the
 population gradient, the closed-form per-sample gradient moments, one
-device's local steps on literal numpy batch draws, a uniform active set
+device's local steps on literal numpy batch draws, a run recomputed one
+round at a time through the public stage functions, a uniform active set
 drawn by numpy's ``choice``, the received SNR recovered from a run's fading
-draws, the phase factors as numpy's scalar
-quotient, and the CSV writers cell by cell through ``csv.writer``.  The
-simulator computes batched versions of these (``tasks.batch_*``) or never
-needs them; the tests check those batched paths and the closed forms
-against these.
+draws, the phase factors as numpy's scalar quotient, and the CSV writers
+cell by cell through ``csv.writer``.  The simulator computes batched
+versions of these (``tasks.batch_*``) or never needs them; the tests check
+those batched paths and the closed forms against these.
 """
 import csv
+import functools
 
 import numpy as np
 
-from airmeta import meta, storage, tasks
-from airmeta.tasks import TaskEnvironment
+from airmeta import channel, meta, metrics, protocol, rng, sparsify, storage, tasks
+from airmeta.tasks import Dataset, TaskEnvironment
 
 
 def loss(phi: np.ndarray, x: np.ndarray, y: float) -> float:
@@ -78,6 +79,93 @@ def local_rounds(theta_start, ds, alpha, eta, steps, batch_size, gen):
         g_outer = g_outer - alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
         theta = theta - eta * g_outer
     return theta_start - theta, iterates
+
+
+def rounds_of(traj):
+    """(thetas, records, recon) of ``traj``'s run, recomputed one round at a
+    time from its first iterate and its logged active sets, gains and noise.
+
+    Each active device runs its literal local steps on its LOCAL_BATCH
+    substream (``local_rounds``); the round's compression rows are numpy's
+    sorted ``choice`` on its COMPRESSION substream.  The uplink goes through
+    the public stages on the round's own (rn, ...) arrays: ``memory_fold``,
+    ``power_scale``, ``phase_precompensate``, ``compress``, ``transmit_mac``,
+    ``estimate_stack`` on a stack of one round and ``global_update``.  Every
+    record field and identity vector is written out from its definition, a
+    device at a time; vector sums run in device order.  A round whose model
+    differences or scale leave the float range sends nothing, and a
+    non-finite iterate stops the run, as in ``protocol.run_stack``."""
+    cfg = traj.config
+    rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
+    mu_abs, abs_power = channel.fading_moments(cfg.fading)
+    policy = sparsify.PowerPolicy(cfg.power_per_use, m_uses, cfg.rho_max)
+    noise_var = cfg.effective_noise_var()
+    curvature = tasks.meta_curvature(cfg.env(), traj.metric_alpha)
+    def total(rows):
+        """0 + rows[0] + rows[1] + ..., in order, as numpy sums along a
+        leading axis."""
+        return functools.reduce(np.add, rows, 0.0)
+
+    records = np.zeros(len(traj.replay), dtype=protocol.ROUND_DTYPE)
+    records["round"] = np.arange(len(records))
+    for name in protocol.ROUND_DTYPE.names[1:-1]:
+        records[name] = np.nan
+    recon = {key: [] for key in protocol._RECON_KEYS}
+    thetas = [traj.thetas[0]]
+    memories = np.zeros((cfg.n_devices, d))
+    for t, drawn in enumerate(traj.replay):
+        theta, rec = thetas[-1], records[t]
+        eta, alpha = protocol.lr_schedule(cfg, t)
+        rec["eta"], rec["alpha"] = eta, alpha
+        g = tasks.mean_meta_grad(theta, traj.device_ws, curvature)
+        rec["grad_norm_sq"] = g @ g
+        active, gains, noise = drawn["active"], drawn["gains"], drawn["noise"]
+        deltas = np.array([local_rounds(
+            theta, Dataset(x=traj.datasets.x[i], y=traj.datasets.y[i], m_tr=cfg.train_samples,
+                           m_va=cfg.val_samples),
+            alpha, eta, cfg.local_steps, cfg.batch_size,
+            rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, int(i)))[0] for i in active])
+        updates, mem_next = sparsify.memory_fold(memories[active], deltas, cfg.sparsify_k)
+        rho = sparsify.power_scale(updates, eta, policy) if np.isfinite(deltas).all() else np.nan
+        if not (np.isfinite(rho) and rho > 0):  # sends nothing
+            thetas.append(np.full(d, np.nan))
+            break
+        rows = np.sort(rng.substream(cfg.master_seed, rng.COMPRESSION, t).choice(
+            d, size=m_uses, replace=False))
+        matrix, real, gram = channel.compression_block(d, rows)
+        signals = channel.compress(matrix, sparsify.phase_precompensate(updates, rho, eta, gains))
+        y = channel.transmit_mac(signals, gains, noise)
+        energies = np.array([u @ u for u in updates])
+        eta_sq, abs_h = sparsify.rate_sq(eta), np.abs(gains)
+        if np.sum(energies) > 0:
+            prior = abs_power * rho * np.sum(energies) / (eta_sq * d)
+            signal_true = np.sqrt(rho) / eta * total(abs_h[:, None] * updates)
+        else:  # no update energy: no prior power and no payload
+            prior, signal_true = 0.0, np.zeros(d)
+        est = channel.estimate_stack(y[None], matrix[None], real[None], gram[None],
+                                     np.array([prior]), noise_var, cfg.estimator)
+        thetas.append(channel.global_update(theta[None], est, eta, np.array([rho]), mu_abs,
+                                            rn)[0])
+        memories[active] = mem_next
+        noise_term = est.x_hat[0] - signal_true
+        rec["train_loss"] = metrics.meta_training_loss(theta, traj.datasets, traj.metric_alpha)
+        rec["rho"], rec["v_model"] = rho, est.err_var[0]
+        rec["pinv_fallback"] = est.pinv_fallback[0]
+        rec["v"] = noise_term @ noise_term / d
+        rec["min_g_sq_over_eta_sq"] = min(energies) / eta_sq if eta_sq > 0 else np.nan
+        rec["mem_norm_sq_max"] = max(np.sum(m**2) for m in memories)
+        rec["power_margin"] = max(np.vdot(s, s).real / m_uses - cfg.power_per_use
+                                  for s in signals)
+        rec["sum_abs_h_sq"] = np.sum(abs_h**2)
+        for key, vec in zip(protocol._RECON_KEYS, (
+                total(deltas), noise_term, total((abs_h[:, None] / mu_abs - 1.0) * updates),
+                total(memories))):
+            recon[key].append(vec)
+        if not np.isfinite(thetas[-1]).all():
+            break
+    n_steps = len(thetas) - 1 - (not np.isfinite(thetas[-1]).all())
+    return (np.array(thetas[:n_steps + 1]), records[:len(thetas) - 1],
+            {key: np.array(vecs[:n_steps]).reshape(n_steps, d) for key, vecs in recon.items()})
 
 
 def sample_active_set(n: int, r: float, gen: np.random.Generator) -> np.ndarray:

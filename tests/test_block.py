@@ -4,8 +4,11 @@ evaluates the block's records together; neither may move a number.
 The block size is a constant of ``protocol``.  Runs with blocks of 1, 5 and
 more rounds than the run has must equal the shipped size bit for bit, on a
 constant and an adaptive schedule and on a run that aborts inside a block,
-and every record field must equal its one-iterate computation.  A numpy on
-which the replicas fail their self-check must give the same runs.
+and every record field and identity vector must equal its one-round
+computation (``oracles.rounds_of``), also in a stack whose trials abort at
+different rounds.  A replay log whose active sets differ from the drawn ones
+is rejected before any round runs.  A numpy on which the replicas fail their
+self-check must give the same runs.
 """
 import dataclasses
 import json
@@ -16,6 +19,9 @@ import pytest
 
 from airmeta import meta, metrics, protocol, rng, tasks
 from airmeta.protocol import ExperimentConfig, run_experiment
+from airmeta.sweeps import trial_configs
+
+import oracles
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,6 +94,49 @@ def test_records_equal_their_per_round_values(case):
             assert rec["train_loss"] == metrics.meta_training_loss(theta, traj.datasets,
                                                                    traj.metric_alpha)
             assert rec["sum_abs_h_sq"] == float(np.sum(np.abs(gains) ** 2))
+
+
+def stack_with_a_mid_block_abort():
+    """Three trials, of which the middle one aborts at round 66, inside the
+    stack's block of rounds 63-69; the others complete."""
+    configs = trial_configs(config(eta=8.0, theta_init=1e50), 5)
+    with np.errstate(all="ignore"):
+        stack = protocol.run_stack([configs[0], configs[1], configs[4]])
+    assert [t.aborted_at for t in stack] == [None, 66, None]
+    return stack
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["stack"])
+def test_every_round_equals_the_literal_round_oracle(case):
+    """Every record field and identity vector of every round, and every
+    iterate, bit for bit what ``oracles.rounds_of`` computes one round at a
+    time through the public stages."""
+    with np.errstate(all="ignore"):
+        trajs = stack_with_a_mid_block_abort() if case == "stack" else [CASES[case]()]
+        for traj in trajs:
+            thetas, records, recon = oracles.rounds_of(traj)
+            assert thetas.tobytes() == traj.thetas.tobytes()
+            assert len(records) == len(traj.records)
+            for name in protocol.ROUND_DTYPE.names:
+                assert records[name].tobytes() == traj.records[name].tobytes(), name
+            for key in protocol._RECON_KEYS:
+                assert recon[key].tobytes() == traj.recon[key].tobytes(), key
+
+
+def test_replay_with_another_active_set_is_rejected_before_any_round(monkeypatch):
+    """In a 2-trial stack, trial 1's log lists its round-66 devices in
+    reverse: the stack names that trial and round before any local step."""
+    configs = trial_configs(config(), 2)
+    logs = [traj.replay for traj in protocol.run_stack(configs)]
+    logs[1]["active"][66] = logs[1]["active"][66][::-1].copy()
+    calls = []
+    local_rounds = meta.local_rounds
+    monkeypatch.setattr(meta, "local_rounds",
+                        lambda *args, **kw: calls.append(1) or local_rounds(*args, **kw))
+    with pytest.raises(ValueError, match=r"^replay log of trial 1 has an active set mismatch "
+                                         r"at round 66$"):
+        protocol.run_stack(configs, logs)
+    assert calls == []
 
 
 def test_generalization_run_seeds_only_its_devices(monkeypatch):

@@ -4,10 +4,14 @@
 and ``rng.state_words`` on it that substream's raw words; ``meta.stream_batches`` the
 indices of ``meta.draw_batches`` on that substream; sorted, its draw on the
 one pool ``np.arange(n)`` is the sorted ``choice`` that draws a round's
-active set and compression rows.  A run's channel is ``sample_channel`` on
-a generator set to the seeded state.  All of them replay numpy's algorithms on arrays,
-so a numpy whose seeding or sampling differs fails here first; at run time
-``meta.replicas_hold`` then sends every draw through numpy.
+active set and compression rows.  ``state_words`` computes streams of up
+to ``rng._ARRAY_WORDS`` words on arrays and longer ones through numpy; both
+must be ``random_raw`` at every length up to one past that threshold, also
+on states whose outputs rotate by 0 and by 63 bits.  A run's channel is
+``sample_channel`` on a generator set to the seeded state.  All of them
+replay numpy's algorithms on arrays, so a numpy whose seeding or sampling
+differs fails here first; at run time ``meta.replicas_hold`` then sends
+every draw through numpy.
 """
 import numpy as np
 import pytest
@@ -80,6 +84,73 @@ class TestSubstreamWords:
                         dtype=np.uint64).reshape(len(keys), n_words)
         got = rng.state_words(rng.seeded_states(master_seed, keys), n_words)
         assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+
+
+def raw_words(states, n_words):
+    """numpy's ``random_raw`` from each row of the PCG64 ``states``."""
+    bits = np.random.PCG64(0)
+    out = []
+    for state in rng.state_dicts(states):
+        bits.state = state
+        out.append(bits.random_raw(n_words))
+    return np.array(out, dtype=np.uint64).reshape(len(states), n_words)
+
+
+def states_of(pairs):
+    """PCG64 state rows of (state, inc) int pairs, as ``seeded_states``
+    lays them out."""
+    mask = (1 << 64) - 1
+    return np.array([[s >> 64, s & mask, inc >> 64, inc & mask] for s, inc in pairs],
+                    dtype=np.uint64).reshape(len(pairs), 4)
+
+
+def rotated_states(rotation, n):
+    """n states whose first output rotates by ``rotation``: the LCG step
+    taken back from a next state whose top six bits are ``rotation``."""
+    mod, inverse = 1 << 128, pow(rng._PCG64_MULT, -1, 1 << 128)
+    pairs = []
+    for k in range(n):
+        inc = (0x9E3779B97F4A7C15F39CC0605CEDC835 * (k + 1)) % mod | 1
+        after = rotation << 122 | (0xD1B54A32D192ED03 * (k + 7) << 40) % (1 << 122)
+        pairs.append(((after - inc) * inverse % mod, inc))
+    return states_of(pairs)
+
+
+class TestStateWords:
+    """``rng.state_words`` on arrays, up to ``rng._ARRAY_WORDS`` words, and
+    by numpy above."""
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        keys = np.array([[tag, t, i] for tag in (rng.ACTIVE_SET, rng.LOCAL_BATCH, rng.CHANNEL)
+                         for t in (0, 1, 63, 2**32 + 5) for i in (0, 3, 2**40)])
+        seeds = [0, -1, 2**63 - 1, 2**32] * (len(keys) // 4)
+        return np.concatenate([rng.seeded_states(seeds, keys), rotated_states(0, 6),
+                               rotated_states(63, 6),
+                               states_of([(0, 1), ((1 << 128) - 1, (1 << 128) - 1)])])
+
+    def test_rotations_reach_both_ends(self, states):
+        """The first output of the crafted rows rotates by 0 and by 63."""
+        steps = rng._lcg_steps(rng._PCG64_MULT, 1)
+        hi, _ = rng._add128(*rng._mul128(states[:, 0], states[:, 1], *steps[0]),
+                            *rng._mul128(states[:, 2], states[:, 3], *steps[1]))
+        assert {0, 63} <= set((hi >> np.uint64(58)).tolist())
+
+    @pytest.mark.parametrize("n_words", range(1, rng._ARRAY_WORDS + 2))
+    def test_matches_random_raw(self, states, n_words):
+        got = rng.state_words(states, n_words)
+        assert got.dtype == np.uint64 and got.tobytes() == raw_words(states, n_words).tobytes()
+
+    def test_replicas_hold_probes_the_array_words(self, monkeypatch):
+        """Array words from a wrong LCG step fail the self-check, while the
+        seeding stays right."""
+        steps = rng._lcg_steps
+        monkeypatch.setattr(rng, "_lcg_steps", lambda mult, n: steps(mult + 2, n))
+        meta.replicas_hold.cache_clear()
+        try:
+            assert not meta.replicas_hold()
+        finally:
+            meta.replicas_hold.cache_clear()
 
 
 class TestStreamBatches:
@@ -186,7 +257,8 @@ class TestRoundStreams:
     def test_channel_from_seeded_state(self, master_seed, n_active, m_uses, fading):
         keys = np.array([[rng.CHANNEL, t] for t in range(5)])
         gen = np.random.Generator(np.random.PCG64(0))
-        for key, state in zip(keys.tolist(), rng.seeded_states(master_seed, keys)):
+        for key, state in zip(keys.tolist(),
+                              rng.state_dicts(rng.seeded_states(master_seed, keys))):
             gen.bit_generator.state = state
             got = channel.sample_channel(n_active, fading, 0.3, m_uses, gen)
             want = channel.sample_channel(n_active, fading, 0.3, m_uses,
