@@ -80,19 +80,25 @@ def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw i.i.d. fading coefficients for ``n_active`` devices, then the
     additive noise block: all real parts, then all imaginary parts, each
-    with variance noise_var.  Returns (gains, noise)."""
+    with variance noise_var.  Returns (gains, noise).
+
+    The normals come from one ``standard_normal`` call, in that order:
+    the gains' real and imaginary parts (Rayleigh fading only), then the
+    noise's."""
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
-    if fading == "rayleigh":
-        gains = (rng.standard_normal(n_active) + 1j * rng.standard_normal(n_active)) / np.sqrt(2)
-    elif fading == "unit":
-        gains = np.ones(n_active, dtype=complex)
-    else:
+    if fading not in FADING_MODELS:
         raise ValueError(f"unknown fading model {fading!r}")
+    n_gain = 2 * n_active if fading == "rayleigh" else 0
+    z = rng.standard_normal(n_gain + 2 * m_uses)
+    if fading == "rayleigh":
+        gains = (z[:n_active] + 1j * z[n_active:n_gain]) / np.sqrt(2)
+    else:
+        gains = np.ones(n_active, dtype=complex)
     scale = np.sqrt(noise_var)
     noise = np.empty(m_uses, dtype=complex)
-    noise.real = scale * rng.standard_normal(m_uses)
-    noise.imag = scale * rng.standard_normal(m_uses)
+    noise.real = scale * z[n_gain:n_gain + m_uses]
+    noise.imag = scale * z[n_gain + m_uses:]
     return gains, noise
 
 
@@ -102,13 +108,20 @@ def transmit_mac(signals, gains, noise) -> np.ndarray:
     ``signals`` is the (..., n, M) stack of blocks, row i sent over
     coefficient ``gains[..., i]``, one round's noise block (..., M) each:
     y = sum_i h_i x_i + n, accumulated in device order.  With no device
-    the block is the noise alone.
+    the block is the noise alone.  Checks one coefficient per block and the
+    noise's length, then calls ``transmit_mac_kernel``.
     """
     signals = np.asarray(signals)
     if signals.ndim < 2 or signals.shape[:-1] != gains.shape:
         raise ValueError("one signal per realized channel coefficient required")
     if signals.shape[-1] != noise.shape[-1]:
         raise ValueError("block length does not match the realized noise")
+    return transmit_mac_kernel(signals, gains, noise)
+
+
+def transmit_mac_kernel(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``transmit_mac`` unchecked: assumes blocks (..., n, M), coefficients
+    (..., n) and noise (..., M)."""
     # the running sums 0, 0 + h_0 x_0, (0 + h_0 x_0) + h_1 x_1, ...
     terms = np.concatenate([np.zeros(noise.shape, dtype=complex)[..., None, :],
                             gains[..., None] * signals], axis=-2)
@@ -140,24 +153,36 @@ def estimate_stack(y: np.ndarray, matrix: np.ndarray, real, gram, prior_power,
     does not regularize, falls back to the pseudo-inverse by itself and
     flags it.  Row k of each field is bit for bit what the stack of round
     k alone gives.
+
+    Checks the estimator kind, prior_power >= 0, noise_var >= 0 and, for
+    matched, M == d, then calls ``estimate_stack_kernel``.
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"unknown estimator kind {kind!r}")
     p = np.asarray(prior_power, dtype=float)
     if (p < 0).any() or noise_var < 0:
         raise ValueError("prior_power and noise_var must be >= 0")
-    dim = matrix.shape[-1]
+    if kind == "matched" and matrix.shape[-2] != matrix.shape[-1]:
+        raise ValueError("matched estimator requires M == d")
+    return estimate_stack_kernel(y, matrix, real, gram, p, noise_var, kind,
+                                 noise_var * np.eye(2 * matrix.shape[-2]))
+
+
+def estimate_stack_kernel(y: np.ndarray, matrix: np.ndarray, real, gram, p: np.ndarray,
+                          noise_var: float, kind: str, noise_eye: np.ndarray) -> Estimate:
+    """``estimate_stack`` unchecked: assumes a known ``kind``, M == d for
+    matched, a float prior power p >= 0 (K,), noise_var >= 0 and
+    ``noise_eye`` = noise_var * I (2M, 2M)."""
     if kind == "matched":
-        if matrix.shape[-2] != dim:
-            raise ValueError("matched estimator requires M == d")
         x_hat = (matrix.conj().swapaxes(-1, -2) @ y[..., None])[..., 0].real
         return Estimate(x_hat=np.ascontiguousarray(x_hat, dtype=float),
                         err_var=np.full(p.shape, float(noise_var)),
                         pinv_fallback=np.zeros(p.shape, dtype=bool))
 
+    dim = matrix.shape[-1]
     y_r = np.concatenate([y.real, y.imag], axis=-1)
     rows = real.shape[-2]
-    c = p[:, None, None] * gram + noise_var * np.eye(rows)
+    c = p[:, None, None] * gram + noise_eye
     pinv = np.zeros(p.shape, dtype=bool)
     if noise_var == 0.0:
         pinv = (np.linalg.matrix_rank(gram, tol=1e-12) < rows) | (p == 0.0)
@@ -208,7 +233,8 @@ def global_update(theta: np.ndarray, est: Estimate, eta: float, rho: float,
 
     theta' = theta - eta / (mu * sqrt(rho) * rn) * x_hat, where mu is the
     known mean |h| of the fading law.  A stack of rounds is thetas (K, d)
-    with a scale rho (K,) and payload (K, d) each.
+    with a scale rho (K,) and payload (K, d) each.  Checks rho > 0,
+    n_active >= 1 and abs_mean > 0, then calls ``global_update_kernel``.
     """
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0).any():
@@ -217,8 +243,15 @@ def global_update(theta: np.ndarray, est: Estimate, eta: float, rho: float,
         raise ValueError("need at least one active device")
     if abs_mean <= 0:
         raise ValueError("abs_mean must be > 0")
-    theta = np.asarray(theta, dtype=float)
-    return theta - (eta / (abs_mean * np.sqrt(rho) * n_active))[..., None] * est.x_hat
+    return global_update_kernel(np.asarray(theta, dtype=float), est.x_hat, eta, rho, abs_mean,
+                                n_active)
+
+
+def global_update_kernel(theta: np.ndarray, x_hat: np.ndarray, eta: float, rho: np.ndarray,
+                         abs_mean: float, n_active: int) -> np.ndarray:
+    """``global_update`` on the payload x_hat, unchecked: assumes float
+    thetas, rho > 0, abs_mean > 0 and n_active >= 1."""
+    return theta - (eta / (abs_mean * np.sqrt(rho) * n_active))[..., None] * x_hat
 
 
 def snr_noise_var(snr_db: float, n_active: int, power: float, abs_power: float) -> float:

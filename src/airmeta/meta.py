@@ -191,16 +191,18 @@ def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray, alpha
     mini-batch Hessian at theta.  ``idx`` (n, 3, m_B) holds row i's
     adaptation, outer-gradient and Hessian batches, in that order, as drawn
     from the three pools of ``batch_pools``.  The estimate is biased for
-    curved losses; that is accepted, not corrected.
+    curved losses; that is accepted, not corrected.  Checks finite thetas
+    of the data's dimension, alpha >= 0, nonempty batches and one row each,
+    then calls ``meta_grad_estimate_kernel``.
     """
     thetas = np.asarray(thetas, dtype=float)
     _check_finite(thetas)
-    _check_step(alpha, idx)
+    _check_step(thetas, data, alpha, idx)
     if devices is None:
         devices = np.arange(data.x.shape[0])
     if not thetas.shape[0] == len(devices) == idx.shape[0]:
         raise ValueError("one theta, one device dataset and one batch triple per row required")
-    return _meta_grad(thetas, *_gather(data, idx, np.asarray(devices)), alpha)
+    return meta_grad_estimate_kernel(thetas, *_gather(data, idx, np.asarray(devices)), alpha)
 
 
 def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
@@ -216,18 +218,29 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha:
     points the steps started from (used for empirical constant estimation).
     A device whose iterate leaves the finite range stops there, so it
     reports a non-finite delta; its iterates from that step on are NaN.
-    Raises ValueError for a negative ``alpha``, no step or empty batches.
+    Raises ValueError for a non-finite start, a negative ``alpha``, no step,
+    empty batches or a start whose dimension is not the data's.
 
-    Every step's batches are gathered at once; each step is the arithmetic
-    of ``meta_grad_estimate`` on its rows of them.
+    Checks those, then calls ``local_rounds_kernel``.
     """
     theta_start = np.asarray(theta_start, dtype=float)
     _check_finite(theta_start)
     devices = np.arange(data.x.shape[0]) if devices is None else np.asarray(devices)
-    n, steps = len(devices), idx.shape[0]
-    if idx.ndim != 4 or steps < 1 or idx.shape[1] != n:
+    if idx.ndim != 4 or idx.shape[0] < 1 or idx.shape[1] != len(devices):
         raise ValueError("batch indices must be (local_steps >= 1, n_devices, 3, batch_size)")
-    _check_step(alpha, idx)
+    _check_step(theta_start, data, alpha, idx)
+    return local_rounds_kernel(theta_start, data, idx, alpha, eta, devices)
+
+
+def local_rounds_kernel(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
+                        eta: float, devices: np.ndarray):
+    """``local_rounds`` unchecked: assumes a finite float start, device ids
+    ``devices`` (n,), batch indices (Q >= 1, n, 3, m_B >= 1) and alpha >= 0.
+
+    Every step's batches are gathered at once; each step is
+    ``meta_grad_estimate_kernel`` on its rows of them.
+    """
+    n, steps = len(devices), idx.shape[0]
     x, y = _gather(data, idx, devices)
     theta = np.empty((n, theta_start.shape[-1]))
     theta[:] = theta_start
@@ -243,30 +256,36 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha:
         # all rows run until one stops, and a slice of them is a view
         live = slice(None) if rows.size == n else rows
         iterates[step, live] = theta[live]
-        theta[live] = theta[live] - eta * _meta_grad(theta[live], x[step, live], y[step, live],
-                                                     alpha)
+        theta[live] = theta[live] - eta * meta_grad_estimate_kernel(
+            theta[live], x[step, live], y[step, live], alpha)
     return theta_start - theta, iterates
 
 
-def _check_step(alpha: float, idx: np.ndarray):
+def _check_step(thetas: np.ndarray, data: Dataset, alpha: float, idx: np.ndarray):
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if idx.shape[-1] < 1:
         raise ValueError("batches must hold at least one point")
+    if thetas.shape[-1] != data.x.shape[-1]:
+        raise ValueError(f"dimension mismatch: phi has {thetas.shape[-1]}, "
+                         f"x has {data.x.shape[-1]}")
 
 
 def _gather(data: Dataset, idx: np.ndarray, devices: np.ndarray):
-    """The points (..., n, 3, m_B, d) and labels (..., n, 3, m_B) of the
-    batch indices ``idx`` (..., n, 3, m_B), row i on device ``devices[i]``."""
+    """The float points (..., n, 3, m_B, d) and the labels (..., n, 3, m_B)
+    of the batch indices ``idx`` (..., n, 3, m_B), row i on device
+    ``devices[i]``."""
     rows = devices[:, None, None]
-    return data.x[rows, idx], data.y[rows, idx]
+    return np.asarray(data.x[rows, idx], dtype=float), data.y[rows, idx]
 
 
-def _meta_grad(thetas: np.ndarray, x: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
-    """The meta-gradient estimate of each row of ``thetas`` (n, d) on its
-    gathered adaptation, outer-gradient and Hessian batches ``x[:, k]``,
-    ``y[:, k]`` (``_gather``)."""
-    phi = thetas - alpha * tasks.batch_grad(thetas, x[:, 0], y[:, 0])
-    g_outer = tasks.batch_grad(phi, x[:, 1], y[:, 1])
-    h_hat = tasks.batch_hessian(thetas, x[:, 2], y[:, 2])
+def meta_grad_estimate_kernel(thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
+                              alpha: float) -> np.ndarray:
+    """``meta_grad_estimate`` unchecked, on gathered batches: the estimate
+    of each row of the float ``thetas`` (n, d) on its adaptation,
+    outer-gradient and Hessian batches ``x[:, k]``, ``y[:, k]``
+    (``_gather``); assumes alpha >= 0."""
+    phi = thetas - alpha * tasks.batch_grad_kernel(thetas, x[:, 0], y[:, 0])
+    g_outer = tasks.batch_grad_kernel(phi, x[:, 1], y[:, 1])
+    h_hat = tasks.batch_hessian_kernel(x[:, 2])
     return g_outer - alpha * (h_hat @ g_outer[..., None])[..., 0]

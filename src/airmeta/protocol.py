@@ -341,7 +341,11 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     runs.
 
     A round computes only what the next iterate needs, and leaves its raw
-    outputs in buffers of its block (``_air_uplink``).  The records and
+    outputs in buffers of its block (``_air_uplink``).  It calls each
+    stage's unchecked kernel; what the kernels assume is checked once per
+    run, per block (the rates, raising the stages' ``ValueError`` before the
+    block's first round, and the sampled gains) or where a replay log
+    enters.  The records and
     identity vectors of a block's rounds are computed from those buffers
     after its last round (``_block_records``), and written by trial and round
     into tables of the run; each trial's outputs are its rows of them.
@@ -385,6 +389,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     f_star = [tasks.meta_loss_minimum(ws, state.env, metric_alpha) for ws in trial_ws]
 
     n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
+    noise_eye = noise_var * np.eye(2 * cfg.channel_uses)
     thetas = np.empty((n_trials, cfg.rounds + 1, d))
     thetas[:, 0] = state.theta
     # the records and identity vectors of every (trial, round), preset to an
@@ -402,53 +407,58 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         trials = running
         n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
         block = slice(t0, t0 + n_rounds)
+        rates = [lr_schedule(cfg, t) for t in range(t0, t0 + n_rounds)]
+        # the local steps and the uplink of a round assume these, in the
+        # order its checked stages would raise
+        for eta_t, alpha_t in rates:
+            if alpha_t < 0:
+                raise ValueError("alpha must be >= 0")
+            if eta_t < 0:
+                raise ValueError("eta must be >= 0")
+        eta_sq = [sparsify.rate_sq(eta_t) for eta_t, _ in rates]
         batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds),
                                      noise_var, replay, channel_replays is not None)
         active, gains, noise = (replay[name][trials, block]
                                 for name in ("active", "gains", "noise"))
-        rates = [lr_schedule(cfg, t) for t in range(t0, t0 + n_rounds)]
+        phases = sparsify.phase(gains)
         table["eta"][:, block], table["alpha"][:, block] = np.array(rates).T
-        # the raw outputs of the block's rounds by (trial, round), zero where
-        # a trial did not send
-        buffers = {"sent": np.zeros((len(trials), n_rounds), dtype=bool)}
-        # offsets of the block's local iterates; NaN where a trial did not run
-        offsets = np.full((len(trials), n_rounds, q, rn, d), np.nan)
+        buffers = _block_buffers(cfg, len(trials), n_rounds)
+        # the block's local iterates; NaN where a trial did not run
+        iterates_of = np.full((len(trials), n_rounds, q, rn, d), np.nan)
+        block_rows = trials[:, None, None] * state.n + active  # the devices' rows of the state
         live = np.arange(len(trials))  # block positions of the trials still running
-        for j, (eta_t, alpha_t) in enumerate(rates):
-            if not live.size:
-                break
-            pos = slice(None) if live.size == len(trials) else live
-            ks = trials[pos]
-            rows = ks[:, None] * state.n + active[pos, j]  # the devices' rows of the state
-            # the devices of every live trial step as one stack; values that
-            # leave the float range raise no warning: they abort their trial,
-            # or are not used
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                deltas, iterates = meta.local_rounds(
-                    state.theta[np.repeat(ks, rn)], state.data,
+        pos, ks, starts = slice(None), trials, np.repeat(trials, rn)
+        # the devices of every live trial step as one stack; values that
+        # leave the float range raise no warning: they abort their trial, or
+        # are not used
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for j, (eta_t, alpha_t) in enumerate(rates):
+                rows = block_rows[pos, j]
+                deltas, iterates = meta.local_rounds_kernel(
+                    state.theta[starts], state.data,
                     batches[pos, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
-                    eta_t, devices=rows.reshape(-1))
-                offsets[pos, j] = (iterates.reshape(q, len(ks), rn, d) - state.ws[rows]
-                                   ).swapaxes(0, 1)
+                    eta_t, rows.reshape(-1))
+                iterates_of[pos, j] = iterates.reshape(q, len(ks), rn, d).swapaxes(0, 1)
                 theta_next, sent, outputs = _air_uplink(
                     cfg, state, ks, rows, deltas.reshape(len(ks), rn, d), gains[pos, j],
-                    noise[pos, j], tuple(c[pos, j] for c in comps), noise_var, eta_t)
-            senders = pos if sent.all() else live[sent]
-            buffers["sent"][senders, j] = True
-            for name, value in outputs.items():
-                if name not in buffers:
-                    buffers[name] = np.zeros((len(trials), n_rounds) + value.shape[1:],
-                                             dtype=value.dtype)
-                buffers[name][senders, j] = value
-            ok = np.isfinite(theta_next).all(axis=1)
-            if not ok.all():
-                for k in ks[~ok].tolist():
-                    aborted_at[k] = t0 + j
-                live, ks, theta_next = live[ok], ks[ok], theta_next[ok]
-            state.theta[ks] = theta_next
-            thetas[ks, t0 + j + 1] = theta_next
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _block_records(cfg, state, trials, t0, rates, np.abs(gains), buffers, table, recon)
+                    phases[pos, j], noise[pos, j], tuple(c[pos, j] for c in comps), noise_var,
+                    noise_eye, eta_t, eta_sq[j])
+                senders = pos if sent.all() else live[sent]
+                buffers["sent"][senders, j] = True
+                for name, value in zip(_OUTPUTS, outputs):
+                    buffers[name][senders, j] = value
+                ok = np.isfinite(theta_next).all(axis=1)
+                if not ok.all():
+                    for k in ks[~ok].tolist():
+                        aborted_at[k] = t0 + j
+                    live, ks, theta_next = live[ok], ks[ok], theta_next[ok]
+                    pos, starts = live, np.repeat(ks, rn)
+                state.theta[ks] = theta_next
+                thetas[ks, t0 + j + 1] = theta_next
+                if not live.size:
+                    break
+            _block_records(cfg, state, trials, t0, rates, eta_sq, np.abs(gains), buffers, table,
+                           recon)
         # the meta-training loss and squared meta-gradient of every iterate
         # of a trial's block at once, each bit for bit its one-iterate value;
         # a round that sent nothing has no training loss
@@ -462,8 +472,10 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 table["train_loss"][k, run] = np.where(buffers["sent"][i, :n_run], loss, np.nan)
                 g = tasks.mean_meta_grad(thetas[k, run], state.ws[devices], curvature)
                 table["grad_norm_sq"][k, run] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-            # the rounds no trial ran have NaN offsets, which it skips
-            state.update_probes(trials, offsets.reshape(len(trials), -1, d),
+            # the offsets of the local iterates from their devices' task
+            # vectors, in place; the rounds no trial ran are NaN, which it skips
+            iterates_of -= state.ws[block_rows][:, :, None]
+            state.update_probes(trials, iterates_of.reshape(len(trials), -1, d),
                                 np.repeat(table["alpha"][0, block], q * rn))
         running = trials[live]
         t0 += n_rounds
@@ -525,7 +537,9 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     words; the channel is drawn by ``ch.sample_channel`` on one generator,
     set to each CHANNEL stream's seeded state.  All Q steps are drawn up
     front; a substream serves one device in one round, so a device that
-    stops early only leaves its later draws unused."""
+    stops early only leaves its later draws unused.  The sampled gains are
+    checked nonzero once for the block, since every scheduled device
+    transmits."""
     seeds = np.array([state.seeds[k] for k in trials.tolist()], dtype=object)
     n, n_trials = rounds.size, len(trials)
     kn, actives = n_trials * n, replay["active"][np.ix_(trials, rounds)]
@@ -548,6 +562,8 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
                 gen.bit_generator.state = seeded
             gains[k, t], noise[k, t] = ch.sample_channel(cfg.n_active, cfg.fading, noise_var,
                                                          cfg.channel_uses, gen)
+        if (gains[np.ix_(trials, rounds)] == 0).any():
+            raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
     batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
                                   np.repeat(np.tile(rounds, n_trials), cfg.n_active),
                                   actives.reshape(-1)])
@@ -558,21 +574,48 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
     return batches.reshape(actives.shape + batches.shape[1:]), comps
 
 
+# the raw outputs of a round that _block_records reads, in _air_uplink's order
+_OUTPUTS = ("rho", "v_model", "pinv_fallback", "x_hat", "updates", "deltas", "signals", "g_sq",
+            "memories")
+
+
+def _block_buffers(cfg: ExperimentConfig, n_trials: int, n_rounds: int) -> dict:
+    """Zeroed buffers of a block's raw round outputs by (trial, round), by
+    ``_OUTPUTS`` name, and the mask ``sent`` of the cells that sent."""
+    rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
+    cells = (n_trials, n_rounds)
+    shapes = dict(rho=(), v_model=(), pinv_fallback=(), x_hat=(d,), updates=(rn, d),
+                  deltas=(rn, d), signals=(rn, m_uses), g_sq=(rn,), memories=(cfg.n_devices, d))
+    dtypes = dict(pinv_fallback=bool, signals=complex)
+    buffers = {name: np.zeros(cells + shapes[name], dtype=dtypes.get(name, float))
+               for name in _OUTPUTS}
+    buffers["sent"] = np.zeros(cells, dtype=bool)
+    return buffers
+
+
 def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.ndarray,
-                deltas: np.ndarray, gains: np.ndarray, noise: np.ndarray, comp: tuple,
-                noise_var: float, eta_t: float):
+                deltas: np.ndarray, gains: np.ndarray, phases: np.ndarray, noise: np.ndarray,
+                comp: tuple, noise_var: float, noise_eye: np.ndarray, eta_t: float,
+                eta_sq: float):
     """Error-feedback sparsification, power scaling, phase pre-compensation and
     compression, MAC superposition, estimation and the server update of the
     G trials ``ks``, each on the (rn, d) stack ``deltas[i]`` of its devices,
     whose rows of the state are ``rows[i]``, that transmit over the
-    coefficients ``gains[i]`` with the noise block ``noise[i]``, compressed
-    by its operators ``comp`` (``ch.compression_block``).
+    coefficients ``gains[i]``, of phase factors ``phases[i]``
+    (``sparsify.phase``), with the noise block ``noise[i]``, compressed by
+    its operators ``comp`` (``ch.compression_block``); ``noise_eye`` is
+    noise_var * I and ``eta_sq`` is ``sparsify.rate_sq(eta_t)``.
 
+    Each stage runs its kernel, whose assumptions hold here: the trials'
+    iterates are finite (a non-finite one aborts its trial), the config
+    passed ``validate``, eta_t >= 0 (checked per block), every coefficient
+    is nonzero (checked per block of draws, or when a replay log is
+    entered), and a trial sends only at a finite rho > 0.
     A trial sends nothing when its model differences or its update energy
     leave the float range: it gets a NaN iterate and keeps its memories.
     Returns each trial's next iterate (G, d), the (G,) mask of the trials
     that sent, and for those, in order, the raw outputs of the round by
-    name: the scale rho, the estimate's modeled error variance,
+    ``_OUTPUTS`` name: the scale rho, the estimate's modeled error variance,
     pseudo-inverse flag and payload x_hat, the sparsified updates, the model
     differences, the transmitted blocks, the update energies and the
     trial's memories.  Only what the next iterate needs is computed here;
@@ -582,31 +625,36 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
     g = len(ks)
     mu_abs, abs_power = state.fading
     finite = np.isfinite(deltas).all(axis=(1, 2))
-    updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas, cfg.sparsify_k)
-    rho = sparsify.power_scale(
-        updates if finite.all() else np.where(finite[:, None, None], updates, 0.0), eta_t,
-        state.policy)
+    updates, mem_next = sparsify.memory_fold_kernel(state.memories[rows], deltas,
+                                                    cfg.sparsify_k)
+    scaled = updates if finite.all() else np.where(finite[:, None, None], updates, 0.0)
+    g_sq = sparsify.energies(scaled)
+    rho = sparsify.power_scale_kernel(scaled, g_sq, eta_sq, state.policy)
     sent = finite & np.isfinite(rho) & (rho > 0)
-    if not sent.any():
-        return np.full((g, cfg.dim), np.nan), sent, {}
     if not sent.all():
-        ks, rows, deltas, updates, mem_next, rho, gains, noise = (
-            a[sent] for a in (ks, rows, deltas, updates, mem_next, rho, gains, noise))
+        # a trial that does not send may have failed a check of the scaling:
+        # the checked stage raises as it would have
+        sparsify.power_scale(scaled, eta_t, state.policy)
+        if not sent.any():
+            return np.full((g, cfg.dim), np.nan), sent, ()
+        ks, rows, deltas, updates, mem_next, rho, g_sq, gains, phases, noise = (
+            a[sent] for a in (ks, rows, deltas, updates, mem_next, rho, g_sq, gains, phases,
+                              noise))
         comp = tuple(c[sent] for c in comp)
 
-    signals = ch.compress(comp[0], sparsify.phase_precompensate(updates, rho, eta_t, gains))
-    y = ch.transmit_mac(signals, gains, noise)
-    g_sq = sparsify.energies(updates)
+    signals = ch.compress(comp[0], sparsify.phase_precompensate_kernel(updates, rho, eta_t,
+                                                                       phases))
+    y = ch.transmit_mac_kernel(signals, gains, noise)
     total_g_sq = g_sq.sum(axis=-1)
-    prior_power = abs_power * rho * total_g_sq / (sparsify.rate_sq(eta_t) * cfg.dim)
+    prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim)
     prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has no prior power
-    est = ch.estimate_stack(y, *comp, prior_power, noise_var, cfg.estimator)
-    theta_next = ch.global_update(state.theta[ks], est, eta_t, rho, mu_abs, cfg.n_active)
+    est = ch.estimate_stack_kernel(y, *comp, prior_power, noise_var, cfg.estimator, noise_eye)
+    theta_next = ch.global_update_kernel(state.theta[ks], est.x_hat, eta_t, rho, mu_abs,
+                                         cfg.n_active)
     state.memories[rows] = mem_next
 
-    outputs = dict(rho=rho, v_model=est.err_var, pinv_fallback=est.pinv_fallback,
-                   x_hat=est.x_hat, updates=updates, deltas=deltas, signals=signals, g_sq=g_sq,
-                   memories=state.memories.reshape(-1, state.n, cfg.dim)[ks])
+    outputs = (rho, est.err_var, est.pinv_fallback, est.x_hat, updates, deltas, signals, g_sq,
+               state.memories.reshape(-1, state.n, cfg.dim)[ks])
     if len(ks) < g:  # the trials that sent nothing take NaN iterates
         theta_all = np.full((g, cfg.dim), np.nan)
         theta_all[sent] = theta_next
@@ -615,13 +663,13 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.n
 
 
 def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,
-                   rates: list, abs_h: np.ndarray, buffers: dict, table: np.ndarray,
-                   recon: np.ndarray):
+                   rates: list, eta_sq: list, abs_h: np.ndarray, buffers: dict,
+                   table: np.ndarray, recon: np.ndarray):
     """Write the records and identity vectors of the (trial, round) cells of
-    a block that sent, from the raw outputs in its ``buffers`` (by
-    ``_air_uplink``'s names, and the mask ``sent``), the rates of its rounds
-    and its gains' moduli ``abs_h`` (K, rounds, rn), into the run's ``table``
-    and ``recon``.
+    a block that sent, from the raw outputs in its ``buffers``
+    (``_block_buffers``), the rates of its rounds and their squares
+    ``eta_sq`` (``sparsify.rate_sq``), and its gains' moduli ``abs_h`` (K,
+    rounds, rn), into the run's ``table`` and ``recon``.
 
     Each field is computed for every cell at once, in the form the round
     computed it with a leading round axis, so that a cell is bit for bit its
@@ -632,7 +680,7 @@ def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
         return
     cells = (trials[kk], t0 + jj)
     eta = np.array([eta_t for eta_t, _ in rates])
-    eta_sq = np.array([sparsify.rate_sq(eta_t) for eta_t, _ in rates])
+    eta_sq = np.array(eta_sq)
     mu_abs, _ = state.fading
     updates, g_sq, signals = buffers["updates"], buffers["g_sq"], buffers["signals"]
     # the superposed payload the estimate targets; a trial without update

@@ -33,13 +33,26 @@ class PowerPolicy:
 
 def comp_k(x: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries of each row of x (..., n, d),
-    ties broken by lowest index; dense output, zeros elsewhere."""
+    ties broken by lowest index; dense output, zeros elsewhere.
+
+    Checks that x is a stack of rows and that 1 <= k <= d, then calls
+    ``comp_k_kernel``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        raise ValueError(f"x must be a (..., n, d) stack, got shape {x.shape}")
+    _check_top_k(x.shape, k)
+    return comp_k_kernel(x, k)
+
+
+def _check_top_k(shape: tuple, k: int):
+    if len(shape) < 2:
+        raise ValueError(f"x must be a (..., n, d) stack, got shape {shape}")
+    if not 1 <= k <= shape[-1]:
+        raise ValueError(f"k must be in [1, {shape[-1]}], got {k}")
+
+
+def comp_k_kernel(x: np.ndarray, k: int) -> np.ndarray:
+    """``comp_k`` unchecked: assumes a float (..., n, d) stack x and
+    1 <= k <= d."""
     d = x.shape[-1]
-    if not 1 <= k <= d:
-        raise ValueError(f"k must be in [1, {d}], got {k}")
     if k == d:
         return x.copy()
     flat = x.reshape(-1, d)
@@ -56,14 +69,22 @@ def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int):
 
     ``memory`` and ``delta`` are (..., n, d) stacks, one row per device.  Returns
     (g, next_memory) with g = comp_k(memory + delta) and
-    next_memory = memory + delta - g.
+    next_memory = memory + delta - g.  Checks that the shapes agree and what
+    ``comp_k`` checks, then calls ``memory_fold_kernel``.
     """
     memory = np.asarray(memory, dtype=float)
     delta = np.asarray(delta, dtype=float)
     if memory.shape != delta.shape:
         raise ValueError("memory and delta must have the same shape")
+    _check_top_k(memory.shape, k)
+    return memory_fold_kernel(memory, delta, k)
+
+
+def memory_fold_kernel(memory: np.ndarray, delta: np.ndarray, k: int):
+    """``memory_fold`` unchecked: assumes float (..., n, d) stacks of one
+    shape and 1 <= k <= d."""
     folded = memory + delta
-    g = comp_k(folded, k)
+    g = comp_k_kernel(folded, k)
     return g, folded - g
 
 
@@ -96,25 +117,34 @@ def power_scale(updates, eta: float, policy: PowerPolicy):
     range (a tiny nonzero update is not a zero one), too few bits are left
     for the budget to hold to rounding, and the result is nan.  It is nan
     too when eta^2 overflows.
+
+    Checks that eta >= 0, that the updates are finite and that none is
+    nonzero at eta == 0, then calls ``power_scale_kernel``.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
     g = np.asarray(updates, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("update contains non-finite entries")
-    nrm = energies(g)
+    if eta == 0 and g.any():
+        raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
+    rho = power_scale_kernel(g, energies(g), rate_sq(eta), policy)
+    return float(rho) if rho.ndim == 0 else rho
+
+
+def power_scale_kernel(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
+                       policy: PowerPolicy) -> np.ndarray:
+    """``power_scale`` unchecked, as an array (...) also for one stack:
+    assumes a finite float (..., n, d) stack g, its ``energies`` nrm, and
+    ``rate_sq(eta)`` of an eta >= 0 that is nonzero if any update is."""
     live = g.any(axis=-1)  # a tiny nonzero g can have nrm == 0
     some = live.any(axis=-1)
-    if eta == 0 and some.any():
-        raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
-    eta_sq = rate_sq(eta)
     scalable = some & ~(live & (nrm < _TINY)).any(axis=-1) & (_TINY <= eta_sq < np.inf)
     # the least eta^2 M P / ||g||^2 over the devices is the quotient by the
     # largest energy: rounding keeps the order of the quotients
     top = np.where(scalable, nrm.max(axis=-1, initial=0.0), 1.0)
     rho = eta_sq * policy.channel_uses * policy.power / top
-    rho = np.where(some, np.where(scalable & (rho >= _TINY), rho, np.nan), policy.rho_max)
-    return float(rho) if rho.ndim == 0 else rho
+    return np.where(some, np.where(scalable & (rho >= _TINY), rho, np.nan), policy.rho_max)
 
 
 def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndarray:
@@ -125,6 +155,10 @@ def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndar
     multiplying by h_i leaves |h_i| * (sqrt(rho)/eta) * g_i, real up to
     rounding.  A (..., n, d) stack of stacks takes gains (..., n) and a
     scale rho (...) per stack.
+
+    Checks one nonzero coefficient per row, rho > 0, and eta > 0 when any
+    update is nonzero, then calls ``phase_precompensate_kernel`` on the
+    coefficients' ``phase``.  An all-zero stack transmits zeros.
     """
     g = np.asarray(g, dtype=float)
     gains = np.asarray(gains, dtype=complex)
@@ -135,12 +169,22 @@ def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndar
         raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
     if (rho <= 0).any():
         raise ValueError("rho must be > 0")
-    live = g.any(axis=-1)
-    if not live.any():
+    if not g.any():
         return np.zeros(g.shape, dtype=complex)
     if eta <= 0:
         raise ValueError("eta must be > 0 for a nonzero update")
-    factor = (np.sqrt(rho) / eta)[..., None] * _phase(gains)
+    return phase_precompensate_kernel(g, rho, eta, phase(gains))
+
+
+def phase_precompensate_kernel(g: np.ndarray, rho: np.ndarray, eta: float,
+                               phases: np.ndarray) -> np.ndarray:
+    """``phase_precompensate`` unchecked: assumes a float (..., n, d) stack
+    g, rho > 0 (...), the ``phase`` (..., n) of nonzero coefficients, and
+    eta > 0 when any update is nonzero."""
+    live = g.any(axis=-1)
+    if not live.any():
+        return np.zeros(g.shape, dtype=complex)
+    factor = (np.sqrt(rho) / eta)[..., None] * phases
     if live.all():
         return factor[..., None] * g
     out = np.zeros(g.shape, dtype=complex)  # a zero row needs no scaling
@@ -148,11 +192,11 @@ def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndar
     return out
 
 
-def _phase(h: np.ndarray) -> np.ndarray:
-    """conj(h) / abs(h) per entry, bit for bit numpy's scalar quotient: Smith's
-    complex division by abs(h) + 0j, whose zero imaginary part still enters
-    as 0 / abs(h).  ``np.conj(h) / np.abs(h)`` and ``conj(h) * (1 / abs(h))``
-    differ from it in the last bit."""
+def phase(h: np.ndarray) -> np.ndarray:
+    """conj(h) / abs(h) per entry of a complex array h, bit for bit numpy's
+    scalar quotient: Smith's complex division by abs(h) + 0j, whose zero
+    imaginary part still enters as 0 / abs(h).  ``np.conj(h) / np.abs(h)``
+    and ``conj(h) * (1 / abs(h))`` differ from it in the last bit."""
     a = np.hypot(h.real, h.imag)
     rat = 0.0 / a
     scl = 1.0 / (a + 0.0 * rat)

@@ -3,9 +3,11 @@
 The per-sample loss, gradient and Hessian of the squared loss, the
 population gradient, the closed-form per-sample gradient moments, one
 device's local steps on literal numpy batch draws, a run recomputed one
-round at a time through the public stage functions, a uniform active set
-drawn by numpy's ``choice``, the received SNR recovered from a run's fading
-draws, the phase factors as numpy's scalar quotient, and the CSV writers
+round at a time with each uplink stage written out a device at a time
+(top-k, power scaling, estimation), a uniform active set
+drawn by numpy's ``choice``, one round's channel drawn by a
+``standard_normal`` call per part, the received SNR recovered from a run's
+fading draws, the phase factors as numpy's scalar quotient, and the CSV writers
 cell by cell through ``csv.writer``.  The simulator computes batched
 versions of these (``tasks.batch_*``) or never needs them; the tests check
 those batched paths and the closed forms against these.
@@ -81,24 +83,68 @@ def local_rounds(theta_start, ds, alpha, eta, steps, batch_size, gen):
     return theta_start - theta, iterates
 
 
+def top_k(x: np.ndarray, k: int) -> np.ndarray:
+    """One row's k largest-magnitude entries, ties to the lowest index by
+    Python's stable sort; zeros elsewhere."""
+    keep = sorted(range(len(x)), key=lambda i: -abs(x[i]))[:k]
+    out = np.zeros(len(x))
+    out[keep] = x[keep]
+    return out
+
+
+def power_scale(updates: np.ndarray, eta: float, m_uses: int, power: float,
+                rho_max: float) -> float:
+    """One round's scale rho from its devices' updates, as the definition
+    in ``sparsify.power_scale`` reads, a device at a time."""
+    tiny, eta_sq = np.finfo(float).tiny, sparsify.rate_sq(eta)
+    live = [(u @ u, u.any()) for u in updates]
+    if not any(nonzero for _, nonzero in live):
+        return rho_max
+    if not tiny <= eta_sq < np.inf or any(nonzero and e < tiny for e, nonzero in live):
+        return np.nan
+    rho = eta_sq * m_uses * power / max(e for e, _ in live)
+    return rho if rho >= tiny else np.nan
+
+
+def estimate(y, matrix, real, gram, prior: float, noise_var: float, kind: str):
+    """One round's (x_hat, err_var, pinv_fallback), written out from the
+    definitions in ``channel.estimate_stack``."""
+    d = matrix.shape[1]
+    if kind == "matched":
+        return (matrix.conj().T @ y[:, None])[:, 0].real, float(noise_var), False
+    y_r = np.concatenate([y.real, y.imag])
+    rank = np.linalg.matrix_rank(gram, tol=1e-12)
+    if noise_var != 0.0 or (rank == len(y_r) and prior != 0.0):
+        try:
+            sol = np.linalg.solve(prior * gram + noise_var * np.eye(len(y_r)),
+                                  np.column_stack([y_r, real]))
+            err = (prior * d - prior * prior * (real * sol[:, 1:]).reshape(-1).sum()) / d
+            return prior * (real.T @ sol[:, :1])[:, 0], 0.0 if err < 0.0 else err, False
+        except np.linalg.LinAlgError:
+            pass
+    # the minimum-norm reconstruction of a system the noise does not regularize
+    return real.T @ (np.linalg.pinv(gram) @ y_r), float(prior * max(d - rank, 0) / d), True
+
+
 def rounds_of(traj):
     """(thetas, records, recon) of ``traj``'s run, recomputed one round at a
     time from its first iterate and its logged active sets, gains and noise.
 
     Each active device runs its literal local steps on its LOCAL_BATCH
     substream (``local_rounds``); the round's compression rows are numpy's
-    sorted ``choice`` on its COMPRESSION substream.  The uplink goes through
-    the public stages on the round's own (rn, ...) arrays: ``memory_fold``,
-    ``power_scale``, ``phase_precompensate``, ``compress``, ``transmit_mac``,
-    ``estimate_stack`` on a stack of one round and ``global_update``.  Every
-    record field and identity vector is written out from its definition, a
-    device at a time; vector sums run in device order.  A round whose model
-    differences or scale leave the float range sends nothing, and a
-    non-finite iterate stops the run, as in ``protocol.run_stack``."""
+    sorted ``choice`` on its COMPRESSION substream.  The uplink is written
+    out a device at a time from each stage's definition, without the
+    simulator's stages or their kernels: error feedback by ``top_k``,
+    ``power_scale``, the phase factors as numpy's scalar quotient
+    (``phase``), each device's compressed block, the superposition in device
+    order, the ``estimate`` and the server update.  Every record field and
+    identity vector is written out from its definition, a device at a time;
+    vector sums run in device order.  A round whose model differences or
+    scale leave the float range sends nothing, and a non-finite iterate
+    stops the run, as in ``protocol.run_stack``."""
     cfg = traj.config
     rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
     mu_abs, abs_power = channel.fading_moments(cfg.fading)
-    policy = sparsify.PowerPolicy(cfg.power_per_use, m_uses, cfg.rho_max)
     noise_var = cfg.effective_noise_var()
     curvature = tasks.meta_curvature(cfg.env(), traj.metric_alpha)
     def total(rows):
@@ -125,16 +171,21 @@ def rounds_of(traj):
                            m_va=cfg.val_samples),
             alpha, eta, cfg.local_steps, cfg.batch_size,
             rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, int(i)))[0] for i in active])
-        updates, mem_next = sparsify.memory_fold(memories[active], deltas, cfg.sparsify_k)
-        rho = sparsify.power_scale(updates, eta, policy) if np.isfinite(deltas).all() else np.nan
+        folded = memories[active] + deltas
+        updates = np.array([top_k(row, cfg.sparsify_k) for row in folded])
+        mem_next = folded - updates
+        rho = (power_scale(updates, eta, m_uses, cfg.power_per_use, cfg.rho_max)
+               if np.isfinite(deltas).all() else np.nan)
         if not (np.isfinite(rho) and rho > 0):  # sends nothing
             thetas.append(np.full(d, np.nan))
             break
         rows = np.sort(rng.substream(cfg.master_seed, rng.COMPRESSION, t).choice(
             d, size=m_uses, replace=False))
         matrix, real, gram = channel.compression_block(d, rows)
-        signals = channel.compress(matrix, sparsify.phase_precompensate(updates, rho, eta, gains))
-        y = channel.transmit_mac(signals, gains, noise)
+        factor = np.sqrt(rho) / eta
+        signals = np.array([matrix @ (factor * h_phase * u if u.any() else np.zeros(d, complex))
+                            for h_phase, u in zip(phase(gains), updates)])
+        y = total([h * s for h, s in zip(gains, signals)]) + noise
         energies = np.array([u @ u for u in updates])
         eta_sq, abs_h = sparsify.rate_sq(eta), np.abs(gains)
         if np.sum(energies) > 0:
@@ -142,15 +193,12 @@ def rounds_of(traj):
             signal_true = np.sqrt(rho) / eta * total(abs_h[:, None] * updates)
         else:  # no update energy: no prior power and no payload
             prior, signal_true = 0.0, np.zeros(d)
-        est = channel.estimate_stack(y[None], matrix[None], real[None], gram[None],
-                                     np.array([prior]), noise_var, cfg.estimator)
-        thetas.append(channel.global_update(theta[None], est, eta, np.array([rho]), mu_abs,
-                                            rn)[0])
+        x_hat, err_var, pinv = estimate(y, matrix, real, gram, prior, noise_var, cfg.estimator)
+        thetas.append(theta - eta / (mu_abs * np.sqrt(rho) * rn) * x_hat)
         memories[active] = mem_next
-        noise_term = est.x_hat[0] - signal_true
+        noise_term = x_hat - signal_true
         rec["train_loss"] = metrics.meta_training_loss(theta, traj.datasets, traj.metric_alpha)
-        rec["rho"], rec["v_model"] = rho, est.err_var[0]
-        rec["pinv_fallback"] = est.pinv_fallback[0]
+        rec["rho"], rec["v_model"], rec["pinv_fallback"] = rho, err_var, pinv
         rec["v"] = noise_term @ noise_term / d
         rec["min_g_sq_over_eta_sq"] = min(energies) / eta_sq if eta_sq > 0 else np.nan
         rec["mem_norm_sq_max"] = max(np.sum(m**2) for m in memories)
@@ -174,6 +222,21 @@ def sample_active_set(n: int, r: float, gen: np.random.Generator) -> np.ndarray:
     if abs(k - round(k)) > 1e-9 or round(k) < 1:
         raise ValueError(f"r * n must be a positive integer, got {k}")
     return np.sort(gen.choice(n, size=int(round(k)), replace=False))
+
+
+def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
+                   gen: np.random.Generator):
+    """``channel.sample_channel`` with one ``standard_normal`` call for each
+    of the gains' real and imaginary parts and the noise's."""
+    if fading == "rayleigh":
+        gains = (gen.standard_normal(n_active) + 1j * gen.standard_normal(n_active)) / np.sqrt(2)
+    else:
+        gains = np.ones(n_active, dtype=complex)
+    scale = np.sqrt(noise_var)
+    noise = np.empty(m_uses, dtype=complex)
+    noise.real = scale * gen.standard_normal(m_uses)
+    noise.imag = scale * gen.standard_normal(m_uses)
+    return gains, noise
 
 
 def measured_snr_db(traj, power: float) -> float:

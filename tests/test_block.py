@@ -6,9 +6,11 @@ more rounds than the run has must equal the shipped size bit for bit, on a
 constant and an adaptive schedule and on a run that aborts inside a block,
 and every record field and identity vector must equal its one-round
 computation (``oracles.rounds_of``), also in a stack whose trials abort at
-different rounds.  A replay log whose active sets differ from the drawn ones
-is rejected before any round runs.  A numpy on which the replicas fail their
-self-check must give the same runs.
+different rounds; the oracle cases also take the matched estimate and the
+noiseless pseudo-inverse fallback.  A replay log whose active sets differ
+from the drawn ones, or that holds a zero gain, is rejected before any round
+runs, and a negative rate still fails the run.  A numpy on which the
+replicas fail their self-check must give the same runs.
 """
 import dataclasses
 import json
@@ -106,13 +108,26 @@ def stack_with_a_mid_block_abort():
     return stack
 
 
-@pytest.mark.parametrize("case", sorted(CASES) + ["stack"])
+# the cases above, and one for each branch of the uplink kernels they miss:
+# the matched estimate on the full DFT with top-k keeping every entry over
+# unit gains, and the noiseless estimate of a rank-deficient system (2M > d),
+# which falls back to the pseudo-inverse
+ORACLE_CASES = CASES | {
+    "matched": lambda: run_experiment(config(channel_uses=6, sparsify_k=6, fading="unit",
+                                             estimator="matched")),
+    "noiseless": lambda: run_experiment(config(noise_var=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES) + ["stack"])
 def test_every_round_equals_the_literal_round_oracle(case):
     """Every record field and identity vector of every round, and every
     iterate, bit for bit what ``oracles.rounds_of`` computes one round at a
-    time through the public stages."""
+    time, each stage written out a device at a time."""
     with np.errstate(all="ignore"):
-        trajs = stack_with_a_mid_block_abort() if case == "stack" else [CASES[case]()]
+        trajs = stack_with_a_mid_block_abort() if case == "stack" else [ORACLE_CASES[case]()]
+        if case == "noiseless":
+            assert trajs[0].records["pinv_fallback"].all()
         for traj in trajs:
             thetas, records, recon = oracles.rounds_of(traj)
             assert thetas.tobytes() == traj.thetas.tobytes()
@@ -137,6 +152,44 @@ def test_replay_with_another_active_set_is_rejected_before_any_round(monkeypatch
                                          r"at round 66$"):
         protocol.run_stack(configs, logs)
     assert calls == []
+
+
+@pytest.mark.parametrize("fault", ["a zero or non-finite gain", "an active set mismatch"])
+def test_a_bad_replay_log_runs_no_local_step_kernel(fault, monkeypatch):
+    """A round runs the local steps' kernel, not ``meta.local_rounds``: in a
+    2-trial stack whose trial 1 logs a zero gain, or its round-66 devices in
+    reverse, no kernel call happens before the log is rejected."""
+    configs = trial_configs(config(), 2)
+    logs = [traj.replay for traj in protocol.run_stack(configs)]
+    if "gain" in fault:
+        logs[1]["gains"][66, 1] = 0.0
+    else:
+        logs[1]["active"][66] = logs[1]["active"][66][::-1].copy()
+    calls = []
+    kernel = meta.local_rounds_kernel
+    monkeypatch.setattr(meta, "local_rounds_kernel",
+                        lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+    with pytest.raises(ValueError, match=rf"^replay log of trial 1 has {fault} at round 66$"):
+        protocol.run_stack(configs, logs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("rate", ["eta", "alpha"])
+def test_a_negative_rate_still_raises(rate, monkeypatch):
+    """A round's stages assume rates >= 0, checked once per block: a
+    schedule that turns one rate negative at round 66, inside the second
+    block, fails the run with the checked stage's message."""
+    schedule = protocol.lr_schedule
+
+    def negative_at_66(cfg, t):
+        eta_t, alpha_t = schedule(cfg, t)
+        if t == 66:
+            return (-eta_t, alpha_t) if rate == "eta" else (eta_t, -alpha_t)
+        return eta_t, alpha_t
+
+    monkeypatch.setattr(protocol, "lr_schedule", negative_at_66)
+    with pytest.raises(ValueError, match=rf"^{rate} must be >= 0$"):
+        run_experiment(config())
 
 
 def test_generalization_run_seeds_only_its_devices(monkeypatch):

@@ -5,6 +5,8 @@ from airmeta import channel as ch
 from airmeta.channel import (compression_block, estimate_stack, global_update,
                              sample_channel, snr_noise_var, transmit_mac)
 
+import oracles
+
 
 def draw_rows(m, dim, gen):
     """M uniformly chosen DFT rows in increasing order, as a round draws them."""
@@ -80,6 +82,19 @@ class TestChannelSampling:
     def test_zero_noise_variance(self, rng):
         _, noise = sample_channel(2, "rayleigh", 0.0, 6, rng)
         assert np.all(noise == 0)
+
+    @pytest.mark.parametrize("fading", ch.FADING_MODELS)
+    def test_one_draw_call_equals_a_call_per_part(self, fading):
+        """Gains, noise and the generator's state after the draw, bit for bit
+        the draw with a ``standard_normal`` call per part, on 240 seeded
+        generators."""
+        for seed in range(240):
+            n_active, m_uses = 1 + seed % 9, 1 + seed % 8
+            got_gen, want_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_channel(n_active, fading, 0.1 * (seed % 4), m_uses, got_gen)
+            want = oracles.sample_channel(n_active, fading, 0.1 * (seed % 4), m_uses, want_gen)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], seed
+            assert got_gen.bit_generator.state == want_gen.bit_generator.state, seed
 
     def test_measured_snr_matches_configuration(self):
         """Moment-level check: realized |h|^2 sums and the solved noise
