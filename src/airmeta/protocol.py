@@ -128,8 +128,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if min(self.local_steps, self.batch_size, self.n_test_devices) < 1:
             raise ValueError("local_steps, batch_size and n_test_devices must be >= 1")
-        if min(self.eta, self.alpha, self.noise_var or 0.0) < 0:
-            raise ValueError("eta, alpha and noise_var must be >= 0")
+        if min(self.eta, self.alpha, self.eta_scale, self.alpha_scale, self.noise_var or 0.0) < 0:
+            raise ValueError("eta, alpha, eta_scale, alpha_scale and noise_var must be >= 0")
         if min(self.power_per_use, self.loss_clip, self.rho_max, self.input_cov_scale) <= 0:
             raise ValueError("power_per_use, loss_clip, rho_max and input_cov_scale must be > 0")
         if self.lr_schedule == "adaptive" and (self.eta_offset <= 1 or self.alpha_offset <= 1):
@@ -265,7 +265,8 @@ class _State:
     """Per-device data of a stack of K trials, stacked along one device
     axis once, trial by trial (device i of trial k is row k * n + i), plus
     each trial's evolving iterate, memories and moment probe, and the
-    uplink's power policy and fading moments (E|h|, E|h|^2)."""
+    uplink's power policy, fading moments (E|h|, E|h|^2), noise variance
+    and noise_var * I (2M, 2M) for the LMMSE solve."""
 
     def __init__(self, configs: list):
         cfg = configs[0]
@@ -292,6 +293,8 @@ class _State:
         self.policy = sparsify.PowerPolicy(power=cfg.power_per_use,
                                            channel_uses=cfg.channel_uses, rho_max=cfg.rho_max)
         self.fading = ch.fading_moments(cfg.fading)
+        self.noise_var = cfg.effective_noise_var()
+        self.noise_eye = self.noise_var * np.eye(2 * cfg.channel_uses)
 
     def devices(self, k: int) -> slice:
         """The rows of trial k's devices."""
@@ -316,15 +319,14 @@ class _State:
                 self.probes[k][key] = max(self.probes[k][key], top)
 
 
-def run_experiment(cfg: ExperimentConfig, channel_replay: np.ndarray | None = None) -> Trajectory:
+def run_experiment(cfg: ExperimentConfig) -> Trajectory:
     """Run the configured number of rounds and record the trajectory.
 
-    ``channel_replay``, a replay log (``ch.replay_dtype``) of a row per round
-    at least, substitutes its draws for fresh sampling; everything else still
-    derives from the master seed.  A non-finite iterate aborts the run and
-    stamps the failing round.  The run is a stack of one trial (``run_stack``).
+    A round that cannot send, or that leaves a non-finite iterate, aborts
+    the run and stamps the failing round.  The run is a stack of one trial
+    (``run_stack``).
     """
-    return run_stack([cfg], None if channel_replay is None else [channel_replay])[0]
+    return run_stack([cfg])[0]
 
 
 def run_stack(configs: list, channel_replays: list | None = None) -> list:
@@ -333,22 +335,25 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
 
     The configs may differ only in their master seed.  Each round steps the
     devices of every running trial as one stack and sends every uplink as
-    one stack of (K, n_active, ...) arrays; a trial that aborts leaves the
-    stack.  ``channel_replays`` holds one replay log per trial; every
-    scheduled device transmits, so a log with a gain whose modulus is zero or
-    not finite, or with an active set other than the one its trial draws,
-    raises ``ValueError`` naming the trial and the round before any round
-    runs.
+    one stack of (K, n_active, ...) arrays.  ``channel_replays`` holds one
+    replay log per trial; every scheduled device transmits, so a log with a
+    gain whose modulus is zero or not finite, or with an active set other
+    than the one its trial draws, raises ``ValueError`` naming the trial and
+    the round before any round runs.
 
-    A round computes only what the next iterate needs, and leaves its raw
-    outputs in buffers of its block (``_air_uplink``).  It calls each
-    stage's unchecked kernel; what the kernels assume is checked once per
-    run, per block (the rates, raising the stages' ``ValueError`` before the
-    block's first round, and the sampled gains) or where a replay log
-    enters.  The records and
-    identity vectors of a block's rounds are computed from those buffers
-    after its last round (``_block_records``), and written by trial and round
-    into tables of the run; each trial's outputs are its rows of them.
+    A round computes only what the next iterate needs: the local steps,
+    the error-feedback fold and the power scaling, then, for the trials
+    that can send (finite model differences, a finite rho > 0), the memory
+    commit and the transmit chain (``_air_uplink``).  A trial that cannot
+    send, or whose next iterate is not finite, leaves the stack through the
+    one abort step (``_abort``); a round it did not send keeps its records'
+    preset values.  A round calls each stage's unchecked kernel; what the
+    kernels assume is checked once per run, per block (the rates, raising
+    the stages' ``ValueError`` before the block's first round, and the
+    sampled gains) or where a replay log enters.  The records and identity
+    vectors of a block's rounds are computed from its buffered raw outputs
+    after its last round (``_block_records``), and written by trial and
+    round into tables of the run; each trial's outputs are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -378,7 +383,6 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 raise ValueError(f"replay log of trial {k} has {what} at round {t}")
     replay["active"] = actives
     state = _State(configs)
-    noise_var = cfg.effective_noise_var()
     metric_alpha = lr_schedule(cfg, 0)[1]
     curvature = tasks.meta_curvature(state.env, metric_alpha)
 
@@ -389,7 +393,6 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     f_star = [tasks.meta_loss_minimum(ws, state.env, metric_alpha) for ws in trial_ws]
 
     n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
-    noise_eye = noise_var * np.eye(2 * cfg.channel_uses)
     thetas = np.empty((n_trials, cfg.rounds + 1, d))
     thetas[:, 0] = state.theta
     # the records and identity vectors of every (trial, round), preset to an
@@ -416,8 +419,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
             if eta_t < 0:
                 raise ValueError("eta must be >= 0")
         eta_sq = [sparsify.rate_sq(eta_t) for eta_t, _ in rates]
-        batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds),
-                                     noise_var, replay, channel_replays is not None)
+        batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds), replay,
+                                     channel_replays is not None)
         active, gains, noise = (replay[name][trials, block]
                                 for name in ("active", "gains", "noise"))
         phases = sparsify.phase(gains)
@@ -439,19 +442,28 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                     batches[pos, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
                     eta_t, rows.reshape(-1))
                 iterates_of[pos, j] = iterates.reshape(q, len(ks), rn, d).swapaxes(0, 1)
-                theta_next, sent, outputs = _air_uplink(
-                    cfg, state, ks, rows, deltas.reshape(len(ks), rn, d), gains[pos, j],
-                    phases[pos, j], noise[pos, j], tuple(c[pos, j] for c in comps), noise_var,
-                    noise_eye, eta_t, eta_sq[j])
-                senders = pos if sent.all() else live[sent]
-                buffers["sent"][senders, j] = True
+                deltas = deltas.reshape(len(ks), rn, d)
+                updates, mem_next = sparsify.memory_fold_kernel(state.memories[rows], deltas,
+                                                                cfg.sparsify_k)
+                g_sq = sparsify.energies(updates)
+                rho = sparsify.power_scale_kernel(updates, g_sq, eta_sq[j], state.policy)
+                sends = np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0)
+                if not sends.all():
+                    ks, live, rows, deltas, updates, mem_next, g_sq, rho = _abort(
+                        sends, t0 + j, aborted_at, ks, live, rows, deltas, updates, mem_next,
+                        g_sq, rho)
+                    pos, starts = live, np.repeat(ks, rn)
+                    if not live.size:
+                        break
+                state.memories[rows] = mem_next
+                theta_next, outputs = _air_uplink(
+                    cfg, state, ks, deltas, updates, g_sq, rho, gains[pos, j], phases[pos, j],
+                    noise[pos, j], tuple(c[pos, j] for c in comps), eta_t, eta_sq[j])
                 for name, value in zip(_OUTPUTS, outputs):
-                    buffers[name][senders, j] = value
+                    buffers[name][pos, j] = value
                 ok = np.isfinite(theta_next).all(axis=1)
                 if not ok.all():
-                    for k in ks[~ok].tolist():
-                        aborted_at[k] = t0 + j
-                    live, ks, theta_next = live[ok], ks[ok], theta_next[ok]
+                    ks, live, theta_next = _abort(ok, t0 + j, aborted_at, ks, live, theta_next)
                     pos, starts = live, np.repeat(ks, rn)
                 state.theta[ks] = theta_next
                 thetas[ks, t0 + j + 1] = theta_next
@@ -461,7 +473,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                            recon)
         # the meta-training loss and squared meta-gradient of every iterate
         # of a trial's block at once, each bit for bit its one-iterate value;
-        # a round that sent nothing has no training loss
+        # a round that sent nothing (rho still 0) has no training loss
         with np.errstate(over="ignore", invalid="ignore"):
             for i, k in enumerate(trials.tolist()):
                 n_run = n_rounds if aborted_at[k] is None else aborted_at[k] + 1 - t0
@@ -469,7 +481,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 devices = state.devices(k)
                 loss = metrics.meta_training_loss(thetas[k, run], state.data.devices(devices),
                                                   metric_alpha)
-                table["train_loss"][k, run] = np.where(buffers["sent"][i, :n_run], loss, np.nan)
+                table["train_loss"][k, run] = np.where(buffers["rho"][i, :n_run] > 0, loss,
+                                                       np.nan)
                 g = tasks.mean_meta_grad(thetas[k, run], state.ws[devices], curvature)
                 table["grad_norm_sq"][k, run] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
             # the offsets of the local iterates from their devices' task
@@ -522,7 +535,7 @@ def _active_sets(cfg: ExperimentConfig, seeds: list) -> np.ndarray:
 
 
 def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds: np.ndarray,
-                noise_var: float, replay: np.ndarray, replaying: bool):
+                replay: np.ndarray, replaying: bool):
     """Every input of the consecutive ``rounds`` that does not depend on the
     iterate, for each of the K ``trials``, from the run's ``replay`` table,
     which holds their active sets: the local batch indices (K, rounds,
@@ -560,8 +573,8 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
                 gen = rng.substream(seed, rng.CHANNEL, t)
             else:
                 gen.bit_generator.state = seeded
-            gains[k, t], noise[k, t] = ch.sample_channel(cfg.n_active, cfg.fading, noise_var,
-                                                         cfg.channel_uses, gen)
+            gains[k, t], noise[k, t] = ch.sample_channel(cfg.n_active, cfg.fading,
+                                                         state.noise_var, cfg.channel_uses, gen)
         if (gains[np.ix_(trials, rounds)] == 0).any():
             raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
     batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
@@ -581,93 +594,68 @@ _OUTPUTS = ("rho", "v_model", "pinv_fallback", "x_hat", "updates", "deltas", "si
 
 def _block_buffers(cfg: ExperimentConfig, n_trials: int, n_rounds: int) -> dict:
     """Zeroed buffers of a block's raw round outputs by (trial, round), by
-    ``_OUTPUTS`` name, and the mask ``sent`` of the cells that sent."""
+    ``_OUTPUTS`` name.  A cell sent exactly when its ``rho`` is > 0: a trial
+    sends only at a finite rho > 0."""
     rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
-    cells = (n_trials, n_rounds)
     shapes = dict(rho=(), v_model=(), pinv_fallback=(), x_hat=(d,), updates=(rn, d),
                   deltas=(rn, d), signals=(rn, m_uses), g_sq=(rn,), memories=(cfg.n_devices, d))
     dtypes = dict(pinv_fallback=bool, signals=complex)
-    buffers = {name: np.zeros(cells + shapes[name], dtype=dtypes.get(name, float))
-               for name in _OUTPUTS}
-    buffers["sent"] = np.zeros(cells, dtype=bool)
-    return buffers
+    return {name: np.zeros((n_trials, n_rounds) + shapes[name], dtype=dtypes.get(name, float))
+            for name in _OUTPUTS}
 
 
-def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, rows: np.ndarray,
-                deltas: np.ndarray, gains: np.ndarray, phases: np.ndarray, noise: np.ndarray,
-                comp: tuple, noise_var: float, noise_eye: np.ndarray, eta_t: float,
-                eta_sq: float):
-    """Error-feedback sparsification, power scaling, phase pre-compensation and
-    compression, MAC superposition, estimation and the server update of the
-    G trials ``ks``, each on the (rn, d) stack ``deltas[i]`` of its devices,
-    whose rows of the state are ``rows[i]``, that transmit over the
-    coefficients ``gains[i]``, of phase factors ``phases[i]``
-    (``sparsify.phase``), with the noise block ``noise[i]``, compressed by
-    its operators ``comp`` (``ch.compression_block``); ``noise_eye`` is
-    noise_var * I and ``eta_sq`` is ``sparsify.rate_sq(eta_t)``.
+def _abort(ok: np.ndarray, t: int, aborted_at: list, ks: np.ndarray, *arrays) -> list:
+    """The one way out of a stack: the running trials ``ks[~ok]`` abort at
+    round t, stamped in ``aborted_at``.  Returns the rows ``ok`` of ``ks``
+    and of each of ``arrays``, a row per running trial: those of the trials
+    that go on."""
+    for k in ks[~ok].tolist():
+        aborted_at[k] = t
+    return [a[ok] for a in (ks,) + arrays]
 
-    Each stage runs its kernel, whose assumptions hold here: the trials'
-    iterates are finite (a non-finite one aborts its trial), the config
-    passed ``validate``, eta_t >= 0 (checked per block), every coefficient
-    is nonzero (checked per block of draws, or when a replay log is
-    entered), and a trial sends only at a finite rho > 0.
-    A trial sends nothing when its model differences or its update energy
-    leave the float range: it gets a NaN iterate and keeps its memories.
-    Returns each trial's next iterate (G, d), the (G,) mask of the trials
-    that sent, and for those, in order, the raw outputs of the round by
-    ``_OUTPUTS`` name: the scale rho, the estimate's modeled error variance,
-    pseudo-inverse flag and payload x_hat, the sparsified updates, the model
-    differences, the transmitted blocks, the update energies and the
-    trial's memories.  Only what the next iterate needs is computed here;
-    ``_block_records`` derives the records from these outputs.
-    Commits the new error-feedback memories of the trials that sent.
+
+def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, deltas: np.ndarray,
+                updates: np.ndarray, g_sq: np.ndarray, rho: np.ndarray, gains: np.ndarray,
+                phases: np.ndarray, noise: np.ndarray, comp: tuple, eta_t: float, eta_sq: float):
+    """Phase pre-compensation and compression, MAC superposition, estimation
+    and the server update of the G sending trials ``ks``, each with the (rn,
+    d) stacks of its devices' model differences ``deltas[i]`` and sparsified
+    updates ``updates[i]``, of energies ``g_sq[i]`` and power scale
+    ``rho[i]``, sent over the coefficients ``gains[i]``, of phase factors
+    ``phases[i]`` (``sparsify.phase``), with the noise block ``noise[i]``,
+    compressed by its operators ``comp`` (``ch.compression_block``);
+    ``eta_sq`` is ``sparsify.rate_sq(eta_t)``.
+
+    Each stage runs its kernel, whose assumptions ``run_stack`` checked:
+    finite iterates, a valid config, eta_t >= 0, nonzero coefficients, and
+    a finite rho > 0 for every trial here.  Returns each trial's next
+    iterate (G, d) and, in order, the raw outputs of the round by
+    ``_OUTPUTS`` name: the scale rho, the estimate's modeled error
+    variance, pseudo-inverse flag and payload x_hat, the sparsified
+    updates, the model differences, the transmitted blocks, the update
+    energies and the trial's memories, committed before the call.
     """
-    g = len(ks)
     mu_abs, abs_power = state.fading
-    finite = np.isfinite(deltas).all(axis=(1, 2))
-    updates, mem_next = sparsify.memory_fold_kernel(state.memories[rows], deltas,
-                                                    cfg.sparsify_k)
-    scaled = updates if finite.all() else np.where(finite[:, None, None], updates, 0.0)
-    g_sq = sparsify.energies(scaled)
-    rho = sparsify.power_scale_kernel(scaled, g_sq, eta_sq, state.policy)
-    sent = finite & np.isfinite(rho) & (rho > 0)
-    if not sent.all():
-        # a trial that does not send may have failed a check of the scaling:
-        # the checked stage raises as it would have
-        sparsify.power_scale(scaled, eta_t, state.policy)
-        if not sent.any():
-            return np.full((g, cfg.dim), np.nan), sent, ()
-        ks, rows, deltas, updates, mem_next, rho, g_sq, gains, phases, noise = (
-            a[sent] for a in (ks, rows, deltas, updates, mem_next, rho, g_sq, gains, phases,
-                              noise))
-        comp = tuple(c[sent] for c in comp)
-
     signals = ch.compress(comp[0], sparsify.phase_precompensate_kernel(updates, rho, eta_t,
                                                                        phases))
     y = ch.transmit_mac_kernel(signals, gains, noise)
     total_g_sq = g_sq.sum(axis=-1)
     prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim)
     prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has no prior power
-    est = ch.estimate_stack_kernel(y, *comp, prior_power, noise_var, cfg.estimator, noise_eye)
+    est = ch.estimate_stack_kernel(y, *comp, prior_power, state.noise_var, cfg.estimator,
+                                   state.noise_eye)
     theta_next = ch.global_update_kernel(state.theta[ks], est.x_hat, eta_t, rho, mu_abs,
                                          cfg.n_active)
-    state.memories[rows] = mem_next
-
-    outputs = (rho, est.err_var, est.pinv_fallback, est.x_hat, updates, deltas, signals, g_sq,
-               state.memories.reshape(-1, state.n, cfg.dim)[ks])
-    if len(ks) < g:  # the trials that sent nothing take NaN iterates
-        theta_all = np.full((g, cfg.dim), np.nan)
-        theta_all[sent] = theta_next
-        theta_next = theta_all
-    return theta_next, sent, outputs
+    return theta_next, (rho, est.err_var, est.pinv_fallback, est.x_hat, updates, deltas, signals,
+                        g_sq, state.memories.reshape(-1, state.n, cfg.dim)[ks])
 
 
 def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,
                    rates: list, eta_sq: list, abs_h: np.ndarray, buffers: dict,
                    table: np.ndarray, recon: np.ndarray):
     """Write the records and identity vectors of the (trial, round) cells of
-    a block that sent, from the raw outputs in its ``buffers``
-    (``_block_buffers``), the rates of its rounds and their squares
+    a block that sent, those of a ``rho`` > 0, from the raw outputs in its
+    ``buffers`` (``_block_buffers``), the rates of its rounds and their squares
     ``eta_sq`` (``sparsify.rate_sq``), and its gains' moduli ``abs_h`` (K,
     rounds, rn), into the run's ``table`` and ``recon``.
 
@@ -675,9 +663,7 @@ def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
     computed it with a leading round axis, so that a cell is bit for bit its
     one-round value; the cells that did not send keep their preset values.
     """
-    kk, jj = np.nonzero(buffers["sent"])
-    if not kk.size:
-        return
+    kk, jj = np.nonzero(buffers["rho"] > 0)
     cells = (trials[kk], t0 + jj)
     eta = np.array([eta_t for eta_t, _ in rates])
     eta_sq = np.array(eta_sq)
@@ -707,8 +693,10 @@ def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: np.ndarray) -> Trajectory:
-    """Re-run using the recorded channel draws; must match bit for bit."""
-    return run_experiment(cfg, channel_replay=replay)
+    """Re-run using the recorded channel draws, a replay log
+    (``ch.replay_dtype``) of a row per round at least; everything else still
+    derives from the master seed, and the run must match bit for bit."""
+    return run_stack([cfg], [replay])[0]
 
 
 def memory_identity_residuals(traj: Trajectory) -> np.ndarray:

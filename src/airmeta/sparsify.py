@@ -51,10 +51,8 @@ def _check_top_k(shape: tuple, k: int):
 
 def comp_k_kernel(x: np.ndarray, k: int) -> np.ndarray:
     """``comp_k`` unchecked: assumes a float (..., n, d) stack x and
-    1 <= k <= d."""
+    1 <= k <= d.  A new array also at k == d, where it equals x."""
     d = x.shape[-1]
-    if k == d:
-        return x.copy()
     flat = x.reshape(-1, d)
     # stable sort on -|x| keeps the lowest index among ties
     keep = np.argsort(-np.abs(flat), axis=1, kind="stable")[:, :k]
@@ -135,8 +133,10 @@ def power_scale(updates, eta: float, policy: PowerPolicy):
 def power_scale_kernel(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
                        policy: PowerPolicy) -> np.ndarray:
     """``power_scale`` unchecked, as an array (...) also for one stack:
-    assumes a finite float (..., n, d) stack g, its ``energies`` nrm, and
-    ``rate_sq(eta)`` of an eta >= 0 that is nonzero if any update is."""
+    assumes a float (..., n, d) stack g, its ``energies`` nrm, and
+    ``rate_sq(eta)`` of an eta >= 0.  A stack with a non-finite entry, or
+    with a nonzero update at eta == 0, gets nan where ``power_scale``
+    raises."""
     live = g.any(axis=-1)  # a tiny nonzero g can have nrm == 0
     some = live.any(axis=-1)
     scalable = some & ~(live & (nrm < _TINY)).any(axis=-1) & (_TINY <= eta_sq < np.inf)
@@ -180,28 +180,15 @@ def phase_precompensate_kernel(g: np.ndarray, rho: np.ndarray, eta: float,
                                phases: np.ndarray) -> np.ndarray:
     """``phase_precompensate`` unchecked: assumes a float (..., n, d) stack
     g, rho > 0 (...), the ``phase`` (..., n) of nonzero coefficients, and
-    eta > 0 when any update is nonzero."""
-    live = g.any(axis=-1)
-    if not live.any():
-        return np.zeros(g.shape, dtype=complex)
+    eta > 0 when any update is nonzero.  A zero row transmits zeros, also
+    where its factor is not finite (eta == 0)."""
     factor = (np.sqrt(rho) / eta)[..., None] * phases
-    if live.all():
-        return factor[..., None] * g
-    out = np.zeros(g.shape, dtype=complex)  # a zero row needs no scaling
-    out[live] = factor[live][:, None] * g[live]
-    return out
+    return np.where(g.any(axis=-1)[..., None], factor[..., None] * g, 0.0)
 
 
 def phase(h: np.ndarray) -> np.ndarray:
     """conj(h) / abs(h) per entry of a complex array h, bit for bit numpy's
-    scalar quotient: Smith's complex division by abs(h) + 0j, whose zero
-    imaginary part still enters as 0 / abs(h).  ``np.conj(h) / np.abs(h)``
-    and ``conj(h) * (1 / abs(h))`` differ from it in the last bit."""
-    a = np.hypot(h.real, h.imag)
-    rat = 0.0 / a
-    scl = 1.0 / (a + 0.0 * rat)
-    c_re, c_im = h.real, -h.imag
-    out = np.empty(h.shape, dtype=complex)
-    out.real = (c_re + c_im * rat) * scl
-    out.imag = (c_im - c_re * rat) * scl
-    return out
+    scalar quotient: the complex division by hypot(h.real, h.imag) + 0j.
+    ``np.conj(h) / np.abs(h)`` and ``conj(h) * (1 / abs(h))`` differ from it
+    in the last bit."""
+    return np.conj(h) / (np.hypot(h.real, h.imag) + 0j)

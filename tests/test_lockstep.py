@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import protocol
+from airmeta import protocol, sparsify
 from airmeta.protocol import ExperimentConfig, replay_experiment, run_experiment, run_stack
 from airmeta.sweeps import trial_configs
 
@@ -83,6 +83,45 @@ def test_trials_abort_at_their_own_rounds(block, monkeypatch):
     monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
     stack = assert_lockstep(trial_configs(config(eta=8.0, theta_init=1e50), 5))
     assert [t.aborted_at for t in stack] == [None, 66, 66, 63, None]
+
+
+def test_a_trial_that_cannot_send_aborts_alone(monkeypatch):
+    """Trial 1 of a stack of 3 gets an infinite update entry at round 40, so
+    it has no finite power scale: it aborts there, and the stack goes on.
+    Up to round 39 it is its own 40-round run; its round-40 record keeps the
+    preset values but the rates and the squared meta-gradient of the iterate
+    the round started from.  The other trials are their own runs."""
+    configs = trial_configs(config(), 3)
+    ones = [run_experiment(c) for c in configs]
+    before = run_experiment(configs[1].replace(rounds=40))
+    fold, rounds_done = sparsify.memory_fold_kernel, []
+
+    def overflowing_fold(memory, delta, k):
+        """The fold, called once a round, with an infinite entry in trial
+        1's update at round 40."""
+        updates, memory_next = fold(memory, delta, k)
+        if len(rounds_done) == 40:
+            updates[1, 0, 0] = np.inf
+        rounds_done.append(True)
+        return updates, memory_next
+
+    monkeypatch.setattr(sparsify, "memory_fold_kernel", overflowing_fold)
+    stack = run_stack(configs)
+    assert [t.aborted_at for t in stack] == [None, 40, None]
+    assert [trial_fields(stack[k]) for k in (0, 2)] == [trial_fields(ones[k]) for k in (0, 2)]
+    aborted = stack[1]
+    assert aborted.thetas.tobytes() == before.thetas.tobytes()
+    assert aborted.memories.tobytes() == before.memories.tobytes()
+    assert aborted.records[:40].tobytes() == before.records.tobytes()
+    assert aborted.replay[:40].tobytes() == before.replay.tobytes()
+    assert {key: vecs.tobytes() for key, vecs in aborted.recon.items()} == \
+        {key: vecs.tobytes() for key, vecs in before.recon.items()}
+    last = aborted.records[40]
+    assert (last["round"], last["eta"], last["alpha"]) == (40, 0.05, 0.3)
+    assert last["grad_norm_sq"] == ones[1].records["grad_norm_sq"][40]
+    for name in set(protocol.ROUND_DTYPE.names[1:-1]) - {"eta", "alpha", "grad_norm_sq"}:
+        assert np.isnan(last[name]), name
+    assert not last["pinv_fallback"]
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])

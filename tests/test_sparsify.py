@@ -112,6 +112,21 @@ class TestPowerScale:
         with pytest.raises(ValueError):
             power_scale([np.ones(3)], 0.0, PowerPolicy(power=1.0, channel_uses=3))
 
+    @pytest.mark.parametrize("entry, eta", [(np.inf, 0.5), (-np.inf, 0.5), (np.nan, 0.5),
+                                            (1e200, 0.5), (1.0, 0.0)])
+    def test_kernel_gives_nan_where_the_stage_raises(self, entry, eta):
+        """A stack of a non-finite update, of one whose energy overflows, or
+        of a nonzero update at eta == 0 gets no scale; an all-zero stack of
+        the same call keeps the cap."""
+        policy = PowerPolicy(power=1.0, channel_uses=3, rho_max=123.0)
+        g = np.zeros((2, 2, 3))
+        g[1] = 1.0
+        g[1, 0, 1] = entry
+        with np.errstate(all="ignore"):
+            rho = sparsify.power_scale_kernel(g, sparsify.energies(g), sparsify.rate_sq(eta),
+                                              policy)
+        assert rho[0] == 123.0 and np.isnan(rho[1])
+
 
 class TestPhasePrecompensate:
     def test_cophased_arrival(self, rng):

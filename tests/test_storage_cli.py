@@ -159,6 +159,7 @@ OUT_OF_RANGE = {
     "local_steps": st.integers(max_value=0), "batch_size": st.integers(max_value=0),
     "n_test_devices": st.integers(max_value=0),
     "eta": NEGATIVE, "alpha": NEGATIVE, "noise_var": NEGATIVE,
+    "eta_scale": NEGATIVE, "alpha_scale": NEGATIVE,
     "power_per_use": NOT_POSITIVE, "loss_clip": NOT_POSITIVE, "rho_max": NOT_POSITIVE,
     "input_cov_scale": NOT_POSITIVE,
 }
@@ -270,6 +271,18 @@ class TestCli:
             cfg_path = Path(tmp) / "cfg.json"
             cfg_path.write_text(json.dumps(data))
             assert main(["run", "--config", str(cfg_path), "--out-dir", str(Path(tmp) / "o")]) == 2
+
+    @pytest.mark.parametrize("scale", ["eta_scale", "alpha_scale"])
+    def test_negative_adaptive_scale_exits_2_before_any_output(self, tmp_path, capsys, scale):
+        """A negative scale of the adaptive schedule is a config error, not a
+        failed run: nothing is written, not even config.json."""
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "convergence.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg | {"lr_schedule": "adaptive", scale: -0.1}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "invalid config" in capsys.readouterr().err
 
     def test_bounds_command_reports_and_checks(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
