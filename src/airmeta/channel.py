@@ -84,21 +84,37 @@ def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
 
     The normals come from one ``standard_normal`` call, in that order:
     the gains' real and imaginary parts (Rayleigh fading only), then the
-    noise's."""
+    noise's; ``channel_draws`` turns them into the draws."""
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     if fading not in FADING_MODELS:
         raise ValueError(f"unknown fading model {fading!r}")
-    n_gain = 2 * n_active if fading == "rayleigh" else 0
-    z = rng.standard_normal(n_gain + 2 * m_uses)
+    z = rng.standard_normal(channel_normals(n_active, fading, m_uses))
+    return channel_draws(z, n_active, fading, noise_var)
+
+
+def channel_normals(n_active: int, fading: str, m_uses: int) -> int:
+    """How many standard normals one round's channel draw takes."""
+    return (2 * n_active if fading == "rayleigh" else 0) + 2 * m_uses
+
+
+def channel_draws(z: np.ndarray, n_active: int, fading: str, noise_var: float):
+    """The gains (..., n_active) and noise blocks (..., M) of a stack of
+    rounds, from each round's ``channel_normals`` standard normals
+    (..., 2 n_active + 2M), or (..., 2M) for unit fading, in the order
+    ``sample_channel`` draws them; each round is bit for bit its
+    ``sample_channel`` draw.  Unchecked: assumes noise_var >= 0 and a
+    known fading model."""
+    n_gain = channel_normals(n_active, fading, 0)
+    m_uses = (z.shape[-1] - n_gain) // 2
     if fading == "rayleigh":
-        gains = (z[:n_active] + 1j * z[n_active:n_gain]) / np.sqrt(2)
+        gains = (z[..., :n_active] + 1j * z[..., n_active:n_gain]) / np.sqrt(2)
     else:
-        gains = np.ones(n_active, dtype=complex)
+        gains = np.ones(z.shape[:-1] + (n_active,), dtype=complex)
     scale = np.sqrt(noise_var)
-    noise = np.empty(m_uses, dtype=complex)
-    noise.real = scale * z[n_gain:n_gain + m_uses]
-    noise.imag = scale * z[n_gain + m_uses:]
+    noise = np.empty(z.shape[:-1] + (m_uses,), dtype=complex)
+    noise.real = scale * z[..., n_gain:n_gain + m_uses]
+    noise.imag = scale * z[..., n_gain + m_uses:]
     return gains, noise
 
 

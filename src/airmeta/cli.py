@@ -75,8 +75,15 @@ def cmd_run(args) -> int:
         if traj.aborted_at is not None:
             storage.write_manifest(out_dir / "manifest.json", cfg, trial_seeds,
                                    outputs, time.perf_counter() - t0)
-            print(f"error: trial {k} aborted with non-finite iterate at round "
-                  f"{traj.aborted_at}", file=sys.stderr)
+            # a round that sent has its rho recorded; one that could not
+            # send keeps the preset NaN
+            if np.isnan(traj.records["rho"][traj.aborted_at]):
+                cause = ("it could not send: its model differences are not finite, or its "
+                         "power scale is not a finite positive number")
+            else:
+                cause = "its next iterate is not finite"
+            print(f"error: trial {k} aborted at round {traj.aborted_at}: {cause}",
+                  file=sys.stderr)
             return EXIT_RUNTIME
         gaps.append(summary["generalization_gap"])
         for w in summary["warnings"][len(cfg_warnings):]:  # what this trial adds

@@ -33,6 +33,11 @@ from .tasks import Dataset
 # sample when n exceeds this and m > n // 50; the replay does not replay it
 _FLOYD_MAX_POP = 10_000
 _MASK32 = 0xFFFFFFFF
+# the (row, bounded draw) pairs that one chunk of rows replays at once;
+# _replay_choice's temporaries take about 40 bytes a pair, so a chunk takes
+# about 2.6 MB, where the 446 K pairs of one block of a 5-trial stack of the
+# sweep base, replayed whole, take 18 MB
+_REPLAY_DRAWS = 1 << 16
 
 
 def _check_finite(theta: np.ndarray, what: str = "theta"):
@@ -114,16 +119,24 @@ def replicas_hold() -> bool:
 
 
 def _replay(states, pools, m: int, steps: int):
-    """``_replay_choice`` on the raw words of the PCG64 ``states``, with
-    every row void where the replay does not hold: numpy samples a pool over
-    10,000 points by tail shuffle once m > n // 50, and a numpy whose
-    seeding or sampling differs fails ``replicas_hold``."""
+    """``_replay_choice`` on the raw words of the PCG64 ``states``, computed
+    chunk of rows by chunk of rows, with every row void where the replay
+    does not hold: numpy samples a pool over 10,000 points by tail shuffle
+    once m > n // 50, and a numpy whose seeding or sampling differs fails
+    ``replicas_hold``."""
+    idx = np.empty((len(states), steps, len(pools), m), dtype=np.int64)
+    void = np.ones(len(states), dtype=bool)
     if replicas_hold() and all(pool.size <= _FLOYD_MAX_POP or m <= pool.size // 50
                                for pool in pools):
         n_draws = int(np.sum(_draw_bounds(pools, m, steps) > 0))
-        return _replay_choice(rng.state_words(states, (n_draws + 1) // 2), pools, m, steps)
-    return (np.empty((len(states), steps, len(pools), m), dtype=np.int64),
-            np.ones(len(states), dtype=bool))
+        # rows are replayed in chunks of at most _REPLAY_DRAWS draws, and at
+        # least one row; a stream may take no bounded draw at all
+        rows = max(1, _REPLAY_DRAWS // max(n_draws, 1))
+        for lo in range(0, len(states), rows):
+            chunk = slice(lo, lo + rows)
+            idx[chunk], void[chunk] = _replay_choice(
+                rng.state_words(states[chunk], (n_draws + 1) // 2), pools, m, steps)
+    return idx, void
 
 
 def _draw_bounds(pools, m: int, steps: int) -> np.ndarray:

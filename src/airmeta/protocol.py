@@ -21,10 +21,12 @@ from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
 # rounds whose iterate-free inputs are drawn, and whose records are
-# evaluated, together; a whole run at once would cost memory for little more
-# speed.  A stack of K trials takes _BLOCK_ROUNDS // K rounds (at least one)
-# per block, which keeps a block's memory that of one trial's block
-_BLOCK_ROUNDS = 64
+# evaluated, together: a one-trial run of either shipped config (200 or 300
+# rounds) is one block.  A stack of K trials takes _BLOCK_ROUNDS // K rounds
+# (at least one) per block, which keeps a block's memory that of one trial's
+# block; the largest part of it, the batch replay's temporaries, is bounded
+# by row chunks (meta._REPLAY_DRAWS)
+_BLOCK_ROUNDS = 320
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
@@ -547,8 +549,9 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
 
     One seeding pass gives the round streams of every trial and one the
     device streams.  Compression rows and batches are replayed on their raw
-    words; the channel is drawn by ``ch.sample_channel`` on one generator,
-    set to each CHANNEL stream's seeded state.  All Q steps are drawn up
+    words; the channel's normals are drawn row by row on one generator, set
+    to each CHANNEL stream's seeded state, and made into the block's gains
+    and noise at once (``ch.channel_draws``).  All Q steps are drawn up
     front; a substream serves one device in one round, so a device that
     stops early only leaves its later draws unused.  The sampled gains are
     checked nonzero once for the block, since every scheduled device
@@ -565,18 +568,20 @@ def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds
         key_seeds[:kn], keys[:kn], states[:kn], cfg.dim, cfg.channel_uses).reshape(n_trials, n, -1))
     if not replaying:
         literal, gen = not meta.replicas_hold(), np.random.Generator(np.random.PCG64(0))
-        gains, noise = replay["gains"], replay["noise"]
-        for k, t, seed, seeded in zip(np.repeat(trials, n).tolist(),
-                                      np.tile(rounds, n_trials).tolist(), key_seeds[:kn],
-                                      rng.state_dicts(states[kn:])):
+        z = np.empty((kn, ch.channel_normals(cfg.n_active, cfg.fading, cfg.channel_uses)))
+        for row, t, seed, seeded in zip(z, np.tile(rounds, n_trials).tolist(), key_seeds[:kn],
+                                        rng.state_dicts(states[kn:])):
             if literal:
                 gen = rng.substream(seed, rng.CHANNEL, t)
             else:
                 gen.bit_generator.state = seeded
-            gains[k, t], noise[k, t] = ch.sample_channel(cfg.n_active, cfg.fading,
-                                                         state.noise_var, cfg.channel_uses, gen)
-        if (gains[np.ix_(trials, rounds)] == 0).any():
+            gen.standard_normal(out=row)
+        gains, noise = ch.channel_draws(z.reshape(n_trials, n, -1), cfg.n_active, cfg.fading,
+                                        state.noise_var)
+        if (gains == 0).any():
             raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
+        cells = np.ix_(trials, rounds)
+        replay["gains"][cells], replay["noise"][cells] = gains, noise
     batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
                                   np.repeat(np.tile(rounds, n_trials), cfg.n_active),
                                   actives.reshape(-1)])

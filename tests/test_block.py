@@ -2,18 +2,21 @@
 evaluates the block's records together; neither may move a number.
 
 The block size is a constant of ``protocol``.  Runs with blocks of 1, 5 and
-more rounds than the run has must equal the shipped size bit for bit, on a
-constant and an adaptive schedule and on a run that aborts inside a block,
+64 rounds, and of more rounds than the run has, must equal the shipped size
+(320) bit for bit, on a constant and an adaptive schedule and on a run that
+aborts inside a block,
 and every record field and identity vector must equal its one-round
 computation (``oracles.rounds_of``), also in a stack whose trials abort at
 different rounds; the oracle cases also take the matched estimate and the
 noiseless pseudo-inverse fallback.  A replay log whose active sets differ
 from the drawn ones, or that holds a zero gain, is rejected before any round
 runs, and a negative rate still fails the run.  A numpy on which the
-replicas fail their self-check must give the same runs.
+replicas fail their self-check must give the same runs.  A 5-trial stack of
+the sweep base stays under a fixed memory peak.
 """
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,17 +53,17 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("block", [1, 5, 100])
+@pytest.mark.parametrize("block", [1, 5, 64, 100])
 def test_block_size_moves_nothing(case, block, monkeypatch):
-    """Blocks of 1, 5 and 100 rounds against the shipped size (64); the
-    abort falls inside a block."""
+    """Blocks of 1, 5, 64 and 100 rounds against the shipped size (320, so
+    the 70-round runs here are one block); the abort falls inside a block."""
     with np.errstate(all="ignore"):
         want = run_fields(CASES[case]())
         monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
         got = run_fields(CASES[case]())
     assert got == want
     if case == "abort":
-        assert want[-1] == 19  # inside a block of 5 and of 64
+        assert want[-1] == 19  # inside a block of 5, of 64 and of 320
 
 
 def test_run_fields_see_every_record_field():
@@ -190,6 +193,23 @@ def test_a_negative_rate_still_raises(rate, monkeypatch):
     monkeypatch.setattr(protocol, "lr_schedule", negative_at_66)
     with pytest.raises(ValueError, match=rf"^{rate} must be >= 0$"):
         run_experiment(config())
+
+
+def test_sweep_stack_memory_is_bounded():
+    """A 5-trial stack of the sweep base, in blocks of 64 rounds, allocates
+    at most 24 MB at its peak: the batch replay runs in row chunks
+    (``meta._REPLAY_DRAWS``).  It peaks at 15 MB; with the replay in one
+    piece at 28 MB, and as one block of the whole run at 62 MB."""
+    base = ExperimentConfig.from_dict(json.loads((CONFIGS / "sweep_snr.json").read_text())["base"])
+    configs = trial_configs(base, 5)
+    assert protocol._BLOCK_ROUNDS // len(configs) == 64
+    tracemalloc.start()
+    try:
+        protocol.run_stack(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6, peak
 
 
 def test_generalization_run_seeds_only_its_devices(monkeypatch):

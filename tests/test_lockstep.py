@@ -78,8 +78,10 @@ def test_each_trial_of_a_stack_is_its_own_run(cfg, k, block):
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_trials_abort_at_their_own_rounds(block, monkeypatch):
-    """Two trials complete and three abort, at rounds 63 and 66: on either
-    side of the edge of a block of 64, and inside blocks of 5."""
+    """Two trials complete and three abort, at rounds 63 and 66, under
+    round budgets of 1, 5 and 64 (the shipped budget is 320): in blocks of
+    one round, of one round that grow to two once three trials have left,
+    and of 12 rounds, the last of them rounds 60-69."""
     monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", block)
     stack = assert_lockstep(trial_configs(config(eta=8.0, theta_init=1e50), 5))
     assert [t.aborted_at for t in stack] == [None, 66, 66, 63, None]

@@ -7,11 +7,13 @@ one pool ``np.arange(n)`` is the sorted ``choice`` that draws a round's
 active set and compression rows.  ``state_words`` computes streams of up
 to ``rng._ARRAY_WORDS`` words on arrays and longer ones through numpy; both
 must be ``random_raw`` at every length up to one past that threshold, also
-on states whose outputs rotate by 0 and by 63 bits.  A run's channel is
-``sample_channel`` on a generator set to the seeded state.  All of them
-replay numpy's algorithms on arrays, so a numpy whose seeding or sampling
-differs fails here first; at run time ``meta.replicas_hold`` then sends
-every draw through numpy.
+on states whose outputs rotate by 0 and by 63 bits.  Replayed in row
+chunks of any size, the batch replay is the same.  A run's channel is
+``sample_channel`` on a generator set to the seeded state, drawn as a
+block's normals that ``channel_draws`` makes into gains and noise.  All of
+them replay numpy's algorithms on arrays, so a numpy whose seeding or
+sampling differs fails here first; at run time ``meta.replicas_hold`` then
+sends every draw through numpy.
 """
 import numpy as np
 import pytest
@@ -212,6 +214,29 @@ class TestStreamBatches:
         assert replayed[~rejected].tobytes() == want[~rejected].tobytes()
         assert stream_batches(0, keys, pools, m, steps).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [
+        (contiguous_pools([20, 9, 11]), 4, 2),     # 42 draws a row: 21-word array streams
+        (contiguous_pools([75, 37, 38]), 16, 5),  # the convergence config: 233-word numpy streams
+        (contiguous_pools([1, 1]), 1, 3),         # choice(1, 1): no bounded draw at all
+    ], ids=["short", "long", "no_draw"])
+    def test_row_chunks_move_no_draw(self, shape, monkeypatch):
+        """The replay of 7 keys, one of them the rejection key (LOCAL_BATCH,
+        65021, 6), in chunks of one row (a budget below one row's draws
+        included), of 3 rows and of more rows than there are keys, is the
+        replay of all rows in one chunk, void rows included, and numpy's
+        indices on every row that is not void."""
+        pools, m, steps = shape
+        keys = np.array([[rng.LOCAL_BATCH, 65021, i] for i in range(7)])
+        n_draws = int(np.sum(meta._draw_bounds(pools, m, steps) > 0))
+        monkeypatch.setattr(meta, "_REPLAY_DRAWS", 10**9)
+        want = replay(0, keys, pools, m, steps)
+        literal_rows = literal(0, keys, pools, m, steps)
+        assert want[0][~want[1]].tobytes() == literal_rows[~want[1]].tobytes()
+        for budget in (1, n_draws, 3 * n_draws, (len(keys) + 5) * n_draws):
+            monkeypatch.setattr(meta, "_REPLAY_DRAWS", budget)
+            got = replay(0, keys, pools, m, steps)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], budget
+
     @pytest.mark.parametrize("m", [200, 201])
     def test_large_pool_at_the_tail_shuffle_switch(self, m):
         """numpy samples a pool over 10,000 points by tail shuffle once
@@ -264,6 +289,27 @@ class TestRoundStreams:
             want = channel.sample_channel(n_active, fading, 0.3, m_uses,
                                           rng.substream(master_seed, *key))
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("fading", channel.FADING_MODELS)
+    def test_channel_of_a_block_is_each_rounds_sample(self, fading):
+        """A block's channel, as a run draws it: each round's normals from
+        its seeded state, then the gains and noise of every round at once
+        (``channel_draws``), bit for bit ``sample_channel`` on the round's
+        substream."""
+        n_active, m_uses, noise_var = 9, 8, 0.3
+        keys = np.array([[rng.CHANNEL, t] for t in range(6)])
+        gen = np.random.Generator(np.random.PCG64(0))
+        z = np.empty((len(keys), channel.channel_normals(n_active, fading, m_uses)))
+        for row, state in zip(z, rng.state_dicts(rng.seeded_states(7, keys))):
+            gen.bit_generator.state = state
+            gen.standard_normal(out=row)
+        gains, noise = channel.channel_draws(z.reshape(2, 3, -1), n_active, fading, noise_var)
+        want = [channel.sample_channel(n_active, fading, noise_var, m_uses,
+                                       rng.substream(7, *key)) for key in keys.tolist()]
+        assert gains.reshape(len(keys), -1).tobytes() == \
+            np.array([g for g, _ in want]).tobytes()
+        assert noise.reshape(len(keys), -1).tobytes() == \
+            np.array([n for _, n in want]).tobytes()
 
     def test_tail_shuffle_choice_is_drawn_by_numpy(self):
         keys = np.array([[rng.ACTIVE_SET, 0], [rng.ACTIVE_SET, 1]])

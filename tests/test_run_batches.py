@@ -5,8 +5,9 @@ LOCAL_BATCH, t, i).  Each round's local update is recomputed here one
 device at a time, from the run's own iterate of that round, with the
 literal ``gen.choice`` draws on that substream (``oracles.local_rounds``).
 The sum of those model differences must equal, bit for bit, the sum the
-run handed to its uplink (``recon``), on every round: a run is drawn in
-blocks of 64 rounds, and 70 rounds cross one block edge.
+run handed to its uplink (``recon``), on every round: a run of 70 rounds is
+one block of the shipped size (320 rounds), and crosses one block edge in
+blocks of 64.
 """
 import functools
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from airmeta import rng
+from airmeta import protocol, rng
 from airmeta.protocol import ExperimentConfig, lr_schedule, replay_experiment, run_experiment
 from airmeta.tasks import Dataset
 
@@ -57,6 +58,14 @@ def test_every_round_matches_literal_draws(overrides):
     assert_rounds_match_literal(traj)
 
 
+def test_rounds_across_a_block_edge_match_literal_draws(monkeypatch):
+    """In blocks of 64 rounds, round 64 starts the second block."""
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 64)
+    traj = run_experiment(config(active_fraction=0.5))
+    assert traj.aborted_at is None
+    assert_rounds_match_literal(traj)
+
+
 @functools.cache
 def own_log():
     return run_experiment(config(active_fraction=0.5)).replay
@@ -67,9 +76,10 @@ def own_log():
                                   math.inf],
                          ids=["zero", "signed_zero", "nan", "complex_nan", "inf"])
 def test_bad_gain_is_rejected_at_its_round(gain, t_bad):
-    """Every scheduled device transmits, so a replay log whose gain at a
-    block edge is zero or not finite is rejected before any round runs,
-    naming the round; a NaN is not taken for a device that stays silent."""
+    """Every scheduled device transmits, so a replay log with a gain that
+    is zero or not finite, at round 0, on either side of round 64 or at the
+    last round, is rejected before any round runs, naming the round; a NaN
+    is not taken for a device that stays silent."""
     log = own_log().copy()
     log["gains"][t_bad, 0] = gain
     with pytest.raises(ValueError, match=fr"of trial 0 .* at round {t_bad}$"):

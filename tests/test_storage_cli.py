@@ -222,7 +222,43 @@ class TestCli:
         assert config_sha256(read_config(out / "config.json")) == manifest["config_sha256"]
         aborted_at = json.loads((out / "summary.json").read_text())["aborted_at"]
         assert aborted_at == 41
-        assert f"trial 0 aborted with non-finite iterate at round {aborted_at}" in \
+        # its update energy overflows, so it has no power scale to send with
+        assert f"trial 0 aborted at round {aborted_at}: it could not send" in \
+            capsys.readouterr().err
+
+    def test_diverging_shipped_config_aborts_because_it_cannot_send(self, tmp_path, capsys):
+        """The convergence config from a far start at a large rate aborts at
+        round 8 with every stored iterate finite: its model differences are
+        finite, but their energy overflows, so the round cannot send.  The
+        message names that exit, not a non-finite iterate."""
+        cfg = json.loads((Path(__file__).parents[1] / "configs" / "convergence.json").read_text())
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg | {"eta": 30.0, "theta_init": 1e100}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+        assert json.loads((out / "summary.json").read_text())["aborted_at"] == 8
+        assert "trial 0 aborted at round 8: it could not send" in capsys.readouterr().err
+
+    def test_non_finite_iterate_abort_names_the_iterate(self, tmp_path, capsys, monkeypatch):
+        """A round that sends but whose server update leaves the float range
+        (forced here at round 3) aborts with its rho recorded, and the
+        message names the iterate."""
+        update, rounds_done = channel.global_update_kernel, []
+
+        def overflowing_update(*args):
+            theta_next = update(*args)
+            if len(rounds_done) == 3:
+                theta_next[:, 0] = np.inf
+            rounds_done.append(True)
+            return theta_next
+
+        monkeypatch.setattr(channel, "global_update_kernel", overflowing_update)
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+        assert json.loads((out / "summary.json").read_text())["aborted_at"] == 3
+        assert "trial 0 aborted at round 3: its next iterate is not finite" in \
             capsys.readouterr().err
 
     def test_overflowed_probe_run_completes_without_constants(self, tmp_path, capsys):
