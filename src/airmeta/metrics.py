@@ -35,26 +35,43 @@ def meta_training_loss(theta, data, alpha: float):
     return float(losses) if theta.ndim == 1 else losses
 
 
+# the most normals one chunk of fresh devices draws at once; bounds the
+# memory of meta_test_loss for any number of devices
+_TEST_NORMALS = 65_536
+
+
 def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m_tr: int,
                    gen: np.random.Generator) -> float:
     """Monte Carlo meta-test loss on fresh devices.
 
     Each fresh device adapts from theta on m_tr newly drawn samples.  The
     innermost expectation over evaluation points is taken in closed form (an
-    exact, lower-variance version of held-out evaluation).
+    exact, lower-variance version of held-out evaluation).  A chunk of
+    devices draws its normals with one call, in the order of one device at a
+    time (its task vector, its inputs, its label noise: ``tasks.sample_device``
+    then ``tasks.sample_points``), and adapts and evaluates as one stack, each
+    device bit for bit its own evaluation.
     """
     if n_test < 1:
         raise ValueError("n_test must be >= 1")
     if m_tr < 1:
         raise ValueError("m_tr must be >= 1")
     theta = np.asarray(theta, dtype=float)
+    d = env.dim
+    per_device = d + m_tr * d + m_tr
+    per_chunk = max(1, _TEST_NORMALS // per_device)
     vals = []
-    for _ in range(n_test):
-        w = tasks.sample_device(env, gen)
-        x, y = tasks.sample_points(w, env, m_tr, gen)
-        phi = theta - alpha * tasks.batch_grad(theta, x, y)
-        vals.append(tasks.population_loss(phi, w, env))
-    return float(np.mean(vals))
+    for start in range(0, n_test, per_chunk):
+        n = min(per_chunk, n_test - start)
+        z = gen.standard_normal(n * per_device).reshape(n, per_device)
+        w = env.center + np.sqrt(env.task_spread) * z[:, :d]
+        x = np.sqrt(env.input_cov) * z[:, d:d + m_tr * d].reshape(n, m_tr, d)
+        y = (x @ w[:, :, None])[..., 0] + np.sqrt(env.label_noise_var) * z[:, d + m_tr * d:]
+        e = theta - alpha * tasks.batch_grad(theta, x, y) - w
+        # tasks.population_loss of each device
+        vals.append(0.5 * ((env.input_cov * e)[:, None, :] @ e[:, :, None])[:, 0, 0]
+                    + 0.5 * env.label_noise_var)
+    return float(np.mean(np.concatenate(vals)))
 
 
 def mean_se(values) -> tuple[float, float]:

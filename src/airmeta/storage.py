@@ -7,7 +7,9 @@ version; a schema change bumps SCHEMA_VERSION in the manifest.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import platform
 from collections import defaultdict
@@ -23,6 +25,9 @@ from .protocol import ExperimentConfig, Trajectory
 SCHEMA_VERSION = 1
 # the line end of csv.writer's default dialect, which every CSV file keeps
 _EOL = "\r\n"
+# the most lines the CSV writers format with one % operation; bounds the
+# memory of a pass for any number of rows or rounds
+_CSV_LINES = 4096
 
 TRAJECTORY_COLUMNS = [
     "round", "grad_norm_sq", "train_loss", "test_loss", "rho", "v", "snr_db",
@@ -108,18 +113,35 @@ def write_trajectory_json(traj: Trajectory, path, final_test_loss: float = float
 
 
 def write_csv(columns, rows, path) -> None:
-    """Header plus rows; text cells as they are, numbers via _fmt.  The lines
-    are what ``csv.writer`` writes: a row of numbers is joined here, a row
-    with text goes through the writer, which quotes what needs it."""
+    """Header plus rows; text cells as they are, numbers as _fmt writes them.
+    The lines are what ``csv.writer`` writes: a row with text goes through
+    the writer, which quotes what needs it; each run of number rows whose
+    cells have the same types is formatted a chunk of rows at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            cells = [v if isinstance(v, str) else _fmt(v) for v in row]
-            if any(isinstance(v, str) for v in row):
-                writer.writerow(cells)
-            else:
-                fh.write(",".join(cells) + _EOL)
+        for line, group in itertools.groupby(
+                rows, key=lambda row: _spec_line(tuple(map(type, row)))):
+            if line is None:
+                writer.writerows([v if isinstance(v, str) else _fmt(v) for v in row]
+                                 for row in group)
+                continue
+            while chunk := list(itertools.islice(group, _CSV_LINES)):
+                cells = itertools.chain.from_iterable(chunk)
+                if "nan" in line:  # an unset cell is a literal nan, not an argument
+                    cells = (v for v in cells if v is not None)
+                fh.write(line * len(chunk) % tuple(cells))
+
+
+@functools.cache
+def _spec_line(types: tuple):
+    """The %-template of a number row whose cells have these types, each
+    cell as _fmt writes it; None for a row with text."""
+    if any(issubclass(t, str) for t in types):
+        return None
+    return ",".join("nan" if t is type(None) else
+                    "%d" if issubclass(t, (int, np.integer)) else "%.17g"
+                    for t in types) + _EOL
 
 
 def read_trajectory_csv(path) -> dict:
@@ -137,20 +159,28 @@ def read_trajectory_csv(path) -> dict:
 def write_replay_csv(traj: Trajectory, path) -> None:
     """Realized channel draws: per-round device rows with the fading
     coefficient, then one row (device_id = -1) carrying the noise block.
-    Written line by line as ``csv.writer`` writes them: no cell needs
-    quoting."""
+    The lines are what ``csv.writer`` writes (no cell needs quoting); each
+    chunk of rounds is one template filled from a table of its cells."""
     m = traj.config.channel_uses
     noise_cols = [f"noise_re_{j}" for j in range(m)] + [f"noise_im_{j}" for j in range(m)]
-    no_noise = "," * 2 * m + _EOL
-    gains, noise = traj.replay["gains"], traj.replay["noise"]
-    columns = zip(traj.replay["active"].tolist(), gains.real.tolist(), gains.imag.tolist(),
-                  np.concatenate([noise.real, noise.imag], axis=-1).tolist())
+    active, gains, noise = (traj.replay[name] for name in ("active", "gains", "noise"))
+    n_rounds, rn = gains.shape
+    round_lines = ("%d,%d,%.17g,%.17g" + "," * 2 * m + _EOL) * rn \
+        + "%d,-1,,," + ",".join(["%.17g"] * 2 * m) + _EOL
+    per_chunk = max(1, _CSV_LINES // (rn + 1))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["round", "device_id", "re_h", "im_h"] + noise_cols) + _EOL)
-        for t, (devs, res, ims, z) in enumerate(columns):
-            fh.writelines(f"{t},{dev},{re:.17g},{im:.17g}{no_noise}"
-                          for dev, re, im in zip(devs, res, ims))
-            fh.write(f"{t},-1,,," + ",".join(f"{v:.17g}" for v in z) + _EOL)
+        for t0 in range(0, n_rounds, per_chunk):
+            run = slice(t0, min(t0 + per_chunk, n_rounds))
+            n = run.stop - t0
+            # a round's cells in line order: (t, device, re, im) per device,
+            # then t and the noise's real and imaginary parts
+            cells = np.empty((n, 4 * rn + 1 + 2 * m), dtype=object)
+            cells[:, 0:4 * rn:4] = cells[:, 4 * rn:4 * rn + 1] = np.arange(t0, run.stop)[:, None]
+            cells[:, 1:4 * rn:4] = active[run]
+            cells[:, 2:4 * rn:4], cells[:, 3:4 * rn:4] = gains[run].real, gains[run].imag
+            cells[:, 4 * rn + 1:] = np.concatenate([noise[run].real, noise[run].imag], axis=-1)
+            fh.write(round_lines * n % tuple(cells.ravel().tolist()))
 
 
 def read_replay_csv(path) -> np.ndarray:

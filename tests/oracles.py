@@ -7,8 +7,9 @@ round at a time with each uplink stage written out a device at a time
 (top-k, power scaling, estimation), a uniform active set
 drawn by numpy's ``choice``, one round's channel drawn by a
 ``standard_normal`` call per part, the received SNR recovered from a run's
-fading draws, the phase factors as numpy's scalar quotient, and the CSV writers
-cell by cell through ``csv.writer``.  The simulator computes batched
+fading draws, the phase factors as numpy's scalar quotient, the Monte Carlo
+meta-test loss one fresh device at a time, and the CSV writers cell by cell
+through ``csv.writer``.  The simulator computes batched
 versions of these (``tasks.batch_*``) or never needs them; the tests check
 those batched paths and the closed forms against these.
 """
@@ -252,6 +253,21 @@ def measured_snr_db(traj, power: float) -> float:
         return float("inf")
     mean_sum = float(np.mean(traj.records["sum_abs_h_sq"]))
     return 10.0 * np.log10(power * mean_sum / noise_var)
+
+
+def meta_test_loss(theta, env, alpha: float, n_test: int, m_tr: int,
+                   gen: np.random.Generator) -> float:
+    """``metrics.meta_test_loss`` one fresh device at a time: its task vector
+    (``tasks.sample_device``), its points (``tasks.sample_points``), one
+    adaptation step and its exact population loss."""
+    theta = np.asarray(theta, dtype=float)
+    vals = []
+    for _ in range(n_test):
+        w = tasks.sample_device(env, gen)
+        x, y = tasks.sample_points(w, env, m_tr, gen)
+        phi = theta - alpha * tasks.batch_grad(theta, x, y)
+        vals.append(tasks.population_loss(phi, w, env))
+    return float(np.mean(vals))
 
 
 def phase(gains) -> np.ndarray:

@@ -198,8 +198,10 @@ def test_a_negative_rate_still_raises(rate, monkeypatch):
 def test_sweep_stack_memory_is_bounded():
     """A 5-trial stack of the sweep base, in blocks of 64 rounds, allocates
     at most 24 MB at its peak: the batch replay runs in row chunks
-    (``meta._REPLAY_DRAWS``).  It peaks at 15 MB; with the replay in one
-    piece at 28 MB, and as one block of the whole run at 62 MB."""
+    (``meta._REPLAY_DRAWS``), and a finished block's arrays are released
+    before the next block is drawn.  It peaks at 12 MB.  With the finished
+    block kept alive it peaks at 15 MB, with the replay in one piece as well
+    at 28 MB, and as one block of the whole run at 62 MB."""
     base = ExperimentConfig.from_dict(json.loads((CONFIGS / "sweep_snr.json").read_text())["base"])
     configs = trial_configs(base, 5)
     assert protocol._BLOCK_ROUNDS // len(configs) == 64

@@ -1,6 +1,9 @@
-"""The bulk CSV writers join each line themselves; the bytes must be what
+"""The bulk CSV writers format up to ``storage._CSV_LINES`` lines with one
+``%`` operation: ``write_csv`` a chunk of number rows whose cells share
+their types, ``write_replay_csv`` a chunk of rounds.  The bytes must be what
 ``csv.writer`` writes cell by cell (``oracles.write_csv`` and
-``oracles.write_replay_csv``)."""
+``oracles.write_replay_csv``), whatever the chunk size, and every replay log
+must read back bit for bit through ``storage.read_replay_csv``."""
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +27,22 @@ CELLS = st.one_of(
     st.text(max_size=6), st.sampled_from(["", "a,b", 'say "x"', "two\nlines", "cr\r", " "]))
 # one real or imaginary part of a logged gain or noise value
 PARTS = st.sampled_from(SPECIAL)
+# the shipped configs, a run that aborts at round 7 because it cannot send
+# (as trial 0 of ``airmeta run`` aborts at round 8), and one whose noise is
+# set by noise_var, so its snr_db cells are unset
+RUNS = {"convergence": ("convergence", {}), "generalization": ("generalization", {}),
+        "aborted": ("convergence", {"eta": 30.0, "theta_init": 1e100}),
+        "noise_var": ("convergence", {"noise_var": 0.05})}
+
+
+@pytest.fixture(scope="module")
+def runs():
+    out = {}
+    for name, (config, change) in RUNS.items():
+        data = json.loads((CONFIGS / f"{config}.json").read_text()) | change
+        out[name] = run_experiment(ExperimentConfig.from_dict(data))
+    assert out["aborted"].aborted_at == 7
+    return out
 
 
 def same_bytes(tmp_path, write, oracle, *args):
@@ -32,14 +51,43 @@ def same_bytes(tmp_path, write, oracle, *args):
     return (tmp_path / "fast.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["convergence", "generalization"])
-def test_shipped_configs(name, tmp_path):
-    cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
-    traj = run_experiment(cfg)
+def reads_back(tmp_path, replay):
+    """The log written to fast.csv reads back as ``replay``, bit for bit; a
+    log without rounds reads back without rounds."""
+    log = storage.read_replay_csv(tmp_path / "fast.csv")
+    return log.tobytes() == replay.tobytes() and (log.dtype == replay.dtype or not len(replay))
+
+
+def check_run_outputs(tmp_path, traj):
     rows = storage.trajectory_rows(traj, 1.25)
     assert same_bytes(tmp_path, storage.write_csv, oracles.write_csv,
                       storage.TRAJECTORY_COLUMNS, rows)
     assert same_bytes(tmp_path, storage.write_replay_csv, oracles.write_replay_csv, traj)
+    assert reads_back(tmp_path, traj.replay)
+
+
+@pytest.mark.parametrize("name", ["convergence", "generalization"])
+def test_shipped_configs(name, runs, tmp_path):
+    check_run_outputs(tmp_path, runs[name])
+
+
+@pytest.mark.parametrize("name", ["aborted", "noise_var"])
+def test_aborted_and_noise_var_runs(name, runs, tmp_path):
+    check_run_outputs(tmp_path, runs[name])
+
+
+@pytest.mark.parametrize("lines", [71, 1])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_run_outputs_across_chunks(name, lines, runs, tmp_path, monkeypatch):
+    """Chunks of 71 lines, which leave either writer a partial last chunk
+    on a full-length run, and of one line (one round of the replay log)."""
+    monkeypatch.setattr(storage, "_CSV_LINES", lines)
+    check_run_outputs(tmp_path, runs[name])
+
+
+def test_noise_var_run_leaves_snr_unset(runs):
+    rows = storage.trajectory_rows(runs["noise_var"])
+    assert {row[storage.TRAJECTORY_COLUMNS.index("snr_db")] for row in rows} == {None}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -52,26 +100,48 @@ def test_rows_of_any_cells(rows, tmp_path_factory):
                       ["c0", "c,1", "c2"], rows)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(runs_of_rows=st.lists(st.tuples(st.lists(CELLS, max_size=4), st.integers(1, 5)),
+                             max_size=5),
+       lines=st.sampled_from([1, 2, 3]))
+@example(runs_of_rows=[([1, None, 0.5], 5), ([], 3), (["a", 2], 2), ([None], 4)], lines=2)
+def test_runs_of_rows_across_chunks(runs_of_rows, lines, tmp_path_factory):
+    """Runs of rows of the same cells, formatted a few lines at a time."""
+    tmp_path = tmp_path_factory.mktemp("chunks")
+    rows = [row for row, repeat in runs_of_rows for _ in range(repeat)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(storage, "_CSV_LINES", lines)
+        assert same_bytes(tmp_path, storage.write_csv, oracles.write_csv, ["c0", "c1"], rows)
+
+
 @st.composite
 def replay_logs(draw):
-    """A log of 1-4 rounds with one device count for every round, each gain
-    and noise part a special value."""
+    """A log of 0-6 rounds over 1-3 channel uses, with one device count for
+    every round, each gain and noise part a special value."""
     n_active = draw(st.integers(0, 4))
-    rounds = draw(st.lists(st.tuples(st.lists(st.tuples(PARTS, PARTS), min_size=n_active,
-                                              max_size=n_active),
-                                     st.tuples(PARTS, PARTS)),
-                           min_size=1, max_size=4))
-    log = np.zeros(len(rounds), dtype=replay_dtype(n_active, 1))
+    m = draw(st.integers(1, 3))
+    parts = st.tuples(PARTS, PARTS)
+    rounds = draw(st.lists(st.tuples(st.lists(parts, min_size=n_active, max_size=n_active),
+                                     st.lists(parts, min_size=m, max_size=m)),
+                           max_size=6))
+    log = np.zeros(len(rounds), dtype=replay_dtype(n_active, m))
     log["active"] = np.arange(n_active) * 2
-    log["gains"] = [[complex(*g) for g in gains] for gains, _ in rounds]
-    log["noise"] = [[complex(*noise)] for _, noise in rounds]
+    for t, (gains, noise) in enumerate(rounds):
+        log["gains"][t] = [complex(*g) for g in gains]
+        log["noise"][t] = [complex(*z) for z in noise]
     return log
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(replay=replay_logs())
-def test_replay_log_of_special_values(replay, tmp_path_factory):
-    """Gains and noise that are nan, +-inf, -0.0, subnormal or huge."""
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(replay=replay_logs(), lines=st.sampled_from([1, 5, 4096]))
+@example(replay=np.zeros(0, dtype=replay_dtype(3, 2)), lines=4096)
+def test_replay_log_of_special_values(replay, lines, tmp_path_factory):
+    """Gains and noise that are nan, +-inf, -0.0, subnormal or huge, in one
+    chunk of rounds and in chunks of one or a few rounds."""
     tmp_path = tmp_path_factory.mktemp("replay")
-    traj = SimpleNamespace(config=SimpleNamespace(channel_uses=1), replay=replay)
-    assert same_bytes(tmp_path, storage.write_replay_csv, oracles.write_replay_csv, traj)
+    traj = SimpleNamespace(config=SimpleNamespace(channel_uses=replay.dtype["noise"].shape[0]),
+                           replay=replay)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(storage, "_CSV_LINES", lines)
+        assert same_bytes(tmp_path, storage.write_replay_csv, oracles.write_replay_csv, traj)
+    assert reads_back(tmp_path, replay)

@@ -2,8 +2,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from airmeta import tasks
+from airmeta import metrics, tasks
 from airmeta.metrics import (mean_se, meta_test_loss, meta_training_loss,
                              stationary_convergence_error, trial_gap)
 from airmeta.protocol import ROUND_DTYPE, ExperimentConfig, run_experiment
@@ -98,6 +100,49 @@ class TestMetaTestLoss:
         lo = meta_test_loss(theta, env, 0.3, 4000, 2, gen)
         hi = meta_test_loss(theta, env, 0.3, 4000, 64, gen)
         assert lo > hi
+
+
+@st.composite
+def loss_cases(draw):
+    """(theta, env, alpha, n_test, m_tr) of a meta-test loss evaluation."""
+    d = draw(st.integers(1, 60))
+    unit = st.floats(-1.0, 1.0)
+    env = TaskEnvironment(
+        dim=d, center=np.array(draw(st.lists(unit, min_size=d, max_size=d))) * 1e3,
+        task_spread=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))),
+        input_cov=draw(st.floats(0.0, 1e3)),
+        label_noise_var=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))))
+    theta = np.array(draw(st.lists(unit, min_size=d, max_size=d))) * draw(st.sampled_from(
+        [1.0, 1e3, 1e-3]))
+    alpha = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return theta, env, alpha, draw(st.integers(1, 130)), draw(st.integers(1, 120))
+
+
+def same_test_loss(theta, env, alpha, n_test, m_tr, seed):
+    """The stacked estimate equals the one-device-at-a-time oracle bit for
+    bit and leaves its generator where the oracle leaves it."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = meta_test_loss(theta, env, alpha, n_test, m_tr, fast)
+    want = oracles.meta_test_loss(theta, env, alpha, n_test, m_tr, slow)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=loss_cases(), seed=st.integers(0, 2**32 - 1))
+def test_meta_test_loss_is_the_per_device_oracle(case, seed):
+    same_test_loss(*case, seed)
+
+
+@pytest.mark.parametrize("normals", [1, 19, 40, 100])
+def test_meta_test_loss_across_device_chunks(normals, monkeypatch):
+    """Chunks of one device (a device's 19 normals exceed the budget), of
+    exactly one budget, and of two and five devices with a partial last
+    chunk."""
+    monkeypatch.setattr(metrics, "_TEST_NORMALS", normals)
+    env = TaskEnvironment(dim=3, center=np.array([1.0, -2.0, 0.5]), task_spread=0.3,
+                          input_cov=1.5, label_noise_var=0.4)
+    same_test_loss(np.array([0.2, 0.1, -0.3]), env, 0.25, 13, 4, 7)
 
 
 class TestGeneralizationGap:
