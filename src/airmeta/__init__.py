@@ -14,8 +14,7 @@ from .bounds import (AssumptionConstants, BoundReport, DerivedConstants,
                      estimate_constants, generalization_bound, memory_gain,
                      sub_gaussian_proxy)
 from .channel import (Estimate, compression_block, estimate_stack, fading_moments,
-                      global_update, replay_dtype, sample_channel, snr_noise_var,
-                      transmit_mac)
+                      global_update, replay_dtype, snr_noise_var, transmit_mac)
 from .meta import local_rounds, meta_grad_estimate
 from .metrics import (mean_se, meta_test_loss, meta_training_loss,
                       stationary_convergence_error, trial_gap)

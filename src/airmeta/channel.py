@@ -76,23 +76,6 @@ def replay_dtype(n_active: int, m_uses: int) -> np.dtype:
                      ("noise", np.complex128, (m_uses,))])
 
 
-def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw i.i.d. fading coefficients for ``n_active`` devices, then the
-    additive noise block: all real parts, then all imaginary parts, each
-    with variance noise_var.  Returns (gains, noise).
-
-    The normals come from one ``standard_normal`` call, in that order:
-    the gains' real and imaginary parts (Rayleigh fading only), then the
-    noise's; ``channel_draws`` turns them into the draws."""
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
-    if fading not in FADING_MODELS:
-        raise ValueError(f"unknown fading model {fading!r}")
-    z = rng.standard_normal(channel_normals(n_active, fading, m_uses))
-    return channel_draws(z, n_active, fading, noise_var)
-
-
 def channel_normals(n_active: int, fading: str, m_uses: int) -> int:
     """How many standard normals one round's channel draw takes."""
     return (2 * n_active if fading == "rayleigh" else 0) + 2 * m_uses
@@ -101,10 +84,11 @@ def channel_normals(n_active: int, fading: str, m_uses: int) -> int:
 def channel_draws(z: np.ndarray, n_active: int, fading: str, noise_var: float):
     """The gains (..., n_active) and noise blocks (..., M) of a stack of
     rounds, from each round's ``channel_normals`` standard normals
-    (..., 2 n_active + 2M), or (..., 2M) for unit fading, in the order
-    ``sample_channel`` draws them; each round is bit for bit its
-    ``sample_channel`` draw.  Unchecked: assumes noise_var >= 0 and a
-    known fading model."""
+    (..., 2 n_active + 2M), or (..., 2M) for unit fading: the gains' real
+    and imaginary parts (Rayleigh fading only), then the noise's, each part
+    with variance noise_var.  A round's normals are one ``standard_normal``
+    call, which draws what a call per part draws.  Assumes noise_var >= 0
+    and a known fading model."""
     n_gain = channel_normals(n_active, fading, 0)
     m_uses = (z.shape[-1] - n_gain) // 2
     if fading == "rayleigh":
@@ -118,26 +102,14 @@ def channel_draws(z: np.ndarray, n_active: int, fading: str, noise_var: float):
     return gains, noise
 
 
-def transmit_mac(signals, gains, noise) -> np.ndarray:
+def transmit_mac(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Superpose the transmitted blocks over the fading MAC and add noise.
 
     ``signals`` is the (..., n, M) stack of blocks, row i sent over
-    coefficient ``gains[..., i]``, one round's noise block (..., M) each:
-    y = sum_i h_i x_i + n, accumulated in device order.  With no device
-    the block is the noise alone.  Checks one coefficient per block and the
-    noise's length, then calls ``transmit_mac_kernel``.
+    coefficient ``gains[..., i]`` (..., n), one round's noise block (..., M)
+    each: y = sum_i h_i x_i + n, accumulated in device order.  With no device
+    the block is the noise alone.
     """
-    signals = np.asarray(signals)
-    if signals.ndim < 2 or signals.shape[:-1] != gains.shape:
-        raise ValueError("one signal per realized channel coefficient required")
-    if signals.shape[-1] != noise.shape[-1]:
-        raise ValueError("block length does not match the realized noise")
-    return transmit_mac_kernel(signals, gains, noise)
-
-
-def transmit_mac_kernel(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """``transmit_mac`` unchecked: assumes blocks (..., n, M), coefficients
-    (..., n) and noise (..., M)."""
     # the running sums 0, 0 + h_0 x_0, (0 + h_0 x_0) + h_1 x_1, ...
     terms = np.concatenate([np.zeros(noise.shape, dtype=complex)[..., None, :],
                             gains[..., None] * signals], axis=-2)
@@ -154,41 +126,23 @@ class Estimate:
     pinv_fallback: np.ndarray   # (K,) bool, solved by the pseudo-inverse
 
 
-def estimate_stack(y: np.ndarray, matrix: np.ndarray, real, gram, prior_power,
-                   noise_var: float, kind: str = "lmmse") -> Estimate:
+def estimate_stack(y: np.ndarray, matrix: np.ndarray, real, gram, p: np.ndarray,
+                   noise_var: float, kind: str, noise_eye: np.ndarray) -> Estimate:
     """Reconstruct the real superposed payloads of a stack of K rounds from
     the received blocks y (K, M), with the partial DFTs (K, M, d) and for
     lmmse their real operators (K, 2M, d) and Gram matrices (K, 2M, 2M)
-    (``compression_block``), and a prior power per round.
+    (``compression_block``), a float prior power p >= 0 (K,) per round and
+    ``noise_eye`` = noise_var * I (2M, 2M), noise_var >= 0.
 
     matched: requires M == d, the full DFT; x_hat = Re(A^H y) and the
     per-component error variance equals noise_var exactly.
     lmmse: linear MMSE under an isotropic prior with per-component power
-    ``prior_power``, solved on the stacked real system.  One solve serves
-    every round; a noiseless rank-deficient round, or one that the noise
-    does not regularize, falls back to the pseudo-inverse by itself and
-    flags it.  Row k of each field is bit for bit what the stack of round
-    k alone gives.
-
-    Checks the estimator kind, prior_power >= 0, noise_var >= 0 and, for
-    matched, M == d, then calls ``estimate_stack_kernel``.
+    p, solved on the stacked real system.  One solve serves every round; a
+    noiseless rank-deficient round, or one that the noise does not
+    regularize, falls back to the pseudo-inverse by itself and flags it.
+    Row k of each field is bit for bit what the stack of round k alone
+    gives.  Assumes a known ``kind``.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    p = np.asarray(prior_power, dtype=float)
-    if (p < 0).any() or noise_var < 0:
-        raise ValueError("prior_power and noise_var must be >= 0")
-    if kind == "matched" and matrix.shape[-2] != matrix.shape[-1]:
-        raise ValueError("matched estimator requires M == d")
-    return estimate_stack_kernel(y, matrix, real, gram, p, noise_var, kind,
-                                 noise_var * np.eye(2 * matrix.shape[-2]))
-
-
-def estimate_stack_kernel(y: np.ndarray, matrix: np.ndarray, real, gram, p: np.ndarray,
-                          noise_var: float, kind: str, noise_eye: np.ndarray) -> Estimate:
-    """``estimate_stack`` unchecked: assumes a known ``kind``, M == d for
-    matched, a float prior power p >= 0 (K,), noise_var >= 0 and
-    ``noise_eye`` = noise_var * I (2M, 2M)."""
     if kind == "matched":
         x_hat = (matrix.conj().swapaxes(-1, -2) @ y[..., None])[..., 0].real
         return Estimate(x_hat=np.ascontiguousarray(x_hat, dtype=float),
@@ -243,30 +197,15 @@ def _pinv_estimate(b: np.ndarray, gram: np.ndarray, y_r: np.ndarray, p: float, d
     return x_hat, float(p * max(dim - rank, 0) / dim)
 
 
-def global_update(theta: np.ndarray, est: Estimate, eta: float, rho: float,
+def global_update(theta: np.ndarray, x_hat: np.ndarray, eta: float, rho: np.ndarray,
                   abs_mean: float, n_active: int) -> np.ndarray:
-    """Server update from the reconstructed payload.
+    """Server update from the reconstructed payload x_hat.
 
-    theta' = theta - eta / (mu * sqrt(rho) * rn) * x_hat, where mu is the
-    known mean |h| of the fading law.  A stack of rounds is thetas (K, d)
-    with a scale rho (K,) and payload (K, d) each.  Checks rho > 0,
-    n_active >= 1 and abs_mean > 0, then calls ``global_update_kernel``.
+    theta' = theta - eta / (mu * sqrt(rho) * rn) * x_hat, where mu =
+    ``abs_mean`` is the known mean |h| of the fading law.  A stack of rounds
+    is float thetas (K, d) with a scale rho (K,) and payload (K, d) each.
+    Assumes rho > 0, abs_mean > 0 and n_active >= 1.
     """
-    rho = np.asarray(rho, dtype=float)
-    if (rho <= 0).any():
-        raise ValueError("rho must be > 0")
-    if n_active < 1:
-        raise ValueError("need at least one active device")
-    if abs_mean <= 0:
-        raise ValueError("abs_mean must be > 0")
-    return global_update_kernel(np.asarray(theta, dtype=float), est.x_hat, eta, rho, abs_mean,
-                                n_active)
-
-
-def global_update_kernel(theta: np.ndarray, x_hat: np.ndarray, eta: float, rho: np.ndarray,
-                         abs_mean: float, n_active: int) -> np.ndarray:
-    """``global_update`` on the payload x_hat, unchecked: assumes float
-    thetas, rho > 0, abs_mean > 0 and n_active >= 1."""
     return theta - (eta / (abs_mean * np.sqrt(rho) * n_active))[..., None] * x_hat
 
 

@@ -40,11 +40,6 @@ _MASK32 = 0xFFFFFFFF
 _REPLAY_DRAWS = 1 << 16
 
 
-def _check_finite(theta: np.ndarray, what: str = "theta"):
-    if not np.isfinite(theta).all():
-        raise ValueError(f"{what} contains non-finite entries")
-
-
 def batch_pools(dataset: Dataset, batch_size: int):
     """Index pools for the three per-step mini-batches.
 
@@ -194,64 +189,22 @@ def _replay_choice(words: np.ndarray, pools, m: int, steps: int):
     return out, rejected
 
 
-def meta_grad_estimate(thetas: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
-                       devices=None) -> np.ndarray:
-    """Stochastic meta-gradients (I - alpha*H_hat) g_hat' of a stack of devices.
-
-    Row i is device ``devices[i]`` of the stacked ``data`` (device i when
-    ``devices`` is None) at ``thetas[i]``: g_hat' is its mini-batch
-    gradient at the adapted point theta - alpha * g_hat(B), and H_hat its
-    mini-batch Hessian at theta.  ``idx`` (n, 3, m_B) holds row i's
-    adaptation, outer-gradient and Hessian batches, in that order, as drawn
-    from the three pools of ``batch_pools``.  The estimate is biased for
-    curved losses; that is accepted, not corrected.  Checks finite thetas
-    of the data's dimension, alpha >= 0, nonempty batches and one row each,
-    then calls ``meta_grad_estimate_kernel``.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    _check_finite(thetas)
-    _check_step(thetas, data, alpha, idx)
-    if devices is None:
-        devices = np.arange(data.x.shape[0])
-    if not thetas.shape[0] == len(devices) == idx.shape[0]:
-        raise ValueError("one theta, one device dataset and one batch triple per row required")
-    return meta_grad_estimate_kernel(thetas, *_gather(data, idx, np.asarray(devices)), alpha)
-
-
 def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
-                 eta: float, devices=None):
+                 eta: float, devices: np.ndarray):
     """Run the local SGD steps of a stack of devices in lockstep.
 
-    Row i runs device ``devices[i]`` of the stacked ``data`` (device i when
-    ``devices`` is None) from row i of ``theta_start`` (n, d), or every row
-    from one (d,) start at inner rate ``alpha``; step q of row i uses the
-    batches ``idx[q, i]`` of an index array (Q, n, 3, m_B).  Returns
+    Row i runs device ``devices[i]`` of the stacked ``data`` from row i of
+    the finite float ``theta_start`` (n, d), or every row from one (d,)
+    start, at inner rate ``alpha`` >= 0; step q of row i uses the batches
+    ``idx[q, i]`` of an index array (Q >= 1, n, 3, m_B >= 1).  Returns
     (deltas, iterates): deltas (n, d) holds theta_start - theta_end, the
     model differences the devices would report, and iterates (Q, n, d) the
     points the steps started from (used for empirical constant estimation).
     A device whose iterate leaves the finite range stops there, so it
     reports a non-finite delta; its iterates from that step on are NaN.
-    Raises ValueError for a non-finite start, a negative ``alpha``, no step,
-    empty batches or a start whose dimension is not the data's.
-
-    Checks those, then calls ``local_rounds_kernel``.
-    """
-    theta_start = np.asarray(theta_start, dtype=float)
-    _check_finite(theta_start)
-    devices = np.arange(data.x.shape[0]) if devices is None else np.asarray(devices)
-    if idx.ndim != 4 or idx.shape[0] < 1 or idx.shape[1] != len(devices):
-        raise ValueError("batch indices must be (local_steps >= 1, n_devices, 3, batch_size)")
-    _check_step(theta_start, data, alpha, idx)
-    return local_rounds_kernel(theta_start, data, idx, alpha, eta, devices)
-
-
-def local_rounds_kernel(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,
-                        eta: float, devices: np.ndarray):
-    """``local_rounds`` unchecked: assumes a finite float start, device ids
-    ``devices`` (n,), batch indices (Q >= 1, n, 3, m_B >= 1) and alpha >= 0.
 
     Every step's batches are gathered at once; each step is
-    ``meta_grad_estimate_kernel`` on its rows of them.
+    ``meta_grad_estimate`` on its rows of them.
     """
     n, steps = len(devices), idx.shape[0]
     x, y = _gather(data, idx, devices)
@@ -269,19 +222,9 @@ def local_rounds_kernel(theta_start: np.ndarray, data: Dataset, idx: np.ndarray,
         # all rows run until one stops, and a slice of them is a view
         live = slice(None) if rows.size == n else rows
         iterates[step, live] = theta[live]
-        theta[live] = theta[live] - eta * meta_grad_estimate_kernel(
+        theta[live] = theta[live] - eta * meta_grad_estimate(
             theta[live], x[step, live], y[step, live], alpha)
     return theta_start - theta, iterates
-
-
-def _check_step(thetas: np.ndarray, data: Dataset, alpha: float, idx: np.ndarray):
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if idx.shape[-1] < 1:
-        raise ValueError("batches must hold at least one point")
-    if thetas.shape[-1] != data.x.shape[-1]:
-        raise ValueError(f"dimension mismatch: phi has {thetas.shape[-1]}, "
-                         f"x has {data.x.shape[-1]}")
 
 
 def _gather(data: Dataset, idx: np.ndarray, devices: np.ndarray):
@@ -292,13 +235,19 @@ def _gather(data: Dataset, idx: np.ndarray, devices: np.ndarray):
     return np.asarray(data.x[rows, idx], dtype=float), data.y[rows, idx]
 
 
-def meta_grad_estimate_kernel(thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
-                              alpha: float) -> np.ndarray:
-    """``meta_grad_estimate`` unchecked, on gathered batches: the estimate
-    of each row of the float ``thetas`` (n, d) on its adaptation,
-    outer-gradient and Hessian batches ``x[:, k]``, ``y[:, k]``
-    (``_gather``); assumes alpha >= 0."""
-    phi = thetas - alpha * tasks.batch_grad_kernel(thetas, x[:, 0], y[:, 0])
-    g_outer = tasks.batch_grad_kernel(phi, x[:, 1], y[:, 1])
-    h_hat = tasks.batch_hessian_kernel(x[:, 2])
+def meta_grad_estimate(thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
+                       alpha: float) -> np.ndarray:
+    """Stochastic meta-gradients (I - alpha*H_hat) g_hat' of a stack of devices.
+
+    Row i is taken at row i of the float ``thetas`` (n, d), on its
+    adaptation, outer-gradient and Hessian batches ``x[i, k]``, ``y[i, k]``
+    for k = 0, 1, 2, gathered (``_gather``) from the three pools of
+    ``batch_pools``: g_hat' is its mini-batch gradient at the adapted point
+    theta - alpha * g_hat(B), and H_hat its mini-batch Hessian at theta.
+    Assumes alpha >= 0 and nonempty batches.  The estimate is biased for
+    curved losses; that is accepted, not corrected.
+    """
+    phi = thetas - alpha * tasks.batch_grad(thetas, x[:, 0], y[:, 0])
+    g_outer = tasks.batch_grad(phi, x[:, 1], y[:, 1])
+    h_hat = tasks.batch_hessian(x[:, 2])
     return g_outer - alpha * (h_hat @ g_outer[..., None])[..., 0]

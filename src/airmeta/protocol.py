@@ -349,13 +349,14 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     commit and the transmit chain (``_air_uplink``).  A trial that cannot
     send, or whose next iterate is not finite, leaves the stack through the
     one abort step (``_abort``); a round it did not send keeps its records'
-    preset values.  A round calls each stage's unchecked kernel; what the
-    kernels assume is checked once per run, per block (the rates, raising
-    the stages' ``ValueError`` before the block's first round, and the
-    sampled gains) or where a replay log enters.  The records and identity
-    vectors of a block's rounds are computed from its buffered raw outputs
-    after its last round (``_block_records``), and written by trial and
-    round into tables of the run; each trial's outputs are its rows of them.
+    preset values.  The stages a round calls check nothing; what they
+    assume is checked once per run (``validate``), per block (the rates,
+    raising ``ValueError`` before the block's first round, and the sampled
+    gains), where a replay log enters, or by the abort step.  The records
+    and identity vectors of a block's rounds are computed from its buffered
+    raw outputs after its last round (``_block_records``), and written by
+    trial and round into tables of the run; each trial's outputs are its
+    rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -413,8 +414,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
         block = slice(t0, t0 + n_rounds)
         rates = [lr_schedule(cfg, t) for t in range(t0, t0 + n_rounds)]
-        # the local steps and the uplink of a round assume these, in the
-        # order its checked stages would raise
+        # the local steps and the uplink of a round assume these; alpha
+        # first, as the local steps take it before the uplink takes eta
         for eta_t, alpha_t in rates:
             if alpha_t < 0:
                 raise ValueError("alpha must be >= 0")
@@ -443,16 +444,16 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for j, (eta_t, alpha_t) in enumerate(rates):
                 rows = block_rows[pos, j]
-                deltas, iterates = meta.local_rounds_kernel(
+                deltas, iterates = meta.local_rounds(
                     state.theta[starts], state.data,
                     batches[pos, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
                     eta_t, rows.reshape(-1))
                 iterates_of[pos, j] = iterates.reshape(q, len(ks), rn, d).swapaxes(0, 1)
                 deltas = deltas.reshape(len(ks), rn, d)
-                updates, mem_next = sparsify.memory_fold_kernel(state.memories[rows], deltas,
-                                                                cfg.sparsify_k)
+                updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas,
+                                                         cfg.sparsify_k)
                 g_sq = sparsify.energies(updates)
-                rho = sparsify.power_scale_kernel(updates, g_sq, eta_sq[j], state.policy)
+                rho = sparsify.power_scale(updates, g_sq, eta_sq[j], state.policy)
                 sends = np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0)
                 if not sends.all():
                     ks, live, rows, deltas, updates, mem_next, g_sq, rho = _abort(
@@ -635,7 +636,7 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, deltas: np
     compressed by its operators ``comp`` (``ch.compression_block``);
     ``eta_sq`` is ``sparsify.rate_sq(eta_t)``.
 
-    Each stage runs its kernel, whose assumptions ``run_stack`` checked:
+    The stages check nothing; ``run_stack`` checked what they assume:
     finite iterates, a valid config, eta_t >= 0, nonzero coefficients, and
     a finite rho > 0 for every trial here.  Returns each trial's next
     iterate (G, d) and, in order, the raw outputs of the round by
@@ -645,16 +646,14 @@ def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, deltas: np
     energies and the trial's memories, committed before the call.
     """
     mu_abs, abs_power = state.fading
-    signals = ch.compress(comp[0], sparsify.phase_precompensate_kernel(updates, rho, eta_t,
-                                                                       phases))
-    y = ch.transmit_mac_kernel(signals, gains, noise)
+    signals = ch.compress(comp[0], sparsify.phase_precompensate(updates, rho, eta_t, phases))
+    y = ch.transmit_mac(signals, gains, noise)
     total_g_sq = g_sq.sum(axis=-1)
     prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim)
     prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has no prior power
-    est = ch.estimate_stack_kernel(y, *comp, prior_power, state.noise_var, cfg.estimator,
-                                   state.noise_eye)
-    theta_next = ch.global_update_kernel(state.theta[ks], est.x_hat, eta_t, rho, mu_abs,
-                                         cfg.n_active)
+    est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator,
+                            state.noise_eye)
+    theta_next = ch.global_update(state.theta[ks], est.x_hat, eta_t, rho, mu_abs, cfg.n_active)
     return theta_next, (rho, est.err_var, est.pinv_fallback, est.x_hat, updates, deltas, signals,
                         g_sq, state.memories.reshape(-1, state.n, cfg.dim)[ks])
 

@@ -32,26 +32,9 @@ class PowerPolicy:
 
 
 def comp_k(x: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries of each row of x (..., n, d),
-    ties broken by lowest index; dense output, zeros elsewhere.
-
-    Checks that x is a stack of rows and that 1 <= k <= d, then calls
-    ``comp_k_kernel``."""
-    x = np.asarray(x, dtype=float)
-    _check_top_k(x.shape, k)
-    return comp_k_kernel(x, k)
-
-
-def _check_top_k(shape: tuple, k: int):
-    if len(shape) < 2:
-        raise ValueError(f"x must be a (..., n, d) stack, got shape {shape}")
-    if not 1 <= k <= shape[-1]:
-        raise ValueError(f"k must be in [1, {shape[-1]}], got {k}")
-
-
-def comp_k_kernel(x: np.ndarray, k: int) -> np.ndarray:
-    """``comp_k`` unchecked: assumes a float (..., n, d) stack x and
-    1 <= k <= d.  A new array also at k == d, where it equals x."""
+    """Keep the k largest-magnitude entries of each row of the float stack x
+    (..., n, d), ties broken by lowest index; dense output, zeros elsewhere.
+    Assumes 1 <= k <= d.  A new array also at k == d, where it equals x."""
     d = x.shape[-1]
     flat = x.reshape(-1, d)
     # stable sort on -|x| keeps the lowest index among ties
@@ -65,24 +48,12 @@ def comp_k_kernel(x: np.ndarray, k: int) -> np.ndarray:
 def memory_fold(memory: np.ndarray, delta: np.ndarray, k: int):
     """Fold the accumulated error into the update before sparsifying.
 
-    ``memory`` and ``delta`` are (..., n, d) stacks, one row per device.  Returns
-    (g, next_memory) with g = comp_k(memory + delta) and
-    next_memory = memory + delta - g.  Checks that the shapes agree and what
-    ``comp_k`` checks, then calls ``memory_fold_kernel``.
+    ``memory`` and ``delta`` are float (..., n, d) stacks of one shape, one
+    row per device.  Returns (g, next_memory) with g = comp_k(memory + delta)
+    and next_memory = memory + delta - g.  Assumes 1 <= k <= d.
     """
-    memory = np.asarray(memory, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    if memory.shape != delta.shape:
-        raise ValueError("memory and delta must have the same shape")
-    _check_top_k(memory.shape, k)
-    return memory_fold_kernel(memory, delta, k)
-
-
-def memory_fold_kernel(memory: np.ndarray, delta: np.ndarray, k: int):
-    """``memory_fold`` unchecked: assumes float (..., n, d) stacks of one
-    shape and 1 <= k <= d."""
     folded = memory + delta
-    g = comp_k_kernel(folded, k)
+    g = comp_k(folded, k)
     return g, folded - g
 
 
@@ -101,12 +72,13 @@ def rate_sq(eta: float) -> float:
         return float("inf")
 
 
-def power_scale(updates, eta: float, policy: PowerPolicy):
+def power_scale(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
+                policy: PowerPolicy) -> np.ndarray:
     """Common scale rho so every device meets its average power budget.
 
-    ``updates`` is the (n, d) stack of the devices' updates, and the result
-    a float; for a (..., n, d) stack of such stacks it is an array (...) of
-    the scale of each.
+    ``g`` is the float (..., n, d) stack of the devices' updates, ``nrm``
+    their ``energies`` and ``eta_sq`` the ``rate_sq(eta)`` of an eta >= 0;
+    the result is an array (...) of the scale of each (n, d) stack.
     rho = min over devices of eta^2 * M * P / ||g||^2; the binding device
     transmits at exactly its budget, all others strictly below.  If every
     update is zero (a zero transmission costs no power) the configured
@@ -114,29 +86,9 @@ def power_scale(updates, eta: float, policy: PowerPolicy):
     eta^2, an update's ||g||^2 or rho itself falls below the normal float
     range (a tiny nonzero update is not a zero one), too few bits are left
     for the budget to hold to rounding, and the result is nan.  It is nan
-    too when eta^2 overflows.
-
-    Checks that eta >= 0, that the updates are finite and that none is
-    nonzero at eta == 0, then calls ``power_scale_kernel``.
+    too when eta^2 overflows, for a stack with a non-finite entry, and for
+    a nonzero update at eta == 0: such a stack cannot send.
     """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    g = np.asarray(updates, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("update contains non-finite entries")
-    if eta == 0 and g.any():
-        raise ValueError("nonzero updates cannot be power-scaled at eta == 0")
-    rho = power_scale_kernel(g, energies(g), rate_sq(eta), policy)
-    return float(rho) if rho.ndim == 0 else rho
-
-
-def power_scale_kernel(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
-                       policy: PowerPolicy) -> np.ndarray:
-    """``power_scale`` unchecked, as an array (...) also for one stack:
-    assumes a float (..., n, d) stack g, its ``energies`` nrm, and
-    ``rate_sq(eta)`` of an eta >= 0.  A stack with a non-finite entry, or
-    with a nonzero update at eta == 0, gets nan where ``power_scale``
-    raises."""
     live = g.any(axis=-1)  # a tiny nonzero g can have nrm == 0
     some = live.any(axis=-1)
     scalable = some & ~(live & (nrm < _TINY)).any(axis=-1) & (_TINY <= eta_sq < np.inf)
@@ -147,41 +99,18 @@ def power_scale_kernel(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
     return np.where(some, np.where(scalable & (rho >= _TINY), rho, np.nan), policy.rho_max)
 
 
-def phase_precompensate(g: np.ndarray, rho: float, eta: float, gains) -> np.ndarray:
+def phase_precompensate(g: np.ndarray, rho: np.ndarray, eta: float,
+                        phases: np.ndarray) -> np.ndarray:
     """Scale and counter-rotate each device's update so it arrives co-phased.
 
-    Row i of the (n, d) stack g is sent over the channel coefficient
-    ``gains[i]``.  Returns (sqrt(rho) * e^{-j arg(h_i)} / eta) * g_i per row;
-    multiplying by h_i leaves |h_i| * (sqrt(rho)/eta) * g_i, real up to
-    rounding.  A (..., n, d) stack of stacks takes gains (..., n) and a
-    scale rho (...) per stack.
-
-    Checks one nonzero coefficient per row, rho > 0, and eta > 0 when any
-    update is nonzero, then calls ``phase_precompensate_kernel`` on the
-    coefficients' ``phase``.  An all-zero stack transmits zeros.
+    Row i of the float (..., n, d) stack g is sent over a coefficient h_i of
+    ``phase`` phases[..., i] = e^{-j arg(h_i)}.  Returns
+    (sqrt(rho) * e^{-j arg(h_i)} / eta) * g_i per row, with a scale rho (...)
+    per (n, d) stack; multiplying by h_i leaves |h_i| * (sqrt(rho)/eta) * g_i,
+    real up to rounding.  Assumes rho > 0, nonzero coefficients, and eta > 0
+    when any update is nonzero.  A zero row transmits zeros, also where its
+    factor is not finite (eta == 0).
     """
-    g = np.asarray(g, dtype=float)
-    gains = np.asarray(gains, dtype=complex)
-    rho = np.asarray(rho, dtype=float)
-    if g.ndim < 2 or gains.shape != g.shape[:-1]:
-        raise ValueError("one channel coefficient per update row required")
-    if (gains == 0).any():
-        raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
-    if (rho <= 0).any():
-        raise ValueError("rho must be > 0")
-    if not g.any():
-        return np.zeros(g.shape, dtype=complex)
-    if eta <= 0:
-        raise ValueError("eta must be > 0 for a nonzero update")
-    return phase_precompensate_kernel(g, rho, eta, phase(gains))
-
-
-def phase_precompensate_kernel(g: np.ndarray, rho: np.ndarray, eta: float,
-                               phases: np.ndarray) -> np.ndarray:
-    """``phase_precompensate`` unchecked: assumes a float (..., n, d) stack
-    g, rho > 0 (...), the ``phase`` (..., n) of nonzero coefficients, and
-    eta > 0 when any update is nonzero.  A zero row transmits zeros, also
-    where its factor is not finite (eta == 0)."""
     factor = (np.sqrt(rho) / eta)[..., None] * phases
     return np.where(g.any(axis=-1)[..., None], factor[..., None] * g, 0.0)
 

@@ -217,14 +217,11 @@ def write_datasets_csv(data, path) -> None:
     """Stacked device datasets for inspection: device_id, split,
     x_0..x_{d-1}, y."""
     d = data.x.shape[-1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["device_id", "split"] + [f"x_{j}" for j in range(d)] + ["y"])
-        for dev_id, (x, y) in enumerate(zip(data.x, data.y)):
-            for row_idx in range(data.m):
-                split = "train" if row_idx < data.m_tr else "val"
-                writer.writerow([dev_id, split] + [_fmt(v) for v in x[row_idx]]
-                                + [_fmt(y[row_idx])])
+    splits = ["train" if i < data.m_tr else "val" for i in range(data.m)]
+    write_csv(["device_id", "split"] + [f"x_{j}" for j in range(d)] + ["y"],
+              ((dev_id, split, *x_row, y_row)
+               for dev_id, (x, y) in enumerate(zip(data.x.tolist(), data.y.tolist()))
+               for split, x_row, y_row in zip(splits, x, y)), path)
 
 
 def write_json(data: dict, path) -> None:

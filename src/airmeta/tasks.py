@@ -130,49 +130,26 @@ def sample_points(w: np.ndarray, env: TaskEnvironment, m: int,
 # batch oracles
 
 
-def _check_dims(phi: np.ndarray, x: np.ndarray):
-    if phi.shape[-1] != x.shape[-1]:
-        raise ValueError(f"dimension mismatch: phi has {phi.shape[-1]}, x has {x.shape[-1]}")
-
-
 def batch_loss(phi, x, y):
     """Mean per-sample loss over a batch; x is (m, d), or (n, m, d) with phi
-    (n, d) or (d,) for one mean per device of a stack."""
+    (n, d) or (d,) for one mean per device of a stack; phi and x share d."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
-    _check_dims(phi, x)
     return np.mean(0.5 * (y - (x @ phi[..., None])[..., 0]) ** 2, axis=-1)
 
 
-def batch_grad(phi, x, y):
+def batch_grad(phi: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     """Mean gradient over a batch; x is (m, d), or (n, m, d) with phi (n, d)
-    or (d,) for one gradient per device of a stack.  Checks that phi and x
-    share d, then calls ``batch_grad_kernel``."""
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_dims(phi, x)
-    return batch_grad_kernel(phi, x, y)
-
-
-def batch_grad_kernel(phi: np.ndarray, x: np.ndarray, y) -> np.ndarray:
-    """``batch_grad`` unchecked: assumes float phi and x that share d."""
+    or (d,) for one gradient per device of a stack.  Assumes float phi and
+    x that share d."""
     resid = y - (x @ phi[..., None])[..., 0]
     return -(x.swapaxes(-1, -2) @ resid[..., None])[..., 0] / x.shape[-2]
 
 
-def batch_hessian(phi, x, y):
-    """Mean Hessian over a batch; x is (m, d), or (n, m, d) for one Hessian
-    per device of a stack.  Checks that phi and x share d, then calls
-    ``batch_hessian_kernel``."""
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_dims(phi, x)
-    return batch_hessian_kernel(x)
-
-
-def batch_hessian_kernel(x: np.ndarray) -> np.ndarray:
-    """``batch_hessian`` unchecked, of the float batch x alone: the Hessian
-    of the squared loss depends on neither phi nor y."""
+def batch_hessian(x: np.ndarray) -> np.ndarray:
+    """Mean Hessian over the float batch x (m, d), or (n, m, d) for one
+    Hessian per device of a stack: the Hessian of the squared loss depends
+    on neither phi nor y."""
     return (x.swapaxes(-1, -2) @ x) / x.shape[-2]
 
 

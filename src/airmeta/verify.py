@@ -72,27 +72,29 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     """With fixed updates, the mean effective update over fading and noise
     matches the plain average of the updates (3 standard errors, per
     component).  Uses the matched estimator so the reconstruction error is
-    zero-mean by construction."""
+    zero-mean by construction.  The ``n_draws`` rounds run as one stack
+    that shares the updates and the compression of one round."""
     t0 = time.perf_counter()
     gen = np.random.default_rng(seed)
     d, n_active, eta, power = 20, 3, 0.05, 1.0
     gs = sparsify.comp_k(gen.standard_normal((n_active, d)), 5)
     policy = sparsify.PowerPolicy(power=power, channel_uses=d)
-    rho = sparsify.power_scale(gs, eta, policy)
+    rho = sparsify.power_scale(gs, sparsify.energies(gs), sparsify.rate_sq(eta), policy)
     rows = np.sort(gen.choice(d, size=d, replace=False))
     comp = channel.compression_block(d, rows[None])  # a stack of one round
     mu, pw = channel.fading_moments("rayleigh")
     noise_var = channel.snr_noise_var(10.0, n_active, power, pw)
     target = np.mean(gs, axis=0)
-    samples = np.empty((n_draws, d))
+    # each round's normals, in the order of a round at a time
+    z = gen.standard_normal((n_draws, channel.channel_normals(n_active, "rayleigh", d)))
+    gains, noise = channel.channel_draws(z, n_active, "rayleigh", noise_var)
+    signals = channel.compress(comp[0], sparsify.phase_precompensate(gs, rho, eta,
+                                                                     sparsify.phase(gains)))
+    y = channel.transmit_mac(signals, gains, noise)
+    est = channel.estimate_stack(y, *comp, np.zeros(n_draws), noise_var, "matched",
+                                 noise_var * np.eye(2 * d))
     theta = np.zeros(d)
-    for it in range(n_draws):
-        gains, noise = channel.sample_channel(n_active, "rayleigh", noise_var, d, gen)
-        signals = channel.compress(comp[0][0], sparsify.phase_precompensate(gs, rho, eta, gains))
-        y = channel.transmit_mac(signals, gains, noise)
-        est = channel.estimate_stack(y[None], *comp, [0.0], noise_var, "matched")
-        theta_next = channel.global_update(theta, est, eta, rho, mu, n_active)[0]
-        samples[it] = theta - theta_next  # effective update
+    samples = theta - channel.global_update(theta, est.x_hat, eta, rho, mu, n_active)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_draws)
     z = np.abs(mean - target) / se
@@ -151,25 +153,26 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
     grad_mean = tasks.mean_meta_grad(theta, ws, tasks.meta_curvature(env, alpha))
     sigma_sq = 0.0
     gamma_sq = 0.0
-    # one-device stacks share one generator, so the draws follow device order;
-    # local_rounds takes all q steps' batches up front, which draws what lazy
-    # per-step draws would as long as no device stops early
-    stacks = [tasks.stack_datasets([ds]) for ds in datasets]
-    for w, data in zip(ws, stacks):
+    # one generator serves the devices in order; each device's draws run as
+    # the rows of one stack
+    for w, ds in zip(ws, datasets):
         per_dev = tasks.population_meta_grad(theta, w, env, alpha)
         gamma_sq = max(gamma_sq, float(np.sum((per_dev - grad_mean) ** 2)))
-        # draw_batches(..., 1) is one step's batches; its step axis is the device axis
-        ests = np.concatenate([meta.meta_grad_estimate(theta[None], data,
-                                                       meta.draw_batches(gen, pools, m_b, 1),
-                                                       alpha)
-                               for _ in range(n_draws)])
+        # n_draws one-step estimates at theta: draw_batches' step axis is
+        # the stack's row axis
+        idx = meta.draw_batches(gen, pools, m_b, n_draws)
+        ests = meta.meta_grad_estimate(np.tile(theta, (n_draws, 1)), ds.x[idx], ds.y[idx], alpha)
         sigma_sq = max(sigma_sq, float(np.mean(np.sum((ests - per_dev) ** 2, axis=1))))
     drift_sq = []
-    for data in stacks:
-        for _ in range(n_draws // 10):
-            idx = meta.draw_batches(gen, pools, m_b, q)[:, None]
-            _, iterates = meta.local_rounds(theta, data, idx, alpha, eta)
-            drift_sq.append(float(np.max(np.sum((iterates[:, 0] - theta) ** 2, axis=1))))
+    runs = n_draws // 10
+    for ds in datasets:
+        # q local steps from theta, ``runs`` times; local_rounds takes all q
+        # steps' batches up front, which draws what lazy per-step draws would
+        # as long as no row stops early
+        idx = meta.draw_batches(gen, pools, m_b, q * runs).reshape(runs, q, 3, m_b)
+        _, iterates = meta.local_rounds(theta, tasks.stack_datasets([ds]), idx.swapaxes(0, 1),
+                                        alpha, eta, np.zeros(runs, dtype=np.int64))
+        drift_sq.extend(np.max(np.sum((iterates - theta) ** 2, axis=-1), axis=0).tolist())
     measured = float(np.mean(drift_sq))
     limit = 40 * q**2 * eta**2 * (sigma_sq + gamma_sq + float(grad_mean @ grad_mean))
     return _result("local_drift", measured <= limit,

@@ -29,6 +29,6 @@ def noiseless_thetas(traj) -> np.ndarray:
                                           pools, cfg.batch_size, cfg.local_steps)
                         for i in active], axis=1)
         deltas, _ = meta.local_rounds(thetas[-1], traj.datasets.devices(active), idx,
-                                      alpha_t, eta_t)
+                                      alpha_t, eta_t, np.arange(len(active)))
         thetas.append(thetas[-1] - np.mean(deltas, axis=0))
     return np.stack(thetas)

@@ -22,25 +22,30 @@ from airmeta import channel, meta, metrics, protocol, rng, sparsify, storage, ta
 from airmeta.tasks import Dataset, TaskEnvironment
 
 
+def _check_dims(phi: np.ndarray, x: np.ndarray):
+    if phi.shape[-1] != x.shape[-1]:
+        raise ValueError(f"dimension mismatch: phi has {phi.shape[-1]}, x has {x.shape[-1]}")
+
+
 def loss(phi: np.ndarray, x: np.ndarray, y: float) -> float:
     """Per-sample squared loss at model phi."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
-    tasks._check_dims(phi, x)
+    _check_dims(phi, x)
     return 0.5 * (float(y) - float(x @ phi)) ** 2
 
 
 def grad(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
-    tasks._check_dims(phi, x)
+    _check_dims(phi, x)
     return -(float(y) - float(x @ phi)) * x
 
 
 def hessian(phi: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
-    tasks._check_dims(phi, x)
+    _check_dims(phi, x)
     return np.outer(x, x)  # independent of phi
 
 
@@ -135,10 +140,10 @@ def rounds_of(traj):
     substream (``local_rounds``); the round's compression rows are numpy's
     sorted ``choice`` on its COMPRESSION substream.  The uplink is written
     out a device at a time from each stage's definition, without the
-    simulator's stages or their kernels: error feedback by ``top_k``,
-    ``power_scale``, the phase factors as numpy's scalar quotient
-    (``phase``), each device's compressed block, the superposition in device
-    order, the ``estimate`` and the server update.  Every record field and
+    simulator's stages: error feedback by ``top_k``, ``power_scale``, the
+    phase factors as numpy's scalar quotient (``phase``), each device's
+    compressed block, the superposition in device order, the ``estimate``
+    and the server update.  Every record field and
     identity vector is written out from its definition, a device at a time;
     vector sums run in device order.  A round whose model differences or
     scale leave the float range sends nothing, and a non-finite iterate
@@ -227,8 +232,9 @@ def sample_active_set(n: int, r: float, gen: np.random.Generator) -> np.ndarray:
 
 def sample_channel(n_active: int, fading: str, noise_var: float, m_uses: int,
                    gen: np.random.Generator):
-    """``channel.sample_channel`` with one ``standard_normal`` call for each
-    of the gains' real and imaginary parts and the noise's."""
+    """One round's channel draw, ``channel.channel_draws`` of the round's
+    normals, with one ``standard_normal`` call for each of the gains' real
+    and imaginary parts and the noise's: (gains, noise)."""
     if fading == "rayleigh":
         gains = (gen.standard_normal(n_active) + 1j * gen.standard_normal(n_active)) / np.sqrt(2)
     else:
@@ -299,3 +305,16 @@ def write_replay_csv(traj, path) -> None:
             noise = [storage._fmt(v) for v in drawn["noise"].real] + \
                 [storage._fmt(v) for v in drawn["noise"].imag]
             writer.writerow([t, -1, "", ""] + noise)
+
+
+def write_datasets_csv(data, path) -> None:
+    """``storage.write_datasets_csv`` with every row through ``csv.writer``."""
+    d = data.x.shape[-1]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["device_id", "split"] + [f"x_{j}" for j in range(d)] + ["y"])
+        for dev_id, (x, y) in enumerate(zip(data.x, data.y)):
+            for row_idx in range(data.m):
+                split = "train" if row_idx < data.m_tr else "val"
+                writer.writerow([dev_id, split] + [storage._fmt(v) for v in x[row_idx]]
+                                + [storage._fmt(y[row_idx])])

@@ -111,7 +111,7 @@ def stack_with_a_mid_block_abort():
     return stack
 
 
-# the cases above, and one for each branch of the uplink kernels they miss:
+# the cases above, and one for each branch of the uplink stages they miss:
 # the matched estimate on the full DFT with top-k keeping every entry over
 # unit gains, and the noiseless estimate of a rank-deficient system (2M > d),
 # which falls back to the pseudo-inverse
@@ -141,27 +141,11 @@ def test_every_round_equals_the_literal_round_oracle(case):
                 assert recon[key].tobytes() == traj.recon[key].tobytes(), key
 
 
-def test_replay_with_another_active_set_is_rejected_before_any_round(monkeypatch):
-    """In a 2-trial stack, trial 1's log lists its round-66 devices in
-    reverse: the stack names that trial and round before any local step."""
-    configs = trial_configs(config(), 2)
-    logs = [traj.replay for traj in protocol.run_stack(configs)]
-    logs[1]["active"][66] = logs[1]["active"][66][::-1].copy()
-    calls = []
-    local_rounds = meta.local_rounds
-    monkeypatch.setattr(meta, "local_rounds",
-                        lambda *args, **kw: calls.append(1) or local_rounds(*args, **kw))
-    with pytest.raises(ValueError, match=r"^replay log of trial 1 has an active set mismatch "
-                                         r"at round 66$"):
-        protocol.run_stack(configs, logs)
-    assert calls == []
-
-
 @pytest.mark.parametrize("fault", ["a zero or non-finite gain", "an active set mismatch"])
 def test_a_bad_replay_log_runs_no_local_step_kernel(fault, monkeypatch):
-    """A round runs the local steps' kernel, not ``meta.local_rounds``: in a
-    2-trial stack whose trial 1 logs a zero gain, or its round-66 devices in
-    reverse, no kernel call happens before the log is rejected."""
+    """In a 2-trial stack whose trial 1 logs a zero gain, or its round-66
+    devices in reverse, the stack names that trial and round before any
+    local step (``meta.local_rounds``) runs."""
     configs = trial_configs(config(), 2)
     logs = [traj.replay for traj in protocol.run_stack(configs)]
     if "gain" in fault:
@@ -169,9 +153,9 @@ def test_a_bad_replay_log_runs_no_local_step_kernel(fault, monkeypatch):
     else:
         logs[1]["active"][66] = logs[1]["active"][66][::-1].copy()
     calls = []
-    kernel = meta.local_rounds_kernel
-    monkeypatch.setattr(meta, "local_rounds_kernel",
-                        lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+    local_rounds = meta.local_rounds
+    monkeypatch.setattr(meta, "local_rounds",
+                        lambda *args, **kw: calls.append(1) or local_rounds(*args, **kw))
     with pytest.raises(ValueError, match=rf"^replay log of trial 1 has {fault} at round 66$"):
         protocol.run_stack(configs, logs)
     assert calls == []

@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 
 from airmeta import channel as ch
-from airmeta.channel import (compression_block, estimate_stack, global_update,
-                             sample_channel, snr_noise_var, transmit_mac)
+from airmeta import sparsify
+from airmeta.channel import (compression_block, estimate_stack, global_update, snr_noise_var,
+                             transmit_mac)
+from airmeta.protocol import ExperimentConfig, run_experiment, run_stack
 
 import oracles
+
+
+def sample_channel(n_active, fading, noise_var, m_uses, gen):
+    """One round's (gains, noise), as a run makes them: one
+    ``standard_normal`` call for the round's normals, then
+    ``channel_draws``."""
+    z = gen.standard_normal(ch.channel_normals(n_active, fading, m_uses))
+    return ch.channel_draws(z, n_active, fading, noise_var)
 
 
 def draw_rows(m, dim, gen):
@@ -20,7 +30,9 @@ def one_round(dim, rows):
 
 def estimate(y, comp, prior_power, noise_var, kind):
     """``estimate_stack`` on a stack of one round: (x_hat, err_var, pinv_fallback)."""
-    est = estimate_stack(np.asarray(y)[None], *comp, [prior_power], noise_var, kind)
+    m_uses = comp[0].shape[-2]
+    est = estimate_stack(np.asarray(y)[None], *comp, np.array([prior_power], dtype=float),
+                         noise_var, kind, noise_var * np.eye(2 * m_uses))
     return est.x_hat[0], float(est.err_var[0]), bool(est.pinv_fallback[0])
 
 
@@ -128,12 +140,16 @@ class TestTransmit:
         want = sum(h * x for h, x in zip(gains, xs)) + noise_re + 1j * noise_im
         assert np.allclose(got, want, atol=1e-14)
 
-    def test_length_mismatch(self, rng):
-        gains, noise = np.ones(2, dtype=complex), np.zeros(3, dtype=complex)
-        with pytest.raises(ValueError):
-            transmit_mac(np.zeros((2, 4)), gains, noise)  # block longer than the noise
-        with pytest.raises(ValueError):
-            transmit_mac(np.zeros((3, 3)), gains, noise)  # one block too many
+    def test_length_mismatch(self):
+        """A replayed round's noise block and gains must fit the config's M
+        and active devices: a log of another block length or device count
+        is refused where it enters, before any round."""
+        cfg = ExperimentConfig(rounds=4, active_fraction=1 / 3)
+        log = run_experiment(cfg).replay
+        for other in (cfg.replace(channel_uses=cfg.channel_uses + 1),
+                      cfg.replace(active_fraction=2 / 3)):
+            with pytest.raises(ValueError, match="^need one replay log per trial, of dtype"):
+                run_stack([other], [log])
 
 
 class TestEstimators:
@@ -160,10 +176,11 @@ class TestEstimators:
         assert err_var == noise_var
         assert np.mean(errs) == pytest.approx(noise_var, rel=0.05)
 
-    def test_matched_requires_square(self, rng):
-        comp = one_round(6, draw_rows(3, 6, rng))
-        with pytest.raises(ValueError):
-            estimate(np.zeros(3, dtype=complex), comp, 1.0, 0.1, "matched")
+    def test_matched_requires_square(self):
+        """The matched estimator reads the full DFT, checked where the config
+        enters."""
+        with pytest.raises(ValueError, match="^matched estimator requires channel_uses == dim$"):
+            ExperimentConfig(dim=6, channel_uses=3, estimator="matched").validate()
 
     def test_lmmse_shrinks_to_prior_mean_in_heavy_noise(self, rng):
         comp = one_round(8, draw_rows(4, 8, rng))
@@ -255,16 +272,11 @@ class TestEstimators:
         assert abs(np.mean(dots)) <= 3 * se
 
 
-def one_estimate(x_hat):
-    """The Estimate of a stack of one round whose payload is ``x_hat``."""
-    return ch.Estimate(x_hat=x_hat[None], err_var=np.zeros(1), pinv_fallback=np.zeros(1, bool))
-
-
 class TestGlobalUpdate:
     def test_zero_estimate_identity(self, rng):
         theta = rng.standard_normal(4)
-        out = global_update(theta, one_estimate(np.zeros(4)), eta=0.1, rho=2.0, abs_mean=1.0,
-                            n_active=3)
+        out = global_update(theta, np.zeros((1, 4)), eta=0.1, rho=np.array([2.0]),
+                            abs_mean=1.0, n_active=3)
         assert np.array_equal(out[0], theta)
 
     def test_ideal_chain_reduction(self, rng):
@@ -275,12 +287,25 @@ class TestGlobalUpdate:
         theta = rng.standard_normal(d)
         rho = 4.0
         x_hat = (np.sqrt(rho) / eta) * delta  # what the server reconstructs
-        out = global_update(theta, one_estimate(x_hat), eta, rho, abs_mean=1.0, n_active=1)
+        out = global_update(theta, x_hat[None], eta, np.array([rho]), abs_mean=1.0, n_active=1)
         assert np.allclose(out[0], theta - delta, atol=1e-14)
 
-    def test_nonpositive_rho_rejected(self, rng):
-        with pytest.raises(ValueError):
-            global_update(rng.standard_normal(3), one_estimate(np.zeros(3)), 0.1, 0.0, 1.0, 1)
+    def test_nonpositive_rho_rejected(self, monkeypatch):
+        """The server update divides by sqrt(rho): a round whose power scale
+        is not > 0 sends nothing and updates nothing.  The run aborts there,
+        and its iterates are those of a run that stops before that round."""
+        cfg = ExperimentConfig(rounds=5, active_fraction=1 / 3)
+        scale, rounds_done = sparsify.power_scale, []
+
+        def zero_at_round_2(*args):
+            rho = scale(*args) * (0.0 if len(rounds_done) == 2 else 1.0)
+            rounds_done.append(True)
+            return rho
+
+        monkeypatch.setattr(sparsify, "power_scale", zero_at_round_2)
+        traj = run_experiment(cfg)
+        assert traj.aborted_at == 2 and np.isnan(traj.records["rho"][2])
+        assert traj.thetas.tobytes() == run_experiment(cfg.replace(rounds=2)).thetas.tobytes()
 
     def test_mean_update_unbiased_over_fading_and_noise(self):
         from airmeta.verify import check_unbiased_aggregation

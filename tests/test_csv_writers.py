@@ -1,9 +1,11 @@
 """The bulk CSV writers format up to ``storage._CSV_LINES`` lines with one
 ``%`` operation: ``write_csv`` a chunk of number rows whose cells share
 their types, ``write_replay_csv`` a chunk of rounds.  The bytes must be what
-``csv.writer`` writes cell by cell (``oracles.write_csv`` and
-``oracles.write_replay_csv``), whatever the chunk size, and every replay log
-must read back bit for bit through ``storage.read_replay_csv``."""
+``csv.writer`` writes cell by cell (``oracles.write_csv``,
+``oracles.write_replay_csv`` and, for the datasets that ``write_csv``
+writes as text rows, ``oracles.write_datasets_csv``), whatever the chunk
+size, and every replay log must read back bit for bit through
+``storage.read_replay_csv``."""
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -69,6 +71,14 @@ def check_run_outputs(tmp_path, traj):
 @pytest.mark.parametrize("name", ["convergence", "generalization"])
 def test_shipped_configs(name, runs, tmp_path):
     check_run_outputs(tmp_path, runs[name])
+
+
+@pytest.mark.parametrize("name", ["convergence", "generalization"])
+def test_datasets_csv(name, runs, tmp_path):
+    """Dataset rows hold text, so ``write_csv`` writes each through
+    ``csv.writer``, as the oracle does."""
+    assert same_bytes(tmp_path, storage.write_datasets_csv, oracles.write_datasets_csv,
+                      runs[name].datasets)
 
 
 @pytest.mark.parametrize("name", ["aborted", "noise_var"])

@@ -96,7 +96,7 @@ def test_a_trial_that_cannot_send_aborts_alone(monkeypatch):
     configs = trial_configs(config(), 3)
     ones = [run_experiment(c) for c in configs]
     before = run_experiment(configs[1].replace(rounds=40))
-    fold, rounds_done = sparsify.memory_fold_kernel, []
+    fold, rounds_done = sparsify.memory_fold, []
 
     def overflowing_fold(memory, delta, k):
         """The fold, called once a round, with an infinite entry in trial
@@ -107,7 +107,7 @@ def test_a_trial_that_cannot_send_aborts_alone(monkeypatch):
         rounds_done.append(True)
         return updates, memory_next
 
-    monkeypatch.setattr(sparsify, "memory_fold_kernel", overflowing_fold)
+    monkeypatch.setattr(sparsify, "memory_fold", overflowing_fold)
     stack = run_stack(configs)
     assert [t.aborted_at for t in stack] == [None, 40, None]
     assert [trial_fields(stack[k]) for k in (0, 2)] == [trial_fields(ones[k]) for k in (0, 2)]

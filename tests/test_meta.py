@@ -3,6 +3,7 @@ import pytest
 
 from airmeta import meta, tasks
 from airmeta.meta import local_rounds, meta_grad_estimate
+from airmeta.protocol import ExperimentConfig
 from airmeta.tasks import (Dataset, TaskEnvironment, sample_dataset, sample_device,
                            stack_datasets)
 
@@ -26,14 +27,15 @@ def estimate(theta, ds, alpha, batch, gen):
     """meta_grad_estimate of one device, as a one-row stack, on one step's
     batches drawn from ``gen``."""
     idx = meta.draw_batches(gen, meta.batch_pools(ds, batch), batch, 1)
-    return meta_grad_estimate(theta[None], stack_datasets([ds]), idx, alpha)[0]
+    return meta_grad_estimate(theta[None], ds.x[idx], ds.y[idx], alpha)[0]
 
 
 def local(theta, ds, alpha, steps, batch, eta, gen):
     """(delta, iterates) of one device's local_rounds, as a one-row stack, on
     the batches of all its steps drawn from ``gen``."""
     idx = meta.draw_batches(gen, meta.batch_pools(ds, batch), batch, steps)
-    delta, iterates = local_rounds(theta, stack_datasets([ds]), idx[:, None], alpha, eta)
+    delta, iterates = local_rounds(theta, stack_datasets([ds]), idx[:, None], alpha, eta,
+                                   np.arange(1))
     return delta[0], iterates[:, 0]
 
 
@@ -95,8 +97,8 @@ class TestMetaGradEstimate:
         def pool_grad(phi, pool):
             return tasks.batch_grad(phi, ds.x[pool], ds.y[pool])
 
-        h_mean = tasks.batch_hessian(theta, ds.x[pool_h], ds.y[pool_h])
-        s_g = tasks.batch_hessian(theta, ds.x[pool_g], ds.y[pool_g])  # phi-independent
+        h_mean = tasks.batch_hessian(ds.x[pool_h])
+        s_g = tasks.batch_hessian(ds.x[pool_g])  # phi-independent
         # E over B of the adapted point, then the (linear) outer gradient
         phi_mean = theta - alpha * pool_grad(theta, pool_b)
         g_outer_mean = pool_grad(phi_mean, pool_g)
@@ -190,18 +192,17 @@ class TestLocalRounds:
         d2 = local(theta, ds, alpha, steps, batch, 0.05, np.random.default_rng(7))[0]
         assert np.array_equal(d1, d2)
 
-    def test_bad_calls_raise(self, rng):
-        """A negative inner rate, no step and empty batches are refused."""
-        data = stack_datasets([orthonormal_design(rng.standard_normal(3))])
-        theta = np.zeros(3)
-        idx = np.zeros((2, 1, 3, 1), dtype=np.int64)
-        for call in (lambda: local_rounds(theta, data, idx, -0.1, 0.1),
-                     lambda: local_rounds(theta, data, idx[:0], 0.1, 0.1),
-                     lambda: local_rounds(theta, data, idx[..., :0], 0.1, 0.1),
-                     lambda: meta_grad_estimate(theta[None], data, idx[0], -0.1),
-                     lambda: meta_grad_estimate(theta[None], data, idx[0, ..., :0], 0.1)):
-            with pytest.raises(ValueError):
-                call()
+    def test_bad_calls_raise(self):
+        """A negative inner rate, no step, empty batches and a start that is
+        not finite are refused where a run's config enters; the schedule's
+        later rates are checked per block (``test_block``)."""
+        for bad, message in (
+                ({"alpha": -0.1}, "eta, alpha, eta_scale, alpha_scale and noise_var must be >= 0"),
+                ({"local_steps": 0}, "local_steps, batch_size and n_test_devices must be >= 1"),
+                ({"batch_size": 0}, "local_steps, batch_size and n_test_devices must be >= 1"),
+                ({"theta_init": float("inf")}, "theta_init must be finite, got inf")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ExperimentConfig(**bad).validate()
 
     def test_drift_within_stated_bound(self):
         from airmeta.verify import check_local_drift

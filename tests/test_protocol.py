@@ -241,7 +241,7 @@ class TestSchedulingInvariance:
                                          pools, cfg.batch_size, cfg.local_steps)
                             for i in order], axis=1)
             results.append(local_rounds(theta0, traj.datasets.devices(order), idx, cfg.alpha,
-                                        cfg.eta))
+                                        cfg.eta, np.arange(len(order))))
         (deltas_a, iterates_a), (deltas_b, iterates_b) = results
         assert deltas_b.tobytes() == deltas_a[[3, 1, 0, 2]].tobytes()
         assert iterates_b.tobytes() == iterates_a[:, [3, 1, 0, 2]].tobytes()

@@ -9,8 +9,9 @@ to ``rng._ARRAY_WORDS`` words on arrays and longer ones through numpy; both
 must be ``random_raw`` at every length up to one past that threshold, also
 on states whose outputs rotate by 0 and by 63 bits.  Replayed in row
 chunks of any size, the batch replay is the same.  A run's channel is
-``sample_channel`` on a generator set to the seeded state, drawn as a
-block's normals that ``channel_draws`` makes into gains and noise.  All of
+the draw of ``oracles.sample_channel`` on a generator set to the seeded
+state, drawn as a block's normals that ``channel_draws`` makes into gains
+and noise.  All of
 them replay numpy's algorithms on arrays, so a numpy whose seeding or
 sampling differs fails here first; at run time ``meta.replicas_hold`` then
 sends every draw through numpy.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from airmeta import channel, meta, rng
 
-from oracles import sample_active_set
+from oracles import sample_active_set, sample_channel
 
 # master seeds at the edges of substream's 64-bit mask and of one entropy word
 SEEDS = st.one_of(st.sampled_from([0, -1, -2**63, 2**32 - 1, 2**32, 2**63 - 1]),
@@ -285,17 +286,16 @@ class TestRoundStreams:
         for key, state in zip(keys.tolist(),
                               rng.state_dicts(rng.seeded_states(master_seed, keys))):
             gen.bit_generator.state = state
-            got = channel.sample_channel(n_active, fading, 0.3, m_uses, gen)
-            want = channel.sample_channel(n_active, fading, 0.3, m_uses,
-                                          rng.substream(master_seed, *key))
+            got = sample_channel(n_active, fading, 0.3, m_uses, gen)
+            want = sample_channel(n_active, fading, 0.3, m_uses, rng.substream(master_seed, *key))
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("fading", channel.FADING_MODELS)
     def test_channel_of_a_block_is_each_rounds_sample(self, fading):
         """A block's channel, as a run draws it: each round's normals from
         its seeded state, then the gains and noise of every round at once
-        (``channel_draws``), bit for bit ``sample_channel`` on the round's
-        substream."""
+        (``channel_draws``), bit for bit the draw of a ``standard_normal``
+        call per part on the round's substream (``oracles.sample_channel``)."""
         n_active, m_uses, noise_var = 9, 8, 0.3
         keys = np.array([[rng.CHANNEL, t] for t in range(6)])
         gen = np.random.Generator(np.random.PCG64(0))
@@ -304,8 +304,8 @@ class TestRoundStreams:
             gen.bit_generator.state = state
             gen.standard_normal(out=row)
         gains, noise = channel.channel_draws(z.reshape(2, 3, -1), n_active, fading, noise_var)
-        want = [channel.sample_channel(n_active, fading, noise_var, m_uses,
-                                       rng.substream(7, *key)) for key in keys.tolist()]
+        want = [sample_channel(n_active, fading, noise_var, m_uses, rng.substream(7, *key))
+                for key in keys.tolist()]
         assert gains.reshape(len(keys), -1).tobytes() == \
             np.array([g for g, _ in want]).tobytes()
         assert noise.reshape(len(keys), -1).tobytes() == \

@@ -3,10 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airmeta import sparsify
-from airmeta.sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensate, power_scale
+from airmeta import channel, protocol, sparsify
+from airmeta.protocol import ExperimentConfig, run_experiment
+from airmeta.sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensate
 
 import oracles
+
+
+def power_scale(updates, eta, policy):
+    """The scale of one (n, d) stack of updates at the outer rate eta."""
+    g = np.asarray(updates, dtype=float)
+    return sparsify.power_scale(g, sparsify.energies(g), sparsify.rate_sq(eta), policy)
+
+
+def precompensate(g, rho, eta, gains):
+    """``phase_precompensate`` of the (n, d) updates g, sent over ``gains``."""
+    return phase_precompensate(np.asarray(g, dtype=float), np.asarray(rho, dtype=float), eta,
+                               sparsify.phase(np.asarray(gains, dtype=complex)))
 
 
 class TestCompK:
@@ -23,14 +36,10 @@ class TestCompK:
         assert np.array_equal(out, [[2.0, 0.0, 0.0]])
 
     def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            comp_k(np.ones((1, 3)), 0)
-        with pytest.raises(ValueError):
-            comp_k(np.ones((1, 3)), 4)
-
-    def test_rows_must_be_stacked(self):
-        with pytest.raises(ValueError):
-            comp_k(np.ones(4), 2)
+        """A run's k is checked where the config enters: 1 <= k <= d."""
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=r"^sparsify_k must be in \[1, dim\]$"):
+                ExperimentConfig(dim=3, sparsify_k=k, channel_uses=3).validate()
 
     def test_nnz_at_most_k(self, rng):
         for k in (1, 3, 5):
@@ -66,10 +75,6 @@ class TestMemoryFold:
             total_delta += delta
             total_g += g
         assert np.allclose(total_delta, total_g + m, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            memory_fold(np.zeros((1, 3)), np.zeros((1, 4)), 2)
 
 
 class TestPowerScale:
@@ -108,23 +113,30 @@ class TestPowerScale:
         policy = PowerPolicy(power=1.0, channel_uses=4, rho_max=123.0)
         assert np.isnan(power_scale([np.full(4, scale)], eta, policy))
 
-    def test_nonzero_update_at_zero_eta_rejected(self):
-        with pytest.raises(ValueError):
-            power_scale([np.ones(3)], 0.0, PowerPolicy(power=1.0, channel_uses=3))
+    def test_nonzero_update_at_zero_eta_rejected(self, monkeypatch):
+        """A schedule whose outer rate is 0 at round 3 leaves the memory of
+        rounds 0-2 as a nonzero update there, which cannot be scaled: the
+        run aborts at round 3 without sending."""
+        schedule = protocol.lr_schedule
+        monkeypatch.setattr(protocol, "lr_schedule",
+                            lambda cfg, t: (0.0, schedule(cfg, t)[1]) if t == 3
+                            else schedule(cfg, t))
+        traj = run_experiment(ExperimentConfig(rounds=6, active_fraction=1 / 3))
+        assert traj.aborted_at == 3
+        assert np.isnan(traj.records["rho"][3]) and (traj.records["rho"][:3] > 0).all()
 
     @pytest.mark.parametrize("entry, eta", [(np.inf, 0.5), (-np.inf, 0.5), (np.nan, 0.5),
                                             (1e200, 0.5), (1.0, 0.0)])
     def test_kernel_gives_nan_where_the_stage_raises(self, entry, eta):
         """A stack of a non-finite update, of one whose energy overflows, or
-        of a nonzero update at eta == 0 gets no scale; an all-zero stack of
-        the same call keeps the cap."""
+        of a nonzero update at eta == 0 gets no scale, so its trial cannot
+        send; an all-zero stack of the same call keeps the cap."""
         policy = PowerPolicy(power=1.0, channel_uses=3, rho_max=123.0)
         g = np.zeros((2, 2, 3))
         g[1] = 1.0
         g[1, 0, 1] = entry
         with np.errstate(all="ignore"):
-            rho = sparsify.power_scale_kernel(g, sparsify.energies(g), sparsify.rate_sq(eta),
-                                              policy)
+            rho = sparsify.power_scale(g, sparsify.energies(g), sparsify.rate_sq(eta), policy)
         assert rho[0] == 123.0 and np.isnan(rho[1])
 
 
@@ -132,7 +144,7 @@ class TestPhasePrecompensate:
     def test_cophased_arrival(self, rng):
         g = rng.standard_normal((2, 5))
         h = np.array([np.exp(1j * np.pi / 4), -0.2 + 0.9j])
-        x = phase_precompensate(g, rho=2.0, eta=0.5, gains=h)
+        x = precompensate(g, rho=2.0, eta=0.5, gains=h)
         arrived = h[:, None] * x
         assert np.max(np.abs(arrived.imag)) < 1e-12
         assert np.allclose(arrived.real, np.sqrt(2.0) / 0.5 * np.abs(h)[:, None] * g,
@@ -140,26 +152,37 @@ class TestPhasePrecompensate:
 
     def test_unit_channel_no_rotation(self, rng):
         g = rng.standard_normal((1, 4))
-        x = phase_precompensate(g, rho=1.0, eta=0.2, gains=[1.0 + 0j])
+        x = precompensate(g, rho=1.0, eta=0.2, gains=[1.0 + 0j])
         assert np.allclose(x, g / 0.2, atol=1e-12)
         assert np.max(np.abs(x.imag)) == 0.0
 
     def test_arrival_modulus(self, rng):
         g = rng.standard_normal((1, 4))
         h = 0.3 - 0.7j
-        x = phase_precompensate(g, rho=1.5, eta=0.4, gains=[h])
+        x = precompensate(g, rho=1.5, eta=0.4, gains=[h])
         assert np.allclose(np.abs(h * x), abs(h) * np.sqrt(1.5) / 0.4 * np.abs(g), atol=1e-12)
 
-    def test_zero_channel_rejected(self, rng):
-        with pytest.raises(ValueError):
-            phase_precompensate(rng.standard_normal((2, 3)), 1.0, 0.1, [1.0, 0.0])
+    def test_zero_channel_rejected(self, monkeypatch):
+        """A zero coefficient has no phase: a sampled one stops the run
+        before the first round of its block."""
+        draws = channel.channel_draws
+
+        def a_zero_gain(*args):
+            gains, noise = draws(*args)
+            gains[0, 2, 1] = 0.0
+            return gains, noise
+
+        monkeypatch.setattr(channel, "channel_draws", a_zero_gain)
+        with pytest.raises(ValueError, match="^zero channel coefficient"):
+            run_experiment(ExperimentConfig(rounds=6, active_fraction=1 / 3))
 
     def test_zero_update_transmits_zeros(self):
         g = np.zeros((2, 3))
-        x = phase_precompensate(g, rho=5.0, eta=0.0, gains=[1j, -1.0])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a factor of 1 / eta
+            x = precompensate(g, rho=5.0, eta=0.0, gains=[1j, -1.0])
         assert np.array_equal(x, np.zeros((2, 3), dtype=complex))
         g[1, 0] = 1.0  # a live row next to a zero one
-        x = phase_precompensate(g, rho=4.0, eta=0.5, gains=[1j, -1.0])
+        x = precompensate(g, rho=4.0, eta=0.5, gains=[1j, -1.0])
         assert np.array_equal(x[0], np.zeros(3, dtype=complex))
         assert np.allclose(x[1], [-4.0, 0.0, 0.0], atol=1e-15)
 
@@ -189,4 +212,4 @@ class TestPhaseFactors:
         g = rng.standard_normal((6, 5))
         h = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
         want = ((np.sqrt(2.5) / 0.3) * oracles.phase(h))[:, None] * g
-        assert phase_precompensate(g, 2.5, 0.3, h).tobytes() == want.tobytes()
+        assert precompensate(g, 2.5, 0.3, h).tobytes() == want.tobytes()

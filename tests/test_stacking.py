@@ -7,7 +7,6 @@ and both must equal the one-device arithmetic written with vectors, so that
 stacking never moves a trajectory.
 """
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -108,8 +107,10 @@ class TestStackedRowsEqualOneRowCalls:
         pools = meta.batch_pools(data, batch)
         idx = batches(seed, len(datasets), pools, batch, steps)
         with np.errstate(all="ignore"):
-            deltas, iterates = meta.local_rounds(theta, data, idx, alpha, eta)
-            ones = [meta.local_rounds(theta, data.devices([i]), idx[:, [i]], alpha, eta)
+            deltas, iterates = meta.local_rounds(theta, data, idx, alpha, eta,
+                                                 np.arange(len(datasets)))
+            ones = [meta.local_rounds(theta, data.devices([i]), idx[:, [i]], alpha, eta,
+                                      np.arange(1))
                     for i in range(len(datasets))]
         assert same_rows(deltas, [d[0] for d, _ in ones])
         assert same_rows(np.swapaxes(iterates, 0, 1), [it[:, 0] for _, it in ones])
@@ -138,7 +139,8 @@ class TestStackedRowsEqualOneRowCalls:
         starts = np.tile(theta, (len(datasets), 1))
         starts[1] *= 1e305
         with np.errstate(all="ignore"):
-            deltas, iterates = meta.local_rounds(starts, data, idx, alpha, eta)
+            deltas, iterates = meta.local_rounds(starts, data, idx, alpha, eta,
+                                                 np.arange(len(datasets)))
         assert np.isnan(iterates[:, :, 0]).T.tolist() == [[False] * 5,
                                                           [False, False] + [True] * 3,
                                                           [False] * 5, [False] * 5]
@@ -148,9 +150,10 @@ class TestStackedRowsEqualOneRowCalls:
                 if not np.isfinite(point).all():
                     break
                 chain[q] = point
+                x, y = data.x[i][idx[q, i]], data.y[i][idx[q, i]]
                 with np.errstate(all="ignore"):
-                    point = point - eta * meta.meta_grad_estimate(point[None], data, idx[q, [i]],
-                                                                  alpha, devices=[i])[0]
+                    point = point - eta * meta.meta_grad_estimate(point[None], x[None], y[None],
+                                                                  alpha)[0]
             assert deltas[i].tobytes() == (start - point).tobytes()
             assert iterates[:, i].tobytes() == chain.tobytes()
 
@@ -179,8 +182,9 @@ class TestStackedRowsEqualOneRowCalls:
         m_uses = min(m_uses, dim)
         matrix = channel.compression_block(dim, np.sort(gen.choice(dim, size=m_uses,
                                                                   replace=False)))[0]
-        x = sparsify.phase_precompensate(g, rho, eta, gains)
-        assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], rho, eta, gains[i:i + 1])[0]
+        phases, rho = sparsify.phase(gains), np.asarray(rho)
+        x = sparsify.phase_precompensate(g, rho, eta, phases)
+        assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], rho, eta, phases[i:i + 1])[0]
                              for i in range(n)])
         # the phase is formed per scalar
         assert same_rows(x, [(np.sqrt(rho) / eta) * (np.conj(h) / abs(h)) * row if np.any(row)
@@ -208,16 +212,16 @@ class TestStackedRowsEqualOneRowCalls:
         dim, rows, powers, seed = case
         gen = np.random.default_rng(seed)
         shape = (len(rows), len(rows[0]))
+        if kind == "matched":  # it reads the full DFT: validate() requires M == d
+            rows = [list(range(dim))] * len(rows)
+            shape = (len(rows), dim)
         y = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
         comp = channel.compression_block(dim, np.array(rows))
-        if kind == "matched" and shape[1] != dim:
-            with pytest.raises(ValueError, match="M == d"):
-                channel.estimate_stack(y, *comp, powers, noise_var, kind)
-            return
+        powers, noise_eye = np.array(powers, dtype=float), noise_var * np.eye(2 * shape[1])
         with np.errstate(all="ignore"):
-            est = channel.estimate_stack(y, *comp, powers, noise_var, kind)
+            est = channel.estimate_stack(y, *comp, powers, noise_var, kind, noise_eye)
             ones = [channel.estimate_stack(y[k:k + 1], *(c[k:k + 1] for c in comp),
-                                           powers[k:k + 1], noise_var, kind)
+                                           powers[k:k + 1], noise_var, kind, noise_eye)
                     for k in range(len(rows))]
         for field in ("x_hat", "err_var", "pinv_fallback"):
             assert same_rows(getattr(est, field), [getattr(one, field)[0] for one in ones])

@@ -243,7 +243,7 @@ class TestCli:
         """A round that sends but whose server update leaves the float range
         (forced here at round 3) aborts with its rho recorded, and the
         message names the iterate."""
-        update, rounds_done = channel.global_update_kernel, []
+        update, rounds_done = channel.global_update, []
 
         def overflowing_update(*args):
             theta_next = update(*args)
@@ -252,7 +252,7 @@ class TestCli:
             rounds_done.append(True)
             return theta_next
 
-        monkeypatch.setattr(channel, "global_update_kernel", overflowing_update)
+        monkeypatch.setattr(channel, "global_update", overflowing_update)
         cfg_path = tmp_path / "cfg.json"
         write_config(run_config(), cfg_path)
         out = tmp_path / "o"

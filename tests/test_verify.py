@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airmeta import verify
+from airmeta import channel, verify
 from airmeta.protocol import ExperimentConfig, memory_identity_residuals, run_experiment
 from airmeta.storage import read_config
 
@@ -49,6 +49,15 @@ class TestChecks:
         assert np.isfinite(traj.records["rho"][-1])  # the abort round sent
         assert resid.size == len(traj.recon["sum_delta"]) == traj.aborted_at
         assert res.name == "memory_identity" and f"over {traj.aborted_at} rounds" in res.detail
+
+    def test_aggregation_unbiased_negative_control(self, monkeypatch):
+        """A server that assumes E|h| 3% above the true mean rescales every
+        update by 1/1.03: at 10^4 rounds the check must see the bias."""
+        moments = channel.fading_moments
+        monkeypatch.setattr(channel, "fading_moments",
+                            lambda model: (1.03 * moments(model)[0], moments(model)[1]))
+        res = verify.check_unbiased_aggregation(seed=0, n_draws=10_000)
+        assert not res.passed, res.detail
 
     def test_bound_validity_small(self):
         res = verify.check_bound_validity(seed=3, n_seeds=2, rounds=120)
