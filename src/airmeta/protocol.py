@@ -20,12 +20,13 @@ from . import channel as ch
 from . import meta, metrics, rng, sparsify, tasks
 
 SCHEDULES = ("constant", "adaptive")
-# rounds whose iterate-free inputs are drawn, and whose records are
-# evaluated, together: a one-trial run of either shipped config (200 or 300
-# rounds) is one block.  A stack of K trials takes _BLOCK_ROUNDS // K rounds
-# (at least one) per block, which keeps a block's memory that of one trial's
-# block; the largest part of it, the batch replay's temporaries, is bounded
-# by row chunks (meta._REPLAY_DRAWS)
+# rounds whose local batches and compression operators are made, and whose
+# records are evaluated, together (a run's other iterate-free draws are made
+# once, before its first round): a one-trial run of either shipped config
+# (200 or 300 rounds) is one block.  A stack of K trials takes
+# _BLOCK_ROUNDS // K rounds (at least one) per block, which keeps a block's
+# memory that of one trial's block; the largest part of it, the batch
+# replay's temporaries, is bounded by row chunks (meta._REPLAY_DRAWS)
 _BLOCK_ROUNDS = 320
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
@@ -343,29 +344,37 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     than the one its trial draws, raises ``ValueError`` naming the trial and
     the round before any round runs.
 
-    A round computes only what the next iterate needs: the local steps,
-    the error-feedback fold and the power scaling, then, for the trials
-    that can send (finite model differences, a finite rho > 0), the memory
-    commit and the transmit chain (``_air_uplink``).  A trial that cannot
+    Per run, before the first round: the rates, a negative one raising
+    ``ValueError``, and every round's draws that do not depend on the
+    iterates (``_round_draws``).  Per block of rounds: its local batches
+    (``_block_batches``) and compression operators.  A round runs the local
+    steps, the error-feedback fold and the power scaling, then, for the
+    trials that can send (finite model differences, a finite rho > 0), the
+    memory commit and one call of each transmit stage.  A trial that cannot
     send, or whose next iterate is not finite, leaves the stack through the
     one abort step (``_abort``); a round it did not send keeps its records'
-    preset values.  The stages a round calls check nothing; what they
-    assume is checked once per run (``validate``), per block (the rates,
-    raising ``ValueError`` before the block's first round, and the sampled
-    gains), where a replay log enters, or by the abort step.  The records
-    and identity vectors of a block's rounds are computed from its buffered
-    raw outputs after its last round (``_block_records``), and written by
-    trial and round into tables of the run; each trial's outputs are its
-    rows of them.
+    preset values.  The stages check nothing; what they assume is checked
+    per run (``validate``, the rates, the sampled gains), where a replay
+    log enters, or by the abort step.  A block's records are computed from
+    its rounds' raw outputs after its last round (``_block_records``), the
+    training loss and meta-gradient after the last block, into tables of
+    the run by trial and round; each trial's outputs are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
         raise ValueError("the trials of a stack may differ only in master_seed")
     warnings = cfg.validate()
-    # the channel draws of every (trial, round); a replay presets them
-    replay = np.zeros((len(configs), cfg.rounds),
-                      dtype=ch.replay_dtype(cfg.n_active, cfg.channel_uses))
-    actives = _active_sets(cfg, [c.master_seed for c in configs])
+    rates = [lr_schedule(cfg, t) for t in range(cfg.rounds)]
+    # the local steps and the uplink of a round assume these; alpha first,
+    # as the local steps take it before the uplink takes eta
+    for eta_t, alpha_t in rates:
+        if alpha_t < 0:
+            raise ValueError("alpha must be >= 0")
+        if eta_t < 0:
+            raise ValueError("eta must be >= 0")
+    eta_sq = [sparsify.rate_sq(eta_t) for eta_t, _ in rates]
+    replay, comp_rows = _round_draws(cfg, [c.master_seed for c in configs],
+                                     channel_replays is None)
     if channel_replays is not None:
         # an empty log holds no draw that could disagree with the config
         if len(channel_replays) != len(configs) or any(
@@ -373,18 +382,19 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 for log in channel_replays):
             raise ValueError(f"need one replay log per trial, of dtype {replay.dtype} and "
                              "none shorter than the configured number of rounds")
+        logs = np.zeros_like(replay)
         for k, log in enumerate(channel_replays):
-            replay[k] = log[:cfg.rounds]
+            logs[k] = log[:cfg.rounds]
         # every scheduled device transmits, so each logged |h| must be finite
         # and nonzero; NaN fails both comparisons
-        abs_h = np.abs(replay["gains"])
+        abs_h = np.abs(logs["gains"])
         for what, bad in (("a zero or non-finite gain", ~((abs_h > 0.0) & (abs_h < np.inf))),
-                          ("an active set mismatch", replay["active"] != actives)):
+                          ("an active set mismatch", logs["active"] != replay["active"])):
             at = np.argwhere(bad.any(axis=-1))
             if at.size:
                 k, t = at[0].tolist()
                 raise ValueError(f"replay log of trial {k} has {what} at round {t}")
-    replay["active"] = actives
+        replay = logs
     state = _State(configs)
     metric_alpha = lr_schedule(cfg, 0)[1]
     curvature = tasks.meta_curvature(state.env, metric_alpha)
@@ -396,6 +406,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     f_star = [tasks.meta_loss_minimum(ws, state.env, metric_alpha) for ws in trial_ws]
 
     n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
+    mu_abs, abs_power = state.fading
     thetas = np.empty((n_trials, cfg.rounds + 1, d))
     thetas[:, 0] = state.theta
     # the records and identity vectors of every (trial, round), preset to an
@@ -404,6 +415,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     table["round"] = np.arange(cfg.rounds)
     for name in ROUND_DTYPE.names[1:-1]:  # the float fields
         table[name] = np.nan
+    table["eta"], table["alpha"] = np.reshape(rates, (-1, 2)).T
     recon = np.full((len(_RECON_KEYS), n_trials, cfg.rounds, d), np.nan)
     aborted_at = [None] * n_trials
     running = np.arange(n_trials)
@@ -413,25 +425,14 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         trials = running
         n_rounds = min(max(1, _BLOCK_ROUNDS // len(trials)), cfg.rounds - t0)
         block = slice(t0, t0 + n_rounds)
-        rates = [lr_schedule(cfg, t) for t in range(t0, t0 + n_rounds)]
-        # the local steps and the uplink of a round assume these; alpha
-        # first, as the local steps take it before the uplink takes eta
-        for eta_t, alpha_t in rates:
-            if alpha_t < 0:
-                raise ValueError("alpha must be >= 0")
-            if eta_t < 0:
-                raise ValueError("eta must be >= 0")
-        eta_sq = [sparsify.rate_sq(eta_t) for eta_t, _ in rates]
         # release the previous block's arrays before this block's draws; not
         # at the end of a pass, which made one-block runs 1-2% slower
-        batches = comps = active = gains = noise = phases = buffers = iterates_of = None
-        block_rows = None
-        batches, comps = _draw_block(cfg, state, trials, np.arange(t0, t0 + n_rounds), replay,
-                                     channel_replays is not None)
+        batches = comps = phases = buffers = iterates_of = block_rows = None
         active, gains, noise = (replay[name][trials, block]
                                 for name in ("active", "gains", "noise"))
+        batches = _block_batches(cfg, state, trials, t0, active)
+        comps = ch.compression_block(cfg.dim, comp_rows[trials, block])
         phases = sparsify.phase(gains)
-        table["eta"][:, block], table["alpha"][:, block] = np.array(rates).T
         buffers = _block_buffers(cfg, len(trials), n_rounds)
         # the block's local iterates; NaN where a trial did not run
         iterates_of = np.full((len(trials), n_rounds, q, rn, d), np.nan)
@@ -442,7 +443,9 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         # leave the float range raise no warning: they abort their trial, or
         # are not used
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for j, (eta_t, alpha_t) in enumerate(rates):
+            for j in range(n_rounds):
+                t = t0 + j
+                eta_t, alpha_t = rates[t]
                 rows = block_rows[pos, j]
                 deltas, iterates = meta.local_rounds(
                     state.theta[starts], state.data,
@@ -453,45 +456,43 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas,
                                                          cfg.sparsify_k)
                 g_sq = sparsify.energies(updates)
-                rho = sparsify.power_scale(updates, g_sq, eta_sq[j], state.policy)
+                rho = sparsify.power_scale(updates, g_sq, eta_sq[t], state.policy)
                 sends = np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0)
                 if not sends.all():
                     ks, live, rows, deltas, updates, mem_next, g_sq, rho = _abort(
-                        sends, t0 + j, aborted_at, ks, live, rows, deltas, updates, mem_next,
-                        g_sq, rho)
+                        sends, t, aborted_at, ks, live, rows, deltas, updates, mem_next, g_sq,
+                        rho)
                     pos, starts = live, np.repeat(ks, rn)
                     if not live.size:
                         break
                 state.memories[rows] = mem_next
-                theta_next, outputs = _air_uplink(
-                    cfg, state, ks, deltas, updates, g_sq, rho, gains[pos, j], phases[pos, j],
-                    noise[pos, j], tuple(c[pos, j] for c in comps), eta_t, eta_sq[j])
-                for name, value in zip(_OUTPUTS, outputs):
-                    buffers[name][pos, j] = value
+                buffers["rho"][pos, j], buffers["g_sq"][pos, j] = rho, g_sq
+                buffers["deltas"][pos, j], buffers["updates"][pos, j] = deltas, updates
+                buffers["memories"][pos, j] = state.memories.reshape(-1, state.n, d)[ks]
+                # the transmit chain of the sending trials
+                comp = tuple(c[pos, j] for c in comps)
+                signals = ch.compress(comp[0], sparsify.phase_precompensate(
+                    updates, rho, eta_t, phases[pos, j]))
+                buffers["signals"][pos, j] = signals
+                y = ch.transmit_mac(signals, gains[pos, j], noise[pos, j])
+                total_g_sq = g_sq.sum(axis=-1)
+                prior_power = abs_power * rho * total_g_sq / (eta_sq[t] * d)
+                prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has none
+                est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator,
+                                        state.noise_eye)
+                buffers["x_hat"][pos, j], buffers["v_model"][pos, j] = est.x_hat, est.err_var
+                buffers["pinv_fallback"][pos, j] = est.pinv_fallback
+                theta_next = ch.global_update(state.theta[ks], est.x_hat, eta_t, rho, mu_abs, rn)
                 ok = np.isfinite(theta_next).all(axis=1)
                 if not ok.all():
-                    ks, live, theta_next = _abort(ok, t0 + j, aborted_at, ks, live, theta_next)
+                    ks, live, theta_next = _abort(ok, t, aborted_at, ks, live, theta_next)
                     pos, starts = live, np.repeat(ks, rn)
                 state.theta[ks] = theta_next
-                thetas[ks, t0 + j + 1] = theta_next
+                thetas[ks, t + 1] = theta_next
                 if not live.size:
                     break
-            _block_records(cfg, state, trials, t0, rates, eta_sq, np.abs(gains), buffers, table,
-                           recon)
-        # the meta-training loss and squared meta-gradient of every iterate
-        # of a trial's block at once, each bit for bit its one-iterate value;
-        # a round that sent nothing (rho still 0) has no training loss
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, k in enumerate(trials.tolist()):
-                n_run = n_rounds if aborted_at[k] is None else aborted_at[k] + 1 - t0
-                run = slice(t0, t0 + n_run)
-                devices = state.devices(k)
-                loss = metrics.meta_training_loss(thetas[k, run], state.data.devices(devices),
-                                                  metric_alpha)
-                table["train_loss"][k, run] = np.where(buffers["rho"][i, :n_run] > 0, loss,
-                                                       np.nan)
-                g = tasks.mean_meta_grad(thetas[k, run], state.ws[devices], curvature)
-                table["grad_norm_sq"][k, run] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+            _block_records(cfg, state, trials, t0, rates[block], eta_sq[block], np.abs(gains),
+                           buffers, table, recon)
             # the offsets of the local iterates from their devices' task
             # vectors, in place; the rounds no trial ran are NaN, which it skips
             iterates_of -= state.ws[block_rows][:, :, None]
@@ -499,6 +500,20 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                                 np.repeat(table["alpha"][0, block], q * rn))
         running = trials[live]
         t0 += n_rounds
+    comp_rows = None  # not held through the metric columns and the copies below
+
+    # the meta-training loss and squared meta-gradient of every iterate of a
+    # trial at once, each bit for bit its one-iterate value; a round that
+    # sent nothing (rho not > 0) has no training loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_trials):
+            run = slice(0, cfg.rounds if aborted_at[k] is None else aborted_at[k] + 1)
+            devices = state.devices(k)
+            loss = metrics.meta_training_loss(thetas[k, run], state.data.devices(devices),
+                                              metric_alpha)
+            table["train_loss"][k, run] = np.where(table["rho"][k, run] > 0, loss, np.nan)
+            g = tasks.mean_meta_grad(thetas[k, run], trial_ws[k], curvature)
+            table["grad_norm_sq"][k, run] = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
 
     trajectories = []
     for k, c in enumerate(configs):
@@ -523,95 +538,84 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     return trajectories
 
 
-def _sorted_choices(seeds, keys: np.ndarray, states: np.ndarray, n: int, m: int) -> np.ndarray:
-    """``np.sort(gen.choice(n, m, replace=False))`` on the substream of each
-    key row, with a master seed per row and its seeded state, as a round
-    draws its active set and its compression rows: (K, m)."""
-    return np.sort(meta.stream_batches(seeds, keys, states, (np.arange(n),), m, 1)[:, 0, 0],
-                   axis=1)
+def _round_draws(cfg: ExperimentConfig, seeds: list, sampling: bool):
+    """The draws of every round of the trials of master ``seeds`` that do
+    not depend on the iterates, each what the round's own substream draws:
+    the run's replay table (K, rounds) of ``ch.replay_dtype`` rows, with
+    every active set (ACTIVE_SET) and, when ``sampling``, every channel
+    (CHANNEL), and the compression rows (K, rounds, M) (COMPRESSION).
 
-
-def _active_sets(cfg: ExperimentConfig, seeds: list) -> np.ndarray:
-    """(K, rounds, n_active): the active set of every round of each of the
-    trials of master ``seeds``, as its ACTIVE_SET substream draws it."""
-    keys = np.column_stack([np.full(len(seeds) * cfg.rounds, rng.ACTIVE_SET),
-                            np.tile(np.arange(cfg.rounds), len(seeds))])
-    key_seeds = np.repeat(np.array(seeds, dtype=object), cfg.rounds)
-    return _sorted_choices(key_seeds, keys, rng.seeded_states(key_seeds, keys), cfg.n_devices,
-                           cfg.n_active).reshape(len(seeds), cfg.rounds, cfg.n_active)
-
-
-def _draw_block(cfg: ExperimentConfig, state: _State, trials: np.ndarray, rounds: np.ndarray,
-                replay: np.ndarray, replaying: bool):
-    """Every input of the consecutive ``rounds`` that does not depend on the
-    iterate, for each of the K ``trials``, from the run's ``replay`` table,
-    which holds their active sets: the local batch indices (K, rounds,
-    n_active, Q, 3, m_B), the compression operators (``ch.compression_block``)
-    and, unless ``replaying`` presets them, the channel draws, which go to
-    the trials' cells of the table.
-    Each is what the round's own substream draws: LOCAL_BATCH per active
-    device, CHANNEL and COMPRESSION.
-
-    One seeding pass gives the round streams of every trial and one the
-    device streams.  Compression rows and batches are replayed on their raw
-    words; the channel's normals are drawn row by row on one generator, set
-    to each CHANNEL stream's seeded state, and made into the block's gains
-    and noise at once (``ch.channel_draws``).  All Q steps are drawn up
-    front; a substream serves one device in one round, so a device that
-    stops early only leaves its later draws unused.  The sampled gains are
-    checked nonzero once for the block, since every scheduled device
-    transmits."""
-    seeds = np.array([state.seeds[k] for k in trials.tolist()], dtype=object)
-    n, n_trials = rounds.size, len(trials)
-    kn, actives = n_trials * n, replay["active"][np.ix_(trials, rounds)]
-    tags = [rng.COMPRESSION] + ([] if replaying else [rng.CHANNEL])
-    # rows by tag, then trial, then round
-    keys = np.column_stack([np.repeat(tags, kn), np.tile(rounds, len(tags) * n_trials)])
-    key_seeds = np.tile(np.repeat(seeds, n), len(tags))
-    states = rng.seeded_states(key_seeds, keys)
-    comps = ch.compression_block(cfg.dim, _sorted_choices(
-        key_seeds[:kn], keys[:kn], states[:kn], cfg.dim, cfg.channel_uses).reshape(n_trials, n, -1))
-    if not replaying:
+    One seeding pass gives every stream.  Active sets and compression rows,
+    each ``np.sort(gen.choice(n, m, replace=False))``, are replayed on their
+    raw words; the channel's normals are drawn row by row on one generator,
+    set to each CHANNEL stream's seeded state, and made into every round's
+    gains and noise at once (``ch.channel_draws``).  The sampled gains are
+    checked nonzero once, since every scheduled device transmits."""
+    n_trials, n_rounds = len(seeds), cfg.rounds
+    rounds = np.tile(np.arange(n_rounds), n_trials)  # a trial's rounds, trial by trial
+    tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([rng.CHANNEL] if sampling else [])
+    keys = np.column_stack([np.repeat(tags, rounds.size), np.tile(rounds, len(tags))])
+    key_seeds = np.tile(np.repeat(np.array(seeds, dtype=object), n_rounds), len(tags))
+    # the master seeds, keys and seeded states of the rows, by tag
+    key_seeds, keys, states = (a.reshape((len(tags), rounds.size) + a.shape[1:]) for a in
+                               (key_seeds, keys, rng.seeded_states(key_seeds, keys)))
+    replay = np.zeros((n_trials, n_rounds), dtype=ch.replay_dtype(cfg.n_active, cfg.channel_uses))
+    replay["active"], comp_rows = (
+        np.sort(meta.stream_batches(key_seeds[i], keys[i], states[i], (np.arange(n),), m, 1)
+                ).reshape(n_trials, n_rounds, m)
+        for i, (n, m) in enumerate([(cfg.n_devices, cfg.n_active), (cfg.dim, cfg.channel_uses)]))
+    if sampling:
         literal, gen = not meta.replicas_hold(), np.random.Generator(np.random.PCG64(0))
-        z = np.empty((kn, ch.channel_normals(cfg.n_active, cfg.fading, cfg.channel_uses)))
-        for row, t, seed, seeded in zip(z, np.tile(rounds, n_trials).tolist(), key_seeds[:kn],
-                                        rng.state_dicts(states[kn:])):
+        z = np.empty((rounds.size, ch.channel_normals(cfg.n_active, cfg.fading,
+                                                      cfg.channel_uses)))
+        for row, t, seed, seeded in zip(z, rounds.tolist(), key_seeds[2],
+                                        rng.state_dicts(states[2])):
             if literal:
                 gen = rng.substream(seed, rng.CHANNEL, t)
             else:
                 gen.bit_generator.state = seeded
             gen.standard_normal(out=row)
-        gains, noise = ch.channel_draws(z.reshape(n_trials, n, -1), cfg.n_active, cfg.fading,
-                                        state.noise_var)
+        gains, noise = ch.channel_draws(z.reshape(n_trials, n_rounds, z.shape[1]), cfg.n_active,
+                                        cfg.fading, cfg.effective_noise_var())
         if (gains == 0).any():
             raise ValueError("zero channel coefficient: it has no phase to pre-compensate")
-        cells = np.ix_(trials, rounds)
-        replay["gains"][cells], replay["noise"][cells] = gains, noise
-    batch_keys = np.column_stack([np.full(actives.size, rng.LOCAL_BATCH),
-                                  np.repeat(np.tile(rounds, n_trials), cfg.n_active),
-                                  actives.reshape(-1)])
-    batch_seeds = np.repeat(seeds, n * cfg.n_active)
-    batches = meta.stream_batches(batch_seeds, batch_keys,
-                                  rng.seeded_states(batch_seeds, batch_keys), state.pools,
+        replay["gains"], replay["noise"] = gains, noise
+    return replay, comp_rows
+
+
+def _block_batches(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,
+                   active: np.ndarray) -> np.ndarray:
+    """The local batch indices (K, rounds, n_active, Q, 3, m_B) of the
+    consecutive rounds from t0 of each of the K ``trials``, whose active
+    sets are ``active`` (K, rounds, n_active): what the LOCAL_BATCH
+    substream of each active device in its round draws.
+
+    One seeding pass gives every device stream, and the batches are
+    replayed on their raw words.  All Q steps are drawn up front; a
+    substream serves one device in one round, so a device that stops early
+    only leaves its later draws unused."""
+    n_trials, n_rounds = active.shape[:2]
+    keys = np.column_stack([np.full(active.size, rng.LOCAL_BATCH),
+                            np.repeat(np.tile(np.arange(t0, t0 + n_rounds), n_trials),
+                                      cfg.n_active),
+                            active.reshape(-1)])
+    seeds = np.repeat(np.array([state.seeds[k] for k in trials.tolist()], dtype=object),
+                      n_rounds * cfg.n_active)
+    batches = meta.stream_batches(seeds, keys, rng.seeded_states(seeds, keys), state.pools,
                                   cfg.batch_size, cfg.local_steps)
-    return batches.reshape(actives.shape + batches.shape[1:]), comps
-
-
-# the raw outputs of a round that _block_records reads, in _air_uplink's order
-_OUTPUTS = ("rho", "v_model", "pinv_fallback", "x_hat", "updates", "deltas", "signals", "g_sq",
-            "memories")
+    return batches.reshape(active.shape + batches.shape[1:])
 
 
 def _block_buffers(cfg: ExperimentConfig, n_trials: int, n_rounds: int) -> dict:
     """Zeroed buffers of a block's raw round outputs by (trial, round), by
-    ``_OUTPUTS`` name.  A cell sent exactly when its ``rho`` is > 0: a trial
-    sends only at a finite rho > 0."""
+    name: what ``_block_records`` reads.  A cell sent exactly when its
+    ``rho`` is > 0: a trial sends only at a finite rho > 0."""
     rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
     shapes = dict(rho=(), v_model=(), pinv_fallback=(), x_hat=(d,), updates=(rn, d),
                   deltas=(rn, d), signals=(rn, m_uses), g_sq=(rn,), memories=(cfg.n_devices, d))
     dtypes = dict(pinv_fallback=bool, signals=complex)
-    return {name: np.zeros((n_trials, n_rounds) + shapes[name], dtype=dtypes.get(name, float))
-            for name in _OUTPUTS}
+    return {name: np.zeros((n_trials, n_rounds) + shape, dtype=dtypes.get(name, float))
+            for name, shape in shapes.items()}
 
 
 def _abort(ok: np.ndarray, t: int, aborted_at: list, ks: np.ndarray, *arrays) -> list:
@@ -622,40 +626,6 @@ def _abort(ok: np.ndarray, t: int, aborted_at: list, ks: np.ndarray, *arrays) ->
     for k in ks[~ok].tolist():
         aborted_at[k] = t
     return [a[ok] for a in (ks,) + arrays]
-
-
-def _air_uplink(cfg: ExperimentConfig, state: _State, ks: np.ndarray, deltas: np.ndarray,
-                updates: np.ndarray, g_sq: np.ndarray, rho: np.ndarray, gains: np.ndarray,
-                phases: np.ndarray, noise: np.ndarray, comp: tuple, eta_t: float, eta_sq: float):
-    """Phase pre-compensation and compression, MAC superposition, estimation
-    and the server update of the G sending trials ``ks``, each with the (rn,
-    d) stacks of its devices' model differences ``deltas[i]`` and sparsified
-    updates ``updates[i]``, of energies ``g_sq[i]`` and power scale
-    ``rho[i]``, sent over the coefficients ``gains[i]``, of phase factors
-    ``phases[i]`` (``sparsify.phase``), with the noise block ``noise[i]``,
-    compressed by its operators ``comp`` (``ch.compression_block``);
-    ``eta_sq`` is ``sparsify.rate_sq(eta_t)``.
-
-    The stages check nothing; ``run_stack`` checked what they assume:
-    finite iterates, a valid config, eta_t >= 0, nonzero coefficients, and
-    a finite rho > 0 for every trial here.  Returns each trial's next
-    iterate (G, d) and, in order, the raw outputs of the round by
-    ``_OUTPUTS`` name: the scale rho, the estimate's modeled error
-    variance, pseudo-inverse flag and payload x_hat, the sparsified
-    updates, the model differences, the transmitted blocks, the update
-    energies and the trial's memories, committed before the call.
-    """
-    mu_abs, abs_power = state.fading
-    signals = ch.compress(comp[0], sparsify.phase_precompensate(updates, rho, eta_t, phases))
-    y = ch.transmit_mac(signals, gains, noise)
-    total_g_sq = g_sq.sum(axis=-1)
-    prior_power = abs_power * rho * total_g_sq / (eta_sq * cfg.dim)
-    prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has no prior power
-    est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator,
-                            state.noise_eye)
-    theta_next = ch.global_update(state.theta[ks], est.x_hat, eta_t, rho, mu_abs, cfg.n_active)
-    return theta_next, (rho, est.err_var, est.pinv_fallback, est.x_hat, updates, deltas, signals,
-                        g_sq, state.memories.reshape(-1, state.n, cfg.dim)[ks])
 
 
 def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,

@@ -1,5 +1,6 @@
-"""A run draws the iterate-free inputs of a block of rounds together and
-evaluates the block's records together; neither may move a number.
+"""A run draws the iterate-free inputs of its rounds before the first one,
+draws the local batches of a block of rounds together, and evaluates the
+block's records together; none of this may move a number.
 
 The block size is a constant of ``protocol``.  Runs with blocks of 1, 5 and
 64 rounds, and of more rounds than the run has, must equal the shipped size
@@ -10,9 +11,11 @@ computation (``oracles.rounds_of``), also in a stack whose trials abort at
 different rounds; the oracle cases also take the matched estimate and the
 noiseless pseudo-inverse fallback.  A replay log whose active sets differ
 from the drawn ones, or that holds a zero gain, is rejected before any round
-runs, and a negative rate still fails the run.  A numpy on which the
-replicas fail their self-check must give the same runs.  A 5-trial stack of
-the sweep base stays under a fixed memory peak.
+runs, and so is a negative rate.  A run seeds its active-set, compression
+and channel streams in one pass before its first round, and each block its
+batch streams in one more.  A numpy on which the replicas fail their
+self-check must give the same runs.  A 5-trial stack of the sweep base
+stays under a fixed memory peak.
 """
 import dataclasses
 import json
@@ -163,9 +166,10 @@ def test_a_bad_replay_log_runs_no_local_step_kernel(fault, monkeypatch):
 
 @pytest.mark.parametrize("rate", ["eta", "alpha"])
 def test_a_negative_rate_still_raises(rate, monkeypatch):
-    """A round's stages assume rates >= 0, checked once per block: a
-    schedule that turns one rate negative at round 66, inside the second
-    block, fails the run with the checked stage's message."""
+    """A round's stages assume rates >= 0, checked once per run before its
+    first round: a schedule that turns one rate negative at round 66, in
+    the second block of 64 rounds, fails the run with the checked stage's
+    message before any local step (``meta.local_rounds``) runs."""
     schedule = protocol.lr_schedule
 
     def negative_at_66(cfg, t):
@@ -174,9 +178,30 @@ def test_a_negative_rate_still_raises(rate, monkeypatch):
             return (-eta_t, alpha_t) if rate == "eta" else (eta_t, -alpha_t)
         return eta_t, alpha_t
 
+    calls = []
+    local_rounds = meta.local_rounds
+    monkeypatch.setattr(meta, "local_rounds",
+                        lambda *args, **kw: calls.append(1) or local_rounds(*args, **kw))
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 64)
     monkeypatch.setattr(protocol, "lr_schedule", negative_at_66)
     with pytest.raises(ValueError, match=rf"^{rate} must be >= 0$"):
         run_experiment(config())
+    assert calls == []
+
+
+def test_one_seeding_pass_per_run_and_per_block(monkeypatch):
+    """A 3-trial stack in blocks of one round (5 // 3) seeds the active-set,
+    compression and channel streams of every trial and round with one
+    ``rng.seeded_states`` call, and each block's batch streams with one."""
+    configs = trial_configs(config(), 3)
+    assert meta.replicas_hold()  # its own probe seeding happens once, not here
+    calls = []
+    seeded_states = rng.seeded_states
+    monkeypatch.setattr(rng, "seeded_states",
+                        lambda *args: calls.append(1) or seeded_states(*args))
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 5)
+    protocol.run_stack(configs)
+    assert len(calls) == 1 + configs[0].rounds
 
 
 def test_sweep_stack_memory_is_bounded():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel, protocol, sparsify
+from airmeta import channel, meta, protocol, sparsify
 from airmeta.protocol import ExperimentConfig, run_experiment
 from airmeta.sparsify import PowerPolicy, comp_k, memory_fold, phase_precompensate
 
@@ -163,18 +163,27 @@ class TestPhasePrecompensate:
         assert np.allclose(np.abs(h * x), abs(h) * np.sqrt(1.5) / 0.4 * np.abs(g), atol=1e-12)
 
     def test_zero_channel_rejected(self, monkeypatch):
-        """A zero coefficient has no phase: a sampled one stops the run
-        before the first round of its block."""
-        draws = channel.channel_draws
+        """A zero coefficient has no phase: a sampled one, in the last round
+        of a run of three blocks, stops the run before any local step
+        (``meta.local_rounds``) runs."""
+        draws, drawn = channel.channel_draws, []
 
         def a_zero_gain(*args):
             gains, noise = draws(*args)
-            gains[0, 2, 1] = 0.0
+            drawn.extend(range(gains.shape[1]))  # the rounds drawn so far
+            if len(drawn) == 6:  # this call draws the run's last round
+                gains[0, -1, 1] = 0.0
             return gains, noise
 
+        calls = []
+        local_rounds = meta.local_rounds
+        monkeypatch.setattr(meta, "local_rounds",
+                            lambda *args, **kw: calls.append(1) or local_rounds(*args, **kw))
         monkeypatch.setattr(channel, "channel_draws", a_zero_gain)
+        monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 2)
         with pytest.raises(ValueError, match="^zero channel coefficient"):
             run_experiment(ExperimentConfig(rounds=6, active_fraction=1 / 3))
+        assert calls == []
 
     def test_zero_update_transmits_zeros(self):
         g = np.zeros((2, 3))
