@@ -4,7 +4,9 @@ After phase pre-compensation every device contribution arrives co-phased, so
 the superposed payload is a real d-vector; the received block is
 ``y = A @ sum_i |h_i| s_i + noise``, where A holds M rows of the unitary DFT.
 The block is complex; its real and imaginary parts each carry noise
-variance sigma_n^2, and estimation works on the stacked real system.
+variance sigma_n^2.  On the stacked real system the compression is diagonal
+in the Fourier basis, so every estimate is a matched filter that weights
+each channel use by its Fourier mode.
 """
 from __future__ import annotations
 
@@ -38,17 +40,25 @@ def compress(matrix: np.ndarray, payloads: np.ndarray) -> np.ndarray:
 def compression_block(dim: int, rows: np.ndarray):
     """The compression operators of a stack of rounds, from each round's
     DFT rows (..., M) in increasing order, as a run draws them: the partial
-    DFTs (..., M, d), their real operators (..., 2M, d) and the operators'
-    Gram matrices (..., 2M, 2M).  The rows are checked once for the whole
-    stack."""
+    DFTs (..., M, d), the weight lambda of each row's Fourier mode (..., M)
+    and the counts (..., 2) of the modes of weight 1/2 and of weight 1.  The
+    rows are checked once for the whole stack.
+
+    On the stacked real system B = [Re A; Im A] of rows S, B'B = Re(A^H A)
+    is diagonal in the Fourier basis, mode k of weight lambda_k = (1[k in S]
+    + 1[-k in S]) / 2: 1 when the row's mirror -k mod d is a row too (or is
+    k itself, k = 0 or d/2), else 1/2, as for its unmeasured mirror.  The
+    other modes have weight 0.
+    """
     rows = np.asarray(rows)
     if (not np.issubdtype(rows.dtype, np.integer) or rows.shape[-1] < 1
             or np.any(rows[..., 0] < 0) or np.any(rows[..., -1] >= dim)
             or np.any(np.diff(rows, axis=-1) <= 0)):
         raise ValueError(f"need increasing integer rows in [0, {dim}), got {rows!r}")
-    matrix = _dft_matrix(dim)[rows]
-    real = np.concatenate([matrix.real, matrix.imag], axis=-2)  # [Re A; Im A]
-    return matrix, real, real @ real.swapaxes(-1, -2)
+    mirrored = ((-rows % dim)[..., :, None] == rows[..., None, :]).any(axis=-1)
+    n_mirrored = mirrored.sum(axis=-1)
+    counts = np.stack([2 * (rows.shape[-1] - n_mirrored), n_mirrored], axis=-1)
+    return _dft_matrix(dim)[rows], np.where(mirrored, 1.0, 0.5), counts
 
 
 @functools.cache
@@ -123,78 +133,50 @@ class Estimate:
 
     x_hat: np.ndarray           # (K, d)
     err_var: np.ndarray         # (K,) modeled per-component error variance
-    pinv_fallback: np.ndarray   # (K,) bool, solved by the pseudo-inverse
+    pinv_fallback: np.ndarray   # (K,) bool, the noiseless pseudo-inverse of a
+                                # rank-deficient round or of one without prior power
 
 
-def estimate_stack(y: np.ndarray, matrix: np.ndarray, real, gram, p: np.ndarray,
-                   noise_var: float, kind: str, noise_eye: np.ndarray) -> Estimate:
+def estimate_stack(y: np.ndarray, matrix: np.ndarray, modes: np.ndarray, counts: np.ndarray,
+                   p: np.ndarray, noise_var: float, kind: str) -> Estimate:
     """Reconstruct the real superposed payloads of a stack of K rounds from
-    the received blocks y (K, M), with the partial DFTs (K, M, d) and for
-    lmmse their real operators (K, 2M, d) and Gram matrices (K, 2M, 2M)
-    (``compression_block``), a float prior power p >= 0 (K,) per round and
-    ``noise_eye`` = noise_var * I (2M, 2M), noise_var >= 0.
+    the received blocks y (K, M), with the partial DFTs (K, M, d), their
+    rows' mode weights (K, M) and mode counts (K, 2) (``compression_block``),
+    a float prior power p >= 0 (K,) per round and noise_var >= 0.
 
-    matched: requires M == d, the full DFT; x_hat = Re(A^H y) and the
-    per-component error variance equals noise_var exactly.
-    lmmse: linear MMSE under an isotropic prior with per-component power
-    p, solved on the stacked real system.  One solve serves every round; a
-    noiseless rank-deficient round, or one that the noise does not
-    regularize, falls back to the pseudo-inverse by itself and flags it.
-    Row k of each field is bit for bit what the stack of round k alone
-    gives.  Assumes a known ``kind``.
+    Every estimate is the weighted matched filter x_hat = Re(A^H (w * y)),
+    one weight per channel use.  matched: requires M == d, the full DFT;
+    w = 1, and the per-component error variance equals noise_var exactly.
+    lmmse: the linear MMSE p (p B'B + noise_var I)^-1 Re(A^H y) under an
+    isotropic prior with per-component power p.  B'B is diagonal in the
+    Fourier basis and its weights lambda are mirror-symmetric, so the
+    inverse scales channel use j by w_j = p / (p lambda_j + noise_var), and
+    the error variance is (p n_0 + sum over the modes k of weight > 0 of
+    p noise_var / (p lambda_k + noise_var)) / d, n_0 modes being of weight
+    0.  Noiseless, w_j = 1 / lambda_j, the pseudo-inverse, and the error
+    variance is p n_0 / d; a round whose rank, the number of modes of weight
+    > 0, is below 2M, or whose p is 0, is flagged ``pinv_fallback``.  Row k
+    of each field is bit for bit what the stack of round k alone gives.
+    Assumes a known ``kind``.
     """
-    if kind == "matched":
-        x_hat = (matrix.conj().swapaxes(-1, -2) @ y[..., None])[..., 0].real
-        return Estimate(x_hat=np.ascontiguousarray(x_hat, dtype=float),
-                        err_var=np.full(p.shape, float(noise_var)),
-                        pinv_fallback=np.zeros(p.shape, dtype=bool))
-
     dim = matrix.shape[-1]
-    y_r = np.concatenate([y.real, y.imag], axis=-1)
-    rows = real.shape[-2]
-    c = p[:, None, None] * gram + noise_eye
     pinv = np.zeros(p.shape, dtype=bool)
-    if noise_var == 0.0:
-        pinv = (np.linalg.matrix_rank(gram, tol=1e-12) < rows) | (p == 0.0)
-        c[pinv] = np.eye(rows)  # not solved; the identity keeps the stack solvable
-    sol, singular = _solve_each(c, np.concatenate([y_r[..., None], real], axis=-1))
-    # noise too small to regularize a rank-deficient system
-    pinv |= singular
-    x_hat = p[:, None] * (real.swapaxes(-1, -2) @ sol[..., :1])[..., 0]
-    # posterior error variance per component: (p*d - p^2 * tr(B' C^-1 B)) / d
-    tr = (real * sol[..., 1:]).reshape(len(sol), -1).sum(axis=-1)
-    err_var = (p * dim - p * p * tr) / dim
-    err_var[err_var < 0.0] = 0.0
-    if pinv.any():
-        for k in np.flatnonzero(pinv).tolist():
-            x_hat[k], err_var[k] = _pinv_estimate(real[k], gram[k], y_r[k], p[k], dim)
-    return Estimate(x_hat=x_hat, err_var=err_var, pinv_fallback=pinv)
-
-
-def _solve_each(c: np.ndarray, rhs: np.ndarray):
-    """Solutions of the stacked systems c x = rhs, and the mask of the
-    singular ones, whose solutions are left zero."""
-    try:
-        return np.linalg.solve(c, rhs), np.zeros(len(c), dtype=bool)
-    except np.linalg.LinAlgError:
-        sol, singular = np.zeros(rhs.shape), np.zeros(len(c), dtype=bool)
-        for k in range(len(c)):
-            try:
-                sol[k] = np.linalg.solve(c[k], rhs[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return sol, singular
-
-
-def _pinv_estimate(b: np.ndarray, gram: np.ndarray, y_r: np.ndarray, p: float, dim: int):
-    """Minimum-norm reconstruction of a system the noise does not regularize,
-    and its error variance.
-
-    The posterior covariance is the projection complement scaled by the prior.
-    """
-    rank = np.linalg.matrix_rank(gram, tol=1e-12)
-    x_hat = b.T @ (np.linalg.pinv(gram) @ y_r)
-    return x_hat, float(p * max(dim - rank, 0) / dim)
+    if kind == "matched":
+        w, err_var = 1.0, np.full(p.shape, float(noise_var))
+    elif noise_var == 0.0:
+        w = 1.0 / modes
+        err_var = p * (dim - counts.sum(axis=-1)) / dim
+        pinv = (counts[..., 1] > 0) | (p == 0.0)
+    else:
+        w = p[:, None] / (p[:, None] * modes + noise_var)
+        n_half, n_one = counts[..., 0], counts[..., 1]
+        p_noise = p * noise_var
+        err_var = (p * (dim - n_half - n_one) + n_half * (p_noise / (p * 0.5 + noise_var))
+                   + n_one * (p_noise / (p + noise_var))) / dim
+    weighted = np.empty(np.broadcast_shapes(y.shape, np.shape(w)), dtype=complex)
+    weighted.real, weighted.imag = w * y.real, w * y.imag
+    x_hat = (matrix.conj().swapaxes(-1, -2) @ weighted[..., None])[..., 0].real
+    return Estimate(x_hat=np.ascontiguousarray(x_hat), err_var=err_var, pinv_fallback=pinv)
 
 
 def global_update(theta: np.ndarray, x_hat: np.ndarray, eta: float, rho: np.ndarray,

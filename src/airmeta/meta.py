@@ -243,11 +243,13 @@ def meta_grad_estimate(thetas: np.ndarray, x: np.ndarray, y: np.ndarray,
     adaptation, outer-gradient and Hessian batches ``x[i, k]``, ``y[i, k]``
     for k = 0, 1, 2, gathered (``_gather``) from the three pools of
     ``batch_pools``: g_hat' is its mini-batch gradient at the adapted point
-    theta - alpha * g_hat(B), and H_hat its mini-batch Hessian at theta.
-    Assumes alpha >= 0 and nonempty batches.  The estimate is biased for
-    curved losses; that is accepted, not corrected.
+    theta - alpha * g_hat(B), and H_hat its mini-batch Hessian at theta,
+    X'X / m_B on the Hessian batch X, applied to g_hat' as X'(X g_hat') / m_B
+    without forming it.  Assumes alpha >= 0 and nonempty batches.  The
+    estimate is biased for curved losses; that is accepted, not corrected.
     """
     phi = thetas - alpha * tasks.batch_grad(thetas, x[:, 0], y[:, 0])
     g_outer = tasks.batch_grad(phi, x[:, 1], y[:, 1])
-    h_hat = tasks.batch_hessian(x[:, 2])
-    return g_outer - alpha * (h_hat @ g_outer[..., None])[..., 0]
+    x_h = x[:, 2]
+    h_g = (x_h.swapaxes(-1, -2) @ (x_h @ g_outer[..., None]))[..., 0] / x_h.shape[-2]
+    return g_outer - alpha * h_g

@@ -200,12 +200,13 @@ def lr_schedule(cfg: ExperimentConfig, t: int):
     """(eta_t, alpha_t) for round t.
 
     The adaptive schedule decays both rates as 1/t and caps the inner rate at
-    1/L_G.
+    1/L_G, read from the input scale without building the task environment.
     """
     if cfg.lr_schedule == "constant":
         return float(cfg.eta), float(cfg.alpha)
     eta_t = cfg.eta_scale / (cfg.eta_offset + t)
-    alpha_t = min(cfg.alpha_scale / (cfg.alpha_offset + t), 1.0 / cfg.env().smoothness)
+    cap = 1.0 / tasks.smoothness_of(cfg.input_cov_scale)
+    alpha_t = min(cfg.alpha_scale / (cfg.alpha_offset + t), cap)
     return float(eta_t), float(alpha_t)
 
 
@@ -268,8 +269,8 @@ class _State:
     """Per-device data of a stack of K trials, stacked along one device
     axis once, trial by trial (device i of trial k is row k * n + i), plus
     each trial's evolving iterate, memories and moment probe, and the
-    uplink's power policy, fading moments (E|h|, E|h|^2), noise variance
-    and noise_var * I (2M, 2M) for the LMMSE solve."""
+    uplink's power policy, fading moments (E|h|, E|h|^2) and noise
+    variance."""
 
     def __init__(self, configs: list):
         cfg = configs[0]
@@ -297,7 +298,6 @@ class _State:
                                            channel_uses=cfg.channel_uses, rho_max=cfg.rho_max)
         self.fading = ch.fading_moments(cfg.fading)
         self.noise_var = cfg.effective_noise_var()
-        self.noise_eye = self.noise_var * np.eye(2 * cfg.channel_uses)
 
     def devices(self, k: int) -> slice:
         """The rows of trial k's devices."""
@@ -427,12 +427,14 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         block = slice(t0, t0 + n_rounds)
         # release the previous block's arrays before this block's draws; not
         # at the end of a pass, which made one-block runs 1-2% slower
-        batches = comps = phases = buffers = iterates_of = block_rows = None
+        batches = comps = abs_h = phases = buffers = iterates_of = block_rows = None
         active, gains, noise = (replay[name][trials, block]
                                 for name in ("active", "gains", "noise"))
         batches = _block_batches(cfg, state, trials, t0, active)
         comps = ch.compression_block(cfg.dim, comp_rows[trials, block])
-        phases = sparsify.phase(gains)
+        # one modulus per gain, for its phase and its records
+        abs_h = np.hypot(gains.real, gains.imag)
+        phases = sparsify.phase(gains, abs_h)
         buffers = _block_buffers(cfg, len(trials), n_rounds)
         # the block's local iterates; NaN where a trial did not run
         iterates_of = np.full((len(trials), n_rounds, q, rn, d), np.nan)
@@ -478,8 +480,7 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 total_g_sq = g_sq.sum(axis=-1)
                 prior_power = abs_power * rho * total_g_sq / (eta_sq[t] * d)
                 prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has none
-                est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator,
-                                        state.noise_eye)
+                est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator)
                 buffers["x_hat"][pos, j], buffers["v_model"][pos, j] = est.x_hat, est.err_var
                 buffers["pinv_fallback"][pos, j] = est.pinv_fallback
                 theta_next = ch.global_update(state.theta[ks], est.x_hat, eta_t, rho, mu_abs, rn)
@@ -491,8 +492,8 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 thetas[ks, t + 1] = theta_next
                 if not live.size:
                     break
-            _block_records(cfg, state, trials, t0, rates[block], eta_sq[block], np.abs(gains),
-                           buffers, table, recon)
+            _block_records(cfg, state, trials, t0, rates[block], eta_sq[block], abs_h, buffers,
+                           table, recon)
             # the offsets of the local iterates from their devices' task
             # vectors, in place; the rounds no trial ran are NaN, which it skips
             iterates_of -= state.ws[block_rows][:, :, None]

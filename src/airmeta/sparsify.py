@@ -115,9 +115,10 @@ def phase_precompensate(g: np.ndarray, rho: np.ndarray, eta: float,
     return np.where(g.any(axis=-1)[..., None], factor[..., None] * g, 0.0)
 
 
-def phase(h: np.ndarray) -> np.ndarray:
-    """conj(h) / abs(h) per entry of a complex array h, bit for bit numpy's
-    scalar quotient: the complex division by hypot(h.real, h.imag) + 0j.
-    ``np.conj(h) / np.abs(h)`` and ``conj(h) * (1 / abs(h))`` differ from it
-    in the last bit."""
-    return np.conj(h) / (np.hypot(h.real, h.imag) + 0j)
+def phase(h: np.ndarray, abs_h: np.ndarray) -> np.ndarray:
+    """conj(h) / abs(h) per entry of a complex array h, from its moduli
+    ``abs_h`` = np.hypot(h.real, h.imag): bit for bit numpy's scalar
+    quotient, the complex division by hypot(h.real, h.imag) + 0j.
+    ``np.abs(h)`` can differ from the hypot in the last bit, and
+    ``conj(h) * (1 / abs(h))`` from the quotient."""
+    return np.conj(h) / (abs_h + 0j)

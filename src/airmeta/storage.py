@@ -188,7 +188,8 @@ def read_replay_csv(path) -> np.ndarray:
     per round.  The log must number its rounds 0..T-1 and give each exactly
     one noise row of M values and as many device rows as round 0, every cell
     a number; a ValueError names the first round that does not.  A log
-    without rounds reads as an empty one without devices."""
+    without rounds reads as an empty one without devices.  The numbers are
+    parsed round by round and placed by field at once."""
     rounds = defaultdict(lambda: ([], []))  # round -> (device rows, noise rows)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -197,19 +198,26 @@ def read_replay_csv(path) -> np.ndarray:
             rounds[int(row[0])][row[1] == "-1"].append(row)
     n_rounds = max(rounds, default=-1) + 1
     rn = len(rounds[0][0]) if n_rounds else 0
-    log = np.empty(n_rounds, dtype=replay_dtype(rn, m))
+    # round by round: the device ids, and the gains' parts device by device,
+    # then the noise's
+    active, values = [], []
     for t in sorted(rounds.keys() | set(range(n_rounds))):
         devices, noise = rounds[t]
         try:
             if t < 0 or len(devices) != rn or len(noise) != 1 or len(noise[0]) != 4 + 2 * m:
                 raise ValueError
-            z = [float(v) for v in noise[0][4:]]
-            log[t] = ([int(row[1]) for row in devices],
-                      [complex(float(row[2]), float(row[3])) for row in devices],
-                      [complex(re, im) for re, im in zip(z[:m], z[m:])])
+            active += [int(row[1]) for row in devices]
+            values += [float(v) for row in devices for v in (row[2], row[3])]
+            values += map(float, noise[0][4:])
         except (ValueError, IndexError):
             raise ValueError(f"replay log {path}: round {t} needs exactly one noise row (device_id"
                              f" -1) of {m} values and {rn} device rows, all numbers") from None
+    log = np.empty(n_rounds, dtype=replay_dtype(rn, m))
+    log["active"] = np.array(active, dtype=np.int64).reshape(n_rounds, rn)
+    values = np.array(values, dtype=float).reshape(n_rounds, 2 * rn + 2 * m)
+    gains = values[:, :2 * rn].reshape(n_rounds, rn, 2)
+    log["gains"].real, log["gains"].imag = gains[..., 0], gains[..., 1]
+    log["noise"].real, log["noise"].imag = values[:, 2 * rn:2 * rn + m], values[:, 2 * rn + m:]
     return log
 
 

@@ -47,7 +47,13 @@ class TaskEnvironment:
     @property
     def smoothness(self) -> float:
         """Lipschitz constant of the population gradient."""
-        return self.input_cov
+        return smoothness_of(self.input_cov)
+
+
+def smoothness_of(input_cov: float) -> float:
+    """Lipschitz constant L_G of the population gradient of the squared loss
+    under inputs N(0, input_cov * I), whatever the task vectors: input_cov."""
+    return float(input_cov)
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,6 @@ def batch_grad(phi: np.ndarray, x: np.ndarray, y) -> np.ndarray:
     x that share d."""
     resid = y - (x @ phi[..., None])[..., 0]
     return -(x.swapaxes(-1, -2) @ resid[..., None])[..., 0] / x.shape[-2]
-
-
-def batch_hessian(x: np.ndarray) -> np.ndarray:
-    """Mean Hessian over the float batch x (m, d), or (n, m, d) for one
-    Hessian per device of a stack: the Hessian of the squared loss depends
-    on neither phi nor y."""
-    return (x.swapaxes(-1, -2) @ x) / x.shape[-2]
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,10 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     # each round's normals, in the order of a round at a time
     z = gen.standard_normal((n_draws, channel.channel_normals(n_active, "rayleigh", d)))
     gains, noise = channel.channel_draws(z, n_active, "rayleigh", noise_var)
-    signals = channel.compress(comp[0], sparsify.phase_precompensate(gs, rho, eta,
-                                                                     sparsify.phase(gains)))
+    phases = sparsify.phase(gains, np.hypot(gains.real, gains.imag))
+    signals = channel.compress(comp[0], sparsify.phase_precompensate(gs, rho, eta, phases))
     y = channel.transmit_mac(signals, gains, noise)
-    est = channel.estimate_stack(y, *comp, np.zeros(n_draws), noise_var, "matched",
-                                 noise_var * np.eye(2 * d))
+    est = channel.estimate_stack(y, *comp, np.zeros(n_draws), noise_var, "matched")
     theta = np.zeros(d)
     samples = theta - channel.global_update(theta, est.x_hat, eta, rho, mu, n_active)
     mean = samples.mean(axis=0)

@@ -1,10 +1,11 @@
 """Pointwise and moment oracles that only the tests evaluate.
 
-The per-sample loss, gradient and Hessian of the squared loss, the
-population gradient, the closed-form per-sample gradient moments, one
-device's local steps on literal numpy batch draws, a run recomputed one
-round at a time with each uplink stage written out a device at a time
-(top-k, power scaling, estimation), a uniform active set
+The per-sample loss, gradient and Hessian of the squared loss and the
+mean batch Hessian as a matrix, the population gradient, the closed-form
+per-sample gradient moments, one device's local steps on literal numpy
+batch draws, a run recomputed one round at a time with each uplink stage
+written out a device at a time (top-k, power scaling, estimation), the
+LMMSE estimate in matrix form on the stacked real system, a uniform active set
 drawn by numpy's ``choice``, one round's channel drawn by a
 ``standard_normal`` call per part, the received SNR recovered from a run's
 fading draws, the phase factors as numpy's scalar quotient, the Monte Carlo
@@ -84,7 +85,7 @@ def local_rounds(theta_start, ds, alpha, eta, steps, batch_size, gen):
                for pool in meta.batch_pools(ds, batch_size)]
         g_outer = grad(theta - alpha * grad(theta, idx[0]), idx[1])
         x_h = ds.x[idx[2]]
-        g_outer = g_outer - alpha * (((x_h.T @ x_h) / x_h.shape[0]) @ g_outer)
+        g_outer = g_outer - alpha * (x_h.T @ (x_h @ g_outer) / x_h.shape[0])
         theta = theta - eta * g_outer
     return theta_start - theta, iterates
 
@@ -112,24 +113,53 @@ def power_scale(updates: np.ndarray, eta: float, m_uses: int, power: float,
     return rho if rho >= tiny else np.nan
 
 
-def estimate(y, matrix, real, gram, prior: float, noise_var: float, kind: str):
-    """One round's (x_hat, err_var, pinv_fallback), written out from the
-    definitions in ``channel.estimate_stack``."""
-    d = matrix.shape[1]
+def estimate(y, matrix, rows, prior: float, noise_var: float, kind: str):
+    """One round's (x_hat, err_var, pinv_fallback) from its block y (M,),
+    partial DFT and DFT rows, written out from the definitions in
+    ``channel.estimate_stack`` a channel use and a Fourier mode at a time:
+    the weight (1[k in S] + 1[-k in S]) / 2 of each mode k, each use's
+    filter weight, and the matched filter of the weighted block."""
+    d, rows = matrix.shape[1], [int(j) for j in rows]
+    modes = [(int(k in rows) + int(-k % d in rows)) / 2 for k in range(d)]
+    n_zero, n_half, n_one = (sum(lam == value for lam in modes) for value in (0.0, 0.5, 1.0))
     if kind == "matched":
-        return (matrix.conj().T @ y[:, None])[:, 0].real, float(noise_var), False
+        w, err, pinv = [1.0] * len(rows), float(noise_var), False
+    elif noise_var == 0.0:  # the pseudo-inverse of the measured modes
+        w, err = [1.0 / modes[j] for j in rows], prior * n_zero / d
+        pinv = n_half + n_one < 2 * len(rows) or prior == 0.0
+    else:
+        w = [prior / (prior * modes[j] + noise_var) for j in rows]
+        p_noise = prior * noise_var
+        err = (prior * n_zero + n_half * (p_noise / (prior * 0.5 + noise_var))
+               + n_one * (p_noise / (prior + noise_var))) / d
+        pinv = False
+    weighted = np.array([complex(wj * v.real, wj * v.imag) for wj, v in zip(w, y)])
+    return (matrix.conj().T @ weighted[:, None])[:, 0].real, err, pinv
+
+
+def real_operator(matrix):
+    """The stacked real operator B = [Re A; Im A] (2M, d) of a partial DFT A."""
+    return np.concatenate([matrix.real, matrix.imag])
+
+
+def estimate_solve(y, matrix, prior: float, noise_var: float):
+    """One round's lmmse (x_hat, err_var) in matrix form on the stacked
+    real system: p B'(p B B' + noise_var I)^-1 y_r and (p d - p^2 tr(B'
+    C^-1 B)) / d; noiseless, the pseudo-inverse B^+ y_r and p (d - rank B)
+    / d."""
+    b, d = real_operator(matrix), matrix.shape[1]
     y_r = np.concatenate([y.real, y.imag])
-    rank = np.linalg.matrix_rank(gram, tol=1e-12)
-    if noise_var != 0.0 or (rank == len(y_r) and prior != 0.0):
-        try:
-            sol = np.linalg.solve(prior * gram + noise_var * np.eye(len(y_r)),
-                                  np.column_stack([y_r, real]))
-            err = (prior * d - prior * prior * (real * sol[:, 1:]).reshape(-1).sum()) / d
-            return prior * (real.T @ sol[:, :1])[:, 0], 0.0 if err < 0.0 else err, False
-        except np.linalg.LinAlgError:
-            pass
-    # the minimum-norm reconstruction of a system the noise does not regularize
-    return real.T @ (np.linalg.pinv(gram) @ y_r), float(prior * max(d - rank, 0) / d), True
+    if noise_var == 0.0:  # singular values below 1e-12 are rounding, as B's are 0 or >= 0.7
+        rank = np.linalg.matrix_rank(b, tol=1e-12)
+        return np.linalg.pinv(b, rcond=1e-12) @ y_r, prior * (d - rank) / d
+    sol = np.linalg.solve(prior * b @ b.T + noise_var * np.eye(len(y_r)),
+                          np.column_stack([y_r, b]))
+    return prior * b.T @ sol[:, 0], (prior * d - prior**2 * np.trace(b.T @ sol[:, 1:])) / d
+
+
+def batch_hessian(x):
+    """The mean Hessian X'X / m of the squared loss over a batch x (m, d)."""
+    return (x.T @ x) / x.shape[0]
 
 
 def rounds_of(traj):
@@ -187,19 +217,19 @@ def rounds_of(traj):
             break
         rows = np.sort(rng.substream(cfg.master_seed, rng.COMPRESSION, t).choice(
             d, size=m_uses, replace=False))
-        matrix, real, gram = channel.compression_block(d, rows)
+        matrix = channel.compression_block(d, rows)[0]
         factor = np.sqrt(rho) / eta
         signals = np.array([matrix @ (factor * h_phase * u if u.any() else np.zeros(d, complex))
                             for h_phase, u in zip(phase(gains), updates)])
         y = total([h * s for h, s in zip(gains, signals)]) + noise
         energies = np.array([u @ u for u in updates])
-        eta_sq, abs_h = sparsify.rate_sq(eta), np.abs(gains)
+        eta_sq, abs_h = sparsify.rate_sq(eta), np.hypot(gains.real, gains.imag)
         if np.sum(energies) > 0:
             prior = abs_power * rho * np.sum(energies) / (eta_sq * d)
             signal_true = np.sqrt(rho) / eta * total(abs_h[:, None] * updates)
         else:  # no update energy: no prior power and no payload
             prior, signal_true = 0.0, np.zeros(d)
-        x_hat, err_var, pinv = estimate(y, matrix, real, gram, prior, noise_var, cfg.estimator)
+        x_hat, err_var, pinv = estimate(y, matrix, rows, prior, noise_var, cfg.estimator)
         thetas.append(theta - eta / (mu_abs * np.sqrt(rho) * rn) * x_hat)
         memories[active] = mem_next
         noise_term = x_hat - signal_true

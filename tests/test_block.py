@@ -87,7 +87,8 @@ def test_run_fields_see_every_record_field():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_records_equal_their_per_round_values(case):
     """Each round's training loss and squared meta-gradient at its own
-    iterate, and its sum of |h|^2 over its devices."""
+    iterate, and its sum of |h|^2 over its devices, each |h| the hypot of
+    its parts, the modulus its phase is formed with."""
     with np.errstate(all="ignore"):
         traj = CASES[case]()
         curvature = tasks.meta_curvature(traj.config.env(), traj.metric_alpha)
@@ -101,7 +102,7 @@ def test_records_equal_their_per_round_values(case):
                 continue
             assert rec["train_loss"] == metrics.meta_training_loss(theta, traj.datasets,
                                                                    traj.metric_alpha)
-            assert rec["sum_abs_h_sq"] == float(np.sum(np.abs(gains) ** 2))
+            assert rec["sum_abs_h_sq"] == float(np.sum(np.hypot(gains.real, gains.imag) ** 2))
 
 
 def stack_with_a_mid_block_abort():

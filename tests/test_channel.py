@@ -30,9 +30,8 @@ def one_round(dim, rows):
 
 def estimate(y, comp, prior_power, noise_var, kind):
     """``estimate_stack`` on a stack of one round: (x_hat, err_var, pinv_fallback)."""
-    m_uses = comp[0].shape[-2]
     est = estimate_stack(np.asarray(y)[None], *comp, np.array([prior_power], dtype=float),
-                         noise_var, kind, noise_var * np.eye(2 * m_uses))
+                         noise_var, kind)
     return est.x_hat[0], float(est.err_var[0]), bool(est.pinv_fallback[0])
 
 
@@ -200,7 +199,7 @@ class TestEstimators:
         assert not pinv
         # reconstruction is the projection onto the measured subspace, whose
         # orthonormal basis is the rows of sqrt(2) [Re A; Im A]
-        b = comp[1][0]
+        b = oracles.real_operator(comp[0][0])
         proj = 2.0 * b.T @ (b @ s)
         assert np.allclose(x_hat, proj, atol=1e-10)
         assert err_var == pytest.approx(0.25)  # 2 of 8 dimensions unobserved
@@ -214,20 +213,23 @@ class TestEstimators:
         x_hat, _, pinv = estimate(comp[0][0] @ s, comp, prior_power=1.0, noise_var=0.0,
                                   kind="lmmse")
         assert pinv
-        b = comp[1][0]
+        b = oracles.real_operator(comp[0][0])
         proj = np.linalg.pinv(b) @ (b @ s)
         assert np.allclose(x_hat, proj, atol=1e-10)
 
-    def test_lmmse_unregularizing_noise_falls_back_to_pinv(self, rng):
-        """Conjugate DFT rows make the stacked real system rank-deficient; a
-        noise variance too small to regularize it leaves the solve singular,
-        so recovery falls back to the pseudo-inverse as at zero noise."""
+    @pytest.mark.parametrize("noise_var", [1e-18, 1e-300])
+    def test_lmmse_tiny_noise_needs_no_fallback(self, rng, noise_var):
+        """Conjugate DFT rows make the stacked real system rank-deficient,
+        and a noise variance this small would leave its matrix-form solve
+        singular.  The filter solves no system: it weights each use, the
+        estimate is the payload, and no round is flagged."""
         comp = one_round(3, draw_rows(3, 3, rng))
         s = np.array([1.0, -2.0, 0.5])
-        x_hat, _, pinv = estimate(comp[0][0] @ s, comp, prior_power=1.0, noise_var=1e-18,
-                                  kind="lmmse")
-        assert pinv
-        assert np.allclose(x_hat, s, atol=1e-10)
+        x_hat, err_var, pinv = estimate(comp[0][0] @ s, comp, prior_power=1.0,
+                                        noise_var=noise_var, kind="lmmse")
+        assert not pinv
+        assert np.allclose(x_hat, s, rtol=0, atol=1e-14)
+        assert 0.0 < err_var <= 2 * noise_var
 
     def test_lmmse_measured_error_matches_posterior_formula(self, rng):
         """Sparse signals with isotropic second moment: measured error over
@@ -270,6 +272,83 @@ class TestEstimators:
             dots.append(float((x_hat - s) @ s))
         se = np.std(dots, ddof=1) / np.sqrt(len(dots))
         assert abs(np.mean(dots)) <= 3 * se
+
+
+def every_row_set(max_dim):
+    """(d, rows) for every nonempty set of DFT rows at d = 1 .. max_dim:
+    rows 0 and d/2, conjugate pairs j, d - j, and sets without either."""
+    for dim in range(1, max_dim + 1):
+        for mask in range(1, 2**dim):
+            yield dim, np.array([j for j in range(dim) if mask >> j & 1])
+
+
+class TestFourierFilter:
+    """The closed forms of ``compression_block`` and ``estimate_stack``
+    against the matrix forms on the stacked real system B = [Re A; Im A]."""
+
+    def test_mode_weights_are_the_spectrum(self):
+        """Each row's weight lambda and its mirror's 1 - lambda are the
+        eigenvalues of B B', and the mode counts those of B'B, to 1e-13, for
+        every row set at d <= 8."""
+        for dim, rows in every_row_set(8):
+            matrix, modes, counts = (c[0] for c in one_round(dim, rows))
+            b = oracles.real_operator(matrix)
+            n_half, n_one = counts.tolist()
+            want = np.sort(np.concatenate([modes, 1.0 - modes]))
+            assert np.allclose(np.linalg.eigvalsh(b @ b.T), want, rtol=0, atol=1e-13), rows
+            want = np.repeat([0.0, 0.5, 1.0], [dim - n_half - n_one, n_half, n_one])
+            assert np.allclose(np.linalg.eigvalsh(b.T @ b), want, rtol=0, atol=1e-13), rows
+
+    def test_noiseless_filter_is_the_pseudo_inverse(self, rng):
+        """At zero noise x_hat is B^+ y_r to 1e-13 of its largest entry and
+        the error variance p (d - rank B) / d exactly, with the rounds of a
+        rank below 2M, or of no prior power, flagged, for every row set at
+        d <= 8, each with a payload of nonzero prior power and one of none."""
+        for dim, rows in every_row_set(8):
+            comp = one_round(dim, rows)
+            matrix = comp[0][0]
+            y = matrix @ rng.standard_normal(dim) + 0.1 * (rng.standard_normal(len(rows)) + 1j *
+                                                           rng.standard_normal(len(rows)))
+            rank = np.linalg.matrix_rank(oracles.real_operator(matrix), tol=1e-12)
+            for prior in (1.7, 0.0):
+                x_hat, err_var, pinv = estimate(y, comp, prior, 0.0, "lmmse")
+                want, want_var = oracles.estimate_solve(y, matrix, prior, 0.0)
+                assert np.max(np.abs(x_hat - want)) <= 1e-13 * np.max(np.abs(want)), rows
+                assert err_var == want_var, rows
+                assert pinv == (rank < 2 * len(rows) or prior == 0.0), rows
+
+    @pytest.mark.parametrize("dim", [4, 8, 12, 20])
+    def test_lmmse_filter_is_the_matrix_form(self, rng, dim):
+        """From -10 to 40 dB, x_hat is p B'(p B B' + sigma^2 I)^-1 y_r and
+        the error variance (p d - p^2 tr(B' C^-1 B)) / d, each to 1e-13
+        (1 + p / sigma^2) relative: the matrix form's solve rounds with the
+        condition number of C, up to 1 + p / sigma^2 on a rank-deficient
+        round.  The rows include row 0, row d/2 and conjugate pairs."""
+        row_sets = [np.sort(rng.choice(dim, size=m, replace=False))
+                    for m in rng.integers(1, dim + 1, size=30)]
+        row_sets += [np.array([0, dim // 2]), np.array([1, dim - 1]), np.arange(dim)]
+        for rows in row_sets:
+            comp = one_round(dim, rows)
+            matrix = comp[0][0]
+            for snr_db in range(-10, 41, 5):
+                prior = float(rng.uniform(0.1, 10.0))
+                noise_var = prior / 10 ** (snr_db / 10)
+                y = matrix @ (np.sqrt(prior) * rng.standard_normal(dim)) + np.sqrt(noise_var) * (
+                    rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows)))
+                x_hat, err_var, pinv = estimate(y, comp, prior, noise_var, "lmmse")
+                want, want_var = oracles.estimate_solve(y, matrix, prior, noise_var)
+                tol = 1e-13 * (1.0 + prior / noise_var)
+                assert np.max(np.abs(x_hat - want)) <= tol * np.max(np.abs(want)), (rows, snr_db)
+                assert abs(err_var - want_var) <= tol * want_var, (rows, snr_db)
+                assert not pinv
+
+    def test_matched_is_the_unweighted_filter(self, rng):
+        """The matched estimate is Re(A^H y), bit for bit."""
+        dim = 8
+        comp = one_round(dim, np.arange(dim))
+        y = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        x_hat, _, _ = estimate(y, comp, 1.0, 0.3, "matched")
+        assert x_hat.tobytes() == (comp[0][0].conj().T @ y[:, None])[:, 0].real.tobytes()
 
 
 class TestGlobalUpdate:

@@ -82,6 +82,27 @@ class TestMetaGradEstimate:
         # full-pool batch: the estimate is the batch gradient at theta itself
         assert np.allclose(est, theta - w, atol=1e-12)
 
+    def test_hessian_correction_is_the_summed_per_sample_hessians(self, rng):
+        """The correction X'(X g)/m of a stack of devices, formed without the
+        Hessian, is the mean of the per-sample Hessians x x' over each
+        device's Hessian batch applied to its outer gradient g, to 1e-13 of
+        the largest entry of the meta-gradient; a zero rate leaves g."""
+        for n, m_b, d in ((1, 1, 1), (4, 5, 3), (9, 16, 20)):
+            x = rng.standard_normal((n, 3, m_b, d))
+            y = rng.standard_normal((n, 3, m_b))
+            thetas = rng.standard_normal((n, d))
+            alpha = 0.4
+            got = meta_grad_estimate(thetas, x, y, alpha)
+            for i in range(n):
+                phi = thetas[i] - alpha * tasks.batch_grad(thetas[i], x[i, 0], y[i, 0])
+                g = tasks.batch_grad(phi, x[i, 1], y[i, 1])
+                hessian = sum(oracles.hessian(phi, row, label)
+                              for row, label in zip(x[i, 2], y[i, 2])) / m_b
+                want = g - alpha * (hessian @ g)
+                assert np.max(np.abs(got[i] - want)) <= 1e-13 * np.max(np.abs(want)), (n, i)
+            plain = meta_grad_estimate(thetas, x, y, 0.0)
+            assert plain.tobytes() == tasks.batch_grad(thetas, x[:, 1], y[:, 1]).tobytes()
+
     def test_conditional_mean_matches_exact_oracle(self, rng):
         """Mean of the estimator over batch draws from a frozen dataset equals
         the product of per-pool conditional expectations (quadratic family)."""
@@ -97,8 +118,8 @@ class TestMetaGradEstimate:
         def pool_grad(phi, pool):
             return tasks.batch_grad(phi, ds.x[pool], ds.y[pool])
 
-        h_mean = tasks.batch_hessian(ds.x[pool_h])
-        s_g = tasks.batch_hessian(ds.x[pool_g])  # phi-independent
+        h_mean = oracles.batch_hessian(ds.x[pool_h])
+        s_g = oracles.batch_hessian(ds.x[pool_g])  # phi-independent
         # E over B of the adapted point, then the (linear) outer gradient
         phi_mean = theta - alpha * pool_grad(theta, pool_b)
         g_outer_mean = pool_grad(phi_mean, pool_g)

@@ -71,6 +71,19 @@ class TestSchedules:
         _, alpha0 = lr_schedule(cfg, 0)
         assert alpha0 == pytest.approx(0.5)  # 1 / L_G
 
+    @pytest.mark.parametrize("scale", [2.0, 1.0, 0.37, 3])
+    def test_adaptive_cap_is_the_environment_smoothness(self, scale):
+        """The cap, read from the config, is 1 / L_G of its task environment,
+        bit for bit, on every round of a run whose inner rate it caps for a
+        while."""
+        cfg = ExperimentConfig(lr_schedule="adaptive", alpha_scale=40.0, alpha_offset=2.0,
+                               input_cov_scale=scale)
+        cap = 1.0 / cfg.env().smoothness
+        for t in range(300):
+            eta_t, alpha_t = lr_schedule(cfg, t)
+            assert alpha_t == min(cfg.alpha_scale / (cfg.alpha_offset + t), cap)
+            assert eta_t == cfg.eta_scale / (cfg.eta_offset + t)
+
     def test_rate_sum_lower_bound(self):
         xi, a, big_t = 0.7, 5.0, 1000
         cfg = ExperimentConfig(lr_schedule="adaptive", eta_scale=xi, eta_offset=a)

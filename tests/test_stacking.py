@@ -182,7 +182,8 @@ class TestStackedRowsEqualOneRowCalls:
         m_uses = min(m_uses, dim)
         matrix = channel.compression_block(dim, np.sort(gen.choice(dim, size=m_uses,
                                                                   replace=False)))[0]
-        phases, rho = sparsify.phase(gains), np.asarray(rho)
+        phases = sparsify.phase(gains, np.hypot(gains.real, gains.imag))
+        rho = np.asarray(rho)
         x = sparsify.phase_precompensate(g, rho, eta, phases)
         assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], rho, eta, phases[i:i + 1])[0]
                              for i in range(n)])
@@ -204,7 +205,7 @@ class TestStackedRowsEqualOneRowCalls:
     @given(estimate_stacks(), st.sampled_from([0.0, 1e-300, 0.1]),
            st.sampled_from(channel.ESTIMATOR_KINDS))
     # noiseless: rounds 0 (row 0), 2 (row d/2, pair 1, 7) and 3 (no prior
-    # power) fall back to the pseudo-inverse, round 1 is solved
+    # power) are flagged as the pseudo-inverse, round 1 has full rank
     @example((8, [[0, 1, 2], [1, 2, 3], [1, 4, 7], [2, 3, 5]], [1.0, 2.0, 1.5, 0.0], 0),
              0.0, "lmmse")
     @example((4, [[0, 1, 2, 3], [0, 1, 2, 3]], [0.0, 1.0], 1), 0.1, "matched")
@@ -217,11 +218,11 @@ class TestStackedRowsEqualOneRowCalls:
             shape = (len(rows), dim)
         y = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
         comp = channel.compression_block(dim, np.array(rows))
-        powers, noise_eye = np.array(powers, dtype=float), noise_var * np.eye(2 * shape[1])
+        powers = np.array(powers, dtype=float)
         with np.errstate(all="ignore"):
-            est = channel.estimate_stack(y, *comp, powers, noise_var, kind, noise_eye)
+            est = channel.estimate_stack(y, *comp, powers, noise_var, kind)
             ones = [channel.estimate_stack(y[k:k + 1], *(c[k:k + 1] for c in comp),
-                                           powers[k:k + 1], noise_var, kind, noise_eye)
+                                           powers[k:k + 1], noise_var, kind)
                     for k in range(len(rows))]
         for field in ("x_hat", "err_var", "pinv_fallback"):
             assert same_rows(getattr(est, field), [getattr(one, field)[0] for one in ones])

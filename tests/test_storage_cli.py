@@ -83,6 +83,33 @@ class TestStorage:
             assert again.records.tobytes() == traj.records.tobytes()
             assert again.aborted_at == traj.aborted_at
 
+    def test_extreme_floats_round_trip(self, tmp_path):
+        """Subnormals, signed zeros, the float range's ends, 17-digit
+        values, infinities and NaN in every gain and noise part, and device
+        ids of any size, read back bit for bit, also from rows that come
+        out of order."""
+        rn, m, n_rounds = 3, 4, 40
+        gen = np.random.default_rng(5)
+        extremes = np.array([5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                             0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+                             1 / 3, -2 / 3, np.inf, -np.inf, np.nan, 1e-310, 123456789.01234567])
+        log = np.zeros(n_rounds, dtype=channel.replay_dtype(rn, m))
+        log["active"] = gen.integers(-2**62, 2**62, size=(n_rounds, rn))
+        for field, shape in (("gains", (n_rounds, rn)), ("noise", (n_rounds, m))):
+            parts = np.where(gen.random((2,) + shape) < 0.5, gen.choice(extremes, (2,) + shape),
+                             gen.standard_normal((2,) + shape) * 10.0 ** gen.integers(-300, 300))
+            log[field].real, log[field].imag = parts
+        holder = dataclasses.make_dataclass("Log", ["config", "replay"])(
+            run_config(n_devices=rn, active_fraction=1.0, channel_uses=m), log)
+        write_replay_csv(holder, tmp_path / "r.csv")
+        assert read_replay_csv(tmp_path / "r.csv").tobytes() == log.tobytes()
+        header, *lines = (tmp_path / "r.csv").read_text().splitlines()
+        (tmp_path / "r.csv").write_text("\n".join([header] + lines[::-1]) + "\n")
+        reversed_devices = log.copy()
+        reversed_devices["active"] = log["active"][:, ::-1]
+        reversed_devices["gains"] = log["gains"][:, ::-1]
+        assert read_replay_csv(tmp_path / "r.csv").tobytes() == reversed_devices.tobytes()
+
     def test_header_only_replay_log_is_empty(self, tmp_path):
         """A log without rounds reads back empty and replays a zero-round run."""
         cfg = run_config(rounds=0)
