@@ -9,35 +9,15 @@ the validation split for the post-adaptation gradient and the Hessian
 correction.  Disjoint pools are the strongest implementable form of the
 independence the analysis assumes.
 
-The batches are index arrays drawn before the steps run.  ``draw_batches``
-draws them from a generator with numpy's ``choice``; ``stream_batches``
-gives the same indices for many substreams at once, by replaying numpy's
-sampling (Floyd's sample, then a shuffle, on Lemire's bounded draws) on
-arrays; sorted, its draws on one pool are a round's active set and
-compression rows.  The replica follows numpy 2.4.6, the version the
-outputs and tests are pinned to.  ``replicas_hold`` checks it against
-numpy once per process and, when it fails, sends every draw through numpy;
-``tests/test_replica.py`` compares it with numpy over many keys.
+The batches are index arrays drawn before the steps run, by
+``rng.draw_batches`` or ``rng.stream_batches``.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from . import rng, tasks
+from . import tasks
 from .tasks import Dataset
-
-
-# numpy's choice(n, m, replace=False) takes a tail shuffle instead of Floyd's
-# sample when n exceeds this and m > n // 50; the replay does not replay it
-_FLOYD_MAX_POP = 10_000
-_MASK32 = 0xFFFFFFFF
-# the (row, bounded draw) pairs that one chunk of rows replays at once;
-# _replay_choice's temporaries take about 40 bytes a pair, so a chunk takes
-# about 2.6 MB, where the 446 K pairs of one block of a 5-trial stack of the
-# sweep base, replayed whole, take 18 MB
-_REPLAY_DRAWS = 1 << 16
 
 
 def batch_pools(dataset: Dataset, batch_size: int):
@@ -62,131 +42,6 @@ def batch_pools(dataset: Dataset, batch_size: int):
                 f"(m_tr={m_tr}, m_va={m_va})"
             )
     return pools
-
-
-def draw_batches(gen: np.random.Generator, pools, batch_size: int, steps: int) -> np.ndarray:
-    """(steps, len(pools), batch_size) batch indices drawn from ``gen``: per
-    step, one batch of each pool without replacement, in pool order."""
-    # offset + choice(pool.size) draws what choice(pool) draws, and leaves the
-    # generator in the same state, without indexing the pool
-    return np.array([[pool[0] + gen.choice(pool.size, size=batch_size, replace=False)
-                      for pool in pools] for _ in range(steps)],
-                    dtype=np.int64).reshape(steps, len(pools), batch_size)
-
-
-def stream_batches(master_seed, keys, states, pools, batch_size: int,
-                   steps: int) -> np.ndarray:
-    """(K, steps, len(pools), batch_size): row k is ``draw_batches`` on
-    ``rng.substream(master_seed, *keys[k])``, whose seeded PCG64 state is
-    ``states[k]`` (``rng.seeded_states``), for a (K, L) integer array
-    ``keys`` and one master seed or a sequence of K, one per row.
-
-    All rows come from one replay of numpy's draws.  A key the replay
-    cannot give (see ``_replay``) is redrawn by ``draw_batches`` on its
-    substream.  On the one pool ``np.arange(n)`` with one step, row k,
-    sorted, is ``np.sort(gen.choice(n, m, replace=False))``: how a round's
-    active set and compression rows are drawn.
-    """
-    keys = np.asarray(keys)
-    idx, redraw = _replay(states, pools, batch_size, steps)
-    seeds = rng.row_seeds(master_seed, keys.shape[0])
-    for k in np.flatnonzero(redraw):
-        idx[k] = draw_batches(rng.substream(seeds[k], *keys[k].tolist()), pools,
-                              batch_size, steps)
-    return idx
-
-
-@functools.cache
-def replicas_hold() -> bool:
-    """Whether this numpy seeds and samples as the replicas replay it: the
-    raw words of one probe substream, short enough for ``rng.state_words``
-    to compute them on arrays, and one ``choice`` on a second.
-    Checked once per process; when it fails, every draw is made through
-    numpy, slower but the same."""
-    seed, n, m = 2**63 - 1, 20, 8
-    keys = np.array([[rng.LOCAL_BATCH, 7, 2**40], [rng.COMPRESSION, 8, 1]])
-    words = rng.state_words(rng.seeded_states(seed, keys), m)
-    idx, void = _replay_choice(words[1:], (np.arange(n),), m, 1)
-    gens = [rng.substream(seed, *key) for key in keys.tolist()]
-    return (words[0].tolist() == gens[0].bit_generator.random_raw(m).tolist()
-            and not void[0]
-            and idx.reshape(-1).tolist() == gens[1].choice(n, size=m, replace=False).tolist())
-
-
-def _replay(states, pools, m: int, steps: int):
-    """``_replay_choice`` on the raw words of the PCG64 ``states``, computed
-    chunk of rows by chunk of rows, with every row void where the replay
-    does not hold: numpy samples a pool over 10,000 points by tail shuffle
-    once m > n // 50, and a numpy whose seeding or sampling differs fails
-    ``replicas_hold``."""
-    idx = np.empty((len(states), steps, len(pools), m), dtype=np.int64)
-    void = np.ones(len(states), dtype=bool)
-    if replicas_hold() and all(pool.size <= _FLOYD_MAX_POP or m <= pool.size // 50
-                               for pool in pools):
-        n_draws = int(np.sum(_draw_bounds(pools, m, steps) > 0))
-        # rows are replayed in chunks of at most _REPLAY_DRAWS draws, and at
-        # least one row; a stream may take no bounded draw at all
-        rows = max(1, _REPLAY_DRAWS // max(n_draws, 1))
-        for lo in range(0, len(states), rows):
-            chunk = slice(lo, lo + rows)
-            idx[chunk], void[chunk] = _replay_choice(
-                rng.state_words(states[chunk], (n_draws + 1) // 2), pools, m, steps)
-    return idx, void
-
-
-def _draw_bounds(pools, m: int, steps: int) -> np.ndarray:
-    """The bound of every draw slot of ``choice(pool.size, m, replace=False)``
-    per step and pool, in stream order: (steps, pools, 2m - 1), Floyd's
-    sample and then the shuffle."""
-    floyd = np.array([pool.size for pool in pools])[:, None] - m + np.arange(m)
-    shuffle = np.broadcast_to(np.arange(m - 1, 0, -1), (len(pools), m - 1))
-    return np.tile(np.concatenate([floyd, shuffle], axis=1), (steps, 1, 1))
-
-
-def _replay_choice(words: np.ndarray, pools, m: int, steps: int):
-    """``pool[0] + choice(pool.size, m, replace=False)`` per step and pool,
-    in that order, replayed on each row of the raw words ``words`` (K, W),
-    and the (K,) mask of rows whose replay is void by a Lemire rejection.
-
-    ``choice(n, m, replace=False)`` runs Floyd's sample, a bounded draw in
-    [0, j] for j = n-m .. n-1 that keeps a repeated value's j instead, then
-    shuffles with a draw in [0, i] for i = m-1 .. 1.  A bound of 0 takes no
-    draw.  Each bounded draw takes one uint32 u, and each raw word gives two,
-    low half first: the value is (u (b+1)) >> 32, unless the low 32 bits of
-    u (b+1) fall below 2**32 mod (b+1), where numpy rejects u and draws again.
-    """
-    n_keys = words.shape[0]
-    offsets = np.array([pool[0] for pool in pools], dtype=np.int64)
-    bounds = _draw_bounds(pools, m, steps)
-    floyd = bounds[0, :, :m, None]
-    drawn = bounds > 0
-    span = bounds[drawn].astype(np.uint64)[:, None] + np.uint64(1)
-    # the uint32 draws lead and the keys trail: (draws, K); a little-endian
-    # word is its low half first
-    u = np.ascontiguousarray(words.astype("<u8", copy=False).view("<u4")[:, :span.size].T)
-    scaled = u * span
-    rejected = np.any((scaled & np.uint64(_MASK32)) < (np.uint64(1 << 32) % span), axis=0)
-    # the values by draw slot, then step, pool and key: (2m - 1, steps, pools, K)
-    shape = (2 * m - 1, steps, len(pools))
-    slots = np.arange(drawn.size).reshape(shape).transpose(1, 2, 0)[drawn]
-    vals = np.zeros((drawn.size, n_keys), dtype=np.int64)
-    vals[slots] = scaled >> np.uint64(32)
-    vals = vals.reshape(shape + (n_keys,))
-    idx = np.empty((m,) + vals.shape[1:], dtype=np.int64)
-    for s in range(m):
-        seen = np.any(idx[:s] == vals[s], axis=0)
-        idx[s] = np.where(seen, floyd[:, s], vals[s])
-    # the shuffle, on one column per (step, pool, key) of the (m, R) batches
-    batches = idx.reshape(m, -1)
-    flat, cols = batches.reshape(-1), np.arange(batches.shape[1])
-    for s, i in enumerate(range(m - 1, 0, -1)):
-        at = vals[m + s].reshape(-1) * batches.shape[1] + cols
-        swap = flat[at]
-        flat[at] = batches[i]
-        batches[i] = swap
-    out = np.empty((n_keys, steps, len(pools), m), dtype=np.int64)
-    np.add(idx.swapaxes(0, 3), offsets[:, None], out=out)
-    return out, rejected
 
 
 def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha: float,

@@ -26,7 +26,7 @@ SCHEDULES = ("constant", "adaptive")
 # (200 or 300 rounds) is one block.  A stack of K trials takes
 # _BLOCK_ROUNDS // K rounds (at least one) per block, which keeps a block's
 # memory that of one trial's block; the largest part of it, the batch
-# replay's temporaries, is bounded by row chunks (meta._REPLAY_DRAWS)
+# replay's temporaries, is bounded by row chunks (rng._REPLAY_DRAWS)
 _BLOCK_ROUNDS = 320
 # JSON value types accepted for each annotated ExperimentConfig field type
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
@@ -177,6 +177,8 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Config from parsed JSON.  Each value must have its field's type; none
         is coerced, so a valid config keeps its exact values and hash."""
+        if not isinstance(data, dict):
+            raise TypeError("a config must be a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = set(data) - set(types)
         if unknown:
@@ -344,34 +346,28 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     than the one its trial draws, raises ``ValueError`` naming the trial and
     the round before any round runs.
 
-    Per run, before the first round: the rates, a negative one raising
-    ``ValueError``, and every round's draws that do not depend on the
-    iterates (``_round_draws``).  Per block of rounds: its local batches
-    (``_block_batches``) and compression operators.  A round runs the local
-    steps, the error-feedback fold and the power scaling, then, for the
-    trials that can send (finite model differences, a finite rho > 0), the
+    Per run, before the first round: the rates, and every round's draws that do
+    not depend on the iterates (``_round_draws``).  Per block of rounds: its
+    local batches (``_block_batches``) and compression operators.  A round runs
+    the local steps, the error-feedback fold and the power scaling, then, for
+    the trials that can send (finite model differences, a finite rho > 0), the
     memory commit and one call of each transmit stage.  A trial that cannot
-    send, or whose next iterate is not finite, leaves the stack through the
-    one abort step (``_abort``); a round it did not send keeps its records'
-    preset values.  The stages check nothing; what they assume is checked
-    per run (``validate``, the rates, the sampled gains), where a replay
-    log enters, or by the abort step.  A block's records are computed from
-    its rounds' raw outputs after its last round (``_block_records``), the
-    training loss and meta-gradient after the last block, into tables of
-    the run by trial and round; each trial's outputs are its rows of them.
+    send, or whose next iterate is not finite, leaves the stack through the one
+    abort step (``_abort``); a round it did not send keeps its records' preset
+    values.  The stages check nothing; what they assume is checked per run
+    (``validate``, the sampled gains), where a replay log enters, or by the
+    abort step.  A block's records are computed from its rounds' raw outputs
+    after its last round (``_block_records``), the training loss and
+    meta-gradient after the last block, into tables of the run by trial and
+    round; each trial's outputs are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
         raise ValueError("the trials of a stack may differ only in master_seed")
     warnings = cfg.validate()
+    # a valid config's rates are all >= 0, as the local steps and the uplink
+    # of a round assume
     rates = [lr_schedule(cfg, t) for t in range(cfg.rounds)]
-    # the local steps and the uplink of a round assume these; alpha first,
-    # as the local steps take it before the uplink takes eta
-    for eta_t, alpha_t in rates:
-        if alpha_t < 0:
-            raise ValueError("alpha must be >= 0")
-        if eta_t < 0:
-            raise ValueError("eta must be >= 0")
     eta_sq = [sparsify.rate_sq(eta_t) for eta_t, _ in rates]
     replay, comp_rows = _round_draws(cfg, [c.master_seed for c in configs],
                                      channel_replays is None)
@@ -546,12 +542,12 @@ def _round_draws(cfg: ExperimentConfig, seeds: list, sampling: bool):
     every active set (ACTIVE_SET) and, when ``sampling``, every channel
     (CHANNEL), and the compression rows (K, rounds, M) (COMPRESSION).
 
-    One seeding pass gives every stream.  Active sets and compression rows,
-    each ``np.sort(gen.choice(n, m, replace=False))``, are replayed on their
-    raw words; the channel's normals are drawn row by row on one generator,
-    set to each CHANNEL stream's seeded state, and made into every round's
-    gains and noise at once (``ch.channel_draws``).  The sampled gains are
-    checked nonzero once, since every scheduled device transmits."""
+    One seeding pass gives every stream.  Active sets and compression rows
+    are each ``np.sort(gen.choice(n, m, replace=False))``
+    (``rng.stream_batches``); the channel's normals (``rng.stream_normals``)
+    are made into every round's gains and noise at once
+    (``ch.channel_draws``).  The sampled gains are checked nonzero once,
+    since every scheduled device transmits."""
     n_trials, n_rounds = len(seeds), cfg.rounds
     rounds = np.tile(np.arange(n_rounds), n_trials)  # a trial's rounds, trial by trial
     tags = [rng.ACTIVE_SET, rng.COMPRESSION] + ([rng.CHANNEL] if sampling else [])
@@ -562,20 +558,12 @@ def _round_draws(cfg: ExperimentConfig, seeds: list, sampling: bool):
                                (key_seeds, keys, rng.seeded_states(key_seeds, keys)))
     replay = np.zeros((n_trials, n_rounds), dtype=ch.replay_dtype(cfg.n_active, cfg.channel_uses))
     replay["active"], comp_rows = (
-        np.sort(meta.stream_batches(key_seeds[i], keys[i], states[i], (np.arange(n),), m, 1)
+        np.sort(rng.stream_batches(key_seeds[i], keys[i], states[i], (np.arange(n),), m, 1)
                 ).reshape(n_trials, n_rounds, m)
         for i, (n, m) in enumerate([(cfg.n_devices, cfg.n_active), (cfg.dim, cfg.channel_uses)]))
     if sampling:
-        literal, gen = not meta.replicas_hold(), np.random.Generator(np.random.PCG64(0))
-        z = np.empty((rounds.size, ch.channel_normals(cfg.n_active, cfg.fading,
-                                                      cfg.channel_uses)))
-        for row, t, seed, seeded in zip(z, rounds.tolist(), key_seeds[2],
-                                        rng.state_dicts(states[2])):
-            if literal:
-                gen = rng.substream(seed, rng.CHANNEL, t)
-            else:
-                gen.bit_generator.state = seeded
-            gen.standard_normal(out=row)
+        z = rng.stream_normals(key_seeds[2], keys[2], states[2],
+                               ch.channel_normals(cfg.n_active, cfg.fading, cfg.channel_uses))
         gains, noise = ch.channel_draws(z.reshape(n_trials, n_rounds, z.shape[1]), cfg.n_active,
                                         cfg.fading, cfg.effective_noise_var())
         if (gains == 0).any():
@@ -591,8 +579,8 @@ def _block_batches(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
     sets are ``active`` (K, rounds, n_active): what the LOCAL_BATCH
     substream of each active device in its round draws.
 
-    One seeding pass gives every device stream, and the batches are
-    replayed on their raw words.  All Q steps are drawn up front; a
+    One seeding pass gives every device stream, and
+    ``rng.stream_batches`` the batches.  All Q steps are drawn up front; a
     substream serves one device in one round, so a device that stops early
     only leaves its later draws unused."""
     n_trials, n_rounds = active.shape[:2]
@@ -602,8 +590,8 @@ def _block_batches(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
                             active.reshape(-1)])
     seeds = np.repeat(np.array([state.seeds[k] for k in trials.tolist()], dtype=object),
                       n_rounds * cfg.n_active)
-    batches = meta.stream_batches(seeds, keys, rng.seeded_states(seeds, keys), state.pools,
-                                  cfg.batch_size, cfg.local_steps)
+    batches = rng.stream_batches(seeds, keys, rng.seeded_states(seeds, keys), state.pools,
+                                 cfg.batch_size, cfg.local_steps)
     return batches.reshape(active.shape + batches.shape[1:])
 
 

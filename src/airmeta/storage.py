@@ -185,17 +185,27 @@ def write_replay_csv(traj: Trajectory, path) -> None:
 
 def read_replay_csv(path) -> np.ndarray:
     """Inverse of write_replay_csv: the log, one ``channel.replay_dtype`` row
-    per round.  The log must number its rounds 0..T-1 and give each exactly
-    one noise row of M values and as many device rows as round 0, every cell
-    a number; a ValueError names the first round that does not.  A log
+    per round.  The log must have a header, number its rounds 0..T-1 and
+    give each exactly one noise row of M values and as many device rows as
+    round 0, every cell a number; a ValueError names the log, and the first
+    round that does not or the line whose round is no integer.  A log
     without rounds reads as an empty one without devices.  The numbers are
     parsed round by round and placed by field at once."""
     rounds = defaultdict(lambda: ([], []))  # round -> (device rows, noise rows)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        m = sum(1 for name in next(reader) if name.startswith("noise_re_"))
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"replay log {path} is empty: it has no header")
+        m = sum(1 for name in header if name.startswith("noise_re_"))
         for row in reader:  # device_id -1 marks the noise row
-            rounds[int(row[0])][row[1] == "-1"].append(row)
+            try:
+                t = int(row[0])
+            except (ValueError, IndexError):
+                raise ValueError(f"replay log {path}: line {reader.line_num} has no integer "
+                                 "round") from None
+            # a row of one cell is a device row, short of its cells
+            rounds[t][row[1:2] == ["-1"]].append(row)
     n_rounds = max(rounds, default=-1) + 1
     rn = len(rounds[0][0]) if n_rounds else 0
     # round by round: the device ids, and the gains' parts device by device,
@@ -223,13 +233,20 @@ def read_replay_csv(path) -> np.ndarray:
 
 def write_datasets_csv(data, path) -> None:
     """Stacked device datasets for inspection: device_id, split,
-    x_0..x_{d-1}, y."""
+    x_0..x_{d-1}, y.  The lines are what ``csv.writer`` writes (no cell
+    needs quoting); each device's run of rows of one split is formatted at
+    most ``_CSV_LINES`` lines at a time, with one template that holds the
+    device id and the split as literals."""
     d = data.x.shape[-1]
-    splits = ["train" if i < data.m_tr else "val" for i in range(data.m)]
-    write_csv(["device_id", "split"] + [f"x_{j}" for j in range(d)] + ["y"],
-              ((dev_id, split, *x_row, y_row)
-               for dev_id, (x, y) in enumerate(zip(data.x.tolist(), data.y.tolist()))
-               for split, x_row, y_row in zip(splits, x, y)), path)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["device_id", "split"] + [f"x_{j}" for j in range(d)] + ["y"]) + _EOL)
+        for dev_id, (x, y) in enumerate(zip(data.x, data.y)):
+            for split, start, stop in (("train", 0, data.m_tr), ("val", data.m_tr, data.m)):
+                line = f"{dev_id},{split}" + ",%.17g" * (d + 1) + _EOL
+                for lo in range(start, stop, _CSV_LINES):
+                    hi = min(lo + _CSV_LINES, stop)
+                    cells = np.column_stack([x[lo:hi], y[lo:hi]])
+                    fh.write(line * (hi - lo) % tuple(cells.ravel().tolist()))
 
 
 def write_json(data: dict, path) -> None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, meta, metrics, report, sparsify, sweeps, tasks
+from . import channel, meta, metrics, report, rng, sparsify, sweeps, tasks
 from .protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
                        memory_identity_residuals, run_experiment, run_stack)
 
@@ -159,7 +159,7 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
         gamma_sq = max(gamma_sq, float(np.sum((per_dev - grad_mean) ** 2)))
         # n_draws one-step estimates at theta: draw_batches' step axis is
         # the stack's row axis
-        idx = meta.draw_batches(gen, pools, m_b, n_draws)
+        idx = rng.draw_batches(gen, pools, m_b, n_draws)
         ests = meta.meta_grad_estimate(np.tile(theta, (n_draws, 1)), ds.x[idx], ds.y[idx], alpha)
         sigma_sq = max(sigma_sq, float(np.mean(np.sum((ests - per_dev) ** 2, axis=1))))
     drift_sq = []
@@ -168,7 +168,7 @@ def check_local_drift(seed: int = 0, n_draws: int = 300) -> VerifyResult:
         # q local steps from theta, ``runs`` times; local_rounds takes all q
         # steps' batches up front, which draws what lazy per-step draws would
         # as long as no row stops early
-        idx = meta.draw_batches(gen, pools, m_b, q * runs).reshape(runs, q, 3, m_b)
+        idx = rng.draw_batches(gen, pools, m_b, q * runs).reshape(runs, q, 3, m_b)
         _, iterates = meta.local_rounds(theta, tasks.stack_datasets([ds]), idx.swapaxes(0, 1),
                                         alpha, eta, np.zeros(runs, dtype=np.int64))
         drift_sq.extend(np.max(np.sum((iterates - theta) ** 2, axis=-1), axis=0).tolist())

@@ -25,8 +25,8 @@ def noiseless_thetas(traj) -> np.ndarray:
         eta_t, alpha_t = lr_schedule(cfg, t)
         active = sample_active_set(cfg.n_devices, cfg.active_fraction,
                                    rng.substream(cfg.master_seed, rng.ACTIVE_SET, t))
-        idx = np.stack([meta.draw_batches(rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i),
-                                          pools, cfg.batch_size, cfg.local_steps)
+        idx = np.stack([rng.draw_batches(rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, i),
+                                         pools, cfg.batch_size, cfg.local_steps)
                         for i in active], axis=1)
         deltas, _ = meta.local_rounds(thetas[-1], traj.datasets.devices(active), idx,
                                       alpha_t, eta_t, np.arange(len(active)))

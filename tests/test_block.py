@@ -11,11 +11,11 @@ computation (``oracles.rounds_of``), also in a stack whose trials abort at
 different rounds; the oracle cases also take the matched estimate and the
 noiseless pseudo-inverse fallback.  A replay log whose active sets differ
 from the drawn ones, or that holds a zero gain, is rejected before any round
-runs, and so is a negative rate.  A run seeds its active-set, compression
-and channel streams in one pass before its first round, and each block its
-batch streams in one more.  A numpy on which the replicas fail their
-self-check must give the same runs.  A 5-trial stack of the sweep base
-stays under a fixed memory peak.
+runs, and every valid config's rates are >= 0.  A run seeds its active-set,
+compression and channel streams in one pass before its first round, and
+each block its batch streams in one more.  A numpy on which the replicas
+fail their self-check must give the same runs.  A 5-trial stack of the
+sweep base stays under a fixed memory peak.
 """
 import dataclasses
 import json
@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airmeta import meta, metrics, protocol, rng, tasks
 from airmeta.protocol import ExperimentConfig, run_experiment
@@ -165,29 +167,28 @@ def test_a_bad_replay_log_runs_no_local_step_kernel(fault, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("rate", ["eta", "alpha"])
-def test_a_negative_rate_still_raises(rate, monkeypatch):
-    """A round's stages assume rates >= 0, checked once per run before its
-    first round: a schedule that turns one rate negative at round 66, in
-    the second block of 64 rounds, fails the run with the checked stage's
-    message before any local step (``meta.local_rounds``) runs."""
-    schedule = protocol.lr_schedule
+# a rate field of a valid config: any finite float >= 0, -0.0 included
+RATES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]),
+                  st.floats(min_value=0.0, allow_infinity=False))
 
-    def negative_at_66(cfg, t):
-        eta_t, alpha_t = schedule(cfg, t)
-        if t == 66:
-            return (-eta_t, alpha_t) if rate == "eta" else (eta_t, -alpha_t)
-        return eta_t, alpha_t
 
-    calls = []
-    local_rounds = meta.local_rounds
-    monkeypatch.setattr(meta, "local_rounds",
-                        lambda *args, **kw: calls.append(1) or local_rounds(*args, **kw))
-    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 64)
-    monkeypatch.setattr(protocol, "lr_schedule", negative_at_66)
-    with pytest.raises(ValueError, match=rf"^{rate} must be >= 0$"):
-        run_experiment(config())
-    assert calls == []
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(protocol.SCHEDULES), RATES, RATES, RATES, RATES,
+       st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+       st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
+       # below about 1e-310 the constant-rate limit of validate overflows
+       st.floats(min_value=1e-300, allow_infinity=False))
+def test_every_valid_config_has_nonnegative_rates(schedule, eta, alpha, eta_scale, alpha_scale,
+                                                  eta_offset, alpha_offset, input_cov_scale):
+    """A round's stages assume rates >= 0, and ``validate`` establishes it:
+    on either schedule, every round's rates of a config that validates are
+    >= 0, so a run checks no rate."""
+    cfg = config(lr_schedule=schedule, eta=eta, alpha=alpha, eta_scale=eta_scale,
+                 alpha_scale=alpha_scale, eta_offset=eta_offset, alpha_offset=alpha_offset,
+                 input_cov_scale=input_cov_scale, rounds=400)
+    cfg.validate()
+    rates = np.array([protocol.lr_schedule(cfg, t) for t in range(cfg.rounds)])
+    assert (rates >= 0).all()
 
 
 def test_one_seeding_pass_per_run_and_per_block(monkeypatch):
@@ -195,7 +196,7 @@ def test_one_seeding_pass_per_run_and_per_block(monkeypatch):
     compression and channel streams of every trial and round with one
     ``rng.seeded_states`` call, and each block's batch streams with one."""
     configs = trial_configs(config(), 3)
-    assert meta.replicas_hold()  # its own probe seeding happens once, not here
+    assert rng.replicas_hold()  # its own probe seeding happens once, not here
     calls = []
     seeded_states = rng.seeded_states
     monkeypatch.setattr(rng, "seeded_states",
@@ -208,7 +209,7 @@ def test_one_seeding_pass_per_run_and_per_block(monkeypatch):
 def test_sweep_stack_memory_is_bounded():
     """A 5-trial stack of the sweep base, in blocks of 64 rounds, allocates
     at most 24 MB at its peak: the batch replay runs in row chunks
-    (``meta._REPLAY_DRAWS``), and a finished block's arrays are released
+    (``rng._REPLAY_DRAWS``), and a finished block's arrays are released
     before the next block is drawn.  It peaks at 12 MB.  With the finished
     block kept alive it peaks at 15 MB, with the replay in one piece as well
     at 28 MB, and as one block of the whole run at 62 MB."""
@@ -229,7 +230,7 @@ def test_generalization_run_seeds_only_its_devices(monkeypatch):
     generalization config makes a substream only for each device's task and
     data, unless a key takes the literal fallback (none does here)."""
     cfg = ExperimentConfig.from_dict(json.loads((CONFIGS / "generalization.json").read_text()))
-    assert meta.replicas_hold()  # its own probe draws happen once, not here
+    assert rng.replicas_hold()  # its own probe draws happen once, not here
     calls = []
     substream = rng.substream
     monkeypatch.setattr(rng, "substream", lambda *key: calls.append(key) or substream(*key))
@@ -242,12 +243,12 @@ def test_generalization_run_seeds_only_its_devices(monkeypatch):
 class TestSelfCheck:
     @pytest.fixture
     def fresh_check(self):
-        meta.replicas_hold.cache_clear()
+        rng.replicas_hold.cache_clear()
         yield
-        meta.replicas_hold.cache_clear()
+        rng.replicas_hold.cache_clear()
 
     def test_replicas_hold_on_this_numpy(self, fresh_check):
-        assert meta.replicas_hold()
+        assert rng.replicas_hold()
 
     @pytest.mark.parametrize("fault", ["seeding", "choice"])
     def test_a_failed_check_draws_everything_through_numpy(self, fault, monkeypatch,
@@ -258,13 +259,13 @@ class TestSelfCheck:
         if fault == "seeding":
             monkeypatch.setattr(rng, "_PCG64_MULT", rng._PCG64_MULT + 2)
         else:
-            replay_choice = meta._replay_choice
+            replay_choice = rng._replay_choice
 
             def reversed_replay(*args):
                 idx, void = replay_choice(*args)
                 return idx[..., ::-1], void
 
-            monkeypatch.setattr(meta, "_replay_choice", reversed_replay)
-        meta.replicas_hold.cache_clear()
-        assert not meta.replicas_hold()
+            monkeypatch.setattr(rng, "_replay_choice", reversed_replay)
+        rng.replicas_hold.cache_clear()
+        assert not rng.replicas_hold()
         assert run_fields(run_experiment(config())) == want

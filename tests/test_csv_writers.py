@@ -1,11 +1,11 @@
 """The bulk CSV writers format up to ``storage._CSV_LINES`` lines with one
 ``%`` operation: ``write_csv`` a chunk of number rows whose cells share
-their types, ``write_replay_csv`` a chunk of rounds.  The bytes must be what
-``csv.writer`` writes cell by cell (``oracles.write_csv``,
-``oracles.write_replay_csv`` and, for the datasets that ``write_csv``
-writes as text rows, ``oracles.write_datasets_csv``), whatever the chunk
-size, and every replay log must read back bit for bit through
-``storage.read_replay_csv``."""
+their types, ``write_replay_csv`` a chunk of rounds and
+``write_datasets_csv`` a chunk of one device's rows of one split.  The
+bytes must be what ``csv.writer`` writes cell by cell
+(``oracles.write_csv``, ``oracles.write_replay_csv`` and
+``oracles.write_datasets_csv``), whatever the chunk size, and every replay
+log must read back bit for bit through ``storage.read_replay_csv``."""
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import storage
+from airmeta import storage, tasks
 from airmeta.channel import replay_dtype
 from airmeta.protocol import ExperimentConfig, run_experiment
 
@@ -75,10 +75,25 @@ def test_shipped_configs(name, runs, tmp_path):
 
 @pytest.mark.parametrize("name", ["convergence", "generalization"])
 def test_datasets_csv(name, runs, tmp_path):
-    """Dataset rows hold text, so ``write_csv`` writes each through
-    ``csv.writer``, as the oracle does."""
+    """Each device's rows of one split are formatted by one template, and
+    are what the oracle writes through ``csv.writer``."""
     assert same_bytes(tmp_path, storage.write_datasets_csv, oracles.write_datasets_csv,
                       runs[name].datasets)
+
+
+@pytest.mark.parametrize("lines", [71, 1])
+@pytest.mark.parametrize("name", ["convergence", "generalization", "special"])
+def test_datasets_csv_across_chunks(name, lines, runs, tmp_path, monkeypatch):
+    """Chunks of 71 lines, which leave a 75-row training split a partial
+    last chunk, and of one line; the "special" datasets hold every value of
+    ``SPECIAL`` in their points and labels."""
+    if name == "special":
+        cells = np.resize(SPECIAL, 3 * 10 * 4).reshape(3, 10, 4)
+        data = tasks.Dataset(x=cells[..., :3], y=cells[..., 3], m_tr=7, m_va=3)
+    else:
+        data = runs[name].datasets
+    monkeypatch.setattr(storage, "_CSV_LINES", lines)
+    assert same_bytes(tmp_path, storage.write_datasets_csv, oracles.write_datasets_csv, data)
 
 
 @pytest.mark.parametrize("name", ["aborted", "noise_var"])

@@ -4,6 +4,7 @@ import pytest
 from airmeta import meta, tasks
 from airmeta.meta import local_rounds, meta_grad_estimate
 from airmeta.protocol import ExperimentConfig
+from airmeta.rng import draw_batches
 from airmeta.tasks import (Dataset, TaskEnvironment, sample_dataset, sample_device,
                            stack_datasets)
 
@@ -26,14 +27,14 @@ def orthonormal_design(w, copies=1):
 def estimate(theta, ds, alpha, batch, gen):
     """meta_grad_estimate of one device, as a one-row stack, on one step's
     batches drawn from ``gen``."""
-    idx = meta.draw_batches(gen, meta.batch_pools(ds, batch), batch, 1)
+    idx = draw_batches(gen, meta.batch_pools(ds, batch), batch, 1)
     return meta_grad_estimate(theta[None], ds.x[idx], ds.y[idx], alpha)[0]
 
 
 def local(theta, ds, alpha, steps, batch, eta, gen):
     """(delta, iterates) of one device's local_rounds, as a one-row stack, on
     the batches of all its steps drawn from ``gen``."""
-    idx = meta.draw_batches(gen, meta.batch_pools(ds, batch), batch, steps)
+    idx = draw_batches(gen, meta.batch_pools(ds, batch), batch, steps)
     delta, iterates = local_rounds(theta, stack_datasets([ds]), idx[:, None], alpha, eta,
                                    np.arange(1))
     return delta[0], iterates[:, 0]

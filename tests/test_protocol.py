@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from airmeta import report, storage
 from airmeta import rng as streams
-from airmeta.meta import batch_pools, draw_batches, local_rounds
+from airmeta.meta import batch_pools, local_rounds
 from airmeta.protocol import (ExperimentConfig, constant_rate_limit, lr_schedule,
                               meets_constant_rate, memory_identity_residuals,
                               replay_experiment, run_experiment)
+from airmeta.rng import draw_batches
 
 from noiseless import noiseless_thetas
 from oracles import sample_active_set

@@ -1,8 +1,8 @@
 """The array replicas of numpy's stream seeding and sampling.
 
 ``rng.seeded_states`` must give the seeded PCG64 state of ``rng.substream``,
-and ``rng.state_words`` on it that substream's raw words; ``meta.stream_batches`` the
-indices of ``meta.draw_batches`` on that substream; sorted, its draw on the
+and ``rng.state_words`` on it that substream's raw words; ``rng.stream_batches`` the
+indices of ``rng.draw_batches`` on that substream; sorted, its draw on the
 one pool ``np.arange(n)`` is the sorted ``choice`` that draws a round's
 active set and compression rows.  ``state_words`` computes streams of up
 to ``rng._ARRAY_WORDS`` words on arrays and longer ones through numpy; both
@@ -13,15 +13,17 @@ the draw of ``oracles.sample_channel`` on a generator set to the seeded
 state, drawn as a block's normals that ``channel_draws`` makes into gains
 and noise.  All of
 them replay numpy's algorithms on arrays, so a numpy whose seeding or
-sampling differs fails here first; at run time ``meta.replicas_hold`` then
+sampling differs fails here first; at run time ``rng.replicas_hold`` then
 sends every draw through numpy.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel, meta, rng
+from airmeta import channel, rng
 
 from oracles import sample_active_set, sample_channel
 
@@ -39,25 +41,25 @@ def contiguous_pools(sizes):
 
 def replay(master_seed, keys, pools, batch_size, steps):
     """The replay alone, before any key is redrawn: (indices, void rows)."""
-    return meta._replay(rng.seeded_states(master_seed, keys), pools, batch_size, steps)
+    return rng._replay(rng.seeded_states(master_seed, keys), pools, batch_size, steps)
 
 
 def stream_batches(master_seed, keys, pools, batch_size, steps):
-    """``meta.stream_batches`` on the seeded states of ``keys``."""
-    return meta.stream_batches(master_seed, keys, rng.seeded_states(master_seed, keys), pools,
-                               batch_size, steps)
+    """``rng.stream_batches`` on the seeded states of ``keys``."""
+    return rng.stream_batches(master_seed, keys, rng.seeded_states(master_seed, keys), pools,
+                              batch_size, steps)
 
 
 def sorted_choices(master_seed, keys, states, n, m):
     """``np.sort(gen.choice(n, m, replace=False))`` on each key's substream,
     as a run draws it."""
-    return np.sort(meta.stream_batches(master_seed, keys, states, (np.arange(n),), m,
-                                       1)[:, 0, 0], axis=1)
+    return np.sort(rng.stream_batches(master_seed, keys, states, (np.arange(n),), m,
+                                      1)[:, 0, 0], axis=1)
 
 
 def literal(master_seed, keys, pools, batch_size, steps):
-    return np.stack([meta.draw_batches(rng.substream(master_seed, *key), pools, batch_size,
-                                       steps)
+    return np.stack([rng.draw_batches(rng.substream(master_seed, *key), pools, batch_size,
+                                      steps)
                      for key in keys.tolist()]).reshape(
         (keys.shape[0], steps, len(pools), batch_size))
 
@@ -93,7 +95,7 @@ def raw_words(states, n_words):
     """numpy's ``random_raw`` from each row of the PCG64 ``states``."""
     bits = np.random.PCG64(0)
     out = []
-    for state in rng.state_dicts(states):
+    for state in rng._state_dicts(states):
         bits.state = state
         out.append(bits.random_raw(n_words))
     return np.array(out, dtype=np.uint64).reshape(len(states), n_words)
@@ -149,11 +151,11 @@ class TestStateWords:
         seeding stays right."""
         steps = rng._lcg_steps
         monkeypatch.setattr(rng, "_lcg_steps", lambda mult, n: steps(mult + 2, n))
-        meta.replicas_hold.cache_clear()
+        rng.replicas_hold.cache_clear()
         try:
-            assert not meta.replicas_hold()
+            assert not rng.replicas_hold()
         finally:
-            meta.replicas_hold.cache_clear()
+            rng.replicas_hold.cache_clear()
 
 
 class TestStreamBatches:
@@ -195,11 +197,11 @@ class TestStreamBatches:
         pools, m, steps = contiguous_pools([75, 37, 38]), 16, 5
         keys = np.array([[rng.LOCAL_BATCH, t, i] for t in range(65016, 65026)
                          for i in range(3, 9)])
-        n_draws = int(np.sum(meta._draw_bounds(pools, m, steps) > 0))
+        n_draws = int(np.sum(rng._draw_bounds(pools, m, steps) > 0))
         want, took_more = [], []
         for key in keys.tolist():
             gen = rng.substream(0, *key)
-            want.append(meta.draw_batches(gen, pools, m, steps))
+            want.append(rng.draw_batches(gen, pools, m, steps))
             # a draw without rejection takes n_draws uint32s: the low, then the
             # high half of each raw word
             ref = rng.substream(0, *key).bit_generator
@@ -228,13 +230,13 @@ class TestStreamBatches:
         indices on every row that is not void."""
         pools, m, steps = shape
         keys = np.array([[rng.LOCAL_BATCH, 65021, i] for i in range(7)])
-        n_draws = int(np.sum(meta._draw_bounds(pools, m, steps) > 0))
-        monkeypatch.setattr(meta, "_REPLAY_DRAWS", 10**9)
+        n_draws = int(np.sum(rng._draw_bounds(pools, m, steps) > 0))
+        monkeypatch.setattr(rng, "_REPLAY_DRAWS", 10**9)
         want = replay(0, keys, pools, m, steps)
         literal_rows = literal(0, keys, pools, m, steps)
         assert want[0][~want[1]].tobytes() == literal_rows[~want[1]].tobytes()
         for budget in (1, n_draws, 3 * n_draws, (len(keys) + 5) * n_draws):
-            monkeypatch.setattr(meta, "_REPLAY_DRAWS", budget)
+            monkeypatch.setattr(rng, "_REPLAY_DRAWS", budget)
             got = replay(0, keys, pools, m, steps)
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], budget
 
@@ -249,7 +251,8 @@ class TestStreamBatches:
 
 class TestRoundStreams:
     """The per-round streams of a run: ACTIVE_SET and COMPRESSION by the
-    sorted-choice replay, CHANNEL by numpy's own draws from the seeded state."""
+    sorted-choice replay, CHANNEL by numpy's own draws from the seeded state
+    (``rng.stream_normals``)."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(SEEDS, st.integers(1, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
@@ -272,7 +275,7 @@ class TestRoundStreams:
             got = sorted_choices(master_seed, keys, states, n, m)
             assert got.tobytes() == np.array(want).tobytes()
             # the replay itself, not only its redraws
-            replayed, void = meta._replay(states, (np.arange(n),), m, 1)
+            replayed, void = rng._replay(states, (np.arange(n),), m, 1)
             sorted_rows = np.sort(replayed.reshape(n_rounds, m), axis=1)
             assert sorted_rows[~void].tobytes() == got[~void].tobytes()
 
@@ -284,7 +287,7 @@ class TestRoundStreams:
         keys = np.array([[rng.CHANNEL, t] for t in range(5)])
         gen = np.random.Generator(np.random.PCG64(0))
         for key, state in zip(keys.tolist(),
-                              rng.state_dicts(rng.seeded_states(master_seed, keys))):
+                              rng._state_dicts(rng.seeded_states(master_seed, keys))):
             gen.bit_generator.state = state
             got = sample_channel(n_active, fading, 0.3, m_uses, gen)
             want = sample_channel(n_active, fading, 0.3, m_uses, rng.substream(master_seed, *key))
@@ -300,7 +303,7 @@ class TestRoundStreams:
         keys = np.array([[rng.CHANNEL, t] for t in range(6)])
         gen = np.random.Generator(np.random.PCG64(0))
         z = np.empty((len(keys), channel.channel_normals(n_active, fading, m_uses)))
-        for row, state in zip(z, rng.state_dicts(rng.seeded_states(7, keys))):
+        for row, state in zip(z, rng._state_dicts(rng.seeded_states(7, keys))):
             gen.bit_generator.state = state
             gen.standard_normal(out=row)
         gains, noise = channel.channel_draws(z.reshape(2, 3, -1), n_active, fading, noise_var)
@@ -310,6 +313,29 @@ class TestRoundStreams:
             np.array([g for g, _ in want]).tobytes()
         assert noise.reshape(len(keys), -1).tobytes() == \
             np.array([n for _, n in want]).tobytes()
+
+    @pytest.mark.parametrize("replicas", [True, False], ids=["replicas", "numpy"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.one_of(SEEDS, st.lists(SEEDS, min_size=4, max_size=4)), st.integers(1, 60))
+    @example([2**32 - 1, 2**32, -1, 0], 1)
+    def test_stream_normals_are_each_substreams_draw(self, replicas, master_seed, n):
+        """Row k of ``stream_normals`` is ``standard_normal(n)`` on the
+        substream of key k, drawn from its seeded state while the replicas
+        hold and through ``substream`` once ``replicas_hold`` fails."""
+        keys = np.array([[rng.CHANNEL, 0], [rng.CHANNEL, 2**40], [rng.LOCAL_BATCH, 3],
+                         [rng.CHANNEL, -5]])
+        seeds = master_seed if isinstance(master_seed, list) else [master_seed] * len(keys)
+        want = np.array([rng.substream(seed, *key).standard_normal(n)
+                         for seed, key in zip(seeds, keys.tolist())])
+        calls = []
+        substream = rng.substream
+        with mock.patch.object(rng, "substream",
+                               lambda *key: calls.append(key) or substream(*key)):
+            with mock.patch.object(rng, "replicas_hold", lambda: replicas):
+                got = rng.stream_normals(master_seed, keys, rng.seeded_states(master_seed, keys),
+                                         n)
+        assert got.shape == (len(keys), n) and got.tobytes() == want.tobytes()
+        assert len(calls) == (0 if replicas else len(keys))
 
     def test_tail_shuffle_choice_is_drawn_by_numpy(self):
         keys = np.array([[rng.ACTIVE_SET, 0], [rng.ACTIVE_SET, 1]])

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from airmeta import channel, meta, sparsify, tasks
+from airmeta.rng import draw_batches
 
 import oracles
 
@@ -21,7 +22,7 @@ def gens(seed, n):
 
 def batches(seed, n, pools, batch, steps):
     """(Q, n, 3, m_B) batch indices, device i's drawn from ``gens(seed, n)[i]``."""
-    return np.stack([meta.draw_batches(gen, pools, batch, steps)
+    return np.stack([draw_batches(gen, pools, batch, steps)
                      for gen in gens(seed, n)], axis=1)
 
 

@@ -122,7 +122,7 @@ class TestStorage:
 
     @pytest.mark.parametrize("edit", ["drop_noise_row", "double_noise_row", "drop_round",
                                       "short_noise_row", "ragged_round", "bad_gain",
-                                      "bad_device_id"])
+                                      "bad_device_id", "one_cell_row"])
     def test_malformed_replay_log_names_the_round(self, tmp_path, edit):
         """With full participation a shifted log would still pass the
         active-set check, so the reader itself rejects a round without
@@ -145,11 +145,35 @@ class TestStorage:
             cells = device_row.split(",")
             col = 2 if edit == "bad_gain" else 1
             rows[rows.index(device_row)] = ",".join(cells[:col] + [""] + cells[col + 1:])
+        elif edit == "one_cell_row":
+            rows.insert(rows.index(noise_row), "2")
         else:
             rows[rows.index(noise_row)] = noise_row.rsplit(",", 1)[0]
         (tmp_path / "r.csv").write_text("\n".join([header] + rows) + "\n")
         with pytest.raises(ValueError, match="round 2 needs exactly one noise row"):
             read_replay_csv(tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("edit", ["empty", "bad_round", "float_round", "blank_line"])
+    def test_replay_log_without_rounds_to_read_names_the_log(self, tmp_path, edit):
+        """An empty file has no header, and a round cell that is no integer,
+        or a blank line, names no round: the error names the log, and the
+        line."""
+        cfg = run_config(n_devices=3, active_fraction=1.0, rounds=6)
+        path = tmp_path / "r.csv"
+        write_replay_csv(run_experiment(cfg), path)
+        header, *rows = path.read_text().splitlines()
+        at = rows.index(next(r for r in rows if r.startswith("2,-1,")))
+        if edit == "empty":
+            path.write_text("")
+            match = "is empty: it has no header"
+        else:
+            rows[at] = {"bad_round": "x" + rows[at][1:], "float_round": "2.0" + rows[at][1:],
+                        "blank_line": ""}[edit]
+            path.write_text("\n".join([header] + rows) + "\n")
+            match = f"line {at + 2} has no integer round"
+        with pytest.raises(ValueError, match=match) as info:
+            read_replay_csv(path)
+        assert str(path) in str(info.value)
 
     def test_dataset_csv_schema(self, tmp_path):
         traj = run_experiment(run_config(rounds=1))
@@ -329,6 +353,12 @@ class TestCli:
     @example(run_config(rounds=1).to_dict() | {"test_samples": 0})
     # zero input variance divided by L_G = 0 in validate (exit 3)
     @example(run_config(rounds=1).to_dict() | {"input_cov_scale": 0.0})
+    # a config that is not a JSON object: a list read as fields (exit 3), a
+    # string as field names
+    @example([])
+    @example("x")
+    @example(5)
+    @example(None)
     def test_invalid_or_wrongly_typed_config_exits_2(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             cfg_path = Path(tmp) / "cfg.json"
@@ -583,6 +613,9 @@ class TestCli:
     def test_sweep_bad_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"axis": "bogus", "values": [1], "base": {}}))
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "s")]) == 2
+        # a base that is not a JSON object is a bad spec, not a runtime error
+        spec_path.write_text(json.dumps({"axis": "snr_db", "values": [10.0], "base": []}))
         assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "s")]) == 2
         # a non-finite axis value is a bad spec, not a failed point
         spec_path.write_text(json.dumps({"axis": "snr_db", "values": [float("nan")],
