@@ -55,7 +55,6 @@ def cmd_run(args) -> int:
     for w in cfg_warnings:  # every trial shares them, so they print once
         print(f"warning: {w}", file=sys.stderr)
 
-    gaps = []
     outputs = {}
     summaries = []
     for k, traj in enumerate(sweeps.run_trials(run_experiment, trials)):
@@ -73,29 +72,26 @@ def cmd_run(args) -> int:
         outputs[f"trial_{k}"] = str(tdir)
         summaries.append(summary)
         if traj.aborted_at is not None:
-            storage.write_manifest(out_dir / "manifest.json", cfg, trial_seeds,
-                                   outputs, time.perf_counter() - t0)
-            # a round that sent has its rho recorded; one that could not
-            # send keeps the preset NaN
-            if np.isnan(traj.records["rho"][traj.aborted_at]):
-                cause = ("it could not send: its model differences are not finite, or its "
-                         "power scale is not a finite positive number")
-            else:
-                cause = "its next iterate is not finite"
-            print(f"error: trial {k} aborted at round {traj.aborted_at}: {cause}",
-                  file=sys.stderr)
-            return EXIT_RUNTIME
-        gaps.append(summary["generalization_gap"])
+            break
         for w in summary["warnings"][len(cfg_warnings):]:  # what this trial adds
             print(f"warning: {w}", file=sys.stderr)
 
-    top = {"trials": summaries[0] if cfg.trials == 1 else summaries}
-    if len(gaps) >= 2:
-        top["generalization_gap_mean"], top["generalization_gap_se"] = metrics.mean_se(gaps)
-    if cfg.trials > 1:
-        storage.write_json(top, out_dir / "summary.json")
+    if traj.aborted_at is None and cfg.trials > 1:
+        gap_mean, gap_se = metrics.mean_se([s["generalization_gap"] for s in summaries])
+        storage.write_json({"trials": summaries, "generalization_gap_mean": gap_mean,
+                            "generalization_gap_se": gap_se}, out_dir / "summary.json")
     storage.write_manifest(out_dir / "manifest.json", cfg, trial_seeds, outputs,
                            time.perf_counter() - t0)
+    if traj.aborted_at is not None:
+        # a round that sent has its rho recorded; one that could not send
+        # keeps the preset NaN
+        if np.isnan(traj.records["rho"][traj.aborted_at]):
+            cause = ("it could not send: its model differences are not finite, or its "
+                     "power scale is not a finite positive number")
+        else:
+            cause = "its next iterate is not finite"
+        print(f"error: trial {k} aborted at round {traj.aborted_at}: {cause}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"run complete: {cfg.trials} trial(s) -> {out_dir}")
     return EXIT_OK
 

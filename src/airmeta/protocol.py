@@ -215,17 +215,19 @@ def lr_schedule(cfg: ExperimentConfig, t: int):
 def constant_rate_limit(q: int, l_f: float) -> float:
     """Largest constant outer rate admitted by the validity condition.
 
-    Solves 160 x^3 + 60 x^2 + 4 x = 1/8 for x = eta*Q*L_F and intersects with
-    eta <= 1/(10*Q*L_F).
+    Solves 160 x^3 + 60 x^2 + 4 x = 1/8 for x = eta*Q*L_F, whose positive
+    root (sqrt(1.4) - 1)/8 is below 0.1, so eta <= 1/(10*Q*L_F) holds too.
+    A tiny L_F gives inf: Python floats divide here, where numpy would warn.
     """
     roots = np.roots([160.0, 60.0, 4.0, -0.125])
-    x = min(r.real for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
-    return float(min(x, 0.1) / (q * l_f))
+    x = min(float(r.real) for r in roots if abs(r.imag) < 1e-12 and r.real > 0)
+    return x / (q * float(l_f))
 
 
 def meets_constant_rate(eta: float, q: int, l_f: float) -> bool:
-    x = eta * q * l_f
-    return 0 < eta <= 1 / (10 * q * l_f) and 60 * x**2 + 160 * x**3 + 4 * x <= 0.125 + 1e-12
+    x = float(eta) * (q * float(l_f))
+    # products of Python floats overflow to inf, where ``**`` would raise
+    return 0 < eta and x * (4 + x * (60 + 160 * x)) <= 0.125 + 1e-12
 
 
 # one round's record, a field per trajectory.csv column but the run-level

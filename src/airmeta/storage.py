@@ -1,8 +1,11 @@
 """File formats: config JSON, run manifest, trajectory/replay/dataset CSV.
 
 Every value is written with repr-precision floats so a rerun from the same
-manifest reproduces each data file byte for byte.  CSV schemas carry a
-version; a schema change bumps SCHEMA_VERSION in the manifest.
+manifest reproduces each data file byte for byte.  The trajectory and the
+replay log are tables of numbers with one line per round, written by
+``write_csv`` and read back by the one strict reader ``read_csv``.  CSV
+schemas carry a version; a schema change bumps SCHEMA_VERSION in the
+manifest.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ import hashlib
 import itertools
 import json
 import platform
-from collections import defaultdict
+import re
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +25,17 @@ from .bounds import BoundReport
 from .channel import replay_dtype
 from .protocol import ExperimentConfig, Trajectory
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # the line end of csv.writer's default dialect, which every CSV file keeps
 _EOL = "\r\n"
 # the most lines the CSV writers format with one % operation; bounds the
 # memory of a pass for any number of rows or rounds
 _CSV_LINES = 4096
+# a line of plain numbers: each an optional sign and decimal digits with an
+# optional point and exponent, or inf or nan, as the writers write them;
+# float() takes more (underscores, padding, "Infinity"), which no table holds
+_NUMBER = r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
+_NUMBER_LINE = re.compile(rf"{_NUMBER}(?:,{_NUMBER})*")
 
 TRAJECTORY_COLUMNS = [
     "round", "grad_norm_sq", "train_loss", "test_loss", "rho", "v", "snr_db",
@@ -144,90 +152,73 @@ def _spec_line(types: tuple):
                     for t in types) + _EOL
 
 
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """The header and the rows of a table of numbers as write_csv writes
+    one, each cell as written.  Every line after the header holds as many
+    cells as the header, each a plain number; a ValueError names the file
+    and the first line that does not.  An empty file has no columns."""
+    with open(path, newline="") as fh:
+        text = fh.read().replace(_EOL, "\n")
+    if not text:
+        return [], []
+    header, *lines = text.removesuffix("\n").split("\n")
+    header = header.split(",")
+    for n, line in enumerate(lines, start=2):
+        if line.count(",") != len(header) - 1 or not _NUMBER_LINE.fullmatch(line):
+            raise ValueError(f"{path}: line {n} is not {len(header)} plain numbers")
+    return header, [line.split(",") for line in lines]
+
+
 def read_trajectory_csv(path) -> dict:
     """Columns as float arrays keyed by name; an empty file has none."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        cols = {name: [] for name in header}
-        for row in reader:
-            for name, val in zip(header, row):
-                cols[name].append(float(val))
-    return {name: np.array(vals) for name, vals in cols.items()}
+    header, rows = read_csv(path)
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return dict(zip(header, values.T))
+
+
+def replay_columns(n_active: int, m_uses: int) -> list[str]:
+    """The replay log's header: the round, then ``channel.replay_dtype``'s
+    fields in order, a column per device id and per real or imaginary part."""
+    return (["round"] + [f"{part}_{i}" for part in ("device", "re_h", "im_h")
+                         for i in range(n_active)]
+            + [f"noise_{part}_{j}" for part in ("re", "im") for j in range(m_uses)])
 
 
 def write_replay_csv(traj: Trajectory, path) -> None:
-    """Realized channel draws: per-round device rows with the fading
-    coefficient, then one row (device_id = -1) carrying the noise block.
-    The lines are what ``csv.writer`` writes (no cell needs quoting); each
-    chunk of rounds is one template filled from a table of its cells."""
-    m = traj.config.channel_uses
-    noise_cols = [f"noise_re_{j}" for j in range(m)] + [f"noise_im_{j}" for j in range(m)]
-    active, gains, noise = (traj.replay[name] for name in ("active", "gains", "noise"))
-    n_rounds, rn = gains.shape
-    round_lines = ("%d,%d,%.17g,%.17g" + "," * 2 * m + _EOL) * rn \
-        + "%d,-1,,," + ",".join(["%.17g"] * 2 * m) + _EOL
-    per_chunk = max(1, _CSV_LINES // (rn + 1))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["round", "device_id", "re_h", "im_h"] + noise_cols) + _EOL)
-        for t0 in range(0, n_rounds, per_chunk):
-            run = slice(t0, min(t0 + per_chunk, n_rounds))
-            n = run.stop - t0
-            # a round's cells in line order: (t, device, re, im) per device,
-            # then t and the noise's real and imaginary parts
-            cells = np.empty((n, 4 * rn + 1 + 2 * m), dtype=object)
-            cells[:, 0:4 * rn:4] = cells[:, 4 * rn:4 * rn + 1] = np.arange(t0, run.stop)[:, None]
-            cells[:, 1:4 * rn:4] = active[run]
-            cells[:, 2:4 * rn:4], cells[:, 3:4 * rn:4] = gains[run].real, gains[run].imag
-            cells[:, 4 * rn + 1:] = np.concatenate([noise[run].real, noise[run].imag], axis=-1)
-            fh.write(round_lines * n % tuple(cells.ravel().tolist()))
+    """Realized channel draws, one line per round in replay_columns order."""
+    log = traj.replay
+    parts = (log["active"], log["gains"].real, log["gains"].imag,
+             log["noise"].real, log["noise"].imag)
+    rows = [(t, *ids, *re_h, *im_h, *re_z, *im_z) for t, (ids, re_h, im_h, re_z, im_z)
+            in enumerate(zip(*(part.tolist() for part in parts)))]
+    write_csv(replay_columns(log.dtype["gains"].shape[0], log.dtype["noise"].shape[0]),
+              rows, path)
 
 
 def read_replay_csv(path) -> np.ndarray:
     """Inverse of write_replay_csv: the log, one ``channel.replay_dtype`` row
-    per round.  The log must have a header, number its rounds 0..T-1 and
-    give each exactly one noise row of M values and as many device rows as
-    round 0, every cell a number; a ValueError names the log, and the first
-    round that does not or the line whose round is no integer.  A log
-    without rounds reads as an empty one without devices.  The numbers are
-    parsed round by round and placed by field at once."""
-    rounds = defaultdict(lambda: ([], []))  # round -> (device rows, noise rows)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"replay log {path} is empty: it has no header")
-        m = sum(1 for name in header if name.startswith("noise_re_"))
-        for row in reader:  # device_id -1 marks the noise row
-            try:
-                t = int(row[0])
-            except (ValueError, IndexError):
-                raise ValueError(f"replay log {path}: line {reader.line_num} has no integer "
-                                 "round") from None
-            # a row of one cell is a device row, short of its cells
-            rounds[t][row[1:2] == ["-1"]].append(row)
-    n_rounds = max(rounds, default=-1) + 1
-    rn = len(rounds[0][0]) if n_rounds else 0
-    # round by round: the device ids, and the gains' parts device by device,
-    # then the noise's
-    active, values = [], []
-    for t in sorted(rounds.keys() | set(range(n_rounds))):
-        devices, noise = rounds[t]
+    per round.  Beyond read_csv's checks, the header must be a log's, the
+    rounds must run 0..T-1 in order and the device ids be integers; a
+    ValueError names the log and the line that is not."""
+    header, rows = read_csv(path)
+    rn = sum(name.startswith("device_") for name in header)
+    m = sum(name.startswith("noise_re_") for name in header)
+    if header != replay_columns(rn, m):
+        raise ValueError(f"{path}: line 1 is not a replay log header")
+    log = np.empty(len(rows), dtype=replay_dtype(rn, m))
+    for t, row in enumerate(rows):
         try:
-            if t < 0 or len(devices) != rn or len(noise) != 1 or len(noise[0]) != 4 + 2 * m:
+            if row[0] != str(t):
                 raise ValueError
-            active += [int(row[1]) for row in devices]
-            values += [float(v) for row in devices for v in (row[2], row[3])]
-            values += map(float, noise[0][4:])
-        except (ValueError, IndexError):
-            raise ValueError(f"replay log {path}: round {t} needs exactly one noise row (device_id"
-                             f" -1) of {m} values and {rn} device rows, all numbers") from None
-    log = np.empty(n_rounds, dtype=replay_dtype(rn, m))
-    log["active"] = np.array(active, dtype=np.int64).reshape(n_rounds, rn)
-    values = np.array(values, dtype=float).reshape(n_rounds, 2 * rn + 2 * m)
-    gains = values[:, :2 * rn].reshape(n_rounds, rn, 2)
-    log["gains"].real, log["gains"].imag = gains[..., 0], gains[..., 1]
-    log["noise"].real, log["noise"].imag = values[:, 2 * rn:2 * rn + m], values[:, 2 * rn + m:]
+            log["active"][t] = [int(v) for v in row[1:1 + rn]]
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}: line {t + 2} is not round {t} with {rn} integer "
+                             "device ids") from None
+    values = np.array([row[1 + rn:] for row in rows], dtype=float)
+    values = values.reshape(len(rows), 2 * rn + 2 * m)
+    re_h, im_h, re_z, im_z = np.split(values, [rn, 2 * rn, 2 * rn + m], axis=1)
+    log["gains"].real, log["gains"].imag = re_h, im_h
+    log["noise"].real, log["noise"].imag = re_z, im_z
     return log
 
 

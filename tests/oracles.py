@@ -322,19 +322,22 @@ def write_csv(columns, rows, path) -> None:
 
 
 def write_replay_csv(traj, path) -> None:
-    """``storage.write_replay_csv`` with every row through ``csv.writer``."""
-    m = traj.config.channel_uses
-    noise_cols = [f"noise_re_{j}" for j in range(m)] + [f"noise_im_{j}" for j in range(m)]
+    """``storage.write_replay_csv`` with every round's line through
+    ``csv.writer``: the round, the device ids, the gains' real and then
+    imaginary parts, and the noise's."""
+    log = traj.replay
+    rn, m = log.dtype["gains"].shape[0], log.dtype["noise"].shape[0]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "device_id", "re_h", "im_h"] + noise_cols)
-        for t, drawn in enumerate(traj.replay):
-            for dev, h in zip(drawn["active"], drawn["gains"]):
-                writer.writerow([t, int(dev), storage._fmt(h.real), storage._fmt(h.imag)]
-                                + [""] * 2 * m)
-            noise = [storage._fmt(v) for v in drawn["noise"].real] + \
-                [storage._fmt(v) for v in drawn["noise"].imag]
-            writer.writerow([t, -1, "", ""] + noise)
+        writer.writerow(["round"] + [f"device_{i}" for i in range(rn)]
+                        + [f"re_h_{i}" for i in range(rn)] + [f"im_h_{i}" for i in range(rn)]
+                        + [f"noise_re_{j}" for j in range(m)]
+                        + [f"noise_im_{j}" for j in range(m)])
+        for t, drawn in enumerate(log):
+            parts = (drawn["gains"].real, drawn["gains"].imag,
+                     drawn["noise"].real, drawn["noise"].imag)
+            writer.writerow([t] + [int(dev) for dev in drawn["active"]]
+                            + [storage._fmt(float(v)) for part in parts for v in part])
 
 
 def write_datasets_csv(data, path) -> None:

@@ -176,8 +176,7 @@ RATES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e308]),
 @given(st.sampled_from(protocol.SCHEDULES), RATES, RATES, RATES, RATES,
        st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
        st.floats(min_value=1.0, exclude_min=True, allow_infinity=False),
-       # below about 1e-310 the constant-rate limit of validate overflows
-       st.floats(min_value=1e-300, allow_infinity=False))
+       st.floats(min_value=5e-324, allow_infinity=False))
 def test_every_valid_config_has_nonnegative_rates(schedule, eta, alpha, eta_scale, alpha_scale,
                                                   eta_offset, alpha_offset, input_cov_scale):
     """A round's stages assume rates >= 0, and ``validate`` establishes it:

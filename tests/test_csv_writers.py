@@ -1,11 +1,12 @@
 """The bulk CSV writers format up to ``storage._CSV_LINES`` lines with one
 ``%`` operation: ``write_csv`` a chunk of number rows whose cells share
-their types, ``write_replay_csv`` a chunk of rounds and
+their types (the replay log's rounds among them) and
 ``write_datasets_csv`` a chunk of one device's rows of one split.  The
 bytes must be what ``csv.writer`` writes cell by cell
 (``oracles.write_csv``, ``oracles.write_replay_csv`` and
 ``oracles.write_datasets_csv``), whatever the chunk size, and every replay
-log must read back bit for bit through ``storage.read_replay_csv``."""
+log must read back bit for bit, with its dtype, through
+``storage.read_replay_csv``."""
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -54,10 +55,10 @@ def same_bytes(tmp_path, write, oracle, *args):
 
 
 def reads_back(tmp_path, replay):
-    """The log written to fast.csv reads back as ``replay``, bit for bit; a
-    log without rounds reads back without rounds."""
+    """The log written to fast.csv reads back as ``replay``, bit for bit and
+    with its dtype, also when it has no rounds."""
     log = storage.read_replay_csv(tmp_path / "fast.csv")
-    return log.tobytes() == replay.tobytes() and (log.dtype == replay.dtype or not len(replay))
+    return log.tobytes() == replay.tobytes() and log.dtype == replay.dtype
 
 
 def check_run_outputs(tmp_path, traj):

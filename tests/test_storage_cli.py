@@ -86,8 +86,7 @@ class TestStorage:
     def test_extreme_floats_round_trip(self, tmp_path):
         """Subnormals, signed zeros, the float range's ends, 17-digit
         values, infinities and NaN in every gain and noise part, and device
-        ids of any size, read back bit for bit, also from rows that come
-        out of order."""
+        ids of any size, read back bit for bit."""
         rn, m, n_rounds = 3, 4, 40
         gen = np.random.default_rng(5)
         extremes = np.array([5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -103,75 +102,90 @@ class TestStorage:
             run_config(n_devices=rn, active_fraction=1.0, channel_uses=m), log)
         write_replay_csv(holder, tmp_path / "r.csv")
         assert read_replay_csv(tmp_path / "r.csv").tobytes() == log.tobytes()
-        header, *lines = (tmp_path / "r.csv").read_text().splitlines()
-        (tmp_path / "r.csv").write_text("\n".join([header] + lines[::-1]) + "\n")
-        reversed_devices = log.copy()
-        reversed_devices["active"] = log["active"][:, ::-1]
-        reversed_devices["gains"] = log["gains"][:, ::-1]
-        assert read_replay_csv(tmp_path / "r.csv").tobytes() == reversed_devices.tobytes()
 
     def test_header_only_replay_log_is_empty(self, tmp_path):
-        """A log without rounds reads back empty and replays a zero-round run."""
+        """A log without rounds reads back empty, with its run's dtype, and
+        replays a zero-round run."""
         cfg = run_config(rounds=0)
         write_replay_csv(run_experiment(cfg), tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_text().count("\n") == 1
         replay = read_replay_csv(tmp_path / "r.csv")
-        assert replay.shape == (0,)
+        assert replay.shape == (0,) and replay.dtype == channel.replay_dtype(2, 4)
         traj = replay_experiment(cfg, replay)
         assert len(traj.records) == 0 and traj.thetas.shape == (1, cfg.dim)
 
-    @pytest.mark.parametrize("edit", ["drop_noise_row", "double_noise_row", "drop_round",
-                                      "short_noise_row", "ragged_round", "bad_gain",
-                                      "bad_device_id", "one_cell_row"])
+    # cells of round 10's line that an edit replaces: (column, text)
+    CELL_EDITS = {"bad_gain": (4, ""), "underscore_gain": (4, "1_0.5"),
+                  "bad_device_id": (1, ""), "float_device_id": (1, "1.0"),
+                  "bad_round": (0, "x"), "float_round": (0, "10.0"),
+                  "underscore_round": (0, "1_0"), "padded_round": (0, " 10")}
+
+    def edited_log(self, path, edit):
+        """The log of a 3-device run of 12 rounds over 4 channel uses, with
+        ``edit`` made to its header or to round 10's line, line 12."""
+        cfg = run_config(n_devices=3, active_fraction=1.0, rounds=12, channel_uses=4)
+        write_replay_csv(run_experiment(cfg), path)
+        header, *lines = [line.split(",") for line in path.read_text().splitlines()]
+        cells = lines[10]
+        if edit in self.CELL_EDITS:
+            col, text = self.CELL_EDITS[edit]
+            cells[col] = text
+        elif edit == "drop_noise_row":
+            del cells[-8:]
+        elif edit == "double_noise_row":
+            cells += cells[-8:]
+        elif edit == "short_noise_row":
+            cells.pop()
+        elif edit == "ragged_round":  # device 1's id and gain
+            del cells[8], cells[5], cells[2]
+        elif edit == "blank_line":
+            lines[10] = []
+        elif edit == "one_cell_row":
+            lines.insert(10, ["10"])
+        elif edit == "drop_round":
+            del lines[10]
+        elif edit == "double_round":
+            lines.insert(10, lines[9])
+        elif edit == "swapped_rounds":
+            lines[10], lines[11] = lines[11], lines[10]
+        elif edit == "swapped_columns":  # re_h_0 and im_h_0
+            header[4], header[7] = header[7], header[4]
+        elif edit == "schema_1_header":  # padded to the width of a line
+            header = (["round", "device_id", "re_h", "im_h"] + header[10:]
+                      + [f"pad_{j}" for j in range(6)])
+        path.write_text("\n".join(",".join(row) for row in [header] + lines) + "\n")
+
+    @pytest.mark.parametrize("edit", [
+        "drop_noise_row", "double_noise_row", "short_noise_row", "ragged_round", "bad_gain",
+        "underscore_gain", "bad_device_id", "float_device_id", "underscore_round",
+        "padded_round", "one_cell_row", "drop_round", "double_round", "swapped_rounds"])
     def test_malformed_replay_log_names_the_round(self, tmp_path, edit):
         """With full participation a shifted log would still pass the
-        active-set check, so the reader itself rejects a round without
-        exactly one whole noise row, a gap in the round numbers, a round
-        with a device row fewer than round 0 and a cell that is no number."""
-        cfg = run_config(n_devices=3, active_fraction=1.0, rounds=6)
-        write_replay_csv(run_experiment(cfg), tmp_path / "r.csv")
-        header, *rows = (tmp_path / "r.csv").read_text().splitlines()
-        noise_row = next(r for r in rows if r.startswith("2,-1,"))
-        if edit == "drop_noise_row":
-            rows.remove(noise_row)
-        elif edit == "double_noise_row":
-            rows.insert(rows.index(noise_row), noise_row)
-        elif edit == "drop_round":
-            rows = [r for r in rows if not r.startswith("2,")]
-        elif edit == "ragged_round":
-            rows.remove(next(r for r in rows if r.startswith("2,1,")))
-        elif edit in ("bad_gain", "bad_device_id"):  # an empty cell
-            device_row = next(r for r in rows if r.startswith("2,1,"))
-            cells = device_row.split(",")
-            col = 2 if edit == "bad_gain" else 1
-            rows[rows.index(device_row)] = ",".join(cells[:col] + [""] + cells[col + 1:])
-        elif edit == "one_cell_row":
-            rows.insert(rows.index(noise_row), "2")
-        else:
-            rows[rows.index(noise_row)] = noise_row.rsplit(",", 1)[0]
-        (tmp_path / "r.csv").write_text("\n".join([header] + rows) + "\n")
-        with pytest.raises(ValueError, match="round 2 needs exactly one noise row"):
+        active-set check, so the reader itself rejects round 10's line with
+        its noise cells dropped, doubled or short of one, a device's cells
+        dropped, a gain or device id that is no plain number or no integer,
+        or a round spelled as only float() would read it, and a line of one
+        cell, a missing, duplicated or swapped round in its place: the
+        error names the log and line 12."""
+        self.edited_log(tmp_path / "r.csv", edit)
+        with pytest.raises(ValueError, match=": line 12 ") as info:
             read_replay_csv(tmp_path / "r.csv")
+        assert str(tmp_path / "r.csv") in str(info.value)
 
-    @pytest.mark.parametrize("edit", ["empty", "bad_round", "float_round", "blank_line"])
+    @pytest.mark.parametrize("edit", ["empty", "swapped_columns", "schema_1_header",
+                                      "bad_round", "float_round", "blank_line"])
     def test_replay_log_without_rounds_to_read_names_the_log(self, tmp_path, edit):
-        """An empty file has no header, and a round cell that is no integer,
-        or a blank line, names no round: the error names the log, and the
-        line."""
-        cfg = run_config(n_devices=3, active_fraction=1.0, rounds=6)
+        """An empty file, or a header that is not a log's (two columns
+        swapped, or the long layout of schema 1), has no rounds to read, and
+        a round cell that is not the round's integer, or a blank line, holds
+        none: the error names the log, and the line."""
         path = tmp_path / "r.csv"
-        write_replay_csv(run_experiment(cfg), path)
-        header, *rows = path.read_text().splitlines()
-        at = rows.index(next(r for r in rows if r.startswith("2,-1,")))
         if edit == "empty":
             path.write_text("")
-            match = "is empty: it has no header"
         else:
-            rows[at] = {"bad_round": "x" + rows[at][1:], "float_round": "2.0" + rows[at][1:],
-                        "blank_line": ""}[edit]
-            path.write_text("\n".join([header] + rows) + "\n")
-            match = f"line {at + 2} has no integer round"
-        with pytest.raises(ValueError, match=match) as info:
+            self.edited_log(path, edit)
+        line = 12 if edit in ("bad_round", "float_round", "blank_line") else 1
+        with pytest.raises(ValueError, match=f": line {line} ") as info:
             read_replay_csv(path)
         assert str(path) in str(info.value)
 
@@ -475,6 +489,7 @@ class TestCli:
         ("summary.json", "truncate"), ("summary.json", "drop_bound"),
         ("manifest.json", "truncate"), ("trajectory.csv", "non_numeric_cell"),
         ("trajectory.csv", "drop_round"), ("trajectory.csv", "empty"),
+        ("trajectory.csv", "padded_cell"),
     ])
     def test_bounds_on_malformed_artifact_exits_2_and_names_it(self, tmp_path, capsys,
                                                               name, edit):
@@ -498,6 +513,8 @@ class TestCli:
             text = text.replace("\n1,", "\nabc,", 1)
         elif edit == "drop_round":
             text = text[:text.rstrip("\n").rindex("\n") + 1]
+        elif edit == "padded_cell":
+            text = text.replace("\n1,", "\n 1,", 1)
         else:
             text = ""
         path.write_text(text)
