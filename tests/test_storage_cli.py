@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import platform
+import shutil
 import tempfile
 import warnings
 from pathlib import Path
@@ -396,7 +397,7 @@ class TestCli:
         write_config(run_config(), cfg_path)
         out = tmp_path / "o"
         main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
-        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out)])
+        code = main(["bounds", "--trajectory", str(out)])
         text = capsys.readouterr().out
         assert code == 0
         assert "<= bound" in text
@@ -408,7 +409,7 @@ class TestCli:
         write_config(run_config(lr_schedule=schedule), cfg_path)
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
-        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out),
+        code = main(["bounds", "--trajectory", str(out),
                      "--out-dir", str(tmp_path / "b")])
         summary = json.loads((out / "summary.json").read_text())
         written = json.loads((tmp_path / "b" / "bounds.json").read_text())
@@ -433,13 +434,14 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert "bound_adaptive_error" in json.loads((out / "summary.json").read_text())
         capsys.readouterr()
-        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out)])
+        code = main(["bounds", "--trajectory", str(out)])
         assert code == 1
         assert "bound_adaptive_error: need a * (k/d) > 4 * Q" in capsys.readouterr().out
 
     def test_bounds_accepts_trial_directory(self, tmp_path):
-        """A trial of a multi-trial run finds the run's manifest one level up;
-        a single-trial run whose directory is named ``trial_*`` keeps its own."""
+        """A trial directory of a multi-trial run gates on its own summary and
+        trajectory, as does a single-trial run whose directory is named
+        ``trial_*``."""
         cfg_path = tmp_path / "cfg.json"
         write_config(run_config(trials=2), cfg_path)
         single_path = tmp_path / "single.json"
@@ -448,25 +450,42 @@ class TestCli:
         single = tmp_path / "x" / "trial_run"
         assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         assert main(["run", "--config", str(single_path), "--out-dir", str(single)]) == 0
-        cases = [(cfg_path, out / "trial_000"), (cfg_path, out / "trial_001"),
-                 (single_path, single)]
-        for k, (config, tdir) in enumerate(cases):
-            code = main(["bounds", "--config", str(config), "--trajectory", str(tdir),
-                         "--out-dir", str(tmp_path / f"b{k}")])
+        for k, tdir in enumerate([out / "trial_000", out / "trial_001", single]):
+            code = main(["bounds", "--trajectory", str(tdir), "--out-dir", str(tmp_path / f"b{k}")])
             assert code in (0, 1)
             summary = json.loads((tdir / "summary.json").read_text())
             written = json.loads((tmp_path / f"b{k}" / "bounds.json").read_text())
             assert written["bound_constant"] == summary["bound_constant"]
             assert written["bound_generalization"] == summary["bound_generalization"]
 
-    def test_bounds_rejects_mismatched_config(self, tmp_path, capsys):
+    def test_bounds_reads_only_summary_and_trajectory(self, tmp_path, capsys):
+        """A directory holding only copies of a run's summary.json and
+        trajectory.csv gates as the run directory does: no config, manifest
+        or replay log is read."""
         cfg_path = tmp_path / "cfg.json"
         write_config(run_config(), cfg_path)
         out = tmp_path / "o"
-        main(["run", "--config", str(cfg_path), "--out-dir", str(out)])
-        other = tmp_path / "other.json"
-        write_config(run_config(eta=0.02), other)
-        assert main(["bounds", "--config", str(other), "--trajectory", str(out)]) == 2
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("summary.json", "trajectory.csv"):
+            shutil.copy(out / name, bare / name)
+        capsys.readouterr()
+        assert main(["bounds", "--trajectory", str(out), "--out-dir", str(tmp_path / "b")]) == 0
+        expected = capsys.readouterr().out
+        assert main(["bounds", "--trajectory", str(bare), "--out-dir", str(tmp_path / "c")]) == 0
+        assert capsys.readouterr().out == expected
+        assert ((tmp_path / "c" / "bounds.json").read_bytes()
+                == (tmp_path / "b" / "bounds.json").read_bytes())
+
+    def test_bounds_takes_no_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        write_config(run_config(rounds=5), cfg_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["bounds", "--config", str(cfg_path), "--trajectory", str(out)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_bounds_on_zero_round_run_exits_2(self, tmp_path, capsys):
         """A run with no round carries constants but no bound; bounds says
@@ -478,7 +497,7 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert "constants" in summary and not any(k.startswith("bound_") for k in summary)
         capsys.readouterr()
-        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out),
+        code = main(["bounds", "--trajectory", str(out),
                      "--out-dir", str(tmp_path / "b")])
         captured = capsys.readouterr()
         assert code == 2
@@ -487,7 +506,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name,edit", [
         ("summary.json", "truncate"), ("summary.json", "drop_bound"),
-        ("manifest.json", "truncate"), ("trajectory.csv", "non_numeric_cell"),
+        ("trajectory.csv", "non_numeric_cell"),
         ("trajectory.csv", "drop_round"), ("trajectory.csv", "empty"),
         ("trajectory.csv", "padded_cell"),
     ])
@@ -519,7 +538,7 @@ class TestCli:
             text = ""
         path.write_text(text)
         capsys.readouterr()
-        code = main(["bounds", "--config", str(cfg_path), "--trajectory", str(out),
+        code = main(["bounds", "--trajectory", str(out),
                      "--out-dir", str(tmp_path / "b")])
         captured = capsys.readouterr()
         assert code == 2
@@ -626,6 +645,15 @@ class TestCli:
             assert len(point["test"]) == len(point["train"]) == 1
         rows = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + len(spec["values"])
+
+    def test_sweep_takes_its_spec_only_as_spec(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"axis": "snr_db", "values": [10.0], "seeds": 1,
+                                         "base": run_config(rounds=1).to_dict()}))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(spec_path), "--out-dir", str(out)]) == 2
+        assert "the following arguments are required: --spec" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_bad_spec_exits_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
