@@ -101,13 +101,12 @@ class DerivedConstants:
 
 
 def derived_constants(ac: AssumptionConstants, alpha: float, k: int, d: int,
-                      batch_size: int, c: float | None = None) -> DerivedConstants:
+                      batch_size: int) -> DerivedConstants:
     """Derived constants at inner rate alpha and sparsification level k/d."""
     if not 0 <= alpha <= (1.0 / ac.l_g if ac.l_g > 0 else np.inf):
         raise ValueError("alpha must lie in [0, 1/l_g]")
     lam = k / d
-    if c is None:
-        c = midpoint_c(lam)
+    c = midpoint_c(lam)
     gain = memory_gain(lam, c)
     g = math.sqrt(ac.g_sq)
     l_f = 4.0 * ac.l_g + alpha * ac.l_h * g
@@ -192,8 +191,7 @@ def adaptive_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
                         r: float, n: int, d: int, m_uses: int, p_min: float,
                         xi: float, a: float, xi_inner: float, a_inner: float,
                         batch_size: int, t_rounds: int, f_init: float, f_star: float,
-                        v_max: float, abs_mean: float, abs_power: float,
-                        big_c: float | None = None) -> BoundReport:
+                        v_max: float, abs_mean: float, abs_power: float) -> BoundReport:
     """Upper bound on the best squared meta-gradient norm under 1/t rates.
 
     Each term is divided by xi * ln((T + a - 1)/a), so the total is the full
@@ -203,8 +201,7 @@ def adaptive_rate_bound(dc: DerivedConstants, ac: AssumptionConstants, *, q: int
         raise ValueError("schedule offsets must exceed 1")
     if t_rounds < 2:  # the normalizer ln((T + a - 1)/a) vanishes at T = 1
         raise ValueError("t_rounds must be >= 2")
-    if big_c is None:
-        big_c = adaptive_floor_c(dc.lam, a, q)
+    big_c = adaptive_floor_c(dc.lam, a, q)
     hess_fac = 1.0 + ac.sigma_h_sq / (ac.l_g**2 * batch_size) if ac.l_g > 0 else 1.0
     noise_fac = d / (r**2 * n**2 * m_uses * p_min) * v_max + 2.0 * abs_power / abs_mean**2 - 2.0
     terms = {

@@ -27,8 +27,6 @@ def meta_training_loss(theta, data, alpha: float):
     theta = np.asarray(theta, dtype=float)
     x_tr, y_tr = data.train
     x_va, y_va = data.val
-    if x_tr.shape[-2] == 0 or x_va.shape[-2] == 0:
-        raise ValueError("meta training loss needs non-empty splits")
     start = theta[..., None, :]  # every device adapts from its iterate
     phi = start - alpha * tasks.batch_grad(start, x_tr, y_tr)
     losses = np.mean(tasks.batch_loss(phi, x_va, y_va), axis=-1)

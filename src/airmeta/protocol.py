@@ -11,7 +11,7 @@ bit for bit its own run.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +109,13 @@ class ExperimentConfig:
 
     def validate(self) -> list[str]:
         """Raise on hard contract violations; return soft warnings."""
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # a float field may hold a JSON integer, which no float need hold;
+            # NaN fails the comparison
+            if f.type.startswith("float") and value is not None and not (
+                    abs(value) <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         k_active = self.active_fraction * self.n_devices
         if abs(k_active - round(k_active)) > 1e-9 or round(k_active) < 1:
             raise ValueError(
@@ -349,19 +353,23 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     the round before any round runs.
 
     Per run, before the first round: the rates, and every round's draws that do
-    not depend on the iterates (``_round_draws``).  Per block of rounds: its
-    local batches (``_block_batches``) and compression operators.  A round runs
-    the local steps, the error-feedback fold and the power scaling, then, for
-    the trials that can send (finite model differences, a finite rho > 0), the
-    memory commit and one call of each transmit stage.  A trial that cannot
-    send, or whose next iterate is not finite, leaves the stack through the one
-    abort step (``_abort``); a round it did not send keeps its records' preset
-    values.  The stages check nothing; what they assume is checked per run
-    (``validate``, the sampled gains), where a replay log enters, or by the
-    abort step.  A block's records are computed from its rounds' raw outputs
-    after its last round (``_block_records``), the training loss and
-    meta-gradient after the last block, into tables of the run by trial and
-    round; each trial's outputs are its rows of them.
+    not depend on the iterates (``_round_draws``).  Per block, one fixed set of
+    trials over consecutive rounds: its local batches (``_block_batches``) and
+    compression operators.  A round runs the local steps, the error-feedback
+    fold and the power scaling, then, if every trial can send (finite model
+    differences, a finite rho > 0), the memory commit and one call of each
+    transmit stage.  Trials leave the stack only at the end of a block, and
+    an abort at round t ends its block: before round t commits anything when
+    a trial cannot send, the others running round t again in the next block,
+    and after round t when a trial's next iterate is not finite.  The round a
+    trial aborted at is stamped in ``aborted_at``; if it did not send, its
+    records keep their preset values.  The stages check nothing; what they
+    assume is checked per run (``validate``, the sampled gains), where a
+    replay log enters, or by the two abort checks.  A block's records are
+    computed from the raw outputs of the rounds it sent after its last round
+    (``_block_records``), the training loss and meta-gradient after the last
+    block, into tables of the run by trial and round; each trial's outputs
+    are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -437,68 +445,67 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         # the block's local iterates; NaN where a trial did not run
         iterates_of = np.full((len(trials), n_rounds, q, rn, d), np.nan)
         block_rows = trials[:, None, None] * state.n + active  # the devices' rows of the state
-        live = np.arange(len(trials))  # block positions of the trials still running
-        pos, ks, starts = slice(None), trials, np.repeat(trials, rn)
-        # the devices of every live trial step as one stack; values that
-        # leave the float range raise no warning: they abort their trial, or
-        # are not used
+        starts = np.repeat(trials, rn)
+        n_sent = 0  # the rounds of the block that every trial sent
+        # the devices of every trial step as one stack; values that leave
+        # the float range raise no warning: they abort their trial, or are
+        # not used
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for j in range(n_rounds):
                 t = t0 + j
                 eta_t, alpha_t = rates[t]
-                rows = block_rows[pos, j]
+                rows = block_rows[:, j]
                 deltas, iterates = meta.local_rounds(
                     state.theta[starts], state.data,
-                    batches[pos, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
+                    batches[:, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
                     eta_t, rows.reshape(-1))
-                iterates_of[pos, j] = iterates.reshape(q, len(ks), rn, d).swapaxes(0, 1)
-                deltas = deltas.reshape(len(ks), rn, d)
+                iterates_of[:, j] = iterates.reshape(q, len(trials), rn, d).swapaxes(0, 1)
+                deltas = deltas.reshape(len(trials), rn, d)
                 updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas,
                                                          cfg.sparsify_k)
                 g_sq = sparsify.energies(updates)
                 rho = sparsify.power_scale(updates, g_sq, eta_sq[t], state.policy)
-                sends = np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0)
-                if not sends.all():
-                    ks, live, rows, deltas, updates, mem_next, g_sq, rho = _abort(
-                        sends, t, aborted_at, ks, live, rows, deltas, updates, mem_next, g_sq,
-                        rho)
-                    pos, starts = live, np.repeat(ks, rn)
-                    if not live.size:
-                        break
+                # a trial that cannot send ends the block before round t
+                # commits anything; the others run round t in the next block
+                stop = ~(np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0))
+                if stop.any():
+                    break
                 state.memories[rows] = mem_next
-                buffers["rho"][pos, j], buffers["g_sq"][pos, j] = rho, g_sq
-                buffers["deltas"][pos, j], buffers["updates"][pos, j] = deltas, updates
-                buffers["memories"][pos, j] = state.memories.reshape(-1, state.n, d)[ks]
-                # the transmit chain of the sending trials
-                comp = tuple(c[pos, j] for c in comps)
+                buffers["rho"][:, j], buffers["g_sq"][:, j] = rho, g_sq
+                buffers["deltas"][:, j], buffers["updates"][:, j] = deltas, updates
+                buffers["memories"][:, j] = state.memories.reshape(-1, state.n, d)[trials]
+                comp = tuple(c[:, j] for c in comps)
                 signals = ch.compress(comp[0], sparsify.phase_precompensate(
-                    updates, rho, eta_t, phases[pos, j]))
-                buffers["signals"][pos, j] = signals
-                y = ch.transmit_mac(signals, gains[pos, j], noise[pos, j])
+                    updates, rho, eta_t, phases[:, j]))
+                buffers["signals"][:, j] = signals
+                y = ch.transmit_mac(signals, gains[:, j], noise[:, j])
                 total_g_sq = g_sq.sum(axis=-1)
                 prior_power = abs_power * rho * total_g_sq / (eta_sq[t] * d)
                 prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has none
                 est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator)
-                buffers["x_hat"][pos, j], buffers["v_model"][pos, j] = est.x_hat, est.err_var
-                buffers["pinv_fallback"][pos, j] = est.pinv_fallback
-                theta_next = ch.global_update(state.theta[ks], est.x_hat, eta_t, rho, mu_abs, rn)
-                ok = np.isfinite(theta_next).all(axis=1)
-                if not ok.all():
-                    ks, live, theta_next = _abort(ok, t, aborted_at, ks, live, theta_next)
-                    pos, starts = live, np.repeat(ks, rn)
-                state.theta[ks] = theta_next
-                thetas[ks, t + 1] = theta_next
-                if not live.size:
+                buffers["x_hat"][:, j], buffers["v_model"][:, j] = est.x_hat, est.err_var
+                buffers["pinv_fallback"][:, j] = est.pinv_fallback
+                theta_next = ch.global_update(state.theta[trials], est.x_hat, eta_t, rho, mu_abs,
+                                              rn)
+                state.theta[trials] = thetas[trials, t + 1] = theta_next
+                n_sent = j + 1
+                # a trial whose next iterate is not finite ends the block
+                # after round t; no later round reads that iterate
+                stop = ~np.isfinite(theta_next).all(axis=1)
+                if stop.any():
                     break
-            _block_records(cfg, state, trials, t0, rates[block], eta_sq[block], abs_h, buffers,
-                           table, recon)
+            for k in trials[stop].tolist():
+                aborted_at[k] = t
+            sent = slice(t0, t0 + n_sent)
+            _block_records(cfg, state, trials, t0, rates[sent], eta_sq[sent], abs_h[:, :n_sent],
+                           {name: b[:, :n_sent] for name, b in buffers.items()}, table, recon)
             # the offsets of the local iterates from their devices' task
             # vectors, in place; the rounds no trial ran are NaN, which it skips
             iterates_of -= state.ws[block_rows][:, :, None]
             state.update_probes(trials, iterates_of.reshape(len(trials), -1, d),
                                 np.repeat(table["alpha"][0, block], q * rn))
-        running = trials[live]
-        t0 += n_rounds
+        running = trials[~stop]
+        t0 += n_sent
     comp_rows = None  # not held through the metric columns and the copies below
 
     # the meta-training loss and squared meta-gradient of every iterate of a
@@ -598,42 +605,31 @@ def _block_batches(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
 
 
 def _block_buffers(cfg: ExperimentConfig, n_trials: int, n_rounds: int) -> dict:
-    """Zeroed buffers of a block's raw round outputs by (trial, round), by
-    name: what ``_block_records`` reads.  A cell sent exactly when its
-    ``rho`` is > 0: a trial sends only at a finite rho > 0."""
+    """Buffers of a block's raw round outputs by (trial, round), by name:
+    what ``_block_records`` reads.  Every trial of a block sends in each
+    round the block records, so every cell read is written first."""
     rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
     shapes = dict(rho=(), v_model=(), pinv_fallback=(), x_hat=(d,), updates=(rn, d),
                   deltas=(rn, d), signals=(rn, m_uses), g_sq=(rn,), memories=(cfg.n_devices, d))
     dtypes = dict(pinv_fallback=bool, signals=complex)
-    return {name: np.zeros((n_trials, n_rounds) + shape, dtype=dtypes.get(name, float))
+    return {name: np.empty((n_trials, n_rounds) + shape, dtype=dtypes.get(name, float))
             for name, shape in shapes.items()}
-
-
-def _abort(ok: np.ndarray, t: int, aborted_at: list, ks: np.ndarray, *arrays) -> list:
-    """The one way out of a stack: the running trials ``ks[~ok]`` abort at
-    round t, stamped in ``aborted_at``.  Returns the rows ``ok`` of ``ks``
-    and of each of ``arrays``, a row per running trial: those of the trials
-    that go on."""
-    for k in ks[~ok].tolist():
-        aborted_at[k] = t
-    return [a[ok] for a in (ks,) + arrays]
 
 
 def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,
                    rates: list, eta_sq: list, abs_h: np.ndarray, buffers: dict,
                    table: np.ndarray, recon: np.ndarray):
-    """Write the records and identity vectors of the (trial, round) cells of
-    a block that sent, those of a ``rho`` > 0, from the raw outputs in its
-    ``buffers`` (``_block_buffers``), the rates of its rounds and their squares
-    ``eta_sq`` (``sparsify.rate_sq``), and its gains' moduli ``abs_h`` (K,
-    rounds, rn), into the run's ``table`` and ``recon``.
+    """Write the records and identity vectors of the consecutive rounds from
+    t0 that every one of the K ``trials`` sent, from their raw outputs
+    ``buffers`` (``_block_buffers``, by (trial, round)), their rates and the
+    squares ``eta_sq`` (``sparsify.rate_sq``), and their gains' moduli
+    ``abs_h`` (K, rounds, rn), into the run's ``table`` and ``recon``.
 
     Each field is computed for every cell at once, in the form the round
     computed it with a leading round axis, so that a cell is bit for bit its
-    one-round value; the cells that did not send keep their preset values.
+    one-round value; the rounds a trial did not send keep their presets.
     """
-    kk, jj = np.nonzero(buffers["rho"] > 0)
-    cells = (trials[kk], t0 + jj)
+    cells = (trials[:, None], t0 + np.arange(len(rates)))
     eta = np.array([eta_t for eta_t, _ in rates])
     eta_sq = np.array(eta_sq)
     mu_abs, _ = state.fading
@@ -654,11 +650,11 @@ def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
         power_margin=(block_power / cfg.channel_uses - cfg.power_per_use).max(axis=-1),
         sum_abs_h_sq=(abs_h**2).sum(axis=-1))
     for name, values in fields.items():
-        table[name][cells] = values[kk, jj]
+        table[name][cells] = values
     vectors = (buffers["deltas"].sum(axis=-2), noise_term,
                ((abs_h[..., None] / mu_abs - 1.0) * updates).sum(axis=-2), memories.sum(axis=-2))
     for vecs, values in zip(recon, vectors):
-        vecs[cells] = values[kk, jj]
+        vecs[cells] = values
 
 
 def replay_experiment(cfg: ExperimentConfig, replay: np.ndarray) -> Trajectory:

@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import multiprocessing
 import numbers
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -40,11 +41,12 @@ class SweepSpec:
                 raise TypeError(f"sweep values must be numbers, got {v!r}")
         if isinstance(self.seeds, bool) or not isinstance(self.seeds, numbers.Integral):
             raise TypeError(f"seeds must be an integer, got {self.seeds!r}")
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
+        if len(self.values) == 0:
             raise ValueError("sweep needs at least one value")
-        if not np.all(np.isfinite(vals)):
+        # float() of an integer beyond the float range raises; NaN fails too
+        if not all(abs(v) <= sys.float_info.max for v in self.values):
             raise ValueError("sweep values must be finite")
+        vals = tuple(float(v) for v in self.values)
         diffs = np.diff(vals)
         if len(vals) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")

@@ -115,10 +115,6 @@ def sample_dataset(w: np.ndarray, env: TaskEnvironment, m: int, m_tr: int, m_va:
                    rng: np.random.Generator) -> Dataset:
     """Draw m i.i.d. points from the law of the device with task vector w and
     split them."""
-    if m != m_tr + m_va:
-        raise ValueError("m must equal m_tr + m_va")
-    if m_tr < 1 or m_va < 1:
-        raise ValueError("both the training and validation split need data")
     x, y = sample_points(w, env, m, rng)
     return Dataset(x=x, y=y, m_tr=m_tr, m_va=m_va)
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import protocol, sparsify
+from airmeta import channel, meta, protocol, sparsify
 from airmeta.protocol import ExperimentConfig, replay_experiment, run_experiment, run_stack
 from airmeta.sweeps import trial_configs
 
@@ -124,6 +124,77 @@ def test_a_trial_that_cannot_send_aborts_alone(monkeypatch):
     for name in set(protocol.ROUND_DTYPE.names[1:-1]) - {"eta", "alpha", "grad_norm_sq"}:
         assert np.isnan(last[name]), name
     assert not last["pinv_fallback"]
+
+
+def faulty_stages(faults):
+    """``meta.local_rounds`` and ``channel.global_update`` with the faults
+    ``(cause, theta)``, each keyed on the iterate theta a round starts from,
+    not on a trial's place in a stack: for "send", the devices that start
+    from theta report infinite model differences, so their trial cannot
+    send; for "iterate", the server update from theta gives an infinite
+    next iterate."""
+    local_rounds, global_update = meta.local_rounds, channel.global_update
+
+    def faulty_local_rounds(theta_start, *args):
+        deltas, iterates = local_rounds(theta_start, *args)
+        for cause, theta in faults:
+            if cause == "send":
+                deltas[(theta_start == theta).all(axis=-1)] = np.inf
+        return deltas, iterates
+
+    def faulty_global_update(theta_now, *args):
+        theta_next = global_update(theta_now, *args)
+        for cause, theta in faults:
+            if cause == "iterate":
+                theta_next[(theta_now == theta).all(axis=-1)] = np.inf
+        return theta_next
+
+    return faulty_local_rounds, faulty_global_update
+
+
+@pytest.mark.parametrize("faults, blocks", [
+    # both in round 33, inside the block of rounds 32-47: trial 1's abort
+    # ends it before round 33 commits, trial 2's ends the one the others
+    # run round 33 in again
+    ({1: ("send", 33), 2: ("iterate", 33)},
+     [(0, 4), (16, 4), (32, 4), (33, 3), (34, 2), (66, 2)]),
+    # each on the last round of its block: trial 1's in round 31, of rounds
+    # 16-31, and trial 2's in round 52, of rounds 32-52
+    ({1: ("iterate", 31), 2: ("send", 52)}, [(0, 4), (16, 4), (32, 3), (52, 2)]),
+], ids=["one round", "block ends"])
+def test_aborts_end_their_block_and_the_others_go_on(faults, blocks, monkeypatch):
+    """In a stack of 4 under a budget of 64 rounds a block, trials 1 and 2
+    abort, one because it cannot send and one because its next iterate is
+    not finite.  Each abort ends its block, whose first round and number
+    of trials are pinned, and each trial is bit for bit its own run under
+    the same faults: the aborted ones stop at their fault's round, as
+    their fault's cause shows, and the others are their fault-free runs."""
+    configs = trial_configs(config(), 4)
+    clean = [run_experiment(c) for c in configs]
+    stages = faulty_stages([(cause, clean[k].thetas[t]) for k, (cause, t) in faults.items()])
+    monkeypatch.setattr(meta, "local_rounds", stages[0])
+    monkeypatch.setattr(channel, "global_update", stages[1])
+    monkeypatch.setattr(protocol, "_BLOCK_ROUNDS", 64)
+    seen, block_batches = [], protocol._block_batches
+
+    def recorded_block_batches(cfg, state, trials, t0, active):
+        seen.append((t0, len(trials)))
+        return block_batches(cfg, state, trials, t0, active)
+
+    monkeypatch.setattr(protocol, "_block_batches", recorded_block_batches)
+    stack = run_stack(configs)
+    assert seen == blocks
+    assert [trial_fields(t) for t in stack] == [trial_fields(run_experiment(c)) for c in configs]
+    assert [t.aborted_at for t in stack] == [faults.get(k, (None, None))[1] for k in range(4)]
+    for k, traj in enumerate(stack):
+        if k not in faults:
+            assert trial_fields(traj) == trial_fields(clean[k])
+            continue
+        cause, t = faults[k]
+        assert traj.thetas.tobytes() == clean[k].thetas[:t + 1].tobytes()
+        assert traj.records[:t].tobytes() == clean[k].records[:t].tobytes()
+        # a trial that could not send keeps its preset rho at round t
+        assert np.isnan(traj.records["rho"][t]) == (cause == "send")
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])

@@ -62,12 +62,6 @@ class TestMetaTrainingLoss:
         assert meta_training_loss(theta, stack_datasets(datasets), alpha) == \
             pytest.approx(want, abs=1e-12)
 
-    def test_empty_split_rejected(self):
-        data = Dataset(x=np.zeros((3, 2, 2)), y=np.zeros((3, 2)), m_tr=1, m_va=1)
-        object.__setattr__(data, "m_tr", 0)  # corrupt on purpose
-        with pytest.raises(ValueError):
-            meta_training_loss(np.zeros(2), data, 0.1)
-
 
 class TestMetaTestLoss:
     def test_zero_in_degenerate_environment(self):

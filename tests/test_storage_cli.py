@@ -217,6 +217,8 @@ WRONG_VALUES = {
     "float | None": NOT_A_NUMBER,
     "str": st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
 }
+# 401 digits: beyond the float range, so float() of it raises
+HUGE = int("9" * 401)
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 NEGATIVE = st.floats(max_value=0.0, exclude_max=True)
 NOT_POSITIVE = st.floats(max_value=0.0)
@@ -379,6 +381,29 @@ class TestCli:
             cfg_path = Path(tmp) / "cfg.json"
             cfg_path.write_text(json.dumps(data))
             assert main(["run", "--config", str(cfg_path), "--out-dir", str(Path(tmp) / "o")]) == 2
+
+    @pytest.mark.parametrize("name", [name for name, kind in CONFIG_TYPES.items()
+                                      if kind.startswith("float")])
+    def test_integer_beyond_the_float_range_exits_2_before_any_output(self, tmp_path, capsys,
+                                                                       name):
+        """A JSON integer that no float holds, of either sign, in a float
+        field is a config error: nothing is written, not even config.json."""
+        for value in (HUGE, -HUGE):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(run_config(rounds=1).to_dict() | {name: value}))
+            out = tmp_path / "o"
+            assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+            assert not out.exists()
+            assert f"invalid config {cfg_path}: {name} must be finite" in capsys.readouterr().err
+
+    def test_sweep_value_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"axis": "eta", "values": [0.001, HUGE],
+                                         "base": run_config(rounds=1).to_dict()}))
+        out = tmp_path / "s"
+        assert main(["sweep", "--spec", str(spec_path), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        assert "sweep values must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["eta_scale", "alpha_scale"])
     def test_negative_adaptive_scale_exits_2_before_any_output(self, tmp_path, capsys, scale):
