@@ -13,7 +13,7 @@ from .bounds import (AssumptionConstants, BoundReport, DerivedConstants,
                      adaptive_rate_bound, constant_rate_bound, derived_constants,
                      estimate_constants, generalization_bound, memory_gain,
                      sub_gaussian_proxy)
-from .channel import (Estimate, compression_block, estimate_stack, fading_moments,
+from .channel import (compression_block, estimate_error, estimate_stack, fading_moments,
                       global_update, replay_dtype, snr_noise_var, transmit_mac)
 from .meta import local_rounds, meta_grad_estimate
 from .metrics import (mean_se, meta_test_loss, meta_training_loss,

@@ -11,7 +11,6 @@ each channel use by its Fourier mode.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +39,10 @@ def compress(matrix: np.ndarray, payloads: np.ndarray) -> np.ndarray:
 def compression_block(dim: int, rows: np.ndarray):
     """The compression operators of a stack of rounds, from each round's
     DFT rows (..., M) in increasing order, as a run draws them: the partial
-    DFTs (..., M, d), the weight lambda of each row's Fourier mode (..., M)
-    and the counts (..., 2) of the modes of weight 1/2 and of weight 1.  The
-    rows are checked once for the whole stack.
+    DFTs A (..., M, d), their adjoints A^H (..., d, M), views of one
+    conjugate, the weight lambda of each row's Fourier mode (..., M) and the
+    counts (..., 2) of the modes of weight 1/2 and of weight 1.  The rows
+    are checked once for the whole stack.
 
     On the stacked real system B = [Re A; Im A] of rows S, B'B = Re(A^H A)
     is diagonal in the Fourier basis, mode k of weight lambda_k = (1[k in S]
@@ -58,7 +58,8 @@ def compression_block(dim: int, rows: np.ndarray):
     mirrored = ((-rows % dim)[..., :, None] == rows[..., None, :]).any(axis=-1)
     n_mirrored = mirrored.sum(axis=-1)
     counts = np.stack([2 * (rows.shape[-1] - n_mirrored), n_mirrored], axis=-1)
-    return _dft_matrix(dim)[rows], np.where(mirrored, 1.0, 0.5), counts
+    matrix = _dft_matrix(dim)[rows]
+    return matrix, matrix.conj().swapaxes(-1, -2), np.where(mirrored, 1.0, 0.5), counts
 
 
 @functools.cache
@@ -126,57 +127,56 @@ def transmit_mac(signals: np.ndarray, gains: np.ndarray, noise: np.ndarray) -> n
     return np.add.accumulate(terms, axis=-2)[..., -1, :] + noise
 
 
-@dataclass(frozen=True)
-class Estimate:
-    """Server-side reconstruction of the superposed payload of a stack of
-    K rounds."""
-
-    x_hat: np.ndarray           # (K, d)
-    err_var: np.ndarray         # (K,) modeled per-component error variance
-    pinv_fallback: np.ndarray   # (K,) bool, the noiseless pseudo-inverse of a
-                                # rank-deficient round or of one without prior power
-
-
-def estimate_stack(y: np.ndarray, matrix: np.ndarray, modes: np.ndarray, counts: np.ndarray,
-                   p: np.ndarray, noise_var: float, kind: str) -> Estimate:
-    """Reconstruct the real superposed payloads of a stack of K rounds from
-    the received blocks y (K, M), with the partial DFTs (K, M, d), their
-    rows' mode weights (K, M) and mode counts (K, 2) (``compression_block``),
-    a float prior power p >= 0 (K,) per round and noise_var >= 0.
+def estimate_stack(y: np.ndarray, adjoint: np.ndarray, modes: np.ndarray, p: np.ndarray,
+                   noise_var: float, kind: str) -> np.ndarray:
+    """Reconstruct the real superposed payloads x_hat (K, d) of a stack of
+    K rounds from the received blocks y (K, M), with the adjoints (K, d, M)
+    of the partial DFTs and their rows' mode weights (K, M)
+    (``compression_block``), a float prior power p >= 0 (K,) per round and
+    noise_var >= 0.  Row k is bit for bit what the stack of round k alone
+    gives.  Assumes a known ``kind``.
 
     Every estimate is the weighted matched filter x_hat = Re(A^H (w * y)),
     one weight per channel use.  matched: requires M == d, the full DFT;
-    w = 1, and the per-component error variance equals noise_var exactly.
-    lmmse: the linear MMSE p (p B'B + noise_var I)^-1 Re(A^H y) under an
-    isotropic prior with per-component power p.  B'B is diagonal in the
-    Fourier basis and its weights lambda are mirror-symmetric, so the
-    inverse scales channel use j by w_j = p / (p lambda_j + noise_var), and
-    the error variance is (p n_0 + sum over the modes k of weight > 0 of
-    p noise_var / (p lambda_k + noise_var)) / d, n_0 modes being of weight
-    0.  Noiseless, w_j = 1 / lambda_j, the pseudo-inverse, and the error
-    variance is p n_0 / d; a round whose rank, the number of modes of weight
-    > 0, is below 2M, or whose p is 0, is flagged ``pinv_fallback``.  Row k
-    of each field is bit for bit what the stack of round k alone gives.
-    Assumes a known ``kind``.
+    w = 1.  lmmse: the linear MMSE p (p B'B + noise_var I)^-1 Re(A^H y)
+    under an isotropic prior with per-component power p.  B'B is diagonal
+    in the Fourier basis and its weights lambda are mirror-symmetric, so
+    the inverse scales channel use j by w_j = p / (p lambda_j + noise_var).
+    Noiseless, w_j = 1 / lambda_j, the pseudo-inverse.  The error the
+    filter makes is modeled by ``estimate_error``.
     """
-    dim = matrix.shape[-1]
-    pinv = np.zeros(p.shape, dtype=bool)
     if kind == "matched":
-        w, err_var = 1.0, np.full(p.shape, float(noise_var))
+        w = 1.0
     elif noise_var == 0.0:
         w = 1.0 / modes
-        err_var = p * (dim - counts.sum(axis=-1)) / dim
-        pinv = (counts[..., 1] > 0) | (p == 0.0)
     else:
         w = p[:, None] / (p[:, None] * modes + noise_var)
-        n_half, n_one = counts[..., 0], counts[..., 1]
-        p_noise = p * noise_var
-        err_var = (p * (dim - n_half - n_one) + n_half * (p_noise / (p * 0.5 + noise_var))
-                   + n_one * (p_noise / (p + noise_var))) / dim
-    weighted = np.empty(np.broadcast_shapes(y.shape, np.shape(w)), dtype=complex)
+    weighted = np.empty(y.shape, dtype=complex)
     weighted.real, weighted.imag = w * y.real, w * y.imag
-    x_hat = (matrix.conj().swapaxes(-1, -2) @ weighted[..., None])[..., 0].real
-    return Estimate(x_hat=np.ascontiguousarray(x_hat), err_var=err_var, pinv_fallback=pinv)
+    return (adjoint @ weighted[..., None])[..., 0].real
+
+
+def estimate_error(counts: np.ndarray, p: np.ndarray, noise_var: float, kind: str, dim: int):
+    """The modeled per-component error variance and the ``pinv_fallback``
+    flag (...) of the ``estimate_stack`` estimates of rounds with the mode
+    counts (..., 2) (``compression_block``) and the float prior powers p >= 0
+    (...), each elementwise.  Assumes a known ``kind``.
+
+    matched: the error variance is noise_var exactly.  lmmse: (p n_0 + sum
+    over the modes k of weight > 0 of p noise_var / (p lambda_k +
+    noise_var)) / d, n_0 modes being of weight 0.  Noiseless, it is p n_0 /
+    d; a round whose rank, the number of modes of weight > 0, is below 2M,
+    or whose p is 0, is flagged: its estimate is the pseudo-inverse.
+    """
+    pinv = np.zeros(p.shape, dtype=bool)
+    if kind == "matched":
+        return np.full(p.shape, float(noise_var)), pinv
+    if noise_var == 0.0:
+        return p * (dim - counts.sum(axis=-1)) / dim, (counts[..., 1] > 0) | (p == 0.0)
+    n_half, n_one = counts[..., 0], counts[..., 1]
+    p_noise = p * noise_var
+    return (p * (dim - n_half - n_one) + n_half * (p_noise / (p * 0.5 + noise_var))
+            + n_one * (p_noise / (p + noise_var))) / dim, pinv
 
 
 def global_update(theta: np.ndarray, x_hat: np.ndarray, eta: float, rho: np.ndarray,

@@ -65,17 +65,17 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha:
     x, y = _gather(data, idx, devices)
     theta = np.empty((n, theta_start.shape[-1]))
     theta[:] = theta_start
-    iterates = np.full((steps, n, theta_start.shape[-1]), np.nan)
-    rows = np.arange(n)  # rows still running
+    iterates = np.empty((steps, n, theta_start.shape[-1]))
+    live = slice(None)  # all rows run until one stops, and a slice of them is a view
     for step in range(steps):
         if step:
-            ok = np.isfinite(theta[rows]).all(axis=1)
+            # a stopped row's iterate stays as it stopped, not finite
+            ok = np.isfinite(theta).all(axis=1)
             if not ok.all():
-                rows = rows[ok]
-        if not rows.size:
-            break
-        # all rows run until one stops, and a slice of them is a view
-        live = slice(None) if rows.size == n else rows
+                iterates[step:, ~ok] = np.nan
+                live = np.flatnonzero(ok)
+                if not live.size:
+                    break
         iterates[step, live] = theta[live]
         theta[live] = theta[live] - eta * meta_grad_estimate(
             theta[live], x[step, live], y[step, live], alpha)

@@ -111,9 +111,9 @@ class ExperimentConfig:
         """Raise on hard contract violations; return soft warnings."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            # a float field may hold a JSON integer, which no float need hold;
-            # NaN fails the comparison
-            if f.type.startswith("float") and value is not None and not (
+            # a JSON integer need fit no float, and every number field meets
+            # float arithmetic; NaN fails the comparison
+            if f.type.startswith(("float", "int")) and value is not None and not (
                     abs(value) <= sys.float_info.max):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         k_active = self.active_fraction * self.n_devices
@@ -276,7 +276,7 @@ class Trajectory:
 class _State:
     """Per-device data of a stack of K trials, stacked along one device
     axis once, trial by trial (device i of trial k is row k * n + i), plus
-    each trial's evolving iterate, memories and moment probe, and the
+    each trial's evolving memories and moment probe, and the
     uplink's power policy, fading moments (E|h|, E|h|^2) and noise
     variance."""
 
@@ -298,7 +298,6 @@ class _State:
             for i, w in enumerate(ws)
         ])
         self.pools = meta.batch_pools(self.data, cfg.batch_size)
-        self.theta = cfg.theta_init * np.ones((len(configs), cfg.dim))
         self.memories = np.zeros((len(configs) * self.n, cfg.dim))
         self.probes = [{"g_sq": 0.0, "sigma_g_sq": 0.0} for _ in configs]
         self.moment_forms = tasks.grad_moment_forms(self.env)
@@ -355,21 +354,22 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     Per run, before the first round: the rates, and every round's draws that do
     not depend on the iterates (``_round_draws``).  Per block, one fixed set of
     trials over consecutive rounds: its local batches (``_block_batches``) and
-    compression operators.  A round runs the local steps, the error-feedback
-    fold and the power scaling, then, if every trial can send (finite model
-    differences, a finite rho > 0), the memory commit and one call of each
-    transmit stage.  Trials leave the stack only at the end of a block, and
+    compression operators.  A round computes only the block's chain of
+    iterates: the local steps, the error-feedback fold and the power scaling,
+    then, if every trial can send (finite model differences, a finite rho >
+    0), the memory commit and one call of each transmit stage, x_hat alone
+    estimated.  Trials leave the stack only at the end of a block, and
     an abort at round t ends its block: before round t commits anything when
     a trial cannot send, the others running round t again in the next block,
     and after round t when a trial's next iterate is not finite.  The round a
     trial aborted at is stamped in ``aborted_at``; if it did not send, its
     records keep their preset values.  The stages check nothing; what they
     assume is checked per run (``validate``, the sampled gains), where a
-    replay log enters, or by the two abort checks.  A block's records are
-    computed from the raw outputs of the rounds it sent after its last round
-    (``_block_records``), the training loss and meta-gradient after the last
-    block, into tables of the run by trial and round; each trial's outputs
-    are its rows of them.
+    replay log enters, or by the two abort checks.  A block's iterates, and
+    its records from the raw outputs of the rounds it sent (``_block_records``,
+    the estimates' error model included), are written after its last round,
+    the training loss and meta-gradient after the last block, into tables of
+    the run by trial and round; each trial's outputs are its rows of them.
     """
     cfg = configs[0]
     if any(c.replace(master_seed=cfg.master_seed) != cfg for c in configs):
@@ -405,16 +405,15 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     metric_alpha = lr_schedule(cfg, 0)[1]
     curvature = tasks.meta_curvature(state.env, metric_alpha)
 
-    trial_ws = [state.ws[state.devices(k)] for k in range(len(configs))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_init = [tasks.mean_meta_loss(theta, ws, state.env, metric_alpha)
-                  for theta, ws in zip(state.theta, trial_ws)]
-    f_star = [tasks.meta_loss_minimum(ws, state.env, metric_alpha) for ws in trial_ws]
-
     n_trials, rn, q, d = len(configs), cfg.n_active, cfg.local_steps, cfg.dim
     mu_abs, abs_power = state.fading
     thetas = np.empty((n_trials, cfg.rounds + 1, d))
-    thetas[:, 0] = state.theta
+    thetas[:, 0] = cfg.theta_init
+    trial_ws = [state.ws[state.devices(k)] for k in range(n_trials)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_init = [tasks.mean_meta_loss(theta, ws, state.env, metric_alpha)
+                  for theta, ws in zip(thetas[:, 0], trial_ws)]
+    f_star = [tasks.meta_loss_minimum(ws, state.env, metric_alpha) for ws in trial_ws]
     # the records and identity vectors of every (trial, round), preset to an
     # aborted round's values
     table = np.zeros((n_trials, cfg.rounds), dtype=ROUND_DTYPE)
@@ -433,19 +432,23 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         block = slice(t0, t0 + n_rounds)
         # release the previous block's arrays before this block's draws; not
         # at the end of a pass, which made one-block runs 1-2% slower
-        batches = comps = abs_h = phases = buffers = iterates_of = block_rows = None
+        batches = matrices = adjoints = modes = counts = None
+        abs_h = phases = buffers = chain = iterates_of = block_rows = None
         active, gains, noise = (replay[name][trials, block]
                                 for name in ("active", "gains", "noise"))
         batches = _block_batches(cfg, state, trials, t0, active)
-        comps = ch.compression_block(cfg.dim, comp_rows[trials, block])
+        matrices, adjoints, modes, counts = ch.compression_block(d, comp_rows[trials, block])
         # one modulus per gain, for its phase and its records
         abs_h = np.hypot(gains.real, gains.imag)
         phases = sparsify.phase(gains, abs_h)
         buffers = _block_buffers(cfg, len(trials), n_rounds)
+        # the block's iterate chain: row j is what round t0 + j starts from
+        chain = np.empty((n_rounds + 1, len(trials), d))
+        chain[0] = thetas[trials, t0]
         # the block's local iterates; NaN where a trial did not run
         iterates_of = np.full((len(trials), n_rounds, q, rn, d), np.nan)
         block_rows = trials[:, None, None] * state.n + active  # the devices' rows of the state
-        starts = np.repeat(trials, rn)
+        starts = np.repeat(np.arange(len(trials)), rn)  # each device's trial in the block
         n_sent = 0  # the rounds of the block that every trial sent
         # the devices of every trial step as one stack; values that leave
         # the float range raise no warning: they abort their trial, or are
@@ -456,15 +459,15 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 eta_t, alpha_t = rates[t]
                 rows = block_rows[:, j]
                 deltas, iterates = meta.local_rounds(
-                    state.theta[starts], state.data,
+                    chain[j][starts], state.data,
                     batches[:, j].reshape((-1,) + batches.shape[3:]).swapaxes(0, 1), alpha_t,
                     eta_t, rows.reshape(-1))
                 iterates_of[:, j] = iterates.reshape(q, len(trials), rn, d).swapaxes(0, 1)
                 deltas = deltas.reshape(len(trials), rn, d)
                 updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas,
                                                          cfg.sparsify_k)
-                g_sq = sparsify.energies(updates)
-                rho = sparsify.power_scale(updates, g_sq, eta_sq[t], state.policy)
+                g_sq, live = sparsify.energies(updates), updates.any(axis=-1)
+                rho = sparsify.power_scale(live, g_sq, eta_sq[t], state.policy)
                 # a trial that cannot send ends the block before round t
                 # commits anything; the others run round t in the next block
                 stop = ~(np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0))
@@ -474,30 +477,29 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                 buffers["rho"][:, j], buffers["g_sq"][:, j] = rho, g_sq
                 buffers["deltas"][:, j], buffers["updates"][:, j] = deltas, updates
                 buffers["memories"][:, j] = state.memories.reshape(-1, state.n, d)[trials]
-                comp = tuple(c[:, j] for c in comps)
-                signals = ch.compress(comp[0], sparsify.phase_precompensate(
-                    updates, rho, eta_t, phases[:, j]))
+                signals = ch.compress(matrices[:, j], sparsify.phase_precompensate(
+                    updates, live, rho, eta_t, phases[:, j]))
                 buffers["signals"][:, j] = signals
                 y = ch.transmit_mac(signals, gains[:, j], noise[:, j])
                 total_g_sq = g_sq.sum(axis=-1)
                 prior_power = abs_power * rho * total_g_sq / (eta_sq[t] * d)
                 prior_power[total_g_sq <= 0.0] = 0.0  # a trial without update energy has none
-                est = ch.estimate_stack(y, *comp, prior_power, state.noise_var, cfg.estimator)
-                buffers["x_hat"][:, j], buffers["v_model"][:, j] = est.x_hat, est.err_var
-                buffers["pinv_fallback"][:, j] = est.pinv_fallback
-                theta_next = ch.global_update(state.theta[trials], est.x_hat, eta_t, rho, mu_abs,
-                                              rn)
-                state.theta[trials] = thetas[trials, t + 1] = theta_next
+                x_hat = ch.estimate_stack(y, adjoints[:, j], modes[:, j], prior_power,
+                                          state.noise_var, cfg.estimator)
+                buffers["prior_power"][:, j], buffers["x_hat"][:, j] = prior_power, x_hat
+                chain[j + 1] = ch.global_update(chain[j], x_hat, eta_t, rho, mu_abs, rn)
                 n_sent = j + 1
                 # a trial whose next iterate is not finite ends the block
                 # after round t; no later round reads that iterate
-                stop = ~np.isfinite(theta_next).all(axis=1)
+                stop = ~np.isfinite(chain[j + 1]).all(axis=1)
                 if stop.any():
                     break
             for k in trials[stop].tolist():
                 aborted_at[k] = t
             sent = slice(t0, t0 + n_sent)
+            thetas[trials, t0 + 1:t0 + n_sent + 1] = chain[1:n_sent + 1].swapaxes(0, 1)
             _block_records(cfg, state, trials, t0, rates[sent], eta_sq[sent], abs_h[:, :n_sent],
+                           counts[:, :n_sent],
                            {name: b[:, :n_sent] for name, b in buffers.items()}, table, recon)
             # the offsets of the local iterates from their devices' task
             # vectors, in place; the rounds no trial ran are NaN, which it skips
@@ -609,25 +611,27 @@ def _block_buffers(cfg: ExperimentConfig, n_trials: int, n_rounds: int) -> dict:
     what ``_block_records`` reads.  Every trial of a block sends in each
     round the block records, so every cell read is written first."""
     rn, d, m_uses = cfg.n_active, cfg.dim, cfg.channel_uses
-    shapes = dict(rho=(), v_model=(), pinv_fallback=(), x_hat=(d,), updates=(rn, d),
-                  deltas=(rn, d), signals=(rn, m_uses), g_sq=(rn,), memories=(cfg.n_devices, d))
-    dtypes = dict(pinv_fallback=bool, signals=complex)
-    return {name: np.empty((n_trials, n_rounds) + shape, dtype=dtypes.get(name, float))
+    shapes = dict(rho=(), prior_power=(), x_hat=(d,), updates=(rn, d), deltas=(rn, d),
+                  signals=(rn, m_uses), g_sq=(rn,), memories=(cfg.n_devices, d))
+    return {name: np.empty((n_trials, n_rounds) + shape,
+                           dtype=complex if name == "signals" else float)
             for name, shape in shapes.items()}
 
 
 def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0: int,
-                   rates: list, eta_sq: list, abs_h: np.ndarray, buffers: dict,
-                   table: np.ndarray, recon: np.ndarray):
+                   rates: list, eta_sq: list, abs_h: np.ndarray, counts: np.ndarray,
+                   buffers: dict, table: np.ndarray, recon: np.ndarray):
     """Write the records and identity vectors of the consecutive rounds from
     t0 that every one of the K ``trials`` sent, from their raw outputs
     ``buffers`` (``_block_buffers``, by (trial, round)), their rates and the
-    squares ``eta_sq`` (``sparsify.rate_sq``), and their gains' moduli
-    ``abs_h`` (K, rounds, rn), into the run's ``table`` and ``recon``.
+    squares ``eta_sq`` (``sparsify.rate_sq``), their gains' moduli ``abs_h``
+    (K, rounds, rn) and their mode counts ``counts`` (K, rounds, 2)
+    (``ch.compression_block``), into the run's ``table`` and ``recon``.
 
-    Each field is computed for every cell at once, in the form the round
-    computed it with a leading round axis, so that a cell is bit for bit its
-    one-round value; the rounds a trial did not send keep their presets.
+    Each field is computed for every cell at once, in its one-round form
+    with a leading round axis (``v_model`` and ``pinv_fallback`` by
+    ``ch.estimate_error``), so that a cell is bit for bit its one-round
+    value; the rounds a trial did not send keep their presets.
     """
     cells = (trials[:, None], t0 + np.arange(len(rates)))
     eta = np.array([eta_t for eta_t, _ in rates])
@@ -642,8 +646,10 @@ def _block_records(cfg: ExperimentConfig, state: _State, trials: np.ndarray, t0:
     noise_term = buffers["x_hat"] - signal_true
     block_power = (signals.conj()[..., None, :] @ signals[..., :, None])[..., 0, 0].real
     memories = buffers["memories"]
+    v_model, pinv_fallback = ch.estimate_error(counts, buffers["prior_power"], state.noise_var,
+                                               cfg.estimator, cfg.dim)
     fields = dict(
-        rho=buffers["rho"], v_model=buffers["v_model"], pinv_fallback=buffers["pinv_fallback"],
+        rho=buffers["rho"], v_model=v_model, pinv_fallback=pinv_fallback,
         v=(noise_term[..., None, :] @ noise_term[..., :, None])[..., 0, 0] / cfg.dim,
         min_g_sq_over_eta_sq=np.where(eta_sq > 0, g_sq.min(axis=-1) / eta_sq, np.nan),
         mem_norm_sq_max=(memories**2).sum(axis=-1).max(axis=-1),

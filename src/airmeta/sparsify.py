@@ -38,10 +38,10 @@ def comp_k(x: np.ndarray, k: int) -> np.ndarray:
     d = x.shape[-1]
     flat = x.reshape(-1, d)
     # stable sort on -|x| keeps the lowest index among ties
-    keep = np.argsort(-np.abs(flat), axis=1, kind="stable")[:, :k]
-    rows = np.arange(flat.shape[0])[:, None]
-    out = np.zeros_like(flat)
-    out[rows, keep] = flat[rows, keep]
+    keep = (-np.abs(flat)).argsort(axis=1, kind="stable")[:, :k]
+    keep += np.arange(0, flat.size, d)[:, None]
+    out = np.zeros(flat.size, dtype=flat.dtype)
+    out[keep] = flat.reshape(-1)[keep]
     return out.reshape(x.shape)
 
 
@@ -72,13 +72,14 @@ def rate_sq(eta: float) -> float:
         return float("inf")
 
 
-def power_scale(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
+def power_scale(live: np.ndarray, nrm: np.ndarray, eta_sq: float,
                 policy: PowerPolicy) -> np.ndarray:
     """Common scale rho so every device meets its average power budget.
 
-    ``g`` is the float (..., n, d) stack of the devices' updates, ``nrm``
-    their ``energies`` and ``eta_sq`` the ``rate_sq(eta)`` of an eta >= 0;
-    the result is an array (...) of the scale of each (n, d) stack.
+    Of the float (..., n, d) stack g of the devices' updates, ``live`` is
+    ``g.any(axis=-1)`` (..., n) and ``nrm`` their ``energies``; ``eta_sq``
+    is the ``rate_sq(eta)`` of an eta >= 0.  The result is an array (...)
+    of the scale of each (n, d) stack.
     rho = min over devices of eta^2 * M * P / ||g||^2; the binding device
     transmits at exactly its budget, all others strictly below.  If every
     update is zero (a zero transmission costs no power) the configured
@@ -89,8 +90,7 @@ def power_scale(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
     too when eta^2 overflows, for a stack with a non-finite entry, and for
     a nonzero update at eta == 0: such a stack cannot send.
     """
-    live = g.any(axis=-1)  # a tiny nonzero g can have nrm == 0
-    some = live.any(axis=-1)
+    some = live.any(axis=-1)  # a tiny nonzero g can have nrm == 0
     scalable = some & ~(live & (nrm < _TINY)).any(axis=-1) & (_TINY <= eta_sq < np.inf)
     # the least eta^2 M P / ||g||^2 over the devices is the quotient by the
     # largest energy: rounding keeps the order of the quotients
@@ -99,11 +99,12 @@ def power_scale(g: np.ndarray, nrm: np.ndarray, eta_sq: float,
     return np.where(some, np.where(scalable & (rho >= _TINY), rho, np.nan), policy.rho_max)
 
 
-def phase_precompensate(g: np.ndarray, rho: np.ndarray, eta: float,
+def phase_precompensate(g: np.ndarray, live: np.ndarray, rho: np.ndarray, eta: float,
                         phases: np.ndarray) -> np.ndarray:
     """Scale and counter-rotate each device's update so it arrives co-phased.
 
-    Row i of the float (..., n, d) stack g is sent over a coefficient h_i of
+    Row i of the float (..., n, d) stack g, nonzero where ``live`` =
+    ``g.any(axis=-1)`` (..., n), is sent over a coefficient h_i of
     ``phase`` phases[..., i] = e^{-j arg(h_i)}.  Returns
     (sqrt(rho) * e^{-j arg(h_i)} / eta) * g_i per row, with a scale rho (...)
     per (n, d) stack; multiplying by h_i leaves |h_i| * (sqrt(rho)/eta) * g_i,
@@ -112,7 +113,7 @@ def phase_precompensate(g: np.ndarray, rho: np.ndarray, eta: float,
     factor is not finite (eta == 0).
     """
     factor = (np.sqrt(rho) / eta)[..., None] * phases
-    return np.where(g.any(axis=-1)[..., None], factor[..., None] * g, 0.0)
+    return np.where(live[..., None], factor[..., None] * g, 0.0)
 
 
 def phase(h: np.ndarray, abs_h: np.ndarray) -> np.ndarray:

@@ -79,9 +79,10 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     d, n_active, eta, power = 20, 3, 0.05, 1.0
     gs = sparsify.comp_k(gen.standard_normal((n_active, d)), 5)
     policy = sparsify.PowerPolicy(power=power, channel_uses=d)
-    rho = sparsify.power_scale(gs, sparsify.energies(gs), sparsify.rate_sq(eta), policy)
+    live = gs.any(axis=-1)
+    rho = sparsify.power_scale(live, sparsify.energies(gs), sparsify.rate_sq(eta), policy)
     rows = np.sort(gen.choice(d, size=d, replace=False))
-    comp = channel.compression_block(d, rows[None])  # a stack of one round
+    matrix, adjoint, modes, _ = channel.compression_block(d, rows[None])  # a stack of one round
     mu, pw = channel.fading_moments("rayleigh")
     noise_var = channel.snr_noise_var(10.0, n_active, power, pw)
     target = np.mean(gs, axis=0)
@@ -89,11 +90,11 @@ def check_unbiased_aggregation(seed: int = 0, n_draws: int = 10**4) -> VerifyRes
     z = gen.standard_normal((n_draws, channel.channel_normals(n_active, "rayleigh", d)))
     gains, noise = channel.channel_draws(z, n_active, "rayleigh", noise_var)
     phases = sparsify.phase(gains, np.hypot(gains.real, gains.imag))
-    signals = channel.compress(comp[0], sparsify.phase_precompensate(gs, rho, eta, phases))
+    signals = channel.compress(matrix, sparsify.phase_precompensate(gs, live, rho, eta, phases))
     y = channel.transmit_mac(signals, gains, noise)
-    est = channel.estimate_stack(y, *comp, np.zeros(n_draws), noise_var, "matched")
+    x_hat = channel.estimate_stack(y, adjoint, modes, np.zeros(n_draws), noise_var, "matched")
     theta = np.zeros(d)
-    samples = theta - channel.global_update(theta, est.x_hat, eta, rho, mu, n_active)
+    samples = theta - channel.global_update(theta, x_hat, eta, rho, mu, n_active)
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n_draws)
     z = np.abs(mean - target) / se

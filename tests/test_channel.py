@@ -3,8 +3,8 @@ import pytest
 
 from airmeta import channel as ch
 from airmeta import sparsify
-from airmeta.channel import (compression_block, estimate_stack, global_update, snr_noise_var,
-                             transmit_mac)
+from airmeta.channel import (compression_block, estimate_error, estimate_stack, global_update,
+                             snr_noise_var, transmit_mac)
 from airmeta.protocol import ExperimentConfig, run_experiment, run_stack
 
 import oracles
@@ -29,10 +29,13 @@ def one_round(dim, rows):
 
 
 def estimate(y, comp, prior_power, noise_var, kind):
-    """``estimate_stack`` on a stack of one round: (x_hat, err_var, pinv_fallback)."""
-    est = estimate_stack(np.asarray(y)[None], *comp, np.array([prior_power], dtype=float),
-                         noise_var, kind)
-    return est.x_hat[0], float(est.err_var[0]), bool(est.pinv_fallback[0])
+    """``estimate_stack`` and ``estimate_error`` on a stack of one round:
+    (x_hat, err_var, pinv_fallback)."""
+    _, adjoint, modes, counts = comp
+    p = np.array([prior_power], dtype=float)
+    x_hat = estimate_stack(np.asarray(y)[None], adjoint, modes, p, noise_var, kind)
+    err_var, pinv = estimate_error(counts, p, noise_var, kind, adjoint.shape[-2])
+    return x_hat[0], float(err_var[0]), bool(pinv[0])
 
 
 class TestCompression:
@@ -53,6 +56,20 @@ class TestCompression:
             direct = np.exp(-2j * np.pi * np.outer(rows, np.arange(dim)) / dim) / np.sqrt(dim)
             assert compression_block(dim, rows)[0].tobytes() == direct.tobytes()
             assert one_round(dim, rows)[0][0].tobytes() == direct.tobytes()
+
+    def test_adjoints_are_views_of_one_conjugate(self):
+        """Each adjoint is its DFT's conjugate transpose, bit for bit, and
+        the adjoints of a stack of rounds view one conjugate of its DFTs
+        with each round's rows, as a round conjugating its own would lay
+        them out."""
+        rows = np.stack([draw_rows(8, 20, np.random.default_rng(seed)) for seed in range(3)])
+        matrices, adjoints, _, _ = compression_block(20, rows)
+        assert adjoints.shape == (3, 20, 8)
+        for matrix, adjoint in zip(matrices, adjoints):
+            own = matrix.conj().swapaxes(-1, -2)
+            assert adjoint.tobytes() == own.tobytes()
+            assert adjoint.strides == own.strides
+        assert not adjoints.flags.owndata and adjoints.base.shape == (3, 8, 20)
 
     def test_spectral_norm_at_most_one(self, rng):
         for _ in range(100):
@@ -291,7 +308,7 @@ class TestFourierFilter:
         eigenvalues of B B', and the mode counts those of B'B, to 1e-13, for
         every row set at d <= 8."""
         for dim, rows in every_row_set(8):
-            matrix, modes, counts = (c[0] for c in one_round(dim, rows))
+            matrix, _, modes, counts = (c[0] for c in one_round(dim, rows))
             b = oracles.real_operator(matrix)
             n_half, n_one = counts.tolist()
             want = np.sort(np.concatenate([modes, 1.0 - modes]))

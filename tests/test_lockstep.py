@@ -22,7 +22,8 @@ from airmeta import channel, meta, protocol, sparsify
 from airmeta.protocol import ExperimentConfig, replay_experiment, run_experiment, run_stack
 from airmeta.sweeps import trial_configs
 
-from test_protocol import small_configs
+import oracles
+from strategies import small_configs
 
 
 def config(**overrides):
@@ -76,6 +77,25 @@ def test_each_trial_of_a_stack_is_its_own_run(cfg, k, block):
         assert_lockstep(trial_configs(cfg, k))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_configs(), st.sampled_from([1, 2, 3]), st.sampled_from([1, 3, 320]))
+def test_every_round_of_a_stack_equals_the_literal_round_oracle(cfg, k, block):
+    """Every iterate, record field and identity vector of each trial of a
+    stack of 1 to 3 trials of any valid config, in blocks of 1, 3 or 320
+    rounds, bit for bit what ``oracles.rounds_of`` computes one round at a
+    time, each stage written out a device at a time."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(protocol, "_BLOCK_ROUNDS", block)
+        for traj in run_stack(trial_configs(cfg, k)):
+            thetas, records, recon = oracles.rounds_of(traj)
+            assert thetas.tobytes() == traj.thetas.tobytes()
+            assert len(records) == len(traj.records)
+            for name in protocol.ROUND_DTYPE.names:
+                assert records[name].tobytes() == traj.records[name].tobytes(), name
+            for key in protocol._RECON_KEYS:
+                assert recon[key].tobytes() == traj.recon[key].tobytes(), key
+
+
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_trials_abort_at_their_own_rounds(block, monkeypatch):
     """Two trials complete and three abort, at rounds 63 and 66, under
@@ -92,21 +112,30 @@ def test_a_trial_that_cannot_send_aborts_alone(monkeypatch):
     it has no finite power scale: it aborts there, and the stack goes on.
     Up to round 39 it is its own 40-round run; its round-40 record keeps the
     preset values but the rates and the squared meta-gradient of the iterate
-    the round started from.  The other trials are their own runs."""
+    the round started from.  The other trials are their own runs.
+
+    The fault is keyed on the iterate trial 1 starts round 40 from, as
+    ``faulty_stages`` keys its faults, not on a count of calls: the others
+    run round 40 again in the next block."""
     configs = trial_configs(config(), 3)
     ones = [run_experiment(c) for c in configs]
     before = run_experiment(configs[1].replace(rounds=40))
-    fold, rounds_done = sparsify.memory_fold, []
+    local_rounds, fold, faulty = meta.local_rounds, sparsify.memory_fold, []
+
+    def marking_local_rounds(theta_start, *args):
+        """The local steps; marks the devices that start from trial 1's
+        round-40 iterate."""
+        faulty.append((theta_start == ones[1].thetas[40]).all(axis=-1))
+        return local_rounds(theta_start, *args)
 
     def overflowing_fold(memory, delta, k):
-        """The fold, called once a round, with an infinite entry in trial
-        1's update at round 40."""
+        """The fold, with an infinite first entry in the update of every
+        device the round's local steps marked."""
         updates, memory_next = fold(memory, delta, k)
-        if len(rounds_done) == 40:
-            updates[1, 0, 0] = np.inf
-        rounds_done.append(True)
+        updates[faulty[-1].reshape(updates.shape[:-1]), 0] = np.inf
         return updates, memory_next
 
+    monkeypatch.setattr(meta, "local_rounds", marking_local_rounds)
     monkeypatch.setattr(sparsify, "memory_fold", overflowing_fold)
     stack = run_stack(configs)
     assert [t.aborted_at for t in stack] == [None, 40, None]

@@ -13,7 +13,8 @@ import oracles
 def power_scale(updates, eta, policy):
     """The scale of one (n, d) stack of updates at the outer rate eta."""
     g = np.asarray(updates, dtype=float)
-    return sparsify.power_scale(g, sparsify.energies(g), sparsify.rate_sq(eta), policy)
+    return sparsify.power_scale(g.any(axis=-1), sparsify.energies(g), sparsify.rate_sq(eta),
+                                policy)
 
 
 def phase(h):
@@ -24,7 +25,8 @@ def phase(h):
 
 def precompensate(g, rho, eta, gains):
     """``phase_precompensate`` of the (n, d) updates g, sent over ``gains``."""
-    return phase_precompensate(np.asarray(g, dtype=float), np.asarray(rho, dtype=float), eta,
+    g = np.asarray(g, dtype=float)
+    return phase_precompensate(g, g.any(axis=-1), np.asarray(rho, dtype=float), eta,
                                phase(np.asarray(gains, dtype=complex)))
 
 
@@ -142,7 +144,8 @@ class TestPowerScale:
         g[1] = 1.0
         g[1, 0, 1] = entry
         with np.errstate(all="ignore"):
-            rho = sparsify.power_scale(g, sparsify.energies(g), sparsify.rate_sq(eta), policy)
+            rho = sparsify.power_scale(g.any(axis=-1), sparsify.energies(g),
+                                       sparsify.rate_sq(eta), policy)
         assert rho[0] == 123.0 and np.isnan(rho[1])
 
 

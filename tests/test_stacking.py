@@ -128,6 +128,19 @@ class TestStackedRowsEqualOneRowCalls:
             if not started.all():
                 assert not np.all(np.isfinite(deltas[i]))
 
+    def test_local_rounds_when_every_row_stops(self):
+        """Both rows of a stack leave the finite range in step 0 of 3: the
+        steps end there, and the iterates of steps 1 and 2 are NaN."""
+        datasets, alpha, steps, batch, eta, theta, seed = device_stack(
+            4, 2, 3, 4, 8, 5, 0.1, 3, 1e9, 1e300, 11)
+        data = tasks.stack_datasets(datasets)
+        idx = batches(seed, len(datasets), meta.batch_pools(data, batch), batch, steps)
+        with np.errstate(all="ignore"):
+            deltas, iterates = meta.local_rounds(theta, data, idx, alpha, eta, np.arange(2))
+        assert np.isnan(iterates).any(axis=-1).T.tolist() == [[False, True, True]] * 2
+        assert np.isnan(iterates[1:]).all()
+        assert not np.isfinite(deltas).all(axis=1).any()
+
     def test_local_rounds_after_a_row_stops(self):
         """Row 1 of 4 starts far enough out to leave the finite range at step
         2 of 5: the rows that run on read their own batches of the ones
@@ -185,8 +198,10 @@ class TestStackedRowsEqualOneRowCalls:
                                                                   replace=False)))[0]
         phases = sparsify.phase(gains, np.hypot(gains.real, gains.imag))
         rho = np.asarray(rho)
-        x = sparsify.phase_precompensate(g, rho, eta, phases)
-        assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], rho, eta, phases[i:i + 1])[0]
+        live = g.any(axis=-1)
+        x = sparsify.phase_precompensate(g, live, rho, eta, phases)
+        assert same_rows(x, [sparsify.phase_precompensate(g[i:i + 1], live[i:i + 1], rho, eta,
+                                                          phases[i:i + 1])[0]
                              for i in range(n)])
         # the phase is formed per scalar
         assert same_rows(x, [(np.sqrt(rho) / eta) * (np.conj(h) / abs(h)) * row if np.any(row)
@@ -220,10 +235,14 @@ class TestStackedRowsEqualOneRowCalls:
         y = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
         comp = channel.compression_block(dim, np.array(rows))
         powers = np.array(powers, dtype=float)
+        def estimate(k):
+            """(x_hat, err_var, pinv_fallback) of the rounds k of the stack."""
+            _, adjoint, modes, counts = (c[k] for c in comp)
+            return (channel.estimate_stack(y[k], adjoint, modes, powers[k], noise_var, kind),
+                    *channel.estimate_error(counts, powers[k], noise_var, kind, dim))
+
         with np.errstate(all="ignore"):
-            est = channel.estimate_stack(y, *comp, powers, noise_var, kind)
-            ones = [channel.estimate_stack(y[k:k + 1], *(c[k:k + 1] for c in comp),
-                                           powers[k:k + 1], noise_var, kind)
-                    for k in range(len(rows))]
-        for field in ("x_hat", "err_var", "pinv_fallback"):
-            assert same_rows(getattr(est, field), [getattr(one, field)[0] for one in ones])
+            est = estimate(slice(None))
+            ones = [estimate(slice(k, k + 1)) for k in range(len(rows))]
+        for i in range(3):
+            assert same_rows(est[i], [one[i][0] for one in ones])

@@ -396,6 +396,22 @@ class TestCli:
             assert not out.exists()
             assert f"invalid config {cfg_path}: {name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", [name for name, kind in CONFIG_TYPES.items()
+                                      if kind == "int"])
+    def test_int_field_beyond_the_float_range_exits_2_before_any_output(self, tmp_path,
+                                                                         capsys, name):
+        """A JSON integer that no float holds, of either sign, in an int
+        field is a config error too, named by its field: a 401-digit
+        ``n_devices`` made ``validate()`` raise OverflowError in the float
+        product ``active_fraction * n_devices``."""
+        for value in (HUGE, -HUGE):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(run_config(rounds=1).to_dict() | {name: value}))
+            out = tmp_path / "o"
+            assert main(["run", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+            assert not out.exists()
+            assert f"invalid config {cfg_path}: {name} must be finite" in capsys.readouterr().err
+
     def test_sweep_value_beyond_the_float_range_exits_2(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"axis": "eta", "values": [0.001, HUGE],
