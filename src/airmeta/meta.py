@@ -56,38 +56,41 @@ def local_rounds(theta_start: np.ndarray, data: Dataset, idx: np.ndarray, alpha:
     model differences the devices would report, and iterates (Q, n, d) the
     points the steps started from (used for empirical constant estimation).
     A device whose iterate leaves the finite range stops there, so it
-    reports a non-finite delta; its iterates from that step on are NaN.
+    reports theta_start minus its first non-finite iterate; its iterates
+    from that step on are NaN.
 
-    Every step's batches are gathered at once; each step is
-    ``meta_grad_estimate`` on its rows of them.
+    Every step's batches are gathered at once (``_gather``); each step is
+    ``meta_grad_estimate`` on its rows of them.  The steps run on every row
+    unchecked: a non-finite entry stays non-finite under the steps, so only
+    a non-finite end iterate sends its row through the one pass that stops
+    it where it left the finite range.
     """
     n, steps = len(devices), idx.shape[0]
     x, y = _gather(data, idx, devices)
-    theta = np.empty((n, theta_start.shape[-1]))
-    theta[:] = theta_start
-    iterates = np.empty((steps, n, theta_start.shape[-1]))
-    live = slice(None)  # all rows run until one stops, and a slice of them is a view
+    # row q is the point step q starts from, the last one the end iterate
+    chain = np.empty((steps + 1, n, theta_start.shape[-1]))
+    chain[0] = theta_start
     for step in range(steps):
-        if step:
-            # a stopped row's iterate stays as it stopped, not finite
-            ok = np.isfinite(theta).all(axis=1)
-            if not ok.all():
-                iterates[step:, ~ok] = np.nan
-                live = np.flatnonzero(ok)
-                if not live.size:
-                    break
-        iterates[step, live] = theta[live]
-        theta[live] = theta[live] - eta * meta_grad_estimate(
-            theta[live], x[step, live], y[step, live], alpha)
-    return theta_start - theta, iterates
+        np.subtract(chain[step], eta * meta_grad_estimate(chain[step], x[step], y[step], alpha),
+                    out=chain[step + 1])
+    stopped = np.flatnonzero(~np.isfinite(chain[-1]).all(axis=1))
+    if stopped.size:
+        # the first non-finite iterate of each stopped row (the start is finite)
+        first = np.isfinite(chain[:, stopped]).all(axis=-1).argmin(axis=0)
+        chain[-1, stopped] = chain[first, stopped]
+        after = np.arange(steps)[:, None] >= first
+        chain[:-1, stopped] = np.where(after[..., None], np.nan, chain[:-1, stopped])
+    return theta_start - chain[-1], chain[:-1]
 
 
 def _gather(data: Dataset, idx: np.ndarray, devices: np.ndarray):
     """The float points (..., n, 3, m_B, d) and the labels (..., n, 3, m_B)
     of the batch indices ``idx`` (..., n, 3, m_B), row i on device
-    ``devices[i]``."""
-    rows = devices[:, None, None]
-    return np.asarray(data.x[rows, idx], dtype=float), data.y[rows, idx]
+    ``devices[i]``: one ``take`` of the flat indices ``device * m + idx``
+    from the stack's points and one from its labels."""
+    flat = devices[:, None, None] * data.m + idx
+    return (np.asarray(data.x.reshape(-1, data.x.shape[-1]).take(flat, axis=0), dtype=float),
+            data.y.reshape(-1).take(flat))
 
 
 def meta_grad_estimate(thetas: np.ndarray, x: np.ndarray, y: np.ndarray,

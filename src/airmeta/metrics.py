@@ -74,11 +74,30 @@ def meta_test_loss(theta, env: TaskEnvironment, alpha: float, n_test: int, m_tr:
 
 def mean_se(values) -> tuple[float, float]:
     """Mean and standard error (ddof=1) of independent trial values; nan
-    where undefined: the mean of no values, the error of fewer than two."""
+    where undefined: the mean of no values, the error of fewer than two.
+
+    Finite values give a finite mean and error, with no warning.  Where
+    their sum or squared deviations leave the float range, that moment is
+    taken of the values scaled by a power of two into it, exactly, and
+    scaled back; a moment that is finite unscaled keeps its bytes."""
     vals = np.asarray(values, dtype=float)
-    mean = float(np.mean(vals)) if vals.size else float("nan")
-    se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
+    if vals.size < 2:
+        return (float(np.mean(vals)) if vals.size else float("nan")), float("nan")
+    mean, se = _mean_se(vals)
+    if np.isfinite(vals).all() and not np.isfinite([mean, se]).all():
+        exp = int(np.frexp(np.abs(vals).max())[1])
+        scaled_mean, scaled_se = _mean_se(np.ldexp(vals, -exp))
+        with np.errstate(over="ignore"):
+            mean = mean if np.isfinite(mean) else float(np.ldexp(scaled_mean, exp))
+            se = se if np.isfinite(se) else float(np.ldexp(scaled_se, exp))
     return mean, se
+
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """``mean_se`` of two or more values as numpy computes it, inf or nan
+    where a sum or square leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
 def trial_gap(traj) -> tuple[float, float]:

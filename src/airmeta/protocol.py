@@ -355,17 +355,21 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
     not depend on the iterates (``_round_draws``).  Per block, one fixed set of
     trials over consecutive rounds: its local batches (``_block_batches``) and
     compression operators.  A round computes only the block's chain of
-    iterates: the local steps, the error-feedback fold and the power scaling,
-    then, if every trial can send (finite model differences, a finite rho >
-    0), the memory commit and one call of each transmit stage, x_hat alone
-    estimated.  Trials leave the stack only at the end of a block, and
-    an abort at round t ends its block: before round t commits anything when
-    a trial cannot send, the others running round t again in the next block,
-    and after round t when a trial's next iterate is not finite.  The round a
-    trial aborted at is stamped in ``aborted_at``; if it did not send, its
-    records keep their preset values.  The stages check nothing; what they
-    assume is checked per run (``validate``, the sampled gains), where a
-    replay log enters, or by the two abort checks.  A block's iterates, and
+    iterates: the local steps, the error-feedback fold and its memory
+    commit, the power scaling and one call of each transmit stage, x_hat
+    alone estimated.  No round checks anything.  After the block's last
+    round, its buffers and chain give the first round t at which a trial
+    could not send (non-finite model differences, or no finite rho > 0) or
+    left a non-finite next iterate: that abort ends the block, before round
+    t when a trial could not send, the others running round t again in the
+    next block, and after round t otherwise.  The memories are restored to
+    the last round the block keeps, and the rounds after t are dropped, so
+    an aborting block computes all its rounds.  Trials leave the stack only
+    at the end of a block.  The round a trial aborted at is stamped in
+    ``aborted_at``; if it did not send, its records keep their preset
+    values.  The stages check nothing; what they assume is checked per run
+    (``validate``, the sampled gains), where a replay log enters, or by the
+    block's abort search.  A block's iterates, and
     its records from the raw outputs of the rounds it sent (``_block_records``,
     the estimates' error model included), are written after its last round,
     the training loss and meta-gradient after the last block, into tables of
@@ -446,10 +450,12 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
         chain = np.empty((n_rounds + 1, len(trials), d))
         chain[0] = thetas[trials, t0]
         # the block's local iterates; NaN where a trial did not run
-        iterates_of = np.full((len(trials), n_rounds, q, rn, d), np.nan)
+        iterates_of = np.empty((len(trials), n_rounds, q, rn, d))
         block_rows = trials[:, None, None] * state.n + active  # the devices' rows of the state
         starts = np.repeat(np.arange(len(trials)), rn)  # each device's trial in the block
-        n_sent = 0  # the rounds of the block that every trial sent
+        # the block's rounds run unchecked; an abort is found after the last
+        # of them, and the memories the rounds after it commit are restored
+        start_memories = state.memories.reshape(-1, state.n, d)[trials]
         # the devices of every trial step as one stack; values that leave
         # the float range raise no warning: they abort their trial, or are
         # not used
@@ -464,16 +470,10 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                     eta_t, rows.reshape(-1))
                 iterates_of[:, j] = iterates.reshape(q, len(trials), rn, d).swapaxes(0, 1)
                 deltas = deltas.reshape(len(trials), rn, d)
-                updates, mem_next = sparsify.memory_fold(state.memories[rows], deltas,
-                                                         cfg.sparsify_k)
+                updates, state.memories[rows] = sparsify.memory_fold(state.memories[rows], deltas,
+                                                                     cfg.sparsify_k)
                 g_sq, live = sparsify.energies(updates), updates.any(axis=-1)
                 rho = sparsify.power_scale(live, g_sq, eta_sq[t], state.policy)
-                # a trial that cannot send ends the block before round t
-                # commits anything; the others run round t in the next block
-                stop = ~(np.isfinite(deltas).all(axis=(1, 2)) & np.isfinite(rho) & (rho > 0))
-                if stop.any():
-                    break
-                state.memories[rows] = mem_next
                 buffers["rho"][:, j], buffers["g_sq"][:, j] = rho, g_sq
                 buffers["deltas"][:, j], buffers["updates"][:, j] = deltas, updates
                 buffers["memories"][:, j] = state.memories.reshape(-1, state.n, d)[trials]
@@ -488,14 +488,24 @@ def run_stack(configs: list, channel_replays: list | None = None) -> list:
                                           state.noise_var, cfg.estimator)
                 buffers["prior_power"][:, j], buffers["x_hat"][:, j] = prior_power, x_hat
                 chain[j + 1] = ch.global_update(chain[j], x_hat, eta_t, rho, mu_abs, rn)
-                n_sent = j + 1
-                # a trial whose next iterate is not finite ends the block
-                # after round t; no later round reads that iterate
-                stop = ~np.isfinite(chain[j + 1]).all(axis=1)
-                if stop.any():
-                    break
-            for k in trials[stop].tolist():
-                aborted_at[k] = t
+            # the first round at which a trial cannot send (non-finite model
+            # differences, or no finite rho > 0) ends the block before it
+            # commits anything: the others run it again in the next block; a
+            # trial whose next iterate is not finite ends it after that round
+            unsent = ~(np.isfinite(buffers["deltas"]).all(axis=(2, 3)) & (buffers["rho"] > 0.0)
+                       & (buffers["rho"] < np.inf))
+            unfinite = ~np.isfinite(chain[1:]).all(axis=-1).T
+            n_sent, stop = n_rounds, np.zeros(len(trials), dtype=bool)
+            failed = np.flatnonzero((unsent | unfinite).any(axis=0))
+            if failed.size:
+                j = int(failed[0])
+                n_sent, stop = (j, unsent[:, j]) if unsent[:, j].any() else (j + 1, unfinite[:, j])
+                for k in trials[stop].tolist():
+                    aborted_at[k] = t0 + j
+                state.memories.reshape(-1, state.n, d)[trials] = (
+                    buffers["memories"][:, n_sent - 1] if n_sent else start_memories)
+                # no trial ran the rounds after the abort
+                iterates_of[:, j + 1:] = np.nan
             sent = slice(t0, t0 + n_sent)
             thetas[trials, t0 + 1:t0 + n_sent + 1] = chain[1:n_sent + 1].swapaxes(0, 1)
             _block_records(cfg, state, trials, t0, rates[sent], eta_sq[sent], abs_h[:, :n_sent],

@@ -7,7 +7,8 @@ batch draws, a run recomputed one round at a time with each uplink stage
 written out a device at a time (top-k, power scaling, estimation), the
 LMMSE estimate in matrix form on the stacked real system, a uniform active set
 drawn by numpy's ``choice``, one round's channel drawn by a
-``standard_normal`` call per part, the received SNR recovered from a run's
+``standard_normal`` call per part, a run's moment probe recomputed from
+its iterates, the received SNR recovered from a run's
 fading draws, the phase factors as numpy's scalar quotient, the Monte Carlo
 meta-test loss one fresh device at a time, and the CSV writers cell by cell
 through ``csv.writer``.  The simulator computes batched
@@ -250,6 +251,36 @@ def rounds_of(traj):
     n_steps = len(thetas) - 1 - (not np.isfinite(thetas[-1]).all())
     return (np.array(thetas[:n_steps + 1]), records[:len(thetas) - 1],
             {key: np.array(vecs[:n_steps]).reshape(n_steps, d) for key, vecs in recon.items()})
+
+
+def probe_of(traj):
+    """The moment probe of ``traj``'s run, from its definition: the running
+    maxima, over every local iterate of every round the run recorded (the
+    abort round's included), of ``form * |o|^2 + noise`` with the second
+    moment's and the variance's ``tasks.grad_moment_forms``, at the offset
+    o = e of the iterate from its device's task vector and at the offset
+    e - alpha * s * e after an exact adaptation step at the round's inner
+    rate.  Each round's literal ``local_rounds`` start from the run's own
+    iterate and stop at a non-finite one, so the steps a device did not run
+    are skipped."""
+    cfg = traj.config
+    env = cfg.env()
+    second, variance, noise = tasks.grad_moment_forms(env)
+    probe = {"g_sq": 0.0, "sigma_g_sq": 0.0}
+    for t, drawn in enumerate(traj.replay):
+        eta, alpha = protocol.lr_schedule(cfg, t)
+        for i in drawn["active"]:
+            ds = Dataset(x=traj.datasets.x[i], y=traj.datasets.y[i], m_tr=cfg.train_samples,
+                         m_va=cfg.val_samples)
+            _, iterates = local_rounds(traj.thetas[t], ds, alpha, eta, cfg.local_steps,
+                                       cfg.batch_size,
+                                       rng.substream(cfg.master_seed, rng.LOCAL_BATCH, t, int(i)))
+            for theta in iterates:
+                e = theta - traj.device_ws[i]
+                for off in (e, e - alpha * (env.input_cov * e)):
+                    for key, form in (("g_sq", second), ("sigma_g_sq", variance)):
+                        probe[key] = max(probe[key], form * float(off @ off) + noise)
+    return probe
 
 
 def sample_active_set(n: int, r: float, gen: np.random.Generator) -> np.ndarray:

@@ -12,13 +12,15 @@ run that completes or stops with its abort round.
 import dataclasses
 import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airmeta import channel, meta, protocol, sparsify
+from airmeta import channel, meta, protocol, rng, sparsify, storage
 from airmeta.protocol import ExperimentConfig, replay_experiment, run_experiment, run_stack
 from airmeta.sweeps import trial_configs
 
@@ -79,11 +81,16 @@ def test_each_trial_of_a_stack_is_its_own_run(cfg, k, block):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(small_configs(), st.sampled_from([1, 2, 3]), st.sampled_from([1, 3, 320]))
+# an inner rate above 2 / s, so that an adapted offset outgrows its iterate's
+@example(ExperimentConfig(dim=3, n_devices=2, samples_per_device=9, train_samples=3, rounds=6,
+                          local_steps=2, batch_size=2, eta=0.01, alpha=2.5, sparsify_k=2,
+                          channel_uses=3, master_seed=4), 2, 3)
 def test_every_round_of_a_stack_equals_the_literal_round_oracle(cfg, k, block):
     """Every iterate, record field and identity vector of each trial of a
     stack of 1 to 3 trials of any valid config, in blocks of 1, 3 or 320
     rounds, bit for bit what ``oracles.rounds_of`` computes one round at a
-    time, each stage written out a device at a time."""
+    time, each stage written out a device at a time; its moment probe what
+    ``oracles.probe_of`` computes from its iterates, to rounding."""
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(protocol, "_BLOCK_ROUNDS", block)
         for traj in run_stack(trial_configs(cfg, k)):
@@ -94,6 +101,49 @@ def test_every_round_of_a_stack_equals_the_literal_round_oracle(cfg, k, block):
                 assert records[name].tobytes() == traj.records[name].tobytes(), name
             for key in protocol._RECON_KEYS:
                 assert recon[key].tobytes() == traj.recon[key].tobytes(), key
+            assert traj.probe == pytest.approx(oracles.probe_of(traj), rel=1e-13)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_configs(), st.sampled_from([1, 3]), st.sampled_from([1, 3, 320]))
+def test_the_numpy_fallback_runs_the_stack_the_replicas_run(cfg, k, block):
+    """With ``rng.replicas_hold`` patched off, every draw goes through
+    numpy, and each trial of a stack of any valid config, aborted ones
+    included, has every field of its run with the replicas."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(protocol, "_BLOCK_ROUNDS", block)
+        replicas = run_stack(trial_configs(cfg, k))
+        patch.setattr(rng, "replicas_hold", lambda: False)
+        fallback = run_stack(trial_configs(cfg, k))
+    assert [trial_fields(t) for t in fallback] == [trial_fields(t) for t in replicas]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_configs(), st.sampled_from([1, 3]), st.sampled_from([1, 3, 320]))
+def test_a_stack_replays_from_its_written_logs(cfg, k, block):
+    """Each trial's ``replay_log.csv``, written and read back, replays its
+    iterates bit for bit and stops at its abort round, a Python int: the
+    trials that completed as one stack, each aborted one alone over the
+    rounds its log holds."""
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"), \
+            tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(protocol, "_BLOCK_ROUNDS", block)
+        stack = run_stack(trial_configs(cfg, k))
+        logs = []
+        for i, traj in enumerate(stack):
+            path = Path(tmp) / f"replay_log_{i}.csv"
+            storage.write_replay_csv(traj, path)
+            logs.append(storage.read_replay_csv(path))
+        done = [i for i, traj in enumerate(stack) if traj.aborted_at is None]
+        again = dict(zip(done, run_stack([stack[i].config for i in done],
+                                         [logs[i] for i in done]) if done else []))
+        for i, traj in enumerate(stack):
+            if traj.aborted_at is not None:
+                again[i] = replay_experiment(traj.config.replace(rounds=len(logs[i])), logs[i])
+    for i, traj in enumerate(stack):
+        assert again[i].thetas.tobytes() == traj.thetas.tobytes()
+        assert again[i].aborted_at == traj.aborted_at
+        assert traj.aborted_at is None or type(traj.aborted_at) is int
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])

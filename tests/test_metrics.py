@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airmeta import metrics, tasks
+from airmeta import metrics, sweeps, tasks
 from airmeta.metrics import (mean_se, meta_test_loss, meta_training_loss,
                              stationary_convergence_error, trial_gap)
 from airmeta.protocol import ROUND_DTYPE, ExperimentConfig, run_experiment
@@ -149,6 +151,44 @@ class TestGeneralizationGap:
         mean, se = mean_se(gaps)
         assert mean == pytest.approx(gaps.mean())
         assert se == pytest.approx(gaps.std(ddof=1) / np.sqrt(3))
+
+    # the per-trial gaps of configs/generalization.json at eta 6 and
+    # theta_init 1e40: every trial ends, and the squared deviations overflow
+    OVERFLOWING_GAPS = [-4.855289922188936e+250, 1.5355123546504763e+273,
+                        2.432692243100678e+251, -8.280937960456655e+267,
+                        2.0266338088096248e+243, 8.824693038621945e+236,
+                        5.601782555559371e+251, -6.106976948649675e+270,
+                        1.0958726638443503e+239, 1.351184879104549e+254]
+
+    def test_overflowing_values_give_the_exact_finite_error(self):
+        """Finite values whose squared deviations overflow give, with no
+        warning, what the values scaled by 2**-600 give, scaled back: the
+        exact rational mean and error, to rounding.  The sweep's point
+        result shares it."""
+        gaps = np.array(self.OVERFLOWING_GAPS)
+        mean, se = mean_se(gaps)
+        scaled = [float(np.ldexp(v, 600)) for v in mean_se(np.ldexp(gaps, -600))]
+        assert np.array([mean, se]).tobytes() == np.array(scaled).tobytes()
+        exact = [Fraction(v) for v in self.OVERFLOWING_GAPS]
+        exact_mean = sum(exact) / len(exact)
+        exact_var = sum((v - exact_mean) ** 2 for v in exact) / (len(exact) - 1) / len(exact)
+        assert mean == pytest.approx(float(exact_mean), rel=1e-15)
+        assert se == pytest.approx(math.sqrt(exact_var / 2**1100) * 2**550, rel=1e-15)
+        zero = [0.0] * len(gaps)
+        point = sweeps._point_result("snr_db", 0.0, dict(
+            conv_error=zero, test=list(gaps), train=zero, gen_bound=zero, conv_bound=zero))
+        assert (point.gap_mean, point.gap_se) == (mean, se)
+
+    def test_a_sum_that_overflows_gives_the_finite_mean(self):
+        mean, se = mean_se([1e308, 1e308, 1e308])
+        assert (mean, se) == (1e308, 0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=40))
+    def test_a_finite_error_keeps_numpy_bytes(self, values):
+        vals = np.array(values)
+        want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(vals.size)))
+        assert np.array(mean_se(values)).tobytes() == np.array(want).tobytes()
 
     def test_data_independent_output_has_zero_gap(self):
         """With no training the gap is pure sampling noise around zero."""
