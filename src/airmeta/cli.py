@@ -67,8 +67,6 @@ def cmd_run(args) -> int:
         storage.write_json(summary, tdir / "summary.json")
         if args.dump_datasets:
             storage.write_datasets_csv(traj.datasets, tdir / "datasets.csv")
-        if args.format == "json":
-            storage.write_trajectory_json(traj, tdir / "trajectory.json", test_loss)
         outputs[f"trial_{k}"] = str(tdir)
         summaries.append(summary)
         if traj.aborted_at is not None:
@@ -135,9 +133,6 @@ def cmd_sweep(args) -> int:
         if results:
             rows = sweeps.aggregate_rows(results)
             storage.write_csv(sweeps.AGGREGATE_COLUMNS, rows, out_dir / "aggregate.csv")
-            if args.format == "json":
-                storage.write_json({"columns": sweeps.AGGREGATE_COLUMNS, "rows": rows},
-                                   out_dir / "aggregate.json")
     print(f"sweep complete: {len(results)}/{len(spec.values)} points -> {out_dir}")
     return EXIT_OK if len(results) == len(spec.values) else EXIT_RUNTIME
 
@@ -236,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", default="out")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--format", choices=("csv", "json"), default="csv")
     p_run.add_argument("--dump-datasets", action="store_true",
                        help="also write the per-device datasets as CSV")
     p_run.set_defaults(func=cmd_run)
@@ -246,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out-dir", default="sweep_out")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--threads", type=int, default=1)
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suite")

@@ -113,13 +113,6 @@ def write_trajectory_csv(traj: Trajectory, path, final_test_loss: float = float(
     write_csv(TRAJECTORY_COLUMNS, trajectory_rows(traj, final_test_loss), path)
 
 
-def write_trajectory_json(traj: Trajectory, path, final_test_loss: float = float("nan")) -> None:
-    """JSON mirror of trajectory.csv: the columns and one object per round."""
-    rows = [dict(zip(TRAJECTORY_COLUMNS, row))
-            for row in trajectory_rows(traj, final_test_loss)]
-    write_json({"columns": TRAJECTORY_COLUMNS, "rows": rows}, path)
-
-
 def write_csv(columns, rows, path) -> None:
     """Header plus rows; text cells as they are, numbers as _fmt writes them.
     The lines are what ``csv.writer`` writes: a row with text goes through

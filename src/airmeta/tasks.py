@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, special
 
 
 @dataclass(frozen=True)
@@ -243,13 +243,31 @@ def hessian_spectral_variance(env: TaskEnvironment) -> float:
     """E ||per-sample Hessian - s*I||_2^2 (spectral norm).
 
     The spectral norm is max(|s*u - s|, s) with u chi-squared on dim degrees
-    of freedom, evaluated by quadrature.
+    of freedom, so this is s^2 times ``_chi2_spectral_moment(dim)``, one
+    split quadrature over the chi-squared density.
     """
     s = env.input_cov
     return float(s * s * _chi2_spectral_moment(env.dim))
 
 
 @functools.cache
-def _chi2_spectral_moment(d: int):
-    """E max((u - 1)^2, 1) for u chi-squared with d degrees of freedom."""
-    return stats.chi2(d).expect(lambda u: max((u - 1.0) ** 2, 1.0), lb=0, ub=np.inf)
+def _chi2_spectral_moment(d: int) -> float:
+    """E max((u - 1)^2, 1) for u chi-squared with d degrees of freedom.
+
+    This is the computation of scipy's ``stats.chi2(d).expect`` without
+    importing ``scipy.stats``: three ``quad`` calls of f(u)*pdf(u), split at
+    the 5% and 95% quantiles, with the density written as scipy's own
+    ``chi2._logpdf``.  Every operation is the same, so the result is the same
+    float, and the bound constants keep their bits; a closed form would move
+    them in the last bits.
+    """
+    a = d / 2.0
+    lgam, lnorm = special.gammaln(a), np.log(2) * d / 2.0
+
+    def f(u):
+        pdf = np.exp(special.xlogy(a - 1.0, u) - u / 2.0 - lgam - lnorm)
+        return max((u - 1.0) ** 2, 1.0) * pdf
+
+    c, e = 2 * special.gammaincinv(a, [0.05, 0.95])
+    return float(integrate.quad(f, 0, c)[0] + integrate.quad(f, c, e)[0]
+                 + integrate.quad(f, e, np.inf)[0])

@@ -1,14 +1,19 @@
-"""Every module uses each name it imports, and every module-level private
-name of the package is referenced outside its own definition.
+"""Every module uses each name it imports, every module-level private name
+of the package is referenced outside its own definition, and importing the
+CLI leaves ``scipy.stats`` unloaded.
 
 The package's ``__init__.py`` is exempt from the import scan: its imports
 are the public re-exports.
 """
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import airmeta
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "airmeta").glob("*.py"))
@@ -86,3 +91,15 @@ def test_scan_flags_an_unreferenced_private_name():
 
 def test_every_private_name_of_the_package_is_referenced():
     assert unreferenced_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    """The bound constants need one quadrature, which ``scipy.integrate``
+    serves; ``scipy.stats`` would add most of the import's time."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import airmeta.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+    src = str(Path(airmeta.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

@@ -798,10 +798,15 @@ class TestCli:
                      "--dump-datasets"]) == 0
         assert (out / "datasets.csv").exists()
 
-    def test_json_format_writes_mirrors(self, tmp_path):
+    def test_format_is_an_unknown_option(self, tmp_path, capsys):
+        """The CSV files are the one copy of each output: no JSON mirrors."""
         cfg_path = tmp_path / "cfg.json"
-        write_config(run_config(), cfg_path)
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg_path), "--out-dir", str(out),
-                     "--format", "json"]) == 0
-        assert (out / "trajectory.json").exists()
+        write_config(run_config(rounds=1), cfg_path)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"axis": "snr_db", "values": [10.0], "seeds": 1,
+                                         "base": run_config(rounds=1).to_dict()}))
+        for argv in (["run", "--config", str(cfg_path)], ["sweep", "--spec", str(spec_path)]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out-dir", str(out), "--format", "json"]) == 2
+            assert "unrecognized arguments: --format json" in capsys.readouterr().err
+            assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from airmeta import tasks
 from airmeta.tasks import TaskEnvironment, sample_dataset, sample_device
@@ -288,6 +289,13 @@ class TestMomentFormulas:
         x = gen.standard_normal((40_000, 5)) * np.sqrt(1.3)
         norms_sq = np.maximum((np.sum(x**2, axis=1) - 1.3) ** 2, 1.3**2)
         assert val == pytest.approx(float(norms_sq.mean()), rel=0.05)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20, 50, 200])
+    def test_chi2_spectral_moment_is_scipys_expect_bit_for_bit(self, d):
+        """The split quadrature is the computation of ``rv_continuous.expect``,
+        so the bound constants keep every bit."""
+        expect = stats.chi2(d).expect(lambda u: max((u - 1.0) ** 2, 1.0), lb=0, ub=np.inf)
+        assert tasks._chi2_spectral_moment(d) == float(expect)
 
     def test_meta_test_closed_form_matches_brute_force(self):
         env = TaskEnvironment(dim=3, center=np.array([1.0, 0.0, -0.5]),
