@@ -115,8 +115,7 @@ def run_trials(fn: Callable, tasks: Iterable, threads: int = 1) -> Iterator:
         yield from map(fn, tasks)
         return
     # fork, not spawn: workers inherit the imported package, and whatever is
-    # patched into it (perfbench's tracer), instead of importing numpy and
-    # scipy again
+    # patched into it (perfbench's tracer), instead of importing numpy again
     with concurrent.futures.ProcessPoolExecutor(
             min(threads, len(tasks)), mp_context=multiprocessing.get_context("fork")) as pool:
         yield from pool.map(fn, tasks)

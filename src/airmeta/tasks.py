@@ -16,7 +16,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+
+from . import _chi2_moments
 
 
 @dataclass(frozen=True)
@@ -243,24 +244,40 @@ def hessian_spectral_variance(env: TaskEnvironment) -> float:
     """E ||per-sample Hessian - s*I||_2^2 (spectral norm).
 
     The spectral norm is max(|s*u - s|, s) with u chi-squared on dim degrees
-    of freedom, so this is s^2 times ``_chi2_spectral_moment(dim)``, one
-    split quadrature over the chi-squared density.
+    of freedom, so this is s^2 times ``_chi2_spectral_moment(dim)``: a table
+    entry for dim <= 256, one split quadrature over the chi-squared density
+    past it.
     """
     s = env.input_cov
     return float(s * s * _chi2_spectral_moment(env.dim))
 
 
-@functools.cache
 def _chi2_spectral_moment(d: int) -> float:
     """E max((u - 1)^2, 1) for u chi-squared with d degrees of freedom.
+
+    For d <= 256 this is ``_chi2_moments.MOMENTS[d - 1]``, the floats that
+    ``_chi2_quadrature`` returns, so neither ``scipy.integrate`` nor
+    ``scipy.special`` is imported; past the table it is the quadrature.
+    """
+    if d <= len(_chi2_moments.MOMENTS):
+        return _chi2_moments.MOMENTS[d - 1]
+    return _chi2_quadrature(d)
+
+
+@functools.cache
+def _chi2_quadrature(d: int) -> float:
+    """The one definition of ``_chi2_spectral_moment(d)``.
 
     This is the computation of scipy's ``stats.chi2(d).expect`` without
     importing ``scipy.stats``: three ``quad`` calls of f(u)*pdf(u), split at
     the 5% and 95% quantiles, with the density written as scipy's own
     ``chi2._logpdf``.  Every operation is the same, so the result is the same
     float, and the bound constants keep their bits; a closed form would move
-    them in the last bits.
+    them in the last bits.  scipy is imported here, on the first d past the
+    table, not with the module.
     """
+    from scipy import integrate, special
+
     a = d / 2.0
     lgam, lnorm = special.gammaln(a), np.log(2) * d / 2.0
 

@@ -1,6 +1,7 @@
 """Every module uses each name it imports, every module-level private name
 of the package is referenced outside its own definition, and importing the
-CLI leaves ``scipy.stats`` unloaded.
+CLI and running the convergence config leave ``scipy.stats``,
+``scipy.integrate`` and ``scipy.special`` unloaded.
 
 The package's ``__init__.py`` is exempt from the import scan: its imports
 are the public re-exports.
@@ -93,13 +94,18 @@ def test_every_private_name_of_the_package_is_referenced():
     assert unreferenced_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
-def test_importing_the_cli_loads_no_scipy_stats():
-    """The bound constants need one quadrature, which ``scipy.integrate``
-    serves; ``scipy.stats`` would add most of the import's time."""
+def test_importing_the_cli_loads_no_scipy_stats(tmp_path):
+    """``import airmeta.cli`` and a run of the convergence config load none
+    of ``scipy.stats``, ``scipy.integrate`` or ``scipy.special``: the bound
+    constants read their chi-squared moment from a table for every dim up to
+    256, and ``scipy.stats`` would add most of the import's time."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import airmeta.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+            "code = airmeta.cli.main(['run', '--config', sys.argv[2], '--out-dir', sys.argv[3]]); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'], "
+            "['scipy', 'special'])))")
     src = str(Path(airmeta.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    out = subprocess.run([sys.executable, "-c", code, src,
+                          str(ROOT / "configs" / "convergence.json"), str(tmp_path / "conv")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from airmeta import tasks
+from airmeta import _chi2_moments, tasks
 from airmeta.tasks import TaskEnvironment, sample_dataset, sample_device
 
 import oracles
@@ -290,12 +290,21 @@ class TestMomentFormulas:
         norms_sq = np.maximum((np.sum(x**2, axis=1) - 1.3) ** 2, 1.3**2)
         assert val == pytest.approx(float(norms_sq.mean()), rel=0.05)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20, 50, 200])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20, 50, 200, 257])
     def test_chi2_spectral_moment_is_scipys_expect_bit_for_bit(self, d):
         """The split quadrature is the computation of ``rv_continuous.expect``,
-        so the bound constants keep every bit."""
+        so the bound constants keep every bit; 257 is the first d past the
+        table, which the quadrature serves."""
         expect = stats.chi2(d).expect(lambda u: max((u - 1.0) ** 2, 1.0), lb=0, ub=np.inf)
         assert tasks._chi2_spectral_moment(d) == float(expect)
+
+    def test_chi2_table_is_the_quadrature(self):
+        """Each entry of the table is the float the quadrature returns for its
+        d, and the table covers d = 1..256."""
+        assert len(_chi2_moments.MOMENTS) == 256
+        for d, moment in enumerate(_chi2_moments.MOMENTS, start=1):
+            assert moment == tasks._chi2_quadrature(d), d
+            assert tasks._chi2_spectral_moment(d) is moment
 
     def test_meta_test_closed_form_matches_brute_force(self):
         env = TaskEnvironment(dim=3, center=np.array([1.0, 0.0, -0.5]),
