@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, metrics, report, storage, sweeps, verify
+from . import bounds, metrics, report, storage, sweeps
 from .protocol import ExperimentConfig, run_experiment
 
 EXIT_OK = 0
@@ -138,6 +138,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Run the invariant suite; its module is imported by this command
+    alone, not by every CLI call."""
+    from . import verify
+
     results = verify.run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     failures = 0

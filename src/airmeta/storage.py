@@ -16,10 +16,10 @@ import itertools
 import json
 import platform
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .bounds import BoundReport
 from .channel import replay_dtype
@@ -70,6 +70,10 @@ def read_config(path) -> ExperimentConfig:
 
 def write_manifest(path, cfg: ExperimentConfig, trial_seeds, outputs: dict,
                    wall_clock_sec: float) -> None:
+    """The run's record: seeds, config hash, outputs, and under
+    ``environment`` the versions the data files' bytes depend on.  scipy's
+    is the version of the scipy this process has loaded, which a run loads
+    only past the chi-squared table (dim > 256), and null if none is."""
     from . import __version__
 
     manifest = {
@@ -86,7 +90,7 @@ def write_manifest(path, cfg: ExperimentConfig, trial_seeds, outputs: dict,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
             "platform": platform.platform(),
         },
     }

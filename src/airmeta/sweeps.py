@@ -8,10 +8,8 @@ sharpens trend comparisons without biasing any single point.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import itertools
-import multiprocessing
 import numbers
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -109,11 +107,15 @@ def run_trials(fn: Callable, tasks: Iterable, threads: int = 1) -> Iterator:
     process, as each result is asked for, when ``threads <= 1`` or there is
     one task; otherwise as the tasks of one process pool, each result once
     it and every result before it are in.  Closing the generator cancels the
-    tasks not yet started.  ``fn``, the tasks and the results must pickle."""
+    tasks not yet started.  ``fn``, the tasks and the results must pickle.
+    The pool's modules are imported only when a pool is made."""
     tasks = list(tasks)
     if threads <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    import concurrent.futures
+    import multiprocessing
+
     # fork, not spawn: workers inherit the imported package, and whatever is
     # patched into it (perfbench's tracer), instead of importing numpy again
     with concurrent.futures.ProcessPoolExecutor(
